@@ -2,6 +2,7 @@
 //! min-resource → regimes → dot, all through the real executable.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn rtt() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rtt"))
@@ -20,8 +21,13 @@ fn gen_instance(dir: &std::path::Path, kind: &str, nodes: usize) -> std::path::P
     path
 }
 
+/// A fresh directory per call: the tests run in parallel and reuse file
+/// names (`race.json` at 5 and at 6 nodes), so a shared directory lets
+/// one test read another's instance.
 fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rtt-cli-test-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("rtt-cli-test-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

@@ -12,17 +12,40 @@
 //! between its bounds without touching the basis), and represents the
 //! basis inverse as an **eta file** (product form of the inverse):
 //!
+//! * the file is one flat arena: a `(row, 1/pivot, lo, hi)` head per
+//!   eta plus one shared `(row, value)` entry vector, both cleared and
+//!   refilled in place by every rebuild, so the file never allocates
+//!   per eta;
 //! * `FTRAN`/`BTRAN` apply the eta list forward/backward in
 //!   `O(Σ nnz(eta))`, skipping etas whose pivot entry is zero;
 //! * each pivot appends one eta (the entering column's FTRAN image);
 //! * the file is rebuilt from scratch (**refactorization**) whenever it
-//!   grows past a size trigger, via sparse Gauss–Jordan over the basis
-//!   columns with partial pivoting — near-triangular network bases
-//!   refactorize in roughly `O(nnz)`;
+//!   grows past a size trigger: a triangular peel orders the basis
+//!   columns, each column's image is computed by a **sparse FTRAN**
+//!   that visits only the etas it reaches and clears only the entries
+//!   it touched, and only the small non-triangular kernel pays for
+//!   partial pivoting — a rebuild costs about the nonzeros of the
+//!   column images, not `O(m²)`. Unit slack/artificial columns yield
+//!   identity etas (no off-pivot entries, pivot 1), exact no-ops in
+//!   FTRAN and BTRAN, so the rebuild drops them;
 //! * on optimality the basis is refactorized once more and the basic
 //!   values get one step of iterative refinement, so extracted
 //!   objectives agree with the dense engines to ~1e-10 on the
 //!   pipeline's LPs.
+//!
+//! # Bit identity
+//!
+//! Pivot counts and objectives reach the batch wire, so the eta file's
+//! layout may change what a solve costs, never its bits. Two orders are
+//! part of every value: etas are applied in increasing eta index (the
+//! order of each entry's subtractions), and an eta's entries are stored
+//! ascending by row (BTRAN's dot-product order). The sparse rebuild
+//! keeps both — it drains the etas a column reaches from a min-heap
+//! and sorts the image's pattern before emitting it — and the growth
+//! triggers count pivots and nonzeros since the last rebuild, so
+//! dropping identity etas does not move the rebuild schedule.
+//! `tests/lp_digest.rs` in `rtt_bench` pins the whole output bit for
+//! bit.
 //!
 //! # Warm starts
 //!
@@ -47,6 +70,8 @@ use crate::problem::{Cmp, Problem};
 use crate::simplex::{Outcome, PivotRule, Solution};
 use crate::{LpStats, WarmStart, TOL};
 use rtt_budget::{BudgetMeter, Exhausted};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A simplex basis snapshot: which column is basic in each row, and
 /// which nonbasic columns rest at their upper bound. Opaque outside the
@@ -142,12 +167,115 @@ enum VStat {
 }
 
 /// One elementary (eta) matrix: pivoting row `r` on a direction vector
-/// `d` maps `B⁻¹ ← E·B⁻¹` with `E` the identity except column `r`.
+/// `d` maps `B⁻¹ ← E·B⁻¹` with `E` the identity except column `r`. The
+/// direction's nonzeros off the pivot row, `(row, d_row)` ascending by
+/// row, are `Rev::eta_ent[lo..hi]`.
+#[derive(Clone, Copy)]
 struct Eta {
     r: u32,
     inv_piv: f64,
-    /// `(row, d_row)` for the direction's nonzeros off the pivot row.
-    ent: Vec<(u32, f64)>,
+    lo: usize,
+    hi: usize,
+}
+
+/// `eta_of_row` entry of a row no rebuild eta pivots on.
+const NO_ETA: u32 = u32::MAX;
+
+/// Workspace of the rebuild's sparse FTRAN ([`Rev::image`]): a dense
+/// accumulator that is all zeros between columns, the rows the current
+/// image touched, and the min-heap of etas it has reached.
+struct Image {
+    v: Vec<f64>,
+    seen: Vec<bool>,
+    pattern: Vec<u32>,
+    reached: BinaryHeap<Reverse<u32>>,
+}
+
+impl Image {
+    fn new(m: usize) -> Image {
+        Image {
+            v: vec![0.0; m],
+            seen: vec![false; m],
+            pattern: Vec::new(),
+            reached: BinaryHeap::new(),
+        }
+    }
+
+    /// Adds row `i` to the pattern on its first touch and queues the
+    /// eta pivoting on it if that eta's turn (index `>= next`) is still
+    /// to come. A row first touched after its eta's turn needs nothing:
+    /// a dense sweep found a zero there and skipped that eta.
+    fn touch(&mut self, i: u32, eta_of_row: &[u32], next: u32) {
+        if !self.seen[i as usize] {
+            self.seen[i as usize] = true;
+            self.pattern.push(i);
+            let e = eta_of_row[i as usize];
+            if e != NO_ETA && e >= next {
+                self.reached.push(Reverse(e));
+            }
+        }
+    }
+
+    /// Zeroes what the last image touched.
+    fn clear(&mut self) {
+        for &i in &self.pattern {
+            self.v[i as usize] = 0.0;
+            self.seen[i as usize] = false;
+        }
+        self.pattern.clear();
+    }
+}
+
+/// The triangular peel's bookkeeping over the basis slots (see
+/// [`Rev::refactorize`]).
+struct Peel {
+    /// Row → the slots whose columns touch it, as CSR: `row_slot[
+    /// row_start[i]..row_start[i + 1]]`, slots ascending within a row.
+    row_start: Vec<usize>,
+    row_slot: Vec<u32>,
+    /// Active slots still touching each row.
+    row_cnt: Vec<u32>,
+    /// Active rows still touched by each slot's column.
+    col_cnt: Vec<u32>,
+    slot_done: Vec<bool>,
+    row_taken: Vec<bool>,
+    col_stack: Vec<usize>,
+    row_stack: Vec<usize>,
+    /// `(slot, row)` in the order the peel took them.
+    order: Vec<(usize, usize)>,
+}
+
+impl Peel {
+    fn slots(&self, r: usize) -> &[u32] {
+        &self.row_slot[self.row_start[r]..self.row_start[r + 1]]
+    }
+
+    /// Takes slot `s` (whose column's rows are `rows`) on row `r`.
+    fn take(&mut self, s: usize, r: usize, rows: &[u32]) {
+        self.slot_done[s] = true;
+        self.row_taken[r] = true;
+        self.order.push((s, r));
+        // column s leaves: its other active rows lose a column
+        for &i in rows {
+            let i = i as usize;
+            if !self.row_taken[i] {
+                self.row_cnt[i] -= 1;
+                if self.row_cnt[i] == 1 {
+                    self.row_stack.push(i);
+                }
+            }
+        }
+        // row r leaves: every other active column through r shrinks
+        for k in self.row_start[r]..self.row_start[r + 1] {
+            let s2 = self.row_slot[k] as usize;
+            if !self.slot_done[s2] {
+                self.col_cnt[s2] -= 1;
+                if self.col_cnt[s2] == 1 {
+                    self.col_stack.push(s2);
+                }
+            }
+        }
+    }
 }
 
 /// Relative drop tolerance when recording eta nonzeros (mirrors the
@@ -205,11 +333,13 @@ struct Rev<'a> {
     basis: Vec<usize>,
     status: Vec<VStat>,
     x_b: Vec<f64>,
+    /// The eta file, in application order (entries in `eta_ent`).
     etas: Vec<Eta>,
-    eta_nnz: usize,
-    /// `(etas.len(), eta_nnz)` right after the last refactorization —
+    /// Every eta's off-pivot entries, back to back.
+    eta_ent: Vec<(u32, f64)>,
+    /// `(etas.len(), eta_nnz())` right after the last refactorization —
     /// the growth triggers compare against this base, not zero (a
-    /// refactorization itself emits ~m etas).
+    /// refactorization itself emits up to m etas).
     eta_base: (usize, usize),
     stats: LpStats,
     phase2: bool,
@@ -366,7 +496,7 @@ impl<'a> Rev<'a> {
             basis,
             status,
             etas: Vec::new(),
-            eta_nnz: 0,
+            eta_ent: Vec::new(),
             eta_base: (0, 0),
             stats: LpStats {
                 rows: m,
@@ -402,6 +532,16 @@ impl<'a> Rev<'a> {
         }
     }
 
+    #[inline]
+    fn ent(&self, e: &Eta) -> &[(u32, f64)] {
+        &self.eta_ent[e.lo..e.hi]
+    }
+
+    /// Nonzeros in the eta file (pivots included).
+    fn eta_nnz(&self) -> usize {
+        self.etas.len() + self.eta_ent.len()
+    }
+
     /// Applies `B⁻¹` to `v` in place (forward through the eta file).
     fn ftran(&self, v: &mut [f64]) {
         for e in &self.etas {
@@ -409,7 +549,7 @@ impl<'a> Rev<'a> {
             if t != 0.0 {
                 let s = t * e.inv_piv;
                 v[e.r as usize] = s;
-                for &(i, d) in &e.ent {
+                for &(i, d) in self.ent(e) {
                     v[i as usize] -= d * s;
                 }
             }
@@ -420,11 +560,38 @@ impl<'a> Rev<'a> {
     fn btran(&self, v: &mut [f64]) {
         for e in self.etas.iter().rev() {
             let mut s = v[e.r as usize];
-            for &(i, d) in &e.ent {
+            for &(i, d) in self.ent(e) {
                 s -= d * v[i as usize];
             }
             v[e.r as usize] = s * e.inv_piv;
         }
+    }
+
+    /// Sparse `B⁻¹ A_j` over the etas rebuilt so far, into the clear
+    /// workspace `w`, leaving `w.pattern` ascending. Only the etas the
+    /// column reaches are visited — `eta_of_row` names the rebuild eta
+    /// pivoting on each row — and they are applied in increasing eta
+    /// index, each still skipped when its pivot entry is exactly zero,
+    /// so every value has the bits of a dense [`Rev::ftran`].
+    fn image(&self, j: usize, eta_of_row: &[u32], w: &mut Image) {
+        let (rows, vals) = self.col(j);
+        for (&i, &a) in rows.iter().zip(vals) {
+            w.touch(i, eta_of_row, 0);
+            w.v[i as usize] = a;
+        }
+        while let Some(Reverse(k)) = w.reached.pop() {
+            let e = self.etas[k as usize];
+            let t = w.v[e.r as usize];
+            if t != 0.0 {
+                let s = t * e.inv_piv;
+                w.v[e.r as usize] = s;
+                for &(i, d) in self.ent(&e) {
+                    w.touch(i, eta_of_row, k + 1);
+                    w.v[i as usize] -= d * s;
+                }
+            }
+        }
+        w.pattern.sort_unstable();
     }
 
     /// Dense scratch holding `B⁻¹ A_j`.
@@ -438,24 +605,104 @@ impl<'a> Rev<'a> {
         self.ftran(scratch);
     }
 
-    fn push_eta(&mut self, r: usize, d: &[f64]) {
-        let mut scale = 0.0f64;
-        for &v in d.iter() {
-            scale = scale.max(v.abs());
-        }
+    /// Appends the eta pivoting row `r` on the direction `d`, read at
+    /// `rows` — ascending, and covering every nonzero of `d`. Entries
+    /// below the relative drop tolerance are not stored.
+    fn push_eta(&mut self, r: usize, d: &[f64], rows: impl Iterator<Item = usize> + Clone) {
+        let scale = rows.clone().fold(0.0f64, |s, i| s.max(d[i].abs()));
         let drop = scale.max(1.0) * DROP_REL;
-        let ent: Vec<(u32, f64)> = d
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v.abs() > drop)
-            .map(|(i, &v)| (i as u32, v))
-            .collect();
-        self.eta_nnz += ent.len() + 1;
+        let lo = self.eta_ent.len();
+        self.eta_ent.extend(
+            rows.filter(|&i| i != r && d[i].abs() > drop)
+                .map(|i| (i as u32, d[i])),
+        );
         self.etas.push(Eta {
             r: r as u32,
             inv_piv: 1.0 / d[r],
-            ent,
+            lo,
+            hi: self.eta_ent.len(),
         });
+    }
+
+    /// Emits the rebuild eta for the image in `w` pivoting on row `r`,
+    /// unless it is the identity (no off-pivot entries, pivot exactly
+    /// 1: a unit slack or artificial column on its own row), which is
+    /// an exact no-op in FTRAN and BTRAN.
+    fn push_rebuild_eta(&mut self, r: usize, w: &Image, eta_of_row: &mut [u32]) {
+        let k = self.etas.len();
+        self.push_eta(r, &w.v, w.pattern.iter().map(|&i| i as usize));
+        let e = self.etas[k];
+        if e.lo == e.hi && e.inv_piv == 1.0 {
+            self.etas.pop();
+        } else {
+            eta_of_row[r] = k as u32;
+        }
+    }
+
+    /// The combined triangular peel (Suhl-style) over the basis columns
+    /// `cols`: repeatedly take either a *column singleton* (a column
+    /// with one nonzero left in active rows — unit slack/artificial
+    /// columns all qualify immediately) or a *row singleton* (a row
+    /// only one active column still touches). Each take opens further
+    /// singletons; what survives is the genuinely non-triangular
+    /// kernel.
+    fn peel(&self, cols: &[usize]) -> Peel {
+        let m = self.m;
+        let mut row_start = vec![0usize; m + 1];
+        let mut col_cnt = vec![0u32; m];
+        for (s, &c) in cols.iter().enumerate() {
+            let rows = self.col(c).0;
+            col_cnt[s] = rows.len() as u32;
+            for &i in rows {
+                row_start[i as usize + 1] += 1;
+            }
+        }
+        let row_cnt: Vec<u32> = (0..m).map(|i| row_start[i + 1] as u32).collect();
+        for i in 0..m {
+            row_start[i + 1] += row_start[i];
+        }
+        let mut fill = row_start.clone();
+        let mut row_slot = vec![0u32; row_start[m]];
+        for (s, &c) in cols.iter().enumerate() {
+            for &i in self.col(c).0 {
+                row_slot[fill[i as usize]] = s as u32;
+                fill[i as usize] += 1;
+            }
+        }
+        let mut p = Peel {
+            col_stack: (0..m).filter(|&s| col_cnt[s] == 1).collect(),
+            row_stack: (0..m).filter(|&i| row_cnt[i] == 1).collect(),
+            row_start,
+            row_slot,
+            row_cnt,
+            col_cnt,
+            slot_done: vec![false; m],
+            row_taken: vec![false; m],
+            order: Vec::with_capacity(m),
+        };
+        loop {
+            if let Some(s) = p.col_stack.pop() {
+                if p.slot_done[s] || p.col_cnt[s] != 1 {
+                    continue;
+                }
+                let rows = self.col(cols[s]).0;
+                let Some(&r) = rows.iter().find(|&&i| !p.row_taken[i as usize]) else {
+                    continue;
+                };
+                p.take(s, r as usize, rows);
+            } else if let Some(r) = p.row_stack.pop() {
+                if p.row_taken[r] || p.row_cnt[r] != 1 {
+                    continue;
+                }
+                let Some(&s) = p.slots(r).iter().find(|&&s| !p.slot_done[s as usize]) else {
+                    continue;
+                };
+                p.take(s as usize, r, self.col(cols[s as usize]).0);
+            } else {
+                break;
+            }
+        }
+        p
     }
 
     /// Rebuilds the eta file from the current basis columns (sparse
@@ -463,139 +710,66 @@ impl<'a> Rev<'a> {
     /// enormously: network bases are near-triangular, and processing a
     /// permuted-lower-triangular prefix in diagonal order produces etas
     /// that are exactly the original sparse columns (the FTRAN skip on
-    /// a zero pivot entry then never materializes fill-in). A
-    /// **row-singleton peel** finds that order in `O(nnz)`; only the
-    /// small non-triangular kernel falls back to partial pivoting.
-    /// Recomputes `x_B`. Returns `false` on a singular basis.
+    /// a zero pivot entry then never materializes fill-in). The
+    /// [`Rev::peel`] finds that order in `O(nnz)`; only the small
+    /// non-triangular kernel falls back to partial pivoting.
+    ///
+    /// The rebuild refills the eta arena in place and computes each
+    /// column's image with the sparse [`Rev::image`], so it costs about
+    /// the nonzeros of the images instead of a dense `m`-vector and a
+    /// whole-file FTRAN per column. Its etas are bit-identical to those
+    /// of a dense Gauss–Jordan over the same order: images carry dense
+    /// FTRAN's bits, the pattern is sorted before an eta is emitted
+    /// (`ent` ascending by row), the kernel's partial pivot scans that
+    /// pattern in ascending row order under the same strict `>`, and
+    /// the only etas left out are identities (see
+    /// [`Rev::push_rebuild_eta`]). The growth triggers count from the
+    /// post-rebuild `eta_base`, so dropping those changes no schedule.
+    ///
+    /// A peel pivot is the basis entry itself (the peeled order is
+    /// triangular), so a peel row whose entry is `≤ PIV_TOL` is
+    /// rejected and its column retried in the kernel, which then fails
+    /// as well: the triangular order leaves no other pivot for that row
+    /// or that column. Recomputes `x_B`; returns `false` on a singular
+    /// basis.
     fn refactorize(&mut self) -> bool {
         self.etas.clear();
-        self.eta_nnz = 0;
+        self.eta_ent.clear();
         let m = self.m;
         let cols: Vec<usize> = self.basis.clone();
-        // --- combined triangular peel (Suhl-style): repeatedly take
-        // either a *column singleton* (a basis column with one nonzero
-        // left in active rows — unit slack/artificial columns all
-        // qualify immediately) or a *row singleton* (a row only one
-        // active column still touches). Each take opens further
-        // singletons; what survives is the genuinely non-triangular
-        // kernel, which alone pays for partial pivoting.
-        let mut row_cnt = vec![0u32; m]; // active columns touching row
-        let mut col_cnt = vec![0u32; m]; // active rows of column (slot)
-        let mut row_slots: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for (s, &c) in cols.iter().enumerate() {
-            let rows = self.col(c).0;
-            col_cnt[s] = rows.len() as u32;
-            for &i in rows {
-                row_cnt[i as usize] += 1;
-                row_slots[i as usize].push(s as u32);
-            }
-        }
-        let mut slot_done = vec![false; m];
-        let mut row_taken = vec![false; m];
-        let mut col_stack: Vec<usize> = (0..cols.len()).filter(|&s| col_cnt[s] == 1).collect();
-        let mut row_stack: Vec<usize> = (0..m).filter(|&i| row_cnt[i] == 1).collect();
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(m); // (slot, row)
-        let mut take = |s: usize,
-                        r: usize,
-                        slot_done: &mut Vec<bool>,
-                        row_taken: &mut Vec<bool>,
-                        row_cnt: &mut Vec<u32>,
-                        col_cnt: &mut Vec<u32>,
-                        col_stack: &mut Vec<usize>,
-                        row_stack: &mut Vec<usize>| {
-            slot_done[s] = true;
-            row_taken[r] = true;
-            order.push((s, r));
-            // column s leaves: its other active rows lose a column
-            for &i in self.col(cols[s]).0 {
-                let i = i as usize;
-                if !row_taken[i] {
-                    row_cnt[i] -= 1;
-                    if row_cnt[i] == 1 {
-                        row_stack.push(i);
-                    }
-                }
-            }
-            // row r leaves: every other active column through r shrinks
-            for &s2 in &row_slots[r] {
-                let s2 = s2 as usize;
-                if !slot_done[s2] {
-                    col_cnt[s2] -= 1;
-                    if col_cnt[s2] == 1 {
-                        col_stack.push(s2);
-                    }
-                }
-            }
-        };
-        loop {
-            if let Some(s) = col_stack.pop() {
-                if slot_done[s] || col_cnt[s] != 1 {
-                    continue;
-                }
-                let Some(&r) = self
-                    .col(cols[s])
-                    .0
-                    .iter()
-                    .find(|&&i| !row_taken[i as usize])
-                else {
-                    continue;
-                };
-                take(
-                    s,
-                    r as usize,
-                    &mut slot_done,
-                    &mut row_taken,
-                    &mut row_cnt,
-                    &mut col_cnt,
-                    &mut col_stack,
-                    &mut row_stack,
-                );
-            } else if let Some(r) = row_stack.pop() {
-                if row_taken[r] || row_cnt[r] != 1 {
-                    continue;
-                }
-                let Some(&s) = row_slots[r].iter().find(|&&s| !slot_done[s as usize])
-                else {
-                    continue;
-                };
-                take(
-                    s as usize,
-                    r,
-                    &mut slot_done,
-                    &mut row_taken,
-                    &mut row_cnt,
-                    &mut col_cnt,
-                    &mut col_stack,
-                    &mut row_stack,
-                );
-            } else {
-                break;
-            }
-        }
+        let Peel {
+            mut slot_done,
+            mut row_taken,
+            order,
+            ..
+        } = self.peel(&cols);
+        let mut eta_of_row = vec![NO_ETA; m];
+        let mut w = Image::new(m);
         let mut new_basis = vec![usize::MAX; m];
-        let mut d = Vec::new();
         for &(s, r) in &order {
-            self.direction(cols[s], &mut d);
-            if d[r].abs() <= PIV_TOL {
+            self.image(cols[s], &eta_of_row, &mut w);
+            if w.v[r].abs() <= PIV_TOL {
                 // numerically degenerate on its peel row: retry below
                 slot_done[s] = false;
                 row_taken[r] = false;
-                continue;
+            } else {
+                new_basis[r] = cols[s];
+                self.push_rebuild_eta(r, &w, &mut eta_of_row);
             }
-            new_basis[r] = cols[s];
-            self.push_eta(r, &d);
+            w.clear();
         }
         // --- non-triangular kernel (and peel rejects): partial pivoting
-        for s in 0..cols.len() {
+        for s in 0..m {
             if slot_done[s] {
                 continue;
             }
-            self.direction(cols[s], &mut d);
+            self.image(cols[s], &eta_of_row, &mut w);
             let mut r_best = usize::MAX;
             let mut best = PIV_TOL;
-            for (i, &v) in d.iter().enumerate() {
-                if !row_taken[i] && v.abs() > best {
-                    best = v.abs();
+            for &i in &w.pattern {
+                let i = i as usize;
+                if !row_taken[i] && w.v[i].abs() > best {
+                    best = w.v[i].abs();
                     r_best = i;
                 }
             }
@@ -604,14 +778,15 @@ impl<'a> Rev<'a> {
             }
             row_taken[r_best] = true;
             new_basis[r_best] = cols[s];
-            self.push_eta(r_best, &d);
+            self.push_rebuild_eta(r_best, &w, &mut eta_of_row);
+            w.clear();
         }
         self.basis = new_basis;
         for (r, &c) in self.basis.iter().enumerate() {
             self.status[c] = VStat::Basic(r as u32);
         }
         self.stats.refactorizations += 1;
-        self.eta_base = (self.etas.len(), self.eta_nnz);
+        self.eta_base = (self.etas.len(), self.eta_nnz());
         self.recompute_x_b();
         true
     }
@@ -625,7 +800,7 @@ impl<'a> Rev<'a> {
     fn needs_refactor(&self) -> bool {
         let (base_len, base_nnz) = self.eta_base;
         self.etas.len() - base_len >= REFACTOR_EVERY
-            || self.eta_nnz - base_nnz > REFACTOR_NNZ_PER_ROW * self.m + 1024
+            || self.eta_nnz() - base_nnz > REFACTOR_NNZ_PER_ROW * self.m + 1024
     }
 
     /// Phase cost of column `j`.
@@ -809,7 +984,7 @@ impl<'a> Rev<'a> {
         self.basis[r] = j;
         self.status[j] = VStat::Basic(r as u32);
         self.x_b[r] = if from_upper { self.upper[j] - t } else { t };
-        self.push_eta(r, d);
+        self.push_eta(r, d, 0..d.len());
         if self.phase2 {
             self.stats.phase2_pivots += 1;
         } else {
@@ -883,14 +1058,8 @@ impl<'a> Rev<'a> {
                 }
                 return LoopEnd::Unbounded;
             };
-            if d[r].abs() <= PIV_TOL {
-                // numerically hopeless pivot: refactorize and retry, or
-                // give up and let the caller restart colder
-                if !self.refactorize() {
-                    return LoopEnd::Fail;
-                }
-                continue;
-            }
+            // the ratio test admits only |d_r| > TOL, above PIV_TOL, so
+            // the pivot is always usable here (unlike the dual loop's)
             if let Err(e) = self.charge_pivot() {
                 return LoopEnd::Exhausted(e);
             }
@@ -1508,6 +1677,113 @@ mod tests {
 
     fn opt(p: &Problem) -> Solution {
         solve(p, PivotRule::Dantzig).expect_optimal("expected optimal")
+    }
+
+    /// A `Rev` over `p` with `cols[r]` basic in row `r` and every other
+    /// column nonbasic at its lower bound, ready for a direct rebuild.
+    fn with_basis<'p>(p: &'p Problem, cols: &[usize]) -> Rev<'p> {
+        let mut rev = Rev::build(p);
+        rev.status.fill(VStat::Lower);
+        for (r, &c) in cols.iter().enumerate() {
+            rev.status[c] = VStat::Basic(r as u32);
+        }
+        rev.basis = cols.to_vec();
+        rev
+    }
+
+    /// After a successful rebuild, `B⁻¹ A_c` is the unit vector of each
+    /// basic column's row, and no identity eta is left in the file.
+    fn assert_factor(rev: &Rev) {
+        let mut d = Vec::new();
+        for (r, &c) in rev.basis.iter().enumerate() {
+            rev.direction(c, &mut d);
+            for (i, &v) in d.iter().enumerate() {
+                let want = if i == r { 1.0 } else { 0.0 };
+                assert!(
+                    (v - want).abs() <= 1e-9,
+                    "column {c} in row {r}: entry {i} is {v}"
+                );
+            }
+        }
+        for e in &rev.etas {
+            assert!(
+                e.lo != e.hi || e.inv_piv != 1.0,
+                "identity eta on row {}",
+                e.r
+            );
+        }
+    }
+
+    #[test]
+    fn rebuild_pivots_a_dense_kernel_and_drops_identity_etas() {
+        // rows 0-2: a dense block in x0..x2 with no row or column
+        // singleton, left to partial pivoting; row 3: x3 alone (its
+        // unit slack is basic); row 4: x0 + 2 x4
+        let mut p = Problem::minimize(5);
+        p.add_le(&[(0, 2.0), (1, 1.0), (2, 1.0)], 4.0);
+        p.add_le(&[(0, 1.0), (1, 3.0), (2, 1.0)], 5.0);
+        p.add_le(&[(0, 1.0), (1, 1.0), (2, 4.0)], 6.0);
+        p.add_le(&[(3, 1.0)], 1.0);
+        p.add_le(&[(0, 1.0), (4, 2.0)], 2.0);
+        let slack3 = 5 + 3;
+        let cols = [0, 1, 2, slack3, 4];
+        let mut rev = with_basis(&p, &cols);
+        assert_eq!(
+            rev.peel(&cols).order,
+            vec![(4, 4), (3, 3)],
+            "only x4 and the slack peel"
+        );
+        assert!(rev.refactorize());
+        assert_factor(&rev);
+        // x4's eta and the three kernel pivots; the slack left none
+        assert_eq!(rev.etas.len(), 4);
+        assert_eq!(rev.stats.refactorizations, 1);
+    }
+
+    #[test]
+    fn rejected_peel_pivot_is_retried_in_the_kernel() {
+        // x0 = e_0 peels first (an identity eta, dropped); x1 then peels
+        // as a column singleton on row 1, where its image is exactly its
+        // entry there, because a peeled order is triangular
+        let build = |entry: f64| {
+            let mut p = Problem::minimize(2);
+            p.add_le(&[(0, 1.0), (1, 1.0)], 1.0);
+            p.add_le(&[(1, entry)], 1.0);
+            p
+        };
+        let usable = build(1e-6);
+        let mut rev = with_basis(&usable, &[0, 1]);
+        assert_eq!(rev.peel(&[0, 1]).order, vec![(0, 0), (1, 1)]);
+        assert!(rev.refactorize());
+        assert_factor(&rev);
+        assert_eq!(rev.etas.len(), 1, "x0's identity eta is dropped");
+
+        // at PIV_TOL the peel rejects x1 on row 1 and retries it in the
+        // kernel, which finds no other free row: a triangular basis with
+        // an unusable diagonal entry is numerically singular
+        let tiny = build(PIV_TOL);
+        let mut rev = with_basis(&tiny, &[0, 1]);
+        assert!(!rev.refactorize());
+        assert_eq!(rev.stats.refactorizations, 0);
+    }
+
+    #[test]
+    fn singular_basis_fails_the_rebuild_and_the_solve_goes_cold() {
+        // two equal columns: no singleton to peel, and once the first
+        // takes a row the second's image is zero on the other
+        let mut p = Problem::minimize(2);
+        p.set_objective(0, 1.0);
+        p.set_objective(1, 1.0);
+        p.add_ge(&[(0, 1.0), (1, 1.0)], 1.0);
+        p.add_ge(&[(0, 1.0), (1, 1.0)], 1.0);
+        let mut rev = with_basis(&p, &[0, 1]);
+        assert!(!rev.refactorize());
+
+        let crash = crash_basis(&p, &[CrashVar::Structural(0), CrashVar::Structural(1)]);
+        let (out, _) = solve_warm(&p, PivotRule::Dantzig, Some(&crash), None);
+        let s = out.expect_optimal("cold fallback");
+        assert_eq!(s.stats.warm, WarmStart::Rejected);
+        assert!((s.objective - 1.0).abs() < 1e-9);
     }
 
     #[test]
