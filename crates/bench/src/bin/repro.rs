@@ -6,147 +6,15 @@
 //! repro table2 table3  # gadget timing tables
 //! repro fig1 fig2 fig3 fig45 fig67 fig89 fig1011 fig1214 fig1516 fig1718
 //! repro spdp lp        # §3.4 DP scaling, §3.1 LP quality
-//! repro bench-pr1 [--out PATH] [--smoke]   # perf baseline → BENCH_pr1.json
-//! repro bench-pr2 [--out PATH] [--smoke]   # batch engine baseline → BENCH_pr2.json
-//! repro bench-pr3 [--out PATH] [--smoke]   # revised simplex + warm sweeps → BENCH_pr3.json
-//! repro bench-pr4 [--out PATH] [--smoke]   # race workloads, analytic vs simulated → BENCH_pr4.json
-//! repro bench-pr5 [--out PATH] [--smoke]   # event-heap vs tick-loop sim core + certification coverage → BENCH_pr5.json
-//! repro bench-pr7 [--out PATH] [--smoke]   # cross-request reuse cache + delta solving → BENCH_pr7.json
-//! repro bench-pr8 [--out PATH] [--smoke]   # wire-reachable sweeps + persistent solution cache → BENCH_pr8.json
-//! repro bench-pr9 [--out PATH] [--smoke]   # static vs dynamic race analysis → BENCH_pr9.json
-//! repro bench-pr10 [--out PATH] [--smoke]  # deterministic intra-solve parallelism → BENCH_pr10.json
 //! ```
 
 use rtt_bench::experiments as exp;
-
-/// Parses the shared `[--out PATH] [--smoke]` flags of the bench-pr*
-/// subcommands.
-fn bench_flags(name: &str, default_out: &str, args: &[String]) -> (String, bool) {
-    let mut out_path = default_out.to_string();
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown {name} flag: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    (out_path, smoke)
-}
-
-fn write_bench(out_path: &str, rendered: &str, json: &str) {
-    println!("{rendered}");
-    // Every bench schema since PR 3 records `cores` and `trials` so
-    // numbers are never quoted without the machine they came from. An
-    // emitter that drops either field is schema drift (the original
-    // committed BENCH_pr1.json had exactly this bug) — refuse to write.
-    match rtt_cli::json::Json::parse(json) {
-        Ok(doc) => {
-            for field in ["cores", "trials"] {
-                if doc.get(field).is_none() {
-                    eprintln!(
-                        "refusing to write {out_path}: bench document is missing the \
-                         uniform `{field}` field (schema drift — fix the emitter)"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("refusing to write {out_path}: emitter produced invalid JSON: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("writing {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-}
-
-/// Runs the PR-4 race-workload baseline and writes the JSON document.
-fn run_bench_pr4(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr4", "BENCH_pr4.json", args);
-    let report = rtt_bench::race_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-5 simulation-core baseline and writes the JSON document.
-fn run_bench_pr5(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr5", "BENCH_pr5.json", args);
-    let report = rtt_bench::sim_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-1 perf baseline and writes the JSON document.
-fn run_bench_pr1(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr1", "BENCH_pr1.json", args);
-    let report = rtt_bench::perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-2 batch-engine baseline and writes the JSON document.
-fn run_bench_pr2(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr2", "BENCH_pr2.json", args);
-    let report = rtt_bench::batch_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-7 cross-request reuse baseline and writes the JSON
-/// document.
-fn run_bench_pr7(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr7", "BENCH_pr7.json", args);
-    let report = rtt_bench::reuse_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-8 wire-sweep + persistence baseline and writes the JSON
-/// document.
-fn run_bench_pr8(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr8", "BENCH_pr8.json", args);
-    let report = rtt_bench::sweep_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-9 static-vs-dynamic race-analysis baseline and writes
-/// the JSON document.
-fn run_bench_pr9(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr9", "BENCH_pr9.json", args);
-    let report = rtt_bench::analyze_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-10 intra-solve-parallelism baseline and writes the JSON
-/// document.
-fn run_bench_pr10(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr10", "BENCH_pr10.json", args);
-    let report = rtt_bench::par_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
-
-/// Runs the PR-3 revised-simplex/warm-sweep baseline and writes the
-/// JSON document.
-fn run_bench_pr3(args: &[String], trials: usize) {
-    let (out_path, smoke) = bench_flags("bench-pr3", "BENCH_pr3.json", args);
-    let report = rtt_bench::curve_perf::measure(trials, smoke);
-    write_bench(&out_path, &report.render(), &report.to_json());
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: repro [all|table1|table2|table3|fig1|fig2|fig3|fig45|fig67|fig89|fig1011|fig1214|fig1516|fig1718|spdp|lp|regimes|alpha|bench-pr1|bench-pr2|bench-pr3|bench-pr4|bench-pr5|bench-pr7|bench-pr8|bench-pr9|bench-pr10] ..."
+            "usage: repro [all|table1|table2|table3|fig1|fig2|fig3|fig45|fig67|fig89|fig1011|fig1214|fig1516|fig1718|spdp|lp|regimes|alpha] ..."
         );
         std::process::exit(2);
     }
@@ -154,51 +22,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4usize);
-    // bench-pr* are standalone subcommands (they take their own flags),
-    // not combinable experiment names.
-    if args[0] == "bench-pr1" {
-        run_bench_pr1(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr2" {
-        run_bench_pr2(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr3" {
-        run_bench_pr3(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr4" {
-        run_bench_pr4(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr5" {
-        run_bench_pr5(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr7" {
-        run_bench_pr7(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr8" {
-        run_bench_pr8(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr9" {
-        run_bench_pr9(&args[1..], trials);
-        return;
-    }
-    if args[0] == "bench-pr10" {
-        run_bench_pr10(&args[1..], trials);
-        return;
-    }
-    if args
-        .iter()
-        .any(|a| a.starts_with("bench-pr"))
-    {
-        eprintln!("bench-pr* must be the first argument (they take their own flags)");
-        std::process::exit(2);
-    }
     for arg in &args {
         let reports = match arg.as_str() {
             "all" => exp::all_experiments(trials),

@@ -2,22 +2,15 @@
 //!
 //! One function per table/figure of the paper; each returns the rows it
 //! printed so tests can assert on them. The `repro` binary dispatches to
-//! these; `EXPERIMENTS.md` records their output. Criterion benches for
-//! the substrates and solvers live in `benches/`.
+//! these. [`fixtures`] holds the seeded instances the counter envelopes
+//! and the LP oracle pin; criterion benches for the substrates and
+//! solvers live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze_perf;
-pub mod batch_perf;
-pub mod curve_perf;
 pub mod experiments;
-pub mod par_perf;
-pub mod perf;
-pub mod race_perf;
-pub mod reuse_perf;
-pub mod sim_perf;
-pub mod sweep_perf;
+pub mod fixtures;
 pub mod table;
 
 pub use experiments::*;

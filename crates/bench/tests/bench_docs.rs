@@ -1,9 +1,9 @@
 //! Schema guard for the committed bench documents: every `BENCH_*.json`
 //! at the repo root must carry the uniform `cores` and `trials` fields
 //! (the PR-3 rule; the originally committed `BENCH_pr1.json` predated
-//! it, which is exactly the drift this test now forbids). The `repro`
-//! emitters additionally refuse to *write* a drifted document — this
-//! test catches hand-edits and stale commits.
+//! it, which is exactly the drift this test now forbids). The documents
+//! are frozen records — the benchmark is `perfbench/` — so this test
+//! catches hand-edits that break them.
 
 use rtt_cli::json::Json;
 
@@ -23,8 +23,8 @@ fn committed_bench_documents_carry_cores_and_trials() {
         for field in ["schema", "pr", "cores", "trials"] {
             assert!(
                 doc.get(field).is_some(),
-                "{name}: missing uniform field `{field}` (schema drift — \
-                 regenerate with `repro bench-pr<n>`)"
+                "{name}: missing uniform field `{field}` (frozen bench records \
+                 must keep their schema)"
             );
         }
     }

@@ -9,11 +9,15 @@
 //! its pivot count and every [`LpStats`] counter into one digest and
 //! compares it with the committed value.
 //!
-//! The set covers every LP path the pipeline takes:
+//! The set covers every LP path the pipeline takes, and more:
 //!
 //! * crash-started `MakespanLp` solves (phase 2 only);
 //! * `solve_sweep` chains (dual reoptimization from point to point);
-//! * `solve_delta` sibling deltas (`perturb_durations` shape siblings);
+//! * warm solves from a foreign basis: a donor's optimal basis
+//!   installed into its `perturb_durations` sibling (same LP layout,
+//!   other coefficients), then a budget step. No pipeline path does
+//!   this; it stays as kernel coverage of installing a basis the
+//!   problem did not produce;
 //! * `regimes::solve_noreuse_lp`, the cold two-phase path that spends
 //!   the most pivots in phase 1;
 //! * `solve_min_resource_lp`;
@@ -27,8 +31,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtt_bench::perf::{race_instance, sp_instance};
-use rtt_bench::reuse_perf::perturb_durations;
+use rtt_bench::fixtures::{perturb_durations, race_instance, sp_instance};
 use rtt_core::lp_build::{solve_min_resource_lp, FractionalSolution, LpError, MakespanLp};
 use rtt_core::regimes::solve_noreuse_lp;
 use rtt_core::{expand_two_tuples, ArcInstance};
@@ -159,18 +162,22 @@ fn pipeline_digest(fnv: &mut Fnv) -> usize {
             }
         }
 
-        // sibling deltas: the donor's basis reoptimizes its
-        // duration-perturbed shape sibling, then a budget step follows
+        // foreign-basis installs: the donor's optimal basis reoptimizes
+        // its duration-perturbed sibling (same layout, so it always
+        // fits), then a budget step follows
         let sibling = perturb_durations(&arc);
         let stt = expand_two_tuples(&sibling);
         let mut slp = MakespanLp::new(&stt);
-        let donor = lp.solve_delta(&tt, 8, None);
+        lp.set_budget(8);
+        let donor = lp.solve_warm(&tt, None);
         let offered = donor.as_ref().ok().and_then(|(_, b)| b.clone());
         fnv.fractional(&donor.map(|(f, _)| f));
-        let delta = slp.solve_delta(&stt, 8, offered.as_ref());
+        slp.set_budget(8);
+        let delta = slp.solve_warm(&stt, offered.as_ref());
         let next = delta.as_ref().ok().and_then(|(_, b)| b.clone());
         fnv.fractional(&delta.map(|(f, _)| f));
-        fnv.fractional(&slp.solve_delta(&stt, 9, next.as_ref()).map(|(f, _)| f));
+        slp.set_budget(9);
+        fnv.fractional(&slp.solve_warm(&stt, next.as_ref()).map(|(f, _)| f));
         solves += 3;
 
         // the no-reuse LP: cold two-phase, phase 1 heavy

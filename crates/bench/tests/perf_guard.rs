@@ -7,7 +7,7 @@
 //! re-measure and update the band in the same PR, with the new numbers
 //! in the commit message).
 
-use rtt_bench::perf::{race_instance, sp_instance};
+use rtt_bench::fixtures::{race_instance, sp_instance};
 use rtt_core::lp_build::{solve_min_makespan_lp_with, solve_min_makespan_sweep};
 use rtt_core::sp_dp::solve_sp_tree_with_stats;
 use rtt_core::transform::expand_two_tuples;
@@ -24,7 +24,7 @@ fn within(label: &str, value: u64, lo: u64, hi: u64) {
 
 #[test]
 fn lp_pivot_counts_stay_in_envelope() {
-    // race_instance(16, 16) at budget 16 — the bench-pr3 mid-size point.
+    // race_instance(16, 16) at budget 16 — the BENCH_pr3.json mid-size point.
     let arc = race_instance(16, 16);
     let tt = expand_two_tuples(&arc);
     let rev = solve_min_makespan_lp_with(&tt, 16, Engine::Revised).unwrap();
@@ -83,11 +83,11 @@ fn wire_sweep_pivots_stay_in_envelope() {
     let warm = solve_min_makespan_sweep(&tt, &grid).unwrap();
     let warm_total: u64 = warm.iter().map(|f| f.pivots as u64).sum();
 
-    let wire_total = rtt_bench::sweep_perf::pinned_chain_pivots();
+    let wire_total = rtt_bench::fixtures::pinned_chain_pivots();
     // determinism: the wire counter is a pure function of the request
     assert_eq!(
         wire_total,
-        rtt_bench::sweep_perf::pinned_chain_pivots(),
+        rtt_bench::fixtures::pinned_chain_pivots(),
         "wire sweep must be deterministic"
     );
     assert!(
@@ -100,63 +100,16 @@ fn wire_sweep_pivots_stay_in_envelope() {
 }
 
 #[test]
-fn delta_solve_pivots_stay_in_envelope() {
-    // The PR-7 delta path on the pinned bench pair: race_instance(16, 16)
-    // as the donor, its duration-perturbed shape sibling as the target.
-    // Reoptimizing the sibling from the donor's parked basis must cost a
-    // small fraction of the crash-basis solve — and land on the same
-    // objective (the "cost, never correctness" half of the contract).
-    use rtt_bench::reuse_perf::perturb_durations;
-    use rtt_engine::{solve_delta_point, PreparedInstance, ReuseCache};
-
-    let donor = race_instance(16, 16);
-    let sibling = perturb_durations(&donor);
-    let budget = 16u64;
-
-    let cold_cache = ReuseCache::new(4);
-    let cold_prep = PreparedInstance::new(sibling.clone());
-    let cold = solve_delta_point(&cold_prep, &cold_cache, budget).unwrap();
-
-    let cache = ReuseCache::new(4);
-    let donor_prep = PreparedInstance::new(donor);
-    solve_delta_point(&donor_prep, &cache, budget).unwrap();
-    let prep = PreparedInstance::new(sibling);
-    let warm = solve_delta_point(&prep, &cache, budget).unwrap();
-
-    assert!(
-        (warm.makespan - cold.makespan).abs() < 1e-9,
-        "delta objective {} != cold objective {}",
-        warm.makespan,
-        cold.makespan
-    );
-    // measured at commit time: cold 93 crash-basis pivots, sibling
-    // delta 6, budget delta 0 — the delta must stay well under half
-    // the cold cost
-    assert!(
-        (warm.pivots as u64) * 2 < cold.pivots as u64,
-        "sibling delta {} vs cold {} pivots",
-        warm.pivots,
-        cold.pivots
-    );
-    within("cold crash-basis pivots", cold.pivots as u64, 30, 300);
-    within("sibling delta pivots", warm.pivots as u64, 1, 60);
-
-    // a pure budget delta from the instance's own basis is cheaper still
-    let next = solve_delta_point(&prep, &cache, budget + 1).unwrap();
-    within("budget delta pivots", next.pivots as u64, 0, 40);
-}
-
-#[test]
 fn sim_event_counts_stay_in_envelope() {
-    // The bench-pr5 shapes' event counts are exact functions of the
-    // model — if one moves, the event engine's cost model changed.
-    let chain = rtt_bench::sim_perf::long_chain_model(64, 20_000);
+    // The BENCH_pr5.json shapes' event counts are exact functions of
+    // the model — if one moves, the event engine's cost model changed.
+    let chain = rtt_bench::fixtures::long_chain_model(64, 20_000);
     assert_eq!(chain.event_count(), 127, "chain: cells + arcs");
     assert_eq!(chain.update_count(), 1_280_000);
-    let star = rtt_bench::sim_perf::fanout_star_model(6_000);
+    let star = rtt_bench::fixtures::fanout_star_model(6_000);
     assert_eq!(star.event_count(), 12_001, "star: cells + arcs");
 
-    // The certify path: the routed solution of the fixed bench-pr3
+    // The certify path: the routed solution of the fixed BENCH_pr3.json
     // instance expands within a pinned event envelope (counters, not
     // wall-clock — measured 553 events / 85 cells at commit time), far
     // below the engine's soft guard.

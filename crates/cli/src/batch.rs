@@ -68,14 +68,9 @@
 //! (analytic validation of the solution form, then the Observation 1.1
 //! simulation replay), so a reused answer passes the same gauntlet a
 //! fresh one does. Requests that declare `max_*` budgets or
-//! `deadline_ms` bypass the solution cache entirely. The
-//! warm-basis/delta-solving tier of the reuse cache accelerates the
-//! `rtt curve` / `solve_curve_cached` API, where it is objective-equal
-//! but pivot-count-visible; wire sweeps deliberately never read it
-//! (see "Sweep response lines"), so it stays structurally unreachable
-//! from this wire format. Cache statistics (instance hits, solution
-//! hits, warm-basis hits, delta solves, evictions) go to **stderr
-//! only**, never into the NDJSON stream.
+//! `deadline_ms` bypass the solution cache entirely. Cache statistics
+//! (instance hits, solution hits, pivots saved, evictions) go to
+//! **stderr only**, never into the NDJSON stream.
 //!
 //! Thread counts obey the same invariant, in both directions. The
 //! inter-request worker count (`--threads`) and the intra-solve thread
@@ -181,15 +176,14 @@
 //! Determinism rule: a wire sweep is answered by one
 //! **self-contained** chained delta session — crash start, then
 //! per-point dual reoptimization ([`rtt_engine::execute_sweep_wire`]).
-//! No warm state crosses requests, so the per-point `work` counters
-//! are a pure function of the request line: byte-identical across
+//! No basis crosses requests, so the per-point `work` counters are a
+//! pure function of the request line: byte-identical across
 //! `--threads`, cache modes, spills, and restarts, while still paying
-//! a small fraction of N independent cold solves (the chain is the
-//! delta tier's engine). Cross-request reuse of *identical* sweeps
-//! rides the solution cache as a whole per-point vector. Sweeps that
-//! declare `max_*` budgets or `deadline_ms` instead degrade to
-//! independent per-point cold solves on the request's own meter
-//! ([`rtt_engine::execute_sweep_pointwise`]): a budgeted sweep's
+//! a small fraction of N independent cold solves. Cross-request reuse
+//! of *identical* sweeps rides the solution cache as a whole per-point
+//! vector. Sweeps that declare `max_*` budgets or `deadline_ms` instead
+//! degrade to independent per-point cold solves on the request's own
+//! meter ([`rtt_engine::execute_sweep_pointwise`]): a budgeted sweep's
 //! `consumed` counters must describe that run's metered work, so it
 //! must never take a path whose cost depends on cache state. On those
 //! lines the consumption block rides under `resource_budget` (the grid

@@ -509,14 +509,10 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     if let Some(reuse) = &reuse {
         let r = reuse.stats();
         eprintln!(
-            "reuse cache: {}/{} solution hits, {} pivots saved; \
-             {}/{} warm-basis hits, {} delta solves; {} evictions",
+            "reuse cache: {}/{} solution hits, {} pivots saved; {} evictions",
             r.solution_hits,
             r.solution_hits + r.solution_misses,
             r.pivots_saved,
-            r.warm_hits,
-            r.warm_hits + r.warm_misses,
-            r.delta_solves,
             r.evictions,
         );
     }

@@ -36,23 +36,20 @@
 //! * any topology change (adding/removing nodes or arcs, rewiring);
 //! * any duration change — a different tuple list, a different family
 //!   tag on the same breakpoints, or a perturbed base time. A
-//!   duration-perturbed near-duplicate therefore shares nothing at the
-//!   instance tier; its reuse channel is the *warm-basis* tier (the
-//!   perturbed LP keeps its shape, so a sibling's basis still installs —
-//!   see `rtt_core::lp_build` and `rtt_lp::revised::solve_warm`).
+//!   duration-perturbed near-duplicate is a different computation and
+//!   shares nothing.
 //!
 //! The request **budget** is deliberately not part of the fingerprint:
-//! budgets key the *solution* tier on top of it, and a budget change
-//! rewrites one tagged LP row, which is exactly what the delta-solve
-//! path reoptimizes across.
+//! budgets key the *solution* tier on top of it, and a budget sweep
+//! only rewrites one tagged LP row inside its chain.
 //!
 //! Stability is scoped to one crate version, not to disk: keys and
 //! digests are deterministic across processes and platforms (hand-rolled
 //! FNV, no `HashMap` iteration order, no pointer-derived input), but
-//! they are **not a persistence format** — the embedded version tags
-//! (`rtt-fp-v1` here, `rtt-shape-v1` for [`shape_form`]) change
-//! whenever the serialization or the canonical-order rule does, so a
-//! future on-disk cache must treat a tag mismatch as a cold miss.
+//! they are **not a persistence format** — the embedded version tag
+//! (`rtt-fp-v1`) changes whenever the serialization or the
+//! canonical-order rule does, so an on-disk cache must treat a tag
+//! mismatch as a cold miss.
 //!
 //! # The canonical order and its tie rule
 //!
@@ -141,14 +138,6 @@ fn duration_string(d: &rtt_duration::Duration) -> String {
     d.to_string()
 }
 
-/// The *shape* serialization of one arc: only its tuple count. The
-/// two-tuple expansion splits an `l ≥ 2`-tuple arc into `l` chains, so
-/// equal tuple counts on an isomorphic DAG mean an identical LP 6–10
-/// row/column layout — the equivalence class [`shape_form`] keys.
-fn duration_shape_string(d: &rtt_duration::Duration) -> String {
-    format!("#{}", d.tuples().len())
-}
-
 /// 64-bit digest of one arc's serialized content, for node signatures.
 fn duration_digest(s: &str) -> u64 {
     let mut h = FNV64_OFFSET;
@@ -158,20 +147,12 @@ fn duration_digest(s: &str) -> u64 {
 
 /// Structural node signatures: degrees + sorted incident duration
 /// digests, refined `rounds` times over sorted neighbor signatures.
-/// `dur_str` picks the serialization resolution — full content for
-/// [`canonical_form`], tuple counts only for [`shape_form`] (so the
-/// canonical order itself is duration-independent there, and perturbed
-/// siblings relabel identically).
-fn node_signatures(
-    arc: &ArcInstance,
-    rounds: usize,
-    dur_str: &dyn Fn(&rtt_duration::Duration) -> String,
-) -> Vec<u64> {
+fn node_signatures(arc: &ArcInstance, rounds: usize) -> Vec<u64> {
     let g = arc.dag();
     let n = g.node_count();
     let edge_digest: Vec<u64> = g
         .edge_refs()
-        .map(|e| duration_digest(&dur_str(&e.weight.duration)))
+        .map(|e| duration_digest(&duration_string(&e.weight.duration)))
         .collect();
     let mut sig = vec![0u64; n];
     for v in g.node_ids() {
@@ -249,23 +230,27 @@ fn canonical_order(arc: &ArcInstance, sig: &[u64]) -> Vec<NodeId> {
     order
 }
 
-/// Shared canonicalization body of [`canonical_form`] / [`shape_form`]:
-/// signatures and key both serialized through `dur_str`, prefixed by
-/// `version`.
-fn form_with(
-    arc: &ArcInstance,
-    version: &str,
-    dur_str: &dyn Fn(&rtt_duration::Duration) -> String,
-) -> CanonicalForm {
+/// Version tag embedded at the head of every [`canonical_form`] key.
+/// Bump it whenever the serialization or the canonical-order rule
+/// changes; persistence formats that embed canonical keys (the
+/// `rtt-cache-v1` spill file) record this tag and treat a mismatch as
+/// a cold miss, never a compatible load.
+pub const CANONICAL_FORM_TAG: &str = "rtt-fp-v1";
+
+/// Computes the canonical form — relabel-invariant key + digest — of an
+/// instance. Cost is `O(m log m)` plus two signature-refinement sweeps;
+/// callers that probe caches repeatedly should compute it once per
+/// instance (e.g. `rtt_engine::PreparedInstance` memoizes it).
+pub fn canonical_form(arc: &ArcInstance) -> CanonicalForm {
     let g = arc.dag();
-    let sig = node_signatures(arc, 2, dur_str);
+    let sig = node_signatures(arc, 2);
     let order = canonical_order(arc, &sig);
     let mut canon = vec![0usize; g.node_count()];
     for (i, v) in order.iter().enumerate() {
         canon[v.index()] = i;
     }
     let mut key = String::with_capacity(32 + 24 * g.edge_count());
-    key.push_str(version);
+    key.push_str(CANONICAL_FORM_TAG);
     key.push_str(&format!(
         "|n={}|m={}|src={}|sink={}",
         g.node_count(),
@@ -279,7 +264,7 @@ fn form_with(
         let mut outs: Vec<(usize, String)> = g
             .out_edges(v)
             .iter()
-            .map(|&e| (canon[g.dst(e).index()], dur_str(&g.edge(e).duration)))
+            .map(|&e| (canon[g.dst(e).index()], duration_string(&g.edge(e).duration)))
             .collect();
         outs.sort_unstable();
         for (dst, dur) in outs {
@@ -288,42 +273,6 @@ fn form_with(
     }
     let digest = digest_key(&key);
     CanonicalForm { key, digest }
-}
-
-/// Version tag embedded at the head of every [`canonical_form`] key.
-/// Bump it whenever the serialization or the canonical-order rule
-/// changes; persistence formats that embed canonical keys (the
-/// `rtt-cache-v1` spill file) record this tag and treat a mismatch as
-/// a cold miss, never a compatible load.
-pub const CANONICAL_FORM_TAG: &str = "rtt-fp-v1";
-
-/// Version tag embedded at the head of every [`shape_form`] key — same
-/// bump rule as [`CANONICAL_FORM_TAG`].
-pub const SHAPE_FORM_TAG: &str = "rtt-shape-v1";
-
-/// Computes the canonical form — relabel-invariant key + digest — of an
-/// instance. Cost is `O(m log m)` plus two signature-refinement sweeps;
-/// callers that probe caches repeatedly should compute it once per
-/// instance (e.g. `rtt_engine::PreparedInstance` memoizes it).
-pub fn canonical_form(arc: &ArcInstance) -> CanonicalForm {
-    form_with(arc, CANONICAL_FORM_TAG, &duration_string)
-}
-
-/// The **shape form**: the canonicalization of [`canonical_form`] with
-/// every duration reduced to its tuple count. Two instances with equal
-/// shape keys build LP 6–10 problems of identical row/column layout
-/// (same expanded DAG under the canonical relabeling), which is the
-/// compatibility class for **cross-instance warm-basis reuse**: a
-/// duration-perturbed sibling's optimal basis has the right shape to
-/// offer `rtt_lp::revised::solve_warm`, which then verifies feasibility
-/// and falls back cold if the perturbation moved the optimum too far.
-/// Durations are also excluded from the node signatures here, so
-/// perturbed siblings canonically relabel the same way whenever the
-/// shape-level signatures disambiguate; structural twins tie to input
-/// order exactly as in [`canonical_form`] — a missed share, never a
-/// wrong one (basis installs are verified).
-pub fn shape_form(arc: &ArcInstance) -> CanonicalForm {
-    form_with(arc, SHAPE_FORM_TAG, &duration_shape_string)
 }
 
 /// The [`Fingerprint`] of an instance (shorthand for
@@ -431,32 +380,6 @@ mod tests {
             ArcInstance::new(g).unwrap()
         };
         assert_eq!(fingerprint(&mk(true)), fingerprint(&mk(false)));
-    }
-
-    #[test]
-    fn shape_form_merges_perturbed_siblings_and_splits_topologies() {
-        // same diamond, one base time perturbed: canonical forms differ,
-        // shape forms agree — the warm-basis tier's sharing class
-        let base = diamond([0, 1, 2, 3]);
-        let mut g: Dag<(), Activity> = Dag::new();
-        let s = g.add_node(());
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let t = g.add_node(());
-        g.add_edge(s, a, Activity::new(Duration::two_point(6, 2, 1))).unwrap();
-        g.add_edge(s, b, Activity::new(Duration::two_point(9, 3, 2))).unwrap();
-        g.add_edge(a, t, Activity::new(Duration::constant(1))).unwrap();
-        g.add_edge(b, t, Activity::new(Duration::constant(2))).unwrap();
-        let sibling = ArcInstance::new(g).unwrap();
-        assert_ne!(canonical_form(&base).key, canonical_form(&sibling).key);
-        assert_eq!(shape_form(&base).key, shape_form(&sibling).key);
-        // a topology change splits the shape class too
-        let mut g2: Dag<(), Activity> = Dag::new();
-        let s2 = g2.add_node(());
-        let t2 = g2.add_node(());
-        g2.add_edge(s2, t2, Activity::new(Duration::two_point(5, 2, 1))).unwrap();
-        let other = ArcInstance::new(g2).unwrap();
-        assert_ne!(shape_form(&base).key, shape_form(&other).key);
     }
 
     #[test]

@@ -60,8 +60,7 @@ pub use from_race::{
     instance_from_program, instance_from_race_dag, FromRaceError, ReducerFamily,
 };
 pub use fingerprint::{
-    canonical_form, fingerprint, shape_form, CanonicalForm, Fingerprint, CANONICAL_FORM_TAG,
-    SHAPE_FORM_TAG,
+    canonical_form, fingerprint, CanonicalForm, Fingerprint, CANONICAL_FORM_TAG,
 };
 pub use instance::{ArcInstance, Activity, Instance, InstanceError, Job};
 pub use regimes::{

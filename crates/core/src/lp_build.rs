@@ -362,52 +362,6 @@ impl MakespanLp {
         }
     }
 
-    /// Whether `basis` has the shape this template's revised solves
-    /// produce and accept — the pre-check for **cross-template** warm
-    /// starts (see [`MakespanLp::solve_delta_metered`]). True exactly
-    /// when the donor LP had the same row/column layout: the same DAG
-    /// shape after [`crate::transform::expand_two_tuples`], whatever
-    /// its durations or budget were.
-    pub fn accepts_basis(&self, basis: &rtt_lp::Basis) -> bool {
-        rtt_lp::revised::basis_fits(&self.problem, basis)
-    }
-
-    /// The **delta-solve** entry point: re-points the tagged budget
-    /// row (9) at `budget` and reoptimizes from `warm` — a basis cached
-    /// by an earlier solve of this template *or of a shape sibling*
-    /// (same expanded DAG with perturbed durations, or the same
-    /// instance at another budget). An old optimum stays dual-feasible
-    /// under an RHS change, so the usual cost is a handful of dual
-    /// pivots instead of a cold two-phase solve; a basis that fails the
-    /// [`MakespanLp::accepts_basis`] shape check — or rejects at
-    /// install time — falls back to the longest-path crash basis. Cost,
-    /// never correctness: the returned objective is a certified optimum
-    /// either way.
-    pub fn solve_delta(
-        &mut self,
-        tt: &TwoTupleInstance,
-        budget: Resource,
-        warm: Option<&rtt_lp::Basis>,
-    ) -> Result<(FractionalSolution, Option<rtt_lp::Basis>), LpError> {
-        self.solve_delta_metered(tt, budget, warm, None)
-    }
-
-    /// [`MakespanLp::solve_delta`] under a cooperative budget meter —
-    /// the delta path's pivots are charged to `lp_pivots` like any
-    /// other solve, so cached-basis work stays visible to resource
-    /// budgeting.
-    pub fn solve_delta_metered(
-        &mut self,
-        tt: &TwoTupleInstance,
-        budget: Resource,
-        warm: Option<&rtt_lp::Basis>,
-        meter: Option<&rtt_budget::BudgetMeter>,
-    ) -> Result<(FractionalSolution, Option<rtt_lp::Basis>), LpError> {
-        self.set_budget(budget);
-        let usable = warm.filter(|b| self.accepts_basis(b));
-        self.solve_warm_metered(tt, usable, meter)
-    }
-
     /// Solves a whole budget grid in **one chained solver session**
     /// ([`rtt_lp::revised::solve_rhs_sweep`]): matrix, eta file, and
     /// basis survive across points, so each point after the first costs

@@ -190,9 +190,9 @@ pub fn solve_bicriteria(
 
 /// [`solve_bicriteria`] under an explicit simplex engine. The rounding
 /// and routing stages are identical; only the LP oracle changes. This is
-/// how `rtt_bench`'s `bench-pr1` harness measures the pipeline against
-/// the frozen pre-rewrite solver (`Engine::Reference`) in the same
-/// binary, so the recorded speedups are reproduced rather than claimed.
+/// how the pipeline was measured against the frozen pre-rewrite solver
+/// (`Engine::Reference`) in the same binary for the speedups the frozen
+/// `BENCH_pr1.json` record holds.
 pub fn solve_bicriteria_with(
     arc: &ArcInstance,
     budget: Resource,

@@ -39,9 +39,9 @@
 //! table is computed, so the number of *live* `B + 1`-entry tables is
 //! bounded by the decomposition-tree depth (plus the arena's free list
 //! reusing their allocations) instead of `m`. [`SpDpStats`] reports
-//! cells written, merge steps, and the live-table high-water mark;
-//! `rtt_bench`'s `bench-pr1` harness records them in `BENCH_pr1.json`
-//! as evidence of the `O(mB)` bound.
+//! cells written, merge steps, and the live-table high-water mark; the
+//! frozen `BENCH_pr1.json` record holds them as evidence of the `O(mB)`
+//! bound, and `rtt_bench`'s `perf_guard` test pins them.
 
 use crate::instance::ArcInstance;
 use crate::solution::Solution;
@@ -553,8 +553,9 @@ pub fn solve_sp_tree_par(
 }
 
 /// The pre-optimization DP (per-node `Vec` tables, naive `O(B²)`
-/// parallel scans), retained verbatim so `bench-pr1` can measure the
-/// speedup it claims and tests can differential-check the fast path.
+/// parallel scans), retained verbatim as the baseline behind the
+/// speedup `BENCH_pr1.json` records and so tests can differential-check
+/// the fast path.
 pub fn solve_sp_tree_naive(
     tree: &SpTree,
     mut duration_of: impl FnMut(EdgeId) -> Duration,

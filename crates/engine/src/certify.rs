@@ -74,7 +74,8 @@ use rtt_sim::ExecModel;
 /// event-count bound, not the PR-4 update-count cap: makespan and
 /// per-cell work no longer matter, only expansion size, and at ~50M
 /// events the guard sits far above every workload the repo generates
-/// (the bench-pr5 coverage counts document that nothing real skips).
+/// (the `BENCH_pr5.json` coverage counts document that nothing real
+/// skips).
 pub const SIM_EVENT_GUARD: u64 = 50_000_000;
 
 /// The result of simulating a reducer-expanded solution.
@@ -222,8 +223,8 @@ pub fn expand_levels(
             // node DAGs (leaf ceil-split, pairwise one-update merges,
             // final root update) — reproduced here on the arc form
             // because this gadget additionally needs the junction/entry
-            // wiring; crates/bench race_perf and the tests below pin it
-            // to Eq. 3 so the two constructions cannot drift silently
+            // wiring; the tests below pin it to Eq. 3 so the two
+            // constructions cannot drift silently
             Gadget::Recbinary { n, h } => {
                 let leaves: Vec<NodeId> = (0..1u64 << h)
                     .map(|_| cell(&mut g, &mut works, 0)) // shares assigned at wiring

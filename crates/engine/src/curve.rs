@@ -11,27 +11,21 @@
 //! and min-flow routed through the same certified Theorem 3.4 stage as
 //! a single `bicriteria` solve, and validated before reporting.
 //!
-//! # Warm sources, and which callers may use which
+//! # One crash-started chain per call
 //!
-//! The chain's starting basis can come from three places, and the
-//! split is a *wire-determinism* rule, not an implementation accident:
-//!
-//! * **per-instance slot** ([`crate::prep::LpWarmState`], the
-//!   [`solve_curve`] API and `rtt curve`): a later sweep on the same
-//!   instance warm-starts across calls — pivot counts then depend on
-//!   call history, which is fine for an API whose caller owns that
-//!   history;
-//! * **shared warm tier** ([`solve_curve_cached`] with a
-//!   [`crate::reuse::ReuseCache`]): shape-keyed, so a
-//!   duration-perturbed sibling's basis seeds this chain too
-//!   (`accepts_basis`-verified at install);
-//! * **none** ([`execute_sweep_wire`], the batch executor's dispatch
-//!   target): the chain crash-starts deterministically, so its pivot
-//!   counts — which ride the wire as `work` — are a pure function of
-//!   the request line. The final basis is still parked (cost for later
-//!   API callers, never bytes). Cross-request reuse for wire sweeps
-//!   rides the *solution tier* instead, which replays whole report
-//!   vectors byte-identically.
+//! Every entry point — [`solve_curve`], [`execute_sweep_wire`] (the
+//! batch executor's dispatch target, which `rtt curve` also reaches
+//! through `execute_one`) and [`execute_sweep_pointwise`] — runs the
+//! same body: the first point starts from the longest-path crash basis
+//! and later points reoptimize from the previous point's basis inside
+//! the chain. No basis outlives the call, so a point's pivot count,
+//! which rides the wire as `work`, is a pure function of (instance,
+//! grid): byte-identical across thread counts, cache modes, and
+//! restarts. Between calls the per-instance slot keeps only the LP
+//! template, which saves the build and never changes a pivot.
+//! Cross-request reuse for wire sweeps rides the solution tier of
+//! [`crate::reuse::ReuseCache`] instead, which replays whole report
+//! vectors byte-identically.
 
 use crate::budget::BudgetContext;
 use crate::prep::PreparedInstance;
@@ -67,137 +61,36 @@ pub struct CurvePoint {
     pub solution: Solution,
 }
 
-/// Where a curve chain's starting basis comes from (see module docs).
-enum WarmSource<'a> {
-    /// The per-instance slot: warm across calls on the same prep.
-    Slot,
-    /// The shared shape-keyed warm tier of a reuse cache.
-    Shared(&'a crate::reuse::ReuseCache),
-    /// No starting basis: a deterministic crash-started chain whose
-    /// pivot counts depend only on (instance, grid). The template is
-    /// still taken from / parked back into the per-instance slot —
-    /// that trades build cost only.
-    Cold,
-}
-
 /// Solves the tradeoff curve for `prep` over `budgets` (in order) at
-/// rounding parameter `alpha`. One warm chain; per-point results carry
-/// both the LP envelope and the certified rounded solution.
+/// rounding parameter `alpha`. One crash-started chain; per-point
+/// results carry both the LP envelope and the certified rounded
+/// solution.
 pub fn solve_curve(
     prep: &PreparedInstance,
     budgets: &[Resource],
     alpha: f64,
 ) -> Result<Vec<CurvePoint>, LpError> {
-    solve_curve_metered(prep, budgets, alpha, None)
+    solve_points(prep, budgets, alpha, None)
 }
 
-/// [`solve_curve`] under a cooperative budget meter: the warm LP chain
-/// charges `lp_pivots` and each point's certification replay charges
-/// `sim_events`; exhaustion surfaces as [`LpError::Exhausted`] with the
-/// warm state already parked.
-pub fn solve_curve_metered(
-    prep: &PreparedInstance,
-    budgets: &[Resource],
-    alpha: f64,
-    meter: Option<&BudgetMeter>,
-) -> Result<Vec<CurvePoint>, LpError> {
-    solve_points(prep, budgets, alpha, meter, WarmSource::Slot)
-}
-
-/// [`solve_curve_metered`] with an optional cross-request
-/// [`crate::reuse::ReuseCache`]: the warm LP state (template + basis)
-/// is taken from and parked back into the cache's **shared warm tier**
-/// — keyed by instance *shape*, so a duration-perturbed sibling's basis
-/// seeds this chain too — instead of the per-instance slot. With
-/// `None` this is exactly the historical per-instance behavior, byte
-/// for byte (`rtt curve` passes `None`, pinning its golden).
-///
-/// This entry point serves API callers that own their call history;
-/// the batch wire goes through [`execute_sweep_wire`] instead, which
-/// never reads warm state (see the module docs).
-pub fn solve_curve_cached(
-    prep: &PreparedInstance,
-    budgets: &[Resource],
-    alpha: f64,
-    meter: Option<&BudgetMeter>,
-    reuse: Option<&crate::reuse::ReuseCache>,
-) -> Result<Vec<CurvePoint>, LpError> {
-    let warm = match reuse {
-        Some(cache) => WarmSource::Shared(cache),
-        None => WarmSource::Slot,
-    };
-    solve_points(prep, budgets, alpha, meter, warm)
-}
-
-/// The shared chain body behind every curve entry point: resolve the
-/// warm source, run one `solve_sweep_metered` chain, park the final
-/// basis, round + validate + certify each point.
+/// The chain body behind every curve entry point: one
+/// `solve_sweep_metered` chain from the crash basis on the instance's
+/// LP template, then round + validate + certify each point. The LP
+/// chain charges `lp_pivots` and each point's certification replay
+/// charges `sim_events` on `meter`; exhaustion surfaces as
+/// [`LpError::Exhausted`] with the template already parked.
 fn solve_points(
     prep: &PreparedInstance,
     budgets: &[Resource],
     alpha: f64,
     meter: Option<&BudgetMeter>,
-    warm: WarmSource<'_>,
 ) -> Result<Vec<CurvePoint>, LpError> {
     let arc = prep.arc();
     let tt = prep.tt();
-    let (mut state, start) = match &warm {
-        WarmSource::Slot => {
-            let state = prep.take_lp_warm();
-            let start = state.basis.clone();
-            (state, start)
-        }
-        WarmSource::Cold => (prep.take_lp_warm(), None),
-        WarmSource::Shared(cache) => match cache.take_warm(&prep.shape().key) {
-            Some(entry) if entry.canonical == prep.canonical().key => {
-                let start = entry.state.basis.clone();
-                (entry.state, start)
-            }
-            Some(entry) => {
-                // shape sibling: rebuild our template, cross its basis
-                // over (install-verified; see crate::reuse)
-                let state = prep.take_lp_warm();
-                let start = entry
-                    .state
-                    .basis
-                    .filter(|b| state.lp.accepts_basis(b));
-                (state, start)
-            }
-            None => {
-                let state = prep.take_lp_warm();
-                let start = state.basis.clone();
-                (state, start)
-            }
-        },
-    };
-    let had_basis = start.is_some();
-    if had_basis {
-        if let WarmSource::Shared(cache) = &warm {
-            cache.note_delta();
-        }
-    }
-    let swept = state.lp.solve_sweep_metered(tt, budgets, start.as_ref(), meter);
-    let park = |state: crate::prep::LpWarmState| match &warm {
-        WarmSource::Shared(cache) => cache.put_warm(
-            prep.shape().key.clone(),
-            crate::reuse::WarmEntry {
-                canonical: prep.canonical().key.clone(),
-                state,
-            },
-        ),
-        WarmSource::Slot | WarmSource::Cold => prep.put_lp_warm(state),
-    };
-    let (points, basis) = match swept {
-        Ok(r) => r,
-        Err(e) => {
-            // park the template (basis cleared) before reporting
-            state.basis = None;
-            park(state);
-            return Err(e);
-        }
-    };
-    state.basis = basis;
-    park(state);
+    let lp = prep.take_lp_template();
+    let swept = lp.solve_sweep_metered(tt, budgets, None, meter);
+    prep.put_lp_template(lp);
+    let (points, _) = swept?;
     let mut out = Vec::with_capacity(budgets.len());
     for (i, (frac, &budget)) in points.into_iter().zip(budgets).enumerate() {
         let pivots = frac.pivots;
@@ -222,7 +115,7 @@ fn solve_points(
             makespan: approx.solution.makespan,
             budget_used: approx.solution.budget_used,
             pivots,
-            warm: i > 0 || had_basis,
+            warm: i > 0,
             sim,
             solution: approx.solution,
         });
@@ -281,10 +174,9 @@ fn point_reports(
 /// [`crate::Objective::MakespanSweep`] requests on the batch wire.
 ///
 /// One **self-contained** chain: crash start, then per-point delta
-/// reoptimization. No warm state is read, so `work` (on the wire) is a
-/// pure function of the request line — byte-identical across thread
-/// counts, cache modes, and restarts. The chain's final basis is
-/// parked on the per-instance slot for later API callers (cost only).
+/// reoptimization, so `work` (on the wire) is a pure function of the
+/// request line — byte-identical across thread counts, cache modes, and
+/// restarts.
 pub fn execute_sweep_wire(
     req: &SolveRequest,
     budgets: &[Resource],
@@ -292,7 +184,7 @@ pub fn execute_sweep_wire(
 ) -> Vec<SolveReport> {
     point_reports(
         req,
-        solve_points(&req.prepared, budgets, req.alpha, ctx.meter(), WarmSource::Cold),
+        solve_points(&req.prepared, budgets, req.alpha, ctx.meter()),
     )
 }
 
@@ -311,7 +203,7 @@ pub fn execute_sweep_pointwise(
 ) -> Vec<SolveReport> {
     let mut points = Vec::with_capacity(budgets.len());
     for &b in budgets {
-        match solve_points(&req.prepared, &[b], req.alpha, ctx.meter(), WarmSource::Cold) {
+        match solve_points(&req.prepared, &[b], req.alpha, ctx.meter()) {
             Ok(mut p) => points.append(&mut p),
             Err(e) => return point_reports(req, Err(e)),
         }
@@ -405,34 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn second_sweep_reuses_the_cached_basis() {
-        let prep = PreparedInstance::new(chain());
-        let budgets: Vec<u64> = (0..=4).collect();
-        let first = solve_curve(&prep, &budgets, 0.5).unwrap();
-        let second = solve_curve(&prep, &budgets, 0.5).unwrap();
-        assert!(
-            second[0].warm,
-            "the cached basis must warm even the first point of a later sweep"
-        );
-        for (a, b) in first.iter().zip(&second) {
-            assert!((a.lp_makespan - b.lp_makespan).abs() < 1e-9);
-            assert_eq!(a.makespan, b.makespan);
-            assert_eq!(a.budget_used, b.budget_used);
-        }
-    }
-
-    #[test]
     fn wire_sweep_ignores_parked_warm_state() {
         // the wire path must crash-start even when the slot holds a
-        // basis: its pivot counts are on the wire, so they may depend
-        // on nothing but the request line
+        // template from an earlier call: its pivot counts are on the
+        // wire, so they may depend on nothing but the request line
         let prep = std::sync::Arc::new(PreparedInstance::new(chain()));
         let budgets: Vec<u64> = (0..=4).collect();
         let req = SolveRequest::sweep("w", std::sync::Arc::clone(&prep), budgets.clone());
         let ctx = BudgetContext::for_request(&req, std::time::Instant::now());
         let first = execute_sweep_wire(&req, &budgets, &ctx);
-        // the first call parked a basis; a second wire call must still
-        // report identical per-point work
+        // the first call parked the template; a second wire call must
+        // still report identical per-point work
         let second = execute_sweep_wire(&req, &budgets, &ctx);
         let works = |rs: &[SolveReport]| rs.iter().map(|r| r.work).collect::<Vec<_>>();
         assert_eq!(works(&first), works(&second));

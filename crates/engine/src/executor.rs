@@ -47,7 +47,7 @@
 //!   arm cannot construct.
 //!
 //! Prep-cache mutex `expect("poisoned")` sites deserve a note: solver
-//! panics cannot poison them because the warm-LP state is moved out of
+//! panics cannot poison them because the LP template is moved out of
 //! its lock before any solve runs — the critical sections contain no
 //! solver code.
 
@@ -318,10 +318,10 @@ fn replay_cached(req: &SolveRequest, mut hit: SolveReport) -> SolveReport {
 /// [`execute_one_at`] with an optional cross-request [`ReuseCache`]:
 /// eligible requests — single solves *and* wire sweeps — probe the
 /// solution tier before solving and park their report vector after
-/// (see [`crate::reuse`] for the byte-identity contract). Sweeps never
-/// touch the warm-basis tier here: the wire path runs a self-contained
-/// crash-started chain ([`crate::curve::execute_sweep_wire`]) so its
-/// on-wire pivot counts cannot depend on cache state.
+/// (see [`crate::reuse`] for the byte-identity contract). A sweep that
+/// misses runs a self-contained crash-started chain
+/// ([`crate::curve::execute_sweep_wire`]), so its on-wire pivot counts
+/// cannot depend on cache state.
 ///
 /// This is also where [`SolveRequest::intra_threads`] takes effect:
 /// the whole execution runs inside an `rtt_par::with_threads` scope

@@ -19,13 +19,10 @@
 //!   and returns reports in request order, so batch output is
 //!   independent of the thread count;
 //! * [`ReuseCache`] — opt-in cross-request reuse under the "cost,
-//!   never bytes" contract: a solution tier of whole re-certified
-//!   report vectors keyed by canonical fingerprint (serves the batch
-//!   wire, single solves and sweeps alike, and survives restarts via
-//!   the `rtt-cache-v1` spill format in [`persist`]), and a
-//!   warm-basis/delta tier keyed by instance *shape* (serves
-//!   [`solve_curve_cached`] and [`solve_delta_point`];
-//!   objective-equal, never on the batch wire — see [`reuse`]).
+//!   never bytes" contract: whole re-certified report vectors keyed by
+//!   canonical fingerprint (serves the batch wire, single solves and
+//!   sweeps alike, and survives restarts via the `rtt-cache-v1` spill
+//!   format in [`persist`]; see [`reuse`]).
 //!
 //! The free functions in `rtt_core` remain the algorithmic ground
 //! truth; the trait impls here are thin adapters that certify every
@@ -80,17 +77,14 @@ pub use certify::{
     certify_solution, certify_solution_metered, expand_levels, expand_solution, SimCertificate,
     SIM_EVENT_GUARD,
 };
-pub use curve::{
-    execute_sweep_pointwise, execute_sweep_wire, solve_curve, solve_curve_cached,
-    solve_curve_metered, CurvePoint,
-};
+pub use curve::{execute_sweep_pointwise, execute_sweep_wire, solve_curve, CurvePoint};
 pub use executor::{
     execute_one, execute_one_at, execute_one_cached_at, run_batch, run_batch_cached,
     BatchOutcome, BatchStats,
 };
 pub use persist::{CACHE_FORMAT_TAG, PersistError};
-pub use prep::{CacheStats, LpWarmState, PrepCache, PreparedInstance};
+pub use prep::{CacheStats, PrepCache, PreparedInstance};
 pub use registry::{canonical_name, Registry};
 pub use request::{Objective, SolveReport, SolveRequest, SolverSelection, Status};
-pub use reuse::{solve_delta_point, ReuseCache, ReuseStats};
+pub use reuse::{ReuseCache, ReuseStats};
 pub use solver::{AlwaysExhaustSolver, AlwaysPanicSolver, Capability, SolutionForm, Solver};

@@ -12,39 +12,12 @@
 //! performs one expansion and one decomposition, not fifteen.
 
 use rtt_core::transform::expand_two_tuples;
-use rtt_core::{ArcInstance, CanonicalForm, TwoTupleInstance};
+use rtt_core::{ArcInstance, CanonicalForm, MakespanLp, TwoTupleInstance};
 use rtt_dag::sp::{decompose, SpTree};
 use rtt_dag::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// A cached LP warm-start seed: the makespan-LP template (budget row
-/// tagged) plus the optimal basis of the most recent sweep point.
-///
-/// # Warm-start invariants
-///
-/// The basis is valid for **any** budget on this instance: the
-/// template's constraint matrix depends only on the instance (which a
-/// `PreparedInstance` never mutates), and a budget change rewrites one
-/// right-hand side — exactly the change [`rtt_lp::Basis`] warm starts
-/// accept. The cache is therefore evicted only by replacement: each
-/// sweep leaves its final basis for the next. If the basis were ever
-/// stale (it cannot be today — the key is the instance itself), the LP
-/// engine's own shape/dual-feasibility checks would reject it and
-/// solve cold, so a bad cache degrades speed, never correctness.
-///
-/// Kept out of the per-request batch path on purpose: batch NDJSON is
-/// byte-stable across thread counts, and a *shared* warm chain would
-/// make report bytes depend on which worker got there first. Only the
-/// sweep/curve path — sequential within one request — reads it.
-#[derive(Debug)]
-pub struct LpWarmState {
-    /// The budget-row-tagged LP template.
-    pub lp: rtt_core::MakespanLp,
-    /// Optimal basis of the last solved sweep point.
-    pub basis: Option<rtt_lp::Basis>,
-}
 
 /// An instance plus its lazily computed, shareable preprocessing.
 #[derive(Debug)]
@@ -54,8 +27,7 @@ pub struct PreparedInstance {
     sp: OnceLock<Option<SpTree>>,
     topo: OnceLock<Vec<NodeId>>,
     canonical: OnceLock<CanonicalForm>,
-    shape: OnceLock<CanonicalForm>,
-    lp_warm: Mutex<Option<LpWarmState>>,
+    lp_template: Mutex<Option<MakespanLp>>,
     /// Times a component accessor found its artifact already computed.
     reuses: AtomicU64,
     /// Times a component accessor had to compute its artifact.
@@ -71,8 +43,7 @@ impl PreparedInstance {
             sp: OnceLock::new(),
             topo: OnceLock::new(),
             canonical: OnceLock::new(),
-            shape: OnceLock::new(),
-            lp_warm: Mutex::new(None),
+            lp_template: Mutex::new(None),
             reuses: AtomicU64::new(0),
             computes: AtomicU64::new(0),
         }
@@ -127,45 +98,33 @@ impl PreparedInstance {
         self.track(&self.canonical, || rtt_core::canonical_form(&self.arc))
     }
 
-    /// The instance's shape form ([`rtt_core::shape_form`]): durations
-    /// reduced to tuple counts, so duration-perturbed siblings share a
-    /// key. This is the warm-basis tier's compatibility class — equal
-    /// shape keys mean LP 6–10 problems of identical layout, whose
-    /// bases are mutually offerable (and install-verified). Computed on
-    /// first use.
-    pub fn shape(&self) -> &CanonicalForm {
-        self.track(&self.shape, || rtt_core::shape_form(&self.arc))
-    }
-
-    /// Takes the cached LP warm-start state (template + last basis),
-    /// building the template on first use. The caller runs its sweep on
-    /// it and is expected to [`PreparedInstance::put_lp_warm`] it back
-    /// with the final basis — see [`LpWarmState`] for the invariants.
-    /// Taking (rather than borrowing) keeps the lock scope tiny and
-    /// serializes concurrent sweeps onto disjoint templates.
-    pub fn take_lp_warm(&self) -> LpWarmState {
-        let mut slot = self.lp_warm.lock().expect("lp warm state poisoned");
+    /// Takes the cached LP 6–10 template (budget row tagged), building
+    /// it on first use. The caller solves on it and is expected to
+    /// [`PreparedInstance::put_lp_template`] it back. Taking (rather
+    /// than borrowing) keeps the lock scope tiny and serializes
+    /// concurrent sweeps onto disjoint templates. The template carries
+    /// no basis between calls: its constraint matrix depends only on
+    /// the instance, and every chain crash-starts, so reuse saves the
+    /// build and never changes a pivot.
+    pub fn take_lp_template(&self) -> MakespanLp {
+        let mut slot = self.lp_template.lock().expect("lp template slot poisoned");
         match slot.take() {
-            Some(state) => {
+            Some(lp) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
-                state
+                lp
             }
             None => {
                 self.computes.fetch_add(1, Ordering::Relaxed);
                 drop(slot);
-                LpWarmState {
-                    lp: rtt_core::MakespanLp::new(self.tt()),
-                    basis: None,
-                }
+                MakespanLp::new(self.tt())
             }
         }
     }
 
-    /// Returns a sweep's final state to the cache so the next sweep on
-    /// this instance warm-starts from it.
-    pub fn put_lp_warm(&self, state: LpWarmState) {
-        let mut slot = self.lp_warm.lock().expect("lp warm state poisoned");
-        *slot = Some(state);
+    /// Returns a template to the slot for the next caller.
+    pub fn put_lp_template(&self, lp: MakespanLp) {
+        let mut slot = self.lp_template.lock().expect("lp template slot poisoned");
+        *slot = Some(lp);
     }
 
     /// `(reuses, computes)` of the lazy artifacts so far.

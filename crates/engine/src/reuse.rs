@@ -1,81 +1,59 @@
 //! Cross-request solution reuse: a concurrent, capacity-bounded LRU of
-//! **solved reports** and **warm LP bases**, shared across every worker
-//! of a [`crate::run_batch_cached`] call (and across calls, if the
-//! caller keeps the cache).
+//! **solved reports**, shared across every worker of a
+//! [`crate::run_batch_cached`] call (and across calls, if the caller
+//! keeps the cache).
 //!
 //! # The contract: cost, never bytes
 //!
 //! The batch NDJSON wire format includes deterministic work counters
 //! (`work`, the budget `consumed` block), so any reuse that changed
-//! *how* an answer was computed would change bytes. The cache is
-//! therefore split into two tiers with different reuse granularity:
+//! *how* an answer was computed would change bytes. The cache therefore
+//! reuses only whole answers — one **solution tier**:
 //!
-//! * **Solution tier** — whole **report vectors**, keyed by
-//!   `(canonical instance, objective, alpha, seed, solver)`. Every
-//!   solver in the registry is a deterministic pure function of exactly
-//!   that tuple, so replaying a cached report is byte-identical to
-//!   re-running the solver — including `work` and `sim_makespan`. A
-//!   single solve caches a one-report vector; a `MakespanSweep` caches
-//!   the whole per-point vector (the grid is part of the key), which is
-//!   how *wire* sweeps get cross-request reuse without touching warm
-//!   state. A hit skips the solve but **re-runs the full analytic
-//!   validation and Observation 1.1 certify replay** against the
-//!   requesting instance before the report leaves the engine, so a
-//!   reused result is exactly as certified as a fresh one. Only
-//!   unbudgeted, deadline-free requests are eligible: a budgeted
-//!   request's wire-visible `consumed` counters describe *this run's*
-//!   metered work, which a replay does not perform, and a deadline's
-//!   expiry is wall-clock state, not request content.
+//! Whole **report vectors**, keyed by `(canonical instance, objective,
+//! alpha, seed, solver)`. Every solver in the registry is a
+//! deterministic pure function of exactly that tuple, so replaying a
+//! cached report is byte-identical to re-running the solver — including
+//! `work` and `sim_makespan`. A single solve caches a one-report
+//! vector; a `MakespanSweep` caches the whole per-point vector (the
+//! grid is part of the key), which is how *wire* sweeps get
+//! cross-request reuse while each chain stays crash-started. A hit
+//! skips the solve but **re-runs the full analytic validation and
+//! Observation 1.1 certify replay** against the requesting instance
+//! before the report leaves the engine, so a reused result is exactly
+//! as certified as a fresh one. Only unbudgeted, deadline-free requests
+//! are eligible: a budgeted request's wire-visible `consumed` counters
+//! describe *this run's* metered work, which a replay does not perform,
+//! and a deadline's expiry is wall-clock state, not request content.
 //!
-//!   Since PR 8 this tier also **survives restarts**: `rtt batch
-//!   --cache-save/--cache-load` spill and reload it through the
-//!   versioned `rtt-cache-v1` format ([`crate::persist`]). A loaded
-//!   entry has no donor instance ([`CachedSolution::donor`] is `None`),
-//!   so its trust rests on the full key-string comparison (which embeds
-//!   the canonical instance serialization) **plus** the same fresh
-//!   re-validation + re-certification every hit gets at serve time — a
-//!   tampered or stale entry panics the replay and is reported as a
-//!   failed solve, never silently served.
-//!
-//! * **Warm-basis tier** — [`LpWarmState`]s (budget-row-tagged LP
-//!   template + last optimal basis), keyed by the instance's *shape*
-//!   ([`PreparedInstance::shape`]), generalizing the per-instance slot
-//!   [`PreparedInstance::take_lp_warm`] to sharing **across requests
-//!   and across duration-perturbed siblings**. A sibling's basis has
-//!   the right LP layout to offer `rtt_lp::revised::solve_warm`, which
-//!   verifies it at install time and falls back to the crash basis —
-//!   so a stale or mismatched entry costs pivots, never correctness.
-//!   Warm-started solves land on the **same certified objective** as
-//!   cold ones (the LP optimum is unique in value; the delta tests pin
-//!   it), but their pivot counts differ — which is why this tier serves
-//!   only the [`crate::solve_curve_cached`] API and the explicit
-//!   [`solve_delta_point`] API, both *off* the batch wire, and never
-//!   the batch solver fan-out. Wire sweeps (`budgets` request lines)
-//!   deliberately bypass it: they run a self-contained crash-started
-//!   chain so their on-wire pivot counts stay a pure function of the
-//!   request line (see [`crate::curve`]), and get their cross-request
-//!   reuse from the solution tier above.
+//! Since PR 8 the tier also **survives restarts**: `rtt batch
+//! --cache-save/--cache-load` spill and reload it through the versioned
+//! `rtt-cache-v1` format ([`crate::persist`]). A loaded entry has no
+//! donor instance ([`CachedSolution::donor`] is `None`), so its trust
+//! rests on the full key-string comparison (which embeds the canonical
+//! instance serialization) **plus** the same fresh re-validation +
+//! re-certification every hit gets at serve time — a tampered or stale
+//! entry panics the replay and is reported as a failed solve, never
+//! silently served.
 //!
 //! Eviction (deterministic LRU: least `(stamp, key)` first) and
-//! concurrent access order can change which tier entries are resident —
-//! that too only moves work between "replayed" and "recomputed", with
+//! concurrent access order can change which entries are resident — that
+//! too only moves work between "replayed" and "recomputed", with
 //! byte-identical output either way, because every replay source is a
 //! deterministic function of request content.
 //!
 //! # Collision discipline
 //!
-//! Like [`crate::PrepCache`], both tiers store and compare **full key
-//! strings** (the canonical/shape serialization plus request
-//! parameters), not digests — and the solution tier additionally
-//! requires pointer identity of the [`PreparedInstance`] for entries
-//! that have one (in-process entries do; disk-loaded entries fall back
-//! to the key comparison plus serve-time re-verification). A hash
-//! collision anywhere costs a recomputation, never a wrong answer.
+//! Like [`crate::PrepCache`], the tier stores and compares **full key
+//! strings** (the canonical serialization plus request parameters), not
+//! digests — and additionally requires pointer identity of the
+//! [`PreparedInstance`] for entries that have one (in-process entries
+//! do; disk-loaded entries fall back to the key comparison plus
+//! serve-time re-verification). A hash collision costs a recomputation,
+//! never a wrong answer.
 
-use crate::prep::{LpWarmState, PreparedInstance};
+use crate::prep::PreparedInstance;
 use crate::request::{Objective, SolveReport, SolveRequest, Status};
-use rtt_core::lp_build::LpError;
-use rtt_core::Resource;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -89,15 +67,7 @@ pub struct ReuseStats {
     pub solution_hits: u64,
     /// Solution-tier misses (includes ineligible-donor misses).
     pub solution_misses: u64,
-    /// Warm-tier hits where the entry's canonical instance matched:
-    /// template + basis reused outright.
-    pub warm_hits: u64,
-    /// Warm-tier misses (no resident entry for the shape).
-    pub warm_misses: u64,
-    /// Solves seeded from a reused basis across a budget change or a
-    /// duration-perturbed sibling — the delta path.
-    pub delta_solves: u64,
-    /// Entries evicted from either tier to stay within capacity.
+    /// Entries evicted to stay within capacity.
     pub evictions: u64,
     /// Simplex pivots the solution tier did **not** execute: the sum of
     /// cached `work` counters over all hits. (The wire still reports
@@ -137,10 +107,6 @@ impl<V> Lru<V> {
         })
     }
 
-    fn remove(&mut self, key: &str) -> Option<V> {
-        self.map.remove(key).map(|(v, _)| v)
-    }
-
     /// Inserts, evicting least-recently-used entries past capacity.
     /// Returns how many were evicted.
     fn insert(&mut self, key: String, value: V) -> u64 {
@@ -178,45 +144,25 @@ struct CachedSolution {
     donor: Option<Arc<PreparedInstance>>,
 }
 
-/// A warm-tier entry: the donor's canonical key (to distinguish
-/// same-instance template reuse from cross-sibling basis-only reuse)
-/// plus its LP warm state.
-#[derive(Debug)]
-pub struct WarmEntry {
-    /// Canonical key of the instance that parked this state.
-    pub canonical: String,
-    /// The parked template + basis.
-    pub state: LpWarmState,
-}
-
-/// The shared cross-request cache. Both tiers are independently
-/// capacity-bounded at the same `capacity`; see the module docs for
-/// the reuse contract.
+/// The shared cross-request cache; see the module docs for the reuse
+/// contract.
 #[derive(Debug)]
 pub struct ReuseCache {
     solutions: Mutex<Lru<Arc<CachedSolution>>>,
-    warm: Mutex<Lru<WarmEntry>>,
     solution_hits: AtomicU64,
     solution_misses: AtomicU64,
-    warm_hits: AtomicU64,
-    warm_misses: AtomicU64,
-    delta_solves: AtomicU64,
     evictions: AtomicU64,
     pivots_saved: AtomicU64,
 }
 
 impl ReuseCache {
-    /// An empty cache holding at most `capacity` entries **per tier**
-    /// (`0` is treated as 1).
+    /// An empty cache holding at most `capacity` entries (`0` is
+    /// treated as 1).
     pub fn new(capacity: usize) -> Self {
         ReuseCache {
             solutions: Mutex::new(Lru::new(capacity)),
-            warm: Mutex::new(Lru::new(capacity)),
             solution_hits: AtomicU64::new(0),
             solution_misses: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            warm_misses: AtomicU64::new(0),
-            delta_solves: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pivots_saved: AtomicU64::new(0),
         }
@@ -334,115 +280,13 @@ impl ReuseCache {
         out
     }
 
-    /// Takes the warm entry for `shape_key` out of the warm tier
-    /// (counted as hit/miss). Take semantics serialize concurrent
-    /// sweeps onto disjoint templates, exactly like the per-instance
-    /// slot this tier generalizes.
-    pub fn take_warm(&self, shape_key: &str) -> Option<WarmEntry> {
-        let taken = self
-            .warm
-            .lock()
-            .expect("warm tier poisoned")
-            .remove(shape_key);
-        match taken {
-            Some(e) => {
-                self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                Some(e)
-            }
-            None => {
-                self.warm_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Parks a warm state back under `shape_key` for the next taker.
-    pub fn put_warm(&self, shape_key: String, entry: WarmEntry) {
-        let evicted = self
-            .warm
-            .lock()
-            .expect("warm tier poisoned")
-            .insert(shape_key, entry);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Records one delta solve (a solve seeded from a reused basis
-    /// across a budget change or sibling instance).
-    pub fn note_delta(&self) {
-        self.delta_solves.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> ReuseStats {
         ReuseStats {
             solution_hits: self.solution_hits.load(Ordering::Relaxed),
             solution_misses: self.solution_misses.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            warm_misses: self.warm_misses.load(Ordering::Relaxed),
-            delta_solves: self.delta_solves.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             pivots_saved: self.pivots_saved.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The **delta-solve** service: LP 6–10 for `prep` at `budget`,
-/// reoptimized from whatever basis the cache holds for this instance's
-/// shape — its own earlier basis (budget delta) or a perturbed
-/// sibling's (duration delta) — and parked back for the next caller.
-///
-/// Returns the fractional LP optimum. The objective is the certified
-/// LP value whichever start was used (warm starts change pivot counts,
-/// never the optimum — `delta_objective_matches_cold` pins it); on a
-/// cross-sibling hit the template is rebuilt for *this* instance's
-/// durations and only the basis crosses over, so a reused basis can
-/// never smuggle in stale coefficients.
-pub fn solve_delta_point(
-    prep: &PreparedInstance,
-    cache: &ReuseCache,
-    budget: Resource,
-) -> Result<rtt_core::lp_build::FractionalSolution, LpError> {
-    let tt = prep.tt();
-    let shape_key = prep.shape().key.clone();
-    let canonical = prep.canonical().key.clone();
-    let (mut state, seed_basis, is_delta) = match cache.take_warm(&shape_key) {
-        Some(entry) if entry.canonical == canonical => {
-            // same instance: template + basis reused outright; still a
-            // delta solve if the budget row moves (solve_delta meters
-            // the dual repair either way)
-            let basis = entry.state.basis.clone();
-            (entry.state, basis, true)
-        }
-        Some(entry) => {
-            // shape sibling: its template has the wrong durations —
-            // rebuild ours, offer only the basis
-            let state = prep.take_lp_warm();
-            (state, entry.state.basis, true)
-        }
-        None => {
-            let state = prep.take_lp_warm();
-            let basis = state.basis.clone();
-            (state, basis, false)
-        }
-    };
-    let result = state
-        .lp
-        .solve_delta_metered(tt, budget, seed_basis.as_ref(), None);
-    match result {
-        Ok((frac, basis)) => {
-            if is_delta && seed_basis.is_some() {
-                cache.note_delta();
-            }
-            state.basis = basis;
-            cache.put_warm(shape_key, WarmEntry { canonical, state });
-            Ok(frac)
-        }
-        Err(e) => {
-            // park the template (basis cleared) so the next caller
-            // still skips the build
-            state.basis = None;
-            cache.put_warm(shape_key, WarmEntry { canonical, state });
-            Err(e)
         }
     }
 }
@@ -454,9 +298,8 @@ mod tests {
     use rtt_core::ArcInstance;
     use rtt_dag::Dag;
     use rtt_duration::Duration;
-    use rtt_lp::WarmStart;
 
-    fn diamond(slow_base: u64) -> ArcInstance {
+    fn diamond() -> ArcInstance {
         let mut g: Dag<(), Activity> = Dag::new();
         let s = g.add_node(());
         let a = g.add_node(());
@@ -464,7 +307,7 @@ mod tests {
         let t = g.add_node(());
         g.add_edge(s, a, Activity::new(Duration::two_point(5, 2, 1)))
             .unwrap();
-        g.add_edge(s, b, Activity::new(Duration::two_point(slow_base, 3, 2)))
+        g.add_edge(s, b, Activity::new(Duration::two_point(9, 3, 2)))
             .unwrap();
         g.add_edge(a, t, Activity::new(Duration::constant(1)))
             .unwrap();
@@ -474,59 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn delta_objective_matches_cold_across_budgets() {
-        let prep = PreparedInstance::new(diamond(9));
-        let cache = ReuseCache::new(16);
-        for budget in [0u64, 1, 2, 3, 4, 5] {
-            let delta = solve_delta_point(&prep, &cache, budget).unwrap();
-            let cold =
-                rtt_core::lp_build::solve_min_makespan_lp(prep.tt(), budget).unwrap();
-            assert!(
-                (delta.makespan - cold.makespan).abs() < 1e-9,
-                "budget {budget}: delta {} vs cold {}",
-                delta.makespan,
-                cold.makespan
-            );
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.warm_misses, 1, "only the first take misses");
-        assert_eq!(stats.warm_hits, 5);
-        assert!(stats.delta_solves >= 5, "later budgets are delta solves");
-    }
-
-    #[test]
-    fn sibling_basis_crosses_over_and_objective_stays_certified() {
-        let base = PreparedInstance::new(diamond(9));
-        let sibling = PreparedInstance::new(diamond(11));
-        assert_eq!(base.shape().key, sibling.shape().key);
-        assert_ne!(base.canonical().key, sibling.canonical().key);
-        let cache = ReuseCache::new(16);
-        let _ = solve_delta_point(&base, &cache, 3).unwrap();
-        // the sibling's solve takes the base's entry, rebuilds its own
-        // template, and seeds from the crossed-over basis
-        let delta = solve_delta_point(&sibling, &cache, 3).unwrap();
-        let cold = rtt_core::lp_build::solve_min_makespan_lp(sibling.tt(), 3).unwrap();
-        assert!((delta.makespan - cold.makespan).abs() < 1e-9);
-        let stats = cache.stats();
-        assert_eq!(stats.warm_hits, 1);
-        assert_eq!(stats.delta_solves, 1, "the sibling's solve is the delta");
-        // provenance: the sibling's solve actually used a warm start
-        // (dual repair or straight primal), or the engine rejected the
-        // offer and fell back — either way the objective matched cold
-        assert_ne!(delta.stats.warm, WarmStart::Cold);
-    }
-
-    #[test]
     fn lru_eviction_is_deterministic_and_counted() {
         let cache = ReuseCache::new(2);
-        let preps: Vec<_> = (0..4).map(|i| PreparedInstance::new(diamond(9 + i))).collect();
-        // distinct shapes? no — same shape key; use the solution tier
-        // for eviction behavior instead, via distinct keys
         let mut tier = cache.solutions.lock().unwrap();
-        for (i, _p) in preps.iter().enumerate() {
+        for i in 0..4 {
             let dummy = Arc::new(CachedSolution {
                 reports: vec![SolveReport::new("x", "bicriteria", Status::Solved, "")],
-                donor: Some(Arc::new(PreparedInstance::new(diamond(9)))),
+                donor: Some(Arc::new(PreparedInstance::new(diamond()))),
             });
             tier.insert(format!("k{i}"), dummy);
         }

@@ -195,8 +195,10 @@ fn unsupported_objective(req: &SolveRequest, solver: &'static str) -> SolveRepor
 }
 
 /// Sweeps are executed by the engine's curve service
-/// ([`crate::solve_curve`], dispatched in `execute_one`), never by an
-/// individual solver — a directly-invoked solver declines them.
+/// ([`crate::execute_sweep_wire`], or [`crate::execute_sweep_pointwise`]
+/// for budgeted and deadlined sweeps, both dispatched in the executor),
+/// never by an individual solver — a directly-invoked solver declines
+/// them.
 fn unsupported_sweep(req: &SolveRequest, solver: &'static str) -> SolveReport {
     SolveReport::new(
         req.id.clone(),

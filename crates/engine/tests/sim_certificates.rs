@@ -78,9 +78,9 @@ fn every_solved_report_is_sim_certified_registry_wide() {
                         + usize::from(report.schedule.is_some());
                     assert_eq!(forms, 1, "{}: ambiguous solution form", report.solver);
                     // …and it is the one the solver declares — the
-                    // `rtt solvers` column and the bench-pr5 coverage
-                    // rows print solution_form(), so a drift between
-                    // declaration and populated field would ship a lie
+                    // `rtt solvers` column prints solution_form(), so a
+                    // drift between declaration and populated field
+                    // would ship a lie
                     let declared = registry
                         .get(report.solver)
                         .expect("report names a registered solver")

@@ -8,9 +8,9 @@
 //! * **differential testing** — `tests/flat_vs_reference.rs` asserts the
 //!   flat solver reproduces these objectives on the edge-case corpus and
 //!   on random LPs;
-//! * **benchmark baselining** — `rtt_bench`'s `bench-pr1` harness
-//!   measures the bicriteria pipeline against this engine so every
-//!   speedup claim in `BENCH_pr1.json` is reproduced, not remembered.
+//! * **benchmark baselining** — the speedups in the frozen
+//!   `BENCH_pr1.json` record were measured against this engine in the
+//!   same binary.
 //!
 //! Do not optimize this module; its value is that it does not change.
 

@@ -1353,34 +1353,6 @@ impl<'a> Rev<'a> {
     }
 }
 
-/// Whether `b`'s shape matches what [`solve_warm`] would build for `p`
-/// — the cheap pre-check for **cross-problem (delta) warm starts**,
-/// where the offered basis came from a different `Problem` of
-/// identical shape (e.g. the same instance at another budget, or a
-/// duration-perturbed sibling whose LP kept its sparsity pattern). A
-/// non-fitting basis would be rejected at install time anyway; callers
-/// holding a better fallback (such as a crash basis) should check
-/// first instead of burning the offer on a cold fallback.
-pub fn basis_fits(p: &Problem, b: &Basis) -> bool {
-    let m = p.rows.len();
-    // replicate the internal column layout count: structurals +
-    // one logical per row + one artificial per normalized Ge/Eq row
-    let n_art = p
-        .rows
-        .iter()
-        .filter(|row| {
-            let cmp = match (row.cmp, row.rhs < 0.0) {
-                (c, false) => c,
-                (Cmp::Le, true) => Cmp::Ge,
-                (Cmp::Ge, true) => Cmp::Le,
-                (Cmp::Eq, true) => Cmp::Eq,
-            };
-            !matches!(cmp, Cmp::Le)
-        })
-        .count();
-    b.n_rows() == m && b.n_cols() == p.n_vars + m + n_art
-}
-
 /// Cold two-phase solve (the [`crate::Engine::Revised`] entry point).
 pub fn solve(p: &Problem, rule: PivotRule) -> Outcome {
     solve_warm(p, rule, None, None).0

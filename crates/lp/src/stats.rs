@@ -9,9 +9,9 @@
 /// How a revised-engine solve entered its simplex loop — the
 /// warm-start **provenance** of the solution. Diagnostics only (like
 /// every other [`LpStats`] field it stays off the batch wire format),
-/// but it is what lets callers — and the PR-7 delta-solve tests —
-/// assert that a cached basis was actually *used* rather than silently
-/// rejected into a cold solve.
+/// but it is what lets callers and tests assert that an offered basis
+/// was actually *used* rather than silently rejected into a cold
+/// solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WarmStart {
     /// No basis was offered (or the engine has no warm path): the
@@ -20,7 +20,7 @@ pub enum WarmStart {
     Cold,
     /// An offered basis installed **dual-feasible** (the signature of
     /// an old optimum after an RHS change) and was repaired by the dual
-    /// simplex — the delta-solve path.
+    /// simplex.
     Dual,
     /// An offered basis installed **primal-feasible** (a structural
     /// crash) and went straight to phase 2.

@@ -19,7 +19,7 @@
 //!   schedules without a cost cap;
 //! * [`model::ExecModel::run_ticks`] — the tick-loop baseline
 //!   (Θ(makespan · V)), kept measurable per the perf-PR protocol
-//!   (`bench-pr5` compares the two in one binary) and serving bounded
+//!   (`BENCH_pr5.json` compares the two in one binary) and serving bounded
 //!   processor counts, where the greedy most-loaded-first choice is
 //!   inherently per-tick.
 //!

@@ -33,8 +33,8 @@
 //! `c_i = max(c_{i-1}, t_i) + 1` over its sorted release times `t_i`.
 //! The event engine runs that recurrence directly off a completion-time
 //! heap — **O((V + E) log V)**, independent of the makespan — while the
-//! tick loop rescans every cell every tick, Θ(T·V). `bench-pr5`
-//! measures the gap; the tick loop stays in-tree as the measurable
+//! tick loop rescans every cell every tick, Θ(T·V). `BENCH_pr5.json`
+//! records the gap; the tick loop stays in-tree as the measurable
 //! baseline and as the only engine for *bounded* processor counts,
 //! whose greedy most-loaded-first policy is decided tick by tick.
 
@@ -408,7 +408,7 @@ impl ExecModel {
     /// (use [`crate::exec::UNBOUNDED`] for ∞): each tick, the at most
     /// `processors` cells with the most remaining work (ties by id)
     /// each apply one released update. Θ(T·V) — the measurable baseline
-    /// the event engine is benchmarked against (`bench-pr5`), and the
+    /// the event engine is benchmarked against (`BENCH_pr5.json`), and the
     /// reference semantics for bounded processor counts.
     ///
     /// # Panics
@@ -641,7 +641,7 @@ mod tests {
         // 64 cells of 10_000 updates each: the event engine processes
         // 127 events; the tick loop would walk 640_000 ticks. This test
         // runs the event engine only — run_ticks here is exactly what
-        // bench-pr5 measures as the baseline.
+        // BENCH_pr5.json measured as the baseline.
         let mut g: Dag<(), ()> = Dag::new();
         let mut prev = g.add_node(());
         for _ in 0..63 {
