@@ -114,8 +114,7 @@ fn sim_event_counts_stay_in_envelope() {
     // wall-clock — measured 553 events / 85 cells at commit time), far
     // below the engine's soft guard.
     let arc = race_instance(16, 16);
-    let sol =
-        rtt_core::solve_bicriteria_with(&arc, 16, 0.5, Engine::Revised).unwrap();
+    let sol = rtt_core::solve_bicriteria(&arc, 16, 0.5).unwrap();
     let (g, works) = rtt_engine::expand_solution(&arc, &sol.solution);
     let model = rtt_sim::ExecModel::from_works(&g, &works);
     within("certify expansion events", model.event_count(), 300, 1200);

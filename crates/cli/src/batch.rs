@@ -194,12 +194,13 @@
 //! `rtt lint <corpus.ndjson>` (and the `rtt batch --lint-first`
 //! admission pre-pass) statically checks corpora against this wire
 //! format and emits compiler-style diagnostics with stable `RTT0xx`
-//! codes. The severity contract: **error** means the line is one this
-//! module's [`build_requests`] rejects — a lint-clean corpus cannot
-//! fail admission — while **warning** means the line is admitted but
+//! codes. The linter and this module's [`build_requests`] both run
+//! every line through one per-line checker, `check_line`, so the
+//! severity contract holds by construction: **error** means the line
+//! is one `build_requests` rejects — a lint-clean corpus cannot fail
+//! admission — while **warning** means the line is admitted but
 //! declares something vacuous or degraded. The code table (source of
-//! truth: [`rtt_analyze::lint::CODES`], cross-tested against the
-//! executor's rejections):
+//! truth: [`rtt_analyze::lint::CODES`]):
 //!
 //! | code | severity | meaning |
 //! |---|---|---|
@@ -217,6 +218,15 @@
 //! | `RTT012` | warning | queue-depth limit at least the batch size: the bound can never trip |
 //! | `RTT013` | warning | family-tag mismatch: the named solver does not support this instance |
 //!
+//! RTT001–RTT009 judge the line's text, and the checker records every
+//! one a line earns. The rest — RTT010, an empty grid's RTT007, and the
+//! RTT011–RTT013 warnings — judge the request the line spells, and
+//! belong to the engine's admission lint ([`rtt_engine::lint_request`];
+//! [`rtt_engine::lint_requests`] runs the same checks over built
+//! requests for an embedding that skips the NDJSON front end). A line
+//! with a wire-format error spells no request, so it carries none of
+//! them.
+//!
 //! Diagnostics are reported in deterministic `(line, code, message)`
 //! order, every diagnosable line in one pass (the linter does not stop
 //! at the first error the way the loader does). The human rendering is
@@ -226,11 +236,6 @@
 //! ```json
 //! {"line":3,"code":"RTT008","severity":"error","message":"unknown solver \"exat\"; available: ..."}
 //! ```
-//!
-//! Warnings additionally mirror the engine-level admission lint over
-//! *built* requests ([`rtt_engine::lint_requests`]) — the seam an
-//! embedding that skips the NDJSON front end still gets — and an
-//! agreement test pins the two sides together.
 //!
 //! `sim_makespan` is the **simulation certificate** (Observation 1.1):
 //! the engine physically expanded the solution into its update-granular
@@ -245,8 +250,11 @@
 //! (infinite durations, or expansions past the engine's event-count
 //! guard `rtt_engine::SIM_EVENT_GUARD`).
 
-use crate::json::Json;
+use crate::args::parse_budgets;
+use crate::json::{Json, JsonError};
+use crate::lint::spec_error_code;
 use crate::spec::InstanceSpec;
+use rtt_analyze::lint::{Diagnostic, Severity};
 use rtt_engine::{
     BudgetLimits, BudgetPolicies, BudgetSpec, ExhaustionPolicy, Objective, PrepCache, Registry,
     SolveReport, SolveRequest, SolverSelection, Status,
@@ -258,42 +266,238 @@ use std::time::Duration as StdDuration;
 /// a `solver` field (`None` = all supporting solvers); per-line solver
 /// names are validated against `registry` up front, so a typo fails the
 /// load with its line number instead of surfacing as a per-report
-/// `unsupported` downstream. Errors carry the offending 1-based line
-/// number.
+/// `unsupported` downstream. Each line goes through the same per-line
+/// checker `rtt lint` runs (see "Diagnostics" in the module docs), and
+/// the first line it rejects fails the load as `line N: <message>`,
+/// with the first error recorded on that line.
 pub fn build_requests(
     corpus: &str,
     cache: &PrepCache,
     default_solver: Option<&str>,
     registry: &Registry,
 ) -> Result<Vec<SolveRequest>, String> {
-    let mut out = Vec::new();
-    for (idx, line) in corpus.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
+    let batch_size = request_lines(corpus).count();
+    let mut out = Vec::with_capacity(batch_size);
+    for (lineno, line) in request_lines(corpus) {
+        let mut diags = Vec::new();
+        match check_line(
+            line,
+            lineno,
+            batch_size,
+            cache,
+            default_solver,
+            registry,
+            &mut diags,
+        ) {
+            Some(req) => out.push(req),
+            None => {
+                let first = diags
+                    .iter()
+                    .find(|d| d.severity == Severity::Error)
+                    .expect("a rejected line carries an error");
+                return Err(format!("line {lineno}: {}", first.message));
+            }
         }
-        out.push(
-            parse_request_line(line, lineno, cache, default_solver, registry)
-                .map_err(|e| format!("line {lineno}: {e}"))?,
-        );
     }
     Ok(out)
 }
 
-fn parse_request_line(
+/// The request lines of a corpus with their 1-based line numbers:
+/// blank lines are skipped but still counted.
+pub(crate) fn request_lines(corpus: &str) -> impl Iterator<Item = (usize, &str)> {
+    corpus
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(idx, line)| (idx + 1, line))
+}
+
+/// Checks one request line — line `lineno` of a corpus with
+/// `batch_size` request lines — and pushes every diagnostic it earns
+/// onto `diags`. The wire-format checks (RTT001–RTT009) keep going past
+/// an error, so one line can carry several. A line with none spells a
+/// request, which then goes through the engine's request-level lint
+/// ([`rtt_engine::lint_request`]). Returns the request only when no
+/// error fired.
+///
+/// [`build_requests`] and [`crate::lint::lint_corpus`] are this
+/// function's two callers, which is why a lint error and an admission
+/// reject are the same event (see "Diagnostics" in the module docs).
+pub(crate) fn check_line(
     line: &str,
     lineno: usize,
+    batch_size: usize,
     cache: &PrepCache,
     default_solver: Option<&str>,
     registry: &Registry,
-) -> Result<SolveRequest, String> {
-    let doc = Json::parse(line).map_err(|e| e.to_string())?;
-    let id = match doc.get("id") {
-        Some(v) => v.as_str().map_err(|e| e.to_string())?.to_string(),
-        None => format!("line-{lineno}"),
+    diags: &mut Vec<Diagnostic>,
+) -> Option<SolveRequest> {
+    let doc = match Json::parse(line) {
+        Ok(doc) => doc,
+        Err(e) => {
+            diags.push(Diagnostic::error("RTT001", lineno, e.to_string()));
+            return None;
+        }
     };
-    let instance = doc.require("instance").map_err(|e| e.to_string())?;
-    let spec = InstanceSpec::from_json(instance).map_err(|e| e.to_string())?;
+    let mut f = LineCheck {
+        doc: &doc,
+        lineno,
+        errors: Vec::new(),
+    };
+    let id = f.field("id", Json::as_str);
+    // the instance document: structural errors split across RTT001-005
+    let arc = match doc.get("instance") {
+        None => {
+            f.error("RTT001", "missing field `instance`");
+            None
+        }
+        Some(instance) => match InstanceSpec::from_json(instance).and_then(|s| s.build()) {
+            Ok(arc) => Some(arc),
+            Err(e) => {
+                f.error(spec_error_code(&e), e.to_string());
+                None
+            }
+        },
+    };
+    let budget = f.field("budget", Json::as_u64);
+    let target = f.field("target", Json::as_u64);
+    let solver_name = f.field("solver", Json::as_str);
+    let solver = solver_name.map(|name| (name, registry.resolve(name)));
+    if let Some((name, None)) = solver {
+        f.error(
+            "RTT008",
+            format!(
+                "unknown solver {name:?}; available: {}",
+                registry.names().join(", ")
+            ),
+        );
+    }
+    let (objective, selection) = match doc.get("budgets") {
+        // a `budgets` field makes the line a tradeoff-curve sweep: a
+        // JSON array of grid points, or a grid string in the `rtt curve`
+        // `a:b:step` / `a,b,c` syntax
+        Some(grid) => {
+            let budgets = match grid {
+                Json::Arr(items) => items
+                    .iter()
+                    .map(Json::as_u64)
+                    .collect::<Result<Vec<u64>, _>>()
+                    .map_err(|e| f.error("RTT007", format!("budgets: {e}")))
+                    .ok(),
+                Json::Str(spec) => parse_budgets(spec).map_err(|e| f.error("RTT007", e)).ok(),
+                _ => {
+                    f.error("RTT001", "budgets must be an array or a grid string");
+                    None
+                }
+            };
+            if budget.is_some() || target.is_some() {
+                f.error("RTT006", "`budgets` conflicts with `budget`/`target`");
+            }
+            if f.has("objective") {
+                f.error("RTT006", "`budgets` lines take no `objective` field");
+            }
+            // sweeps are a bicriteria-pipeline service: a per-line
+            // solver other than bicriteria is a usage error, and the
+            // batch --solver default deliberately does not apply
+            if let Some((name, Some(s))) = solver {
+                if s.name() != "bicriteria" {
+                    f.error(
+                        "RTT007",
+                        format!(
+                            "sweep lines are answered by the bicriteria pipeline, not solver {name:?}"
+                        ),
+                    );
+                }
+            }
+            (
+                budgets.map(|budgets| Objective::MakespanSweep { budgets }),
+                SolverSelection::Named("bicriteria".into()),
+            )
+        }
+        None => {
+            let objective = match doc.get("objective").map(Json::as_str) {
+                Some(Err(e)) => {
+                    f.error("RTT001", format!("objective: {e}"));
+                    None
+                }
+                Some(Ok("min-makespan")) => {
+                    if !f.has("budget") {
+                        f.error("RTT006", "objective min-makespan needs a `budget`");
+                    }
+                    budget.map(|budget| Objective::MinMakespan { budget })
+                }
+                Some(Ok("min-resource")) => {
+                    if !f.has("target") {
+                        f.error("RTT006", "objective min-resource needs a `target`");
+                    }
+                    target.map(|target| Objective::MinResource { target })
+                }
+                Some(Ok(other)) => {
+                    f.error("RTT006", format!("unknown objective {other:?}"));
+                    None
+                }
+                None => match (f.has("budget"), f.has("target")) {
+                    (true, true) => {
+                        f.error("RTT006", "give `objective` to disambiguate budget + target");
+                        None
+                    }
+                    (false, false) => {
+                        f.error("RTT006", "need `budget` or `target`");
+                        None
+                    }
+                    (true, false) => budget.map(|budget| Objective::MinMakespan { budget }),
+                    (false, true) => target.map(|target| Objective::MinResource { target }),
+                },
+            };
+            let selection = match solver_name.or(default_solver) {
+                Some(name) => SolverSelection::Named(name.to_string()),
+                None => SolverSelection::All,
+            };
+            (objective, selection)
+        }
+    };
+    let alpha = f.field("alpha", Json::as_f64).unwrap_or(0.5);
+    let deadline = f
+        .field("deadline_ms", Json::as_u64)
+        .map(StdDuration::from_millis);
+    let seed = f.field("seed", Json::as_u64).unwrap_or(0);
+    // resource-budget fields: a policy without a limit, or an unknown
+    // policy name, is RTT009. A mistyped limit still *declares* one for
+    // the orphan-policy check; its RTT001 already rejects the line.
+    let limits = BudgetLimits {
+        lp_pivots: f.field("max_pivots", Json::as_u64),
+        dp_merge_steps: f.field("max_merge_steps", Json::as_u64),
+        sim_events: f.field("max_sim_events", Json::as_u64),
+        queue_depth: f.field("max_queue_depth", Json::as_u64),
+    };
+    let declares_limit = [
+        "max_pivots",
+        "max_merge_steps",
+        "max_sim_events",
+        "max_queue_depth",
+    ]
+    .iter()
+    .any(|field| f.has(field));
+    let policy = match f
+        .field("on_exhaustion", Json::as_str)
+        .map(ExhaustionPolicy::parse)
+    {
+        Some(Err(e)) => {
+            f.error("RTT009", e);
+            None
+        }
+        Some(Ok(policy)) => {
+            if !declares_limit {
+                f.error("RTT009", "on_exhaustion requires at least one max_* limit");
+            }
+            Some(policy)
+        }
+        None => None,
+    };
+    let (Some(arc), Some(objective), true) = (arc, objective, f.errors.is_empty()) else {
+        diags.append(&mut f.errors);
+        return None;
+    };
     // key by the relabel-invariant canonical form (PR 7): structurally
     // identical instances land on one entry even when their documents
     // permute nodes or arcs. The full key string is stored and compared
@@ -301,185 +505,61 @@ fn parse_request_line(
     // price of recognizing relabelings, and the per-instance
     // preprocessing (expansion, SP decomposition, LP templates) is
     // still computed once per equivalence class.
-    let arc = spec.build().map_err(|e| e.to_string())?;
     let key = rtt_core::canonical_form(&arc).key;
-    let prepared = cache.get_or_insert(&key, move || arc);
-    let budget = match doc.get("budget") {
-        Some(v) => Some(v.as_u64().map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let target = match doc.get("target") {
-        Some(v) => Some(v.as_u64().map_err(|e| e.to_string())?),
-        None => None,
-    };
-    // a `budgets` field makes the line a tradeoff-curve sweep: a JSON
-    // array of grid points, or a grid string in the `rtt curve`
-    // `a:b:step` / `a,b,c` syntax
-    let grid = match doc.get("budgets") {
-        Some(Json::Arr(items)) => Some(
-            items
-                .iter()
-                .map(|v| v.as_u64().map_err(|e| e.to_string()))
-                .collect::<Result<Vec<u64>, String>>()?,
-        ),
-        Some(v) => Some(crate::args::parse_budgets(
-            v.as_str().map_err(|_| "budgets must be an array or a grid string")?,
-        )?),
-        None => None,
-    };
-    if let Some(budgets) = grid {
-        if budget.is_some() || target.is_some() {
-            return Err("`budgets` conflicts with `budget`/`target`".into());
-        }
-        if doc.get("objective").is_some() {
-            return Err("`budgets` lines take no `objective` field".into());
-        }
-        if budgets.is_empty() {
-            return Err("`budgets` must name at least one grid point".into());
-        }
-        // sweeps are a bicriteria-pipeline service: a per-line solver
-        // other than bicriteria is a usage error, and the batch
-        // --solver default deliberately does not apply
-        if let Some(v) = doc.get("solver") {
-            let name = v.as_str().map_err(|e| e.to_string())?;
-            if registry.resolve(name).map(|s| s.name()) != Some("bicriteria") {
-                return Err(format!(
-                    "sweep lines are answered by the bicriteria pipeline, not solver {name:?}"
-                ));
-            }
-        }
-        let alpha = match doc.get("alpha") {
-            Some(v) => v.as_f64().map_err(|e| e.to_string())?,
-            None => 0.5,
-        };
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(format!("alpha must be in (0, 1), got {alpha}"));
-        }
-        let deadline = match doc.get("deadline_ms") {
-            Some(v) => Some(StdDuration::from_millis(
-                v.as_u64().map_err(|e| e.to_string())?,
-            )),
-            None => None,
-        };
-        let seed = match doc.get("seed") {
-            Some(v) => v.as_u64().map_err(|e| e.to_string())?,
-            None => 0,
-        };
-        let budget_spec = parse_budget_fields(&doc)?;
-        return Ok(SolveRequest {
-            id,
-            prepared,
-            objective: Objective::MakespanSweep { budgets },
-            alpha,
-            solver: SolverSelection::Named("bicriteria".into()),
-            deadline,
-            seed,
-            budget: budget_spec,
-            intra_threads: None,
-        });
-    }
-    let objective = match doc.get("objective") {
-        Some(v) => match v.as_str().map_err(|e| e.to_string())? {
-            "min-makespan" => Objective::MinMakespan {
-                budget: budget.ok_or("objective min-makespan needs a `budget`")?,
-            },
-            "min-resource" => Objective::MinResource {
-                target: target.ok_or("objective min-resource needs a `target`")?,
-            },
-            other => return Err(format!("unknown objective {other:?}")),
-        },
-        None => match (budget, target) {
-            (Some(budget), None) => Objective::MinMakespan { budget },
-            (None, Some(target)) => Objective::MinResource { target },
-            (Some(_), Some(_)) => {
-                return Err("give `objective` to disambiguate budget + target".into())
-            }
-            (None, None) => return Err("need `budget` or `target`".into()),
-        },
-    };
-    let alpha = match doc.get("alpha") {
-        Some(v) => v.as_f64().map_err(|e| e.to_string())?,
-        None => 0.5,
-    };
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(format!("alpha must be in (0, 1), got {alpha}"));
-    }
-    let solver = match doc.get("solver") {
-        Some(v) => {
-            let name = v.as_str().map_err(|e| e.to_string())?;
-            if registry.resolve(name).is_none() {
-                return Err(format!(
-                    "unknown solver {name:?}; available: {}",
-                    registry.names().join(", ")
-                ));
-            }
-            SolverSelection::Named(name.to_string())
-        }
-        None => match default_solver {
-            Some(name) => SolverSelection::Named(name.to_string()),
-            None => SolverSelection::All,
-        },
-    };
-    let deadline = match doc.get("deadline_ms") {
-        Some(v) => Some(StdDuration::from_millis(
-            v.as_u64().map_err(|e| e.to_string())?,
-        )),
-        None => None,
-    };
-    let seed = match doc.get("seed") {
-        Some(v) => v.as_u64().map_err(|e| e.to_string())?,
-        None => 0,
-    };
-    let budget_spec = parse_budget_fields(&doc)?;
-    Ok(SolveRequest {
-        id,
-        prepared,
+    let req = SolveRequest {
+        id: id.map_or_else(|| format!("line-{lineno}"), str::to_string),
+        prepared: cache.get_or_insert(&key, move || arc),
         objective,
         alpha,
-        solver,
+        solver: selection,
         deadline,
         seed,
-        budget: budget_spec,
+        // no max_* field → no spec: the pre-budget wire format, byte
+        // for byte
+        budget: (!limits.is_empty()).then(|| BudgetSpec {
+            limits,
+            policies: BudgetPolicies::uniform(policy.unwrap_or_default()),
+        }),
         // intra-solve threading is a CLI/environment knob, never a wire
         // field: request lines cannot carry it (see the module docs)
         intra_threads: None,
-    })
+    };
+    let request_diags = rtt_engine::lint_request(registry, &req, lineno, batch_size);
+    let admitted = request_diags.iter().all(|d| d.severity != Severity::Error);
+    diags.extend(request_diags);
+    admitted.then_some(req)
 }
 
-/// Parses the optional `max_*` / `on_exhaustion` budget fields of a
-/// request line into a [`BudgetSpec`] (`None` when no limit is
-/// declared — the pre-budget wire format, byte for byte).
-fn parse_budget_fields(doc: &Json) -> Result<Option<BudgetSpec>, String> {
-    let limit = |field: &str| -> Result<Option<u64>, String> {
-        match doc.get(field) {
-            Some(v) => Ok(Some(v.as_u64().map_err(|e| e.to_string())?)),
-            None => Ok(None),
-        }
-    };
-    let limits = BudgetLimits {
-        lp_pivots: limit("max_pivots")?,
-        dp_merge_steps: limit("max_merge_steps")?,
-        sim_events: limit("max_sim_events")?,
-        queue_depth: limit("max_queue_depth")?,
-    };
-    let policy = match doc.get("on_exhaustion") {
-        Some(v) => {
-            let name = v.as_str().map_err(|e| e.to_string())?;
-            let p = ExhaustionPolicy::parse(name)?;
-            if limits.is_empty() {
-                return Err("on_exhaustion requires at least one max_* limit".into());
-            }
-            Some(p)
-        }
-        None => None,
-    };
-    if limits.is_empty() {
-        return Ok(None);
+/// One parsed request line and the wire-format errors found in it so
+/// far.
+struct LineCheck<'a> {
+    doc: &'a Json,
+    lineno: usize,
+    errors: Vec<Diagnostic>,
+}
+
+impl<'a> LineCheck<'a> {
+    fn error(&mut self, code: &'static str, message: impl Into<String>) {
+        self.errors
+            .push(Diagnostic::error(code, self.lineno, message));
     }
-    Ok(Some(BudgetSpec {
-        limits,
-        policies: BudgetPolicies::uniform(policy.unwrap_or_default()),
-    }))
+
+    fn has(&self, field: &str) -> bool {
+        self.doc.get(field).is_some()
+    }
+
+    /// An optional field read through `as_type`. A value of the wrong
+    /// type is RTT001 naming the field, and reads as absent.
+    fn field<T>(
+        &mut self,
+        field: &str,
+        as_type: impl Fn(&'a Json) -> Result<T, JsonError>,
+    ) -> Option<T> {
+        let value = self.doc.get(field)?;
+        as_type(value)
+            .map_err(|e| self.error("RTT001", format!("{field}: {e}")))
+            .ok()
+    }
 }
 
 /// Renders one tradeoff-curve point as its canonical NDJSON line (no

@@ -1,35 +1,34 @@
 //! `rtt lint` — the no-solve static checker over batch corpora and
 //! instance spec files.
 //!
-//! Every **error** this module emits corresponds to a rejection the
-//! executor path would produce anyway — [`crate::batch::build_requests`]
-//! fails on exactly the lines this linter flags as errors, with the
-//! same underlying message — so a lint-clean corpus cannot fail
-//! admission. Every **warning** flags a line the batch admits but
-//! answers degenerately (a zero deadline, a queue-depth bound that can
-//! never trip, a family-tag mismatch); those mirror
-//! [`rtt_engine::lint_requests`], the engine-level admission lint over
-//! built requests, and an agreement test pins the two together.
+//! A corpus is linted by `check_line`, the same per-line checker
+//! [`crate::batch::build_requests`] admits requests through: one
+//! checker, two callers. The loader stops at the first line with an
+//! error; [`lint_corpus`] keeps going and reports **every** diagnosable
+//! line of the corpus in one pass, in deterministic `(line, code,
+//! message)` order. So every **error** this module emits is a line
+//! `build_requests` rejects, and a lint-clean corpus cannot fail
+//! admission. Every **warning** flags a line the
+//! batch admits but answers degenerately (a zero deadline, a
+//! queue-depth bound that can never trip, a family-tag mismatch); those
+//! come from [`rtt_engine::lint_request`], the engine's request-level
+//! admission lint, run on the request each line spells.
 //!
-//! Unlike `build_requests`, which stops at the first bad line, the
-//! linter keeps going: it reports **every** diagnosable line of the
-//! corpus in one pass, in deterministic `(line, code, message)` order.
 //! The `RTT0xx` code table lives in [`rtt_analyze::lint::CODES`] and is
 //! documented (with the NDJSON diagnostic shape) in the
 //! [`crate::batch`] wire docs under "Diagnostics".
 
-use crate::args::parse_budgets;
+use crate::batch::{check_line, request_lines};
 use crate::json::Json;
 use crate::spec::{InstanceSpec, SpecError};
 use rtt_analyze::lint::{sort_diagnostics, Diagnostic};
-use rtt_core::ArcInstance;
-use rtt_engine::{Capability, Registry};
+use rtt_engine::{PrepCache, Registry};
 
 /// Maps a spec/build failure to its diagnostic code: RTT001 malformed
 /// document, RTT002 dangling edge or missing arc duration, RTT003
 /// cycle, RTT004 other instance-construction rejection, RTT005 invalid
 /// duration table.
-fn spec_error_code(e: &SpecError) -> &'static str {
+pub(crate) fn spec_error_code(e: &SpecError) -> &'static str {
     match e {
         SpecError::BadJson(_) => "RTT001",
         SpecError::BadEdge { .. } | SpecError::MissingArcDuration { .. } => "RTT002",
@@ -60,288 +59,16 @@ pub fn lint_spec(text: &str) -> Vec<Diagnostic> {
 /// `(line, code, message)`.
 pub fn lint_corpus(corpus: &str, registry: &Registry) -> Vec<Diagnostic> {
     // the RTT012 vacuous-queue-depth check needs the admitted batch
-    // size: the count of non-blank lines, exactly what build_requests
+    // size: the count of request lines, exactly what build_requests
     // would enqueue
-    let batch_size = corpus.lines().filter(|l| !l.trim().is_empty()).count();
+    let batch_size = request_lines(corpus).count();
+    let cache = PrepCache::new();
     let mut diags = Vec::new();
-    for (idx, line) in corpus.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        lint_line(line, lineno, batch_size, registry, &mut diags);
+    for (lineno, line) in request_lines(corpus) {
+        check_line(line, lineno, batch_size, &cache, None, registry, &mut diags);
     }
     sort_diagnostics(&mut diags);
     diags
-}
-
-/// Lints one request line, pushing every applicable diagnostic. Checks
-/// are independent where the wire format allows it, so one line can
-/// carry several diagnostics; instance-dependent checks are skipped
-/// when the instance itself failed to build.
-fn lint_line(
-    line: &str,
-    lineno: usize,
-    batch_size: usize,
-    registry: &Registry,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let doc = match Json::parse(line) {
-        Ok(doc) => doc,
-        Err(e) => {
-            diags.push(Diagnostic::error("RTT001", lineno, e.to_string()));
-            return;
-        }
-    };
-    if let Some(v) = doc.get("id") {
-        if let Err(e) = v.as_str() {
-            diags.push(Diagnostic::error("RTT001", lineno, format!("id: {e}")));
-        }
-    }
-    // the instance document: structural errors split across RTT001-005
-    let arc: Option<ArcInstance> = match doc.get("instance") {
-        None => {
-            diags.push(Diagnostic::error("RTT001", lineno, "missing field `instance`"));
-            None
-        }
-        Some(instance) => match InstanceSpec::from_json(instance).and_then(|s| s.build()) {
-            Ok(arc) => Some(arc),
-            Err(e) => {
-                diags.push(Diagnostic::error(spec_error_code(&e), lineno, e.to_string()));
-                None
-            }
-        },
-    };
-    let uint_field = |diags: &mut Vec<Diagnostic>, field: &str| -> Option<u64> {
-        match doc.get(field) {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Ok(u) => Some(u),
-                Err(e) => {
-                    diags.push(Diagnostic::error("RTT001", lineno, format!("{field}: {e}")));
-                    None
-                }
-            },
-        }
-    };
-    let budget = uint_field(diags, "budget");
-    let target = uint_field(diags, "target");
-    // `budgets`: array of grid points or a grid string; anything else —
-    // wrong container, non-integer points, a malformed range — is a bad
-    // sweep grid (RTT007)
-    let has_budgets = doc.get("budgets").is_some();
-    let grid: Option<Vec<u64>> = match doc.get("budgets") {
-        None => None,
-        Some(Json::Arr(items)) => {
-            match items.iter().map(Json::as_u64).collect::<Result<Vec<u64>, _>>() {
-                Ok(g) => Some(g),
-                Err(e) => {
-                    diags.push(Diagnostic::error("RTT007", lineno, format!("budgets: {e}")));
-                    None
-                }
-            }
-        }
-        Some(Json::Str(s)) => match parse_budgets(s) {
-            Ok(g) => Some(g),
-            Err(e) => {
-                diags.push(Diagnostic::error("RTT007", lineno, e));
-                None
-            }
-        },
-        Some(_) => {
-            diags.push(Diagnostic::error(
-                "RTT001",
-                lineno,
-                "budgets must be an array or a grid string",
-            ));
-            None
-        }
-    };
-    if has_budgets {
-        // sweep line: objective conflicts (RTT006), grid shape (RTT007),
-        // solver pinning (RTT007/RTT008)
-        if budget.is_some() || target.is_some() {
-            diags.push(Diagnostic::error(
-                "RTT006",
-                lineno,
-                "`budgets` conflicts with `budget`/`target`",
-            ));
-        }
-        if doc.get("objective").is_some() {
-            diags.push(Diagnostic::error(
-                "RTT006",
-                lineno,
-                "`budgets` lines take no `objective` field",
-            ));
-        }
-        if grid.as_ref().is_some_and(Vec::is_empty) {
-            diags.push(Diagnostic::error(
-                "RTT007",
-                lineno,
-                "`budgets` must name at least one grid point",
-            ));
-        }
-        if let Some(v) = doc.get("solver") {
-            match v.as_str() {
-                Err(e) => diags.push(Diagnostic::error("RTT001", lineno, format!("solver: {e}"))),
-                Ok(name) => match registry.resolve(name) {
-                    None => diags.push(unknown_solver(lineno, name, registry)),
-                    Some(s) if s.name() != "bicriteria" => {
-                        diags.push(Diagnostic::error(
-                            "RTT007",
-                            lineno,
-                            format!(
-                                "sweep lines are answered by the bicriteria pipeline, not solver {name:?}"
-                            ),
-                        ));
-                    }
-                    Some(_) => {}
-                },
-            }
-        }
-    } else {
-        // plain line: objective inference conflicts all map to RTT006
-        match doc.get("objective") {
-            Some(v) => match v.as_str() {
-                Err(e) => {
-                    diags.push(Diagnostic::error("RTT001", lineno, format!("objective: {e}")))
-                }
-                Ok("min-makespan") => {
-                    if budget.is_none() && doc.get("budget").is_none() {
-                        diags.push(Diagnostic::error(
-                            "RTT006",
-                            lineno,
-                            "objective min-makespan needs a `budget`",
-                        ));
-                    }
-                }
-                Ok("min-resource") => {
-                    if target.is_none() && doc.get("target").is_none() {
-                        diags.push(Diagnostic::error(
-                            "RTT006",
-                            lineno,
-                            "objective min-resource needs a `target`",
-                        ));
-                    }
-                }
-                Ok(other) => diags.push(Diagnostic::error(
-                    "RTT006",
-                    lineno,
-                    format!("unknown objective {other:?}"),
-                )),
-            },
-            None => match (doc.get("budget").is_some(), doc.get("target").is_some()) {
-                (true, true) => diags.push(Diagnostic::error(
-                    "RTT006",
-                    lineno,
-                    "give `objective` to disambiguate budget + target",
-                )),
-                (false, false) => diags.push(Diagnostic::error(
-                    "RTT006",
-                    lineno,
-                    "need `budget` or `target`",
-                )),
-                _ => {}
-            },
-        }
-        if let Some(v) = doc.get("solver") {
-            match v.as_str() {
-                Err(e) => diags.push(Diagnostic::error("RTT001", lineno, format!("solver: {e}"))),
-                Ok(name) => match registry.resolve(name) {
-                    None => diags.push(unknown_solver(lineno, name, registry)),
-                    Some(s) => {
-                        // family-tag mismatch: admitted, answered
-                        // `unsupported` instead of solved (RTT013).
-                        // Fixture solvers decline everything by design.
-                        if !name.starts_with("fixture-") {
-                            if let Some(a) = &arc {
-                                if let Capability::Unsupported(reason) = s.supports(a) {
-                                    diags.push(Diagnostic::warning(
-                                        "RTT013",
-                                        lineno,
-                                        format!(
-                                            "solver {:?} does not support this instance: {reason}",
-                                            name
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                },
-            }
-        }
-    }
-    // alpha: in (0, 1) exclusive, mistype is RTT001, range is RTT010
-    if let Some(v) = doc.get("alpha") {
-        match v.as_f64() {
-            Err(e) => diags.push(Diagnostic::error("RTT001", lineno, format!("alpha: {e}"))),
-            Ok(alpha) if !(alpha > 0.0 && alpha < 1.0) => diags.push(Diagnostic::error(
-                "RTT010",
-                lineno,
-                format!("alpha must be in (0, 1), got {alpha}"),
-            )),
-            Ok(_) => {}
-        }
-    }
-    // deadline_ms 0 is admitted but always expires at dequeue (RTT011)
-    if let Some(ms) = uint_field(diags, "deadline_ms") {
-        if ms == 0 {
-            diags.push(Diagnostic::warning(
-                "RTT011",
-                lineno,
-                "deadline_ms 0: the request always expires at dequeue",
-            ));
-        }
-    }
-    uint_field(diags, "seed");
-    // resource-budget fields: counter mistype is RTT001; a policy
-    // without a limit, or an unknown policy name, is RTT009
-    let mut any_limit = false;
-    for field in ["max_pivots", "max_merge_steps", "max_sim_events", "max_queue_depth"] {
-        let present = doc.get(field).is_some();
-        any_limit |= present && uint_field(diags, field).is_some();
-        // a mistyped limit still *declares* a limit for the orphan-policy
-        // check: build_requests fails on the type first, and we already
-        // flagged that
-        any_limit |= present;
-    }
-    if let Some(v) = doc.get("on_exhaustion") {
-        match v.as_str() {
-            Err(e) => {
-                diags.push(Diagnostic::error("RTT001", lineno, format!("on_exhaustion: {e}")))
-            }
-            Ok(name) => {
-                if let Err(e) = rtt_engine::ExhaustionPolicy::parse(name) {
-                    diags.push(Diagnostic::error("RTT009", lineno, e));
-                } else if !any_limit {
-                    diags.push(Diagnostic::error(
-                        "RTT009",
-                        lineno,
-                        "on_exhaustion requires at least one max_* limit",
-                    ));
-                }
-            }
-        }
-    }
-    // a queue-depth bound at least the batch size can never trip (RTT012)
-    if let Some(limit) = doc.get("max_queue_depth").and_then(|v| v.as_u64().ok()) {
-        if limit >= batch_size as u64 {
-            diags.push(Diagnostic::warning(
-                "RTT012",
-                lineno,
-                format!("max_queue_depth {limit} can never trip in a batch of {batch_size}"),
-            ));
-        }
-    }
-}
-
-fn unknown_solver(lineno: usize, name: &str, registry: &Registry) -> Diagnostic {
-    Diagnostic::error(
-        "RTT008",
-        lineno,
-        format!("unknown solver {name:?}; available: {}", registry.names().join(", ")),
-    )
 }
 
 #[cfg(test)]

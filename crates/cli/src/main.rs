@@ -7,6 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rtt_analyze::lint::Severity;
 use rtt_cli::args::{parse_args, Args};
 use rtt_cli::InstanceSpec;
 use rtt_core::regimes::compare_regimes;
@@ -91,13 +92,14 @@ program. Both flow through solve/batch/curve unchanged.
 
 `rtt lint` is the no-solve static checker: it reports every
 diagnosable line of a corpus (or a standalone instance file) as
-compiler-style RTT0xx diagnostics — errors are exactly the lines
-`rtt batch` would reject, warnings are admitted-but-vacuous fields —
-and exits nonzero iff an error was found (see the rtt_cli::batch docs
-under \"Diagnostics\" for the code table and the NDJSON shape).
-`rtt batch --lint-first` runs the same checker as an admission
-pre-pass: diagnostics go to stderr and an error aborts before any
-request is enqueued, leaving stdout untouched.
+compiler-style RTT0xx diagnostics and exits nonzero iff an error was
+found. `rtt batch` admits requests through the same per-line checker,
+so errors are exactly the lines it would reject; warnings are
+admitted-but-vacuous fields (see the rtt_cli::batch docs under
+\"Diagnostics\" for the code table and the NDJSON shape).
+`rtt batch --lint-first` runs the linter as an admission pre-pass:
+diagnostics go to stderr and an error aborts before any request is
+enqueued, leaving stdout untouched.
 
 `rtt analyze race` runs the static race analyzer on a generated racy
 program: per-strand access footprints intersected under the
@@ -199,6 +201,19 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The engine's request-level admission lint on a single-request
+/// command (`--alpha` range, empty grid): the first error aborts the
+/// command with its message, as it would reject a batch line.
+fn admit(registry: &Registry, req: &SolveRequest) -> Result<(), String> {
+    match rtt_engine::lint_request(registry, req, 1, 1)
+        .into_iter()
+        .find(|d| d.severity == Severity::Error)
+    {
+        Some(d) => Err(d.message),
+        None => Ok(()),
+    }
+}
+
 /// Runs one registry solver on one instance and prints the report — the
 /// single dispatch path behind `solve` and `min-resource`.
 fn solve_via_registry(
@@ -214,21 +229,18 @@ fn solve_via_registry(
             registry.names().join(", ")
         ));
     }
-    let alpha: f64 = args.flag("alpha")?.unwrap_or(0.5);
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(format!("--alpha must be in (0, 1), got {alpha}"));
-    }
     let req = SolveRequest {
         id: "cli".into(),
         prepared: Arc::new(PreparedInstance::new(arc)),
         objective,
-        alpha,
+        alpha: args.flag("alpha")?.unwrap_or(0.5),
         solver: SolverSelection::Named(solver_name.to_string()),
         deadline: None,
         seed: args.flag("seed")?.unwrap_or(0),
         budget: None,
         intra_threads: args.flag("solve-threads")?,
     };
+    admit(&registry, &req)?;
     let mut reports = execute_one(&registry, &req, Instant::now());
     let report = reports.pop().expect("named selection yields one report");
     match report.status {
@@ -308,17 +320,11 @@ fn cmd_min_resource(args: &Args) -> Result<(), String> {
 fn cmd_curve(args: &Args) -> Result<(), String> {
     let arc = load(&instance_path(args)?)?;
     let budgets = rtt_cli::args::parse_budgets(&args.require::<String>("budgets")?)?;
-    if budgets.is_empty() {
-        return Err("empty budget grid".into());
-    }
-    let alpha: f64 = args.flag("alpha")?.unwrap_or(0.5);
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(format!("--alpha must be in (0, 1), got {alpha}"));
-    }
     let registry = Registry::standard();
     let mut req = SolveRequest::sweep("curve", Arc::new(PreparedInstance::new(arc)), budgets.clone());
-    req.alpha = alpha;
+    req.alpha = args.flag("alpha")?.unwrap_or(0.5);
     req.intra_threads = args.flag("solve-threads")?;
+    admit(&registry, &req)?;
     let started = Instant::now();
     let reports = execute_one(&registry, &req, Instant::now());
     let wall = started.elapsed();
@@ -350,6 +356,20 @@ fn cmd_curve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The registry `rtt batch` and `rtt lint` judge a corpus against: the
+/// standard one, plus the fault-injection fixtures (`fixture-panic`,
+/// `fixture-exhaust`) when `RTT_FAULT_SOLVERS=1`. The fixtures decline
+/// supports(), so even when registered they never join the `all`
+/// fan-out — a corpus line must name them.
+fn corpus_registry() -> Registry {
+    let mut registry = Registry::standard();
+    if std::env::var("RTT_FAULT_SOLVERS").as_deref() == Ok("1") {
+        registry.register(Box::new(rtt_engine::fixtures::AlwaysPanicSolver));
+        registry.register(Box::new(rtt_engine::fixtures::AlwaysExhaustSolver));
+    }
+    registry
+}
+
 fn cmd_batch(args: &Args) -> Result<(), String> {
     let path = args
         .positional
@@ -371,15 +391,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     // each request (rtt_par); like --threads, cost-only and off-wire
     let solve_threads: Option<usize> = args.flag("solve-threads")?;
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "all".into());
-    let mut registry = Registry::standard();
-    // fault-injection fixtures are opt-in and name-addressed only: they
-    // decline supports(), so even when registered they never join the
-    // `all` fan-out — a corpus line must name them
-    if std::env::var("RTT_FAULT_SOLVERS").as_deref() == Ok("1") {
-        registry.register(Box::new(rtt_engine::AlwaysPanicSolver));
-        registry.register(Box::new(rtt_engine::AlwaysExhaustSolver));
-    }
-    let registry = registry;
+    let registry = corpus_registry();
     // --lint-first: the rtt lint pre-pass as an admission gate —
     // diagnostics to stderr (stdout stays the byte-stable wire), any
     // error aborts before a single request is enqueued
@@ -390,7 +402,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         }
         let errors = diags
             .iter()
-            .filter(|d| d.severity == rtt_analyze::lint::Severity::Error)
+            .filter(|d| d.severity == Severity::Error)
             .count();
         if errors > 0 {
             return Err(format!(
@@ -541,11 +553,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     }
     // same registry the batch admission uses, fixtures included, so the
     // unknown-solver check (RTT008) agrees with what batch would accept
-    let mut registry = Registry::standard();
-    if std::env::var("RTT_FAULT_SOLVERS").as_deref() == Ok("1") {
-        registry.register(Box::new(rtt_engine::AlwaysPanicSolver));
-        registry.register(Box::new(rtt_engine::AlwaysExhaustSolver));
-    }
+    let registry = corpus_registry();
     let diags = if path.ends_with(".ndjson") {
         rtt_cli::lint::lint_corpus(&text, &registry)
     } else {
@@ -562,7 +570,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     print!("{rendered}");
     let errors = diags
         .iter()
-        .filter(|d| d.severity == rtt_analyze::lint::Severity::Error)
+        .filter(|d| d.severity == Severity::Error)
         .count();
     let warnings = diags.len() - errors;
     eprintln!("lint: {path}: {errors} error(s), {warnings} warning(s)");

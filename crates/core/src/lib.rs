@@ -64,18 +64,14 @@ pub use fingerprint::{
 };
 pub use instance::{ArcInstance, Activity, Instance, InstanceError, Job};
 pub use regimes::{
-    compare_regimes, global_reuse_schedule, solve_noreuse_bicriteria,
-    solve_noreuse_bicriteria_prepped, solve_noreuse_exact, verify_global_schedule, GlobalPolicy,
-    GlobalSchedule, NoReuseSolution, RegimeComparison,
+    compare_regimes, global_reuse_schedule, solve_noreuse_bicriteria, solve_noreuse_exact,
+    verify_global_schedule, GlobalPolicy, GlobalSchedule, NoReuseSolution, RegimeComparison,
 };
 pub use solution::{routing_plan, validate, Route, RoutingPlan, Solution, ValidationError};
 pub use lp_build::{solve_min_makespan_sweep, MakespanLp};
 pub use solvers::{
-    bicriteria_round_prepped, min_resource, min_resource_prepped, solve_bicriteria,
-    solve_bicriteria_prepped, solve_bicriteria_with, solve_kway_5approx,
-    solve_kway_5approx_prepped, solve_recbinary_4approx, solve_recbinary_4approx_prepped,
-    solve_recbinary_improved, solve_recbinary_improved_prepped, ApproxSolution, MinMakespan,
-    SolveError,
+    bicriteria_round_prepped, min_resource, solve_bicriteria, solve_kway_5approx,
+    solve_recbinary_4approx, solve_recbinary_improved, ApproxSolution, MinMakespan, SolveError,
 };
 pub use transform::{expand_two_tuples, to_arc_form, TwoTupleInstance};
 

@@ -475,20 +475,11 @@ pub fn solve_noreuse_bicriteria(
     alpha: f64,
 ) -> Result<NoReuseApprox, LpError> {
     let tt = expand_two_tuples(arc);
-    solve_noreuse_bicriteria_prepped(arc, &tt, budget, alpha)
+    solve_noreuse_bicriteria_metered(arc, &tt, budget, alpha, None)
 }
 
-/// [`solve_noreuse_bicriteria`] on a caller-supplied `D''` expansion.
-pub fn solve_noreuse_bicriteria_prepped(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-    alpha: f64,
-) -> Result<NoReuseApprox, LpError> {
-    solve_noreuse_bicriteria_metered(arc, tt, budget, alpha, None)
-}
-
-/// [`solve_noreuse_bicriteria_prepped`] under a cooperative budget meter.
+/// [`solve_noreuse_bicriteria`] on a caller-supplied `D''` expansion,
+/// under a cooperative budget meter.
 pub fn solve_noreuse_bicriteria_metered(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,

@@ -185,49 +185,24 @@ pub fn solve_bicriteria(
     budget: Resource,
     alpha: f64,
 ) -> Result<ApproxSolution, SolveError> {
-    solve_bicriteria_with(arc, budget, alpha, rtt_lp::Engine::Revised)
-}
-
-/// [`solve_bicriteria`] under an explicit simplex engine. The rounding
-/// and routing stages are identical; only the LP oracle changes. This is
-/// how the pipeline was measured against the frozen pre-rewrite solver
-/// (`Engine::Reference`) in the same binary for the speedups the frozen
-/// `BENCH_pr1.json` record holds.
-pub fn solve_bicriteria_with(
-    arc: &ArcInstance,
-    budget: Resource,
-    alpha: f64,
-    engine: rtt_lp::Engine,
-) -> Result<ApproxSolution, SolveError> {
     let tt = expand_two_tuples(arc);
-    solve_bicriteria_prepped(arc, &tt, budget, alpha, engine)
+    solve_bicriteria_metered(arc, &tt, budget, alpha, None)
 }
 
-/// [`solve_bicriteria_with`] on a caller-supplied `D''` expansion, so
-/// one [`expand_two_tuples`] run can feed many solves on the same
-/// instance (`rtt_engine` shares it through its preprocessing cache).
-pub fn solve_bicriteria_prepped(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-    alpha: f64,
-    engine: rtt_lp::Engine,
-) -> Result<ApproxSolution, SolveError> {
-    solve_bicriteria_metered(arc, tt, budget, alpha, engine, None)
-}
-
-/// [`solve_bicriteria_prepped`] under a cooperative budget meter: the
-/// LP's pivot loops charge it and a tripped budget surfaces as
-/// [`SolveError::Lp`] with [`LpError::Exhausted`].
+/// [`solve_bicriteria`] on a caller-supplied `D''` expansion (so one
+/// [`expand_two_tuples`] run can feed many solves on the same instance;
+/// `rtt_engine` shares it through its preprocessing cache), under a
+/// cooperative budget meter: the LP's pivot loops charge it and a
+/// tripped budget surfaces as [`SolveError::Lp`] with
+/// [`LpError::Exhausted`].
 pub fn solve_bicriteria_metered(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,
     budget: Resource,
     alpha: f64,
-    engine: rtt_lp::Engine,
     meter: Option<&BudgetMeter>,
 ) -> Result<ApproxSolution, SolveError> {
-    let frac = solve_min_makespan_lp_metered(tt, budget, engine, meter)?;
+    let frac = solve_min_makespan_lp_metered(tt, budget, rtt_lp::Engine::Revised, meter)?;
     Ok(bicriteria_round_prepped(arc, tt, frac, alpha))
 }
 
@@ -318,19 +293,11 @@ pub fn solve_kway_5approx(
     // reject the wrong family before paying for the D'' expansion
     require_family(arc, "k-way", |k| matches!(k, DurationKind::KWay { .. }))?;
     let tt = expand_two_tuples(arc);
-    solve_kway_5approx_prepped(arc, &tt, budget)
+    solve_kway_5approx_metered(arc, &tt, budget, None)
 }
 
-/// [`solve_kway_5approx`] on a caller-supplied `D''` expansion.
-pub fn solve_kway_5approx_prepped(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-) -> Result<ApproxSolution, SolveError> {
-    solve_kway_5approx_metered(arc, tt, budget, None)
-}
-
-/// [`solve_kway_5approx_prepped`] under a cooperative budget meter.
+/// [`solve_kway_5approx`] on a caller-supplied `D''` expansion,
+/// under a cooperative budget meter.
 pub fn solve_kway_5approx_metered(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,
@@ -392,19 +359,11 @@ pub fn solve_recbinary_4approx(
         matches!(k, DurationKind::RecursiveBinary { .. })
     })?;
     let tt = expand_two_tuples(arc);
-    solve_recbinary_4approx_prepped(arc, &tt, budget)
+    solve_recbinary_4approx_metered(arc, &tt, budget, None)
 }
 
-/// [`solve_recbinary_4approx`] on a caller-supplied `D''` expansion.
-pub fn solve_recbinary_4approx_prepped(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-) -> Result<ApproxSolution, SolveError> {
-    solve_recbinary_4approx_metered(arc, tt, budget, None)
-}
-
-/// [`solve_recbinary_4approx_prepped`] under a cooperative budget meter.
+/// [`solve_recbinary_4approx`] on a caller-supplied `D''` expansion,
+/// under a cooperative budget meter.
 pub fn solve_recbinary_4approx_metered(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,
@@ -469,19 +428,11 @@ pub fn solve_recbinary_improved(
         matches!(k, DurationKind::RecursiveBinary { .. })
     })?;
     let tt = expand_two_tuples(arc);
-    solve_recbinary_improved_prepped(arc, &tt, budget)
+    solve_recbinary_improved_metered(arc, &tt, budget, None)
 }
 
-/// [`solve_recbinary_improved`] on a caller-supplied `D''` expansion.
-pub fn solve_recbinary_improved_prepped(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-) -> Result<ApproxSolution, SolveError> {
-    solve_recbinary_improved_metered(arc, tt, budget, None)
-}
-
-/// [`solve_recbinary_improved_prepped`] under a cooperative budget meter.
+/// [`solve_recbinary_improved`] on a caller-supplied `D''` expansion,
+/// under a cooperative budget meter.
 pub fn solve_recbinary_improved_metered(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,
@@ -545,20 +496,11 @@ pub fn min_resource(
     alpha: f64,
 ) -> Result<ApproxSolution, SolveError> {
     let tt = expand_two_tuples(arc);
-    min_resource_prepped(arc, &tt, target, alpha)
+    min_resource_metered(arc, &tt, target, alpha, None)
 }
 
-/// [`min_resource`] on a caller-supplied `D''` expansion.
-pub fn min_resource_prepped(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    target: Time,
-    alpha: f64,
-) -> Result<ApproxSolution, SolveError> {
-    min_resource_metered(arc, tt, target, alpha, None)
-}
-
-/// [`min_resource_prepped`] under a cooperative budget meter.
+/// [`min_resource`] on a caller-supplied `D''` expansion,
+/// under a cooperative budget meter.
 pub fn min_resource_metered(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,

@@ -417,7 +417,7 @@ const FRONTIER_TARGET: usize = 32;
 ///   even the work counters don't vary with `threads`;
 /// * frontier subtrees evaluate in parallel (`rtt_par::map_chunks`,
 ///   one chunk per subtree, each with its own deterministic
-///   [`TableArena`]), producing per-node artifacts keyed by node id;
+///   `TableArena`), producing per-node artifacts keyed by node id;
 /// * the **crown** — the internal nodes above the frontier — merges
 ///   serially in post-order on the calling thread.
 ///

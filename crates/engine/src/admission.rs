@@ -1,14 +1,16 @@
-//! Request-admission lint: the engine-level mirror of `rtt lint`.
+//! Request-admission lint: the one owner of the request-level checks.
 //!
-//! `rtt lint` judges a corpus *textually*, before any request object
-//! exists; this module judges **built** [`SolveRequest`]s — the form
-//! an embedding (or ROADMAP open item 1's resident gateway) submits
-//! directly, skipping the NDJSON front end. Both speak
-//! [`rtt_analyze::lint::Diagnostic`] and the same `RTT0xx` codes, and
-//! an agreement test pins the CLI linter's request-level findings to
-//! this module's, so the two seams cannot drift.
+//! [`lint_request`] judges one **built** [`SolveRequest`] — the form an
+//! embedding (or ROADMAP open item 1's resident gateway) submits
+//! directly, skipping the NDJSON front end. It is the only place these
+//! rules are written: [`lint_requests`] drives it over a batch, the
+//! `rtt_cli` line checker runs it on every request line that parses
+//! (so `rtt lint` and `rtt batch` admission are one checker with two
+//! callers), and `rtt solve` / `min-resource` / `curve` run it on their
+//! single request. Findings are [`rtt_analyze::lint::Diagnostic`]s with
+//! the shared `RTT0xx` codes.
 //!
-//! Errors here flag requests the executor would *answer degenerately
+//! Errors flag requests the executor would *answer degenerately
 //! without running a solver* (an empty sweep grid, an out-of-range
 //! alpha); warnings flag admitted-but-vacuous declarations: a zero
 //! deadline always expires at dequeue ([`crate::executor`]'s closed
@@ -21,69 +23,82 @@ use crate::registry::Registry;
 use crate::request::{Objective, SolveRequest, SolverSelection};
 use rtt_analyze::lint::{sort_diagnostics, Diagnostic};
 
-/// Lints built requests against `registry`. `line` in each diagnostic
-/// is the request's 1-based position in `requests` (matching the
-/// corpus line only for blank-line-free corpora; the CLI linter keeps
-/// true line numbers).
-pub fn lint_requests(registry: &Registry, requests: &[SolveRequest]) -> Vec<Diagnostic> {
+/// Lints one request against `registry`: RTT010 (alpha outside
+/// (0, 1)), RTT007 (empty sweep grid), and the RTT011–RTT013 warnings.
+/// `line` anchors the diagnostics; `batch_size` is the size of the
+/// batch the request is admitted in, itself included (the RTT012
+/// queue-depth check compares against it). Diagnostics come back in
+/// check order.
+pub fn lint_request(
+    registry: &Registry,
+    req: &SolveRequest,
+    line: usize,
+    batch_size: usize,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for (i, req) in requests.iter().enumerate() {
-        let line = i + 1;
-        if !(req.alpha > 0.0 && req.alpha < 1.0) {
+    if !(req.alpha > 0.0 && req.alpha < 1.0) {
+        diags.push(Diagnostic::error(
+            "RTT010",
+            line,
+            format!("alpha must be in (0, 1), got {}", req.alpha),
+        ));
+    }
+    if let Objective::MakespanSweep { budgets } = &req.objective {
+        if budgets.is_empty() {
             diags.push(Diagnostic::error(
-                "RTT010",
+                "RTT007",
                 line,
-                format!("alpha must be in (0, 1), got {}", req.alpha),
+                "`budgets` must name at least one grid point",
             ));
         }
-        if let Objective::MakespanSweep { budgets } = &req.objective {
-            if budgets.is_empty() {
-                diags.push(Diagnostic::error(
-                    "RTT007",
-                    line,
-                    "`budgets` must name at least one grid point",
-                ));
-            }
-        }
-        if req.deadline == Some(std::time::Duration::ZERO) {
+    }
+    if req.deadline == Some(std::time::Duration::ZERO) {
+        diags.push(Diagnostic::warning(
+            "RTT011",
+            line,
+            "deadline_ms 0: the request always expires at dequeue",
+        ));
+    }
+    if let Some(limit) = req.budget.and_then(|spec| spec.limits.queue_depth) {
+        if limit >= batch_size as u64 {
             diags.push(Diagnostic::warning(
-                "RTT011",
+                "RTT012",
                 line,
-                "deadline_ms 0: the request always expires at dequeue",
+                format!("max_queue_depth {limit} can never trip in a batch of {batch_size}"),
             ));
         }
-        if let Some(spec) = req.budget {
-            if let Some(limit) = spec.limits.queue_depth {
-                if limit >= requests.len() as u64 {
+    }
+    if let SolverSelection::Named(name) = &req.solver {
+        // fixture solvers decline every instance by design; a
+        // mismatch warning for them would flag the fault corpora
+        if !name.starts_with("fixture-") {
+            if let Some(s) = registry.resolve(name) {
+                if let crate::solver::Capability::Unsupported(reason) =
+                    s.supports_prepared(&req.prepared)
+                {
                     diags.push(Diagnostic::warning(
-                        "RTT012",
+                        "RTT013",
                         line,
-                        format!(
-                            "max_queue_depth {limit} can never trip in a batch of {}",
-                            requests.len()
-                        ),
+                        format!("solver {name:?} does not support this instance: {reason}"),
                     ));
                 }
             }
         }
-        if let SolverSelection::Named(name) = &req.solver {
-            // fixture solvers decline every instance by design; a
-            // mismatch warning for them would flag the fault corpora
-            if !name.starts_with("fixture-") {
-                if let Some(s) = registry.resolve(name) {
-                    if let crate::solver::Capability::Unsupported(reason) =
-                        s.supports_prepared(&req.prepared)
-                    {
-                        diags.push(Diagnostic::warning(
-                            "RTT013",
-                            line,
-                            format!("solver {:?} does not support this instance: {reason}", name),
-                        ));
-                    }
-                }
-            }
-        }
     }
+    diags
+}
+
+/// Lints built requests against `registry` through [`lint_request`].
+/// `line` in each diagnostic is the request's 1-based position in
+/// `requests` (matching the corpus line only for blank-line-free
+/// corpora; the CLI linter keeps true line numbers). Diagnostics come
+/// back sorted by `(line, code, message)`.
+pub fn lint_requests(registry: &Registry, requests: &[SolveRequest]) -> Vec<Diagnostic> {
+    let mut diags: Vec<Diagnostic> = requests
+        .iter()
+        .enumerate()
+        .flat_map(|(i, req)| lint_request(registry, req, i + 1, requests.len()))
+        .collect();
     sort_diagnostics(&mut diags);
     diags
 }

@@ -33,7 +33,7 @@
 //!
 //! * **request-reachable** (solver adapters, certification, curve
 //!   rounding, lazy prep): all execute inside the per-(request, solver)
-//!   `catch_unwind` in [`run_solver_isolated`] or the sweep dispatch,
+//!   `catch_unwind` in `run_solver_isolated` or the sweep dispatch,
 //!   so a violation surfaces as one [`Status::Failed`] report with the
 //!   assertion message as payload — the conversion the isolation
 //!   boundary exists for;
@@ -315,7 +315,7 @@ fn replay_cached(req: &SolveRequest, mut hit: SolveReport) -> SolveReport {
     }
 }
 
-/// [`execute_one_at`] with an optional cross-request [`ReuseCache`]:
+/// [`execute_one_at`] with an optional cross-request [`crate::ReuseCache`]:
 /// eligible requests — single solves *and* wire sweeps — probe the
 /// solution tier before solving and park their report vector after
 /// (see [`crate::reuse`] for the byte-identity contract). A sweep that
@@ -740,8 +740,8 @@ mod tests {
     /// A standard registry plus both fault-injection fixtures.
     fn faulty_registry() -> Registry {
         let mut r = Registry::standard();
-        r.register(Box::new(crate::solver::AlwaysPanicSolver));
-        r.register(Box::new(crate::solver::AlwaysExhaustSolver));
+        r.register(Box::new(crate::fixtures::AlwaysPanicSolver));
+        r.register(Box::new(crate::fixtures::AlwaysExhaustSolver));
         r
     }
 

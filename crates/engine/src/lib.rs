@@ -61,6 +61,7 @@ pub mod budget;
 pub mod certify;
 pub mod curve;
 pub mod executor;
+pub mod fixtures;
 pub mod persist;
 pub mod prep;
 pub mod registry;
@@ -68,7 +69,7 @@ pub mod request;
 pub mod reuse;
 pub mod solver;
 
-pub use admission::lint_requests;
+pub use admission::{lint_request, lint_requests};
 pub use budget::{
     BudgetContext, BudgetLimits, BudgetPolicies, BudgetReport, BudgetSpec, ExhaustionPolicy,
 };
@@ -87,4 +88,4 @@ pub use prep::{CacheStats, PrepCache, PreparedInstance};
 pub use registry::{canonical_name, Registry};
 pub use request::{Objective, SolveReport, SolveRequest, SolverSelection, Status};
 pub use reuse::{ReuseCache, ReuseStats};
-pub use solver::{AlwaysExhaustSolver, AlwaysPanicSolver, Capability, SolutionForm, Solver};
+pub use solver::{Capability, SolutionForm, Solver};

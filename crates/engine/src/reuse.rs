@@ -29,7 +29,7 @@
 //! Since PR 8 the tier also **survives restarts**: `rtt batch
 //! --cache-save/--cache-load` spill and reload it through the versioned
 //! `rtt-cache-v1` format ([`crate::persist`]). A loaded entry has no
-//! donor instance ([`CachedSolution::donor`] is `None`), so its trust
+//! donor instance (`CachedSolution::donor` is `None`), so its trust
 //! rests on the full key-string comparison (which embeds the canonical
 //! instance serialization) **plus** the same fresh re-validation +
 //! re-certification every hit gets at serve time — a tampered or stale

@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | [`Engine::Revised`] | sparse revised simplex ([`revised`]): CSC columns, **implicit upper bounds** (bound flips, no bound rows), eta-file basis updates with periodic refactorization, [`Basis`] warm starts | **the default** — fastest on the LP 6–10 network matrices, and the only engine that can warm-start budget sweeps |
 //! | [`Engine::Flat`] | dense flat-tableau simplex ([`simplex.rs` module docs](crate::Engine)) | measurable dense baseline; also the automatic numerical fallback when a revised refactorization goes singular |
-//! | [`Engine::Reference`] | the frozen pre-rewrite solver ([`reference`]) | differential testing and benchmark baselining only — never optimized, never the default |
+//! | [`Engine::Reference`] | the frozen pre-rewrite solver ([`reference`](mod@reference)) | differential testing and benchmark baselining only — never optimized, never the default |
 //!
 //! All engines run Dantzig pricing with a Bland's-rule fallback for
 //! anti-cycling ([`PivotRule`]); every [`Solution`] carries an

@@ -1,7 +1,7 @@
 //! The original row-of-rows two-phase simplex, frozen as a baseline.
 //!
 //! This is the solver the crate shipped before the flat-tableau rewrite
-//! in [`crate::simplex`] (one `Vec<f64>` per row, split-borrow pivot
+//! in `simplex.rs` (one `Vec<f64>` per row, split-borrow pivot
 //! updates, no post-phase-1 column shrink). It is retained verbatim for
 //! two jobs:
 //!

@@ -2,7 +2,7 @@
 //!
 //! # Why a third engine
 //!
-//! The flat tableau ([`crate::simplex`]) materializes every variable
+//! The flat tableau ([`crate::Engine::Flat`]) materializes every variable
 //! upper bound `x_j ≤ u_j` as an explicit `≤` row plus a slack column.
 //! For the LP 6–10 network matrices this crate serves, that roughly
 //! doubles the row count (one bound per two-tuple arc) and the dense
@@ -60,7 +60,7 @@
 //! infeasibility, stalling) falls back to a cold solve, and a cold
 //! solve that itself hits the iteration cap falls back to the flat
 //! engine under Bland's rule — so the guarantees are exactly
-//! [`crate::simplex`]'s, warm starting is purely an optimization.
+//! the flat engine's, warm starting is purely an optimization.
 //!
 //! The two-phase structure, Dantzig-with-Bland-fallback pricing, and
 //! termination caps mirror the flat engine; differential tests pin the

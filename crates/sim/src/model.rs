@@ -328,7 +328,7 @@ impl ExecModel {
     /// `threads` value:
     ///
     /// * the component partition is a pure function of the model (see
-    ///   [`Self::weak_components`]);
+    ///   `weak_components`);
     /// * each shard is an index-compacted submodel whose cell order
     ///   preserves global id order, so its heap tie-breaks match the
     ///   serial run's and every absolute finish time is unchanged;

@@ -153,7 +153,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`] (upstream `SizeRange`).
+    /// Length specifications accepted by [`vec()`] (upstream `SizeRange`).
     pub struct SizeRange(Range<usize>);
 
     impl From<usize> for SizeRange {
@@ -183,7 +183,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,
