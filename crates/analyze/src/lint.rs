@@ -154,7 +154,7 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     ("RTT004", Severity::Error, "instance rejected by construction (empty, or not two-terminal)"),
     ("RTT005", Severity::Error, "invalid duration table (empty, first resource not 0, non-increasing resources, or non-monotone times)"),
     ("RTT006", Severity::Error, "objective conflict (`budgets` vs `budget`/`target`/`objective`, ambiguous or missing objective fields, unknown objective)"),
-    ("RTT007", Severity::Error, "bad sweep grid (empty, malformed grid string, or a sweep line naming a non-bicriteria solver)"),
+    ("RTT007", Severity::Error, "bad sweep grid (empty, malformed grid string, a range of more than 65536 points, or a sweep line naming a non-bicriteria solver)"),
     ("RTT008", Severity::Error, "unknown solver name"),
     ("RTT009", Severity::Error, "bad budget spec (`on_exhaustion` without a `max_*` limit, or an unknown exhaustion policy)"),
     ("RTT010", Severity::Error, "alpha outside the open interval (0, 1)"),

@@ -193,7 +193,9 @@ fn digest_instance(arc: &ArcInstance, fnv: &mut Fnv, tally: &mut Tally) {
     for &target in &targets {
         fnv.word(target);
         let routed = tally
-            .metered(fnv, |m| solve_exact_min_resource_metered(arc, target, Some(m)))
+            .metered(fnv, |m| {
+                solve_exact_min_resource_metered(arc, target, Some(m))
+            })
             .expect("a limitless meter cannot exhaust");
         match &routed {
             Some((need, sol)) => {

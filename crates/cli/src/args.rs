@@ -90,9 +90,15 @@ impl Args {
     }
 }
 
+/// The most points a budget range may expand to. A range is counted
+/// before it is expanded, so `0:1000000000:1` is an error here, not a
+/// billion-element allocation; committed grids have at most 16 points.
+const MAX_GRID_POINTS: u64 = 1 << 16;
+
 /// Parses a budget grid: either an inclusive range `a:b:step`
 /// (`0:16:2` → 0, 2, …, 16) or a comma list `a,b,c`. The grid is
-/// reported in the order given; ranges require `step ≥ 1` and `a ≤ b`.
+/// reported in the order given; ranges require `step ≥ 1`, `a ≤ b`, and
+/// at most 2^16 points.
 ///
 /// A budget of **0 is deliberately accepted**: it is the well-defined
 /// zero-resource point of the tradeoff curve (LP 6–10 with a zero
@@ -119,6 +125,12 @@ pub fn parse_budgets(spec: &str) -> Result<Vec<u64>, String> {
         }
         if a > b {
             return Err(format!("budget range start {a} exceeds end {b}"));
+        }
+        // count the (b − a) / step + 1 points before expanding them
+        if (b - a) / step >= MAX_GRID_POINTS {
+            return Err(format!(
+                "budget range {spec:?} has more than {MAX_GRID_POINTS} points"
+            ));
         }
         Ok((a..=b).step_by(step as usize).collect())
     } else {
@@ -244,6 +256,32 @@ mod tests {
         assert!(parse_budgets("0:4:0").is_err(), "zero step");
         assert!(parse_budgets("0:4").is_err(), "two-part range");
         assert!(parse_budgets("a,b").is_err());
+        assert!(
+            parse_budgets("0:100000:1").is_err(),
+            "more points than the cap"
+        );
+    }
+
+    #[test]
+    fn budget_ranges_are_counted_before_they_expand() {
+        let cap = MAX_GRID_POINTS;
+        assert_eq!(
+            parse_budgets(&format!("0:{}:1", cap - 1)).unwrap().len() as u64,
+            cap
+        );
+        assert_eq!(
+            parse_budgets(&format!("0:{cap}:1")).unwrap_err(),
+            format!("budget range \"0:{cap}:1\" has more than {cap} points")
+        );
+        // a strided range counts its points, not its span
+        assert_eq!(
+            parse_budgets(&format!("7:{}:3", 7 + 3 * (cap - 1)))
+                .unwrap()
+                .len() as u64,
+            cap
+        );
+        // the whole u64 axis: refused, and counting it cannot overflow
+        assert!(parse_budgets(&format!("0:{}:1", u64::MAX)).is_err());
     }
 
     #[test]

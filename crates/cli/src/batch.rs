@@ -210,7 +210,7 @@
 //! | `RTT004` | error | instance rejected by construction (empty, or not two-terminal) |
 //! | `RTT005` | error | invalid duration table (empty, first resource not 0, non-increasing resources, or non-monotone times) |
 //! | `RTT006` | error | objective conflict (`budgets` vs `budget`/`target`/`objective`, ambiguous or missing objective fields, unknown objective) |
-//! | `RTT007` | error | bad sweep grid (empty, malformed grid string, or a sweep line naming a non-bicriteria solver) |
+//! | `RTT007` | error | bad sweep grid (empty, malformed grid string, a range of more than 65536 points, or a sweep line naming a non-bicriteria solver) |
 //! | `RTT008` | error | unknown solver name |
 //! | `RTT009` | error | bad budget spec (`on_exhaustion` without a `max_*` limit, or an unknown exhaustion policy) |
 //! | `RTT010` | error | alpha outside the open interval (0, 1) |

@@ -200,6 +200,20 @@ mod tests {
     }
 
     #[test]
+    fn oversized_budget_range_is_rtt007() {
+        // a range past the point cap is one diagnostic, before any expansion
+        let line = chain_line("g", 0).replace("\"budget\":0", "\"budgets\":\"0:1000000:1\"");
+        let diags = lint_corpus(&line, &Registry::standard());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, "RTT007");
+        assert!(
+            diags[0].message.contains("65536 points"),
+            "{}",
+            diags[0].message
+        );
+    }
+
+    #[test]
     fn budget_spec_and_alpha_errors() {
         let registry = Registry::standard();
         let orphan = chain_line("a", 1)

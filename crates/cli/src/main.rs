@@ -170,10 +170,13 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let tt = match kind.as_str() {
+        "race" | "layered" | "sp" | "chain" if nodes == 0 => {
+            return Err(format!("invalid instance: {kind} needs --nodes ≥ 1"))
+        }
         "race" => gen::random_race_dag(&mut rng, nodes, nodes),
-        "layered" => gen::layered(&mut rng, 4, nodes.div_ceil(4).max(1), 0.4),
-        "sp" => gen::random_sp(&mut rng, nodes.max(1)).tt,
-        "chain" => gen::chain(nodes.max(1)),
+        "layered" => gen::layered(&mut rng, 4, nodes.div_ceil(4), 0.4),
+        "sp" => gen::random_sp(&mut rng, nodes).tt,
+        "chain" => gen::chain(nodes),
         other => return Err(format!("unknown kind {other}")),
     };
     // duplicate edges to create real contention, then attach durations

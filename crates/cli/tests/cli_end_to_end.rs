@@ -244,6 +244,22 @@ fn dot_is_well_formed() {
 }
 
 #[test]
+fn gen_rejects_zero_nodes_for_every_bare_kind() {
+    for kind in ["race", "layered", "sp", "chain"] {
+        let out = rtt()
+            .args(["gen", "--kind", kind, "--nodes", "0"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--kind {kind}");
+        assert!(out.stdout.is_empty(), "--kind {kind}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim_end(),
+            format!("invalid instance: {kind} needs --nodes ≥ 1")
+        );
+    }
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     let out = rtt().output().unwrap();
     assert!(!out.status.success());

@@ -46,7 +46,7 @@ const MUTATIONS: &[(&str, &[&str])] = &[
     ("instance", &["\"chain\""]),
     ("budget", &["\"8\""]),
     ("target", &["\"8\""]),
-    ("budgets", &["true", "[]", "\"5:1:1\""]),
+    ("budgets", &["true", "[]", "\"5:1:1\"", "\"0:100000:1\""]),
     ("objective", &["1"]),
     ("solver", &["1", "\"nope\""]),
     ("alpha", &["\"0.5\"", "1.5"]),

@@ -1,15 +1,50 @@
 //! Exponential-time exact reference solvers.
 //!
 //! The approximation-quality experiments (Table 1) need true optima on
-//! small instances. W.l.o.g. an optimal solution allocates each job one
-//! of its canonical tuple levels, so exhaustive search over level
-//! assignments — with min-flow feasibility checks for the routing and
-//! longest-path pruning — is exact. Exponential, but fine for the
-//! instance sizes where it is used (≲ a dozen improvable jobs).
+//! small instances, and the §4 hardness gadgets need a decision
+//! procedure. W.l.o.g. an optimal solution allocates each job one of its
+//! canonical tuple levels, so exhaustive search over level assignments
+//! is exact. Exponential, but fine for the instance sizes where it is
+//! used (≲ a dozen improvable jobs).
+//!
+//! # One search
+//!
+//! Every entry point here, and the no-reuse searches of
+//! [`crate::regimes`], is a one-call wrapper around one depth-first
+//! branch-and-bound. It decides the improvable jobs in edge order, each
+//! at its canonical levels in increasing order, and takes two
+//! parameters:
+//!
+//! * a **cost regime**, which says how a level vector is paid for:
+//!   *routed* (Question 1.3) counts the min-flow value of the levels as
+//!   arc demands, *no-reuse* (Question 1.1) their sum;
+//! * a **goal**: the least makespan at cost `≤ B`, starting from the
+//!   all-zero incumbent; the least cost at makespan `≤ T`; or the first
+//!   witness meeting both bounds ([`decide_feasible`]).
+//!
+//! Both costs are monotone in the levels, and level 0 leaves them
+//! unchanged, so a zero level carries its parent's cost over for free
+//! and only nonzero levels pay for a min-flow. Monotonicity is what
+//! makes the prunes sound. A node's cost (undecided jobs at level 0)
+//! bounds every completion's cost from below, and its makespan bound
+//! (undecided jobs at their fastest duration) bounds every completion's
+//! makespan from below. So a child over the budget `B` is never entered
+//! (nor is any higher level of the same job), a node whose cost already
+//! reaches a min-cost incumbent's is cut, and a node whose makespan
+//! bound cannot beat the min-makespan incumbent, or exceeds the target
+//! `T`, is cut. A leaf that survives the prunes strictly improves on the
+//! incumbent.
+//!
+//! Every node entered charges one `dp_merge_steps` unit to the optional
+//! [`BudgetMeter`] before any prune, so a runaway search stops with a
+//! typed [`Exhausted`]; every leaf reached counts toward
+//! [`ExactSolution::explored`]. The winning levels are routed once, at
+//! the end: min-flow is deterministic, so this is the flow the leaf saw.
 
 use crate::instance::ArcInstance;
 use crate::solution::Solution;
 use rtt_budget::{BudgetMeter, Exhausted};
+use rtt_dag::EdgeId;
 use rtt_duration::{Resource, Time};
 use rtt_flow::{min_flow, BoundedEdge, MinFlowResult};
 
@@ -39,34 +74,123 @@ fn routing(arc: &ArcInstance, levels: &[Resource]) -> MinFlowResult {
     .expect("lower bounds only: feasible")
 }
 
-/// Shared DFS state: the decided-prefix marker and per-edge minimum
-/// durations are maintained incrementally instead of being rebuilt at
-/// every search node (the search visits millions of nodes on gadget
-/// instances).
-struct SearchCtx<'a> {
-    arc: &'a ArcInstance,
-    jobs: Vec<rtt_dag::EdgeId>,
-    levels: Vec<Resource>,
-    decided: Vec<bool>,
-    min_time: Vec<Time>,
+/// The routed solution of `levels`: their min-flow, the durations they
+/// buy, and the longest path of those.
+fn routed_solution(arc: &ArcInstance, levels: &[Resource]) -> Solution {
+    let d = arc.dag();
+    let flow = routing(arc, levels);
+    let edge_times: Vec<Time> = d
+        .edge_ids()
+        .map(|e| arc.arc_time(e, levels[e.index()]))
+        .collect();
+    let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
+        .expect("acyclic")
+        .weight;
+    Solution {
+        arc_flows: flow.edge_flow,
+        edge_times,
+        makespan,
+        budget_used: flow.value,
+    }
 }
 
-impl<'a> SearchCtx<'a> {
-    fn new(arc: &'a ArcInstance) -> Self {
-        let d = arc.dag();
-        let jobs = arc.improvable_edges();
-        let min_time = d.edge_ids().map(|e| d.edge(e).duration.min_time()).collect();
-        SearchCtx {
-            arc,
-            jobs,
-            levels: vec![0; d.edge_count()],
-            decided: vec![false; d.edge_count()],
-            min_time,
+/// How the search counts a level vector's cost.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Regime {
+    /// Question 1.3: the min-flow value of the levels as arc demands.
+    Routed,
+    /// Question 1.1: the sum of the levels.
+    NoReuse,
+}
+
+/// What the search looks for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Goal {
+    /// The least makespan at cost `≤ budget`.
+    MinMakespan { budget: Resource },
+    /// The least cost at makespan `≤ target`.
+    MinCost { target: Time },
+    /// The first levels with cost `≤ budget` and makespan `≤ target`.
+    Witness { budget: Resource, target: Time },
+}
+
+/// The levels a search settled on.
+pub(crate) struct Found {
+    /// Per-edge resource levels (0 on dummies).
+    pub(crate) levels: Vec<Resource>,
+    /// Leaves reached, plus one for a min-makespan search's all-zero
+    /// incumbent.
+    pub(crate) explored: u64,
+}
+
+/// The best complete assignment so far.
+struct Incumbent {
+    levels: Vec<Resource>,
+    makespan: Time,
+    cost: Resource,
+}
+
+struct Search<'a> {
+    arc: &'a ArcInstance,
+    regime: Regime,
+    goal: Goal,
+    meter: Option<&'a BudgetMeter>,
+    jobs: Vec<EdgeId>,
+    /// Per-edge fastest duration, the bound of an undecided job.
+    min_time: Vec<Time>,
+    /// Levels of the decided jobs; 0 elsewhere.
+    levels: Vec<Resource>,
+    decided: Vec<bool>,
+    best: Option<Incumbent>,
+    explored: u64,
+}
+
+/// The branch-and-bound behind every exact search (see the module
+/// docs). `None` when no level vector meets the goal; a min-makespan
+/// search always finds one.
+pub(crate) fn branch_and_bound(
+    arc: &ArcInstance,
+    regime: Regime,
+    goal: Goal,
+    meter: Option<&BudgetMeter>,
+) -> Result<Option<Found>, Exhausted> {
+    if let Goal::MinCost { target } | Goal::Witness { target, .. } = goal {
+        if arc.ideal_makespan() > target {
+            return Ok(None); // even unlimited resources miss the target
         }
     }
+    let d = arc.dag();
+    let seeded = matches!(goal, Goal::MinMakespan { .. });
+    let mut search = Search {
+        arc,
+        regime,
+        goal,
+        meter,
+        jobs: arc.improvable_edges(),
+        min_time: d
+            .edge_ids()
+            .map(|e| d.edge(e).duration.min_time())
+            .collect(),
+        levels: vec![0; d.edge_count()],
+        decided: vec![false; d.edge_count()],
+        best: seeded.then(|| Incumbent {
+            levels: vec![0; d.edge_count()],
+            makespan: arc.base_makespan(),
+            cost: 0,
+        }),
+        explored: u64::from(seeded),
+    };
+    search.dfs(0, 0)?;
+    Ok(search.best.map(|b| Found {
+        levels: b.levels,
+        explored: search.explored,
+    }))
+}
 
+impl Search<'_> {
     /// Optimistic completion bound: decided/unimprovable jobs at their
     /// chosen level, undecided jobs at their best conceivable duration.
+    /// Exact once every job is decided.
     fn makespan_lb(&self) -> Time {
         let d = self.arc.dag();
         rtt_dag::longest_path_edges(d, |e| {
@@ -82,11 +206,59 @@ impl<'a> SearchCtx<'a> {
         .weight
     }
 
-    fn makespan(&self) -> Time {
-        let d = self.arc.dag();
-        rtt_dag::longest_path_edges(d, |e| d.edge(e).duration.time(self.levels[e.index()]))
-            .expect("acyclic")
-            .weight
+    /// Searches below the node that decides `jobs[idx]` next and costs
+    /// `cost`; `Ok(true)` ends the search on a witness.
+    fn dfs(&mut self, idx: usize, cost: Resource) -> Result<bool, Exhausted> {
+        if let Some(m) = self.meter {
+            m.charge_merge_steps(1)?;
+        }
+        // the cost cut first: it is free, the makespan bound is a longest path
+        let best = self.best.as_ref();
+        if matches!(self.goal, Goal::MinCost { .. }) && best.is_some_and(|b| cost >= b.cost) {
+            return Ok(false);
+        }
+        let lb = self.makespan_lb();
+        let (budget, cut) = match self.goal {
+            Goal::MinMakespan { budget } => (Some(budget), best.is_some_and(|b| lb >= b.makespan)),
+            Goal::MinCost { target } => (None, lb > target),
+            Goal::Witness { budget, target } => (Some(budget), lb > target),
+        };
+        if cut {
+            return Ok(false);
+        }
+        if idx == self.jobs.len() {
+            self.explored += 1;
+            self.best = Some(Incumbent {
+                levels: self.levels.clone(),
+                makespan: lb,
+                cost,
+            });
+            return Ok(matches!(self.goal, Goal::Witness { .. }));
+        }
+        let arc = self.arc;
+        let job = self.jobs[idx];
+        let i = job.index();
+        self.decided[i] = true;
+        for level in arc.dag().edge(job).duration.useful_levels() {
+            if budget.is_some_and(|b| level > b) {
+                break; // a single job can never use more
+            }
+            self.levels[i] = level;
+            let child = match self.regime {
+                _ if level == 0 => Some(cost),
+                Regime::Routed => Some(routing(arc, &self.levels).value),
+                Regime::NoReuse => cost.checked_add(level),
+            };
+            let Some(child) = child.filter(|&c| budget.is_none_or(|b| c <= b)) else {
+                break; // costs are monotone: no higher level fits either
+            };
+            if self.dfs(idx + 1, child)? {
+                return Ok(true);
+            }
+        }
+        self.levels[i] = 0;
+        self.decided[i] = false;
+        Ok(false)
     }
 }
 
@@ -105,97 +277,12 @@ pub fn solve_exact_metered(
     budget: Resource,
     meter: Option<&BudgetMeter>,
 ) -> Result<ExactSolution, Exhausted> {
-    let d = arc.dag();
-    let mut ctx = SearchCtx::new(arc);
-    // start from the all-zero allocation: always feasible
-    let base = routing(arc, &ctx.levels);
-
-    struct Best {
-        makespan: Time,
-        levels: Vec<Resource>,
-        flow: MinFlowResult,
-        explored: u64,
-    }
-
-    // `flow_value`: min-flow value of the demands decided so far. Level 0
-    // leaves the demands unchanged, so the parent's value carries over —
-    // only nonzero levels pay for a flow computation.
-    fn dfs(
-        ctx: &mut SearchCtx,
-        budget: Resource,
-        idx: usize,
-        flow_value: Resource,
-        best: &mut Best,
-        meter: Option<&BudgetMeter>,
-    ) -> Result<(), Exhausted> {
-        if let Some(m) = meter {
-            m.charge_merge_steps(1)?;
-        }
-        if ctx.makespan_lb() >= best.makespan {
-            return Ok(()); // cannot beat the incumbent
-        }
-        if idx == ctx.jobs.len() {
-            best.explored += 1;
-            let ms = ctx.makespan();
-            if ms < best.makespan {
-                let r = routing(ctx.arc, &ctx.levels);
-                debug_assert!(r.value <= budget);
-                best.makespan = ms;
-                best.levels = ctx.levels.clone();
-                best.flow = r;
-            }
-            return Ok(());
-        }
-        let e = ctx.jobs[idx];
-        let ei = e.index();
-        let options: Vec<Resource> = ctx
-            .arc
-            .dag()
-            .edge(e)
-            .duration
-            .useful_levels()
-            .filter(|&r| r <= budget) // a single job can never use more
-            .collect();
-        ctx.decided[ei] = true;
-        for lvl in options {
-            ctx.levels[ei] = lvl;
-            let fv = if lvl == 0 {
-                flow_value
-            } else {
-                let r = routing(ctx.arc, &ctx.levels);
-                if r.value > budget {
-                    continue; // demands are monotone: no deeper level helps
-                }
-                r.value
-            };
-            dfs(ctx, budget, idx + 1, fv, best, meter)?;
-        }
-        ctx.levels[ei] = 0;
-        ctx.decided[ei] = false;
-        Ok(())
-    }
-
-    let mut best = Best {
-        makespan: arc.base_makespan(),
-        levels: ctx.levels.clone(),
-        flow: base,
-        explored: 1,
-    };
-    dfs(&mut ctx, budget, 0, 0, &mut best, meter)?;
-
-    let edge_times: Vec<Time> = d
-        .edge_ids()
-        .map(|e| d.edge(e).duration.time(best.levels[e.index()]))
-        .collect();
+    let found = branch_and_bound(arc, Regime::Routed, Goal::MinMakespan { budget }, meter)?
+        .expect("the all-zero incumbent always stands");
     Ok(ExactSolution {
-        solution: Solution {
-            arc_flows: best.flow.edge_flow.clone(),
-            edge_times,
-            makespan: best.makespan,
-            budget_used: best.flow.value,
-        },
-        levels: best.levels,
-        explored: best.explored,
+        solution: routed_solution(arc, &found.levels),
+        levels: found.levels,
+        explored: found.explored,
     })
 }
 
@@ -213,79 +300,9 @@ pub fn decide_feasible(
     budget: Resource,
     target: Time,
 ) -> Option<Solution> {
-    let d = arc.dag();
-    let mut ctx = SearchCtx::new(arc);
-
-    // `flow_value` carries the min-flow of the already-decided demands;
-    // choosing level 0 does not change the demands, so the flow is only
-    // recomputed on nonzero levels (the search is dominated by zero-heavy
-    // subtrees on gadget instances).
-    fn dfs(
-        ctx: &mut SearchCtx,
-        budget: Resource,
-        target: Time,
-        idx: usize,
-        flow_value: Resource,
-    ) -> bool {
-        if ctx.makespan_lb() > target {
-            return false;
-        }
-        if idx == ctx.jobs.len() {
-            return true;
-        }
-        let e = ctx.jobs[idx];
-        let ei = e.index();
-        // Prefer cheaper levels first: the zero level often suffices and
-        // keeps the flow small.
-        let options: Vec<Resource> = ctx
-            .arc
-            .dag()
-            .edge(e)
-            .duration
-            .useful_levels()
-            .filter(|&r| r <= budget)
-            .collect();
-        ctx.decided[ei] = true;
-        for lvl in options {
-            ctx.levels[ei] = lvl;
-            let fv = if lvl == 0 {
-                flow_value
-            } else {
-                // budget prune: demands decided so far already need this much
-                let r = routing(ctx.arc, &ctx.levels);
-                if r.value > budget {
-                    continue;
-                }
-                r.value
-            };
-            if dfs(ctx, budget, target, idx + 1, fv) {
-                return true;
-            }
-        }
-        ctx.levels[ei] = 0;
-        ctx.decided[ei] = false;
-        false
-    }
-
-    if !dfs(&mut ctx, budget, target, 0, 0) {
-        return None;
-    }
-    let flow = routing(arc, &ctx.levels);
-    debug_assert!(flow.value <= budget);
-    let edge_times: Vec<Time> = d
-        .edge_ids()
-        .map(|e| d.edge(e).duration.time(ctx.levels[e.index()]))
-        .collect();
-    let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
-        .expect("acyclic")
-        .weight;
-    debug_assert!(makespan <= target);
-    Some(Solution {
-        arc_flows: flow.edge_flow,
-        edge_times,
-        makespan,
-        budget_used: flow.value,
-    })
+    branch_and_bound(arc, Regime::Routed, Goal::Witness { budget, target }, None)
+        .expect("an unmetered search cannot exhaust")
+        .map(|found| routed_solution(arc, &found.levels))
 }
 
 /// Exact minimum-resource: the least budget whose optimal makespan is
@@ -305,84 +322,11 @@ pub fn solve_exact_min_resource_metered(
     target: Time,
     meter: Option<&BudgetMeter>,
 ) -> Result<Option<(Resource, Solution)>, Exhausted> {
-    if arc.ideal_makespan() > target {
-        return Ok(None);
-    }
-    let d = arc.dag();
-    let mut ctx = SearchCtx::new(arc);
-    let mut best: Option<(Resource, Vec<Resource>, MinFlowResult)> = None;
-
-    // `flow_value` carries the partial-demand min-flow (monotone in the
-    // demands): subtrees already needing at least the incumbent's budget
-    // are cut, and zero levels reuse the parent's value for free.
-    fn dfs(
-        ctx: &mut SearchCtx,
-        target: Time,
-        idx: usize,
-        flow_value: Resource,
-        best: &mut Option<(Resource, Vec<Resource>, MinFlowResult)>,
-        meter: Option<&BudgetMeter>,
-    ) -> Result<(), Exhausted> {
-        if let Some(m) = meter {
-            m.charge_merge_steps(1)?;
-        }
-        if let Some((b, _, _)) = best {
-            if flow_value >= *b {
-                return Ok(()); // cannot end below the incumbent's budget
-            }
-        }
-        // optimistic makespan must already be reachable
-        if ctx.makespan_lb() > target {
-            return Ok(());
-        }
-        if idx == ctx.jobs.len() {
-            if ctx.makespan() > target {
-                return Ok(());
-            }
-            let r = routing(ctx.arc, &ctx.levels);
-            if best.as_ref().is_none_or(|(b, _, _)| r.value < *b) {
-                *best = Some((r.value, ctx.levels.clone(), r));
-            }
-            return Ok(());
-        }
-        let e = ctx.jobs[idx];
-        let ei = e.index();
-        let options: Vec<Resource> = ctx.arc.dag().edge(e).duration.useful_levels().collect();
-        ctx.decided[ei] = true;
-        for lvl in options {
-            ctx.levels[ei] = lvl;
-            let fv = if lvl == 0 {
-                flow_value
-            } else {
-                routing(ctx.arc, &ctx.levels).value
-            };
-            dfs(ctx, target, idx + 1, fv, best, meter)?;
-        }
-        ctx.levels[ei] = 0;
-        ctx.decided[ei] = false;
-        Ok(())
-    }
-
-    dfs(&mut ctx, target, 0, 0, &mut best, meter)?;
-    let Some((value, levels, flow)) = best else {
-        return Ok(None);
-    };
-    let edge_times: Vec<Time> = d
-        .edge_ids()
-        .map(|e| d.edge(e).duration.time(levels[e.index()]))
-        .collect();
-    let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
-        .expect("acyclic")
-        .weight;
-    Ok(Some((
-        value,
-        Solution {
-            arc_flows: flow.edge_flow,
-            edge_times,
-            makespan,
-            budget_used: value,
-        },
-    )))
+    let found = branch_and_bound(arc, Regime::Routed, Goal::MinCost { target }, meter)?;
+    Ok(found.map(|found| {
+        let solution = routed_solution(arc, &found.levels);
+        (solution.budget_used, solution)
+    }))
 }
 
 #[cfg(test)]

@@ -424,7 +424,8 @@ pub fn solve_min_makespan_lp(
 
 /// [`solve_min_makespan_lp`] under an explicit simplex [`Engine`]
 /// (`Engine::Flat` / `Engine::Reference` reproduce the earlier
-/// baselines; used by `rtt_bench`'s differential timing).
+/// baselines; `rtt_bench`'s `perf_guard` envelopes and the unit tests
+/// compare the engines through it).
 pub fn solve_min_makespan_lp_with(
     tt: &TwoTupleInstance,
     budget: Resource,

@@ -20,6 +20,7 @@
 //! allocations, and how much a global pool would buy over routing — can
 //! be measured instead of argued. See [`compare_regimes`].
 
+use crate::exact::{branch_and_bound, Goal, Regime};
 use crate::instance::ArcInstance;
 use crate::lp_build::{FractionalSolution, LpError, LP_BIG};
 use crate::transform::{expand_two_tuples, TwoTupleInstance};
@@ -32,7 +33,8 @@ use std::collections::BinaryHeap;
 use std::fmt;
 
 // ---------------------------------------------------------------------
-// Question 1.1 — no reuse (dedicated allocations)
+// Question 1.1 — no reuse (dedicated allocations). The exact searches
+// are `crate::exact`'s one branch-and-bound, costing the sum of levels.
 // ---------------------------------------------------------------------
 
 /// A solution in the no-reuse regime: a dedicated resource level per arc
@@ -143,86 +145,9 @@ pub fn solve_noreuse_exact_metered(
     budget: Resource,
     meter: Option<&BudgetMeter>,
 ) -> Result<NoReuseSolution, Exhausted> {
-    let d = arc.dag();
-    let jobs = arc.improvable_edges();
-    let min_time: Vec<Time> = d.edge_ids().map(|e| d.edge(e).duration.min_time()).collect();
-
-    struct St<'a> {
-        arc: &'a ArcInstance,
-        jobs: &'a [rtt_dag::EdgeId],
-        levels: Vec<Resource>,
-        decided: Vec<bool>,
-        min_time: &'a [Time],
-        best_levels: Vec<Resource>,
-        best_makespan: Time,
-        meter: Option<&'a BudgetMeter>,
-    }
-
-    impl St<'_> {
-        fn lb(&self) -> Time {
-            let d = self.arc.dag();
-            rtt_dag::longest_path_edges(d, |e| {
-                let i = e.index();
-                let dur = &d.edge(e).duration;
-                if dur.len() < 2 || self.decided[i] {
-                    dur.time(self.levels[i])
-                } else {
-                    self.min_time[i]
-                }
-            })
-            .expect("acyclic")
-            .weight
-        }
-    }
-
-    fn dfs(st: &mut St, idx: usize, remaining: Resource) -> Result<(), Exhausted> {
-        if let Some(m) = st.meter {
-            m.charge_merge_steps(1)?;
-        }
-        if st.lb() >= st.best_makespan {
-            return Ok(());
-        }
-        if idx == st.jobs.len() {
-            let ms = st.lb(); // all decided: lb == actual makespan
-            if ms < st.best_makespan {
-                st.best_makespan = ms;
-                st.best_levels = st.levels.clone();
-            }
-            return Ok(());
-        }
-        let e = st.jobs[idx];
-        let ei = e.index();
-        let options: Vec<Resource> = st
-            .arc
-            .dag()
-            .edge(e)
-            .duration
-            .useful_levels()
-            .filter(|&r| r <= remaining)
-            .collect();
-        st.decided[ei] = true;
-        for lvl in options {
-            st.levels[ei] = lvl;
-            dfs(st, idx + 1, remaining - lvl)?;
-        }
-        st.levels[ei] = 0;
-        st.decided[ei] = false;
-        Ok(())
-    }
-
-    let mut st = St {
-        arc,
-        jobs: &jobs,
-        levels: vec![0; d.edge_count()],
-        decided: vec![false; d.edge_count()],
-        min_time: &min_time,
-        best_levels: vec![0; d.edge_count()],
-        best_makespan: arc.base_makespan(),
-        meter,
-    };
-    dfs(&mut st, 0, budget)?;
-    let levels = std::mem::take(&mut st.best_levels);
-    Ok(noreuse_solution_from_levels(arc, levels))
+    let found = branch_and_bound(arc, Regime::NoReuse, Goal::MinMakespan { budget }, meter)?
+        .expect("the all-zero incumbent always stands");
+    Ok(noreuse_solution_from_levels(arc, found.levels))
 }
 
 /// Exact minimum-resource in the no-reuse regime: the smallest `Σ levels`
@@ -243,85 +168,8 @@ pub fn solve_noreuse_exact_min_resource_metered(
     target: Time,
     meter: Option<&BudgetMeter>,
 ) -> Result<Option<NoReuseSolution>, Exhausted> {
-    if arc.ideal_makespan() > target {
-        return Ok(None);
-    }
-    let d = arc.dag();
-    let jobs = arc.improvable_edges();
-    let min_time: Vec<Time> = d.edge_ids().map(|e| d.edge(e).duration.min_time()).collect();
-
-    struct St<'a> {
-        arc: &'a ArcInstance,
-        jobs: &'a [rtt_dag::EdgeId],
-        levels: Vec<Resource>,
-        decided: Vec<bool>,
-        min_time: &'a [Time],
-        best: Option<(Resource, Vec<Resource>)>,
-        meter: Option<&'a BudgetMeter>,
-    }
-
-    impl St<'_> {
-        fn lb(&self) -> Time {
-            let d = self.arc.dag();
-            rtt_dag::longest_path_edges(d, |e| {
-                let i = e.index();
-                let dur = &d.edge(e).duration;
-                if dur.len() < 2 || self.decided[i] {
-                    dur.time(self.levels[i])
-                } else {
-                    self.min_time[i]
-                }
-            })
-            .expect("acyclic")
-            .weight
-        }
-    }
-
-    fn dfs(st: &mut St, target: Time, idx: usize, spent: Resource) -> Result<(), Exhausted> {
-        if let Some(m) = st.meter {
-            m.charge_merge_steps(1)?;
-        }
-        if let Some((b, _)) = &st.best {
-            if spent >= *b {
-                return Ok(());
-            }
-        }
-        if st.lb() > target {
-            return Ok(());
-        }
-        if idx == st.jobs.len() {
-            // all decided: lb is the true makespan and it is ≤ target
-            st.best = Some((spent, st.levels.clone()));
-            return Ok(());
-        }
-        let e = st.jobs[idx];
-        let ei = e.index();
-        let options: Vec<Resource> =
-            st.arc.dag().edge(e).duration.useful_levels().collect();
-        st.decided[ei] = true;
-        for lvl in options {
-            st.levels[ei] = lvl;
-            dfs(st, target, idx + 1, spent + lvl)?;
-        }
-        st.levels[ei] = 0;
-        st.decided[ei] = false;
-        Ok(())
-    }
-
-    let mut st = St {
-        arc,
-        jobs: &jobs,
-        levels: vec![0; d.edge_count()],
-        decided: vec![false; d.edge_count()],
-        min_time: &min_time,
-        best: None,
-        meter,
-    };
-    dfs(&mut st, target, 0, 0)?;
-    let Some((_, levels)) = st.best else {
-        return Ok(None);
-    };
-    Ok(Some(noreuse_solution_from_levels(arc, levels)))
+    let found = branch_and_bound(arc, Regime::NoReuse, Goal::MinCost { target }, meter)?;
+    Ok(found.map(|found| noreuse_solution_from_levels(arc, found.levels)))
 }
 
 /// A no-reuse approximation result with its LP certificates.

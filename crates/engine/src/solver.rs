@@ -135,7 +135,10 @@ pub trait Solver: Send + Sync {
 /// named request still runs, however long it takes — the caller asked).
 pub const EXACT_JOB_CAP: usize = 10;
 
-/// `sp-dp`'s min-resource sweep caps the DP budget axis here.
+/// `sp-dp` sizes each DP table `budget + 1` cells wide, so it caps the
+/// budget axis here: a min-makespan budget, or the saturation budget a
+/// min-resource sweep runs to. Above it the solver answers
+/// `unsupported` instead of asking the allocator for the table.
 const SP_BUDGET_CAP: u64 = 1 << 20;
 
 /// A solved-status skeleton the adapters fill in field by field.
@@ -471,6 +474,12 @@ impl Solver for SpDpSolver {
         };
         match req.objective {
             Objective::MakespanSweep { .. } => unsupported_sweep(req, self.name()),
+            Objective::MinMakespan { budget } if budget > SP_BUDGET_CAP => SolveReport::new(
+                req.id.clone(),
+                self.name(),
+                Status::Unsupported,
+                format!("budget {budget} exceeds the DP budget cap {SP_BUDGET_CAP}"),
+            ),
             Objective::MinMakespan { budget } => {
                 match solve_sp_exact_with_tree_metered(arc, tree, budget, meter) {
                     Ok((sp, sol)) => {
@@ -702,5 +711,41 @@ impl Solver for GlobalGreedySolver {
 
     fn solution_form(&self) -> SolutionForm {
         SolutionForm::Schedule
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{execute_one, PreparedInstance, Registry, SolverSelection};
+    use rtt_core::instance::Activity;
+    use rtt_dag::Dag;
+    use rtt_duration::Duration;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    #[test]
+    fn sp_dp_refuses_a_min_makespan_budget_over_the_cap() {
+        // a two-arc chain: the tables are the whole cost, so a budget
+        // past the cap would allocate `budget + 1` cells per tree node
+        let mut g: Dag<(), Activity> = Dag::new();
+        let (s, m, t) = (g.add_node(()), g.add_node(()), g.add_node(()));
+        g.add_edge(s, m, Activity::new(Duration::two_point(10, 4, 1)))
+            .unwrap();
+        g.add_edge(m, t, Activity::new(Duration::two_point(12, 4, 1)))
+            .unwrap();
+        let prep = Arc::new(PreparedInstance::new(ArcInstance::new(g).unwrap()));
+        let mut req = SolveRequest::min_makespan("big", prep, SP_BUDGET_CAP + 1);
+        req.solver = SolverSelection::Named("sp-dp".into());
+        let reports = execute_one(&Registry::standard(), &req, Instant::now());
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].status, Status::Unsupported, "{:?}", reports[0]);
+        assert_eq!(
+            reports[0].detail,
+            format!(
+                "budget {} exceeds the DP budget cap {SP_BUDGET_CAP}",
+                SP_BUDGET_CAP + 1
+            )
+        );
     }
 }

@@ -83,10 +83,9 @@ pub fn simulate_works<N, E>(g: &Dag<N, E>, works: &[Time], processors: usize) ->
 }
 
 /// [`simulate_works`] forced onto the tick-loop baseline engine
-/// (Θ(makespan · nodes)) regardless of the processor count. Kept
-/// public per the perf-PR protocol: `BENCH_pr5.json` measured the
-/// event engine against this in the same binary, and the differential
-/// proptests pin the two engines equal on unbounded runs.
+/// (Θ(makespan · nodes)) regardless of the processor count. Public
+/// because the differential proptests compare the event engine against
+/// it on unbounded runs.
 pub fn simulate_works_ticks<N, E>(g: &Dag<N, E>, works: &[Time], processors: usize) -> SimResult {
     ExecModel::from_works(g, works).run_ticks(processors)
 }

@@ -18,10 +18,10 @@
 //!   the makespan, which is what lets the engine certify long-running
 //!   schedules without a cost cap;
 //! * [`model::ExecModel::run_ticks`] — the tick-loop baseline
-//!   (Θ(makespan · V)), kept measurable per the perf-PR protocol
-//!   (`BENCH_pr5.json` compares the two in one binary) and serving bounded
-//!   processor counts, where the greedy most-loaded-first choice is
-//!   inherently per-tick.
+//!   (Θ(makespan · V)), which serves bounded processor counts, where
+//!   the greedy most-loaded-first choice is inherently per-tick (the
+//!   differential proptests also pin it equal to the event engine on
+//!   unbounded runs).
 //!
 //! The front ends are thin views of that core:
 //!
