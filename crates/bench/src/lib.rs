@@ -3,8 +3,8 @@
 //! One function per table/figure of the paper; each returns the rows it
 //! printed so tests can assert on them. The `repro` binary dispatches to
 //! these. [`fixtures`] holds the seeded instances the counter envelopes
-//! and the LP oracle pin; criterion benches for the substrates and
-//! solvers live in `benches/`.
+//! and the LP oracle pin. The one benchmark is the separate `perfbench/`
+//! workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

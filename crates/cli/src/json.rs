@@ -61,12 +61,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting the parser accepts (serde_json's
+/// default recursion limit). Parsing recurses once per level, and so
+/// does dropping the parsed value, so the bound keeps a hostile line
+/// from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 impl Json {
-    /// Parses a JSON document (must consume the whole input).
+    /// Parses a JSON document (must consume the whole input). Arrays
+    /// and objects nested more than 128 deep are an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -259,6 +267,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -304,8 +314,20 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    let msg = format!("arrays and objects nested more than {MAX_DEPTH} deep");
+                    return Err(self.err(&msg));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
@@ -508,6 +530,24 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            e.at,
+            Some(MAX_DEPTH),
+            "the error points at the first bracket too deep"
+        );
+        let obj = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&obj).is_err());
     }
 
     #[test]

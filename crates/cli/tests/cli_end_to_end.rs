@@ -270,3 +270,61 @@ fn bad_usage_fails_cleanly() {
     let out = rtt().args(["gen", "--kind", "nope"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn deeply_nested_line_is_rtt001_not_a_stack_overflow() {
+    let dir = tempdir();
+    let depth = 50_000;
+    let line = format!(
+        r#"{{"id":"deep","instance":{}{},"budget":1}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let path = dir.join("deep.ndjson");
+    std::fs::write(&path, line + "\n").unwrap();
+    let out = rtt().arg("lint").arg(&path).output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("error[RTT001]"));
+}
+
+#[test]
+fn cache_load_with_unallocatable_entry_count_fails_cleanly() {
+    let dir = tempdir();
+    let corpus = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/corpus_sweep.ndjson"
+    );
+    let spill = dir.join("sweep.cache");
+    let out = rtt()
+        .args(["batch", corpus, "--threads", "1", "--cache-save"])
+        .arg(&spill)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // a header count no allocation could hold
+    let text = std::fs::read_to_string(&spill).unwrap();
+    let (header, entries) = text.split_once('\n').unwrap();
+    let (prefix, _) = header.rsplit_once(' ').unwrap();
+    std::fs::write(&spill, format!("{prefix} entries=100000000000\n{entries}")).unwrap();
+    let out = rtt()
+        .args(["batch", corpus, "--threads", "1", "--cache-load"])
+        .arg(&spill)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "a rejected spill serves nothing");
+    assert!(
+        stderr.contains("header declares 100000000000 entries"),
+        "{stderr}"
+    );
+}

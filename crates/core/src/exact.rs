@@ -94,7 +94,8 @@ fn routed_solution(arc: &ArcInstance, levels: &[Resource]) -> Solution {
     }
 }
 
-/// How the search counts a level vector's cost.
+/// How the search counts a level vector's cost. `crate::lp_build`
+/// takes the same regime to build LP 6–10's routed or no-reuse form.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Regime {
     /// Question 1.3: the min-flow value of the levels as arc demands.

@@ -20,10 +20,22 @@
 //!
 //! ∞-durations (Appendix-A gadgets) are clamped to [`LP_BIG`]; exact
 //! solvers handle them natively, the LP only needs relative order.
+//!
+//! # Regimes
+//!
+//! One builder serves both LP regimes, chosen by the crate-private
+//! `exact::Regime` the exact searches also take. **Routed** (Question
+//! 1.3) is LP 6–10 as above. **No reuse** (Question 1.1, behind
+//! [`crate::regimes::solve_noreuse_lp`]) reads `f_e` as a dedicated
+//! purchase: it pins the purchase of every single-tuple arc to 0, adds
+//! no conservation rows (8), and bounds the *sum* of purchases by `B`
+//! in (9) instead of the source outflow. Each regime reports its
+//! row-(9) sum as [`FractionalSolution::budget_used`].
 
+use crate::exact::Regime;
 use crate::transform::TwoTupleInstance;
 use rtt_duration::{Resource, Time};
-use rtt_lp::{Engine, Outcome, Problem};
+use rtt_lp::{Engine, Outcome, PivotRule, Problem};
 use std::fmt;
 
 /// Finite stand-in for `∞` durations inside the LP.
@@ -58,13 +70,14 @@ impl std::error::Error for LpError {}
 /// A fractional solution of LP 6–10 (or its min-resource dual use).
 #[derive(Debug, Clone)]
 pub struct FractionalSolution {
-    /// Flow per `D''` edge.
+    /// Flow (or, without reuse, purchase) per `D''` edge.
     pub flows: Vec<f64>,
     /// Event time per `D''` node (source fixed at 0).
     pub times: Vec<f64>,
     /// `T_t`: the relaxed makespan.
     pub makespan: f64,
-    /// Source outflow: the relaxed resource usage.
+    /// The relaxed resource usage: the source outflow when routed, the
+    /// sum of purchases without reuse.
     pub budget_used: f64,
     /// Simplex pivots (diagnostics).
     pub pivots: usize,
@@ -83,147 +96,191 @@ fn clamp_time(t: Time) -> f64 {
     }
 }
 
+/// Rows (6)–(8) of LP 6–10 in one regime: everything except the
+/// objective and the budget/target row.
+#[derive(Debug, Clone)]
 struct LpShape {
     problem: Problem,
-    n_edges: usize,
+    regime: Regime,
     /// variable index of `T_v`, `None` for the source.
     time_var: Vec<Option<usize>>,
     /// row index of each edge's precedence constraint (7), by edge id.
     edge_row: Vec<usize>,
 }
 
-/// Shared constraint matrix of LP 6–10 (everything except the
-/// objective/budget/target rows).
-fn build_shape(tt: &TwoTupleInstance) -> LpShape {
-    let d = &tt.dag;
-    let n_edges = d.edge_count();
-    // variable layout: [flows | times (non-source)]
-    let mut time_var: Vec<Option<usize>> = vec![None; d.node_count()];
-    let mut next = n_edges;
-    for v in d.node_ids() {
-        if v != tt.source {
-            time_var[v.index()] = Some(next);
-            next += 1;
-        }
-    }
-    let mut p = Problem::minimize(next);
-
-    let mut edge_row = vec![usize::MAX; n_edges];
-    for e in d.edge_refs() {
-        let a = e.weight;
-        // (6) capacity on two-tuple arcs
-        if let Some((r, _)) = a.buy {
-            p.set_upper_bound(e.id.index(), r as f64);
-        }
-        // (7) precedence: T_v − T_u + slope·f_e ≥ t0
-        let t0 = clamp_time(a.t0);
-        let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(3);
-        if let Some(tv) = time_var[e.dst.index()] {
-            coeffs.push((tv, 1.0));
-        }
-        if let Some(tu) = time_var[e.src.index()] {
-            coeffs.push((tu, -1.0));
-        }
-        if let Some((r, t1)) = a.buy {
-            let slope = (t0 - clamp_time(t1)) / r as f64;
-            if slope != 0.0 {
-                coeffs.push((e.id.index(), slope));
+impl LpShape {
+    fn build(tt: &TwoTupleInstance, regime: Regime) -> Self {
+        let d = &tt.dag;
+        let n_edges = d.edge_count();
+        // variable layout: [flows | times (non-source)]
+        let mut time_var: Vec<Option<usize>> = vec![None; d.node_count()];
+        let mut next = n_edges;
+        for v in d.node_ids() {
+            if v != tt.source {
+                time_var[v.index()] = Some(next);
+                next += 1;
             }
         }
-        // The destination is never the source (source has in-degree 0),
-        // so `coeffs` always contains T_v.
-        edge_row[e.id.index()] = p.n_rows();
-        p.add_ge(&coeffs, t0);
-    }
+        let mut p = Problem::minimize(next);
 
-    // (8) conservation at internal vertices
-    for v in d.node_ids() {
-        if v == tt.source || v == tt.sink {
-            continue;
+        let mut edge_row = vec![usize::MAX; n_edges];
+        for e in d.edge_refs() {
+            let a = e.weight;
+            // (6) capacity on two-tuple arcs; without reuse, an arc with
+            // nothing to buy is pinned to 0
+            match (a.buy, regime) {
+                (Some((r, _)), _) => p.set_upper_bound(e.id.index(), r as f64),
+                (None, Regime::NoReuse) => p.set_upper_bound(e.id.index(), 0.0),
+                (None, Regime::Routed) => {}
+            }
+            // (7) precedence: T_v − T_u + slope·f_e ≥ t0
+            let t0 = clamp_time(a.t0);
+            let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(3);
+            if let Some(tv) = time_var[e.dst.index()] {
+                coeffs.push((tv, 1.0));
+            }
+            if let Some(tu) = time_var[e.src.index()] {
+                coeffs.push((tu, -1.0));
+            }
+            if let Some((r, t1)) = a.buy {
+                let slope = (t0 - clamp_time(t1)) / r as f64;
+                if slope != 0.0 {
+                    coeffs.push((e.id.index(), slope));
+                }
+            }
+            // The destination is never the source (source has in-degree 0),
+            // so `coeffs` always contains T_v.
+            edge_row[e.id.index()] = p.n_rows();
+            p.add_ge(&coeffs, t0);
         }
-        let mut coeffs: Vec<(usize, f64)> = Vec::new();
-        for &e in d.out_edges(v) {
-            coeffs.push((e.index(), 1.0));
-        }
-        for &e in d.in_edges(v) {
-            coeffs.push((e.index(), -1.0));
-        }
-        if !coeffs.is_empty() {
-            p.add_eq(&coeffs, 0.0);
-        }
-    }
 
-    LpShape {
-        problem: p,
-        n_edges,
-        time_var,
-        edge_row,
-    }
-}
-
-/// The structural **crash basis** for LP 6–10: at zero flow the
-/// longest-path times satisfy every constraint, so phase 1 is
-/// unnecessary. Per non-source vertex, `T_v` goes basic in its
-/// *critical* (longest-path-tight) incoming precedence row; every other
-/// precedence row keeps its surplus basic (slack `= T_v − T_u − t0 ≥
-/// 0`), conservation rows keep a degenerate artificial at 0, and the
-/// budget row its slack. The revised engine verifies feasibility at
-/// install time, so this is an accelerator, never a correctness risk.
-fn crash_hints(
-    tt: &TwoTupleInstance,
-    problem: &Problem,
-    time_var: &[Option<usize>],
-    edge_row: &[usize],
-) -> rtt_lp::Basis {
-    use rtt_lp::revised::CrashVar;
-    let d = &tt.dag;
-    let mut hints = vec![CrashVar::Logical; problem.n_rows()];
-    let mut dist: Vec<f64> = vec![0.0; d.node_count()];
-    let topo = rtt_dag::topo_order(d).expect("instances are acyclic");
-    for &v in &topo {
-        let mut best: Option<(f64, rtt_dag::EdgeId)> = None;
-        for &e in d.in_edges(v) {
-            let t0 = clamp_time(d.edge(e).t0);
-            let cand = dist[d.src(e).index()] + t0;
-            if best.is_none_or(|(b, _)| cand > b) {
-                best = Some((cand, e));
+        // (8) conservation at internal vertices — only routed resource
+        // flows on
+        if matches!(regime, Regime::Routed) {
+            for v in d.node_ids() {
+                if v == tt.source || v == tt.sink {
+                    continue;
+                }
+                let mut coeffs: Vec<(usize, f64)> = Vec::new();
+                for &e in d.out_edges(v) {
+                    coeffs.push((e.index(), 1.0));
+                }
+                for &e in d.in_edges(v) {
+                    coeffs.push((e.index(), -1.0));
+                }
+                if !coeffs.is_empty() {
+                    p.add_eq(&coeffs, 0.0);
+                }
             }
         }
-        if let Some((b, e)) = best {
-            dist[v.index()] = b;
-            if let Some(tv) = time_var[v.index()] {
-                hints[edge_row[e.index()]] = CrashVar::Structural(tv);
-            }
+
+        LpShape {
+            problem: p,
+            regime,
+            time_var,
+            edge_row,
         }
     }
-    rtt_lp::revised::crash_basis(problem, &hints)
-}
 
-fn extract(
-    tt: &TwoTupleInstance,
-    n_edges: usize,
-    time_var: &[Option<usize>],
-    sol: rtt_lp::Solution,
-) -> FractionalSolution {
-    let flows: Vec<f64> = sol.x[..n_edges].to_vec();
-    let times: Vec<f64> = time_var
-        .iter()
-        .map(|tv| tv.map_or(0.0, |j| sol.x[j]))
-        .collect();
-    let makespan = times[tt.sink.index()];
-    let budget_used = tt
-        .dag
-        .out_edges(tt.source)
-        .iter()
-        .map(|&e| flows[e.index()])
-        .sum();
-    FractionalSolution {
-        flows,
-        times,
-        makespan,
-        budget_used,
-        pivots: sol.pivots,
-        stats: sol.stats,
+    /// The left-hand side of the budget row (9): the source outflow
+    /// when routed, every purchase variable without reuse.
+    fn budget_terms(&self, tt: &TwoTupleInstance) -> Vec<(usize, f64)> {
+        match self.regime {
+            Regime::Routed => tt
+                .dag
+                .out_edges(tt.source)
+                .iter()
+                .map(|&e| (e.index(), 1.0))
+                .collect(),
+            Regime::NoReuse => tt
+                .dag
+                .edge_refs()
+                .filter(|e| e.weight.buy.is_some())
+                .map(|e| (e.id.index(), 1.0))
+                .collect(),
+        }
+    }
+
+    fn t_sink(&self, tt: &TwoTupleInstance) -> usize {
+        self.time_var[tt.sink.index()].expect("sink is not the source")
+    }
+
+    /// The structural **crash basis**: at zero flow the longest-path
+    /// times satisfy every constraint, so phase 1 is unnecessary. Per
+    /// non-source vertex, `T_v` goes basic in its *critical*
+    /// (longest-path-tight) incoming precedence row; every other
+    /// precedence row keeps its surplus basic (slack `= T_v − T_u − t0
+    /// ≥ 0`), conservation rows keep a degenerate artificial at 0, and
+    /// the budget row its slack. The revised engine verifies
+    /// feasibility at install time, so this is an accelerator, never a
+    /// correctness risk.
+    fn crash(&self, tt: &TwoTupleInstance) -> rtt_lp::Basis {
+        use rtt_lp::revised::CrashVar;
+        let d = &tt.dag;
+        let mut hints = vec![CrashVar::Logical; self.problem.n_rows()];
+        let mut dist: Vec<f64> = vec![0.0; d.node_count()];
+        let topo = rtt_dag::topo_order(d).expect("instances are acyclic");
+        for &v in &topo {
+            let mut best: Option<(f64, rtt_dag::EdgeId)> = None;
+            for &e in d.in_edges(v) {
+                let t0 = clamp_time(d.edge(e).t0);
+                let cand = dist[d.src(e).index()] + t0;
+                if best.is_none_or(|(b, _)| cand > b) {
+                    best = Some((cand, e));
+                }
+            }
+            if let Some((b, e)) = best {
+                dist[v.index()] = b;
+                if let Some(tv) = self.time_var[v.index()] {
+                    hints[self.edge_row[e.index()]] = CrashVar::Structural(tv);
+                }
+            }
+        }
+        rtt_lp::revised::crash_basis(&self.problem, &hints)
+    }
+
+    /// One cold two-phase revised solve, charging `meter` per pivot.
+    fn solve_cold(
+        &self,
+        tt: &TwoTupleInstance,
+        meter: Option<&rtt_budget::BudgetMeter>,
+    ) -> Result<FractionalSolution, LpError> {
+        let out = rtt_lp::revised::solve_metered(&self.problem, PivotRule::Dantzig, meter);
+        self.result(tt, out)
+    }
+
+    /// Maps a solve's outcome onto the fractional solution or error.
+    fn result(&self, tt: &TwoTupleInstance, out: Outcome) -> Result<FractionalSolution, LpError> {
+        let sol = match out {
+            Outcome::Optimal(s) => s,
+            Outcome::Infeasible => return Err(LpError::Infeasible),
+            Outcome::Unbounded => return Err(LpError::Unbounded),
+            Outcome::Exhausted(e) => return Err(LpError::Exhausted(e)),
+        };
+        let flows: Vec<f64> = sol.x[..tt.dag.edge_count()].to_vec();
+        let times: Vec<f64> = self
+            .time_var
+            .iter()
+            .map(|tv| tv.map_or(0.0, |j| sol.x[j]))
+            .collect();
+        let makespan = times[tt.sink.index()];
+        let budget_used = match self.regime {
+            Regime::Routed => tt
+                .dag
+                .out_edges(tt.source)
+                .iter()
+                .map(|&e| flows[e.index()])
+                .sum(),
+            Regime::NoReuse => flows.iter().sum(),
+        };
+        Ok(FractionalSolution {
+            flows,
+            times,
+            makespan,
+            budget_used,
+            pivots: sol.pivots,
+            stats: sol.stats,
+        })
     }
 }
 
@@ -235,18 +292,13 @@ fn extract(
 /// cold-starting `|grid|` solves.
 #[derive(Debug, Clone)]
 pub struct MakespanLp {
-    problem: Problem,
-    n_edges: usize,
-    time_var: Vec<Option<usize>>,
-    /// Row index of constraint (9); `None` when the source has no
-    /// out-edges (the LP is then budget-independent).
+    shape: LpShape,
+    /// Row index of constraint (9); `None` when its sum is empty (the
+    /// LP is then budget-independent).
     budget_row: Option<usize>,
-    sink: usize,
-    /// Row index of each edge's precedence row, for the crash below.
-    edge_row: Vec<usize>,
-    /// The longest-path crash basis (see [`crash_hints`]) — the revised
-    /// engine's start when no warmer basis is available. Lazy: the
-    /// dense engines never pay for it.
+    /// The longest-path crash basis (see `LpShape::crash`) — the
+    /// revised engine's start when no warmer basis is available. Lazy:
+    /// the dense engine and cold solves never pay for it.
     crash: std::sync::OnceLock<rtt_lp::Basis>,
 }
 
@@ -254,81 +306,66 @@ impl MakespanLp {
     /// Builds the template: shape, objective (10), and the budget row
     /// (9) at a placeholder budget of 0.
     pub fn new(tt: &TwoTupleInstance) -> Self {
-        let mut shape = build_shape(tt);
-        let budget_coeffs: Vec<(usize, f64)> = tt
-            .dag
-            .out_edges(tt.source)
-            .iter()
-            .map(|&e| (e.index(), 1.0))
-            .collect();
-        let budget_row = if budget_coeffs.is_empty() {
+        Self::build(tt, Regime::Routed)
+    }
+
+    /// [`MakespanLp::new`] in either regime.
+    pub(crate) fn build(tt: &TwoTupleInstance, regime: Regime) -> Self {
+        let mut shape = LpShape::build(tt, regime);
+        let budget_terms = shape.budget_terms(tt);
+        let budget_row = if budget_terms.is_empty() {
             None
         } else {
-            shape.problem.add_le(&budget_coeffs, 0.0);
+            shape.problem.add_le(&budget_terms, 0.0);
             Some(shape.problem.n_rows() - 1)
         };
-        let t_sink = shape.time_var[tt.sink.index()].expect("sink is not the source");
+        let t_sink = shape.t_sink(tt);
         shape.problem.set_objective(t_sink, 1.0);
         MakespanLp {
-            problem: shape.problem,
-            n_edges: shape.n_edges,
-            time_var: shape.time_var,
+            shape,
             budget_row,
-            sink: tt.sink.index(),
-            edge_row: shape.edge_row,
             crash: std::sync::OnceLock::new(),
         }
     }
 
     /// The longest-path crash basis, computed on first (Revised) use.
     fn crash(&self, tt: &TwoTupleInstance) -> &rtt_lp::Basis {
-        self.crash
-            .get_or_init(|| crash_hints(tt, &self.problem, &self.time_var, &self.edge_row))
+        self.crash.get_or_init(|| self.shape.crash(tt))
     }
 
     /// Points the budget row (9) at a new budget. No other row changes,
     /// so a basis from the previous solve stays warm-start valid.
     pub fn set_budget(&mut self, budget: Resource) {
         if let Some(row) = self.budget_row {
-            self.problem.set_rhs(row, budget as f64);
+            self.shape.problem.set_rhs(row, budget as f64);
         }
-    }
-
-    fn extract_at(&self, tt: &TwoTupleInstance, sol: rtt_lp::Solution) -> FractionalSolution {
-        debug_assert_eq!(self.sink, tt.sink.index());
-        extract(tt, self.n_edges, &self.time_var, sol)
     }
 
     /// Solves at the budget most recently set, under `engine`. The
     /// revised engine starts from the longest-path crash basis (phase 1
-    /// is skipped whenever the crash installs feasibly); the dense
-    /// engines run their ordinary two-phase solve.
+    /// is skipped whenever the crash installs feasibly); the flat
+    /// engine runs its ordinary two-phase solve.
     pub fn solve_with(
         &self,
         tt: &TwoTupleInstance,
         engine: Engine,
     ) -> Result<FractionalSolution, LpError> {
-        self.solve_with_metered(tt, engine, None)
+        match engine {
+            Engine::Revised => self.solve_warm(tt, None).map(|(f, _)| f),
+            Engine::Flat => self.shape.result(tt, self.shape.problem.solve_with(engine)),
+        }
     }
 
-    /// [`MakespanLp::solve_with`] under a cooperative budget meter: the
-    /// simplex loops charge one `lp_pivots` unit per pivot, and a
-    /// tripped budget surfaces as [`LpError::Exhausted`].
-    pub fn solve_with_metered(
+    /// Solves at the budget most recently set with one cold two-phase
+    /// revised solve that ignores the crash basis — the no-reuse
+    /// baseline's path — charging `meter` one `lp_pivots` unit per
+    /// pivot.
+    pub(crate) fn solve_cold(
         &self,
         tt: &TwoTupleInstance,
-        engine: Engine,
         meter: Option<&rtt_budget::BudgetMeter>,
     ) -> Result<FractionalSolution, LpError> {
-        if matches!(engine, Engine::Revised) {
-            return self.solve_warm_metered(tt, None, meter).map(|(f, _)| f);
-        }
-        match self.problem.solve_with_metered(engine, meter) {
-            Outcome::Optimal(s) => Ok(self.extract_at(tt, s)),
-            Outcome::Infeasible => Err(LpError::Infeasible),
-            Outcome::Unbounded => Err(LpError::Unbounded),
-            Outcome::Exhausted(e) => Err(LpError::Exhausted(e)),
-        }
+        self.shape.solve_cold(tt, meter)
     }
 
     /// Solves at the budget most recently set with the revised engine,
@@ -343,23 +380,22 @@ impl MakespanLp {
         self.solve_warm_metered(tt, warm, None)
     }
 
-    /// [`MakespanLp::solve_warm`] under a cooperative budget meter (see
-    /// [`MakespanLp::solve_with_metered`]).
+    /// [`MakespanLp::solve_warm`] under a cooperative budget meter: the
+    /// simplex loops charge one `lp_pivots` unit per pivot, and a
+    /// tripped budget surfaces as [`LpError::Exhausted`].
     pub fn solve_warm_metered(
         &self,
         tt: &TwoTupleInstance,
         warm: Option<&rtt_lp::Basis>,
         meter: Option<&rtt_budget::BudgetMeter>,
     ) -> Result<(FractionalSolution, Option<rtt_lp::Basis>), LpError> {
-        let (out, basis) = self
-            .problem
-            .solve_revised_warm_metered(Some(warm.unwrap_or(self.crash(tt))), meter);
-        match out {
-            Outcome::Optimal(s) => Ok((self.extract_at(tt, s), basis)),
-            Outcome::Infeasible => Err(LpError::Infeasible),
-            Outcome::Unbounded => Err(LpError::Unbounded),
-            Outcome::Exhausted(e) => Err(LpError::Exhausted(e)),
-        }
+        let (out, basis) = rtt_lp::revised::solve_warm(
+            &self.shape.problem,
+            PivotRule::Dantzig,
+            Some(warm.unwrap_or(self.crash(tt))),
+            meter,
+        );
+        Ok((self.shape.result(tt, out)?, basis))
     }
 
     /// Solves a whole budget grid in **one chained solver session**
@@ -394,22 +430,17 @@ impl MakespanLp {
         };
         let rhs: Vec<f64> = budgets.iter().map(|&b| b as f64).collect();
         let (outcomes, basis) = rtt_lp::revised::solve_rhs_sweep(
-            &self.problem,
+            &self.shape.problem,
             row,
             &rhs,
-            rtt_lp::PivotRule::Dantzig,
+            PivotRule::Dantzig,
             Some(start.unwrap_or(self.crash(tt))),
             meter,
         );
-        let mut points = Vec::with_capacity(outcomes.len());
-        for out in outcomes {
-            match out {
-                Outcome::Optimal(s) => points.push(self.extract_at(tt, s)),
-                Outcome::Infeasible => return Err(LpError::Infeasible),
-                Outcome::Unbounded => return Err(LpError::Unbounded),
-                Outcome::Exhausted(e) => return Err(LpError::Exhausted(e)),
-            }
-        }
+        let points = outcomes
+            .into_iter()
+            .map(|out| self.shape.result(tt, out))
+            .collect::<Result<_, _>>()?;
         Ok((points, basis))
     }
 }
@@ -423,28 +454,28 @@ pub fn solve_min_makespan_lp(
 }
 
 /// [`solve_min_makespan_lp`] under an explicit simplex [`Engine`]
-/// (`Engine::Flat` / `Engine::Reference` reproduce the earlier
-/// baselines; `rtt_bench`'s `perf_guard` envelopes and the unit tests
-/// compare the engines through it).
+/// (`Engine::Flat` is the dense oracle; `rtt_bench`'s `perf_guard`
+/// envelopes and the unit tests compare the engines through it).
 pub fn solve_min_makespan_lp_with(
     tt: &TwoTupleInstance,
     budget: Resource,
     engine: Engine,
 ) -> Result<FractionalSolution, LpError> {
-    solve_min_makespan_lp_metered(tt, budget, engine, None)
+    let mut lp = MakespanLp::new(tt);
+    lp.set_budget(budget);
+    lp.solve_with(tt, engine)
 }
 
-/// [`solve_min_makespan_lp_with`] under a cooperative budget meter (see
-/// [`MakespanLp::solve_with_metered`]).
+/// [`solve_min_makespan_lp`] under a cooperative budget meter (see
+/// [`MakespanLp::solve_warm_metered`]).
 pub fn solve_min_makespan_lp_metered(
     tt: &TwoTupleInstance,
     budget: Resource,
-    engine: Engine,
     meter: Option<&rtt_budget::BudgetMeter>,
 ) -> Result<FractionalSolution, LpError> {
     let mut lp = MakespanLp::new(tt);
     lp.set_budget(budget);
-    lp.solve_with_metered(tt, engine, meter)
+    lp.solve_warm_metered(tt, None, meter).map(|(f, _)| f)
 }
 
 /// Solves LP 6–10 at every budget of `budgets` in **one warm-started
@@ -469,24 +500,19 @@ pub fn solve_min_resource_lp(
 }
 
 /// [`solve_min_resource_lp`] under a cooperative budget meter (see
-/// [`MakespanLp::solve_with_metered`]).
+/// [`MakespanLp::solve_warm_metered`]).
 pub fn solve_min_resource_lp_metered(
     tt: &TwoTupleInstance,
     target: Time,
     meter: Option<&rtt_budget::BudgetMeter>,
 ) -> Result<FractionalSolution, LpError> {
-    let mut shape = build_shape(tt);
-    let t_sink = shape.time_var[tt.sink.index()].expect("sink is not the source");
+    let mut shape = LpShape::build(tt, Regime::Routed);
+    let t_sink = shape.t_sink(tt);
     shape.problem.add_le(&[(t_sink, 1.0)], clamp_time(target));
-    for &e in tt.dag.out_edges(tt.source) {
-        shape.problem.set_objective(e.index(), 1.0);
+    for (j, c) in shape.budget_terms(tt) {
+        shape.problem.set_objective(j, c);
     }
-    match shape.problem.solve_with_metered(Engine::Revised, meter) {
-        Outcome::Optimal(s) => Ok(extract(tt, shape.n_edges, &shape.time_var, s)),
-        Outcome::Infeasible => Err(LpError::Infeasible),
-        Outcome::Unbounded => Err(LpError::Unbounded),
-        Outcome::Exhausted(e) => Err(LpError::Exhausted(e)),
-    }
+    shape.solve_cold(tt, meter)
 }
 
 #[cfg(test)]

@@ -22,19 +22,20 @@
 
 use crate::exact::{branch_and_bound, Goal, Regime};
 use crate::instance::ArcInstance;
-use crate::lp_build::{FractionalSolution, LpError, LP_BIG};
+use crate::lp_build::{FractionalSolution, LpError, MakespanLp};
 use crate::transform::{expand_two_tuples, TwoTupleInstance};
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_dag::sp::{decompose, SpKind, SpTree};
 use rtt_duration::{Resource, Time};
-use rtt_lp::{Engine, Outcome, Problem};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
 // ---------------------------------------------------------------------
 // Question 1.1 — no reuse (dedicated allocations). The exact searches
-// are `crate::exact`'s one branch-and-bound, costing the sum of levels.
+// are `crate::exact`'s one branch-and-bound, costing the sum of levels;
+// the LP relaxation is `crate::lp_build`'s LP 6–10 builder in the same
+// no-reuse regime.
 // ---------------------------------------------------------------------
 
 /// A solution in the no-reuse regime: a dedicated resource level per arc
@@ -183,102 +184,9 @@ pub struct NoReuseApprox {
     pub lp_budget: f64,
 }
 
-fn clamp_time(t: Time) -> f64 {
-    if rtt_duration::is_infinite(t) {
-        LP_BIG
-    } else {
-        t as f64
-    }
-}
-
-/// LP relaxation for the no-reuse regime on `D''`: per-arc purchase
-/// variables `x_e ∈ [0, r_e]`, precedence rows as in LP 6–10, and the
-/// *sum* budget `Σ x_e ≤ B` instead of a source-flow budget. No flow
-/// conservation — allocations are dedicated.
-struct NoReuseLp {
-    problem: Problem,
-    n_edges: usize,
-    time_var: Vec<Option<usize>>,
-}
-
-fn build_noreuse_shape(tt: &TwoTupleInstance) -> NoReuseLp {
-    let d = &tt.dag;
-    let n_edges = d.edge_count();
-    let mut time_var: Vec<Option<usize>> = vec![None; d.node_count()];
-    let mut next = n_edges;
-    for v in d.node_ids() {
-        if v != tt.source {
-            time_var[v.index()] = Some(next);
-            next += 1;
-        }
-    }
-    let mut p = Problem::minimize(next);
-    for e in d.edge_refs() {
-        let a = e.weight;
-        match a.buy {
-            Some((r, t1)) => {
-                p.set_upper_bound(e.id.index(), r as f64);
-                let t0 = clamp_time(a.t0);
-                let slope = (t0 - clamp_time(t1)) / r as f64;
-                let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(3);
-                if let Some(tv) = time_var[e.dst.index()] {
-                    coeffs.push((tv, 1.0));
-                }
-                if let Some(tu) = time_var[e.src.index()] {
-                    coeffs.push((tu, -1.0));
-                }
-                if slope != 0.0 {
-                    coeffs.push((e.id.index(), slope));
-                }
-                p.add_ge(&coeffs, t0);
-            }
-            None => {
-                // no purchase variable: pin x_e = 0 and add the plain
-                // precedence row
-                p.set_upper_bound(e.id.index(), 0.0);
-                let t0 = clamp_time(a.t0);
-                let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(2);
-                if let Some(tv) = time_var[e.dst.index()] {
-                    coeffs.push((tv, 1.0));
-                }
-                if let Some(tu) = time_var[e.src.index()] {
-                    coeffs.push((tu, -1.0));
-                }
-                p.add_ge(&coeffs, t0);
-            }
-        }
-    }
-    NoReuseLp {
-        problem: p,
-        n_edges,
-        time_var,
-    }
-}
-
-fn extract_noreuse(
-    tt: &TwoTupleInstance,
-    shape: &NoReuseLp,
-    sol: rtt_lp::Solution,
-) -> FractionalSolution {
-    let flows: Vec<f64> = sol.x[..shape.n_edges].to_vec();
-    let times: Vec<f64> = shape
-        .time_var
-        .iter()
-        .map(|tv| tv.map_or(0.0, |j| sol.x[j]))
-        .collect();
-    let makespan = times[tt.sink.index()];
-    let budget_used = flows.iter().sum();
-    FractionalSolution {
-        flows,
-        times,
-        makespan,
-        budget_used,
-        pivots: sol.pivots,
-        stats: sol.stats,
-    }
-}
-
-/// Solves the no-reuse LP: minimize `T_t` subject to `Σ x_e ≤ B`.
+/// Solves the no-reuse LP relaxation: minimize `T_t` subject to
+/// `Σ x_e ≤ B` over per-arc purchases `x_e ∈ [0, r_e]` — LP 6–10 in its
+/// no-reuse regime (see [`crate::lp_build`]), solved cold.
 pub fn solve_noreuse_lp(
     tt: &TwoTupleInstance,
     budget: Resource,
@@ -293,24 +201,9 @@ pub fn solve_noreuse_lp_metered(
     budget: Resource,
     meter: Option<&BudgetMeter>,
 ) -> Result<FractionalSolution, LpError> {
-    let mut shape = build_noreuse_shape(tt);
-    let buy_coeffs: Vec<(usize, f64)> = tt
-        .dag
-        .edge_refs()
-        .filter(|e| e.weight.buy.is_some())
-        .map(|e| (e.id.index(), 1.0))
-        .collect();
-    if !buy_coeffs.is_empty() {
-        shape.problem.add_le(&buy_coeffs, budget as f64);
-    }
-    let t_sink = shape.time_var[tt.sink.index()].expect("sink is not the source");
-    shape.problem.set_objective(t_sink, 1.0);
-    match shape.problem.solve_with_metered(Engine::Revised, meter) {
-        Outcome::Optimal(s) => Ok(extract_noreuse(tt, &shape, s)),
-        Outcome::Infeasible => Err(LpError::Infeasible),
-        Outcome::Unbounded => Err(LpError::Unbounded),
-        Outcome::Exhausted(e) => Err(LpError::Exhausted(e)),
-    }
+    let mut lp = MakespanLp::build(tt, Regime::NoReuse);
+    lp.set_budget(budget);
+    lp.solve_cold(tt, meter)
 }
 
 /// Bi-criteria (1/α, 1/(1−α)) approximation in the **no-reuse** regime —

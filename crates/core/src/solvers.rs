@@ -202,7 +202,7 @@ pub fn solve_bicriteria_metered(
     alpha: f64,
     meter: Option<&BudgetMeter>,
 ) -> Result<ApproxSolution, SolveError> {
-    let frac = solve_min_makespan_lp_metered(tt, budget, rtt_lp::Engine::Revised, meter)?;
+    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
     Ok(bicriteria_round_prepped(arc, tt, frac, alpha))
 }
 
@@ -305,7 +305,7 @@ pub fn solve_kway_5approx_metered(
     meter: Option<&BudgetMeter>,
 ) -> Result<ApproxSolution, SolveError> {
     require_family(arc, "k-way", |k| matches!(k, DurationKind::KWay { .. }))?;
-    let frac = solve_min_makespan_lp_metered(tt, budget, rtt_lp::Engine::Revised, meter)?;
+    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
     let lower = alpha_round(tt, &frac, 0.5);
     let jobs = per_job_stats(tt, &frac, &lower);
 
@@ -373,7 +373,7 @@ pub fn solve_recbinary_4approx_metered(
     require_family(arc, "recursive-binary", |k| {
         matches!(k, DurationKind::RecursiveBinary { .. })
     })?;
-    let frac = solve_min_makespan_lp_metered(tt, budget, rtt_lp::Engine::Revised, meter)?;
+    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
     let lower = alpha_round(tt, &frac, 0.5);
     let jobs = per_job_stats(tt, &frac, &lower);
 
@@ -442,7 +442,7 @@ pub fn solve_recbinary_improved_metered(
     require_family(arc, "recursive-binary", |k| {
         matches!(k, DurationKind::RecursiveBinary { .. })
     })?;
-    let frac = solve_min_makespan_lp_metered(tt, budget, rtt_lp::Engine::Revised, meter)?;
+    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
     let d = arc.dag();
     let mut levels = vec![0; d.edge_count()];
     for info in &tt.chains {

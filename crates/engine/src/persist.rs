@@ -358,11 +358,10 @@ fn parse_entry_line(
     if m == 0 {
         return Err(entry("empty report vector".into()));
     }
-    if body_fields.len() != 2 + m * REPORT_FIELDS {
+    // checked: a forged count must not wrap the product into a match
+    if m.checked_mul(REPORT_FIELDS).and_then(|n| n.checked_add(2)) != Some(body_fields.len()) {
         return Err(entry(format!(
-            "field arity: {} reports need {} fields, line has {}",
-            m,
-            2 + m * REPORT_FIELDS,
+            "field arity: {m} reports need 2 + {m}×{REPORT_FIELDS} fields, line has {}",
             body_fields.len()
         )));
     }
@@ -435,7 +434,9 @@ pub fn load(cache: &ReuseCache, path: &Path, registry: &Registry) -> Result<usiz
     if parts.next().is_some() {
         return Err(PersistError::BadHeader);
     }
-    let mut parsed = Vec::with_capacity(expected);
+    // the header's count is unchecked input: grow with the lines
+    // actually present instead of reserving it
+    let mut parsed = Vec::new();
     for (i, line) in lines.enumerate() {
         if line.is_empty() {
             continue;

@@ -190,3 +190,45 @@ fn wrong_fingerprint_tag_is_rejected_with_zero_entries() {
         matches!(e, PersistError::Fingerprint { found } if found == "rtt-fp-v0")
     });
 }
+
+/// The spill format's line checksum (FNV-1a 64). It is unkeyed, so
+/// anyone can forge a line that passes it.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn unallocatable_header_entry_count_is_rejected_with_zero_entries() {
+    let text = spilled_text("count-src");
+    let (header, entries) = text.split_once('\n').expect("header line");
+    let (prefix, _) = header.rsplit_once(' ').expect("entries field");
+    let forged = format!("{prefix} entries={}\n{entries}", usize::MAX);
+    assert_rejected(
+        "count",
+        &forged,
+        |e| matches!(e, PersistError::Truncated { expected, .. } if *expected == usize::MAX),
+    );
+}
+
+#[test]
+fn report_count_wrapping_the_arity_is_rejected_with_zero_entries() {
+    // 2 + m·10 wraps to 6 for this m: a sweep key, four report fields
+    // and a valid checksum would pass an unchecked arity test
+    let m: usize = 1_844_674_407_370_955_162;
+    let body = ["k|0|sw:0:1:1", &m.to_string(), "a", "b", "c", "d"].join("\t");
+    let line = format!("{body}\t{:016x}", fnv64(body.as_bytes()));
+    let text = spilled_text("wrap-src");
+    let header = text.lines().next().expect("header line");
+    let (prefix, _) = header.rsplit_once(' ').expect("entries field");
+    let forged = format!("{prefix} entries=1\n{line}\n");
+    assert_rejected(
+        "wrap",
+        &forged,
+        |e| matches!(e, PersistError::Entry { line: 2, reason } if reason.contains("arity")),
+    );
+}

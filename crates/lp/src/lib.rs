@@ -3,7 +3,7 @@
 //! §3.1 of the paper formulates the relaxed resource-time tradeoff as the
 //! linear program LP 6–10 (flow variables `f_e`, event times `T_v`,
 //! minimize `T_t`). The paper treats the LP solver as an oracle; this
-//! crate *is* that oracle: three two-phase simplex engines behind one
+//! crate *is* that oracle: two two-phase simplex engines behind one
 //! [`Problem`] model (`≤` / `=` / `≥` rows, per-variable upper bounds,
 //! infeasibility/unboundedness certificates, deterministic behaviour).
 //!
@@ -12,10 +12,9 @@
 //! | engine | what it is | when to use it |
 //! |---|---|---|
 //! | [`Engine::Revised`] | sparse revised simplex ([`revised`]): CSC columns, **implicit upper bounds** (bound flips, no bound rows), eta-file basis updates with periodic refactorization, [`Basis`] warm starts | **the default** — fastest on the LP 6–10 network matrices, and the only engine that can warm-start budget sweeps |
-//! | [`Engine::Flat`] | dense flat-tableau simplex ([`simplex.rs` module docs](crate::Engine)) | measurable dense baseline; also the automatic numerical fallback when a revised refactorization goes singular |
-//! | [`Engine::Reference`] | the frozen pre-rewrite solver ([`reference`](mod@reference)) | differential testing and benchmark baselining only — never optimized, never the default |
+//! | [`Engine::Flat`] | dense flat-tableau simplex ([`simplex.rs` module docs](crate::Engine)) | the one dense oracle: differential tests compare the revised engine against it, and the revised engine restarts into it (under Bland's rule) when a refactorization goes singular |
 //!
-//! All engines run Dantzig pricing with a Bland's-rule fallback for
+//! Both engines run Dantzig pricing with a Bland's-rule fallback for
 //! anti-cycling ([`PivotRule`]); every [`Solution`] carries an
 //! [`LpStats`] with its matrix dimensions and pivot phase split.
 //!
@@ -53,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod problem;
-pub mod reference;
 pub mod revised;
 mod simplex;
 mod stats;

@@ -99,45 +99,18 @@ impl Problem {
 
     /// Solves the problem with the default engine — the sparse revised
     /// simplex ([`crate::revised`], Dantzig pricing with automatic
-    /// Bland fallback).
+    /// Bland fallback). Metered solves call that module's functions,
+    /// which take a [`rtt_budget::BudgetMeter`].
     pub fn solve(&self) -> Outcome {
         crate::revised::solve(self, PivotRule::Dantzig)
     }
 
-    /// Solves with an explicit engine: the revised simplex (default),
-    /// the flat solver (optionally under a chosen [`PivotRule`]), or
-    /// the frozen pre-rewrite [`crate::reference`] baseline
-    /// (differential tests and perf baselining).
+    /// Solves with an explicit engine: the revised simplex (default) or
+    /// the dense flat tableau (the differential-test oracle).
     pub fn solve_with(&self, engine: Engine) -> Outcome {
         match engine {
             Engine::Revised => crate::revised::solve(self, PivotRule::Dantzig),
             Engine::Flat => solve_standard(self, PivotRule::Dantzig, None),
-            Engine::FlatWith(rule) => solve_standard(self, rule, None),
-            Engine::Reference => crate::reference::solve_reference(self),
-        }
-    }
-
-    /// [`Problem::solve`] under a cooperative [`rtt_budget::BudgetMeter`]:
-    /// every pivot charges one `lp_pivots` unit, and a tripped budget
-    /// (or deadline / cancellation) surfaces as [`Outcome::Exhausted`].
-    pub fn solve_metered(&self, meter: &rtt_budget::BudgetMeter) -> Outcome {
-        crate::revised::solve_metered(self, PivotRule::Dantzig, Some(meter))
-    }
-
-    /// [`Problem::solve_with`] under a cooperative budget meter. The
-    /// revised and flat engines charge one `lp_pivots` unit per pivot;
-    /// the frozen [`Engine::Reference`] baseline stays unmetered (it
-    /// exists for differential testing, never serving).
-    pub fn solve_with_metered(
-        &self,
-        engine: Engine,
-        meter: Option<&rtt_budget::BudgetMeter>,
-    ) -> Outcome {
-        match engine {
-            Engine::Revised => crate::revised::solve_metered(self, PivotRule::Dantzig, meter),
-            Engine::Flat => solve_standard(self, PivotRule::Dantzig, meter),
-            Engine::FlatWith(rule) => solve_standard(self, rule, meter),
-            Engine::Reference => crate::reference::solve_reference(self),
         }
     }
 
@@ -151,17 +124,6 @@ impl Problem {
         warm: Option<&crate::Basis>,
     ) -> (Outcome, Option<crate::Basis>) {
         crate::revised::solve_warm(self, PivotRule::Dantzig, warm, None)
-    }
-
-    /// [`Problem::solve_revised_warm`] under a cooperative budget meter
-    /// (see [`Problem::solve_metered`]). The warm-start invariants are
-    /// unchanged; exhaustion returns no reusable basis.
-    pub fn solve_revised_warm_metered(
-        &self,
-        warm: Option<&crate::Basis>,
-        meter: Option<&rtt_budget::BudgetMeter>,
-    ) -> (Outcome, Option<crate::Basis>) {
-        crate::revised::solve_warm(self, PivotRule::Dantzig, warm, meter)
     }
 
     /// Overwrites the right-hand side of row `index` (for warm-started

@@ -64,7 +64,7 @@
 //!
 //! The two-phase structure, Dantzig-with-Bland-fallback pricing, and
 //! termination caps mirror the flat engine; differential tests pin the
-//! three engines to each other on random LPs (`tests/revised_differential.rs`).
+//! two engines to each other on random LPs (`tests/revised_differential.rs`).
 
 use crate::problem::{Cmp, Problem};
 use crate::simplex::{Outcome, PivotRule, Solution};

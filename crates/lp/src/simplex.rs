@@ -26,8 +26,8 @@
 //! the LP 6–10 network matrices this crate serves — rows start with ~3
 //! structural nonzeros) each row update walks only those indices, and
 //! the dense vectorized loop takes over automatically once fill-in
-//! passes 50%. On the `bicriteria_thm34` pipeline this is worth ~2.7×
-//! end-to-end over the retained [`crate::reference`] baseline (see
+//! passes 50%. On the `bicriteria_thm34` pipeline this was worth ~2.7×
+//! end-to-end over the row-of-rows tableau it replaced (see
 //! `BENCH_pr1.json`).
 //!
 //! # Pivot rules
@@ -36,9 +36,16 @@
 //! falls back to Bland's rule automatically after a stall threshold
 //! (`20·(m+n) + 1000` iterations) to guarantee termination on degenerate
 //! tableaus; [`PivotRule::Bland`] runs the anti-cycling rule from the
-//! first iteration. The pre-rewrite solver is preserved in
-//! [`crate::reference`] and `tests/flat_vs_reference.rs` pins this
-//! implementation to its objectives.
+//! first iteration — the mode the revised engine's numerical fallback
+//! restarts in.
+//!
+//! # Role
+//!
+//! This is the crate's one dense engine: the oracle the differential
+//! tests (`tests/revised_differential.rs`) hold the revised simplex to,
+//! the metered Bland-rule restart of the revised engine's fallback, and
+//! the source of the bound-row [`crate::LpStats`] the perf envelopes
+//! compare against.
 
 use crate::problem::{Cmp, Problem};
 use crate::TOL;
@@ -58,14 +65,11 @@ pub enum PivotRule {
 
 /// Which solver implementation to run (see [`Problem::solve_with`]).
 ///
-/// Selection guide: **`Revised`** (the default) is the sparse revised
-/// simplex with implicit upper bounds and warm-start support — use it
-/// unless you have a reason not to. **`Flat`** is the dense flat-tableau
-/// solver, kept as a measurable baseline and as the numerical fallback
-/// the revised engine restarts into when a refactorization goes
-/// singular. **`Reference`** is the frozen pre-rewrite solver: never
-/// optimized, only ever used for differential testing and benchmark
-/// baselining.
+/// **`Revised`** (the default) is the sparse revised simplex with
+/// implicit upper bounds and warm-start support — use it unless you
+/// have a reason not to. **`Flat`** is the dense flat-tableau solver:
+/// the differential-test oracle, and the engine the revised simplex
+/// restarts into when a refactorization goes singular.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The sparse revised simplex ([`crate::revised`]): CSC columns,
@@ -74,10 +78,6 @@ pub enum Engine {
     Revised,
     /// The dense flat-tableau solver of this module.
     Flat,
-    /// The flat-tableau solver under a fixed pivot rule.
-    FlatWith(PivotRule),
-    /// The frozen pre-rewrite baseline ([`crate::reference`]).
-    Reference,
 }
 
 /// Result of solving an LP.
@@ -709,20 +709,58 @@ mod tests {
         p.add_le(&[(0, 0.5), (1, -90.0), (2, -0.02)], 0.0);
         p.add_le(&[(2, 1.0)], 1.0);
         let d = p.solve_with(Engine::Flat).expect_optimal("dantzig");
-        let b = p
-            .solve_with(Engine::FlatWith(PivotRule::Bland))
-            .expect_optimal("bland");
+        let b = solve_standard(&p, PivotRule::Bland, None).expect_optimal("bland");
         assert!((d.objective - b.objective).abs() < 1e-7);
     }
 
     #[test]
-    fn engine_reference_reachable_through_problem() {
-        let mut p = Problem::minimize(2);
-        p.set_objective(0, 1.0);
-        p.add_ge(&[(0, 1.0), (1, 1.0)], 2.0);
-        p.set_upper_bound(1, 1.0);
-        let flat = p.solve_with(Engine::Flat).expect_optimal("flat");
-        let refr = p.solve_with(Engine::Reference).expect_optimal("reference");
-        assert!((flat.objective - refr.objective).abs() < 1e-9);
+    fn bland_from_start_matches_dantzig_on_random_lps() {
+        // Bland from the first pivot is the revised engine's fallback
+        // mode: it must reach Dantzig's verdict and objective.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5117_F1A7);
+        for case in 0..400 {
+            let n = rng.random_range(1..6usize);
+            let mut p = Problem::minimize(n);
+            for j in 0..n {
+                p.set_objective(j, rng.random_range(-4..5i32) as f64);
+                if rng.random_bool(0.4) {
+                    p.set_upper_bound(j, rng.random_range(0..8i32) as f64);
+                }
+            }
+            for _ in 0..rng.random_range(0..7usize) {
+                let coeffs: Vec<(usize, f64)> = (0..n)
+                    .map(|j| (j, rng.random_range(-3..4i32) as f64))
+                    .collect();
+                let cmp = match rng.random_range(0..3u8) {
+                    0 => Cmp::Le,
+                    1 => Cmp::Eq,
+                    _ => Cmp::Ge,
+                };
+                p.add_row(&coeffs, cmp, rng.random_range(-6..10i32) as f64);
+            }
+            let dantzig = solve_standard(&p, PivotRule::Dantzig, None);
+            let bland = solve_standard(&p, PivotRule::Bland, None);
+            match (&dantzig, &bland) {
+                (Outcome::Optimal(d), Outcome::Optimal(b)) => {
+                    assert!(
+                        (d.objective - b.objective).abs() <= 1e-6 * (1.0 + d.objective.abs()),
+                        "case {case}: Dantzig {} vs Bland {}",
+                        d.objective,
+                        b.objective
+                    );
+                    for (rule, x) in [("Dantzig", &d.x), ("Bland", &b.x)] {
+                        assert!(
+                            p.is_feasible(x, 1e-5),
+                            "case {case}: {rule} optimum infeasible"
+                        );
+                    }
+                }
+                (Outcome::Infeasible, Outcome::Infeasible) => {}
+                (Outcome::Unbounded, Outcome::Unbounded) => {}
+                (d, b) => panic!("case {case}: Dantzig says {d:?}, Bland says {b:?}"),
+            }
+        }
     }
 }

@@ -46,14 +46,14 @@ impl WarmStart {
 /// Dimension and work counters of one LP solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpStats {
-    /// Constraint rows the engine materialized. The flat/reference
-    /// engines add one row per upper-bounded variable; the revised
-    /// engine handles bounds implicitly and materializes none.
+    /// Constraint rows the engine materialized. The flat engine adds
+    /// one row per upper-bounded variable; the revised engine handles
+    /// bounds implicitly and materializes none.
     pub rows: usize,
     /// Total columns (structural + logical + artificial).
     pub cols: usize,
-    /// Upper-bound rows materialized (flat/reference) — always 0 for
-    /// the revised engine.
+    /// Upper-bound rows materialized (flat) — always 0 for the revised
+    /// engine.
     pub bound_rows: usize,
     /// Variables with a finite upper bound (identical across engines;
     /// for the revised engine these are handled by bound flips).

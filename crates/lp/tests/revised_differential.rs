@@ -1,32 +1,34 @@
-//! Differential tests for the revised simplex: on random LPs —
+//! Differential tests for the revised simplex against the dense
+//! flat-tableau oracle: on an edge-case corpus and on random LPs —
 //! including degenerate, infeasible, unbounded, and tight-upper-bound
-//! instances — Revised, Flat, and Reference must agree on the
-//! feasibility verdict and (relative-tolerance) objective, and a
-//! warm-started chain over a random RHS sequence must match cold solves
-//! point for point.
+//! instances — Revised and Flat must agree on the feasibility verdict
+//! and (relative-tolerance) objective, and a warm-started chain over a
+//! random RHS sequence must match cold solves point for point.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtt_lp::{Basis, Cmp, Engine, Outcome, Problem};
 
 /// Verdicts must match exactly; objectives to relative 1e-6.
-fn assert_three_way(p: &Problem, label: &str) {
+fn assert_revised_matches_flat(p: &Problem, label: &str) {
     let revised = p.solve_with(Engine::Revised);
     let flat = p.solve_with(Engine::Flat);
-    let reference = p.solve_with(Engine::Reference);
-    match (&revised, &flat, &reference) {
-        (Outcome::Optimal(v), Outcome::Optimal(f), Outcome::Optimal(r)) => {
-            for (name, other) in [("flat", f.objective), ("reference", r.objective)] {
-                assert!(
-                    (v.objective - other).abs() <= 1e-6 * (1.0 + other.abs()),
-                    "{label}: revised {} vs {name} {other}",
-                    v.objective
-                );
-            }
+    match (&revised, &flat) {
+        (Outcome::Optimal(v), Outcome::Optimal(f)) => {
+            assert!(
+                (v.objective - f.objective).abs() <= 1e-6 * (1.0 + f.objective.abs()),
+                "{label}: revised {} vs flat {}",
+                v.objective,
+                f.objective
+            );
             assert!(
                 p.is_feasible(&v.x, 1e-5),
                 "{label}: revised optimum infeasible: {:?}",
                 v.x
+            );
+            assert!(
+                p.is_feasible(&f.x, 1e-5),
+                "{label}: flat optimum infeasible"
             );
             // implicit bounds: the revised engine materializes no bound
             // rows, the flat engine materializes one per bounded var
@@ -37,12 +39,160 @@ fn assert_three_way(p: &Problem, label: &str) {
                 "{label}: flat rows must exceed revised rows by the bound count"
             );
         }
-        (Outcome::Infeasible, Outcome::Infeasible, Outcome::Infeasible) => {}
-        (Outcome::Unbounded, Outcome::Unbounded, Outcome::Unbounded) => {}
-        (v, f, r) => {
-            panic!("{label}: revised {v:?}, flat {f:?}, reference {r:?}")
+        (Outcome::Infeasible, Outcome::Infeasible) => {}
+        (Outcome::Unbounded, Outcome::Unbounded) => {}
+        (v, f) => panic!("{label}: revised {v:?}, flat {f:?}"),
+    }
+}
+
+/// The `edge_cases.rs` corpus, rebuilt problem-by-problem.
+fn edge_case_corpus() -> Vec<(&'static str, Problem)> {
+    let mut corpus = Vec::new();
+
+    corpus.push(("empty_problem", Problem::minimize(3)));
+
+    let mut p = Problem::minimize(1);
+    p.set_objective(0, 1.0);
+    for _ in 0..3 {
+        p.add_ge(&[(0, 1.0)], 2.0);
+    }
+    corpus.push(("redundant_constraints", p));
+
+    let mut p = Problem::minimize(1);
+    p.set_objective(0, 1.0);
+    p.add_row(&[(0, 1.0), (0, 1.0)], Cmp::Ge, 4.0);
+    corpus.push(("repeated_coefficients", p));
+
+    let mut p = Problem::minimize(3);
+    p.set_objective(0, -0.75);
+    p.set_objective(1, 150.0);
+    p.set_objective(2, -0.02);
+    p.add_le(&[(0, 0.25), (1, -60.0), (2, -0.04)], 0.0);
+    p.add_le(&[(0, 0.5), (1, -90.0), (2, -0.02)], 0.0);
+    p.add_le(&[(2, 1.0)], 1.0);
+    corpus.push(("degenerate_beale", p));
+
+    let mut p = Problem::minimize(1);
+    p.set_objective(0, -1.0);
+    p.set_upper_bound(0, 7.5);
+    corpus.push(("upper_bound_cap", p));
+
+    let mut p = Problem::minimize(2);
+    p.set_objective(0, -1.0);
+    p.add_ge(&[(1, 1.0)], 1.0);
+    corpus.push(("unbounded", p));
+
+    let mut p = Problem::minimize(2);
+    p.add_eq(&[(0, 1.0), (1, 1.0)], 1.0);
+    p.add_eq(&[(0, 1.0), (1, 1.0)], 2.0);
+    corpus.push(("infeasible_equalities", p));
+
+    let mut p = Problem::minimize(1);
+    p.set_upper_bound(0, 1.0);
+    p.add_ge(&[(0, 1.0)], 2.0);
+    corpus.push(("infeasible_bounds", p));
+
+    let mut p = Problem::minimize(1);
+    p.set_objective(0, 1.0);
+    p.add_ge(&[(0, 1.0)], -5.0);
+    corpus.push(("vacuous_negative_rhs", p));
+
+    let mut p = Problem::minimize(1);
+    p.add_le(&[(0, 1.0)], -1.0);
+    corpus.push(("negative_rhs_infeasible", p));
+
+    let mut p = Problem::minimize(2);
+    p.set_objective(0, 1.0);
+    p.add_ge(&[(0, 1.0), (1, 0.0)], 3.0);
+    corpus.push(("zero_coefficient_row", p));
+
+    let mut p = Problem::minimize(2);
+    p.set_objective(0, 1.0);
+    p.set_objective(1, 1.0);
+    p.add_ge(&[(0, 1.0), (1, 1.0)], 2.0);
+    corpus.push(("multiple_optima", p));
+
+    let mut p = Problem::minimize(2);
+    p.add_eq(&[(0, 1.0), (1, 1.0)], 10.0);
+    p.add_row(&[(0, 1.0), (1, -1.0)], Cmp::Ge, 4.0);
+    p.add_row(&[(0, 1.0), (1, -1.0)], Cmp::Le, 4.0);
+    corpus.push(("equality_system", p));
+
+    let n = 4;
+    let mut p = Problem::minimize(n * n);
+    for i in 0..n {
+        for j in 0..n {
+            p.set_objective(i * n + j, ((i * 7 + j * 3) % 5 + 1) as f64);
         }
     }
+    for i in 0..n {
+        let row: Vec<(usize, f64)> = (0..n).map(|j| (i * n + j, 1.0)).collect();
+        p.add_eq(&row, 1.0);
+        let col: Vec<(usize, f64)> = (0..n).map(|j| (j * n + i, 1.0)).collect();
+        p.add_eq(&col, 1.0);
+    }
+    corpus.push(("assignment_4x4", p));
+
+    // Mixed magnitudes like the ∞-clamped LPs the pipeline builds
+    // (LP_BIG = 1e12 precedence rows next to unit conservation rows):
+    // the sparse pivot path must not drop the small genuine entries.
+    let big = 1e12;
+    let mut p = Problem::minimize(4);
+    p.set_objective(3, 1.0);
+    p.add_eq(&[(0, 1.0), (1, -1.0)], 0.0);
+    p.add_ge(&[(3, 1.0), (0, big / 2.0)], big);
+    p.add_ge(&[(3, 1.0), (1, 3.0), (2, 1.0)], 3.0);
+    p.add_le(&[(0, 1.0), (2, 1.0)], 1.0);
+    for j in 0..3 {
+        p.set_upper_bound(j, 2.0);
+    }
+    corpus.push(("mixed_scale_lp_big", p));
+
+    corpus
+}
+
+#[test]
+fn revised_handles_lp_big_scale_like_flat() {
+    // Dedicated relative check at the 1e12 scale: objectives must agree
+    // to relative 1e-9 even though absolute values are huge.
+    let big = 1e12;
+    let mut p = Problem::minimize(3);
+    p.set_objective(2, 1.0);
+    p.add_ge(&[(2, 1.0), (0, big)], big); // T >= big(1 - f0)
+    p.add_ge(&[(2, 1.0), (1, 7.0)], 5.0);
+    p.add_le(&[(0, 1.0), (1, 1.0)], 1.0);
+    p.set_upper_bound(0, 1.0);
+    p.set_upper_bound(1, 1.0);
+    let v = p.solve_with(Engine::Revised).expect_optimal("revised");
+    let f = p.solve_with(Engine::Flat).expect_optimal("flat");
+    assert!(
+        (v.objective - f.objective).abs() <= 1e-9 * (1.0 + f.objective.abs()),
+        "revised {} vs flat {}",
+        v.objective,
+        f.objective
+    );
+}
+
+#[test]
+fn revised_matches_flat_on_edge_case_corpus() {
+    for (label, p) in edge_case_corpus() {
+        assert_revised_matches_flat(&p, label);
+    }
+}
+
+#[test]
+fn pivot_counts_are_reported() {
+    // A fixed LP must report a positive, deterministic pivot count.
+    let mut p = Problem::minimize(2);
+    p.set_objective(0, -3.0);
+    p.set_objective(1, -5.0);
+    p.add_le(&[(0, 1.0)], 4.0);
+    p.add_le(&[(1, 2.0)], 12.0);
+    p.add_le(&[(0, 3.0), (1, 2.0)], 18.0);
+    let a = p.solve().expect_optimal("a");
+    let b = p.solve().expect_optimal("b");
+    assert!(a.pivots > 0);
+    assert_eq!(a.pivots, b.pivots, "solver must be deterministic");
 }
 
 fn random_problem(rng: &mut StdRng, tight_bounds: bool) -> Problem {
@@ -79,7 +229,7 @@ fn three_way_agreement_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0xD1FF_0003);
     for case in 0..500 {
         let p = random_problem(&mut rng, false);
-        assert_three_way(&p, &format!("random case {case}"));
+        assert_revised_matches_flat(&p, &format!("random case {case}"));
     }
 }
 
@@ -90,7 +240,7 @@ fn three_way_agreement_on_tight_upper_bound_lps() {
     let mut rng = StdRng::seed_from_u64(0xB0_0B5);
     for case in 0..300 {
         let p = random_problem(&mut rng, true);
-        assert_three_way(&p, &format!("tight case {case}"));
+        assert_revised_matches_flat(&p, &format!("tight case {case}"));
     }
 }
 
@@ -122,7 +272,7 @@ fn three_way_agreement_on_degenerate_lps() {
             &coeffs.iter().map(|&(j, v)| (j, 2.0 * v)).collect::<Vec<_>>(),
             2.0 * rhs,
         );
-        assert_three_way(&p, &format!("degenerate case {case}"));
+        assert_revised_matches_flat(&p, &format!("degenerate case {case}"));
     }
 }
 
