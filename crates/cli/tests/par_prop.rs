@@ -87,12 +87,13 @@ proptest! {
             budget,
         );
         for threads in [1usize, 2, 4] {
-            let (pt, pa, ps) = rtt_core::sp_dp::solve_sp_tree_par(
-                &tree,
-                |e| d.edge(e).duration.clone(),
-                budget,
-                threads,
-            );
+            let (pt, pa, ps) = rtt_par::with_threads(threads, || {
+                rtt_core::sp_dp::solve_sp_tree_with_stats(
+                    &tree,
+                    |e| d.edge(e).duration.clone(),
+                    budget,
+                )
+            });
             prop_assert_eq!(&pt, &table, "table diverged at {} threads", threads);
             prop_assert_eq!(&pa, &alloc, "alloc diverged at {} threads", threads);
             prop_assert_eq!(ps.cells, stats.cells);
@@ -100,12 +101,13 @@ proptest! {
         }
         // the chunked path at 1 thread, as the overhead bench drives it
         let (ft, fa, _) = rtt_par::with_forced_chunking(|| {
-            rtt_core::sp_dp::solve_sp_tree_par(
-                &tree,
-                |e| d.edge(e).duration.clone(),
-                budget,
-                1,
-            )
+            rtt_par::with_threads(1, || {
+                rtt_core::sp_dp::solve_sp_tree_with_stats(
+                    &tree,
+                    |e| d.edge(e).duration.clone(),
+                    budget,
+                )
+            })
         });
         prop_assert_eq!(&ft, &table, "forced chunking diverged");
         prop_assert_eq!(&fa, &alloc, "forced chunking diverged");

@@ -25,7 +25,7 @@ use crate::instance::ArcInstance;
 use crate::lp_build::{FractionalSolution, LpError, MakespanLp};
 use crate::transform::{expand_two_tuples, TwoTupleInstance};
 use rtt_budget::{BudgetMeter, Exhausted};
-use rtt_dag::sp::{decompose, SpKind, SpTree};
+use rtt_dag::sp::decompose;
 use rtt_duration::{Resource, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -35,7 +35,8 @@ use std::fmt;
 // Question 1.1 — no reuse (dedicated allocations). The exact searches
 // are `crate::exact`'s one branch-and-bound, costing the sum of levels;
 // the LP relaxation is `crate::lp_build`'s LP 6–10 builder in the same
-// no-reuse regime.
+// no-reuse regime; the series-parallel curve is `crate::sp_dp`'s DP walk
+// with the no-reuse series rule (see that module's docs).
 // ---------------------------------------------------------------------
 
 /// A solution in the no-reuse regime: a dedicated resource level per arc
@@ -248,73 +249,25 @@ pub fn solve_noreuse_bicriteria_metered(
     })
 }
 
-/// Exact no-reuse DP for series-parallel DAGs — the classical discrete
-/// time-cost tradeoff recurrence. Unlike §3.4's DP (where a *series*
-/// composition hands the full `λ` to both children because resources
-/// flow through), here **both** composition kinds split the budget:
-///
-/// ```text
-/// T(series, λ)   = min_{0 ≤ i ≤ λ}  T(left, i) + T(right, λ − i)
-/// T(parallel, λ) = min_{0 ≤ i ≤ λ}  max(T(left, i), T(right, λ − i))
-/// ```
-///
-/// Comparing this curve with [`crate::sp_dp::solve_sp_exact`]'s measures
-/// exactly what reuse over paths buys on SP instances.
-pub fn solve_sp_tree_noreuse(
-    tree: &SpTree,
-    mut duration_of: impl FnMut(rtt_dag::EdgeId) -> rtt_duration::Duration,
-    budget: Resource,
-) -> Vec<Time> {
-    let b = budget as usize;
-    let order = tree.post_order();
-    let mut tables: Vec<Option<Vec<Time>>> = vec![None; tree.len()];
-    for id in &order {
-        let table = match tree.kind(*id) {
-            SpKind::Leaf(e) => {
-                let dur = duration_of(e);
-                (0..=b).map(|l| dur.time(l as Resource)).collect()
-            }
-            SpKind::Series(x, y) => {
-                let tx = tables[x.index()].as_ref().expect("post-order");
-                let ty = tables[y.index()].as_ref().expect("post-order");
-                (0..=b)
-                    .map(|l| {
-                        (0..=l)
-                            .map(|i| tx[i].saturating_add(ty[l - i]))
-                            .min()
-                            .expect("non-empty range")
-                    })
-                    .collect()
-            }
-            SpKind::Parallel(x, y) => {
-                let tx = tables[x.index()].as_ref().expect("post-order");
-                let ty = tables[y.index()].as_ref().expect("post-order");
-                (0..=b)
-                    .map(|l| {
-                        (0..=l)
-                            .map(|i| tx[i].max(ty[l - i]))
-                            .min()
-                            .expect("non-empty range")
-                    })
-                    .collect()
-            }
-        };
-        tables[id.index()] = Some(table);
-    }
-    tables[tree.root().index()].take().expect("root computed")
-}
-
 /// No-reuse tradeoff curve for a series-parallel [`ArcInstance`]:
 /// `curve[λ]` = optimal no-reuse makespan with budget `λ`. `None` if the
 /// instance is not two-terminal series-parallel.
+///
+/// This is §3.4's DP walk with the no-reuse series rule (see
+/// [`crate::sp_dp`]): a series composition splits `λ` between its
+/// children instead of handing the full `λ` to both, so comparing this
+/// curve with [`crate::sp_dp::solve_sp_exact`]'s measures exactly what
+/// reuse over paths buys on SP instances.
 pub fn sp_noreuse_curve(arc: &ArcInstance, budget: Resource) -> Option<Vec<Time>> {
     let d = arc.dag();
     let tree = decompose(d, arc.source(), arc.sink())?;
-    Some(solve_sp_tree_noreuse(
+    let (curve, _, _) = crate::sp_dp::walk_unmetered(
         &tree,
-        |e| d.edge(e).duration.clone(),
+        Regime::NoReuse,
+        &|e| d.edge(e).duration.clone(),
         budget,
-    ))
+    );
+    Some(curve)
 }
 
 // ---------------------------------------------------------------------
@@ -566,18 +519,19 @@ pub fn verify_global_schedule(
         }
         last_finish = last_finish.max(s.finish[i]);
     }
-    // pool usage sweep: +level at start, −level at finish
-    let mut deltas: Vec<(Time, i64)> = Vec::with_capacity(2 * d.edge_count());
+    // pool usage sweep: +level at start, −level at finish (in i128, so
+    // levels and budgets of 2^63 and more keep their sign)
+    let mut deltas: Vec<(Time, i128)> = Vec::with_capacity(2 * d.edge_count());
     for i in 0..d.edge_count() {
-        deltas.push((s.start[i], s.level[i] as i64));
-        deltas.push((s.finish[i], -(s.level[i] as i64)));
+        deltas.push((s.start[i], i128::from(s.level[i])));
+        deltas.push((s.finish[i], -i128::from(s.level[i])));
     }
     // frees apply before grabs at the same instant
     deltas.sort_by_key(|&(t, d)| (t, d));
-    let mut in_use = 0i64;
+    let mut in_use = 0i128;
     for (t, delta) in deltas {
         in_use += delta;
-        if in_use > budget as i64 {
+        if in_use > i128::from(budget) {
             return Err(GlobalScheduleError::OverBudget { at: t });
         }
     }
@@ -822,6 +776,26 @@ mod tests {
             verify_global_schedule(&arc, 4, &bad),
             Err(GlobalScheduleError::Unscheduled { edge: 0 })
         ));
+    }
+
+    #[test]
+    fn verifier_sweeps_pool_usage_past_i64() {
+        // a level of 2^63 inside a budget of u64::MAX: both must keep
+        // their sign in the pool sweep
+        let mut g: Dag<(), Activity> = Dag::new();
+        let s = g.add_node(());
+        let t = g.add_node(());
+        g.add_edge(s, t, Activity::new(Duration::two_point(10, 1 << 63, 1)))
+            .unwrap();
+        g.add_edge(s, t, Activity::new(Duration::two_point(10, 4, 1)))
+            .unwrap();
+        let arc = ArcInstance::new(g).unwrap();
+        for policy in [GlobalPolicy::Eager, GlobalPolicy::Patient] {
+            let s = global_reuse_schedule(&arc, u64::MAX, policy);
+            verify_global_schedule(&arc, u64::MAX, &s).unwrap();
+            assert_eq!(s.makespan, 1, "{policy:?}");
+            assert_eq!(s.peak_in_use, (1 << 63) + 4, "{policy:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //! The series rule is where *resource reuse over paths* enters: both
 //! children see the full λ.
 //!
+//! # The series rule by regime
+//!
+//! The same walk evaluates the classical no-reuse recurrence of
+//! Question 1.1 ([`crate::regimes::sp_noreuse_curve`]); the regime
+//! changes only the series rule. **Routed** (the paper's regime) hands
+//! the full `λ` to both children, as above. **No reuse** splits `λ`
+//! with a min-plus scan, `T(series, λ) = min_{0 ≤ i ≤ λ} T(left, i) +
+//! T(right, λ − i)`, in `O(B²)`: a sum of monotone tables is not
+//! V-shaped, so the two-pointer sweep below does not apply.
+//!
 //! # The `O(mB)` monotone merge
 //!
 //! The paper evaluates the parallel rule with an `O(B)` scan per budget,
@@ -33,20 +43,48 @@
 //! node and `O(mB)` overall; `tests` and `proptest_invariants.rs` pin it
 //! against the naive scan ([`parallel_merge_naive`]).
 //!
+//! # One walk
+//!
+//! Every entry point runs one walk, which evaluates the tree in
+//! **pieces**. One function evaluates a piece (a subtree, in post-order
+//! on a value stack) and owns the node recurrence, the table arena and
+//! the per-node `dp_merge_steps` charge. The walk decides the partition
+//! once:
+//!
+//! * **one piece**, the whole tree, when a meter is present or `rtt_par`
+//!   takes no parallel path (one thread, chunking not forced). It visits
+//!   exactly `SpTree::post_order` and charges the meter node by node in
+//!   that order. Metered walks stay one piece because exhaustion stop
+//!   points are wire-visible: the same node must stop with the same
+//!   [`Exhausted`] at any thread count.
+//! * otherwise a **frontier** of subtrees, cut by splitting the largest
+//!   piece (ties to the smaller node id) — a pure function of the tree,
+//!   not of the thread count. The pieces run concurrently
+//!   (`rtt_par::map_chunks`), and the same function then evaluates the
+//!   **crown** above them, taking their root tables as given.
+//!
+//! Pieces hand back split choices and leaf durations keyed by node id,
+//! and one allocation recovery reads them top-down. Tables,
+//! allocations, `cells` and `merge_steps` are the same for either
+//! partition; only `peak_live_tables` differs (deterministically).
+//!
 //! # Table arena
 //!
 //! Child tables are recycled into an arena the moment their parent's
 //! table is computed, so the number of *live* `B + 1`-entry tables is
 //! bounded by the decomposition-tree depth (plus the arena's free list
-//! reusing their allocations) instead of `m`. [`SpDpStats`] reports
-//! cells written, merge steps, and the live-table high-water mark; the
-//! frozen `BENCH_pr1.json` record holds them as evidence of the `O(mB)`
-//! bound, and `rtt_bench`'s `perf_guard` test pins them.
+//! reusing their allocations) instead of `m`. Each piece has its own
+//! arena, so a worker's allocations never depend on the others.
+//! [`SpDpStats`] reports cells written, merge steps, and the live-table
+//! high-water mark; the frozen `BENCH_pr1.json` record holds them as
+//! evidence of the `O(mB)` bound, and `rtt_bench`'s `perf_guard` test
+//! pins them.
 
+use crate::exact::Regime;
 use crate::instance::ArcInstance;
 use crate::solution::Solution;
 use rtt_budget::{BudgetMeter, Exhausted};
-use rtt_dag::sp::{decompose, SpKind, SpTree};
+use rtt_dag::sp::{decompose, SpKind, SpNodeId, SpTree};
 use rtt_dag::EdgeId;
 use rtt_duration::{Duration, Resource, Time};
 use rtt_flow::{min_flow, BoundedEdge};
@@ -76,11 +114,13 @@ pub struct SpDpStats {
     pub parallels: usize,
     /// Table entries written (`(B+1) ·` nodes — the `O(mB)` term).
     pub cells: u64,
-    /// Inner-loop steps across all parallel merges (two-pointer sweeps:
-    /// `≤ 2(B+1)` per parallel node; the naive scan pays `Θ(B²)`).
+    /// Inner-loop steps across all merges that split `λ`: parallel
+    /// merges (two-pointer sweeps, `≤ 2(B+1)` per node; the naive scan
+    /// pays `Θ(B²)`), and no-reuse series scans.
     pub merge_steps: u64,
-    /// High-water mark of simultaneously live DP tables (bounded by the
-    /// decomposition-tree depth thanks to the arena, not by `m`).
+    /// High-water mark of simultaneously live DP tables in one piece's
+    /// arena (bounded by the decomposition-tree depth thanks to the
+    /// arena, not by `m`).
     pub peak_live_tables: usize,
 }
 
@@ -122,6 +162,27 @@ pub fn parallel_merge_monotone(
         out.push(best);
         choice.push(split as u32);
         steps += 1;
+    }
+    steps
+}
+
+/// The no-reuse series rule (see the module docs): the direct min-plus
+/// scan `out[λ] = min_i tx[i] + ty[λ−i]`, `O(B²)`. `choice[λ]` records
+/// the first optimal split `i`. Returns the number of inner-loop steps.
+fn min_plus_merge(tx: &[Time], ty: &[Time], out: &mut Vec<Time>, choice: &mut Vec<u32>) -> u64 {
+    let mut steps = 0u64;
+    for l in 0..tx.len() {
+        let (mut best, mut split) = (Time::MAX, 0);
+        for i in 0..=l {
+            let v = tx[i].saturating_add(ty[l - i]);
+            if v < best {
+                best = v;
+                split = i;
+            }
+        }
+        out.push(best);
+        choice.push(split as u32);
+        steps += l as u64 + 1;
     }
     steps
 }
@@ -176,229 +237,33 @@ impl TableArena {
 /// return.
 pub type SpDpSolution = (Vec<Time>, Vec<(EdgeId, Resource)>, SpDpStats);
 
-/// Runs the DP on an explicit decomposition tree.
+/// Runs the DP on an explicit decomposition tree, with work counters.
 ///
 /// `duration_of(e)` supplies each leaf's duration function; `budget` is
-/// `B`. Returns the root table and an optimal allocation.
-pub fn solve_sp_tree(
-    tree: &SpTree,
-    duration_of: impl FnMut(EdgeId) -> Duration,
-    budget: Resource,
-) -> (Vec<Time>, Vec<(EdgeId, Resource)>) {
-    let (table, alloc, _) = solve_sp_tree_with_stats(tree, duration_of, budget);
-    (table, alloc)
-}
-
-/// [`solve_sp_tree`] with work counters for benchmarking.
+/// `B`. Returns the root table, an optimal allocation, and the
+/// counters. Splits the tree into concurrent pieces when `rtt_par` runs
+/// more than one thread (see the module docs); the output is the same.
 pub fn solve_sp_tree_with_stats(
     tree: &SpTree,
-    duration_of: impl FnMut(EdgeId) -> Duration,
+    duration_of: impl Fn(EdgeId) -> Duration + Sync,
     budget: Resource,
 ) -> SpDpSolution {
-    solve_sp_tree_metered(tree, duration_of, budget, None)
-        .expect("an unmetered DP cannot exhaust")
+    walk_unmetered(tree, Regime::Routed, &duration_of, budget)
 }
 
 /// [`solve_sp_tree_with_stats`] under a cooperative budget meter: each
 /// parallel merge charges its two-pointer step count to the
 /// `dp_merge_steps` dimension (one batched charge per node — the same
 /// quantity [`SpDpStats::merge_steps`] reports), so an over-budget DP
-/// stops at the next parallel node with a typed [`Exhausted`].
+/// stops at the next parallel node with a typed [`Exhausted`]. A
+/// metered walk is one piece at any thread count.
 pub fn solve_sp_tree_metered(
     tree: &SpTree,
-    mut duration_of: impl FnMut(EdgeId) -> Duration,
+    duration_of: impl Fn(EdgeId) -> Duration + Sync,
     budget: Resource,
     meter: Option<&BudgetMeter>,
 ) -> Result<SpDpSolution, Exhausted> {
-    let b = budget as usize;
-    let order = tree.post_order();
-    let mut stats = SpDpStats::default();
-    let mut arena = TableArena::default();
-    // tables[node] = Vec<Time> of length b+1, taken (and recycled) by
-    // the parent as soon as it has merged them
-    let mut tables: Vec<Option<Vec<Time>>> = vec![None; tree.len()];
-    // split choice for parallel nodes (per λ), for allocation recovery
-    let mut splits: Vec<Option<Vec<u32>>> = vec![None; tree.len()];
-    // cached durations for leaves (recovery needs them again)
-    let mut durs: Vec<Option<Duration>> = vec![None; tree.len()];
-
-    for id in &order {
-        let table = match tree.kind(*id) {
-            SpKind::Leaf(e) => {
-                let dur = duration_of(e);
-                let mut t = arena.alloc();
-                t.extend((0..=b).map(|l| dur.time(l as Resource)));
-                durs[id.index()] = Some(dur);
-                stats.leaves += 1;
-                t
-            }
-            SpKind::Series(x, y) => {
-                let tx = tables[x.index()].take().expect("post-order");
-                let ty = tables[y.index()].take().expect("post-order");
-                let mut t = arena.alloc();
-                t.extend(
-                    tx.iter()
-                        .zip(&ty)
-                        .map(|(&a, &b)| a.saturating_add(b)),
-                );
-                arena.recycle(tx);
-                arena.recycle(ty);
-                stats.series += 1;
-                t
-            }
-            SpKind::Parallel(x, y) => {
-                let tx = tables[x.index()].take().expect("post-order");
-                let ty = tables[y.index()].take().expect("post-order");
-                let mut t = arena.alloc();
-                let mut choice = Vec::with_capacity(b + 1);
-                let steps = parallel_merge_monotone(&tx, &ty, &mut t, &mut choice);
-                stats.merge_steps += steps;
-                if let Some(m) = meter {
-                    m.charge_merge_steps(steps)?;
-                }
-                arena.recycle(tx);
-                arena.recycle(ty);
-                splits[id.index()] = Some(choice);
-                stats.parallels += 1;
-                t
-            }
-        };
-        stats.cells += (b + 1) as u64;
-        tables[id.index()] = Some(table);
-    }
-    stats.peak_live_tables = arena.peak;
-
-    let root_table = tables[tree.root().index()].take().expect("root computed");
-
-    // ---- allocation recovery (iterative stack walk)
-    let mut alloc: Vec<(EdgeId, Resource)> = Vec::new();
-    let mut stack = vec![(tree.root(), budget)];
-    while let Some((id, lambda)) = stack.pop() {
-        match tree.kind(id) {
-            SpKind::Leaf(e) => {
-                // leaf tables were recycled; t(λ) is just the duration
-                let dur = durs[id.index()].as_ref().expect("leaf evaluated");
-                let t = dur.time(lambda);
-                let spend = dur.resource_for_time(t).unwrap_or(0);
-                alloc.push((e, spend));
-            }
-            SpKind::Series(x, y) => {
-                // reuse over the path: both children get the full λ
-                stack.push((x, lambda));
-                stack.push((y, lambda));
-            }
-            SpKind::Parallel(x, y) => {
-                let i = splits[id.index()].as_ref().expect("parallel split")
-                    [lambda as usize] as Resource;
-                stack.push((x, i));
-                stack.push((y, lambda - i));
-            }
-        }
-    }
-    Ok((root_table, alloc, stats))
-}
-
-/// One subtree's evaluation: its root table plus the per-node
-/// artifacts ([`SpDpStats`], parallel-split choices, leaf durations)
-/// the caller scatters back into id-indexed slots. Keyed by node id,
-/// so merging is independent of which worker produced what.
-struct SubEval {
-    table: Vec<Time>,
-    splits: Vec<(u32, Vec<u32>)>,
-    durs: Vec<(u32, Duration)>,
-    stats: SpDpStats,
-}
-
-/// Post-order of the subtree rooted at `root` (iterative — decomposition
-/// trees of long chains are spine-deep).
-fn subtree_post_order(tree: &SpTree, root: rtt_dag::sp::SpNodeId) -> Vec<rtt_dag::sp::SpNodeId> {
-    let mut out = Vec::new();
-    let mut stack = vec![(root, false)];
-    while let Some((id, expanded)) = stack.pop() {
-        if expanded {
-            out.push(id);
-            continue;
-        }
-        stack.push((id, true));
-        if let SpKind::Series(x, y) | SpKind::Parallel(x, y) = tree.kind(id) {
-            stack.push((y, false));
-            stack.push((x, false));
-        }
-    }
-    out
-}
-
-/// Serially evaluates one subtree with its own [`TableArena`] (the
-/// deterministic per-subtree arena handout: a worker's allocations
-/// never depend on what other workers are doing). Tables live on a
-/// value stack in post-order, so liveness stays bounded by the subtree
-/// depth exactly as in the whole-tree walk.
-fn eval_subtree_serial(
-    tree: &SpTree,
-    duration_of: &(impl Fn(EdgeId) -> Duration + Sync),
-    b: usize,
-    root: rtt_dag::sp::SpNodeId,
-) -> SubEval {
-    let mut arena = TableArena::default();
-    let mut stats = SpDpStats::default();
-    let mut splits = Vec::new();
-    let mut durs = Vec::new();
-    let mut stack: Vec<Vec<Time>> = Vec::new();
-    for id in subtree_post_order(tree, root) {
-        let table = match tree.kind(id) {
-            SpKind::Leaf(e) => {
-                let dur = duration_of(e);
-                let mut t = arena.alloc();
-                t.extend((0..=b).map(|l| dur.time(l as Resource)));
-                durs.push((id.index() as u32, dur));
-                stats.leaves += 1;
-                t
-            }
-            SpKind::Series(..) => {
-                let ty = stack.pop().expect("post-order");
-                let tx = stack.pop().expect("post-order");
-                let mut t = arena.alloc();
-                t.extend(tx.iter().zip(&ty).map(|(&a, &b)| a.saturating_add(b)));
-                arena.recycle(tx);
-                arena.recycle(ty);
-                stats.series += 1;
-                t
-            }
-            SpKind::Parallel(..) => {
-                let ty = stack.pop().expect("post-order");
-                let tx = stack.pop().expect("post-order");
-                let mut t = arena.alloc();
-                let mut choice = Vec::with_capacity(b + 1);
-                let steps = parallel_merge_monotone(&tx, &ty, &mut t, &mut choice);
-                stats.merge_steps += steps;
-                arena.recycle(tx);
-                arena.recycle(ty);
-                splits.push((id.index() as u32, choice));
-                stats.parallels += 1;
-                t
-            }
-        };
-        stats.cells += (b + 1) as u64;
-        stack.push(table);
-    }
-    stats.peak_live_tables = arena.peak;
-    SubEval {
-        table: stack.pop().expect("subtree evaluated"),
-        splits,
-        durs,
-        stats,
-    }
-}
-
-/// Subtree sizes (node counts), id-indexed.
-fn subtree_sizes(tree: &SpTree) -> Vec<u32> {
-    let mut sizes = vec![1u32; tree.len()];
-    for id in tree.post_order() {
-        if let SpKind::Series(x, y) | SpKind::Parallel(x, y) = tree.kind(id) {
-            sizes[id.index()] = 1 + sizes[x.index()] + sizes[y.index()];
-        }
-    }
-    sizes
+    walk(tree, Regime::Routed, &duration_of, budget, meter)
 }
 
 /// Don't split a subtree smaller than this (the pieces would be all
@@ -408,148 +273,238 @@ fn subtree_sizes(tree: &SpTree) -> Vec<u32> {
 const SPLIT_MIN_NODES: u32 = 64;
 const FRONTIER_TARGET: usize = 32;
 
-/// [`solve_sp_tree_with_stats`] with independent subtrees evaluated
-/// concurrently. Bit-identical output at any `threads` value:
-///
-/// * the tree is cut into a **frontier** of subtrees by repeatedly
-///   splitting the largest piece (ties to the smaller node id) — a
-///   pure function of the tree, *independent of the thread count*, so
-///   even the work counters don't vary with `threads`;
-/// * frontier subtrees evaluate in parallel (`rtt_par::map_chunks`,
-///   one chunk per subtree, each with its own deterministic
-///   `TableArena`), producing per-node artifacts keyed by node id;
-/// * the **crown** — the internal nodes above the frontier — merges
-///   serially in post-order on the calling thread.
-///
-/// `cells` and `merge_steps` (and therefore any `dp_merge_steps`
-/// charging built on them) equal the serial walk's exactly; only
-/// `peak_live_tables` differs (the whole frontier is live at the crown,
-/// where the serial walk recycles as it goes) — and deterministically
-/// so, since the frontier doesn't depend on `threads`. Metered runs
-/// stay on the serial walk (see [`solve_sp_exact_with_tree_metered`]):
-/// mid-solve exhaustion points must not depend on evaluation order.
-pub fn solve_sp_tree_par(
-    tree: &SpTree,
-    duration_of: impl Fn(EdgeId) -> Duration + Sync,
-    budget: Resource,
-    threads: usize,
-) -> SpDpSolution {
-    let b = budget as usize;
-    let sizes = subtree_sizes(tree);
+/// The walk's inputs that every piece shares.
+struct Dp<'a, F> {
+    tree: &'a SpTree,
+    regime: Regime,
+    duration_of: &'a F,
+    /// The budget `B`; every table has `B + 1` entries.
+    b: usize,
+}
 
-    // ---- fixed frontier: split the largest piece until pieces run out
-    let mut frontier = vec![tree.root()];
-    let mut crown: Vec<bool> = vec![false; tree.len()];
-    while frontier.len() < FRONTIER_TARGET {
-        let candidate = frontier
+/// What evaluating one piece leaves behind besides its root table:
+/// its arena and counters, and the per-node artifacts recovery needs
+/// (split choices, leaf durations), keyed by node id so that merging
+/// pieces does not depend on which worker produced what.
+#[derive(Default)]
+struct Piece {
+    arena: TableArena,
+    stats: SpDpStats,
+    splits: Vec<(SpNodeId, Vec<u32>)>,
+    durs: Vec<(SpNodeId, Duration)>,
+}
+
+impl<F: Fn(EdgeId) -> Duration + Sync> Dp<'_, F> {
+    /// Evaluates the subtree under `root` in post-order on a value
+    /// stack — the one place the node recurrence lives. A node whose
+    /// slot in `ready` holds a table is taken as already evaluated and
+    /// not descended into (the crown's frontier roots). Each merge that
+    /// splits `λ` charges its steps to `meter` right after it runs.
+    fn eval(
+        &self,
+        root: SpNodeId,
+        ready: &mut [Option<Vec<Time>>],
+        piece: &mut Piece,
+        meter: Option<&BudgetMeter>,
+    ) -> Result<Vec<Time>, Exhausted> {
+        let b = self.b;
+        let Piece {
+            arena,
+            stats,
+            splits,
+            durs,
+        } = piece;
+        let mut stack: Vec<Vec<Time>> = Vec::new();
+        let mut todo = vec![(root, false)];
+        while let Some((id, expanded)) = todo.pop() {
+            let kind = self.tree.kind(id);
+            if !expanded {
+                if let Some(table) = ready.get_mut(id.index()).and_then(Option::take) {
+                    stack.push(table);
+                    continue;
+                }
+                if let SpKind::Series(x, y) | SpKind::Parallel(x, y) = kind {
+                    todo.extend([(id, true), (y, false), (x, false)]);
+                    continue;
+                }
+            }
+            let mut t = arena.alloc();
+            if let SpKind::Leaf(e) = kind {
+                let dur = (self.duration_of)(e);
+                t.extend((0..=b).map(|l| dur.time(l as Resource)));
+                durs.push((id, dur));
+                stats.leaves += 1;
+            } else {
+                let ty = stack.pop().expect("post-order");
+                let tx = stack.pop().expect("post-order");
+                match (kind, self.regime) {
+                    (SpKind::Series(..), Regime::Routed) => {
+                        // reuse over the path: both children see the full λ
+                        t.extend(tx.iter().zip(&ty).map(|(&a, &c)| a.saturating_add(c)));
+                        stats.series += 1;
+                    }
+                    _ => {
+                        let mut choice = Vec::with_capacity(b + 1);
+                        let steps = if let SpKind::Parallel(..) = kind {
+                            stats.parallels += 1;
+                            parallel_merge_monotone(&tx, &ty, &mut t, &mut choice)
+                        } else {
+                            stats.series += 1;
+                            min_plus_merge(&tx, &ty, &mut t, &mut choice)
+                        };
+                        stats.merge_steps += steps;
+                        if let Some(m) = meter {
+                            m.charge_merge_steps(steps)?;
+                        }
+                        splits.push((id, choice));
+                    }
+                }
+                arena.recycle(tx);
+                arena.recycle(ty);
+            }
+            stats.cells += (b + 1) as u64;
+            stack.push(t);
+        }
+        stats.peak_live_tables = arena.peak;
+        Ok(stack.pop().expect("subtree evaluated"))
+    }
+}
+
+/// The roots of the frontier pieces (see the module docs): split the
+/// largest piece, ties to the smaller node id, until pieces run out or
+/// reach [`FRONTIER_TARGET`]. A pure function of the tree.
+fn frontier(tree: &SpTree) -> Vec<SpNodeId> {
+    let mut sizes = vec![1u32; tree.len()];
+    for id in tree.post_order() {
+        if let SpKind::Series(x, y) | SpKind::Parallel(x, y) = tree.kind(id) {
+            sizes[id.index()] = 1 + sizes[x.index()] + sizes[y.index()];
+        }
+    }
+    let mut roots = vec![tree.root()];
+    while roots.len() < FRONTIER_TARGET {
+        let candidate = roots
             .iter()
             .enumerate()
-            .filter(|(_, id)| {
-                sizes[id.index()] >= SPLIT_MIN_NODES
-                    && !matches!(tree.kind(**id), SpKind::Leaf(_))
-            })
+            .filter(|(_, id)| sizes[id.index()] >= SPLIT_MIN_NODES)
             .max_by_key(|(_, id)| (sizes[id.index()], std::cmp::Reverse(id.index())));
         let Some((slot, _)) = candidate else { break };
-        let id = frontier.swap_remove(slot);
-        crown[id.index()] = true;
-        let (SpKind::Series(x, y) | SpKind::Parallel(x, y)) = tree.kind(id) else {
-            unreachable!("leaf filtered above");
+        let (SpKind::Series(x, y) | SpKind::Parallel(x, y)) = tree.kind(roots.swap_remove(slot))
+        else {
+            unreachable!("a piece of SPLIT_MIN_NODES nodes is internal");
         };
-        frontier.push(x);
-        frontier.push(y);
+        roots.push(x);
+        roots.push(y);
     }
-    frontier.sort_by_key(|id| id.index());
+    roots.sort_by_key(|id| id.index());
+    roots
+}
 
-    // ---- evaluate the frontier (one chunk per subtree, in order)
-    let evals = rtt_par::map_chunks(frontier.len(), 1, threads, |i, _| {
-        eval_subtree_serial(tree, &duration_of, b, frontier[i])
-    });
+/// The one DP walk (see the module docs): partition, evaluate the
+/// pieces and the crown, then recover an optimal allocation at `budget`
+/// top-down from the pieces' split choices and leaf durations.
+pub(crate) fn walk(
+    tree: &SpTree,
+    regime: Regime,
+    duration_of: &(impl Fn(EdgeId) -> Duration + Sync),
+    budget: Resource,
+    meter: Option<&BudgetMeter>,
+) -> Result<SpDpSolution, Exhausted> {
+    let dp = Dp {
+        tree,
+        regime,
+        duration_of,
+        b: budget as usize,
+    };
+    let (root_table, pieces) = if meter.is_none() && rtt_par::parallel_enabled() {
+        let roots = frontier(tree);
+        let evals = rtt_par::map_chunks(roots.len(), 1, rtt_par::current(), |i, _| {
+            let mut piece = Piece::default();
+            let table = dp.eval(roots[i], &mut [], &mut piece, None)?;
+            Ok((table, piece))
+        });
+        // the crown: the frontier's tables are live when it starts
+        let mut crown = Piece {
+            arena: TableArena {
+                live: roots.len(),
+                peak: roots.len(),
+                free: Vec::new(),
+            },
+            ..Piece::default()
+        };
+        let mut ready = vec![None; tree.len()];
+        let mut pieces = Vec::with_capacity(roots.len() + 1);
+        for (root, eval) in roots.iter().zip(evals) {
+            let (table, piece) = eval?;
+            ready[root.index()] = Some(table);
+            pieces.push(piece);
+        }
+        let table = dp.eval(tree.root(), &mut ready, &mut crown, None)?;
+        pieces.push(crown);
+        (table, pieces)
+    } else {
+        // one piece; a binary tree of n nodes has (n + 1) / 2 leaves
+        let mut piece = Piece {
+            splits: Vec::with_capacity(tree.len() / 2),
+            durs: Vec::with_capacity(tree.len() / 2 + 1),
+            ..Piece::default()
+        };
+        let table = dp.eval(tree.root(), &mut [], &mut piece, meter)?;
+        (table, vec![piece])
+    };
 
-    // ---- scatter artifacts; merge the crown serially in post-order
     let mut stats = SpDpStats::default();
-    let mut tables: Vec<Option<Vec<Time>>> = vec![None; tree.len()];
     let mut splits: Vec<Option<Vec<u32>>> = vec![None; tree.len()];
     let mut durs: Vec<Option<Duration>> = vec![None; tree.len()];
-    let frontier_live = evals.len();
-    for (root, eval) in frontier.iter().zip(evals) {
-        let SubEval {
-            table,
-            splits: s,
-            durs: d,
-            stats: st,
-        } = eval;
-        tables[root.index()] = Some(table);
-        for (idx, choice) in s {
-            splits[idx as usize] = Some(choice);
+    for piece in pieces {
+        let s = piece.stats;
+        stats.leaves += s.leaves;
+        stats.series += s.series;
+        stats.parallels += s.parallels;
+        stats.cells += s.cells;
+        stats.merge_steps += s.merge_steps;
+        stats.peak_live_tables = stats.peak_live_tables.max(s.peak_live_tables);
+        for (id, choice) in piece.splits {
+            splits[id.index()] = Some(choice);
         }
-        for (idx, dur) in d {
-            durs[idx as usize] = Some(dur);
+        for (id, dur) in piece.durs {
+            durs[id.index()] = Some(dur);
         }
-        stats.leaves += st.leaves;
-        stats.series += st.series;
-        stats.parallels += st.parallels;
-        stats.cells += st.cells;
-        stats.merge_steps += st.merge_steps;
-        stats.peak_live_tables = stats.peak_live_tables.max(st.peak_live_tables);
-    }
-    stats.peak_live_tables = stats.peak_live_tables.max(frontier_live);
-    for id in tree.post_order() {
-        if !crown[id.index()] {
-            continue;
-        }
-        let (SpKind::Series(x, y) | SpKind::Parallel(x, y)) = tree.kind(id) else {
-            unreachable!("crown nodes are internal");
-        };
-        let tx = tables[x.index()].take().expect("crown child evaluated");
-        let ty = tables[y.index()].take().expect("crown child evaluated");
-        let table = match tree.kind(id) {
-            SpKind::Series(..) => {
-                stats.series += 1;
-                tx.iter()
-                    .zip(&ty)
-                    .map(|(&a, &b)| a.saturating_add(b))
-                    .collect()
-            }
-            SpKind::Parallel(..) => {
-                let mut t = Vec::with_capacity(b + 1);
-                let mut choice = Vec::with_capacity(b + 1);
-                stats.merge_steps += parallel_merge_monotone(&tx, &ty, &mut t, &mut choice);
-                splits[id.index()] = Some(choice);
-                stats.parallels += 1;
-                t
-            }
-            SpKind::Leaf(_) => unreachable!("crown nodes are internal"),
-        };
-        stats.cells += (b + 1) as u64;
-        tables[id.index()] = Some(table);
     }
 
-    let root_table = tables[tree.root().index()].take().expect("root computed");
-
-    // ---- allocation recovery: identical to the serial walk's
     let mut alloc: Vec<(EdgeId, Resource)> = Vec::new();
-    let mut stack = vec![(tree.root(), budget)];
-    while let Some((id, lambda)) = stack.pop() {
+    let mut todo = vec![(tree.root(), budget)];
+    while let Some((id, lambda)) = todo.pop() {
         match tree.kind(id) {
             SpKind::Leaf(e) => {
+                // leaf tables were recycled; t(λ) is just the duration
                 let dur = durs[id.index()].as_ref().expect("leaf evaluated");
-                let t = dur.time(lambda);
-                let spend = dur.resource_for_time(t).unwrap_or(0);
-                alloc.push((e, spend));
+                alloc.push((e, dur.resource_for_time(dur.time(lambda)).unwrap_or(0)));
             }
-            SpKind::Series(x, y) => {
-                stack.push((x, lambda));
-                stack.push((y, lambda));
-            }
-            SpKind::Parallel(x, y) => {
-                let i = splits[id.index()].as_ref().expect("parallel split")
-                    [lambda as usize] as Resource;
-                stack.push((x, i));
-                stack.push((y, lambda - i));
+            SpKind::Series(x, y) | SpKind::Parallel(x, y) => {
+                let (lx, ly) = match &splits[id.index()] {
+                    Some(choice) => {
+                        let i = choice[lambda as usize] as Resource;
+                        (i, lambda - i)
+                    }
+                    // a routed series node: reuse over the path
+                    None => (lambda, lambda),
+                };
+                todo.push((x, lx));
+                todo.push((y, ly));
             }
         }
     }
-    (root_table, alloc, stats)
+    Ok((root_table, alloc, stats))
+}
+
+/// [`walk`] without a meter, which cannot exhaust.
+pub(crate) fn walk_unmetered(
+    tree: &SpTree,
+    regime: Regime,
+    duration_of: &(impl Fn(EdgeId) -> Duration + Sync),
+    budget: Resource,
+) -> SpDpSolution {
+    walk(tree, regime, duration_of, budget, None).expect("an unmetered DP cannot exhaust")
 }
 
 /// The pre-optimization DP (per-node `Vec` tables, naive `O(B²)`
@@ -626,24 +581,17 @@ pub fn solve_sp_tree_naive(
 /// two-terminal series-parallel.
 pub fn solve_sp_exact(arc: &ArcInstance, budget: Resource) -> Option<(SpSolution, Solution)> {
     let tree = decompose(arc.dag(), arc.source(), arc.sink())?;
-    Some(solve_sp_exact_with_tree(arc, &tree, budget))
+    Some(
+        solve_sp_exact_with_tree_metered(arc, &tree, budget, None)
+            .expect("an unmetered DP cannot exhaust"),
+    )
 }
 
 /// [`solve_sp_exact`] on a caller-supplied decomposition tree, so one
 /// [`decompose`] run can feed many budgets/solves on the same instance
-/// (`rtt_engine` shares it through its preprocessing cache). The tree
-/// must come from decomposing `arc` itself.
-pub fn solve_sp_exact_with_tree(
-    arc: &ArcInstance,
-    tree: &SpTree,
-    budget: Resource,
-) -> (SpSolution, Solution) {
-    solve_sp_exact_with_tree_metered(arc, tree, budget, None)
-        .expect("an unmetered DP cannot exhaust")
-}
-
-/// [`solve_sp_exact_with_tree`] under a cooperative budget meter (see
-/// [`solve_sp_tree_metered`] for the charging scheme).
+/// (`rtt_engine` shares it through its preprocessing cache), under a
+/// cooperative budget meter (see [`solve_sp_tree_metered`] for the
+/// charging scheme). The tree must come from decomposing `arc` itself.
 pub fn solve_sp_exact_with_tree_metered(
     arc: &ArcInstance,
     tree: &SpTree,
@@ -651,20 +599,13 @@ pub fn solve_sp_exact_with_tree_metered(
     meter: Option<&BudgetMeter>,
 ) -> Result<(SpSolution, Solution), Exhausted> {
     let d = arc.dag();
-    // Parallel subtree evaluation only when unmetered: exhaustion
-    // stop-points are wire-visible and must not depend on which worker
-    // charged first. (`BudgetContext` hands out no meter whenever the
-    // request declared no budget — the common case.)
-    let (curve, alloc, _) = if meter.is_none() && rtt_par::parallel_enabled() {
-        solve_sp_tree_par(
-            tree,
-            |e| d.edge(e).duration.clone(),
-            budget,
-            rtt_par::current(),
-        )
-    } else {
-        solve_sp_tree_metered(tree, |e| d.edge(e).duration.clone(), budget, meter)?
-    };
+    let (curve, alloc, _) = walk(
+        tree,
+        Regime::Routed,
+        &|e| d.edge(e).duration.clone(),
+        budget,
+        meter,
+    )?;
     let makespan = curve[budget as usize];
     let mut levels = vec![0u64; d.edge_count()];
     for (e, r) in &alloc {
@@ -718,37 +659,14 @@ pub fn sp_min_resource(
     target: Time,
     budget_cap: Resource,
 ) -> Option<Resource> {
-    sp_min_resource_metered(arc, target, budget_cap, None)
-        .expect("an unmetered DP cannot exhaust")
-}
-
-/// [`sp_min_resource`] under a cooperative budget meter (see
-/// [`solve_sp_tree_metered`] for the charging scheme).
-pub fn sp_min_resource_metered(
-    arc: &ArcInstance,
-    target: Time,
-    budget_cap: Resource,
-    meter: Option<&BudgetMeter>,
-) -> Result<Option<Resource>, Exhausted> {
     let d = arc.dag();
-    let Some(tree) = decompose(d, arc.source(), arc.sink()) else {
-        return Ok(None);
-    };
-    // same unmetered-only gate as `solve_sp_exact_with_tree_metered`
-    let (curve, _, _) = if meter.is_none() && rtt_par::parallel_enabled() {
-        solve_sp_tree_par(
-            &tree,
-            |e| d.edge(e).duration.clone(),
-            budget_cap,
-            rtt_par::current(),
-        )
-    } else {
-        solve_sp_tree_metered(&tree, |e| d.edge(e).duration.clone(), budget_cap, meter)?
-    };
-    Ok(curve
+    let tree = decompose(d, arc.source(), arc.sink())?;
+    let (curve, _, _) =
+        solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget_cap);
+    curve
         .iter()
         .position(|&t| t <= target)
-        .map(|i| i as Resource))
+        .map(|i| i as Resource)
 }
 
 #[cfg(test)]
@@ -921,7 +839,8 @@ mod tests {
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).unwrap();
         for b in 0..=8u64 {
-            let (fast, _) = solve_sp_tree(&tree, |e| d.edge(e).duration.clone(), b);
+            let (fast, _, _) =
+                solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b);
             let (naive, _) = solve_sp_tree_naive(&tree, |e| d.edge(e).duration.clone(), b);
             assert_eq!(fast, naive, "budget {b}");
         }
@@ -988,8 +907,9 @@ mod tests {
         let (table, alloc, stats) =
             solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
         for threads in [1usize, 2, 4] {
-            let (pt, pa, ps) =
-                solve_sp_tree_par(&tree, |e| d.edge(e).duration.clone(), budget, threads);
+            let (pt, pa, ps) = rtt_par::with_threads(threads, || {
+                solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget)
+            });
             assert_eq!(pt, table, "threads={threads}: root table diverged");
             assert_eq!(pa, alloc, "threads={threads}: allocation diverged");
             // work counters are thread-count-independent and equal the
@@ -1011,10 +931,45 @@ mod tests {
         for b in 0..=8u64 {
             let (st, sa, _) =
                 solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b);
-            let (pt, pa, _) =
-                solve_sp_tree_par(&tree, |e| d.edge(e).duration.clone(), b, 4);
+            let (pt, pa, _) = rtt_par::with_threads(4, || {
+                solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b)
+            });
             assert_eq!(pt, st, "budget {b}");
             assert_eq!(pa, sa, "budget {b}");
         }
+    }
+
+    #[test]
+    fn metered_walk_exhausts_identically_at_any_thread_count() {
+        let arc = staged_instance(40, 3);
+        let d = arc.dag();
+        let tree = decompose(d, arc.source(), arc.sink()).unwrap();
+        assert!(tree.len() as u32 > 2 * SPLIT_MIN_NODES, "tree too small to split");
+        let budget = 24u64;
+        let (_, _, stats) =
+            solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
+        // a limit that trips mid-walk, well before the last parallel node
+        let limit = stats.merge_steps / 2;
+        let exhaust = |threads: usize| {
+            let meter = BudgetMeter::with_limits(None, Some(limit), None, None);
+            rtt_par::with_threads(threads, || {
+                solve_sp_tree_metered(
+                    &tree,
+                    |e| d.edge(e).duration.clone(),
+                    budget,
+                    Some(&meter),
+                )
+            })
+            .expect_err("the limit trips mid-walk")
+        };
+        let serial = exhaust(1);
+        assert_eq!(serial.dimension, rtt_budget::Dimension::DpMergeSteps);
+        assert_eq!(serial.limit, limit);
+        assert!(serial.consumed > limit && serial.consumed < stats.merge_steps);
+        let four = exhaust(4);
+        assert_eq!(
+            (four.consumed, four.limit, four.dimension),
+            (serial.consumed, serial.limit, serial.dimension)
+        );
     }
 }

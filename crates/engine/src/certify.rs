@@ -75,7 +75,8 @@ use rtt_sim::ExecModel;
 /// per-cell work no longer matter, only expansion size, and at ~50M
 /// events the guard sits far above every workload the repo generates
 /// (the `BENCH_pr5.json` coverage counts document that nothing real
-/// skips).
+/// skips). The count comes from the per-arc gadget plans before
+/// anything is allocated, so an oversized expansion is never built.
 pub const SIM_EVENT_GUARD: u64 = 50_000_000;
 
 /// The result of simulating a reducer-expanded solution.
@@ -139,6 +140,7 @@ fn best_kway_arity(n: Time, r: Resource) -> u64 {
 }
 
 /// How a gadget's entry cells receive their updates.
+#[derive(Clone, Copy)]
 enum Entry {
     /// All updates release when the source junction completes — the
     /// conservative gate, used whenever update provenance is unknown.
@@ -149,6 +151,83 @@ enum Entry {
     /// updates pipeline (this is what lets the simulation run strictly
     /// below the makespan bound).
     PerUpdate,
+}
+
+/// Which gadget an arc expands into (see the module docs).
+#[derive(Clone, Copy)]
+enum Gadget {
+    /// Sibling reducer at height `h` on `n` updates.
+    Recbinary { n: Time, h: u32 },
+    /// `k`-way split on `n` updates.
+    Kway { n: Time, k: u64 },
+    /// Serialized cell at the claimed duration (or a direct edge).
+    Serial,
+}
+
+/// The gadget and entry wiring of every arc at its level `levels[e]`
+/// and claimed duration `edge_times[e]`, and the events of the
+/// expansion they build: its cells plus its arcs, exactly
+/// [`ExecModel::event_count`] of the built model (saturating at
+/// `u64::MAX`). Counted here, before anything of the expansion is
+/// allocated, so an oversized one can be refused unbuilt; decided once
+/// for both the count and the build, so the two cannot drift. Entry
+/// cells take one update per in-arc when their total work equals the
+/// source junction's in-degree (each in-arc is then exactly one update,
+/// the race-DAG convention), the junction gate otherwise.
+fn plan_arcs(
+    arc: &ArcInstance,
+    edge_times: &[Time],
+    levels: &[Resource],
+) -> (Vec<(Gadget, Entry)>, u64) {
+    let d = arc.dag();
+    let mut events = d.node_count() as u64;
+    let plans = d
+        .edge_refs()
+        .map(|e| {
+            let (t, r) = (edge_times[e.id.index()], levels[e.id.index()]);
+            let in_deg = d.in_degree(e.src) as u64;
+            let gadget = match e.weight.duration.kind() {
+                DurationKind::RecursiveBinary { base: n } => match best_recbinary_height(n, r) {
+                    0 => Gadget::Serial,
+                    h => Gadget::Recbinary { n, h },
+                },
+                DurationKind::KWay { base: n } => match best_kway_arity(n, r) {
+                    0 | 1 => Gadget::Serial,
+                    k => Gadget::Kway { n, k },
+                },
+                DurationKind::Step => Gadget::Serial,
+            };
+            let work = match gadget {
+                Gadget::Recbinary { n, .. } | Gadget::Kway { n, .. } => n,
+                Gadget::Serial => t,
+            };
+            let entry = if work == in_deg && work > 0 {
+                Entry::PerUpdate
+            } else {
+                Entry::Junction
+            };
+            // (cells, internal and exit arcs, entry cells)
+            let (cells, arcs, entry_cells) = match gadget {
+                Gadget::Recbinary { h, .. } => {
+                    let leaves = 1u64 << h;
+                    (leaves.saturating_mul(2), leaves.saturating_mul(2), leaves)
+                }
+                Gadget::Kway { k, .. } => (k + 1, k + 1, k),
+                Gadget::Serial if t == 0 => (0, 1, 0),
+                Gadget::Serial => (1, 1, 1),
+            };
+            let entry_arcs = match entry {
+                Entry::PerUpdate => in_deg,
+                Entry::Junction => entry_cells,
+            };
+            events = events
+                .saturating_add(cells)
+                .saturating_add(arcs)
+                .saturating_add(entry_arcs);
+            (gadget, entry)
+        })
+        .collect();
+    (plans, events)
 }
 
 /// Physically expands a certified routed solution into an
@@ -178,6 +257,18 @@ pub fn expand_levels(
     edge_times: &[Time],
     levels: &[Resource],
 ) -> (Dag<(), ()>, Vec<Time>) {
+    let (plans, events) = plan_arcs(arc, edge_times, levels);
+    let (g, works) = expand_planned(arc, edge_times, &plans);
+    debug_assert_eq!((g.node_count() + g.edge_count()) as u64, events);
+    (g, works)
+}
+
+/// [`expand_levels`] from the arcs' plans ([`plan_arcs`]).
+fn expand_planned(
+    arc: &ArcInstance,
+    edge_times: &[Time],
+    plans: &[(Gadget, Entry)],
+) -> (Dag<(), ()>, Vec<Time>) {
     let d = arc.dag();
     let mut g: Dag<(), ()> = Dag::with_capacity(d.node_count(), d.edge_count());
     // junctions, one per original node, ids preserved, zero work
@@ -190,34 +281,13 @@ pub fn expand_levels(
         works.push(w);
         v
     };
-    // which gadget an arc expands into, decided once per arc
-    enum Gadget {
-        /// Sibling reducer at height `h` on `n` updates.
-        Recbinary { n: Time, h: u32 },
-        /// `k`-way split on `n` updates.
-        Kway { n: Time, k: u64 },
-        /// Serialized cell at the claimed duration (or a direct edge).
-        Serial,
-    }
     // pass 1: gadgets (internal structure + exit into the dst junction)
     let mut tail: Vec<NodeId> = Vec::with_capacity(d.edge_count());
     let mut entries: Vec<(Entry, Vec<NodeId>)> = Vec::with_capacity(d.edge_count());
     for e in d.edge_refs() {
         let t = edge_times[e.id.index()];
-        let r = levels[e.id.index()];
         let (u, v) = (e.src, e.dst);
-        let in_deg = d.in_degree(u) as u64;
-        let gadget = match e.weight.duration.kind() {
-            DurationKind::RecursiveBinary { base: n } => match best_recbinary_height(n, r) {
-                0 => Gadget::Serial,
-                h => Gadget::Recbinary { n, h },
-            },
-            DurationKind::KWay { base: n } => match best_kway_arity(n, r) {
-                0 | 1 => Gadget::Serial,
-                k => Gadget::Kway { n, k },
-            },
-            DurationKind::Step => Gadget::Serial,
-        };
+        let (gadget, mode) = plans[e.id.index()];
         match gadget {
             // the same sibling shape rtt_duration::expand builds for
             // node DAGs (leaf ceil-split, pairwise one-update merges,
@@ -246,11 +316,6 @@ pub fn expand_levels(
                 let root = cell(&mut g, &mut works, 1);
                 g.add_edge(level[0], root, ()).expect("fresh node");
                 g.add_edge(root, v, ()).expect("junction exists");
-                let mode = if n == in_deg && n > 0 {
-                    Entry::PerUpdate
-                } else {
-                    Entry::Junction
-                };
                 // leaf works: ceil-split of n, matching the wiring order
                 let l = leaves.len() as u64;
                 for (i, &leaf) in leaves.iter().enumerate() {
@@ -271,11 +336,6 @@ pub fn expand_levels(
                     })
                     .collect();
                 g.add_edge(hub, v, ()).expect("junction exists");
-                let mode = if n == in_deg && n > 0 {
-                    Entry::PerUpdate
-                } else {
-                    Entry::Junction
-                };
                 tail.push(hub);
                 entries.push((mode, cells));
             }
@@ -284,18 +344,13 @@ pub fn expand_levels(
                     // pure precedence (dummy arcs): completes with u
                     g.add_edge(u, v, ()).expect("junctions exist");
                     tail.push(u);
-                    entries.push((Entry::Junction, Vec::new()));
+                    entries.push((mode, Vec::new()));
                 } else {
                     // lock-serialized cell at the claimed duration;
                     // per-update wiring applies when the claim equals
                     // the update count (no reducer engaged)
                     let c = cell(&mut g, &mut works, t);
                     g.add_edge(c, v, ()).expect("junction exists");
-                    let mode = if t == in_deg {
-                        Entry::PerUpdate
-                    } else {
-                        Entry::Junction
-                    };
                     tail.push(c);
                     entries.push((mode, vec![c]));
                 }
@@ -344,11 +399,14 @@ fn certify_expansion(
     if is_infinite(bound) || edge_times.iter().any(|&t| is_infinite(t)) {
         return Ok(None);
     }
-    let (g, works) = expand_levels(arc, edge_times, levels);
-    let model = ExecModel::from_works(&g, &works);
-    if model.event_count() > SIM_EVENT_GUARD {
+    // count first: an expansion past the guard is never allocated
+    let (plans, events) = plan_arcs(arc, edge_times, levels);
+    if events > SIM_EVENT_GUARD {
         return Ok(None);
     }
+    let (g, works) = expand_planned(arc, edge_times, &plans);
+    let model = ExecModel::from_works(&g, &works);
+    debug_assert_eq!(model.event_count(), events, "the pre-count must match the model");
     // Sharded replay only when unmetered: mid-replay exhaustion
     // stop-points are wire-visible and must not depend on shard
     // scheduling. Bit-identical to the serial engine by construction
@@ -648,6 +706,67 @@ mod tests {
         // the guard's own metric, not a re-derivation of it
         let events = ExecModel::from_works(&g, &works).event_count();
         assert!(events < SIM_EVENT_GUARD / 1000, "expansion events: {events}");
+    }
+
+    #[test]
+    fn event_precount_matches_every_fixture_expansion() {
+        let mut cases: Vec<(ArcInstance, Solution)> = Vec::new();
+        for n in [16u64, 64] {
+            let arc = recbinary_star(n);
+            for budget in [0u64, 2, 4, 8, 16] {
+                let sol = rtt_core::exact::solve_exact(&arc, budget).solution;
+                cases.push((arc.clone(), sol));
+            }
+        }
+        let mut g: Dag<Job, ()> = Dag::new();
+        let s = g.add_node(Job::labeled("s", Duration::zero()));
+        let x = g.add_node(Job::labeled("x", Duration::kway(100)));
+        let t = g.add_node(Job::labeled("t", Duration::zero()));
+        g.add_edge(s, x, ()).unwrap();
+        g.add_edge(x, t, ()).unwrap();
+        let kway = to_arc_form(&Instance::new(g).unwrap()).0;
+        for budget in [0u64, 2, 5, 10, 100] {
+            let sol = rtt_core::exact::solve_exact(&kway, budget).solution;
+            cases.push((kway.clone(), sol));
+        }
+        for (arc, sol) in &cases {
+            let (g, works) = expand_solution(arc, sol);
+            assert_eq!(
+                plan_arcs(arc, &sol.edge_times, &sol.arc_flows).1,
+                ExecModel::from_works(&g, &works).event_count(),
+                "flows {:?}",
+                sol.arc_flows
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_expansions_get_no_certificate() {
+        // one recursive-binary job of 10^12 updates routed 2^40 units:
+        // its gadget has height 40, so 2^41 cells — far past the guard,
+        // and refused before any of it is allocated
+        let mut g: Dag<Job, ()> = Dag::new();
+        let s = g.add_node(Job::labeled("s", Duration::zero()));
+        let x = g.add_node(Job::labeled("x", Duration::recursive_binary(1_000_000_000_000)));
+        let t = g.add_node(Job::labeled("t", Duration::zero()));
+        g.add_edge(s, x, ()).unwrap();
+        g.add_edge(x, t, ()).unwrap();
+        let arc = to_arc_form(&Instance::new(g).unwrap()).0;
+        let flow = 1u64 << 40;
+        let d = arc.dag();
+        let edge_times: Vec<Time> = d.edge_ids().map(|e| arc.arc_time(e, flow)).collect();
+        let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
+            .unwrap()
+            .weight;
+        let sol = Solution {
+            arc_flows: vec![flow; d.edge_count()],
+            edge_times,
+            makespan,
+            budget_used: flow,
+        };
+        rtt_core::validate(&arc, &sol).unwrap();
+        assert!(plan_arcs(&arc, &sol.edge_times, &sol.arc_flows).1 > SIM_EVENT_GUARD);
+        assert!(certify_solution(&arc, &sol).is_none());
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub mod certify;
 pub mod curve;
 pub mod executor;
 pub mod fixtures;
+mod lru;
 pub mod persist;
 pub mod prep;
 pub mod registry;

@@ -11,11 +11,11 @@
 //! batch that asks five solvers three budgets each about one instance
 //! performs one expansion and one decomposition, not fifteen.
 
+use crate::lru::Lru;
 use rtt_core::transform::expand_two_tuples;
 use rtt_core::{ArcInstance, CanonicalForm, MakespanLp, TwoTupleInstance};
 use rtt_dag::sp::{decompose, SpTree};
 use rtt_dag::NodeId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -174,33 +174,6 @@ impl CacheStats {
     }
 }
 
-/// The map behind [`PrepCache`]: entries stamped with a logical access
-/// tick, so eviction can pick the least-recently-used entry without any
-/// wall-clock dependence.
-#[derive(Debug, Default)]
-struct LruEntries {
-    map: HashMap<String, (Arc<PreparedInstance>, u64)>,
-    tick: u64,
-}
-
-impl LruEntries {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Key of the eviction victim: smallest `(last_access, key)`. The
-    /// key tiebreak makes eviction **deterministic** even if two
-    /// entries ever carry the same stamp.
-    fn victim(&self) -> Option<String> {
-        self.map
-            .iter()
-            .map(|(k, (_, last))| (*last, k))
-            .min()
-            .map(|(_, k)| k.clone())
-    }
-}
-
 /// Deduplicates [`PreparedInstance`]s by a caller-chosen key —
 /// typically the canonical serialization of the instance itself. The
 /// full key is stored and compared (not a hash of it), so distinct
@@ -212,18 +185,17 @@ impl LruEntries {
 /// # Capacity and eviction
 ///
 /// [`PrepCache::with_capacity`] bounds the number of resident entries;
-/// inserting past the bound evicts the least-recently-used entry
-/// (ties broken by key, so eviction order is deterministic for a
-/// deterministic access sequence). Eviction snapshots the victim's
-/// artifact counters into the cache-wide totals first, so
-/// [`PrepCache::stats`] never goes backwards. Like every cache in this
+/// inserting past the bound evicts the least-recently-used entry (the
+/// engine's one deterministic LRU, `crate::lru`: ties broken by key, so
+/// eviction order is deterministic for a deterministic access
+/// sequence). Eviction snapshots the victim's artifact counters into
+/// the cache-wide totals first, so [`PrepCache::stats`] never goes
+/// backwards. Like every cache in this
 /// workspace, eviction changes **cost, never bytes**: a re-requested
 /// evicted instance is simply prepared again.
 #[derive(Debug, Default)]
 pub struct PrepCache {
-    entries: Mutex<LruEntries>,
-    /// Max resident entries; `None` is unbounded.
-    capacity: Option<usize>,
+    entries: Mutex<Lru<Arc<PreparedInstance>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evicted: AtomicU64,
@@ -243,7 +215,7 @@ impl PrepCache {
     /// every request into a miss while still paying the lock).
     pub fn with_capacity(capacity: usize) -> Self {
         PrepCache {
-            capacity: Some(capacity.max(1)),
+            entries: Mutex::new(Lru::new(capacity)),
             ..Self::default()
         }
     }
@@ -253,12 +225,12 @@ impl PrepCache {
     /// counted — pair with [`PrepCache::get_or_insert`], which records
     /// the miss).
     pub fn get(&self, key: &str) -> Option<Arc<PreparedInstance>> {
-        let mut entries = self.entries.lock().expect("prep cache poisoned");
-        let tick = entries.touch();
-        let hit = entries.map.get_mut(key).map(|(prep, last)| {
-            *last = tick;
-            Arc::clone(prep)
-        });
+        let hit = self
+            .entries
+            .lock()
+            .expect("prep cache poisoned")
+            .get(key)
+            .map(Arc::clone);
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -274,26 +246,18 @@ impl PrepCache {
         build: impl FnOnce() -> ArcInstance,
     ) -> Arc<PreparedInstance> {
         let mut entries = self.entries.lock().expect("prep cache poisoned");
-        let tick = entries.touch();
-        if let Some((hit, last)) = entries.map.get_mut(key) {
-            *last = tick;
+        if let Some(hit) = entries.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(cap) = self.capacity {
-            while entries.map.len() >= cap {
-                let victim = entries.victim().expect("cap >= 1, map non-empty");
-                if let Some((dead, _)) = entries.map.remove(&victim) {
-                    let (r, c) = dead.prep_counters();
-                    self.dead_reuses.fetch_add(r, Ordering::Relaxed);
-                    self.dead_computes.fetch_add(c, Ordering::Relaxed);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         let prep = Arc::new(PreparedInstance::new(build()));
-        entries.map.insert(key.to_string(), (Arc::clone(&prep), tick));
+        for dead in entries.insert(key.to_string(), Arc::clone(&prep)) {
+            let (r, c) = dead.prep_counters();
+            self.dead_reuses.fetch_add(r, Ordering::Relaxed);
+            self.dead_computes.fetch_add(c, Ordering::Relaxed);
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+        }
         prep
     }
 

@@ -36,11 +36,11 @@
 //! entry panics the replay and is reported as a failed solve, never
 //! silently served.
 //!
-//! Eviction (deterministic LRU: least `(stamp, key)` first) and
-//! concurrent access order can change which entries are resident — that
-//! too only moves work between "replayed" and "recomputed", with
-//! byte-identical output either way, because every replay source is a
-//! deterministic function of request content.
+//! Eviction (the engine's one deterministic LRU, `crate::lru`: least
+//! `(stamp, key)` first) and concurrent access order can change which
+//! entries are resident — that too only moves work between "replayed"
+//! and "recomputed", with byte-identical output either way, because
+//! every replay source is a deterministic function of request content.
 //!
 //! # Collision discipline
 //!
@@ -52,9 +52,9 @@
 //! serve-time re-verification). A hash collision costs a recomputation,
 //! never a wrong answer.
 
+use crate::lru::Lru;
 use crate::prep::PreparedInstance;
 use crate::request::{Objective, SolveReport, SolveRequest, Status};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -74,62 +74,6 @@ pub struct ReuseStats {
     /// the original `work` — bytes are identical; this counter is what
     /// the cache actually saved.)
     pub pivots_saved: u64,
-}
-
-/// A deterministic LRU map: entries stamped with a logical tick,
-/// victim = least `(stamp, key)`.
-#[derive(Debug)]
-struct Lru<V> {
-    map: HashMap<String, (V, u64)>,
-    tick: u64,
-    cap: usize,
-}
-
-impl<V> Lru<V> {
-    fn new(cap: usize) -> Self {
-        Lru {
-            map: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn get_refreshed(&mut self, key: &str) -> Option<&V> {
-        let tick = self.touch();
-        self.map.get_mut(key).map(|(v, last)| {
-            *last = tick;
-            &*v
-        })
-    }
-
-    /// Inserts, evicting least-recently-used entries past capacity.
-    /// Returns how many were evicted.
-    fn insert(&mut self, key: String, value: V) -> u64 {
-        let tick = self.touch();
-        if let Some(slot) = self.map.get_mut(&key) {
-            *slot = (value, tick);
-            return 0;
-        }
-        let mut evicted = 0;
-        while self.map.len() >= self.cap {
-            let victim = self
-                .map
-                .iter()
-                .map(|(k, (_, last))| (*last, k.clone()))
-                .min()
-                .expect("cap >= 1, map non-empty")
-                .1;
-            self.map.remove(&victim);
-            evicted += 1;
-        }
-        self.map.insert(key, (value, tick));
-        evicted
-    }
 }
 
 /// A solution-tier entry: the report vector (one report for a single
@@ -200,7 +144,7 @@ impl ReuseCache {
     pub fn lookup_solution(&self, key: &str, req: &SolveRequest) -> Option<Vec<SolveReport>> {
         let mut tier = self.solutions.lock().expect("solution tier poisoned");
         let hit = tier
-            .get_refreshed(key)
+            .get(key)
             // pointer identity when a donor exists: replay only against
             // the instance that produced the report (canonical-keyed
             // PrepCaches make this hold for structural duplicates too).
@@ -243,7 +187,8 @@ impl ReuseCache {
             .solutions
             .lock()
             .expect("solution tier poisoned")
-            .insert(key, entry);
+            .insert(key, entry)
+            .len() as u64;
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
@@ -263,7 +208,8 @@ impl ReuseCache {
             .solutions
             .lock()
             .expect("solution tier poisoned")
-            .insert(key, entry);
+            .insert(key, entry)
+            .len() as u64;
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 

@@ -748,4 +748,22 @@ mod tests {
             )
         );
     }
+
+    #[test]
+    fn global_greedy_solves_budgets_of_2_pow_63() {
+        // the pool sweep must not read such a budget as negative
+        let mut g: Dag<(), Activity> = Dag::new();
+        let (s, m, t) = (g.add_node(()), g.add_node(()), g.add_node(()));
+        g.add_edge(s, m, Activity::new(Duration::two_point(10, 4, 1)))
+            .unwrap();
+        g.add_edge(m, t, Activity::new(Duration::two_point(12, 4, 1)))
+            .unwrap();
+        let prep = Arc::new(PreparedInstance::new(ArcInstance::new(g).unwrap()));
+        let mut req = SolveRequest::min_makespan("huge", prep, 1 << 63);
+        req.solver = SolverSelection::Named("global-greedy".into());
+        let reports = execute_one(&Registry::standard(), &req, Instant::now());
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].status, Status::Solved, "{:?}", reports[0]);
+        assert_eq!(reports[0].makespan, Some(2));
+    }
 }

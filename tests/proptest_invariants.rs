@@ -73,7 +73,7 @@ proptest! {
     /// tradeoff curve, every budget, every node shape.
     #[test]
     fn monotone_dp_tables_match_naive_on_random_sp(seed in 0u64..400, budget in 0u64..24) {
-        use resource_time_tradeoff::core::sp_dp::{solve_sp_tree, solve_sp_tree_naive};
+        use resource_time_tradeoff::core::sp_dp::{solve_sp_tree_naive, solve_sp_tree_with_stats};
         use resource_time_tradeoff::dag::sp::decompose;
         let mut rng = StdRng::seed_from_u64(seed);
         let leaves = 2 + (seed as usize % 9);
@@ -92,7 +92,8 @@ proptest! {
         let arc = ArcInstance::new(g).unwrap();
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).expect("generated SP");
-        let (fast, fast_alloc) = solve_sp_tree(&tree, |e| d.edge(e).duration.clone(), budget);
+        let (fast, fast_alloc, _) =
+            solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
         let (naive, _) = solve_sp_tree_naive(&tree, |e| d.edge(e).duration.clone(), budget);
         prop_assert_eq!(&fast, &naive, "root tables diverge at B={}", budget);
         // the fast path's recovered allocation must stay within budget

@@ -142,6 +142,7 @@ proptest! {
         prop_assert_eq!(reuse.curve.len(), noreuse.len());
         for b in 0..noreuse.len() {
             prop_assert!(noreuse[b] >= reuse.curve[b], "b={}", b);
+            prop_assert_eq!(noreuse[b], solve_noreuse_exact(&arc, b as u64).makespan, "b={}", b);
             if b > 0 {
                 prop_assert!(noreuse[b] <= noreuse[b - 1]);
                 prop_assert!(reuse.curve[b] <= reuse.curve[b - 1]);
