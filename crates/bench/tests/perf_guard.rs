@@ -115,7 +115,8 @@ fn sim_event_counts_stay_in_envelope() {
     // below the engine's soft guard.
     let arc = race_instance(16, 16);
     let sol = rtt_core::solve_bicriteria(&arc, 16, 0.5).unwrap();
-    let (g, works) = rtt_engine::expand_solution(&arc, &sol.solution);
+    let (g, works) =
+        rtt_engine::expand_levels(&arc, &sol.solution.edge_times, &sol.solution.arc_flows);
     let model = rtt_sim::ExecModel::from_works(&g, &works);
     within("certify expansion events", model.event_count(), 300, 1200);
     assert!(model.event_count() < rtt_engine::SIM_EVENT_GUARD / 1000);

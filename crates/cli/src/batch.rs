@@ -90,11 +90,17 @@
 //! version-mismatched file fails the command loudly with zero entries
 //! loaded — never a half-populated cache. The trust rule extends the
 //! invariant above across restarts: a **loaded entry is untrusted**
-//! until a request's full key string matches it *and* its solution
-//! passes the same fresh analytic re-validation + Observation 1.1
-//! replay at serve time; the spill can therefore only change what a
-//! run costs, never what it emits, and a warm restart's stdout is
-//! byte-identical to a cold run's.
+//! until a request's full key string matches it *and* it passes the
+//! serve-time replay checks — one report per grid point under the
+//! probed solver, each solution valid for its form with the report's
+//! `makespan` and `budget_used` its own, and a fresh Observation 1.1
+//! replay; an entry that fails them is answered by one `failed` report.
+//! The per-line checksum is unkeyed, so a hand-edited spill can still
+//! change what replay serves as stored — the LP bounds, the factors,
+//! `work`, or which valid solution is served — but never serve an
+//! invalid or uncertified one (see [`rtt_engine::persist`]). A spill
+//! this binary wrote changes only what a run costs: a warm restart's
+//! stdout is byte-identical to a cold run's.
 //!
 //! A `budget` of **0** is valid and well-defined: it is the
 //! zero-resource point of the tradeoff — LP 6–10 routes no flow, every

@@ -42,11 +42,10 @@
 //! the end: min-flow is deterministic, so this is the flow the leaf saw.
 
 use crate::instance::ArcInstance;
-use crate::solution::Solution;
+use crate::solution::{level_flow, routed_solution, Solution};
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_dag::EdgeId;
 use rtt_duration::{Resource, Time};
-use rtt_flow::{min_flow, BoundedEdge, MinFlowResult};
 
 /// Result of an exact search.
 #[derive(Debug, Clone)]
@@ -57,41 +56,6 @@ pub struct ExactSolution {
     pub levels: Vec<Resource>,
     /// Number of complete assignments evaluated (diagnostics).
     pub explored: u64,
-}
-
-fn routing(arc: &ArcInstance, levels: &[Resource]) -> MinFlowResult {
-    let d = arc.dag();
-    let edges: Vec<BoundedEdge> = d
-        .edge_refs()
-        .map(|e| BoundedEdge::at_least(e.src.index(), e.dst.index(), levels[e.id.index()]))
-        .collect();
-    min_flow(
-        d.node_count(),
-        &edges,
-        arc.source().index(),
-        arc.sink().index(),
-    )
-    .expect("lower bounds only: feasible")
-}
-
-/// The routed solution of `levels`: their min-flow, the durations they
-/// buy, and the longest path of those.
-fn routed_solution(arc: &ArcInstance, levels: &[Resource]) -> Solution {
-    let d = arc.dag();
-    let flow = routing(arc, levels);
-    let edge_times: Vec<Time> = d
-        .edge_ids()
-        .map(|e| arc.arc_time(e, levels[e.index()]))
-        .collect();
-    let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
-        .expect("acyclic")
-        .weight;
-    Solution {
-        arc_flows: flow.edge_flow,
-        edge_times,
-        makespan,
-        budget_used: flow.value,
-    }
 }
 
 /// How the search counts a level vector's cost. `crate::lp_build`
@@ -247,7 +211,7 @@ impl Search<'_> {
             self.levels[i] = level;
             let child = match self.regime {
                 _ if level == 0 => Some(cost),
-                Regime::Routed => Some(routing(arc, &self.levels).value),
+                Regime::Routed => Some(level_flow(arc, &self.levels).value),
                 Regime::NoReuse => cost.checked_add(level),
             };
             let Some(child) = child.filter(|&c| budget.is_none_or(|b| c <= b)) else {

@@ -8,8 +8,9 @@
 //! Given a DAG whose vertices are jobs with non-increasing duration
 //! functions `t_v(r)`, route `B` units of a reusable resource along
 //! source→sink paths — every unit may speed up *multiple* jobs along its
-//! path — to minimize the makespan ([`MinMakespan`]), or conversely use
-//! the fewest units to meet a makespan target ([`min_resource`]).
+//! path — to minimize the makespan ([`solve_bicriteria`] and the
+//! solvers below), or conversely use the fewest units to meet a
+//! makespan target ([`min_resource`]).
 //!
 //! ## Pipeline (§3.1)
 //!
@@ -34,12 +35,16 @@
 //! | [`solve_kway_5approx`] | makespan ≤ 5·OPT, budget kept | Thm 3.9 |
 //! | [`solve_recbinary_4approx`] | makespan ≤ 4·OPT, budget kept | Thm 3.10 |
 //! | [`solve_recbinary_improved`] | (4/3, 14/5) bi-criteria | Thm 3.16 |
-//! | [`sp_dp::solve_sp_exact`] | exact, O(mB²), SP DAGs | §3.4 |
+//! | [`sp_dp::solve_sp_exact`] | exact, O(mB), SP DAGs | §3.4 |
 //! | [`exact::solve_exact`] | exact, exponential (reference) | — |
 //!
-//! Every solver returns a [`Solution`] whose resource routing is a
-//! certified integral flow; [`solution::validate`] re-derives the
-//! makespan from the flow and checks conservation and the budget.
+//! Every solver above returns a [`Solution`] whose resource routing is
+//! a certified integral flow; [`solution::validate`] re-derives the
+//! makespan from the flow and checks conservation and the budget. The
+//! regime baselines in [`regimes`] answer in their own forms: a
+//! [`NoReuseSolution`] of dedicated levels (Question 1.1, checked by
+//! [`regimes::validate_noreuse`]) and a [`GlobalSchedule`] on a shared
+//! pool (Question 1.2, checked by [`verify_global_schedule`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,7 +76,7 @@ pub use solution::{routing_plan, validate, Route, RoutingPlan, Solution, Validat
 pub use lp_build::{solve_min_makespan_sweep, MakespanLp};
 pub use solvers::{
     bicriteria_round_prepped, min_resource, solve_bicriteria, solve_kway_5approx,
-    solve_recbinary_4approx, solve_recbinary_improved, ApproxSolution, MinMakespan, SolveError,
+    solve_recbinary_4approx, solve_recbinary_improved, ApproxSolution, SolveError,
 };
 pub use transform::{expand_two_tuples, to_arc_form, TwoTupleInstance};
 

@@ -23,6 +23,7 @@
 use crate::exact::{branch_and_bound, Goal, Regime};
 use crate::instance::ArcInstance;
 use crate::lp_build::{FractionalSolution, LpError, MakespanLp};
+use crate::solution::level_times;
 use crate::transform::{expand_two_tuples, TwoTupleInstance};
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_dag::sp::decompose;
@@ -112,14 +113,7 @@ pub fn validate_noreuse(arc: &ArcInstance, sol: &NoReuseSolution) -> Result<(), 
 }
 
 fn noreuse_solution_from_levels(arc: &ArcInstance, levels: Vec<Resource>) -> NoReuseSolution {
-    let d = arc.dag();
-    let edge_times: Vec<Time> = d
-        .edge_ids()
-        .map(|e| arc.arc_time(e, levels[e.index()]))
-        .collect();
-    let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
-        .expect("acyclic")
-        .weight;
+    let (edge_times, makespan) = level_times(arc, &levels);
     let budget_used = levels.iter().sum();
     NoReuseSolution {
         levels,

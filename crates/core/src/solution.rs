@@ -2,7 +2,7 @@
 
 use crate::instance::ArcInstance;
 use rtt_duration::{Resource, Time};
-use rtt_flow::{decompose_paths, FlowPath};
+use rtt_flow::{decompose_paths, min_flow, BoundedEdge, FlowPath, MinFlowResult};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -104,6 +104,51 @@ impl fmt::Display for ValidationError {
 }
 
 impl std::error::Error for ValidationError {}
+
+/// The min-flow that gives every arc at least its resource level: the
+/// cheapest routing (Question 1.3) of per-arc `levels` as arc demands.
+pub(crate) fn level_flow(arc: &ArcInstance, levels: &[Resource]) -> MinFlowResult {
+    let d = arc.dag();
+    let edges: Vec<BoundedEdge> = d
+        .edge_refs()
+        .map(|e| BoundedEdge::at_least(e.src.index(), e.dst.index(), levels[e.id.index()]))
+        .collect();
+    min_flow(
+        d.node_count(),
+        &edges,
+        arc.source().index(),
+        arc.sink().index(),
+    )
+    .expect("lower bounds only: feasible")
+}
+
+/// The durations per-arc `levels` buy, and the longest path of those.
+pub(crate) fn level_times(arc: &ArcInstance, levels: &[Resource]) -> (Vec<Time>, Time) {
+    let d = arc.dag();
+    let edge_times: Vec<Time> = d
+        .edge_ids()
+        .map(|e| arc.arc_time(e, levels[e.index()]))
+        .collect();
+    let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
+        .expect("acyclic")
+        .weight;
+    (edge_times, makespan)
+}
+
+/// The routed solution of per-arc `levels` — their min-flow, the
+/// durations they buy, and the longest path of those. Every solver that
+/// settles on levels (the exact search, the SP DP, the family roundings)
+/// ends here.
+pub(crate) fn routed_solution(arc: &ArcInstance, levels: &[Resource]) -> Solution {
+    let flow = level_flow(arc, levels);
+    let (edge_times, makespan) = level_times(arc, levels);
+    Solution {
+        arc_flows: flow.edge_flow,
+        edge_times,
+        makespan,
+        budget_used: flow.value,
+    }
+}
 
 /// Fully certifies a solution against its instance:
 ///

@@ -6,10 +6,9 @@ use crate::lp_build::{
 };
 use rtt_budget::BudgetMeter;
 use crate::rounding::{alpha_round, route_min_flow};
-use crate::solution::Solution;
+use crate::solution::{routed_solution, Solution};
 use crate::transform::{expand_two_tuples, TwoTupleInstance};
 use rtt_duration::{DurationKind, Resource, Time};
-use rtt_flow::{min_flow, BoundedEdge};
 use std::fmt;
 
 /// Solver failures.
@@ -65,34 +64,11 @@ pub struct ApproxSolution {
     pub lp_stats: rtt_lp::LpStats,
 }
 
-impl ApproxSolution {
-    /// Observed makespan ratio against the LP lower bound (≥ the true
-    /// ratio against OPT; finite only when the LP bound is positive).
-    pub fn makespan_ratio_vs_lp(&self) -> f64 {
-        if self.lp_makespan <= 0.0 {
-            if self.solution.makespan == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.solution.makespan as f64 / self.lp_makespan
-        }
-    }
-}
-
-/// Marker for the makespan-objective pipeline (re-exported for docs).
-#[derive(Debug, Clone, Copy)]
-pub struct MinMakespan;
-
 // ---------------------------------------------------------------------
 // shared pipeline pieces
 // ---------------------------------------------------------------------
 
 struct PerJob {
-    /// Index into `tt.chains`.
-    #[allow(dead_code)]
-    chain_idx: usize,
     /// The D' arc of this job.
     arc_edge: rtt_dag::EdgeId,
     /// Rounded purchased resource `r_j` (Σ of bought gaps).
@@ -108,8 +84,7 @@ fn per_job_stats(
 ) -> Vec<PerJob> {
     tt.chains
         .iter()
-        .enumerate()
-        .map(|(i, info)| {
+        .map(|info| {
             let rounded = info
                 .chain_edges
                 .iter()
@@ -121,7 +96,6 @@ fn per_job_stats(
                 .map(|ce| frac.flows[ce.index()])
                 .sum::<f64>();
             PerJob {
-                chain_idx: i,
                 arc_edge: info.arc_edge,
                 rounded,
                 fractional,
@@ -130,45 +104,25 @@ fn per_job_stats(
         .collect()
 }
 
-/// Min-flow routing directly on the `D'` arc instance with per-arc lower
-/// bounds. Returns `(budget, flows)`.
-fn route_on_arc(arc: &ArcInstance, lower: &[Resource]) -> (Resource, Vec<Resource>) {
-    let d = arc.dag();
-    let edges: Vec<BoundedEdge> = d
-        .edge_refs()
-        .map(|e| BoundedEdge::at_least(e.src.index(), e.dst.index(), lower[e.id.index()]))
-        .collect();
-    let r = min_flow(
-        d.node_count(),
-        &edges,
-        arc.source().index(),
-        arc.sink().index(),
-    )
-    .expect("no upper bounds: always feasible");
-    (r.value, r.edge_flow)
-}
-
-/// Builds a certified `Solution` from per-arc *resource levels* (what
-/// each job actually spends) plus the routed flow that covers them.
-fn solution_from_levels(
+/// The tail the three family roundings share after their level rule:
+/// the levels' routed solution (their min-flow, the durations they buy,
+/// the longest path of those) with the LP's certificates and the
+/// theorem's factors.
+fn family_tail(
     arc: &ArcInstance,
+    frac: FractionalSolution,
     levels: &[Resource],
-    flows: Vec<Resource>,
-    budget: Resource,
-) -> Solution {
-    let d = arc.dag();
-    let edge_times: Vec<Time> = d
-        .edge_ids()
-        .map(|e| arc.arc_time(e, levels[e.index()]))
-        .collect();
-    let makespan = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
-        .expect("acyclic")
-        .weight;
-    Solution {
-        arc_flows: flows,
-        edge_times,
-        makespan,
-        budget_used: budget,
+    makespan_factor: f64,
+    resource_factor: f64,
+) -> ApproxSolution {
+    ApproxSolution {
+        solution: routed_solution(arc, levels),
+        lp_makespan: frac.makespan,
+        lp_budget: frac.budget_used,
+        lp_pivots: frac.pivots,
+        lp_stats: frac.stats,
+        makespan_factor,
+        resource_factor,
     }
 }
 
@@ -210,7 +164,7 @@ pub fn solve_bicriteria_metered(
 /// caller-supplied LP solution. Splitting the LP solve from the
 /// rounding lets a warm-started budget sweep (one LP chain) feed every
 /// point through the same certified rounding path — see
-/// `rtt_engine::solve_curve`.
+/// `rtt_engine::execute_sweep_wire`.
 pub fn bicriteria_round_prepped(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,
@@ -323,21 +277,13 @@ pub fn solve_kway_5approx_metered(
         };
         levels[j.arc_edge.index()] = k;
     }
-    let (used, flows) = route_on_arc(arc, &levels);
+    let a = family_tail(arc, frac, &levels, 5.0, 1.0);
     debug_assert!(
-        used <= budget,
-        "Theorem 3.9: the rerouted budget {used} must fit in B = {budget}"
+        a.solution.budget_used <= budget,
+        "Theorem 3.9: the rerouted budget {} must fit in B = {budget}",
+        a.solution.budget_used
     );
-    let solution = solution_from_levels(arc, &levels, flows, used);
-    Ok(ApproxSolution {
-        solution,
-        lp_makespan: frac.makespan,
-        lp_budget: frac.budget_used,
-        lp_pivots: frac.pivots,
-        lp_stats: frac.stats,
-        makespan_factor: 5.0,
-        resource_factor: 1.0,
-    })
+    Ok(a)
 }
 
 // ---------------------------------------------------------------------
@@ -395,18 +341,12 @@ pub fn solve_recbinary_4approx_metered(
             .unwrap_or(0);
         levels[j.arc_edge.index()] = lvl;
     }
-    let (used, flows) = route_on_arc(arc, &levels);
-    debug_assert!(used <= budget, "Theorem 3.10 keeps the budget");
-    let solution = solution_from_levels(arc, &levels, flows, used);
-    Ok(ApproxSolution {
-        solution,
-        lp_makespan: frac.makespan,
-        lp_budget: frac.budget_used,
-        lp_pivots: frac.pivots,
-        lp_stats: frac.stats,
-        makespan_factor: 4.0,
-        resource_factor: 1.0,
-    })
+    let a = family_tail(arc, frac, &levels, 4.0, 1.0);
+    debug_assert!(
+        a.solution.budget_used <= budget,
+        "Theorem 3.10 keeps the budget"
+    );
+    Ok(a)
 }
 
 // ---------------------------------------------------------------------
@@ -467,17 +407,7 @@ pub fn solve_recbinary_improved_metered(
         let cap = d.edge(info.arc_edge).duration.max_useful_resource();
         levels[info.arc_edge.index()] = rbar.min(cap);
     }
-    let (used, flows) = route_on_arc(arc, &levels);
-    let solution = solution_from_levels(arc, &levels, flows, used);
-    Ok(ApproxSolution {
-        solution,
-        lp_makespan: frac.makespan,
-        lp_budget: frac.budget_used,
-        lp_pivots: frac.pivots,
-        lp_stats: frac.stats,
-        makespan_factor: 14.0 / 5.0,
-        resource_factor: 4.0 / 3.0,
-    })
+    Ok(family_tail(arc, frac, &levels, 14.0 / 5.0, 4.0 / 3.0))
 }
 
 // ---------------------------------------------------------------------

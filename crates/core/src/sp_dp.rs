@@ -82,12 +82,11 @@
 
 use crate::exact::Regime;
 use crate::instance::ArcInstance;
-use crate::solution::Solution;
+use crate::solution::{routed_solution, Solution};
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_dag::sp::{decompose, SpKind, SpNodeId, SpTree};
 use rtt_dag::EdgeId;
 use rtt_duration::{Duration, Resource, Time};
-use rtt_flow::{min_flow, BoundedEdge};
 
 /// Result of the series-parallel DP.
 #[derive(Debug, Clone)]
@@ -611,43 +610,23 @@ pub fn solve_sp_exact_with_tree_metered(
     for (e, r) in &alloc {
         levels[e.index()] = *r;
     }
-    // route the allocation (must fit in the budget by DP correctness)
-    let edges: Vec<BoundedEdge> = d
-        .edge_refs()
-        .map(|e| BoundedEdge::at_least(e.src.index(), e.dst.index(), levels[e.id.index()]))
-        .collect();
-    let flow = min_flow(
-        d.node_count(),
-        &edges,
-        arc.source().index(),
-        arc.sink().index(),
-    )
-    .expect("lower bounds only");
+    let solution = routed_solution(arc, &levels);
     debug_assert!(
-        flow.value <= budget,
+        solution.budget_used <= budget,
         "DP allocation must be routable within B: {} > {budget}",
-        flow.value
+        solution.budget_used
     );
-    let edge_times: Vec<Time> = d
-        .edge_ids()
-        .map(|e| d.edge(e).duration.time(levels[e.index()]))
-        .collect();
-    let recomputed = rtt_dag::longest_path_edges(d, |e| edge_times[e.index()])
-        .expect("acyclic")
-        .weight;
-    debug_assert_eq!(recomputed, makespan, "DP value must match its allocation");
+    debug_assert_eq!(
+        solution.makespan, makespan,
+        "DP value must match its allocation"
+    );
     Ok((
         SpSolution {
             makespan,
             curve,
             levels,
         },
-        Solution {
-            arc_flows: flow.edge_flow,
-            edge_times,
-            makespan: recomputed,
-            budget_used: flow.value,
-        },
+        solution,
     ))
 }
 

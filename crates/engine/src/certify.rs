@@ -230,13 +230,6 @@ fn plan_arcs(
     (plans, events)
 }
 
-/// Physically expands a certified routed solution into an
-/// update-granular DAG plus its per-node work vector —
-/// [`expand_levels`] at the routed flows.
-pub fn expand_solution(arc: &ArcInstance, sol: &Solution) -> (Dag<(), ()>, Vec<Time>) {
-    expand_levels(arc, &sol.edge_times, &sol.arc_flows)
-}
-
 /// Physically expands per-arc claimed durations and resource levels
 /// into an update-granular DAG plus its per-node work vector (see the
 /// module docs for the gadgets). This is the one expansion all three
@@ -428,16 +421,11 @@ fn certify_expansion(
 /// Simulates the reducer expansion of a routed `sol` (each arc at its
 /// routed flow) and returns the Observation 1.1 certificate, or `None`
 /// when the solution cannot be simulated (infinite durations, or an
-/// expansion past [`SIM_EVENT_GUARD`]).
-pub fn certify_solution(arc: &ArcInstance, sol: &Solution) -> Option<SimCertificate> {
-    certify_solution_metered(arc, sol, None).expect("an unmetered replay cannot exhaust")
-}
-
-/// [`certify_solution`] under a cooperative budget meter: the replay
-/// charges `sim_events` (one per heap pop plus its released
-/// successors) and bails out with a typed [`Exhausted`] when the
-/// request's event budget trips.
-pub fn certify_solution_metered(
+/// expansion past [`SIM_EVENT_GUARD`]). Under a cooperative budget
+/// `meter` the replay charges `sim_events` (one per heap pop plus its
+/// released successors) and bails out with a typed [`Exhausted`] when
+/// the request's event budget trips; without one it cannot fail.
+pub fn certify_solution(
     arc: &ArcInstance,
     sol: &Solution,
     meter: Option<&BudgetMeter>,
@@ -449,14 +437,9 @@ pub fn certify_solution_metered(
 /// arc runs at its *dedicated* level. The claimed `edge_times` are
 /// achievable at those levels ([`rtt_core::regimes::validate_noreuse`]
 /// checks exactly that), so every expanded path is within the claimed
-/// makespan and the replay can only pipeline below it.
-pub fn certify_noreuse(arc: &ArcInstance, sol: &NoReuseSolution) -> Option<SimCertificate> {
-    certify_noreuse_metered(arc, sol, None).expect("an unmetered replay cannot exhaust")
-}
-
-/// [`certify_noreuse`] under a cooperative budget meter (see
-/// [`certify_solution_metered`] for the charging scheme).
-pub fn certify_noreuse_metered(
+/// makespan and the replay can only pipeline below it. `meter` as in
+/// [`certify_solution`].
+pub fn certify_noreuse(
     arc: &ArcInstance,
     sol: &NoReuseSolution,
     meter: Option<&BudgetMeter>,
@@ -474,13 +457,8 @@ pub fn certify_noreuse_metered(
 /// schedule's makespan — the replayed finish certifies it under
 /// Observation 1.1. (The pool constraint itself is the *analytic*
 /// verifier's job; the replay certifies the physical execution.)
-pub fn certify_schedule(arc: &ArcInstance, s: &GlobalSchedule) -> Option<SimCertificate> {
-    certify_schedule_metered(arc, s, None).expect("an unmetered replay cannot exhaust")
-}
-
-/// [`certify_schedule`] under a cooperative budget meter (see
-/// [`certify_solution_metered`] for the charging scheme).
-pub fn certify_schedule_metered(
+/// `meter` as in [`certify_solution`].
+pub fn certify_schedule(
     arc: &ArcInstance,
     s: &GlobalSchedule,
     meter: Option<&BudgetMeter>,
@@ -496,10 +474,13 @@ pub fn certify_schedule_metered(
 /// Attaches the simulation certificate to a solved report — whichever
 /// solution form it carries (routed flow, no-reuse levels, or a global
 /// schedule) — panicking if Observation 1.1 fails (an engine bug,
-/// treated like every other certification failure). A metered replay
-/// that exhausts its `sim_events` budget returns the typed error with
-/// `report.sim` left `None`; the executor applies the request's
-/// exhaustion policy (degrade to analytic-only, or fail the report).
+/// treated like every other certification failure). This is the one
+/// Observation 1.1 entry for reports: the executor calls it on every
+/// solver's answer and every solution-tier replay, the curve service on
+/// every sweep point. A metered replay that exhausts its `sim_events`
+/// budget returns the typed error with `report.sim` left `None`; the
+/// caller applies the request's exhaustion policy (degrade to
+/// analytic-only, or fail the report).
 pub(crate) fn attach(
     arc: &ArcInstance,
     report: &mut crate::SolveReport,
@@ -509,11 +490,11 @@ pub(crate) fn attach(
         return Ok(());
     }
     let cert = if let Some(sol) = &report.solution {
-        certify_solution_metered(arc, sol, meter)?
+        certify_solution(arc, sol, meter)?
     } else if let Some(nr) = &report.noreuse {
-        certify_noreuse_metered(arc, nr, meter)?
+        certify_noreuse(arc, nr, meter)?
     } else if let Some(s) = &report.schedule {
-        certify_schedule_metered(arc, s, meter)?
+        certify_schedule(arc, s, meter)?
     } else {
         None
     };
@@ -556,7 +537,9 @@ mod tests {
         let arc = recbinary_star(64);
         for budget in [0u64, 2, 4, 8, 16] {
             let ex = rtt_core::exact::solve_exact(&arc, budget);
-            let cert = certify_solution(&arc, &ex.solution).expect("finite instance");
+            let cert = certify_solution(&arc, &ex.solution, None)
+                .unwrap()
+                .expect("finite instance");
             assert!(
                 cert.holds(),
                 "budget {budget}: simulated {} > bound {}",
@@ -571,7 +554,7 @@ mod tests {
     fn zero_budget_expansion_is_the_raw_race_dag() {
         let arc = recbinary_star(16);
         let ex = rtt_core::exact::solve_exact(&arc, 0);
-        let cert = certify_solution(&arc, &ex.solution).unwrap();
+        let cert = certify_solution(&arc, &ex.solution, None).unwrap().unwrap();
         // no reducers: the hub cell serializes all 16 updates, plus the
         // single update of the sink job
         assert_eq!(cert.bound, 16 + 1);
@@ -583,7 +566,7 @@ mod tests {
         let arc = recbinary_star(64);
         // budget 8 buys height 3: ⌈64/8⌉ + 3 + 1 = 12 on the hub
         let ex = rtt_core::exact::solve_exact(&arc, 8);
-        let cert = certify_solution(&arc, &ex.solution).unwrap();
+        let cert = certify_solution(&arc, &ex.solution, None).unwrap().unwrap();
         assert_eq!(ex.solution.makespan, 12 + 1);
         assert!(cert.simulated <= cert.bound);
         assert!(cert.peak_parallelism >= 8, "leaf cells must run in parallel");
@@ -609,7 +592,7 @@ mod tests {
         let arc = to_arc_form(&inst).0;
         let ex = rtt_core::exact::solve_exact(&arc, 0);
         assert_eq!(ex.solution.makespan, 5);
-        let cert = certify_solution(&arc, &ex.solution).unwrap();
+        let cert = certify_solution(&arc, &ex.solution, None).unwrap().unwrap();
         assert_eq!(
             cert.simulated, 4,
             "per-update wiring must let z pipeline below the bound"
@@ -627,7 +610,7 @@ mod tests {
         let arc = to_arc_form(&Instance::new(g).unwrap()).0;
         for budget in [0u64, 2, 5, 10, 100] {
             let ex = rtt_core::exact::solve_exact(&arc, budget);
-            let cert = certify_solution(&arc, &ex.solution).unwrap();
+            let cert = certify_solution(&arc, &ex.solution, None).unwrap().unwrap();
             assert!(cert.holds(), "budget {budget}: {cert:?}");
         }
     }
@@ -650,7 +633,7 @@ mod tests {
             makespan: rtt_duration::INF,
             budget_used: 0,
         };
-        assert!(certify_solution(&arc, &sol).is_none());
+        assert!(certify_solution(&arc, &sol, None).unwrap().is_none());
     }
 
     #[test]
@@ -659,7 +642,9 @@ mod tests {
         for budget in [0u64, 2, 4, 8, 16] {
             let sol = rtt_core::solve_noreuse_exact(&arc, budget);
             rtt_core::regimes::validate_noreuse(&arc, &sol).unwrap();
-            let cert = certify_noreuse(&arc, &sol).expect("finite instance");
+            let cert = certify_noreuse(&arc, &sol, None)
+                .unwrap()
+                .expect("finite instance");
             assert!(
                 cert.holds(),
                 "budget {budget}: simulated {} > bound {}",
@@ -670,7 +655,7 @@ mod tests {
         }
         // budget 0 anchors the curve: the replay is the raw race DAG
         let sol0 = rtt_core::solve_noreuse_exact(&arc, 0);
-        let cert0 = certify_noreuse(&arc, &sol0).unwrap();
+        let cert0 = certify_noreuse(&arc, &sol0, None).unwrap().unwrap();
         assert_eq!(cert0.bound, arc.base_makespan());
         assert_eq!(cert0.simulated, cert0.bound, "chains cannot pipeline");
     }
@@ -682,7 +667,9 @@ mod tests {
             for policy in [rtt_core::GlobalPolicy::Eager, rtt_core::GlobalPolicy::Patient] {
                 let s = rtt_core::global_reuse_schedule(&arc, budget, policy);
                 rtt_core::verify_global_schedule(&arc, budget, &s).unwrap();
-                let cert = certify_schedule(&arc, &s).expect("finite instance");
+                let cert = certify_schedule(&arc, &s, None)
+                    .unwrap()
+                    .expect("finite instance");
                 assert!(
                     cert.holds(),
                     "budget {budget} {policy:?}: simulated {} > bound {}",
@@ -702,7 +689,7 @@ mod tests {
         // orders of magnitude below it
         let arc = recbinary_star(64);
         let ex = rtt_core::exact::solve_exact(&arc, 8);
-        let (g, works) = expand_solution(&arc, &ex.solution);
+        let (g, works) = expand_levels(&arc, &ex.solution.edge_times, &ex.solution.arc_flows);
         // the guard's own metric, not a re-derivation of it
         let events = ExecModel::from_works(&g, &works).event_count();
         assert!(events < SIM_EVENT_GUARD / 1000, "expansion events: {events}");
@@ -730,7 +717,7 @@ mod tests {
             cases.push((kway.clone(), sol));
         }
         for (arc, sol) in &cases {
-            let (g, works) = expand_solution(arc, sol);
+            let (g, works) = expand_levels(arc, &sol.edge_times, &sol.arc_flows);
             assert_eq!(
                 plan_arcs(arc, &sol.edge_times, &sol.arc_flows).1,
                 ExecModel::from_works(&g, &works).event_count(),
@@ -766,7 +753,7 @@ mod tests {
         };
         rtt_core::validate(&arc, &sol).unwrap();
         assert!(plan_arcs(&arc, &sol.edge_times, &sol.arc_flows).1 > SIM_EVENT_GUARD);
-        assert!(certify_solution(&arc, &sol).is_none());
+        assert!(certify_solution(&arc, &sol, None).unwrap().is_none());
     }
 
     #[test]

@@ -8,165 +8,81 @@
 //! the previous optimal basis (see `rtt_lp::revised`), which on fine
 //! grids collapses per-point cost to a handful of pivots
 //! (`BENCH_pr3.json` quantifies it). Each LP point is then α-rounded
-//! and min-flow routed through the same certified Theorem 3.4 stage as
-//! a single `bicriteria` solve, and validated before reporting.
+//! and min-flow routed through the same Theorem 3.4 stage as a single
+//! `bicriteria` solve, and becomes its report through the same report
+//! path as every solver's answer (see [`crate::solver`]): the solved
+//! report builder and its per-form check, then the Observation 1.1
+//! certificate from `certify::attach`.
 //!
 //! # One crash-started chain per call
 //!
-//! Every entry point — [`solve_curve`], [`execute_sweep_wire`] (the
-//! batch executor's dispatch target, which `rtt curve` also reaches
-//! through `execute_one`) and [`execute_sweep_pointwise`] — runs the
-//! same body: the first point starts from the longest-path crash basis
-//! and later points reoptimize from the previous point's basis inside
-//! the chain. No basis outlives the call, so a point's pivot count,
-//! which rides the wire as `work`, is a pure function of (instance,
-//! grid): byte-identical across thread counts, cache modes, and
-//! restarts. Between calls the per-instance slot keeps only the LP
-//! template, which saves the build and never changes a pivot.
-//! Cross-request reuse for wire sweeps rides the solution tier of
+//! Both entry points — [`execute_sweep_wire`] (the batch executor's
+//! dispatch target, which `rtt curve` also reaches through
+//! `execute_one`) and [`execute_sweep_pointwise`] — run the same body:
+//! the first point starts from the longest-path crash basis and later
+//! points reoptimize from the previous point's basis inside the chain.
+//! No basis outlives the call, so a point's pivot count, which rides
+//! the wire as `work`, is a pure function of (instance, grid):
+//! byte-identical across thread counts, cache modes, and restarts.
+//! Between calls the per-instance slot keeps only the LP template,
+//! which saves the build and never changes a pivot. Cross-request
+//! reuse for wire sweeps rides the solution tier of
 //! [`crate::reuse::ReuseCache`] instead, which replays whole report
 //! vectors byte-identically.
 
 use crate::budget::BudgetContext;
-use crate::prep::PreparedInstance;
 use crate::request::{SolveRequest, SolveReport, Status};
 use rtt_budget::BudgetMeter;
 use rtt_core::lp_build::LpError;
-use rtt_core::{validate, Resource, Solution};
+use rtt_core::Resource;
 
-/// One point of the tradeoff curve.
-#[derive(Debug, Clone)]
-pub struct CurvePoint {
-    /// The grid budget this point was solved at.
-    pub budget: Resource,
-    /// The LP relaxation's makespan (the curve's lower envelope).
-    pub lp_makespan: f64,
-    /// The LP relaxation's source outflow.
-    pub lp_budget: f64,
-    /// Rounded integral makespan (Theorem 3.4, `≤ lp_makespan/α`).
-    pub makespan: rtt_core::Time,
-    /// Rounded integral budget (`≤ budget/(1−α)`).
-    pub budget_used: Resource,
-    /// Simplex pivots this point cost — for warm points, the dual
-    /// reoptimization plus the primal polish.
-    pub pivots: usize,
-    /// Whether this point reused the previous point's basis.
-    pub warm: bool,
-    /// Observation 1.1 certificate: the rounded solution's reducer
-    /// expansion simulated within `makespan` (see [`crate::certify`]).
-    pub sim: Option<crate::certify::SimCertificate>,
-    /// The rounded routed solution itself — carried so sweep reports
-    /// can be re-validated and re-certified on a solution-tier replay
-    /// (and spilled/reloaded by the persistent cache).
-    pub solution: Solution,
-}
+/// The solver every sweep point reports as.
+const SOLVER: &str = "bicriteria";
 
-/// Solves the tradeoff curve for `prep` over `budgets` (in order) at
-/// rounding parameter `alpha`. One crash-started chain; per-point
-/// results carry both the LP envelope and the certified rounded
-/// solution.
-pub fn solve_curve(
-    prep: &PreparedInstance,
-    budgets: &[Resource],
-    alpha: f64,
-) -> Result<Vec<CurvePoint>, LpError> {
-    solve_points(prep, budgets, alpha, None)
-}
-
-/// The chain body behind every curve entry point: one
-/// `solve_sweep_metered` chain from the crash basis on the instance's
-/// LP template, then round + validate + certify each point. The LP
-/// chain charges `lp_pivots` and each point's certification replay
-/// charges `sim_events` on `meter`; exhaustion surfaces as
+/// The chain body behind both entry points: one `solve_sweep_metered`
+/// chain from the crash basis on the instance's LP template, then each
+/// point rounded, built into its report and certified. The LP chain
+/// charges `lp_pivots` and each point's certification replay charges
+/// `sim_events` on `meter`; exhaustion surfaces as
 /// [`LpError::Exhausted`] with the template already parked.
 fn solve_points(
-    prep: &PreparedInstance,
+    req: &SolveRequest,
     budgets: &[Resource],
-    alpha: f64,
     meter: Option<&BudgetMeter>,
-) -> Result<Vec<CurvePoint>, LpError> {
-    let arc = prep.arc();
-    let tt = prep.tt();
+) -> Result<Vec<SolveReport>, LpError> {
+    let prep = &req.prepared;
+    let (arc, tt) = (prep.arc(), prep.tt());
     let lp = prep.take_lp_template();
     let swept = lp.solve_sweep_metered(tt, budgets, None, meter);
     prep.put_lp_template(lp);
     let (points, _) = swept?;
-    let mut out = Vec::with_capacity(budgets.len());
-    for (i, (frac, &budget)) in points.into_iter().zip(budgets).enumerate() {
-        let pivots = frac.pivots;
-        let (lp_makespan, lp_budget) = (frac.makespan, frac.budget_used);
-        let approx = rtt_core::bicriteria_round_prepped(arc, tt, frac, alpha);
-        validate(arc, &approx.solution).expect("curve rounding produced an invalid solution");
-        let sim = crate::certify::certify_solution_metered(arc, &approx.solution, meter)
-            .map_err(LpError::Exhausted)?;
-        if let Some(cert) = &sim {
-            assert!(
-                cert.holds(),
-                "Observation 1.1 violated on curve point (budget {budget}): \
-                 simulated {} > makespan {}",
-                cert.simulated,
-                cert.bound
-            );
-        }
-        out.push(CurvePoint {
-            budget,
-            lp_makespan,
-            lp_budget,
-            makespan: approx.solution.makespan,
-            budget_used: approx.solution.budget_used,
-            pivots,
-            warm: i > 0,
-            sim,
-            solution: approx.solution,
-        });
-    }
-    Ok(out)
+    points
+        .into_iter()
+        .zip(budgets)
+        .map(|(frac, &budget)| {
+            let a = rtt_core::bicriteria_round_prepped(arc, tt, frac, req.alpha);
+            let mut r = crate::solver::approx_report(req, SOLVER, a);
+            r.sweep_budget = Some(budget);
+            crate::certify::attach(arc, &mut r, meter).map_err(LpError::Exhausted)?;
+            Ok(r)
+        })
+        .collect()
 }
 
-/// Maps a curve result onto per-point [`SolveReport`]s (one per budget,
-/// in grid order) — or the single whole-request failure report the
-/// sweep semantics call for.
-fn point_reports(
-    req: &SolveRequest,
-    result: Result<Vec<CurvePoint>, LpError>,
-) -> Vec<SolveReport> {
-    const SOLVER: &str = "bicriteria";
-    match result {
-        Ok(points) => points
-            .into_iter()
-            .map(|p| {
-                let mut r = SolveReport::new(req.id.clone(), SOLVER, Status::Solved, "");
-                r.makespan = Some(p.makespan);
-                r.budget_used = Some(p.budget_used);
-                r.lp_makespan = Some(p.lp_makespan);
-                r.lp_budget = Some(p.lp_budget);
-                r.makespan_factor = Some(1.0 / req.alpha);
-                r.resource_factor = Some(1.0 / (1.0 - req.alpha));
-                r.work = p.pivots as u64;
-                r.sim = p.sim;
-                r.sweep_budget = Some(p.budget);
-                // carried so a solution-tier replay (and the persistent
-                // cache) can re-validate and re-certify this point
-                r.solution = Some(p.solution);
-                r
-            })
-            .collect(),
-        Err(LpError::Infeasible) => vec![SolveReport::new(
+/// The single whole-request report a failed chain answers with: the
+/// chain is one request-level computation, not per-point solves.
+fn chain_failure(req: &SolveRequest, e: LpError) -> Vec<SolveReport> {
+    let r = match e {
+        LpError::Infeasible => SolveReport::new(
             req.id.clone(),
             SOLVER,
             Status::Infeasible,
             "curve LP infeasible",
-        )],
-        // a whole-curve exhaustion is one failure report: the chain is
-        // a single request-level computation, not per-point solves
-        Err(LpError::Exhausted(e)) => vec![crate::solver::report_exhausted(req, SOLVER, e)],
-        Err(e) => vec![SolveReport::new(
-            req.id.clone(),
-            SOLVER,
-            Status::Unsupported,
-            e.to_string(),
-        )],
-    }
+        ),
+        LpError::Exhausted(e) => crate::solver::report_exhausted(req, SOLVER, e),
+        e => SolveReport::new(req.id.clone(), SOLVER, Status::Unsupported, e.to_string()),
+    };
+    vec![r]
 }
 
 /// Expands a sweep request into per-point [`SolveReport`]s — the
@@ -182,10 +98,7 @@ pub fn execute_sweep_wire(
     budgets: &[Resource],
     ctx: &BudgetContext,
 ) -> Vec<SolveReport> {
-    point_reports(
-        req,
-        solve_points(&req.prepared, budgets, req.alpha, ctx.meter()),
-    )
+    solve_points(req, budgets, ctx.meter()).unwrap_or_else(|e| chain_failure(req, e))
 }
 
 /// The degraded dispatch target for **budgeted or deadlined** sweep
@@ -201,19 +114,20 @@ pub fn execute_sweep_pointwise(
     budgets: &[Resource],
     ctx: &BudgetContext,
 ) -> Vec<SolveReport> {
-    let mut points = Vec::with_capacity(budgets.len());
+    let mut reports = Vec::with_capacity(budgets.len());
     for &b in budgets {
-        match solve_points(&req.prepared, &[b], req.alpha, ctx.meter()) {
-            Ok(mut p) => points.append(&mut p),
-            Err(e) => return point_reports(req, Err(e)),
+        match solve_points(req, &[b], ctx.meter()) {
+            Ok(mut point) => reports.append(&mut point),
+            Err(e) => return chain_failure(req, e),
         }
     }
-    point_reports(req, Ok(points))
+    reports
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prep::PreparedInstance;
     use rtt_core::instance::Activity;
     use rtt_core::ArcInstance;
     use rtt_dag::Dag;
@@ -233,23 +147,33 @@ mod tests {
 
     #[test]
     fn curve_is_monotone_and_matches_single_solves() {
-        let prep = PreparedInstance::new(chain());
+        let prep = std::sync::Arc::new(PreparedInstance::new(chain()));
         let budgets: Vec<u64> = (0..=8).collect();
-        let points = solve_curve(&prep, &budgets, 0.5).unwrap();
+        let req = SolveRequest::sweep("c", std::sync::Arc::clone(&prep), budgets.clone());
+        let ctx = BudgetContext::for_request(&req, std::time::Instant::now());
+        let points = execute_sweep_wire(&req, &budgets, &ctx);
         assert_eq!(points.len(), budgets.len());
-        assert!(!points[0].warm, "first point is cold");
-        assert!(points[1..].iter().all(|p| p.warm), "rest warm-chain");
+        // the chain starts from the crash basis: its first point costs
+        // what a cold solve at that budget costs
+        let cold_first = rtt_core::lp_build::solve_min_makespan_lp_with(
+            prep.tt(),
+            budgets[0],
+            rtt_lp::Engine::Revised,
+        )
+        .unwrap();
+        assert_eq!(
+            points[0].work, cold_first.pivots as u64,
+            "first point is cold"
+        );
         let mut prev = f64::INFINITY;
         for p in &points {
-            assert!(p.lp_makespan <= prev + 1e-9, "LP curve non-increasing");
-            prev = p.lp_makespan;
-            let cold =
-                rtt_core::lp_build::solve_min_makespan_lp(prep.tt(), p.budget).unwrap();
+            let (lp_makespan, budget) = (p.lp_makespan.unwrap(), p.sweep_budget.unwrap());
+            assert!(lp_makespan <= prev + 1e-9, "LP curve non-increasing");
+            prev = lp_makespan;
+            let cold = rtt_core::lp_build::solve_min_makespan_lp(prep.tt(), budget).unwrap();
             assert!(
-                (p.lp_makespan - cold.makespan).abs() < 1e-9,
-                "budget {}: warm {} vs cold {}",
-                p.budget,
-                p.lp_makespan,
+                (lp_makespan - cold.makespan).abs() < 1e-9,
+                "budget {budget}: warm {lp_makespan} vs cold {}",
                 cold.makespan
             );
         }
@@ -263,12 +187,14 @@ mod tests {
         // at zero budget used.
         let arc = chain();
         let base = arc.base_makespan();
-        let prep = PreparedInstance::new(arc);
-        let points = solve_curve(&prep, &[0], 0.5).unwrap();
+        let prep = std::sync::Arc::new(PreparedInstance::new(arc));
+        let req = SolveRequest::sweep("z", prep, vec![0]);
+        let ctx = BudgetContext::for_request(&req, std::time::Instant::now());
+        let points = execute_sweep_wire(&req, &[0], &ctx);
         assert_eq!(points.len(), 1);
-        assert_eq!(points[0].makespan, base);
-        assert_eq!(points[0].budget_used, 0);
-        assert!((points[0].lp_makespan - base as f64).abs() < 1e-9);
+        assert_eq!(points[0].makespan, Some(base));
+        assert_eq!(points[0].budget_used, Some(0));
+        assert!((points[0].lp_makespan.unwrap() - base as f64).abs() < 1e-9);
         let sim = points[0].sim.expect("zero-budget point certifies");
         assert_eq!(sim.simulated, base, "chains cannot pipeline");
     }

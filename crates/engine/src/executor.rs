@@ -26,17 +26,19 @@
 //! # Panic-site audit (what the isolation boundary covers)
 //!
 //! The engine deliberately `expect`s/`assert`s its internal
-//! correctness contracts — `validate(..)` on every produced solution,
-//! `cert.holds()` on every simulation certificate, lazily computed
-//! prep artifacts — rather than threading `Result`s through paths that
-//! are bugs if they fail. The audit of those sites splits them into:
+//! correctness contracts — the per-form check on every solved report
+//! (see [`crate::solver`]), `cert.holds()` on every simulation
+//! certificate, lazily computed prep artifacts — rather than threading
+//! `Result`s through paths that are bugs if they fail. The audit of
+//! those sites splits them into:
 //!
 //! * **request-reachable** (solver adapters, certification, curve
-//!   rounding, lazy prep): all execute inside the per-(request, solver)
-//!   `catch_unwind` in `run_solver_isolated` or the sweep dispatch,
-//!   so a violation surfaces as one [`Status::Failed`] report with the
-//!   assertion message as payload — the conversion the isolation
-//!   boundary exists for;
+//!   rounding, lazy prep, solution-tier replay): all execute inside the
+//!   per-(request, solver) `catch_unwind` in `run_solver_isolated`, the
+//!   sweep dispatch, or `replay_cached`, so a violation surfaces as one
+//!   [`Status::Failed`] report with the assertion message as payload —
+//!   the conversion the isolation boundary exists for (on a replay it
+//!   is how a forged or stale spill entry is refused);
 //! * **infrastructure** (channel sends/receives, slot reassembly,
 //!   registry duplicate-name registration): outside the boundary by
 //!   design — they guard the executor's own plumbing, cannot be
@@ -44,7 +46,10 @@
 //!   batch itself is broken, which must abort loudly;
 //! * **statically unreachable** (`expect("an unmetered X cannot
 //!   exhaust")` wrappers): a `None` meter never charges, so the error
-//!   arm cannot construct.
+//!   arm cannot construct. Ten remain across the crates: one here (the
+//!   certify replay of a solution-tier hit), two in `rtt_sim`'s model,
+//!   three in `rtt_core::exact`, two in `rtt_core::regimes` and two in
+//!   `rtt_core::sp_dp`.
 //!
 //! Prep-cache mutex `expect("poisoned")` sites deserve a note: solver
 //! panics cannot poison them because the LP template is moved out of
@@ -260,66 +265,86 @@ pub fn execute_one(
     req: &SolveRequest,
     queued_at: Instant,
 ) -> Vec<SolveReport> {
-    execute_one_at(registry, req, queued_at, 0)
+    execute_one_cached_at(registry, req, queued_at, 0, None)
 }
 
-/// [`execute_one`] with an explicit queue position (requests enqueued
-/// ahead of this one — the batch index), which feeds the queue-depth
-/// admission dimension. Deterministic: the position is assigned at
-/// enqueue, not observed from live queue state.
-pub fn execute_one_at(
-    registry: &Registry,
+/// Replays a solution-tier hit for `req`, probed under `solver`. The
+/// entry must answer the request — one report per grid point of a
+/// sweep (each `sweep_budget` its point), exactly one otherwise, all
+/// under the probed solver — and each report must pass the per-form
+/// check a fresh one passes, with its `makespan` and `budget_used` its
+/// solution's, before the Observation 1.1 certify replay recomputes its
+/// `sim_makespan` (byte-identical: certification is deterministic).
+/// These checks are what make donor-less entries (loaded from a
+/// `rtt-cache-v1` spill) safe to serve: a forged or stale entry fails
+/// them under panic isolation and is answered by one
+/// [`Status::Failed`] report for the whole request.
+fn replay_cached(
     req: &SolveRequest,
-    queued_at: Instant,
-    queue_position: usize,
+    solver: &'static str,
+    mut hits: Vec<SolveReport>,
 ) -> Vec<SolveReport> {
-    execute_one_cached_at(registry, req, queued_at, queue_position, None)
+    let replayed = catch_unwind(AssertUnwindSafe(|| {
+        let grid: &[rtt_core::Resource] = match &req.objective {
+            crate::Objective::MakespanSweep { budgets } => budgets,
+            _ => &[],
+        };
+        assert_eq!(
+            hits.len(),
+            grid.len().max(1),
+            "cached entry holds the wrong report count"
+        );
+        for (i, hit) in hits.iter_mut().enumerate() {
+            assert_eq!(hit.solver, solver, "cached report names another solver");
+            assert_eq!(
+                hit.sweep_budget,
+                grid.get(i).copied(),
+                "cached report answers another point"
+            );
+            let own = crate::solver::check_form(req, hit);
+            assert_eq!(
+                (hit.makespan, hit.budget_used),
+                (Some(own.0), Some(own.1)),
+                "cached report disagrees with its solution"
+            );
+            hit.id = req.id.clone();
+            hit.sim = None;
+            crate::certify::attach(req.prepared.arc(), hit, None)
+                .expect("an unmetered certify replay cannot exhaust");
+        }
+        hits
+    }));
+    replayed.unwrap_or_else(|payload| vec![panic_report(req, solver, payload)])
 }
 
-/// Replays a solution-tier hit: overwrites the donor's id with the
-/// requesting id, re-runs the **analytic validation** of whatever
-/// solution form the report carries, then re-runs the full Observation
-/// 1.1 certify replay against the requesting instance — a reused
-/// report is exactly as certified as a fresh one, and the recomputed
-/// `sim_makespan` is byte-identical because certification is
-/// deterministic. The analytic step is what makes donor-less entries
-/// (loaded from a `rtt-cache-v1` spill) safe to serve: a tampered or
-/// stale solution fails it here, under the same panic isolation as a
-/// live solve, and surfaces as one [`Status::Failed`] report.
-fn replay_cached(req: &SolveRequest, mut hit: SolveReport) -> SolveReport {
-    hit.id = req.id.clone();
-    let solver = hit.solver;
-    match catch_unwind(AssertUnwindSafe(move || {
-        let arc = req.prepared.arc();
-        if let Some(sol) = &hit.solution {
-            rtt_core::validate(arc, sol)
-                .expect("cached solution failed analytic re-validation");
-        } else if let Some(nr) = &hit.noreuse {
-            rtt_core::regimes::validate_noreuse(arc, nr)
-                .expect("cached no-reuse solution failed analytic re-validation");
-        } else if let Some(s) = &hit.schedule {
-            let budget = match req.objective {
-                crate::Objective::MinMakespan { budget } => budget,
-                _ => s.peak_in_use,
-            };
-            rtt_core::verify_global_schedule(arc, budget, s)
-                .expect("cached schedule failed analytic re-validation");
-        }
-        hit.sim = None;
-        crate::certify::attach(arc, &mut hit, None)
-            .expect("an unmetered certify replay cannot exhaust");
-        hit
-    })) {
-        Ok(replayed) => replayed,
-        Err(payload) => panic_report(req, solver, payload),
+/// The solution-tier probe both dispatch paths share: `Ok` holds a
+/// hit's replayed reports ([`replay_cached`]); `Err` is a miss, holding
+/// the key to store the fresh reports under (`None` without a cache or
+/// for an ineligible request, see [`crate::reuse`]).
+fn probe(
+    reuse: Option<&crate::reuse::ReuseCache>,
+    req: &SolveRequest,
+    solver: &'static str,
+) -> Result<Vec<SolveReport>, Option<String>> {
+    let Some(cache) = reuse else {
+        return Err(None);
+    };
+    let key = crate::reuse::ReuseCache::solution_key(req, solver).ok_or(None)?;
+    match cache.lookup_solution(&key, req) {
+        Some(hits) => Ok(replay_cached(req, solver, hits)),
+        None => Err(Some(key)),
     }
 }
 
-/// [`execute_one_at`] with an optional cross-request [`crate::ReuseCache`]:
-/// eligible requests — single solves *and* wire sweeps — probe the
-/// solution tier before solving and park their report vector after
-/// (see [`crate::reuse`] for the byte-identity contract). A sweep that
-/// misses runs a self-contained crash-started chain
+/// [`execute_one`] with an explicit queue position (requests enqueued
+/// ahead of this one — the batch index, which feeds the queue-depth
+/// admission dimension; deterministic, because the position is
+/// assigned at enqueue, not observed from live queue state) and an
+/// optional cross-request [`crate::ReuseCache`]: eligible requests —
+/// single solves *and* wire sweeps — probe the solution tier before
+/// solving and park their report vector after (see [`crate::reuse`]
+/// for the byte-identity contract). A sweep that misses runs a
+/// self-contained crash-started chain
 /// ([`crate::curve::execute_sweep_wire`]), so its on-wire pivot counts
 /// cannot depend on cache state.
 ///
@@ -375,29 +400,20 @@ fn execute_one_cached_inner(
                 Err(payload) => vec![panic_report(req, "bicriteria", payload)],
             }
         } else {
-            // solution-tier probe: a hit replays the whole cached
-            // per-point vector (each report re-validated and
-            // re-certified) instead of re-running the chain
-            let cache_key = reuse.and_then(|c| {
-                let key = crate::reuse::ReuseCache::solution_key(req, "bicriteria")?;
-                if let Some(hits) = c.lookup_solution(&key, req) {
-                    return Some(Err(hits));
+            // a hit replays the whole cached per-point vector instead of
+            // re-running the chain
+            match probe(reuse, req, "bicriteria") {
+                Ok(replayed) => replayed,
+                Err(key) => {
+                    let reports = match catch_unwind(AssertUnwindSafe(|| {
+                        crate::curve::execute_sweep_wire(req, budgets, &ctx)
+                    })) {
+                        Ok(reports) => reports,
+                        Err(payload) => vec![panic_report(req, "bicriteria", payload)],
+                    };
+                    store(reuse, key, req, &reports);
+                    reports
                 }
-                Some(Ok(key))
-            });
-            if let Some(Err(hits)) = cache_key {
-                hits.into_iter().map(|h| replay_cached(req, h)).collect()
-            } else {
-                let reports = match catch_unwind(AssertUnwindSafe(|| {
-                    crate::curve::execute_sweep_wire(req, budgets, &ctx)
-                })) {
-                    Ok(reports) => reports,
-                    Err(payload) => vec![panic_report(req, "bicriteria", payload)],
-                };
-                if let (Some(cache), Some(Ok(key))) = (reuse, cache_key) {
-                    cache.store_solution(key, req, &reports);
-                }
-                reports
             }
         };
         let wall = started.elapsed();
@@ -432,35 +448,28 @@ fn execute_one_cached_inner(
     }
     selected
         .iter()
-        .map(|s| {
+        .flat_map(|s| {
             let started = Instant::now();
             if let Some(e) = hard_overflow {
                 // rejected at admission: no solver ran, no meter to read
                 let mut r = crate::solver::report_exhausted(req, s.name(), e);
                 finalize_budget(&mut r, &BudgetContext::for_request(req, queued_at), Vec::new(), None);
                 r.queue_wait = queue_wait;
-                return r;
+                return vec![r];
             }
-            // solution-tier probe: an eligible hit replays the cached
-            // report (re-certified) instead of solving — byte-identical
-            // by solver determinism, see crate::reuse
-            let cache_key = reuse.and_then(|c| {
-                let key = crate::reuse::ReuseCache::solution_key(req, s.name())?;
-                if let Some(hits) = c.lookup_solution(&key, req) {
-                    return Some(Err(hits));
+            // an eligible hit replays the cached report instead of
+            // solving — byte-identical by solver determinism, see
+            // crate::reuse; a single solve's replay is one report
+            let key = match probe(reuse, req, s.name()) {
+                Ok(mut replayed) => {
+                    for r in &mut replayed {
+                        r.wall = started.elapsed();
+                        r.queue_wait = queue_wait;
+                    }
+                    return replayed;
                 }
-                Some(Ok(key))
-            });
-            if let Some(Err(mut hits)) = cache_key {
-                // a non-sweep key maps to exactly one report (the store
-                // below writes one; persist::load enforces the arity)
-                let hit = hits.pop().expect("solution tier never stores empty vectors");
-                debug_assert!(hits.is_empty(), "non-sweep entry held multiple reports");
-                let mut report = replay_cached(req, hit);
-                report.wall = started.elapsed();
-                report.queue_wait = queue_wait;
-                return report;
-            }
+                Err(key) => key,
+            };
             let (mut report, mut notes, mut ctx) = run_solver_isolated(*s, req, queued_at);
             // degrade dispatch: one level along the declared chain,
             // with a fresh meter (the exhausted one is saturated)
@@ -485,12 +494,23 @@ fn execute_one_cached_inner(
             finalize_budget(&mut report, &ctx, notes, soft_overflow);
             report.wall = started.elapsed();
             report.queue_wait = queue_wait;
-            if let (Some(cache), Some(Ok(key))) = (reuse, cache_key) {
-                cache.store_solution(key, req, std::slice::from_ref(&report));
-            }
-            report
+            let reports = vec![report];
+            store(reuse, key, req, &reports);
+            reports
         })
         .collect()
+}
+
+/// Parks freshly computed reports under a missed probe's key.
+fn store(
+    reuse: Option<&crate::reuse::ReuseCache>,
+    key: Option<String>,
+    req: &SolveRequest,
+    reports: &[SolveReport],
+) {
+    if let (Some(cache), Some(key)) = (reuse, key) {
+        cache.store_solution(key, req, reports);
+    }
 }
 
 /// Drains `requests` through a pool of `threads` workers and returns
@@ -897,17 +917,17 @@ mod tests {
             .with_solver("bicriteria");
         req.budget = spec_with(limits, ExhaustionPolicy::HardReject);
         // position 1 (one request ahead): admitted
-        let ok = execute_one_at(&registry, &req, Instant::now(), 1);
+        let ok = execute_one_cached_at(&registry, &req, Instant::now(), 1, None);
         assert_eq!(ok[0].status, Status::Solved);
         // position 2 (two ahead = at the bound): rejected at admission
-        let rejected = execute_one_at(&registry, &req, Instant::now(), 2);
+        let rejected = execute_one_cached_at(&registry, &req, Instant::now(), 2, None);
         assert_eq!(rejected[0].status, Status::BudgetExhausted);
         let e = rejected[0].exhausted.unwrap();
         assert_eq!(e.dimension, Dimension::QueueDepth);
         assert_eq!((e.limit, e.consumed), (2, 3));
         // same bound under soft-warn: admitted, flagged
         req.budget = spec_with(limits, ExhaustionPolicy::SoftWarn);
-        let warned = execute_one_at(&registry, &req, Instant::now(), 2);
+        let warned = execute_one_cached_at(&registry, &req, Instant::now(), 2, None);
         assert_eq!(warned[0].status, Status::Solved);
         let block = warned[0].budget.as_ref().unwrap();
         assert_eq!(block.warnings, vec!["queue_depth 3 > limit 2".to_string()]);

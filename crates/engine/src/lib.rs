@@ -25,16 +25,21 @@
 //!   format in [`persist`]; see [`reuse`]).
 //!
 //! The free functions in `rtt_core` remain the algorithmic ground
-//! truth; the trait impls here are thin adapters that certify every
-//! result before reporting it — analytically (flow validation,
-//! certificate factors) *and* physically: **every** solved report's
-//! solution form — routed flow, no-reuse levels, or global-pool
-//! schedule — is reducer-expanded and replayed by `rtt_sim`'s
-//! event-heap engine, and must finish within the reported makespan
-//! (Observation 1.1, [`certify`]; the replay's cost scales with the
-//! expansion's event count, not its makespan). New scaling work
-//! (sharding, async serving, alternative backends) plugs in behind
-//! [`Solver`] without touching the layers above.
+//! truth; the trait impls here are thin adapters (one of them, the
+//! family roundings, registered three times with different parameters,
+//! and one exact search over both cost regimes). Every solved report
+//! reaches the wire through **one path** (see [`solver`]): one builder
+//! fills its makespan, budget used and solution form from a solver's
+//! answer; one per-form check validates that solution analytically (a
+//! routed flow, no-reuse levels, or a global-pool schedule) and ties
+//! the report's fields to it; and `certify::attach` expands the form
+//! into its reducer gadgets and replays it on `rtt_sim`'s event-heap
+//! engine, which must finish within the reported makespan (Observation
+//! 1.1, [`certify`]; the replay's cost scales with the expansion's
+//! event count, not its makespan). Fresh solves, sweep points and
+//! solution-tier replays all take it. New scaling work (sharding, async
+//! serving, alternative backends) plugs in behind [`Solver`] without
+//! touching the layers above.
 //!
 //! ```
 //! use rtt_engine::{PrepCache, Registry, SolveRequest, run_batch};
@@ -75,14 +80,12 @@ pub use budget::{
     BudgetContext, BudgetLimits, BudgetPolicies, BudgetReport, BudgetSpec, ExhaustionPolicy,
 };
 pub use certify::{
-    certify_noreuse, certify_noreuse_metered, certify_schedule, certify_schedule_metered,
-    certify_solution, certify_solution_metered, expand_levels, expand_solution, SimCertificate,
+    certify_noreuse, certify_schedule, certify_solution, expand_levels, SimCertificate,
     SIM_EVENT_GUARD,
 };
-pub use curve::{execute_sweep_pointwise, execute_sweep_wire, solve_curve, CurvePoint};
+pub use curve::{execute_sweep_pointwise, execute_sweep_wire};
 pub use executor::{
-    execute_one, execute_one_at, execute_one_cached_at, run_batch, run_batch_cached,
-    BatchOutcome, BatchStats,
+    execute_one, execute_one_cached_at, run_batch, run_batch_cached, BatchOutcome, BatchStats,
 };
 pub use persist::{CACHE_FORMAT_TAG, PersistError};
 pub use prep::{CacheStats, PrepCache, PreparedInstance};

@@ -35,14 +35,29 @@
 //! Loading is **all-or-nothing**: every line is checksum-verified and
 //! parsed before a single entry is installed, so a corrupt file loads
 //! zero entries and surfaces a structured [`PersistError`] — never a
-//! half-populated cache. What loading does *not* do is trust the
-//! payload: a loaded entry is installed donor-less
-//! ([`crate::ReuseCache::insert_loaded`]), and a future hit must pass
-//! the full key-string comparison **and** the serve-time analytic
-//! re-validation + Observation 1.1 certify replay in
-//! [`crate::executor`] before its bytes reach the wire. The spill only
-//! ever changes what a run costs — certificates are recomputed fresh,
-//! and a tampered solution is rejected at replay.
+//! half-populated cache. The checksum detects accidents, not forgery:
+//! it is unkeyed, so anyone can re-sign an edited line. Loading
+//! therefore does *not* trust the payload: a loaded entry is installed
+//! donor-less ([`crate::ReuseCache::insert_loaded`]), and a hit must
+//! pass the full key-string comparison and the serve-time replay checks
+//! in [`crate::executor`] before its bytes reach the wire. Replay
+//! **re-derives**:
+//!
+//! * the entry's shape: one report per grid point of a sweep, each
+//!   `sweep_budget` its point, in grid order; exactly one report
+//!   otherwise; every report under the solver the request probed;
+//! * each solution's validity for its form, and each report's
+//!   `makespan` and `budget_used` as its solution's;
+//! * the Observation 1.1 certificate (`sim_makespan`), recomputed.
+//!
+//! An entry that fails any of these is answered by one `failed` report
+//! for the whole request. Replay still serves **as stored** what it
+//! cannot re-derive without re-solving: the LP bounds, the certified
+//! factors and `work` are checksummed but not re-derived, and a spill
+//! can substitute a different valid solution for the one the solver
+//! would find. A spill this binary wrote changes only what a run costs;
+//! a hand-edited one can change those fields, never serve an invalid or
+//! uncertified answer.
 //!
 //! Timing fields, budget blocks, and certificates are deliberately not
 //! persisted: only [`crate::Status::Solved`], unbudgeted reports enter
@@ -128,8 +143,8 @@ impl From<std::io::Error> for PersistError {
 }
 
 /// FNV-1a 64 over `bytes` — the per-line checksum. Not cryptographic;
-/// it detects corruption, while *integrity* of served bytes rests on
-/// the serve-time re-verification (see the module docs).
+/// it detects corruption, while what a served entry may claim rests on
+/// the serve-time replay checks (see the module docs).
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -408,8 +423,8 @@ pub fn save(cache: &ReuseCache, path: &Path) -> Result<usize, PersistError> {
 /// (a spill from a differently-configured binary) rejects the file.
 ///
 /// Installed entries are donor-less and therefore **untrusted**: they
-/// must pass serve-time re-validation + re-certification before their
-/// bytes reach the wire (see the module docs).
+/// must pass the serve-time replay checks and re-certification before
+/// their bytes reach the wire (see the module docs).
 pub fn load(cache: &ReuseCache, path: &Path, registry: &Registry) -> Result<usize, PersistError> {
     let text = std::fs::read_to_string(path)?;
     let mut lines = text.lines();

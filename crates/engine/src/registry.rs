@@ -4,9 +4,8 @@
 //! walk this one list — there is no other dispatch table.
 
 use crate::solver::{
-    BicriteriaSolver, Capability, ExactSolver, GlobalGreedySolver, KwaySolver,
-    NoReuseBicriteriaSolver, NoReuseExactSolver, RecBinaryImprovedSolver, RecBinarySolver,
-    Solver, SpDpSolver,
+    BicriteriaSolver, Capability, ExactSolver, FamilySolver, GlobalGreedySolver,
+    NoReuseBicriteriaSolver, Solver, SpDpSolver,
 };
 use rtt_core::ArcInstance;
 
@@ -27,13 +26,13 @@ impl Registry {
     /// reports are emitted by `--solver all`.
     pub fn standard() -> Self {
         let mut r = Registry::new();
-        r.register(Box::new(ExactSolver));
+        r.register(Box::new(ExactSolver::ROUTED));
         r.register(Box::new(BicriteriaSolver));
-        r.register(Box::new(KwaySolver));
-        r.register(Box::new(RecBinarySolver));
-        r.register(Box::new(RecBinaryImprovedSolver));
+        r.register(Box::new(FamilySolver::KWAY));
+        r.register(Box::new(FamilySolver::RECBINARY));
+        r.register(Box::new(FamilySolver::RECBINARY_IMPROVED));
         r.register(Box::new(SpDpSolver));
-        r.register(Box::new(NoReuseExactSolver));
+        r.register(Box::new(ExactSolver::NO_REUSE));
         r.register(Box::new(NoReuseBicriteriaSolver));
         r.register(Box::new(GlobalGreedySolver));
         r
@@ -158,6 +157,6 @@ mod tests {
     #[should_panic(expected = "duplicate solver name")]
     fn duplicate_names_rejected() {
         let mut r = Registry::standard();
-        r.register(Box::new(crate::solver::ExactSolver));
+        r.register(Box::new(crate::solver::ExactSolver::ROUTED));
     }
 }

@@ -149,14 +149,6 @@ impl SolveRequest {
         self.solver = SolverSelection::Named(name.into());
         self
     }
-
-    /// Sets the intra-solve thread count (clamped by `rtt_par` to
-    /// `1..=`[`rtt_par::MAX_THREADS`] when applied). Never changes what
-    /// the request emits, only what it costs.
-    pub fn with_intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = Some(threads);
-        self
-    }
 }
 
 /// Terminal state of one (request, solver) execution.

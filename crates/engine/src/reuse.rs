@@ -31,10 +31,15 @@
 //! `rtt-cache-v1` format ([`crate::persist`]). A loaded entry has no
 //! donor instance (`CachedSolution::donor` is `None`), so its trust
 //! rests on the full key-string comparison (which embeds the canonical
-//! instance serialization) **plus** the same fresh re-validation +
-//! re-certification every hit gets at serve time — a tampered or stale
-//! entry panics the replay and is reported as a failed solve, never
-//! silently served.
+//! instance serialization) **plus** the replay checks every hit gets at
+//! serve time: the entry's shape (report count, solver, grid points),
+//! each solution's validity for its form, each report's makespan and
+//! budget used as its solution's, and a fresh certificate. An entry
+//! that fails them panics the replay and is answered by one failed
+//! report for the request. What replay cannot re-derive without
+//! re-solving — LP bounds, factors, `work`, and which of several valid
+//! solutions is served — it serves as stored; see [`crate::persist`]'s
+//! trust model.
 //!
 //! Eviction (the engine's one deterministic LRU, `crate::lru`: least
 //! `(stamp, key)` first) and concurrent access order can change which
@@ -139,8 +144,9 @@ impl ReuseCache {
     /// Solution-tier probe: a clone of the cached report vector for
     /// `key`, or `None` (counted as one hit/miss per probe). The clones
     /// still carry the *donor's* id and certificate — [`crate::executor`]
-    /// overwrites the id and re-runs the validation + certify replay on
-    /// every report before it is released.
+    /// checks the vector against the request, overwrites the id, and
+    /// re-runs the per-form check and certify replay on every report
+    /// before it is released.
     pub fn lookup_solution(&self, key: &str, req: &SolveRequest) -> Option<Vec<SolveReport>> {
         let mut tier = self.solutions.lock().expect("solution tier poisoned");
         let hit = tier

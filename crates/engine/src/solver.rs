@@ -1,42 +1,51 @@
 //! The unified [`Solver`] trait and its implementations — one adapter
-//! per algorithm the repo ships, all speaking [`SolveRequest`] /
+//! per algorithm family the repo ships, all speaking [`SolveRequest`] /
 //! [`SolveReport`].
 //!
-//! | registry name | algorithm | paper |
-//! |---|---|---|
-//! | `exact` | exhaustive search over canonical levels | — |
-//! | `bicriteria` | (1/α, 1/(1−α)) LP rounding | Thm 3.4 |
-//! | `kway` | 5-approx, k-way splitting | Thm 3.9 |
-//! | `recbinary` | 4-approx, recursive binary | Thm 3.10 |
-//! | `recbinary-improved` | (4/3, 14/5) bi-criteria | Thm 3.16 |
-//! | `sp-dp` | exact `O(mB)` DP, SP DAGs | §3.4 |
-//! | `noreuse-exact` | exact, no-reuse regime | Q1.1 |
-//! | `noreuse-bicriteria` | LP rounding, no-reuse regime | Q1.1 |
-//! | `global-greedy` | greedy list scheduling, global pool | Q1.2 |
+//! | registry name | adapter | algorithm | paper |
+//! |---|---|---|---|
+//! | `exact` | [`ExactSolver::ROUTED`] | exhaustive search over canonical levels | — |
+//! | `bicriteria` | [`BicriteriaSolver`] | (1/α, 1/(1−α)) LP rounding | Thm 3.4 |
+//! | `kway` | `FamilySolver::KWAY` | 5-approx, k-way splitting | Thm 3.9 |
+//! | `recbinary` | `FamilySolver::RECBINARY` | 4-approx, recursive binary | Thm 3.10 |
+//! | `recbinary-improved` | `FamilySolver::RECBINARY_IMPROVED` | (4/3, 14/5) bi-criteria | Thm 3.16 |
+//! | `sp-dp` | [`SpDpSolver`] | exact `O(mB)` DP, SP DAGs | §3.4 |
+//! | `noreuse-exact` | [`ExactSolver::NO_REUSE`] | exact, no-reuse regime | Q1.1 |
+//! | `noreuse-bicriteria` | [`NoReuseBicriteriaSolver`] | LP rounding, no-reuse regime | Q1.1 |
+//! | `global-greedy` | [`GlobalGreedySolver`] | greedy list scheduling, global pool | Q1.2 |
 //!
-//! Every `Solved` report is internally certified before it is returned:
-//! flow solutions pass [`rtt_core::validate`], no-reuse solutions pass
-//! [`rtt_core::regimes::validate_noreuse`], and global schedules pass
-//! [`rtt_core::verify_global_schedule`]. On top of the analytic checks,
-//! the executor replays **every** form physically ([`crate::certify`]):
-//! each solved report ships with the solution object its regime
-//! produces ([`Solver::solution_form`] names it), and the engine
-//! attaches an Observation 1.1 simulation certificate to all of them.
-//! A certification failure is an engine bug and panics rather than
-//! returning silently wrong data.
+//! `FamilySolver` is one adapter registered three times (name,
+//! duration family, unsupported reason, `rtt_core` rounding);
+//! [`ExactSolver`] is one adapter over the cost regime.
+//!
+//! # One report path
+//!
+//! Every solved report — an adapter's answer, a sweep point of
+//! [`crate::curve`], or a solution-tier replay — takes one path. One
+//! builder fills `makespan`, `budget_used` and the form field from the
+//! answer ([`Solver::solution_form`] names the form); one per-form
+//! check validates the form on the request's instance
+//! ([`rtt_core::validate`], [`rtt_core::regimes::validate_noreuse`] or
+//! [`rtt_core::verify_global_schedule`]) and yields the `makespan` and
+//! `budget_used` the report must carry, again on every replay; and
+//! `certify::attach` replays the form under Observation 1.1
+//! ([`crate::certify`]). A failure panics — an engine bug on a fresh
+//! report, a forged or stale entry on a replay — and the executor's
+//! panic isolation turns it into one `failed` report.
 
 use crate::budget::BudgetContext;
 use crate::request::{Objective, SolveRequest, SolveReport, Status};
-use rtt_budget::Exhausted;
+use rtt_budget::{BudgetMeter, Exhausted};
+use rtt_core::lp_build::LpError;
 use rtt_core::regimes::{
     solve_noreuse_bicriteria_metered, solve_noreuse_exact_metered,
     solve_noreuse_exact_min_resource_metered, validate_noreuse,
 };
 use rtt_core::solvers::SolveError;
 use rtt_core::sp_dp::{solve_sp_exact_with_tree_metered, solve_sp_tree_metered};
-use rtt_core::lp_build::LpError;
 use rtt_core::{
-    validate, verify_global_schedule, ApproxSolution, ArcInstance, GlobalPolicy, Solution,
+    validate, verify_global_schedule, ApproxSolution, ArcInstance, GlobalPolicy, GlobalSchedule,
+    NoReuseSolution, Resource, Solution, Time, TwoTupleInstance,
 };
 use rtt_duration::DurationKind;
 
@@ -141,24 +150,91 @@ pub const EXACT_JOB_CAP: usize = 10;
 /// `unsupported` instead of asking the allocator for the table.
 const SP_BUDGET_CAP: u64 = 1 << 20;
 
-/// A solved-status skeleton the adapters fill in field by field.
-fn report_skeleton(req: &SolveRequest, solver: &'static str) -> SolveReport {
-    SolveReport::new(req.id.clone(), solver, Status::Solved, "")
+/// The wire detail of an exact min-resource search that cannot reach
+/// its target at any budget.
+const BELOW_IDEAL: &str = "makespan target below the ideal makespan";
+
+/// A solver's answer, in the solution form its regime produces.
+pub(crate) enum Answer {
+    /// A routed flow (Question 1.3).
+    Routed(Solution),
+    /// Dedicated levels (Question 1.1).
+    NoReuse(NoReuseSolution),
+    /// A global-pool schedule (Question 1.2).
+    Schedule(GlobalSchedule),
 }
 
-/// Fills a report from a certified [`ApproxSolution`].
-fn report_approx(req: &SolveRequest, solver: &'static str, a: ApproxSolution) -> SolveReport {
-    validate(req.prepared.arc(), &a.solution).expect("solver produced an invalid solution");
-    let mut r = report_skeleton(req, solver);
-    r.makespan = Some(a.solution.makespan);
-    r.budget_used = Some(a.solution.budget_used);
+/// The one solved-report builder (see the module docs): sets the form
+/// field from `answer` and `makespan` and `budget_used` from the
+/// per-form check. Callers add their certificates and `work`.
+pub(crate) fn solved(req: &SolveRequest, solver: &'static str, answer: Answer) -> SolveReport {
+    let mut r = SolveReport::new(req.id.clone(), solver, Status::Solved, "");
+    match answer {
+        Answer::Routed(s) => r.solution = Some(s),
+        Answer::NoReuse(s) => r.noreuse = Some(s),
+        Answer::Schedule(s) => r.schedule = Some(s),
+    }
+    let (makespan, used) = check_form(req, &r);
+    (r.makespan, r.budget_used) = (Some(makespan), Some(used));
+    r
+}
+
+/// The one per-form check (see the module docs), run by [`solved`] on
+/// every fresh report and by the executor on every solution-tier
+/// replay: validates the solution `r` carries for its form on the
+/// request's instance, and returns that solution's makespan and budget
+/// used. Panics on an invalid or missing solution.
+pub(crate) fn check_form(req: &SolveRequest, r: &SolveReport) -> (Time, Resource) {
+    let arc = req.prepared.arc();
+    if let Some(s) = &r.solution {
+        validate(arc, s).unwrap_or_else(|e| panic!("invalid routed solution: {e}"));
+        (s.makespan, s.budget_used)
+    } else if let Some(s) = &r.noreuse {
+        validate_noreuse(arc, s).unwrap_or_else(|e| panic!("invalid no-reuse solution: {e}"));
+        (s.makespan, s.budget_used)
+    } else if let Some(s) = &r.schedule {
+        // the pool is the request's budget; `global-greedy` answers
+        // only min-makespan requests, so any other objective holds the
+        // schedule to its own peak
+        let budget = match req.objective {
+            Objective::MinMakespan { budget } => budget,
+            _ => s.peak_in_use,
+        };
+        verify_global_schedule(arc, budget, s).unwrap_or_else(|e| panic!("invalid schedule: {e}"));
+        (s.makespan, s.peak_in_use)
+    } else {
+        panic!("a solved report must carry a solution")
+    }
+}
+
+/// A solved report from an LP rounding: the routed solution plus the LP
+/// bounds, the certified factors, and the simplex pivots as `work`.
+pub(crate) fn approx_report(
+    req: &SolveRequest,
+    solver: &'static str,
+    a: ApproxSolution,
+) -> SolveReport {
+    let mut r = solved(req, solver, Answer::Routed(a.solution));
     r.lp_makespan = Some(a.lp_makespan);
     r.lp_budget = Some(a.lp_budget);
     r.makespan_factor = Some(a.makespan_factor);
     r.resource_factor = Some(a.resource_factor);
     r.work = a.lp_pivots as u64;
     r.lp_stats = Some(a.lp_stats);
-    r.solution = Some(a.solution);
+    r
+}
+
+/// A solved report from an exact solver: factor 1 on both criteria.
+fn exact_report(
+    req: &SolveRequest,
+    solver: &'static str,
+    answer: Answer,
+    work: u64,
+) -> SolveReport {
+    let mut r = solved(req, solver, answer);
+    r.makespan_factor = Some(1.0);
+    r.resource_factor = Some(1.0);
+    r.work = work;
     r
 }
 
@@ -211,32 +287,39 @@ fn unsupported_sweep(req: &SolveRequest, solver: &'static str) -> SolveReport {
     )
 }
 
-fn family_capability(
-    arc: &ArcInstance,
-    want: fn(DurationKind) -> bool,
-    reason: &'static str,
-) -> Capability {
-    if arc
-        .improvable_edges()
-        .iter()
-        .all(|&e| want(arc.dag().edge(e).duration.kind()))
-    {
-        Capability::Supported
-    } else {
-        Capability::Unsupported(reason)
-    }
-}
-
 // ---------------------------------------------------------------------
 // reuse-over-paths solvers (the paper's regime, Question 1.3)
 // ---------------------------------------------------------------------
 
-/// Exhaustive exact search (`exact`).
-pub struct ExactSolver;
+/// Exhaustive exact search over canonical levels, in one of two cost
+/// regimes: [`ExactSolver::ROUTED`] (`exact`) pays the levels' min-flow
+/// (Question 1.3) and answers with a routed flow;
+/// [`ExactSolver::NO_REUSE`] (`noreuse-exact`, Question 1.1) pays their
+/// sum and answers with dedicated levels, its factors relative to the
+/// no-reuse optimum. Both answer min-makespan and min-resource
+/// requests; `exact`'s min-makespan `work` is the search's explored
+/// assignments.
+pub struct ExactSolver {
+    name: &'static str,
+    noreuse: bool,
+}
+
+impl ExactSolver {
+    /// The routed regime (`exact`).
+    pub const ROUTED: ExactSolver = ExactSolver {
+        name: "exact",
+        noreuse: false,
+    };
+    /// The no-reuse regime (`noreuse-exact`).
+    pub const NO_REUSE: ExactSolver = ExactSolver {
+        name: "noreuse-exact",
+        noreuse: true,
+    };
+}
 
 impl Solver for ExactSolver {
     fn name(&self) -> &'static str {
-        "exact"
+        self.name
     }
 
     fn supports(&self, arc: &ArcInstance) -> Capability {
@@ -250,45 +333,40 @@ impl Solver for ExactSolver {
     fn solve(&self, req: &SolveRequest, ctx: &BudgetContext) -> SolveReport {
         let arc = req.prepared.arc();
         let meter = ctx.meter();
-        let mut r = report_skeleton(req, self.name());
-        match req.objective {
-            Objective::MakespanSweep { .. } => return unsupported_sweep(req, self.name()),
-            Objective::MinMakespan { budget } => {
-                let ex = match rtt_core::exact::solve_exact_metered(arc, budget, meter) {
-                    Ok(ex) => ex,
-                    Err(e) => return report_exhausted(req, self.name(), e),
-                };
-                validate(arc, &ex.solution).expect("exact produced an invalid solution");
-                r.makespan = Some(ex.solution.makespan);
-                r.budget_used = Some(ex.solution.budget_used);
-                r.makespan_factor = Some(1.0);
-                r.resource_factor = Some(1.0);
-                r.work = ex.explored;
-                r.solution = Some(ex.solution);
+        let found = match (&req.objective, self.noreuse) {
+            (Objective::MakespanSweep { .. }, _) => return unsupported_sweep(req, self.name),
+            (&Objective::MinMakespan { budget }, false) => {
+                rtt_core::exact::solve_exact_metered(arc, budget, meter)
+                    .map(|ex| Some((Answer::Routed(ex.solution), ex.explored)))
             }
-            Objective::MinResource { target } => {
-                match rtt_core::exact::solve_exact_min_resource_metered(arc, target, meter) {
-                    Ok(Some((needed, sol))) => {
-                        validate(arc, &sol).expect("exact produced an invalid solution");
-                        r.makespan = Some(sol.makespan);
-                        r.budget_used = Some(needed);
-                        r.makespan_factor = Some(1.0);
-                        r.resource_factor = Some(1.0);
-                        r.solution = Some(sol);
-                    }
-                    Ok(None) => {
-                        return SolveReport::new(
-                            req.id.clone(),
-                            self.name(),
-                            Status::Infeasible,
-                            "makespan target below the ideal makespan",
-                        )
-                    }
-                    Err(e) => return report_exhausted(req, self.name(), e),
-                }
+            (&Objective::MinMakespan { budget }, true) => {
+                solve_noreuse_exact_metered(arc, budget, meter)
+                    .map(|s| Some((Answer::NoReuse(s), 0)))
             }
+            (&Objective::MinResource { target }, false) => {
+                rtt_core::exact::solve_exact_min_resource_metered(arc, target, meter)
+                    .map(|found| found.map(|(_, s)| (Answer::Routed(s), 0)))
+            }
+            (&Objective::MinResource { target }, true) => {
+                solve_noreuse_exact_min_resource_metered(arc, target, meter)
+                    .map(|found| found.map(|s| (Answer::NoReuse(s), 0)))
+            }
+        };
+        match found {
+            Ok(Some((answer, work))) => exact_report(req, self.name, answer, work),
+            Ok(None) => {
+                SolveReport::new(req.id.clone(), self.name, Status::Infeasible, BELOW_IDEAL)
+            }
+            Err(e) => report_exhausted(req, self.name, e),
         }
-        r
+    }
+
+    fn solution_form(&self) -> SolutionForm {
+        if self.noreuse {
+            SolutionForm::NoReuse
+        } else {
+            SolutionForm::Routed
+        }
     }
 }
 
@@ -319,124 +397,88 @@ impl Solver for BicriteriaSolver {
             }
         };
         match result {
-            Ok(a) => report_approx(req, self.name(), a),
+            Ok(a) => approx_report(req, self.name(), a),
             Err(e) => report_lp_failure(req, self.name(), e),
         }
     }
 }
 
-/// Theorem 3.9 single-criteria 5-approximation (`kway`).
-pub struct KwaySolver;
+/// An `rtt_core` family rounding on the shared `D''` expansion.
+type FamilyRounding = fn(
+    &ArcInstance,
+    &TwoTupleInstance,
+    Resource,
+    Option<&BudgetMeter>,
+) -> Result<ApproxSolution, SolveError>;
 
-impl Solver for KwaySolver {
-    fn name(&self) -> &'static str {
-        "kway"
-    }
-
-    fn supports(&self, arc: &ArcInstance) -> Capability {
-        family_capability(
-            arc,
-            |k| matches!(k, DurationKind::KWay { .. }),
-            "requires k-way splitting duration functions",
-        )
-    }
-
-    fn solve(&self, req: &SolveRequest, ctx: &BudgetContext) -> SolveReport {
-        let Objective::MinMakespan { budget } = req.objective else {
-            return unsupported_objective(req, self.name());
-        };
-        match rtt_core::solvers::solve_kway_5approx_metered(
-            req.prepared.arc(),
-            req.prepared.tt(),
-            budget,
-            ctx.meter(),
-        ) {
-            Ok(a) => report_approx(req, self.name(), a),
-            Err(e) => report_lp_failure(req, self.name(), e),
-        }
-    }
+/// The single-criteria roundings for one duration family — one adapter
+/// registered three times, each with its registry name, the family its
+/// instances' improvable jobs must all belong to, the reason it gives
+/// when they do not, and its `rtt_core` rounding. Min-makespan only.
+pub(crate) struct FamilySolver {
+    name: &'static str,
+    family: fn(DurationKind) -> bool,
+    reason: &'static str,
+    round: FamilyRounding,
 }
 
-/// Theorem 3.10 single-criteria 4-approximation (`recbinary`).
-pub struct RecBinarySolver;
-
-impl Solver for RecBinarySolver {
-    fn name(&self) -> &'static str {
-        "recbinary"
-    }
-
-    fn supports(&self, arc: &ArcInstance) -> Capability {
-        family_capability(
-            arc,
-            |k| matches!(k, DurationKind::RecursiveBinary { .. }),
-            "requires recursive-binary duration functions",
-        )
-    }
-
-    fn solve(&self, req: &SolveRequest, ctx: &BudgetContext) -> SolveReport {
-        let Objective::MinMakespan { budget } = req.objective else {
-            return unsupported_objective(req, self.name());
-        };
-        match rtt_core::solvers::solve_recbinary_4approx_metered(
-            req.prepared.arc(),
-            req.prepared.tt(),
-            budget,
-            ctx.meter(),
-        ) {
-            Ok(a) => report_approx(req, self.name(), a),
-            Err(e) => report_lp_failure(req, self.name(), e),
-        }
-    }
+impl FamilySolver {
+    /// Theorem 3.9 single-criteria 5-approximation (`kway`).
+    pub(crate) const KWAY: FamilySolver = FamilySolver {
+        name: "kway",
+        family: |k| matches!(k, DurationKind::KWay { .. }),
+        reason: "requires k-way splitting duration functions",
+        round: rtt_core::solvers::solve_kway_5approx_metered,
+    };
+    /// Theorem 3.10 single-criteria 4-approximation (`recbinary`).
+    pub(crate) const RECBINARY: FamilySolver = FamilySolver {
+        name: "recbinary",
+        family: |k| matches!(k, DurationKind::RecursiveBinary { .. }),
+        reason: "requires recursive-binary duration functions",
+        round: rtt_core::solvers::solve_recbinary_4approx_metered,
+    };
+    /// Theorem 3.16 improved (4/3, 14/5) bi-criteria
+    /// (`recbinary-improved`).
+    pub(crate) const RECBINARY_IMPROVED: FamilySolver = FamilySolver {
+        name: "recbinary-improved",
+        family: |k| matches!(k, DurationKind::RecursiveBinary { .. }),
+        reason: "requires recursive-binary duration functions",
+        round: rtt_core::solvers::solve_recbinary_improved_metered,
+    };
 }
 
-/// Theorem 3.16 improved (4/3, 14/5) bi-criteria (`recbinary-improved`).
-pub struct RecBinaryImprovedSolver;
-
-impl Solver for RecBinaryImprovedSolver {
+impl Solver for FamilySolver {
     fn name(&self) -> &'static str {
-        "recbinary-improved"
+        self.name
     }
 
     fn supports(&self, arc: &ArcInstance) -> Capability {
-        family_capability(
-            arc,
-            |k| matches!(k, DurationKind::RecursiveBinary { .. }),
-            "requires recursive-binary duration functions",
-        )
+        let d = arc.dag();
+        if arc
+            .improvable_edges()
+            .iter()
+            .all(|&e| (self.family)(d.edge(e).duration.kind()))
+        {
+            Capability::Supported
+        } else {
+            Capability::Unsupported(self.reason)
+        }
     }
 
     fn solve(&self, req: &SolveRequest, ctx: &BudgetContext) -> SolveReport {
         let Objective::MinMakespan { budget } = req.objective else {
-            return unsupported_objective(req, self.name());
+            return unsupported_objective(req, self.name);
         };
-        match rtt_core::solvers::solve_recbinary_improved_metered(
-            req.prepared.arc(),
-            req.prepared.tt(),
-            budget,
-            ctx.meter(),
-        ) {
-            Ok(a) => report_approx(req, self.name(), a),
-            Err(e) => report_lp_failure(req, self.name(), e),
+        match (self.round)(req.prepared.arc(), req.prepared.tt(), budget, ctx.meter()) {
+            Ok(a) => approx_report(req, self.name, a),
+            Err(e) => report_lp_failure(req, self.name, e),
         }
     }
 }
 
 /// §3.4 pseudo-polynomial exact DP for series-parallel DAGs (`sp-dp`).
+/// `work` counts the DP cells its calls filled.
 pub struct SpDpSolver;
-
-impl SpDpSolver {
-    fn solved(req: &SolveRequest, name: &'static str, sol: Solution, work: u64) -> SolveReport {
-        validate(req.prepared.arc(), &sol).expect("sp-dp produced an invalid solution");
-        let mut r = report_skeleton(req, name);
-        r.makespan = Some(sol.makespan);
-        r.budget_used = Some(sol.budget_used);
-        r.makespan_factor = Some(1.0);
-        r.resource_factor = Some(1.0);
-        r.work = work;
-        r.solution = Some(sol);
-        r
-    }
-}
 
 impl Solver for SpDpSolver {
     fn name(&self) -> &'static str {
@@ -464,31 +506,22 @@ impl Solver for SpDpSolver {
     fn solve(&self, req: &SolveRequest, ctx: &BudgetContext) -> SolveReport {
         let arc = req.prepared.arc();
         let meter = ctx.meter();
-        let Some(tree) = req.prepared.sp_tree() else {
-            return SolveReport::new(
-                req.id.clone(),
-                self.name(),
-                Status::Unsupported,
-                "instance is not two-terminal series-parallel",
-            );
+        let unsupported = |detail: String| {
+            SolveReport::new(req.id.clone(), self.name(), Status::Unsupported, detail)
         };
-        match req.objective {
-            Objective::MakespanSweep { .. } => unsupported_sweep(req, self.name()),
-            Objective::MinMakespan { budget } if budget > SP_BUDGET_CAP => SolveReport::new(
-                req.id.clone(),
-                self.name(),
-                Status::Unsupported,
-                format!("budget {budget} exceeds the DP budget cap {SP_BUDGET_CAP}"),
-            ),
-            Objective::MinMakespan { budget } => {
-                match solve_sp_exact_with_tree_metered(arc, tree, budget, meter) {
-                    Ok((sp, sol)) => {
-                        let work = sp.curve.len() as u64 * tree.len() as u64;
-                        Self::solved(req, self.name(), sol, work)
-                    }
-                    Err(e) => report_exhausted(req, self.name(), e),
-                }
+        let Some(tree) = req.prepared.sp_tree() else {
+            return unsupported("instance is not two-terminal series-parallel".into());
+        };
+        // the budget the one DP call below solves at, and the curve
+        // length a min-resource search swept to find it
+        let (budget, swept) = match req.objective {
+            Objective::MakespanSweep { .. } => return unsupported_sweep(req, self.name()),
+            Objective::MinMakespan { budget } if budget > SP_BUDGET_CAP => {
+                return unsupported(format!(
+                    "budget {budget} exceeds the DP budget cap {SP_BUDGET_CAP}"
+                ))
             }
+            Objective::MinMakespan { budget } => (budget, 0),
             Objective::MinResource { target } => {
                 // one DP run over the saturation budget yields the whole
                 // curve; the first λ meeting the target is optimal
@@ -496,14 +529,9 @@ impl Solver for SpDpSolver {
                 if saturation > SP_BUDGET_CAP {
                     // refusing is honest; sweeping a truncated range and
                     // calling the result "infeasible" would not be
-                    return SolveReport::new(
-                        req.id.clone(),
-                        self.name(),
-                        Status::Unsupported,
-                        format!(
-                            "saturation budget {saturation} exceeds the DP sweep cap {SP_BUDGET_CAP}"
-                        ),
-                    );
+                    return unsupported(format!(
+                        "saturation budget {saturation} exceeds the DP sweep cap {SP_BUDGET_CAP}"
+                    ));
                 }
                 let swept = solve_sp_tree_metered(
                     tree,
@@ -511,31 +539,31 @@ impl Solver for SpDpSolver {
                     saturation,
                     meter,
                 );
-                let (curve, _, _) = match swept {
-                    Ok(r) => r,
+                let curve = match swept {
+                    Ok((curve, _, _)) => curve,
                     Err(e) => return report_exhausted(req, self.name(), e),
                 };
                 match curve.iter().position(|&t| t <= target) {
-                    Some(needed) => {
-                        match solve_sp_exact_with_tree_metered(arc, tree, needed as u64, meter) {
-                            Ok((sp, sol)) => {
-                                let work =
-                                    (curve.len() + sp.curve.len()) as u64 * tree.len() as u64;
-                                Self::solved(req, self.name(), sol, work)
-                            }
-                            Err(e) => report_exhausted(req, self.name(), e),
-                        }
-                    }
+                    Some(needed) => (needed as u64, curve.len()),
                     // the saturation budget is the most that can ever
                     // help, so missing the target there is conclusive
-                    None => SolveReport::new(
-                        req.id.clone(),
-                        self.name(),
-                        Status::Infeasible,
-                        "makespan target below the ideal makespan",
-                    ),
+                    None => {
+                        return SolveReport::new(
+                            req.id.clone(),
+                            self.name(),
+                            Status::Infeasible,
+                            BELOW_IDEAL,
+                        )
+                    }
                 }
             }
+        };
+        match solve_sp_exact_with_tree_metered(arc, tree, budget, meter) {
+            Ok((sp, sol)) => {
+                let work = (swept + sp.curve.len()) as u64 * tree.len() as u64;
+                exact_report(req, self.name(), Answer::Routed(sol), work)
+            }
+            Err(e) => report_exhausted(req, self.name(), e),
         }
     }
 }
@@ -543,73 +571,6 @@ impl Solver for SpDpSolver {
 // ---------------------------------------------------------------------
 // regime baselines (Questions 1.1 and 1.2)
 // ---------------------------------------------------------------------
-
-/// Exact no-reuse baseline (`noreuse-exact`, Question 1.1). Factors are
-/// relative to the *no-reuse* optimum; no flow solution is attached
-/// (allocations are dedicated, not routed).
-pub struct NoReuseExactSolver;
-
-impl Solver for NoReuseExactSolver {
-    fn name(&self) -> &'static str {
-        "noreuse-exact"
-    }
-
-    fn supports(&self, arc: &ArcInstance) -> Capability {
-        if arc.improvable_edges().len() <= EXACT_JOB_CAP {
-            Capability::Supported
-        } else {
-            Capability::Unsupported("exhaustive search needs ≤ 10 improvable jobs")
-        }
-    }
-
-    fn solve(&self, req: &SolveRequest, ctx: &BudgetContext) -> SolveReport {
-        let arc = req.prepared.arc();
-        let meter = ctx.meter();
-        let mut r = report_skeleton(req, self.name());
-        match req.objective {
-            Objective::MakespanSweep { .. } => return unsupported_sweep(req, self.name()),
-            Objective::MinMakespan { budget } => {
-                let sol = match solve_noreuse_exact_metered(arc, budget, meter) {
-                    Ok(sol) => sol,
-                    Err(e) => return report_exhausted(req, self.name(), e),
-                };
-                validate_noreuse(arc, &sol).expect("no-reuse solver produced invalid solution");
-                r.makespan = Some(sol.makespan);
-                r.budget_used = Some(sol.budget_used);
-                r.makespan_factor = Some(1.0);
-                r.resource_factor = Some(1.0);
-                r.noreuse = Some(sol);
-            }
-            Objective::MinResource { target } => {
-                match solve_noreuse_exact_min_resource_metered(arc, target, meter) {
-                    Ok(Some(sol)) => {
-                        validate_noreuse(arc, &sol)
-                            .expect("no-reuse solver produced invalid solution");
-                        r.makespan = Some(sol.makespan);
-                        r.budget_used = Some(sol.budget_used);
-                        r.makespan_factor = Some(1.0);
-                        r.resource_factor = Some(1.0);
-                        r.noreuse = Some(sol);
-                    }
-                    Ok(None) => {
-                        return SolveReport::new(
-                            req.id.clone(),
-                            self.name(),
-                            Status::Infeasible,
-                            "makespan target below the ideal makespan",
-                        )
-                    }
-                    Err(e) => return report_exhausted(req, self.name(), e),
-                }
-            }
-        }
-        r
-    }
-
-    fn solution_form(&self) -> SolutionForm {
-        SolutionForm::NoReuse
-    }
-}
 
 /// LP-rounding no-reuse baseline (`noreuse-bicriteria`, Question 1.1).
 /// Factors are relative to the no-reuse optimum.
@@ -637,16 +598,11 @@ impl Solver for NoReuseBicriteriaSolver {
             ctx.meter(),
         ) {
             Ok(a) => {
-                validate_noreuse(arc, &a.solution)
-                    .expect("no-reuse solver produced invalid solution");
-                let mut r = report_skeleton(req, self.name());
-                r.makespan = Some(a.solution.makespan);
-                r.budget_used = Some(a.solution.budget_used);
+                let mut r = solved(req, self.name(), Answer::NoReuse(a.solution));
                 r.lp_makespan = Some(a.lp_makespan);
                 r.lp_budget = Some(a.lp_budget);
                 r.makespan_factor = Some(1.0 / req.alpha);
                 r.resource_factor = Some(1.0 / (1.0 - req.alpha));
-                r.noreuse = Some(a.solution);
                 r
             }
             Err(LpError::Infeasible) => SolveReport::new(
@@ -692,21 +648,17 @@ impl Solver for GlobalGreedySolver {
         let Objective::MinMakespan { budget } = req.objective else {
             return unsupported_objective(req, self.name());
         };
-        let arc = req.prepared.arc();
-        let mut best: Option<rtt_core::GlobalSchedule> = None;
-        for policy in [GlobalPolicy::Eager, GlobalPolicy::Patient] {
-            let s = rtt_core::global_reuse_schedule(arc, budget, policy);
-            verify_global_schedule(arc, budget, &s).expect("greedy schedule must verify");
-            if best.as_ref().is_none_or(|b| s.makespan < b.makespan) {
-                best = Some(s);
-            }
+        // both policies' schedules pass the per-form check; the
+        // strictly better one answers, ties to eager
+        let [eager, patient] = [GlobalPolicy::Eager, GlobalPolicy::Patient].map(|p| {
+            let s = rtt_core::global_reuse_schedule(req.prepared.arc(), budget, p);
+            solved(req, self.name(), Answer::Schedule(s))
+        });
+        if patient.makespan < eager.makespan {
+            patient
+        } else {
+            eager
         }
-        let s = best.expect("two policies ran");
-        let mut r = report_skeleton(req, self.name());
-        r.makespan = Some(s.makespan);
-        r.budget_used = Some(s.peak_in_use);
-        r.schedule = Some(s);
-        r
     }
 
     fn solution_form(&self) -> SolutionForm {

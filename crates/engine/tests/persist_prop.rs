@@ -1,14 +1,16 @@
 //! Property and corruption tests for the `rtt-cache-v1` spill format
 //! (PR 8): a save → load round trip must serve byte-equivalent reports
-//! through the full re-certification path, and a corrupt file must be
-//! rejected with a structured error and **zero** entries installed.
+//! through the full re-certification path, a corrupt file must be
+//! rejected with a structured error and **zero** entries installed, and
+//! a forged entry that passes its checksum must be answered `failed`,
+//! never served.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtt_engine::{
-    persist, run_batch_cached, PersistError, PreparedInstance, Registry, ReuseCache, SolveReport,
-    SolveRequest, Status,
+    persist, run_batch, run_batch_cached, PersistError, PreparedInstance, Registry, ReuseCache,
+    SolveReport, SolveRequest, Status,
 };
 use rtt_core::ArcInstance;
 use rtt_dag::gen;
@@ -32,18 +34,18 @@ fn generate(kind: usize, family: usize, seed: u64) -> ArcInstance {
 }
 
 /// A mixed corpus over one instance: a sweep, its duplicate, and a
-/// single min-makespan solve — everything the solution tier caches.
+/// single min-makespan solve in each solution form (`bicriteria`
+/// routed, `noreuse-exact` no-reuse, `global-greedy` schedule) —
+/// everything the solution tier caches.
 fn corpus(kind: usize, family: usize, seed: u64, hi: u64) -> Vec<SolveRequest> {
     let prep = Arc::new(PreparedInstance::new(generate(kind, family, seed)));
     let budgets: Vec<u64> = (0..=hi).collect();
     vec![
         SolveRequest::sweep("s1", prep.clone(), budgets.clone()),
         SolveRequest::sweep("s2", prep.clone(), budgets),
-        {
-            let mut r = SolveRequest::min_makespan("q1", prep, hi);
-            r.solver = rtt_engine::SolverSelection::Named("bicriteria".into());
-            r
-        },
+        SolveRequest::min_makespan("q1", prep.clone(), hi).with_solver("bicriteria"),
+        SolveRequest::min_makespan("q2", prep.clone(), hi).with_solver("noreuse-exact"),
+        SolveRequest::min_makespan("q3", prep, hi).with_solver("global-greedy"),
     ]
 }
 
@@ -116,8 +118,8 @@ proptest! {
     }
 }
 
-/// Populates a cache with one solved sweep + one single solve and
-/// spills it, returning the spill text.
+/// Populates a cache with the corpus (one solved sweep and a single
+/// solve per solution form) and spills it, returning the spill text.
 fn spilled_text(tag: &str) -> String {
     let registry = Registry::standard();
     let warm = ReuseCache::new(64);
@@ -231,4 +233,183 @@ fn report_count_wrapping_the_arity_is_rejected_with_zero_entries() {
         &forged,
         |e| matches!(e, PersistError::Entry { line: 2, reason } if reason.contains("arity")),
     );
+}
+
+// ---- forged entries: a valid checksum over wrong content -----------
+
+/// Spills the corpus' solution tier, rewrites the one entry whose key
+/// contains `key_part` through `edit` (its tab-separated fields, the
+/// checksum dropped), re-signs it with [`fnv64`], and serves the corpus
+/// from the forged spill.
+fn serve_forged(
+    tag: &str,
+    key_part: &str,
+    edit: impl FnOnce(&mut Vec<String>),
+) -> Vec<SolveReport> {
+    let mut edit = Some(edit);
+    let forged: Vec<String> = spilled_text(&format!("{tag}-src"))
+        .lines()
+        .map(|line| {
+            let mut fields: Vec<String> = line.split('\t').map(str::to_string).collect();
+            if fields.len() < 2 || !fields[0].contains(key_part) {
+                return line.to_string();
+            }
+            fields.pop();
+            edit.take().expect("one entry per key")(&mut fields);
+            let body = fields.join("\t");
+            format!("{body}\t{:016x}", fnv64(body.as_bytes()))
+        })
+        .collect();
+    assert!(edit.is_none(), "no entry key contains {key_part:?}");
+    let path = tmp_path(tag);
+    std::fs::write(&path, forged.join("\n") + "\n").unwrap();
+    let registry = Registry::standard();
+    let cache = ReuseCache::new(64);
+    persist::load(&cache, &path, &registry).expect("a re-signed spill loads");
+    std::fs::remove_file(&path).ok();
+    run_batch_cached(&registry, corpus(0, 0, 7, 4), 1, Some(&cache)).reports
+}
+
+/// Asserts that each of `ids` was answered by exactly one isolated
+/// `failed` report naming `why`, and every other request exactly as a
+/// cold run answers it.
+fn assert_refused(served: &[SolveReport], ids: &[&str], why: &str) {
+    let cold = run_batch(&Registry::standard(), corpus(0, 0, 7, 4), 1).reports;
+    for id in ids {
+        let mine: Vec<&SolveReport> = served.iter().filter(|r| r.id == *id).collect();
+        assert_eq!(
+            mine.len(),
+            1,
+            "{id}: one report for the whole request: {mine:?}"
+        );
+        assert_eq!(mine[0].status, Status::Failed, "{id}: {mine:?}");
+        assert!(
+            mine[0].panicked && mine[0].detail.contains(why),
+            "{id}: {mine:?}"
+        );
+    }
+    let others = |rs: &[SolveReport]| -> Vec<WireFields> {
+        rs.iter()
+            .filter(|r| !ids.contains(&r.id.as_str()))
+            .map(wire_fields)
+            .collect()
+    };
+    assert_eq!(others(served), others(&cold));
+}
+
+// Field positions in a one-report entry line: key, report count, then
+// solver, sweep_budget, makespan, budget_used, four floats, work, form.
+const SOLVER: usize = 2;
+const SWEEP_BUDGET: usize = 3;
+const MAKESPAN: usize = 4;
+const FORM: usize = 11;
+
+#[test]
+fn forged_report_makespan_is_refused() {
+    let served = serve_forged("forge-ms", "|bicriteria|mm:", |f| {
+        let makespan: u64 = f[MAKESPAN].parse().unwrap();
+        f[MAKESPAN] = (makespan - 1).to_string();
+    });
+    assert_refused(&served, &["q1"], "disagrees with its solution");
+}
+
+#[test]
+fn forged_report_solver_is_refused() {
+    let served = serve_forged("forge-solver", "|bicriteria|mm:", |f| {
+        assert_eq!(f[SOLVER], "bicriteria");
+        f[SOLVER] = "exact".into();
+    });
+    assert_refused(&served, &["q1"], "names another solver");
+}
+
+#[test]
+fn forged_sweep_budget_is_refused() {
+    let served = serve_forged("forge-point", "|bicriteria|sw:", |f| {
+        assert_eq!(f[SWEEP_BUDGET], "0");
+        f[SWEEP_BUDGET] = "1000".into();
+    });
+    assert_refused(&served, &["s1", "s2"], "answers another point");
+}
+
+#[test]
+fn sweep_entry_missing_a_point_is_refused() {
+    let served = serve_forged("forge-count", "|bicriteria|sw:", |f| {
+        assert_eq!(f[1], "5");
+        f[1] = "4".into();
+        f.truncate(f.len() - 10);
+    });
+    assert_refused(&served, &["s1", "s2"], "wrong report count");
+}
+
+/// Rewrites a one-report entry's solution form `tag:a;b;…` through
+/// `edit` on its `;`-separated sections, each a `,`-joined vector.
+fn edit_form(f: &mut [String], tag: &str, edit: impl FnOnce(&mut Vec<Vec<u64>>)) {
+    let body = f[FORM]
+        .strip_prefix(tag)
+        .expect("the entry's form")
+        .to_string();
+    let mut sections: Vec<Vec<u64>> = body
+        .split(';')
+        .map(|s| {
+            s.split(',')
+                .filter(|x| !x.is_empty())
+                .map(|x| x.parse().unwrap())
+                .collect()
+        })
+        .collect();
+    edit(&mut sections);
+    let joined: Vec<String> = sections
+        .iter()
+        .map(|v| v.iter().map(u64::to_string).collect::<Vec<_>>().join(","))
+        .collect();
+    f[FORM] = format!("{tag}{}", joined.join(";"));
+}
+
+/// Lowers one arc's claimed time below what its level buys (`levels`
+/// is section 0, times section 1), and keeps the solution's and the
+/// report's makespan the longest path of the claimed times.
+fn claim_an_unbought_time(f: &mut [String], tag: &str) {
+    let arc = generate(0, 0, 7);
+    let d = arc.dag();
+    let mut makespan = 0;
+    edit_form(f, tag, |s| {
+        let e = d
+            .edge_ids()
+            .find(|&e| arc.arc_time(e, s[0][e.index()]) > 0)
+            .expect("an arc with a positive duration");
+        s[1][e.index()] = arc.arc_time(e, s[0][e.index()]) - 1;
+        makespan = rtt_dag::longest_path_edges(d, |e| s[1][e.index()])
+            .unwrap()
+            .weight;
+        s[2] = vec![makespan];
+    });
+    f[MAKESPAN] = makespan.to_string();
+}
+
+#[test]
+fn loaded_solutions_invalid_for_their_form_are_refused() {
+    let routed = serve_forged("forge-sol", "|bicriteria|mm:", |f| {
+        claim_an_unbought_time(f, "sol:")
+    });
+    assert_refused(&routed, &["q1"], "< achievable");
+    let noreuse = serve_forged("forge-nr", "|noreuse-exact|mm:", |f| {
+        claim_an_unbought_time(f, "nr:")
+    });
+    assert_refused(&noreuse, &["q2"], "unachievable duration");
+    let schedule = serve_forged("forge-sched", "|global-greedy|mm:", |f| {
+        // start one arc a tick before a predecessor finishes
+        let arc = generate(0, 0, 7);
+        let d = arc.dag();
+        edit_form(f, "sched:", |s| {
+            let (e, finish) = d
+                .edge_refs()
+                .find_map(|e| {
+                    let latest = d.in_edges(e.src).iter().map(|p| s[1][p.index()]).max()?;
+                    (latest > 0).then_some((e.id, latest))
+                })
+                .expect("an arc after a timed predecessor");
+            s[0][e.index()] = finish - 1;
+        });
+    });
+    assert_refused(&schedule, &["q3"], "before its predecessors finished");
 }

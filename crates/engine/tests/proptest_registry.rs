@@ -210,7 +210,8 @@ proptest! {
             let s = rtt_core::global_reuse_schedule(&arc, budget, policy);
             rtt_core::verify_global_schedule(&arc, budget, &s)
                 .expect("greedy schedule verifies");
-            let cert = rtt_engine::certify_schedule(&arc, &s)
+            let cert = rtt_engine::certify_schedule(&arc, &s, None)
+                .unwrap()
                 .expect("finite schedule certifies");
             prop_assert!(
                 cert.simulated <= s.makespan,
@@ -220,7 +221,9 @@ proptest! {
             );
         }
         let nr = rtt_core::solve_noreuse_exact(&arc, budget);
-        let cert = rtt_engine::certify_noreuse(&arc, &nr).expect("finite levels certify");
+        let cert = rtt_engine::certify_noreuse(&arc, &nr, None)
+            .unwrap()
+            .expect("finite levels certify");
         prop_assert!(
             cert.simulated <= nr.makespan,
             "no-reuse: simulated {} > makespan {}",
