@@ -328,3 +328,97 @@ fn cache_load_with_unallocatable_entry_count_fails_cleanly() {
         "{stderr}"
     );
 }
+
+/// A batch line of `copies` parallel step jobs `s → x → t` that drop
+/// from 10 ticks to 0 at `level` units, at budget `u64::MAX`.
+fn parallel_step_line(id: &str, level: u64, copies: usize) -> String {
+    let step = format!(r#"{{"kind":"step","tuples":[[0,10],[{level},0]]}}"#);
+    let mut nodes = vec![r#"{"label":"s","duration":{"kind":"zero"}}"#.to_string()];
+    for j in 0..copies {
+        nodes.push(format!(r#"{{"label":"x{j}","duration":{step}}}"#));
+    }
+    nodes.push(r#"{"label":"t","duration":{"kind":"zero"}}"#.to_string());
+    let edges: Vec<String> = (1..=copies)
+        .flat_map(|j| {
+            [
+                format!(r#"{{"src":0,"dst":{j}}}"#),
+                format!(r#"{{"src":{j},"dst":{}}}"#, copies + 1),
+            ]
+        })
+        .collect();
+    format!(
+        r#"{{"id":"{id}","instance":{{"form":"node","nodes":[{}],"edges":[{}]}},"budget":{}}}"#,
+        nodes.join(","),
+        edges.join(","),
+        u64::MAX
+    )
+}
+
+/// The `exact` and `noreuse-exact` reports `rtt batch --threads 1`
+/// answers `line` with.
+fn exact_reports(line: &str) -> (String, String) {
+    let path = tempdir().join("line.ndjson");
+    std::fs::write(&path, format!("{line}\n")).unwrap();
+    let out = rtt()
+        .args(["batch", path.to_str().unwrap(), "--threads", "1"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let report = |solver: &str| {
+        let key = format!(r#""solver":"{solver}""#);
+        stdout
+            .lines()
+            .find(|l| l.contains(&key))
+            .unwrap_or_else(|| panic!("no {solver} report in {stdout}"))
+            .to_string()
+    };
+    (report("exact"), report("noreuse-exact"))
+}
+
+/// The integer a report line carries under `key`.
+fn report_field(line: &str, key: &str) -> u64 {
+    let (_, rest) = line
+        .split_once(&format!(r#""{key}":"#))
+        .unwrap_or_else(|| panic!("no {key} in {line}"));
+    rest[..rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len())]
+        .parse()
+        .unwrap()
+}
+
+/// `exact` solves `line` at `makespan` for `budget_used`, replays to
+/// the same makespan, and answers what `noreuse-exact` does.
+fn assert_exact_answers(line: &str, makespan: u64, budget_used: u64) {
+    let (exact, noreuse) = exact_reports(line);
+    assert!(exact.contains(r#""status":"solved""#), "{exact}");
+    for (key, want) in [
+        ("makespan", makespan),
+        ("budget_used", budget_used),
+        ("sim_makespan", makespan),
+    ] {
+        assert_eq!(report_field(&exact, key), want, "{key} in {exact}");
+        assert_eq!(report_field(&noreuse, key), want, "{key} in {noreuse}");
+    }
+}
+
+#[test]
+fn exact_solves_a_job_level_of_2_pow_62() {
+    assert_exact_answers(&parallel_step_line("one", 1 << 62, 1), 0, 1 << 62);
+}
+
+#[test]
+fn exact_solves_two_parallel_job_levels_of_2_pow_62() {
+    assert_exact_answers(&parallel_step_line("two", 1 << 62, 2), 0, 1 << 63);
+}
+
+#[test]
+fn exact_prices_three_parallel_levels_of_2_pow_63_past_every_budget() {
+    // two of them already cost 2^64: only the all-zero levels fit
+    assert_exact_answers(&parallel_step_line("three", 1 << 63, 3), 10, 0);
+}

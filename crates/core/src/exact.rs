@@ -23,29 +23,50 @@
 //!   witness meeting both bounds ([`decide_feasible`]).
 //!
 //! Both costs are monotone in the levels, and level 0 leaves them
-//! unchanged, so a zero level carries its parent's cost over for free
-//! and only nonzero levels pay for a min-flow. Monotonicity is what
-//! makes the prunes sound. A node's cost (undecided jobs at level 0)
-//! bounds every completion's cost from below, and its makespan bound
-//! (undecided jobs at their fastest duration) bounds every completion's
-//! makespan from below. So a child over the budget `B` is never entered
-//! (nor is any higher level of the same job), a node whose cost already
-//! reaches a min-cost incumbent's is cut, and a node whose makespan
-//! bound cannot beat the min-makespan incumbent, or exceeds the target
-//! `T`, is cut. A leaf that survives the prunes strictly improves on the
-//! incumbent.
+//! unchanged, so a zero level carries its parent's cost over for free.
+//! Monotonicity is what makes the prunes sound. A node's cost (undecided
+//! jobs at level 0) bounds every completion's cost from below, and its
+//! makespan bound (undecided jobs at their fastest duration) bounds every
+//! completion's makespan from below. So a child over the budget `B` is
+//! never entered (nor is any higher level of the same job), a node whose
+//! cost already reaches a min-cost incumbent's is cut, and a node whose
+//! makespan bound cannot beat the min-makespan incumbent, or exceeds the
+//! target `T`, is cut. A leaf that survives the prunes strictly improves
+//! on the incumbent. A cost past `u64::MAX` is over every budget: the
+//! no-reuse sum is checked, and so is the routed value.
+//!
+//! # What a node costs to price
+//!
+//! Neither half of a node is computed from scratch:
+//!
+//! * the **makespan bound** is one pass over flat arrays built once per
+//!   search — the edges in topological order, each at its bound time (a
+//!   decided job at its level's duration, an undecided job at its
+//!   fastest, an unimprovable edge at its base time) — into a reused
+//!   event-time buffer. Deciding or undeciding a job rewrites one entry;
+//! * the **routed cost** is a minimum flow kept incrementally
+//!   ([`rtt_flow::UncappedDag`]): the search holds one minimum-flow
+//!   witness per depth, and a child with a nonzero level copies its
+//!   parent's witness and raises its job's lower bound. If the witness
+//!   already carries the level, the child costs what its parent did;
+//!   otherwise the shortfall is pushed along fixed source→job→sink
+//!   routes and t→s augmenting paths cancel what they can. The
+//!   minimum's value is unique, so every cost, prune and count is the
+//!   one a fresh min-flow per node gives.
 //!
 //! Every node entered charges one `dp_merge_steps` unit to the optional
 //! [`BudgetMeter`] before any prune, so a runaway search stops with a
 //! typed [`Exhausted`]; every leaf reached counts toward
 //! [`ExactSolution::explored`]. The winning levels are routed once, at
-//! the end: min-flow is deterministic, so this is the flow the leaf saw.
+//! the end, by a fresh min-flow whose value equals the cost the leaf
+//! was priced at.
 
 use crate::instance::ArcInstance;
-use crate::solution::{level_flow, routed_solution, Solution};
+use crate::solution::{routed_solution, Solution};
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_dag::EdgeId;
 use rtt_duration::{Resource, Time};
+use rtt_flow::{MinFlowWitness, UncappedDag};
 
 /// Result of an exact search.
 #[derive(Debug, Clone)]
@@ -95,17 +116,132 @@ struct Incumbent {
     cost: Resource,
 }
 
+/// The makespan bound as one pass over flat arrays: the edges in
+/// topological order, each at its bound time.
+struct FlatBound {
+    /// `(tail, head)` of the `k`-th edge in that order.
+    ends: Vec<(usize, usize)>,
+    /// Bound time of the `k`-th edge: a decided job's at its level, an
+    /// undecided job's fastest, an unimprovable edge's base time.
+    time: Vec<Time>,
+    /// Each edge's position in that order.
+    position: Vec<usize>,
+    /// Per-node event times, reused by every pass.
+    event: Vec<Time>,
+    sink: usize,
+}
+
+impl FlatBound {
+    /// The bound with every job undecided.
+    fn new(arc: &ArcInstance) -> Self {
+        let d = arc.dag();
+        // tails in topological order: an edge comes after every edge
+        // into its tail
+        let order: Vec<EdgeId> = rtt_dag::topo_order(d)
+            .expect("acyclic")
+            .into_iter()
+            .flat_map(|v| d.out_edges(v).iter().copied())
+            .collect();
+        let mut position = vec![0; d.edge_count()];
+        for (k, e) in order.iter().enumerate() {
+            position[e.index()] = k;
+        }
+        FlatBound {
+            ends: order
+                .iter()
+                .map(|&e| (d.src(e).index(), d.dst(e).index()))
+                .collect(),
+            time: order
+                .iter()
+                .map(|&e| {
+                    let dur = &d.edge(e).duration;
+                    if d.edge(e).improvable() {
+                        dur.min_time()
+                    } else {
+                        dur.time(0)
+                    }
+                })
+                .collect(),
+            position,
+            event: vec![0; d.node_count()],
+            sink: arc.sink().index(),
+        }
+    }
+
+    /// Sets edge `e`'s bound time.
+    fn set(&mut self, e: EdgeId, time: Time) {
+        self.time[self.position[e.index()]] = time;
+    }
+
+    /// Optimistic completion bound: the longest path of the bound times
+    /// (saturating, as `rtt_dag::longest_path_edges` sums). Every node
+    /// reaches the sink, so the sink's event time is that path. Exact
+    /// once every job is decided.
+    fn makespan(&mut self) -> Time {
+        self.event.fill(0);
+        for (&(u, v), &time) in self.ends.iter().zip(&self.time) {
+            let reach = self.event[u].saturating_add(time);
+            if reach > self.event[v] {
+                self.event[v] = reach;
+            }
+        }
+        self.event[self.sink]
+    }
+}
+
+/// The routed regime's cost: the instance's min-flow network and one
+/// minimum-flow witness per search depth.
+struct Routing {
+    net: UncappedDag,
+    witness: Vec<MinFlowWitness>,
+}
+
+impl Routing {
+    fn new(arc: &ArcInstance, depths: usize) -> Self {
+        let d = arc.dag();
+        let edges: Vec<(usize, usize)> = d
+            .edge_refs()
+            .map(|e| (e.src.index(), e.dst.index()))
+            .collect();
+        let net = UncappedDag::new(
+            d.node_count(),
+            &edges,
+            arc.source().index(),
+            arc.sink().index(),
+        );
+        let witness = vec![net.zero_flow(); depths];
+        Routing { net, witness }
+    }
+
+    /// The cost of the child that raises `job` to `level` over the
+    /// witness in slot `parent`: the witness is copied into slot `child`
+    /// and raised there. `None` past `u64::MAX`, which is over every
+    /// budget.
+    fn raise(
+        &mut self,
+        parent: usize,
+        child: usize,
+        job: EdgeId,
+        level: Resource,
+    ) -> Option<Resource> {
+        let (done, rest) = self.witness.split_at_mut(child);
+        let w = &mut rest[0];
+        w.clone_from(&done[parent]);
+        self.net.raise(w, job.index(), level);
+        Resource::try_from(w.value()).ok()
+    }
+}
+
 struct Search<'a> {
     arc: &'a ArcInstance,
-    regime: Regime,
     goal: Goal,
     meter: Option<&'a BudgetMeter>,
     jobs: Vec<EdgeId>,
-    /// Per-edge fastest duration, the bound of an undecided job.
-    min_time: Vec<Time>,
     /// Levels of the decided jobs; 0 elsewhere.
     levels: Vec<Resource>,
-    decided: Vec<bool>,
+    bound: FlatBound,
+    /// `None` in the no-reuse regime, whose cost is a checked sum.
+    routing: Option<Routing>,
     best: Option<Incumbent>,
     explored: u64,
 }
@@ -126,18 +262,15 @@ pub(crate) fn branch_and_bound(
     }
     let d = arc.dag();
     let seeded = matches!(goal, Goal::MinMakespan { .. });
+    let jobs = arc.improvable_edges();
     let mut search = Search {
         arc,
-        regime,
         goal,
         meter,
-        jobs: arc.improvable_edges(),
-        min_time: d
-            .edge_ids()
-            .map(|e| d.edge(e).duration.min_time())
-            .collect(),
+        routing: matches!(regime, Regime::Routed).then(|| Routing::new(arc, jobs.len() + 1)),
+        jobs,
         levels: vec![0; d.edge_count()],
-        decided: vec![false; d.edge_count()],
+        bound: FlatBound::new(arc),
         best: seeded.then(|| Incumbent {
             levels: vec![0; d.edge_count()],
             makespan: arc.base_makespan(),
@@ -145,7 +278,7 @@ pub(crate) fn branch_and_bound(
         }),
         explored: u64::from(seeded),
     };
-    search.dfs(0, 0)?;
+    search.dfs(0, 0, 0)?;
     Ok(search.best.map(|b| Found {
         levels: b.levels,
         explored: search.explored,
@@ -153,36 +286,21 @@ pub(crate) fn branch_and_bound(
 }
 
 impl Search<'_> {
-    /// Optimistic completion bound: decided/unimprovable jobs at their
-    /// chosen level, undecided jobs at their best conceivable duration.
-    /// Exact once every job is decided.
-    fn makespan_lb(&self) -> Time {
-        let d = self.arc.dag();
-        rtt_dag::longest_path_edges(d, |e| {
-            let i = e.index();
-            let dur = &d.edge(e).duration;
-            if dur.len() < 2 || self.decided[i] {
-                dur.time(self.levels[i])
-            } else {
-                self.min_time[i]
-            }
-        })
-        .expect("acyclic")
-        .weight
-    }
-
-    /// Searches below the node that decides `jobs[idx]` next and costs
-    /// `cost`; `Ok(true)` ends the search on a witness.
-    fn dfs(&mut self, idx: usize, cost: Resource) -> Result<bool, Exhausted> {
+    /// Searches below the node that decides `jobs[idx]` next, costs
+    /// `cost`, and (routed) keeps its witness in slot `slot`: a zero
+    /// level shares its parent's slot, any other child at depth
+    /// `idx + 1` writes slot `idx + 1`, which no ancestor holds.
+    /// `Ok(true)` ends the search on a witness.
+    fn dfs(&mut self, idx: usize, cost: Resource, slot: usize) -> Result<bool, Exhausted> {
         if let Some(m) = self.meter {
             m.charge_merge_steps(1)?;
         }
-        // the cost cut first: it is free, the makespan bound is a longest path
+        // the cost cut first: it is free, the makespan bound is a pass
         let best = self.best.as_ref();
         if matches!(self.goal, Goal::MinCost { .. }) && best.is_some_and(|b| cost >= b.cost) {
             return Ok(false);
         }
-        let lb = self.makespan_lb();
+        let lb = self.bound.makespan();
         let (budget, cut) = match self.goal {
             Goal::MinMakespan { budget } => (Some(budget), best.is_some_and(|b| lb >= b.makespan)),
             Goal::MinCost { target } => (None, lb > target),
@@ -202,27 +320,30 @@ impl Search<'_> {
         }
         let arc = self.arc;
         let job = self.jobs[idx];
-        let i = job.index();
-        self.decided[i] = true;
-        for level in arc.dag().edge(job).duration.useful_levels() {
+        let duration = &arc.dag().edge(job).duration;
+        for level in duration.useful_levels() {
             if budget.is_some_and(|b| level > b) {
                 break; // a single job can never use more
             }
-            self.levels[i] = level;
-            let child = match self.regime {
-                _ if level == 0 => Some(cost),
-                Regime::Routed => Some(level_flow(arc, &self.levels).value),
-                Regime::NoReuse => cost.checked_add(level),
+            self.levels[job.index()] = level;
+            self.bound.set(job, duration.time(level));
+            let child = match &mut self.routing {
+                _ if level == 0 => Some((cost, slot)),
+                Some(routing) => routing
+                    .raise(slot, idx + 1, job, level)
+                    .map(|c| (c, idx + 1)),
+                None => cost.checked_add(level).map(|c| (c, slot)),
             };
-            let Some(child) = child.filter(|&c| budget.is_none_or(|b| c <= b)) else {
+            let Some((child, child_slot)) = child.filter(|&(c, _)| budget.is_none_or(|b| c <= b))
+            else {
                 break; // costs are monotone: no higher level fits either
             };
-            if self.dfs(idx + 1, child)? {
+            if self.dfs(idx + 1, child, child_slot)? {
                 return Ok(true);
             }
         }
-        self.levels[i] = 0;
-        self.decided[i] = false;
+        self.levels[job.index()] = 0;
+        self.bound.set(job, duration.min_time());
         Ok(false)
     }
 }
@@ -259,7 +380,9 @@ pub fn solve_exact_metered(
 /// completion) against `target`, and partial min-flow lower bounds
 /// (covering only the already-decided demands) against `budget` — the
 /// latter cuts over-covering branches early, which is where the
-/// hardness-gadget search trees explode.
+/// hardness-gadget search trees explode. Both bounds are incremental
+/// (see the module docs), and it stops at the first witness, which is
+/// routed by a fresh min-flow.
 pub fn decide_feasible(
     arc: &ArcInstance,
     budget: Resource,

@@ -2,7 +2,7 @@
 
 use crate::instance::ArcInstance;
 use rtt_duration::{Resource, Time};
-use rtt_flow::{decompose_paths, min_flow, BoundedEdge, FlowPath, MinFlowResult};
+use rtt_flow::{decompose_paths, min_flow, BoundedEdge, FlowPath};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -40,7 +40,7 @@ pub enum ValidationError {
     },
     /// The source emits more than the claimed budget.
     BudgetExceeded {
-        /// Source outflow.
+        /// Source outflow (`Resource::MAX` when it exceeds that).
         actual: Resource,
         /// Claimed budget.
         claimed: Resource,
@@ -105,23 +105,6 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// The min-flow that gives every arc at least its resource level: the
-/// cheapest routing (Question 1.3) of per-arc `levels` as arc demands.
-pub(crate) fn level_flow(arc: &ArcInstance, levels: &[Resource]) -> MinFlowResult {
-    let d = arc.dag();
-    let edges: Vec<BoundedEdge> = d
-        .edge_refs()
-        .map(|e| BoundedEdge::at_least(e.src.index(), e.dst.index(), levels[e.id.index()]))
-        .collect();
-    min_flow(
-        d.node_count(),
-        &edges,
-        arc.source().index(),
-        arc.sink().index(),
-    )
-    .expect("lower bounds only: feasible")
-}
-
 /// The durations per-arc `levels` buy, and the longest path of those.
 pub(crate) fn level_times(arc: &ArcInstance, levels: &[Resource]) -> (Vec<Time>, Time) {
     let d = arc.dag();
@@ -135,12 +118,24 @@ pub(crate) fn level_times(arc: &ArcInstance, levels: &[Resource]) -> (Vec<Time>,
     (edge_times, makespan)
 }
 
-/// The routed solution of per-arc `levels` — their min-flow, the
+/// The routed solution of per-arc `levels` — their min-flow (the
+/// cheapest routing, Question 1.3, of the levels as arc demands), the
 /// durations they buy, and the longest path of those. Every solver that
 /// settles on levels (the exact search, the SP DP, the family roundings)
-/// ends here.
+/// ends here, with levels whose routing fits its budget.
 pub(crate) fn routed_solution(arc: &ArcInstance, levels: &[Resource]) -> Solution {
-    let flow = level_flow(arc, levels);
+    let d = arc.dag();
+    let edges: Vec<BoundedEdge> = d
+        .edge_refs()
+        .map(|e| BoundedEdge::at_least(e.src.index(), e.dst.index(), levels[e.id.index()]))
+        .collect();
+    let flow = min_flow(
+        d.node_count(),
+        &edges,
+        arc.source().index(),
+        arc.sink().index(),
+    )
+    .expect("lower bounds only: feasible, and within a u64 budget");
     let (edge_times, makespan) = level_times(arc, levels);
     Solution {
         arc_flows: flow.edge_flow,
@@ -165,10 +160,10 @@ pub fn validate(arc: &ArcInstance, sol: &Solution) -> Result<(), ValidationError
     if sol.arc_flows.len() != d.edge_count() || sol.edge_times.len() != d.edge_count() {
         return Err(ValidationError::ShapeMismatch);
     }
-    // conservation
-    let mut net = vec![0i64; d.node_count()];
+    // conservation (in i128, so flows of 2^63 and more keep their sign)
+    let mut net = vec![0i128; d.node_count()];
     for e in d.edge_refs() {
-        let f = sol.arc_flows[e.id.index()] as i64;
+        let f = i128::from(sol.arc_flows[e.id.index()]);
         net[e.src.index()] -= f;
         net[e.dst.index()] += f;
     }
@@ -177,14 +172,14 @@ pub fn validate(arc: &ArcInstance, sol: &Solution) -> Result<(), ValidationError
             return Err(ValidationError::NotConserved { node: v.index() });
         }
     }
-    let outflow: Resource = d
+    let outflow: u128 = d
         .out_edges(arc.source())
         .iter()
-        .map(|&e| sol.arc_flows[e.index()])
+        .map(|&e| u128::from(sol.arc_flows[e.index()]))
         .sum();
-    if outflow > sol.budget_used {
+    if outflow > u128::from(sol.budget_used) {
         return Err(ValidationError::BudgetExceeded {
-            actual: outflow,
+            actual: Resource::try_from(outflow).unwrap_or(Resource::MAX),
             claimed: sol.budget_used,
         });
     }

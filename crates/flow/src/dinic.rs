@@ -136,7 +136,8 @@ impl Dinic {
     }
 
     /// Augments the current flow to a maximum s→t flow; returns the
-    /// *additional* flow pushed by this call.
+    /// *additional* flow pushed by this call, saturating at `u64::MAX`
+    /// (only a network whose cut capacities sum past it gets there).
     pub fn run(&mut self, s: usize, t: usize) -> u64 {
         assert!(s < self.n && t < self.n && s != t);
         let mut total = 0u64;
@@ -147,7 +148,7 @@ impl Dinic {
                 if pushed == 0 {
                     break;
                 }
-                total += pushed;
+                total = total.saturating_add(pushed);
             }
         }
         total

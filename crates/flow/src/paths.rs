@@ -24,7 +24,7 @@ pub enum DecomposeError {
         /// The offending node.
         node: usize,
         /// Its net inflow − outflow.
-        imbalance: i64,
+        imbalance: i128,
     },
     /// A positive-flow walk failed to reach the sink (graph not a DAG or
     /// flow inconsistent).
@@ -64,11 +64,11 @@ pub fn decompose_paths(
 ) -> Result<Vec<FlowPath>, DecomposeError> {
     assert_eq!(edges.len(), flow.len());
     assert!(s < n && t < n);
-    // check conservation
-    let mut net = vec![0i64; n];
+    // check conservation (in i128: a node may pass more than i64 holds)
+    let mut net = vec![0i128; n];
     for (&(u, v), &f) in edges.iter().zip(flow) {
-        net[u] -= f as i64;
-        net[v] += f as i64;
+        net[u] -= i128::from(f);
+        net[v] += i128::from(f);
     }
     for v in 0..n {
         if v != s && v != t && net[v] != 0 {

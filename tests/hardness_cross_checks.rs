@@ -31,10 +31,9 @@ fn random_formulas_all_reductions_agree() {
     }
 }
 
-/// Same cross-check at the paper's own scale; heavy (exponential decision
-/// procedure on larger gadgets) — run with `cargo test -- --ignored`.
+/// Same cross-check at the paper's own scale: the exponential decision
+/// procedure on larger gadgets.
 #[test]
-#[ignore = "heavy: minutes of exponential search"]
 fn random_formulas_all_reductions_agree_heavy() {
     let mut rng = StdRng::seed_from_u64(4242);
     for _ in 0..6 {
@@ -67,9 +66,8 @@ fn splitting_reduction_agrees_on_random_formulas() {
     }
 }
 
-/// §4.2 cross-check at the original test scale — heavy.
+/// §4.2 cross-check at the original test scale.
 #[test]
-#[ignore = "heavy: minutes of exponential search"]
 fn splitting_reduction_agrees_on_random_formulas_heavy() {
     let mut rng = StdRng::seed_from_u64(77);
     for _ in 0..3 {
@@ -112,9 +110,8 @@ fn theorem_43_gap_is_at_least_two() {
     assert!(decide_feasible(&red.arc, red.budget, 2).is_some());
 }
 
-/// The original 3-variable, 4-clause unsatisfiable instance — heavy.
+/// The original 3-variable, 4-clause unsatisfiable instance.
 #[test]
-#[ignore = "heavy: minutes of exponential search"]
 fn theorem_43_gap_is_at_least_two_heavy() {
     use resource_time_tradeoff::hardness::Lit;
     let unsat = Formula::new(

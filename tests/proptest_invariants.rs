@@ -9,7 +9,8 @@ use resource_time_tradeoff::core::{solve_bicriteria, validate, Instance};
 use resource_time_tradeoff::dag::{gen, Dag};
 use resource_time_tradeoff::duration::{Duration, Tuple};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use resource_time_tradeoff::flow::{min_flow, BoundedEdge, MinFlowWitness, UncappedDag};
 
 /// Random canonical step function described by seed data.
 fn arb_duration() -> impl Strategy<Value = Duration> {
@@ -162,4 +163,91 @@ proptest! {
         let total: u64 = paths.iter().map(|p| p.amount).sum();
         prop_assert_eq!(total, r.solution.budget_used);
     }
+}
+
+/// Asserts that `w` is a minimum flow for its own lower bounds: it
+/// meets every bound, conserves, has its value, and that value is what
+/// a fresh `min_flow` finds.
+fn assert_minimum(n: usize, edges: &[(usize, usize)], s: usize, t: usize, w: &MinFlowWitness) {
+    let bounded: Vec<BoundedEdge> = edges
+        .iter()
+        .zip(w.lower())
+        .map(|(&(u, v), &l)| BoundedEdge::at_least(u, v, l))
+        .collect();
+    let fresh = min_flow(n, &bounded, s, t).expect("lower bounds only: feasible");
+    assert_eq!(
+        w.value(),
+        u128::from(fresh.value),
+        "lower bounds {:?}",
+        w.lower()
+    );
+    let mut net = vec![0i128; n];
+    for ((&(u, v), &f), &l) in edges.iter().zip(w.edge_flow()).zip(w.lower()) {
+        assert!(f >= u128::from(l), "flow {f} below lower bound {l}");
+        let f = i128::try_from(f).unwrap();
+        net[u] -= f;
+        net[v] += f;
+    }
+    let value = i128::try_from(w.value()).unwrap();
+    for (v, &x) in net.iter().enumerate() {
+        let want = if v == s {
+            -value
+        } else if v == t {
+            value
+        } else {
+            0
+        };
+        assert_eq!(x, want, "imbalance at node {v}");
+    }
+}
+
+/// The incremental min-flow the exact search prices its nodes with,
+/// against a fresh `min_flow` after every raise: seeded race DAGs,
+/// raise sequences that backtrack to earlier witnesses as the search
+/// does, raises the witness already carries (δ = 0), and shortfalls on
+/// edges it over-covers as well as on tight ones.
+#[test]
+fn incremental_min_flow_matches_a_fresh_min_flow() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_f10e);
+    // no-op, carried (δ = 0), shortfall over-covered, shortfall tight
+    let mut kinds = [0u32; 4];
+    for _ in 0..150 {
+        let inner = rng.random_range(2..8usize);
+        let extra = rng.random_range(0..8usize);
+        let tt = gen::random_race_dag(&mut rng, inner, extra);
+        let d = &tt.dag;
+        let n = d.node_count();
+        let edges: Vec<(usize, usize)> = d
+            .edge_refs()
+            .map(|e| (e.src.index(), e.dst.index()))
+            .collect();
+        let (s, t) = (tt.source.index(), tt.sink.index());
+        let mut net = UncappedDag::new(n, &edges, s, t);
+        let mut stack = vec![net.zero_flow()];
+        for _ in 0..40 {
+            if stack.len() > 1 && rng.random_range(0..4u32) == 0 {
+                let depth = rng.random_range(1..stack.len());
+                stack.truncate(depth);
+            }
+            let mut w = stack.last().expect("the zero flow stays").clone();
+            let e = rng.random_range(0..edges.len());
+            let lower = w.lower()[e];
+            let flow = u64::try_from(w.edge_flow()[e]).unwrap();
+            let raised = match rng.random_range(0..3u32) {
+                0 => lower,
+                1 => rng.random_range(lower..=flow),
+                _ => flow + rng.random_range(1..6u64),
+            };
+            kinds[match raised {
+                r if r == lower => 0,
+                r if r <= flow => 1,
+                _ if flow > lower => 2,
+                _ => 3,
+            }] += 1;
+            net.raise(&mut w, e, raised);
+            assert_minimum(n, &edges, s, t, &w);
+            stack.push(w);
+        }
+    }
+    assert!(kinds.iter().all(|&k| k >= 100), "raise kinds {kinds:?}");
 }
