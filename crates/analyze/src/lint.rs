@@ -114,9 +114,7 @@ impl Diagnostic {
 /// Sorts diagnostics into the canonical report order:
 /// `(line, code, message)`.
 pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
-    diags.sort_by(|a, b| {
-        (a.line, a.code, &a.message).cmp(&(b.line, b.code, &b.message))
-    });
+    diags.sort_by(|a, b| (a.line, a.code, &a.message).cmp(&(b.line, b.code, &b.message)));
 }
 
 /// Whether any diagnostic is an error (→ the corpus cannot be
@@ -185,14 +183,29 @@ mod tests {
             assert!(!meaning.is_empty());
         }
         // errors occupy RTT001..RTT010, warnings RTT011..RTT013
-        assert_eq!(CODES.iter().filter(|(_, s, _)| *s == Severity::Error).count(), 10);
-        assert_eq!(CODES.iter().filter(|(_, s, _)| *s == Severity::Warning).count(), 3);
+        assert_eq!(
+            CODES
+                .iter()
+                .filter(|(_, s, _)| *s == Severity::Error)
+                .count(),
+            10
+        );
+        assert_eq!(
+            CODES
+                .iter()
+                .filter(|(_, s, _)| *s == Severity::Warning)
+                .count(),
+            3
+        );
     }
 
     #[test]
     fn renderings_are_stable() {
         let d = Diagnostic::error("RTT001", 3, "bad \"x\"\\path");
-        assert_eq!(d.human("c.ndjson"), "c.ndjson:3: error[RTT001]: bad \"x\"\\path");
+        assert_eq!(
+            d.human("c.ndjson"),
+            "c.ndjson:3: error[RTT001]: bad \"x\"\\path"
+        );
         assert_eq!(
             d.ndjson(),
             "{\"line\":3,\"code\":\"RTT001\",\"severity\":\"error\",\"message\":\"bad \\\"x\\\"\\\\path\"}"

@@ -294,14 +294,7 @@ pub fn witness_set(summaries: &[RaceSummary]) -> BTreeSet<Witness> {
 pub fn dynamic_witness_set(races: &[Race]) -> BTreeSet<Witness> {
     races
         .iter()
-        .map(|r| {
-            (
-                r.loc,
-                r.a.0.min(r.b.0),
-                r.a.0.max(r.b.0),
-                r.write_write,
-            )
-        })
+        .map(|r| (r.loc, r.a.0.min(r.b.0), r.a.0.max(r.b.0), r.write_write))
         .collect()
 }
 
@@ -330,7 +323,13 @@ mod tests {
         let sums = analyze_races(&p);
         assert_eq!(
             sums,
-            vec![RaceSummary { lo: 0, hi: 0, a: 0, b: 1, write_write: true }]
+            vec![RaceSummary {
+                lo: 0,
+                hi: 0,
+                a: 0,
+                b: 1,
+                write_write: true
+            }]
         );
         assert_matches_dynamic(&p);
     }
@@ -343,7 +342,13 @@ mod tests {
         let sums = analyze_races(&p);
         assert_eq!(
             sums,
-            vec![RaceSummary { lo: 10, hi: 19, a: 0, b: 1, write_write: true }]
+            vec![RaceSummary {
+                lo: 10,
+                hi: 19,
+                a: 0,
+                b: 1,
+                write_write: true
+            }]
         );
         assert_eq!(witness_count(&sums), 10);
         assert_matches_dynamic(&p);
@@ -359,7 +364,13 @@ mod tests {
         let sums = analyze_races(&p);
         assert_eq!(
             sums,
-            vec![RaceSummary { lo: 5, hi: 9, a: 0, b: 1, write_write: false }]
+            vec![RaceSummary {
+                lo: 5,
+                hi: 9,
+                a: 0,
+                b: 1,
+                write_write: false
+            }]
         );
         assert_matches_dynamic(&p);
     }
@@ -422,10 +433,7 @@ mod tests {
         let n = 4usize;
         let (p, _layout) = rtt_race::mm::parallel_mm_racy(n as u64);
         let sums = analyze_races(&p);
-        assert_eq!(
-            witness_count(&sums),
-            (n * (n - 1) / 2 * n * n) as u64
-        );
+        assert_eq!(witness_count(&sums), (n * (n - 1) / 2 * n * n) as u64);
         assert!(sums.iter().all(|s| s.write_write));
         assert_matches_dynamic(&p);
     }

@@ -98,21 +98,12 @@ impl fmt::Display for SourceFinding {
 pub fn check_source(relpath: &str, text: &str) -> Vec<SourceFinding> {
     // needles assembled at runtime so this file never contains its own
     // forbidden tokens (crates/analyze/src is itself wire-path)
-    let hash_needles = [
-        ["Hash", "Map"].concat(),
-        ["Hash", "Set"].concat(),
-    ];
-    let clock_needles = [
-        ["Instant", "::now"].concat(),
-        ["System", "Time"].concat(),
-    ];
+    let hash_needles = [["Hash", "Map"].concat(), ["Hash", "Set"].concat()];
+    let clock_needles = [["Instant", "::now"].concat(), ["System", "Time"].concat()];
     // unordered parallel idioms: a free-threaded spawn joins in
     // arrival order, and a channel's try-drain observes scheduling.
     // Scoped workers reduced in chunk order (rtt_par) don't use either.
-    let unordered_needles = [
-        ["thread", "::spawn"].concat(),
-        ["try_", "iter()"].concat(),
-    ];
+    let unordered_needles = [["thread", "::spawn"].concat(), ["try_", "iter()"].concat()];
     let clock_allowed = WALL_CLOCK_ALLOWED.iter().any(|(f, _)| *f == relpath);
     let stripped = strip_comments(text);
     let mut findings = Vec::new();
@@ -229,9 +220,7 @@ fn strip_comments(text: &str) -> String {
             continue;
         }
         // raw string: r"..." / r#"..."# (copied verbatim)
-        if bytes[i] == b'r'
-            && i + 1 < bytes.len()
-            && (bytes[i + 1] == b'"' || bytes[i + 1] == b'#')
+        if bytes[i] == b'r' && i + 1 < bytes.len() && (bytes[i + 1] == b'"' || bytes[i + 1] == b'#')
         {
             let start = i;
             let mut j = i + 1;
@@ -245,8 +234,7 @@ fn strip_comments(text: &str) -> String {
                 'raw: while j < bytes.len() {
                     if bytes[j] == b'"' {
                         let mut k = 0;
-                        while k < hashes && j + 1 + k < bytes.len() && bytes[j + 1 + k] == b'#'
-                        {
+                        while k < hashes && j + 1 + k < bytes.len() && bytes[j + 1 + k] == b'#' {
                             k += 1;
                         }
                         if k == hashes {
@@ -284,7 +272,11 @@ fn strip_comments(text: &str) -> String {
         // after an escape) means char literal; otherwise lifetime
         if bytes[i] == b'\'' {
             let lit_end = if i + 1 < bytes.len() && bytes[i + 1] == b'\\' {
-                bytes[i + 2..].iter().take(6).position(|&b| b == b'\'').map(|p| i + 2 + p)
+                bytes[i + 2..]
+                    .iter()
+                    .take(6)
+                    .position(|&b| b == b'\'')
+                    .map(|p| i + 2 + p)
             } else {
                 bytes[i + 1..]
                     .iter()
@@ -326,7 +318,10 @@ mod tests {
 
     #[test]
     fn doc_comment_mentions_are_not_findings() {
-        let src = format!("//! no `{}` iteration order here\nfn f() {{}}\n", hash_map_token());
+        let src = format!(
+            "//! no `{}` iteration order here\nfn f() {{}}\n",
+            hash_map_token()
+        );
         assert!(check_source("x.rs", &src).is_empty());
     }
 
@@ -351,13 +346,19 @@ mod tests {
         assert!(check_source("x.rs", &src).is_empty());
         // a token inside a string literal still counts: wire-path
         // files must not even name the hazard in emitted text
-        let s2 = format!("fn f() -> String {{ String::from(\"{}\") }}\n", hash_map_token());
+        let s2 = format!(
+            "fn f() -> String {{ String::from(\"{}\") }}\n",
+            hash_map_token()
+        );
         assert_eq!(check_source("x.rs", &s2).len(), 1);
     }
 
     #[test]
     fn wall_clock_rule_respects_the_allowlist() {
-        let src = format!("fn f() {{ let _t = std::time::{}(); }}\n", instant_now_token());
+        let src = format!(
+            "fn f() {{ let _t = std::time::{}(); }}\n",
+            instant_now_token()
+        );
         let f = check_source("crates/cli/src/spec.rs", &src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "wall-clock");
@@ -366,7 +367,8 @@ mod tests {
 
     #[test]
     fn char_literals_and_lifetimes_do_not_derail_the_lexer() {
-        let src = "fn f<'a>(x: &'a str) -> char { let q = '\"'; let s = \"// HashZZZ\"; let _ = s; q }\n";
+        let src =
+            "fn f<'a>(x: &'a str) -> char { let q = '\"'; let s = \"// HashZZZ\"; let _ = s; q }\n";
         assert!(check_source("x.rs", src).is_empty());
     }
 

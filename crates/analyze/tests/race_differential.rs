@@ -52,7 +52,10 @@ fn static_matches_dynamic_on_parallel_mm_racy() {
 fn static_matches_dynamic_on_parallel_mm_safe() {
     for n in [1u64, 2, 4] {
         let (prog, _) = rtt_race::mm::parallel_mm(n);
-        assert!(analyze_races(&prog).is_empty(), "safe MM n={n} must be race-free");
+        assert!(
+            analyze_races(&prog).is_empty(),
+            "safe MM n={n} must be race-free"
+        );
         assert_witnesses_match(&prog);
     }
 }

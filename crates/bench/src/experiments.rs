@@ -337,7 +337,10 @@ pub fn fig67() -> Report {
     let mut t = TextTable::new(&["instance", "D nodes", "D' arcs", "D'' arcs", "chains"]);
     let mut rng = StdRng::seed_from_u64(67);
     for (name, family) in [
-        ("recursive binary", Duration::recursive_binary as fn(u64) -> Duration),
+        (
+            "recursive binary",
+            Duration::recursive_binary as fn(u64) -> Duration,
+        ),
         ("k-way", Duration::kway as fn(u64) -> Duration),
     ] {
         let inst = random_instance(&mut rng, family);
@@ -484,7 +487,8 @@ pub fn fig1516() -> Report {
 
 /// **Figures 17–18** — numerical 3D matching.
 pub fn fig1718() -> Report {
-    let mut report = Report::new("Figures 17-18 — numerical 3DM via bipartite matchers (Lemma A.1)");
+    let mut report =
+        Report::new("Figures 17-18 — numerical 3DM via bipartite matchers (Lemma A.1)");
     let mut t = TextTable::new(&["instance", "n²", "2M+T", "matching?", "gadget agrees"]);
     for (a, b, c) in [
         (vec![1u64, 2], vec![3u64, 5], vec![6u64, 3]),
@@ -732,8 +736,7 @@ pub fn ablation_alpha(trials: usize) -> Report {
                     worst_time = worst_time.max(r.solution.makespan as f64 / opt as f64);
                 }
                 if b > 0 {
-                    worst_budget =
-                        worst_budget.max(r.solution.budget_used as f64 / b as f64);
+                    worst_budget = worst_budget.max(r.solution.budget_used as f64 / b as f64);
                 }
             }
         }

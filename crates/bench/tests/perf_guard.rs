@@ -32,13 +32,19 @@ fn lp_pivot_counts_stay_in_envelope() {
 
     // determinism first: the counters must reproduce exactly
     let rev2 = solve_min_makespan_lp_with(&tt, 16, Engine::Revised).unwrap();
-    assert_eq!(rev.pivots, rev2.pivots, "revised solve must be deterministic");
+    assert_eq!(
+        rev.pivots, rev2.pivots,
+        "revised solve must be deterministic"
+    );
 
     // measured at commit time: revised 97 (crash-started phase 2 only),
     // flat 552 (two-phase over bound rows)
     within("revised pivots", rev.pivots as u64, 30, 300);
     within("flat pivots", flat.pivots as u64, 300, 1100);
-    assert_eq!(rev.stats.phase1_pivots, 0, "the crash basis must skip phase 1");
+    assert_eq!(
+        rev.stats.phase1_pivots, 0,
+        "the crash basis must skip phase 1"
+    );
     // the revised engine must do structurally less work per pivot AND
     // materialize fewer rows
     assert_eq!(rev.stats.bound_rows, 0);

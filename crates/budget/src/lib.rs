@@ -299,7 +299,10 @@ mod tests {
             m.charge_sim_events(5).unwrap();
         }
         let c = m.consumed();
-        assert_eq!((c.lp_pivots, c.dp_merge_steps, c.sim_events), (2000, 3000, 5000));
+        assert_eq!(
+            (c.lp_pivots, c.dp_merge_steps, c.sim_events),
+            (2000, 3000, 5000)
+        );
     }
 
     #[test]
@@ -325,12 +328,20 @@ mod tests {
         m.cancel();
         let e = m.charge_sim_events(1).unwrap_err();
         assert_eq!(e.dimension, Dimension::Cancelled);
-        assert_eq!(m.charge_lp_pivots(1).unwrap_err().dimension, Dimension::Cancelled);
+        assert_eq!(
+            m.charge_lp_pivots(1).unwrap_err().dimension,
+            Dimension::Cancelled
+        );
     }
 
     #[test]
     fn past_deadline_exhausts_wall_clock() {
-        let m = BudgetMeter::with_limits(None, None, None, Some(Instant::now() - Duration::from_millis(1)));
+        let m = BudgetMeter::with_limits(
+            None,
+            None,
+            None,
+            Some(Instant::now() - Duration::from_millis(1)),
+        );
         // tick 0 of the periodic schedule checks the clock immediately
         let e = m.charge_lp_pivots(1).unwrap_err();
         assert_eq!(e.dimension, Dimension::WallClock);

@@ -791,9 +791,13 @@ mod tests {
     #[test]
     fn named_default_solver_applies_to_bare_lines() {
         let cache = PrepCache::new();
-        let reqs =
-            build_requests(&chain_line("a", 3), &cache, Some("bicriteria"), &Registry::standard())
-                .unwrap();
+        let reqs = build_requests(
+            &chain_line("a", 3),
+            &cache,
+            Some("bicriteria"),
+            &Registry::standard(),
+        )
+        .unwrap();
         assert_eq!(
             reqs[0].solver,
             SolverSelection::Named("bicriteria".to_string())
@@ -818,13 +822,17 @@ mod tests {
         let plain = build_requests(&chain_line("b", 3), &cache, None, &registry).unwrap();
         assert!(plain[0].budget.is_none());
         // policy without a limit is a usage error
-        let orphan = chain_line("c", 3)
-            .replace("\"budget\":3", "\"budget\":3,\"on_exhaustion\":\"soft-warn\"");
+        let orphan = chain_line("c", 3).replace(
+            "\"budget\":3",
+            "\"budget\":3,\"on_exhaustion\":\"soft-warn\"",
+        );
         let err = build_requests(&orphan, &cache, None, &registry).unwrap_err();
         assert!(err.contains("requires at least one max_*"), "{err}");
         // a typo'd policy names itself
-        let typo = chain_line("d", 3)
-            .replace("\"budget\":3", "\"budget\":3,\"max_pivots\":5,\"on_exhaustion\":\"explode\"");
+        let typo = chain_line("d", 3).replace(
+            "\"budget\":3",
+            "\"budget\":3,\"max_pivots\":5,\"on_exhaustion\":\"explode\"",
+        );
         let err = build_requests(&typo, &cache, None, &registry).unwrap_err();
         assert!(err.contains("unknown exhaustion policy"), "{err}");
     }
@@ -906,8 +914,10 @@ mod tests {
         let both = chain_line("a", 3).replace("\"budget\":3", "\"budget\":3,\"budgets\":[1,2]");
         let err = build_requests(&both, &cache, None, &registry).unwrap_err();
         assert!(err.contains("conflicts with `budget`"), "{err}");
-        let obj = sweep_line("a", "[1,2]")
-            .replace("\"budgets\":[1,2]", "\"budgets\":[1,2],\"objective\":\"min-makespan\"");
+        let obj = sweep_line("a", "[1,2]").replace(
+            "\"budgets\":[1,2]",
+            "\"budgets\":[1,2],\"objective\":\"min-makespan\"",
+        );
         let err = build_requests(&obj, &cache, None, &registry).unwrap_err();
         assert!(err.contains("no `objective`"), "{err}");
         let empty = sweep_line("a", "[]");
@@ -943,7 +953,9 @@ mod tests {
         let one = render(1, false);
         // one line per grid point, identity-prefixed curve form
         assert!(
-            one.contains("{\"id\":\"s1\",\"solver\":\"bicriteria\",\"budget\":0,\"status\":\"solved\""),
+            one.contains(
+                "{\"id\":\"s1\",\"solver\":\"bicriteria\",\"budget\":0,\"status\":\"solved\""
+            ),
             "{one}"
         );
         assert!(one.contains("\"sim_makespan\":"), "{one}");
@@ -967,10 +979,7 @@ mod tests {
         let full = report_line(r);
         assert_eq!(
             full,
-            format!(
-                "{{\"id\":\"s1\",\"solver\":\"bicriteria\",{}",
-                &body[1..]
-            )
+            format!("{{\"id\":\"s1\",\"solver\":\"bicriteria\",{}", &body[1..])
         );
     }
 

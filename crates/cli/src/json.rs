@@ -229,8 +229,7 @@ impl Json {
 
     /// This value as a `usize`.
     pub fn as_usize(&self) -> Result<usize, JsonError> {
-        usize::try_from(self.as_u64()?)
-            .map_err(|_| JsonError::shape("integer out of usize range"))
+        usize::try_from(self.as_u64()?).map_err(|_| JsonError::shape("integer out of usize range"))
     }
 
     /// This value as an array.

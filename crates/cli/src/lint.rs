@@ -153,16 +153,21 @@ mod tests {
             vec![(1, "RTT011"), (2, "RTT012")]
         );
         assert!(diags.iter().all(|d| d.severity == Severity::Warning));
-        assert_eq!(diags[0].message, "deadline_ms 0: the request always expires at dequeue");
-        assert_eq!(diags[1].message, "max_queue_depth 50 can never trip in a batch of 2");
+        assert_eq!(
+            diags[0].message,
+            "deadline_ms 0: the request always expires at dequeue"
+        );
+        assert_eq!(
+            diags[1].message,
+            "max_queue_depth 50 can never trip in a batch of 2"
+        );
     }
 
     #[test]
     fn family_mismatch_is_a_warning() {
         // kway solver on a step-function chain: admitted, answered
         // `unsupported` — the lint says so up front
-        let line =
-            chain_line("m", 1).replace("\"budget\":1", "\"budget\":1,\"solver\":\"kway\"");
+        let line = chain_line("m", 1).replace("\"budget\":1", "\"budget\":1,\"solver\":\"kway\"");
         let diags = lint_corpus(&line, &Registry::standard());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "RTT013");
@@ -218,14 +223,20 @@ mod tests {
         let registry = Registry::standard();
         let orphan = chain_line("a", 1)
             .replace("\"budget\":1", "\"budget\":1,\"on_exhaustion\":\"degrade\"");
-        assert!(lint_corpus(&orphan, &registry).iter().any(|d| d.code == "RTT009"));
+        assert!(lint_corpus(&orphan, &registry)
+            .iter()
+            .any(|d| d.code == "RTT009"));
         let typo = chain_line("b", 1).replace(
             "\"budget\":1",
             "\"budget\":1,\"max_pivots\":5,\"on_exhaustion\":\"explode\"",
         );
-        assert!(lint_corpus(&typo, &registry).iter().any(|d| d.code == "RTT009"));
+        assert!(lint_corpus(&typo, &registry)
+            .iter()
+            .any(|d| d.code == "RTT009"));
         let alpha = chain_line("c", 1).replace("\"budget\":1", "\"budget\":1,\"alpha\":1.5");
-        assert!(lint_corpus(&alpha, &registry).iter().any(|d| d.code == "RTT010"));
+        assert!(lint_corpus(&alpha, &registry)
+            .iter()
+            .any(|d| d.code == "RTT010"));
     }
 
     #[test]

@@ -15,8 +15,8 @@ use rtt_core::{routing_plan, validate, ArcInstance};
 use rtt_dag::gen;
 use rtt_duration::Duration;
 use rtt_engine::{
-    execute_one, run_batch_cached, Objective, PrepCache, PreparedInstance, Registry,
-    SolveReport, SolveRequest, SolverSelection, Status,
+    execute_one, run_batch_cached, Objective, PrepCache, PreparedInstance, Registry, SolveReport,
+    SolveRequest, SolverSelection, Status,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -111,8 +111,7 @@ their witness sets identical before printing.";
 
 fn load(path: &str) -> Result<ArcInstance, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let spec =
-        InstanceSpec::from_json_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    let spec = InstanceSpec::from_json_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     spec.build().map_err(|e| format!("building {path}: {e}"))
 }
 
@@ -263,7 +262,12 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     let arc = load(&instance_path(args)?)?;
     let budget: u64 = args.require("budget")?;
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "bicriteria".into());
-    let report = solve_via_registry(args, arc.clone(), Objective::MinMakespan { budget }, &solver)?;
+    let report = solve_via_registry(
+        args,
+        arc.clone(),
+        Objective::MinMakespan { budget },
+        &solver,
+    )?;
     if let Some(lp) = report.lp_makespan {
         println!("LP lower bound:   {lp:.3}");
     }
@@ -324,7 +328,11 @@ fn cmd_curve(args: &Args) -> Result<(), String> {
     let arc = load(&instance_path(args)?)?;
     let budgets = rtt_cli::args::parse_budgets(&args.require::<String>("budgets")?)?;
     let registry = Registry::standard();
-    let mut req = SolveRequest::sweep("curve", Arc::new(PreparedInstance::new(arc)), budgets.clone());
+    let mut req = SolveRequest::sweep(
+        "curve",
+        Arc::new(PreparedInstance::new(arc)),
+        budgets.clone(),
+    );
     req.alpha = args.flag("alpha")?.unwrap_or(0.5);
     req.intra_threads = args.flag("solve-threads")?;
     admit(&registry, &req)?;
@@ -378,8 +386,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         .positional
         .get(1)
         .ok_or("missing corpus path (NDJSON, one request per line)")?;
-    let corpus =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let corpus = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     // default batch width: the host's available parallelism, clamped to
     // [1, 8] — enough to saturate small boxes without oversubscribing
     // big ones by default; `--threads N` overrides. Worker counts are
@@ -423,9 +430,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         let policy = match args.flag::<String>("on-exhaustion")? {
             Some(name) => {
                 if limits.is_empty() {
-                    return Err(
-                        "--on-exhaustion requires --max-pivots or --max-sim-events".into()
-                    );
+                    return Err("--on-exhaustion requires --max-pivots or --max-sim-events".into());
                 }
                 Some(rtt_engine::ExhaustionPolicy::parse(&name)?)
             }
@@ -490,8 +495,9 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         rendered.push('\n');
     }
     match args.flag::<String>("out")? {
-        Some(dest) => std::fs::write(&dest, &rendered)
-            .map_err(|e| format!("writing {dest}: {e}"))?,
+        Some(dest) => {
+            std::fs::write(&dest, &rendered).map_err(|e| format!("writing {dest}: {e}"))?
+        }
         None => print!("{rendered}"),
     }
     // timing and cache telemetry go to stderr: the stdout stream is the
@@ -552,7 +558,9 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let format: String = args.flag("format")?.unwrap_or_else(|| "human".into());
     if !matches!(format.as_str(), "human" | "ndjson") {
-        return Err(format!("unknown --format {format}; available: human, ndjson"));
+        return Err(format!(
+            "unknown --format {format}; available: human, ndjson"
+        ));
     }
     // same registry the batch admission uses, fixtures included, so the
     // unknown-solver check (RTT008) agrees with what batch would accept

@@ -480,7 +480,9 @@ impl DurationSpec {
             "recbinary" => Ok(DurationSpec::Recbinary {
                 work: v.require("work")?.as_u64()?,
             }),
-            other => Err(SpecError::BadJson(format!("unknown duration kind `{other}`"))),
+            other => Err(SpecError::BadJson(format!(
+                "unknown duration kind `{other}`"
+            ))),
         }
     }
 }
@@ -666,9 +668,15 @@ mod tests {
 
     #[test]
     fn duration_spec_families_build() {
-        assert_eq!(DurationSpec::Kway { work: 100 }.build().unwrap().time(0), 100);
         assert_eq!(
-            DurationSpec::Recbinary { work: 64 }.build().unwrap().time(0),
+            DurationSpec::Kway { work: 100 }.build().unwrap().time(0),
+            100
+        );
+        assert_eq!(
+            DurationSpec::Recbinary { work: 64 }
+                .build()
+                .unwrap()
+                .time(0),
             64
         );
         assert_eq!(DurationSpec::Constant { t: 7 }.build().unwrap().time(9), 7);

@@ -155,9 +155,21 @@ fn sweep_batch_matches_golden_across_cache_modes_and_restarts() {
     };
     for threads in ["1", "2", "4", "8"] {
         let (plain, _) = run(&["--threads", threads]);
-        assert_eq!(plain, golden, "plain sweep bytes diverged at --threads {threads}");
-        let (cached, _) = run(&["--threads", threads, "--reuse-cache", "--cache-capacity", "8"]);
-        assert_eq!(cached, golden, "--reuse-cache changed sweep bytes at --threads {threads}");
+        assert_eq!(
+            plain, golden,
+            "plain sweep bytes diverged at --threads {threads}"
+        );
+        let (cached, _) = run(&[
+            "--threads",
+            threads,
+            "--reuse-cache",
+            "--cache-capacity",
+            "8",
+        ]);
+        assert_eq!(
+            cached, golden,
+            "--reuse-cache changed sweep bytes at --threads {threads}"
+        );
     }
     // restart: spill the solution tier, then serve from the loaded file
     let (saved, save_err) = run(&["--threads", "1", "--cache-save", spill]);
@@ -186,11 +198,17 @@ fn corrupt_cache_files_fail_the_command_without_serving() {
         .args(["batch", SWEEP_CORPUS, "--cache-load", bad.to_str().unwrap()])
         .output()
         .expect("spawn rtt batch");
-    assert!(!out.status.success(), "a bad cache file must fail the command");
+    assert!(
+        !out.status.success(),
+        "a bad cache file must fail the command"
+    );
     assert!(out.stdout.is_empty(), "no reports may be served");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--cache-load"), "{stderr}");
-    assert!(stderr.contains("rtt-cache-v0"), "the error names the found tag: {stderr}");
+    assert!(
+        stderr.contains("rtt-cache-v0"),
+        "the error names the found tag: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

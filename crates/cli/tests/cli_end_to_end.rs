@@ -11,11 +11,21 @@ fn rtt() -> Command {
 fn gen_instance(dir: &std::path::Path, kind: &str, nodes: usize) -> std::path::PathBuf {
     let out = rtt()
         .args([
-            "gen", "--kind", kind, "--nodes", &nodes.to_string(), "--seed", "7",
+            "gen",
+            "--kind",
+            kind,
+            "--nodes",
+            &nodes.to_string(),
+            "--seed",
+            "7",
         ])
         .output()
         .expect("spawn rtt gen");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let path = dir.join(format!("{kind}.json"));
     std::fs::write(&path, &out.stdout).unwrap();
     path
@@ -52,16 +62,32 @@ fn race_mm_flows_end_to_end() {
         .args(["gen", "--kind", "race-mm", "--n", "8"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let path = dir.join("race-mm.json");
     std::fs::write(&path, &out.stdout).unwrap();
 
     // every registry solver answers it cleanly through `rtt solve`
     // (race DAGs are not series-parallel, so sp-dp declines — with its
     // documented reason, not a failure)
-    for solver in ["bicriteria", "recbinary", "recbinary-improved", "global-greedy"] {
+    for solver in [
+        "bicriteria",
+        "recbinary",
+        "recbinary-improved",
+        "global-greedy",
+    ] {
         let out = rtt()
-            .args(["solve", path.to_str().unwrap(), "--budget", "130", "--solver", solver])
+            .args([
+                "solve",
+                path.to_str().unwrap(),
+                "--budget",
+                "130",
+                "--solver",
+                solver,
+            ])
             .output()
             .unwrap();
         assert!(
@@ -75,7 +101,14 @@ fn race_mm_flows_end_to_end() {
     // budget 2 per Z cell (128 total) buys height-1 reducers everywhere:
     // the reported solve carries the Observation 1.1 simulation line
     let out = rtt()
-        .args(["solve", path.to_str().unwrap(), "--budget", "128", "--solver", "recbinary"])
+        .args([
+            "solve",
+            path.to_str().unwrap(),
+            "--budget",
+            "128",
+            "--solver",
+            "recbinary",
+        ])
         .output()
         .unwrap();
     let text = String::from_utf8_lossy(&out.stdout);
@@ -86,7 +119,11 @@ fn race_mm_flows_end_to_end() {
         .args(["curve", path.to_str().unwrap(), "--budgets", "0:128:32"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert_eq!(text.lines().count(), 5);
     assert!(text.contains("\"sim_makespan\""), "{text}");
@@ -96,7 +133,15 @@ fn race_mm_flows_end_to_end() {
 fn race_forkjoin_gen_is_deterministic_across_runs() {
     let run = || {
         let out = rtt()
-            .args(["gen", "--kind", "race-forkjoin", "--seed", "11", "--family", "kway"])
+            .args([
+                "gen",
+                "--kind",
+                "race-forkjoin",
+                "--seed",
+                "11",
+                "--family",
+                "kway",
+            ])
             .output()
             .unwrap();
         assert!(out.status.success());
@@ -109,7 +154,10 @@ fn race_forkjoin_gen_is_deterministic_across_runs() {
 fn info_reports_basics() {
     let dir = tempdir();
     let path = gen_instance(&dir, "race", 6);
-    let out = rtt().args(["info", path.to_str().unwrap()]).output().unwrap();
+    let out = rtt()
+        .args(["info", path.to_str().unwrap()])
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("base makespan"), "{text}");
@@ -122,11 +170,21 @@ fn solve_exact_with_plan() {
     let path = gen_instance(&dir, "race", 5);
     let out = rtt()
         .args([
-            "solve", path.to_str().unwrap(), "--budget", "4", "--solver", "exact", "--plan",
+            "solve",
+            path.to_str().unwrap(),
+            "--budget",
+            "4",
+            "--solver",
+            "exact",
+            "--plan",
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("makespan:"), "{text}");
     assert!(text.contains("total routed:"), "{text}");
@@ -170,11 +228,20 @@ fn regime_solvers_print_the_simulation_certificate() {
         for budget in ["0", "4"] {
             let out = rtt()
                 .args([
-                    "solve", path.to_str().unwrap(), "--budget", budget, "--solver", solver,
+                    "solve",
+                    path.to_str().unwrap(),
+                    "--budget",
+                    budget,
+                    "--solver",
+                    solver,
                 ])
                 .output()
                 .unwrap();
-            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
             let text = String::from_utf8_lossy(&out.stdout);
             assert!(text.contains("simulated:"), "{solver} b={budget}: {text}");
         }
@@ -187,11 +254,20 @@ fn sp_solver_on_sp_instance() {
     let path = gen_instance(&dir, "sp", 6);
     let out = rtt()
         .args([
-            "solve", path.to_str().unwrap(), "--budget", "6", "--solver", "sp",
+            "solve",
+            path.to_str().unwrap(),
+            "--budget",
+            "6",
+            "--solver",
+            "sp",
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -199,7 +275,10 @@ fn min_resource_round_trip() {
     let dir = tempdir();
     let path = gen_instance(&dir, "race", 5);
     // target = base makespan is always reachable with 0 units
-    let info = rtt().args(["info", path.to_str().unwrap()]).output().unwrap();
+    let info = rtt()
+        .args(["info", path.to_str().unwrap()])
+        .output()
+        .unwrap();
     let text = String::from_utf8_lossy(&info.stdout).to_string();
     let base: u64 = text
         .lines()
@@ -209,11 +288,18 @@ fn min_resource_round_trip() {
         .expect("parse base makespan");
     let out = rtt()
         .args([
-            "min-resource", path.to_str().unwrap(), "--target", &base.to_string(),
+            "min-resource",
+            path.to_str().unwrap(),
+            "--target",
+            &base.to_string(),
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("budget needed"));
 }
 
@@ -236,7 +322,10 @@ fn regimes_prints_all_three() {
 fn dot_is_well_formed() {
     let dir = tempdir();
     let path = gen_instance(&dir, "chain", 4);
-    let out = rtt().args(["dot", path.to_str().unwrap()]).output().unwrap();
+    let out = rtt()
+        .args(["dot", path.to_str().unwrap()])
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.starts_with("digraph"), "{text}");
@@ -265,7 +354,10 @@ fn bad_usage_fails_cleanly() {
     assert!(!out.status.success());
     let out = rtt().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
-    let out = rtt().args(["solve", "/nonexistent.json", "--budget", "1"]).output().unwrap();
+    let out = rtt()
+        .args(["solve", "/nonexistent.json", "--budget", "1"])
+        .output()
+        .unwrap();
     assert!(!out.status.success());
     let out = rtt().args(["gen", "--kind", "nope"]).output().unwrap();
     assert!(!out.status.success());

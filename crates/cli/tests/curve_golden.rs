@@ -18,7 +18,10 @@ const INSTANCE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/data/curve_instance.json"
 );
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/curve_golden.ndjson");
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/data/curve_golden.ndjson"
+);
 
 fn run_curve() -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_rtt"))

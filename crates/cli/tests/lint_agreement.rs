@@ -199,7 +199,10 @@ fn warnings_agree_with_the_engine_admission_lint() {
         })
         .map(str::to_string)
         .collect();
-    assert!(admitted.len() >= 3, "bad corpus should keep its warning lines");
+    assert!(
+        admitted.len() >= 3,
+        "bad corpus should keep its warning lines"
+    );
     let filtered = admitted.join("\n");
     let cli_diags = lint_corpus(&filtered, &registry);
     assert!(!cli_diags.is_empty());

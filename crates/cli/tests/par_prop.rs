@@ -45,8 +45,7 @@ fn render(lines: &[String], workers: usize, intra: Option<usize>) -> String {
     let corpus = lines.join("\n");
     let registry = Registry::standard();
     let cache = PrepCache::with_capacity(64);
-    let mut requests =
-        build_requests(&corpus, &cache, None, &registry).expect("corpus parses");
+    let mut requests = build_requests(&corpus, &cache, None, &registry).expect("corpus parses");
     if let Some(n) = intra {
         for req in &mut requests {
             req.intra_threads = Some(n);

@@ -101,8 +101,7 @@ fn render(lines: &[String], threads: usize, cached: bool) -> String {
     let registry = Registry::standard();
     let cache = PrepCache::with_capacity(64);
     let reuse = cached.then(|| ReuseCache::new(64));
-    let requests =
-        build_requests(&corpus, &cache, None, &registry).expect("corpus parses");
+    let requests = build_requests(&corpus, &cache, None, &registry).expect("corpus parses");
     let out = run_batch_cached(&registry, requests, threads, reuse.as_ref());
     let mut s = String::new();
     for r in &out.reports {

@@ -383,11 +383,7 @@ pub fn solve_exact_metered(
 /// hardness-gadget search trees explode. Both bounds are incremental
 /// (see the module docs), and it stops at the first witness, which is
 /// routed by a fresh min-flow.
-pub fn decide_feasible(
-    arc: &ArcInstance,
-    budget: Resource,
-    target: Time,
-) -> Option<Solution> {
+pub fn decide_feasible(arc: &ArcInstance, budget: Resource, target: Time) -> Option<Solution> {
     branch_and_bound(arc, Regime::Routed, Goal::Witness { budget, target }, None)
         .expect("an unmetered search cannot exhaust")
         .map(|found| routed_solution(arc, &found.levels))
@@ -395,12 +391,8 @@ pub fn decide_feasible(
 
 /// Exact minimum-resource: the least budget whose optimal makespan is
 /// `≤ target`, or `None` if even unlimited resources cannot reach it.
-pub fn solve_exact_min_resource(
-    arc: &ArcInstance,
-    target: Time,
-) -> Option<(Resource, Solution)> {
-    solve_exact_min_resource_metered(arc, target, None)
-        .expect("an unmetered search cannot exhaust")
+pub fn solve_exact_min_resource(arc: &ArcInstance, target: Time) -> Option<(Resource, Solution)> {
+    solve_exact_min_resource_metered(arc, target, None).expect("an unmetered search cannot exhaust")
 }
 
 /// [`solve_exact_min_resource`] under a cooperative budget meter (one

@@ -163,7 +163,11 @@ fn node_signatures(arc: &ArcInstance, rounds: usize) -> Vec<u64> {
             .in_edges(v)
             .iter()
             .map(|&e| (0u64, edge_digest[e.index()]))
-            .chain(g.out_edges(v).iter().map(|&e| (1u64, edge_digest[e.index()])))
+            .chain(
+                g.out_edges(v)
+                    .iter()
+                    .map(|&e| (1u64, edge_digest[e.index()])),
+            )
             .collect();
         incident.sort_unstable();
         for (dir, d) in incident {
@@ -183,9 +187,11 @@ fn node_signatures(arc: &ArcInstance, rounds: usize) -> Vec<u64> {
                 .in_edges(v)
                 .iter()
                 .map(|&e| (0u64, sig[g.src(e).index()] ^ edge_digest[e.index()]))
-                .chain(g.out_edges(v).iter().map(|&e| {
-                    (1u64, sig[g.dst(e).index()] ^ edge_digest[e.index()])
-                }))
+                .chain(
+                    g.out_edges(v)
+                        .iter()
+                        .map(|&e| (1u64, sig[g.dst(e).index()] ^ edge_digest[e.index()])),
+                )
                 .collect();
             nb.sort_unstable();
             for (dir, s) in nb {
@@ -264,7 +270,12 @@ pub fn canonical_form(arc: &ArcInstance) -> CanonicalForm {
         let mut outs: Vec<(usize, String)> = g
             .out_edges(v)
             .iter()
-            .map(|&e| (canon[g.dst(e).index()], duration_string(&g.edge(e).duration)))
+            .map(|&e| {
+                (
+                    canon[g.dst(e).index()],
+                    duration_string(&g.edge(e).duration),
+                )
+            })
             .collect();
         outs.sort_unstable();
         for (dst, dur) in outs {
@@ -296,10 +307,14 @@ mod tests {
         // logical roles: 0 = source, 1 = fast branch, 2 = slow branch, 3 = sink
         let role = |r: usize| ids[perm.iter().position(|&p| p == r).unwrap()];
         let (s, a, b, t) = (role(0), role(1), role(2), role(3));
-        g.add_edge(s, a, Activity::new(Duration::two_point(5, 2, 1))).unwrap();
-        g.add_edge(s, b, Activity::new(Duration::two_point(9, 3, 2))).unwrap();
-        g.add_edge(a, t, Activity::new(Duration::constant(1))).unwrap();
-        g.add_edge(b, t, Activity::new(Duration::constant(2))).unwrap();
+        g.add_edge(s, a, Activity::new(Duration::two_point(5, 2, 1)))
+            .unwrap();
+        g.add_edge(s, b, Activity::new(Duration::two_point(9, 3, 2)))
+            .unwrap();
+        g.add_edge(a, t, Activity::new(Duration::constant(1)))
+            .unwrap();
+        g.add_edge(b, t, Activity::new(Duration::constant(2)))
+            .unwrap();
         ArcInstance::new(g).unwrap()
     }
 
@@ -322,10 +337,14 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(());
         let t = g.add_node(());
-        g.add_edge(s, a, Activity::new(Duration::two_point(6, 2, 1))).unwrap();
-        g.add_edge(s, b, Activity::new(Duration::two_point(9, 3, 2))).unwrap();
-        g.add_edge(a, t, Activity::new(Duration::constant(1))).unwrap();
-        g.add_edge(b, t, Activity::new(Duration::constant(2))).unwrap();
+        g.add_edge(s, a, Activity::new(Duration::two_point(6, 2, 1)))
+            .unwrap();
+        g.add_edge(s, b, Activity::new(Duration::two_point(9, 3, 2)))
+            .unwrap();
+        g.add_edge(a, t, Activity::new(Duration::constant(1)))
+            .unwrap();
+        g.add_edge(b, t, Activity::new(Duration::constant(2)))
+            .unwrap();
         let perturbed = fingerprint(&ArcInstance::new(g).unwrap());
         assert_ne!(base, perturbed, "a base-time perturbation must miss");
     }
@@ -352,12 +371,14 @@ mod tests {
         let mut g: Dag<(), Activity> = Dag::new();
         let s = g.add_node(());
         let t = g.add_node(());
-        g.add_edge(s, t, Activity::labeled("alpha", Duration::constant(3))).unwrap();
+        g.add_edge(s, t, Activity::labeled("alpha", Duration::constant(3)))
+            .unwrap();
         let labeled = fingerprint(&ArcInstance::new(g).unwrap());
         let mut g2: Dag<(), Activity> = Dag::new();
         let s2 = g2.add_node(());
         let t2 = g2.add_node(());
-        g2.add_edge(s2, t2, Activity::new(Duration::constant(3))).unwrap();
+        g2.add_edge(s2, t2, Activity::new(Duration::constant(3)))
+            .unwrap();
         let bare = fingerprint(&ArcInstance::new(g2).unwrap());
         assert_eq!(labeled, bare, "labels must not affect identity");
     }

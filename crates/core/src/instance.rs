@@ -441,7 +441,8 @@ mod tests {
         let mut g: Dag<(), Activity> = Dag::new();
         let s = g.add_node(());
         let t = g.add_node(());
-        g.add_edge(s, t, Activity::new(Duration::kway(100))).unwrap();
+        g.add_edge(s, t, Activity::new(Duration::kway(100)))
+            .unwrap();
         g.add_edge(s, t, Activity::new(Duration::kway(50))).unwrap();
         g.add_edge(s, t, Activity::dummy()).unwrap(); // not improvable
         let inst = ArcInstance::new(g).unwrap();
@@ -453,13 +454,12 @@ mod tests {
         let mut g: Dag<(), Activity> = Dag::new();
         let s = g.add_node(());
         let t = g.add_node(());
-        g.add_edge(s, t, Activity::new(Duration::kway(100))).unwrap();
+        g.add_edge(s, t, Activity::new(Duration::kway(100)))
+            .unwrap();
         g.add_edge(
             s,
             t,
-            Activity::new(
-                Duration::step(vec![Tuple::new(0, 9), Tuple::new(1, 2)]).unwrap(),
-            ),
+            Activity::new(Duration::step(vec![Tuple::new(0, 9), Tuple::new(1, 2)]).unwrap()),
         )
         .unwrap();
         let inst = ArcInstance::new(g).unwrap();

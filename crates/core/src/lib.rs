@@ -61,19 +61,17 @@ pub mod solvers;
 pub mod sp_dp;
 pub mod transform;
 
-pub use from_race::{
-    instance_from_program, instance_from_race_dag, FromRaceError, ReducerFamily,
-};
 pub use fingerprint::{
     canonical_form, fingerprint, CanonicalForm, Fingerprint, CANONICAL_FORM_TAG,
 };
-pub use instance::{ArcInstance, Activity, Instance, InstanceError, Job};
+pub use from_race::{instance_from_program, instance_from_race_dag, FromRaceError, ReducerFamily};
+pub use instance::{Activity, ArcInstance, Instance, InstanceError, Job};
+pub use lp_build::{solve_min_makespan_sweep, MakespanLp};
 pub use regimes::{
     compare_regimes, global_reuse_schedule, solve_noreuse_bicriteria, solve_noreuse_exact,
     verify_global_schedule, GlobalPolicy, GlobalSchedule, NoReuseSolution, RegimeComparison,
 };
 pub use solution::{routing_plan, validate, Route, RoutingPlan, Solution, ValidationError};
-pub use lp_build::{solve_min_makespan_sweep, MakespanLp};
 pub use solvers::{
     bicriteria_round_prepped, min_resource, solve_bicriteria, solve_kway_5approx,
     solve_recbinary_4approx, solve_recbinary_improved, ApproxSolution, SolveError,

@@ -128,8 +128,7 @@ fn noreuse_solution_from_levels(arc: &ArcInstance, levels: Vec<Resource>) -> NoR
 /// Exponential — use on the same small instances as
 /// [`crate::exact::solve_exact`].
 pub fn solve_noreuse_exact(arc: &ArcInstance, budget: Resource) -> NoReuseSolution {
-    solve_noreuse_exact_metered(arc, budget, None)
-        .expect("an unmetered search cannot exhaust")
+    solve_noreuse_exact_metered(arc, budget, None).expect("an unmetered search cannot exhaust")
 }
 
 /// [`solve_noreuse_exact`] under a cooperative budget meter: every
@@ -332,10 +331,7 @@ pub fn global_reuse_schedule(
     };
     let priority = |e: rtt_dag::EdgeId| {
         let (_, dst) = d.endpoints(e);
-        d.edge(e)
-            .duration
-            .time(0)
-            .saturating_add(tail[dst.index()])
+        d.edge(e).duration.time(0).saturating_add(tail[dst.index()])
     };
 
     let mut start = vec![Time::MAX; m];
@@ -353,9 +349,9 @@ pub fn global_reuse_schedule(
     let mut ready: Vec<rtt_dag::EdgeId> = Vec::new();
 
     let fire = |v: rtt_dag::NodeId,
-                    t: Time,
-                    fired: &mut Vec<Option<Time>>,
-                    ready: &mut Vec<rtt_dag::EdgeId>| {
+                t: Time,
+                fired: &mut Vec<Option<Time>>,
+                ready: &mut Vec<rtt_dag::EdgeId>| {
         debug_assert!(fired[v.index()].is_none());
         fired[v.index()] = Some(t);
         for &e in d.out_edges(v) {
@@ -375,7 +371,10 @@ pub fn global_reuse_schedule(
             let want = match policy {
                 GlobalPolicy::Eager => {
                     // best canonical level affordable right now
-                    dur.useful_levels().filter(|&r| r <= pool).max().unwrap_or(0)
+                    dur.useful_levels()
+                        .filter(|&r| r <= pool)
+                        .max()
+                        .unwrap_or(0)
                 }
                 GlobalPolicy::Patient => {
                     if pool < max_useful {
@@ -658,7 +657,11 @@ mod tests {
         let tt = expand_two_tuples(&arc);
         // reuse LP reaches 0 with B=4; no-reuse LP needs 8
         let f4 = solve_noreuse_lp(&tt, 4).unwrap();
-        assert!(f4.makespan > 4.9, "B=4 fixes one job fractionally: {}", f4.makespan);
+        assert!(
+            f4.makespan > 4.9,
+            "B=4 fixes one job fractionally: {}",
+            f4.makespan
+        );
         let f8 = solve_noreuse_lp(&tt, 8).unwrap();
         assert!(f8.makespan.abs() < 1e-6);
     }

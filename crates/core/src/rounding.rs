@@ -13,11 +13,7 @@ use rtt_flow::{min_flow, BoundedEdge};
 /// Returns the integral per-edge resource requirements `f'_e`.
 /// Guarantees (Theorem 3.4): rounding up inflates the duration by at most
 /// `1/α`; rounding down inflates the resource by at most `1/(1−α)`.
-pub fn alpha_round(
-    tt: &TwoTupleInstance,
-    frac: &FractionalSolution,
-    alpha: f64,
-) -> Vec<Resource> {
+pub fn alpha_round(tt: &TwoTupleInstance, frac: &FractionalSolution, alpha: f64) -> Vec<Resource> {
     assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
     tt.dag
         .edge_refs()
@@ -57,23 +53,15 @@ pub fn alpha_round(
 /// simultaneously, reusing units along paths.
 ///
 /// Returns `(budget_needed, per-edge integral flow)`.
-pub fn route_min_flow(
-    tt: &TwoTupleInstance,
-    lower: &[Resource],
-) -> (Resource, Vec<Resource>) {
+pub fn route_min_flow(tt: &TwoTupleInstance, lower: &[Resource]) -> (Resource, Vec<Resource>) {
     let d = &tt.dag;
     assert_eq!(lower.len(), d.edge_count());
     let edges: Vec<BoundedEdge> = d
         .edge_refs()
         .map(|e| BoundedEdge::at_least(e.src.index(), e.dst.index(), lower[e.id.index()]))
         .collect();
-    let r = min_flow(
-        d.node_count(),
-        &edges,
-        tt.source.index(),
-        tt.sink.index(),
-    )
-    .expect("lower bounds without upper bounds are always feasible");
+    let r = min_flow(d.node_count(), &edges, tt.source.index(), tt.sink.index())
+        .expect("lower bounds without upper bounds are always feasible");
     (r.value, r.edge_flow)
 }
 

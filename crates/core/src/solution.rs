@@ -91,9 +91,15 @@ impl fmt::Display for ValidationError {
                 "edge {edge} claims duration {claimed} < achievable {achievable}"
             ),
             ValidationError::TimeTooPessimistic { edge } => {
-                write!(f, "edge {edge} claims duration above its zero-resource time")
+                write!(
+                    f,
+                    "edge {edge} claims duration above its zero-resource time"
+                )
             }
-            ValidationError::MakespanMismatch { claimed, recomputed } => {
+            ValidationError::MakespanMismatch {
+                claimed,
+                recomputed,
+            } => {
                 write!(f, "claimed makespan {claimed} != recomputed {recomputed}")
             }
             ValidationError::NotRoutable => {
@@ -281,7 +287,11 @@ impl RoutingPlan {
             }
             out.push('\n');
         }
-        let _ = write!(out, "total routed: {} unit(s); * = expedites the job", self.total());
+        let _ = write!(
+            out,
+            "total routed: {} unit(s); * = expedites the job",
+            self.total()
+        );
         out
     }
 }
@@ -484,10 +494,7 @@ mod tests {
         let arc = two_arc_instance();
         let mut sol = good_solution();
         sol.arc_flows = vec![2, 1]; // conservation broken at the middle
-        assert_eq!(
-            routing_plan(&arc, &sol),
-            Err(ValidationError::NotRoutable)
-        );
+        assert_eq!(routing_plan(&arc, &sol), Err(ValidationError::NotRoutable));
     }
 
     #[test]

@@ -4,10 +4,10 @@ use crate::instance::ArcInstance;
 use crate::lp_build::{
     solve_min_makespan_lp_metered, solve_min_resource_lp_metered, FractionalSolution, LpError,
 };
-use rtt_budget::BudgetMeter;
 use crate::rounding::{alpha_round, route_min_flow};
 use crate::solution::{routed_solution, Solution};
 use crate::transform::{expand_two_tuples, TwoTupleInstance};
+use rtt_budget::BudgetMeter;
 use rtt_duration::{DurationKind, Resource, Time};
 use std::fmt;
 

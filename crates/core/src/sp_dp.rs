@@ -135,8 +135,14 @@ pub fn parallel_merge_monotone(
     choice: &mut Vec<u32>,
 ) -> u64 {
     debug_assert_eq!(tx.len(), ty.len());
-    debug_assert!(tx.windows(2).all(|w| w[1] <= w[0]), "tx must be nonincreasing");
-    debug_assert!(ty.windows(2).all(|w| w[1] <= w[0]), "ty must be nonincreasing");
+    debug_assert!(
+        tx.windows(2).all(|w| w[1] <= w[0]),
+        "tx must be nonincreasing"
+    );
+    debug_assert!(
+        ty.windows(2).all(|w| w[1] <= w[0]),
+        "ty must be nonincreasing"
+    );
     out.clear();
     choice.clear();
     let mut i = 0usize;
@@ -532,9 +538,7 @@ pub fn solve_sp_tree_naive(
             SpKind::Series(x, y) => {
                 let tx = tables[x.index()].as_ref().expect("post-order");
                 let ty = tables[y.index()].as_ref().expect("post-order");
-                (0..=b)
-                    .map(|l| tx[l].saturating_add(ty[l]))
-                    .collect()
+                (0..=b).map(|l| tx[l].saturating_add(ty[l])).collect()
             }
             SpKind::Parallel(x, y) => {
                 let tx = tables[x.index()].as_ref().expect("post-order");
@@ -564,8 +568,8 @@ pub fn solve_sp_tree_naive(
                 stack.push((y, lambda));
             }
             SpKind::Parallel(x, y) => {
-                let i = splits[id.index()].as_ref().expect("parallel split")
-                    [lambda as usize] as Resource;
+                let i = splits[id.index()].as_ref().expect("parallel split")[lambda as usize]
+                    as Resource;
                 stack.push((x, i));
                 stack.push((y, lambda - i));
             }
@@ -633,15 +637,10 @@ pub fn solve_sp_exact_with_tree_metered(
 /// Exact minimum-resource for a series-parallel instance: the smallest
 /// `λ ≤ budget_cap` with `T(root, λ) ≤ target` (one DP run gives the
 /// whole curve). `None` if unreachable within the cap or not SP.
-pub fn sp_min_resource(
-    arc: &ArcInstance,
-    target: Time,
-    budget_cap: Resource,
-) -> Option<Resource> {
+pub fn sp_min_resource(arc: &ArcInstance, target: Time, budget_cap: Resource) -> Option<Resource> {
     let d = arc.dag();
     let tree = decompose(d, arc.source(), arc.sink())?;
-    let (curve, _, _) =
-        solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget_cap);
+    let (curve, _, _) = solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget_cap);
     curve
         .iter()
         .position(|&t| t <= target)
@@ -761,7 +760,9 @@ mod tests {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..len)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let drop = (state >> 60) % 4;
                 t = t.saturating_sub(drop);
                 t
@@ -818,8 +819,7 @@ mod tests {
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).unwrap();
         for b in 0..=8u64 {
-            let (fast, _, _) =
-                solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b);
+            let (fast, _, _) = solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b);
             let (naive, _) = solve_sp_tree_naive(&tree, |e| d.edge(e).duration.clone(), b);
             assert_eq!(fast, naive, "budget {b}");
         }
@@ -832,15 +832,18 @@ mod tests {
         let s = g.add_node(());
         let t = g.add_node(());
         for i in 0..16u64 {
-            g.add_edge(s, t, Activity::new(Duration::two_point(20 + i, 2 + i % 3, 1)))
-                .unwrap();
+            g.add_edge(
+                s,
+                t,
+                Activity::new(Duration::two_point(20 + i, 2 + i % 3, 1)),
+            )
+            .unwrap();
         }
         let arc = ArcInstance::new(g).unwrap();
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).unwrap();
         let budget = 64u64;
-        let (_, _, stats) =
-            solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
+        let (_, _, stats) = solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
         assert_eq!(stats.leaves, 16);
         assert_eq!(stats.parallels, 15);
         let nodes = (stats.leaves + stats.series + stats.parallels) as u64;
@@ -881,7 +884,10 @@ mod tests {
         let arc = staged_instance(40, 3);
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).unwrap();
-        assert!(tree.len() as u32 > 2 * SPLIT_MIN_NODES, "tree too small to split");
+        assert!(
+            tree.len() as u32 > 2 * SPLIT_MIN_NODES,
+            "tree too small to split"
+        );
         let budget = 24u64;
         let (table, alloc, stats) =
             solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
@@ -908,8 +914,7 @@ mod tests {
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).unwrap();
         for b in 0..=8u64 {
-            let (st, sa, _) =
-                solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b);
+            let (st, sa, _) = solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b);
             let (pt, pa, _) = rtt_par::with_threads(4, || {
                 solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b)
             });
@@ -923,21 +928,18 @@ mod tests {
         let arc = staged_instance(40, 3);
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).unwrap();
-        assert!(tree.len() as u32 > 2 * SPLIT_MIN_NODES, "tree too small to split");
+        assert!(
+            tree.len() as u32 > 2 * SPLIT_MIN_NODES,
+            "tree too small to split"
+        );
         let budget = 24u64;
-        let (_, _, stats) =
-            solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
+        let (_, _, stats) = solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
         // a limit that trips mid-walk, well before the last parallel node
         let limit = stats.merge_steps / 2;
         let exhaust = |threads: usize| {
             let meter = BudgetMeter::with_limits(None, Some(limit), None, None);
             rtt_par::with_threads(threads, || {
-                solve_sp_tree_metered(
-                    &tree,
-                    |e| d.edge(e).duration.clone(),
-                    budget,
-                    Some(&meter),
-                )
+                solve_sp_tree_metered(&tree, |e| d.edge(e).duration.clone(), budget, Some(&meter))
             })
             .expect_err("the limit trips mid-walk")
         };

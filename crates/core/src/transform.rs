@@ -20,10 +20,8 @@ pub struct ArcFormMap {
 /// zero-duration dummy arc `(b_u, a_v)`.
 pub fn to_arc_form(inst: &Instance) -> (ArcInstance, ArcFormMap) {
     let d = inst.dag();
-    let mut out: Dag<(), Activity> = Dag::with_capacity(
-        2 * d.node_count(),
-        d.node_count() + d.edge_count(),
-    );
+    let mut out: Dag<(), Activity> =
+        Dag::with_capacity(2 * d.node_count(), d.node_count() + d.edge_count());
     let mut split = Vec::with_capacity(d.node_count());
     for _v in d.node_ids() {
         let a = out.add_node(());
@@ -50,7 +48,8 @@ pub fn to_arc_form(inst: &Instance) -> (ArcInstance, ArcFormMap) {
     for e in d.edge_refs() {
         let (_, bu) = split[e.src.index()];
         let (av, _) = split[e.dst.index()];
-        out.add_edge(bu, av, Activity::dummy()).expect("fresh nodes");
+        out.add_edge(bu, av, Activity::dummy())
+            .expect("fresh nodes");
     }
     let arc = ArcInstance::new(out).expect("transformation preserves the two-terminal DAG shape");
     (arc, ArcFormMap { job_arc, split })
@@ -144,11 +143,7 @@ impl TwoTupleInstance {
             }
         }
         for info in &self.chains {
-            out[info.arc_edge.index()] = info
-                .chain_edges
-                .iter()
-                .map(|ce| flows[ce.index()])
-                .sum();
+            out[info.arc_edge.index()] = info.chain_edges.iter().map(|ce| flows[ce.index()]).sum();
         }
         out
     }
@@ -228,12 +223,7 @@ mod tests {
         let s = g.add_node(Job::labeled("s", Duration::zero()));
         let x = g.add_node(Job::labeled(
             "x",
-            Duration::step(vec![
-                Tuple::new(0, 10),
-                Tuple::new(2, 6),
-                Tuple::new(5, 1),
-            ])
-            .unwrap(),
+            Duration::step(vec![Tuple::new(0, 10), Tuple::new(2, 6), Tuple::new(5, 1)]).unwrap(),
         ));
         let t = g.add_node(Job::labeled("t", Duration::zero()));
         g.add_edge(s, x, ()).unwrap();

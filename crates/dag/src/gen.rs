@@ -121,7 +121,11 @@ fn build_fj<R: Rng>(
         let segments = rng.random_range(1..=3usize);
         let mut prev = from;
         for i in 0..segments {
-            let next = if i + 1 == segments { to } else { dag.add_node(()) };
+            let next = if i + 1 == segments {
+                to
+            } else {
+                dag.add_node(())
+            };
             if rng.random_bool(0.5) && depth > 0 {
                 build_fj(rng, dag, prev, next, depth - 1, max_branch);
             } else {

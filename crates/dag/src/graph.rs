@@ -277,12 +277,16 @@ impl<N, E> Dag<N, E> {
 
     /// All nodes with in-degree zero.
     pub fn sources(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|&n| self.in_degree(n) == 0).collect()
+        self.node_ids()
+            .filter(|&n| self.in_degree(n) == 0)
+            .collect()
     }
 
     /// All nodes with out-degree zero.
     pub fn sinks(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|&n| self.out_degree(n) == 0).collect()
+        self.node_ids()
+            .filter(|&n| self.out_degree(n) == 0)
+            .collect()
     }
 
     /// Maps node payloads, preserving structure and ids.

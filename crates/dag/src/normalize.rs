@@ -53,7 +53,10 @@ pub fn ensure_single_source<N, E: Clone>(
     let s = g.add_node(node_payload);
     let edges = sources
         .iter()
-        .map(|&old| g.add_edge(s, old, edge_payload.clone()).expect("valid nodes"))
+        .map(|&old| {
+            g.add_edge(s, old, edge_payload.clone())
+                .expect("valid nodes")
+        })
         .collect();
     Normalized::Added { node: s, edges }
 }
@@ -76,7 +79,10 @@ pub fn ensure_single_sink<N, E: Clone>(
     let t = g.add_node(node_payload);
     let edges = sinks
         .iter()
-        .map(|&old| g.add_edge(old, t, edge_payload.clone()).expect("valid nodes"))
+        .map(|&old| {
+            g.add_edge(old, t, edge_payload.clone())
+                .expect("valid nodes")
+        })
         .collect();
     Normalized::Added { node: t, edges }
 }

@@ -204,7 +204,10 @@ pub fn count_paths<N, E>(g: &Dag<N, E>) -> Result<u64, TopoError> {
             count[w.index()] = count[w.index()].saturating_add(count[v.index()]);
         }
     }
-    Ok(g.sinks().iter().map(|t| count[t.index()]).fold(0u64, u64::saturating_add))
+    Ok(g.sinks()
+        .iter()
+        .map(|t| count[t.index()])
+        .fold(0u64, u64::saturating_add))
 }
 
 #[cfg(test)]

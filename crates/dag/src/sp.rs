@@ -236,9 +236,13 @@ pub fn decompose<N, E>(
 
     let compact = |list: &mut Vec<usize>, supers: &[Option<Super>], vertex: u32, outgoing: bool| {
         list.retain(|&i| {
-            supers[i]
-                .as_ref()
-                .is_some_and(|s| if outgoing { s.src == vertex } else { s.dst == vertex })
+            supers[i].as_ref().is_some_and(|s| {
+                if outgoing {
+                    s.src == vertex
+                } else {
+                    s.dst == vertex
+                }
+            })
         });
     };
 

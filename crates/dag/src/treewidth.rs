@@ -193,7 +193,9 @@ pub fn path_decomposition(order: &[NodeId]) -> TreeDecomposition {
         };
     }
     let bags: Vec<Vec<NodeId>> = order.windows(2).map(|w| w.to_vec()).collect();
-    let tree_edges = (0..bags.len().saturating_sub(1)).map(|i| (i, i + 1)).collect();
+    let tree_edges = (0..bags.len().saturating_sub(1))
+        .map(|i| (i, i + 1))
+        .collect();
     TreeDecomposition { bags, tree_edges }
 }
 

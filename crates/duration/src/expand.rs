@@ -83,11 +83,7 @@ impl Expanded {
 /// # Panics
 /// If `heights.len() != g.node_count()`, or a reducer is requested on a
 /// node with in-degree 0 (there is nothing to reduce).
-pub fn expand_reducers<N, E>(
-    g: &Dag<N, E>,
-    heights: &[u32],
-    variant: ReducerVariant,
-) -> Expanded {
+pub fn expand_reducers<N, E>(g: &Dag<N, E>, heights: &[u32], variant: ReducerVariant) -> Expanded {
     assert_eq!(
         heights.len(),
         g.node_count(),
@@ -280,11 +276,7 @@ mod tests {
                 let exp = expand_reducers(&g, &heights, ReducerVariant::Sibling);
                 // +1 for the sink node's own single update
                 let expected = reducer_time(n, h, ReducerVariant::Sibling) + 1;
-                assert_eq!(
-                    exp.makespan(),
-                    expected,
-                    "n={n} h={h}: expansion vs Eq.3"
-                );
+                assert_eq!(exp.makespan(), expected, "n={n} h={h}: expansion vs Eq.3");
                 // Eq. 3 caps the height at k = ⌊log₂ n − log₂ log₂ e⌋;
                 // taller physical reducers are legal but only slower.
                 if h <= crate::recursive_binary_max_height(n) {

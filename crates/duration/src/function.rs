@@ -466,7 +466,7 @@ mod tests {
         assert_eq!(recursive_binary_max_height(2), 0); // 1 − 0.53 < 1
         assert_eq!(recursive_binary_max_height(4), 1);
         assert_eq!(recursive_binary_max_height(1024), 9); // 10 − 0.53
-        // The cap is where t stops decreasing: t_k <= t_{k+1} in raw form.
+                                                          // The cap is where t stops decreasing: t_k <= t_{k+1} in raw form.
         for d in [8u64, 100, 1024, 4096, 99999] {
             let k = recursive_binary_max_height(d);
             if k >= 1 {

@@ -28,8 +28,8 @@ pub mod expand;
 mod function;
 
 pub use function::{
-    raw_kway_time, raw_recursive_binary_time, recursive_binary_max_height, Duration,
-    DurationKind, StepError, Tuple,
+    raw_kway_time, raw_recursive_binary_time, recursive_binary_max_height, Duration, DurationKind,
+    StepError, Tuple,
 };
 
 /// Time in abstract ticks (one tick = one update application, §1).

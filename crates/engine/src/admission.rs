@@ -151,10 +151,7 @@ mod tests {
         let reqs = vec![zero_deadline, vacuous_queue, mismatch];
         let diags = lint_requests(&registry, &reqs);
         assert_eq!(
-            diags
-                .iter()
-                .map(|d| (d.line, d.code))
-                .collect::<Vec<_>>(),
+            diags.iter().map(|d| (d.line, d.code)).collect::<Vec<_>>(),
             vec![(1, "RTT011"), (2, "RTT012"), (3, "RTT013")]
         );
         assert!(diags.iter().all(|d| d.severity == Severity::Warning));
@@ -186,10 +183,7 @@ mod tests {
             },
             policies: BudgetPolicies::default(),
         });
-        let reqs = vec![
-            SolveRequest::min_makespan("a", chain_prep(), 4),
-            bounded,
-        ];
+        let reqs = vec![SolveRequest::min_makespan("a", chain_prep(), 4), bounded];
         assert!(lint_requests(&registry, &reqs).is_empty());
     }
 }

@@ -60,11 +60,11 @@
 
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_core::{ArcInstance, GlobalSchedule, NoReuseSolution, Solution};
+use rtt_dag::{Dag, NodeId};
 use rtt_duration::{
     is_infinite, raw_kway_time, raw_recursive_binary_time, recursive_binary_max_height,
     DurationKind, Resource, Time,
 };
-use rtt_dag::{Dag, NodeId};
 use rtt_sim::ExecModel;
 
 /// Soft guard on certification cost: expansions with more than this
@@ -368,7 +368,8 @@ fn expand_planned(
                 // how the ceil-split shares were assigned)
                 for (j, &in_arc) in d.in_edges(e.src).iter().enumerate() {
                     let c = targets[j % targets.len()];
-                    g.add_edge(tail[in_arc.index()], c, ()).expect("nodes exist");
+                    g.add_edge(tail[in_arc.index()], c, ())
+                        .expect("nodes exist");
                 }
             }
         }
@@ -399,7 +400,11 @@ fn certify_expansion(
     }
     let (g, works) = expand_planned(arc, edge_times, &plans);
     let model = ExecModel::from_works(&g, &works);
-    debug_assert_eq!(model.event_count(), events, "the pre-count must match the model");
+    debug_assert_eq!(
+        model.event_count(),
+        events,
+        "the pre-count must match the model"
+    );
     // Sharded replay only when unmetered: mid-replay exhaustion
     // stop-points are wire-visible and must not depend on shard
     // scheduling. Bit-identical to the serial engine by construction
@@ -569,7 +574,10 @@ mod tests {
         let cert = certify_solution(&arc, &ex.solution, None).unwrap().unwrap();
         assert_eq!(ex.solution.makespan, 12 + 1);
         assert!(cert.simulated <= cert.bound);
-        assert!(cert.peak_parallelism >= 8, "leaf cells must run in parallel");
+        assert!(
+            cert.peak_parallelism >= 8,
+            "leaf cells must run in parallel"
+        );
     }
 
     #[test]
@@ -587,8 +595,7 @@ mod tests {
         g.add_edge(i0, b, ()).unwrap();
         g.add_edge(a, z, ()).unwrap();
         g.add_edge(b, z, ()).unwrap();
-        let inst =
-            Instance::race_dag_normalized(&g, Duration::recursive_binary).unwrap();
+        let inst = Instance::race_dag_normalized(&g, Duration::recursive_binary).unwrap();
         let arc = to_arc_form(&inst).0;
         let ex = rtt_core::exact::solve_exact(&arc, 0);
         assert_eq!(ex.solution.makespan, 5);
@@ -620,12 +627,8 @@ mod tests {
         let mut g: Dag<(), Activity> = Dag::new();
         let s = g.add_node(());
         let t = g.add_node(());
-        g.add_edge(
-            s,
-            t,
-            Activity::new(Duration::constant(rtt_duration::INF)),
-        )
-        .unwrap();
+        g.add_edge(s, t, Activity::new(Duration::constant(rtt_duration::INF)))
+            .unwrap();
         let arc = ArcInstance::new(g).unwrap();
         let sol = Solution {
             arc_flows: vec![0],
@@ -664,7 +667,10 @@ mod tests {
     fn global_schedules_certify_schedule_granularly() {
         let arc = recbinary_star(64);
         for budget in [0u64, 2, 4, 8, 16] {
-            for policy in [rtt_core::GlobalPolicy::Eager, rtt_core::GlobalPolicy::Patient] {
+            for policy in [
+                rtt_core::GlobalPolicy::Eager,
+                rtt_core::GlobalPolicy::Patient,
+            ] {
                 let s = rtt_core::global_reuse_schedule(&arc, budget, policy);
                 rtt_core::verify_global_schedule(&arc, budget, &s).unwrap();
                 let cert = certify_schedule(&arc, &s, None)
@@ -692,7 +698,10 @@ mod tests {
         let (g, works) = expand_levels(&arc, &ex.solution.edge_times, &ex.solution.arc_flows);
         // the guard's own metric, not a re-derivation of it
         let events = ExecModel::from_works(&g, &works).event_count();
-        assert!(events < SIM_EVENT_GUARD / 1000, "expansion events: {events}");
+        assert!(
+            events < SIM_EVENT_GUARD / 1000,
+            "expansion events: {events}"
+        );
     }
 
     #[test]
@@ -734,7 +743,10 @@ mod tests {
         // and refused before any of it is allocated
         let mut g: Dag<Job, ()> = Dag::new();
         let s = g.add_node(Job::labeled("s", Duration::zero()));
-        let x = g.add_node(Job::labeled("x", Duration::recursive_binary(1_000_000_000_000)));
+        let x = g.add_node(Job::labeled(
+            "x",
+            Duration::recursive_binary(1_000_000_000_000),
+        ));
         let t = g.add_node(Job::labeled("t", Duration::zero()));
         g.add_edge(s, x, ()).unwrap();
         g.add_edge(x, t, ()).unwrap();
@@ -763,7 +775,11 @@ mod tests {
             let kw = Duration::kway(n);
             for r in 0..=40u64 {
                 let h = best_recbinary_height(n, r);
-                let t_h = if h == 0 { n } else { raw_recursive_binary_time(n, h) };
+                let t_h = if h == 0 {
+                    n
+                } else {
+                    raw_recursive_binary_time(n, h)
+                };
                 assert_eq!(t_h, rec.time(r), "recbinary n={n} r={r}");
                 let k = best_kway_arity(n, r);
                 let t_k = if k == 0 { n } else { raw_kway_time(n, k) };

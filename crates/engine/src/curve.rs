@@ -31,7 +31,7 @@
 //! vectors byte-identically.
 
 use crate::budget::BudgetContext;
-use crate::request::{SolveRequest, SolveReport, Status};
+use crate::request::{SolveReport, SolveRequest, Status};
 use rtt_budget::BudgetMeter;
 use rtt_core::lp_build::LpError;
 use rtt_core::Resource;
@@ -211,12 +211,13 @@ mod tests {
         for name in ["noreuse-exact", "noreuse-bicriteria", "global-greedy"] {
             let req = crate::SolveRequest::min_makespan("b0", std::sync::Arc::clone(&prep), 0)
                 .with_solver(name);
-            let reports =
-                crate::execute_one(&registry, &req, std::time::Instant::now());
+            let reports = crate::execute_one(&registry, &req, std::time::Instant::now());
             let r = &reports[0];
             assert_eq!(r.status, Status::Solved, "{name}: {}", r.detail);
             assert_eq!(r.makespan, Some(base), "{name}");
-            let cert = r.sim.unwrap_or_else(|| panic!("{name}: anchor uncertified"));
+            let cert = r
+                .sim
+                .unwrap_or_else(|| panic!("{name}: anchor uncertified"));
             assert_eq!(cert.bound, base, "{name}");
             assert_eq!(cert.simulated, base, "{name}: chains cannot pipeline");
         }

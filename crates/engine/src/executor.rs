@@ -58,7 +58,7 @@
 
 use crate::budget::{BudgetContext, BudgetReport, ExhaustionPolicy};
 use crate::registry::Registry;
-use crate::request::{SolveRequest, SolveReport, SolverSelection, Status};
+use crate::request::{SolveReport, SolveRequest, SolverSelection, Status};
 use rtt_budget::{Dimension, Exhausted};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration as StdDuration, Instant};
@@ -250,9 +250,10 @@ fn finalize_budget(
     };
     block.degraded = degraded;
     if let Some(e) = queue_warning {
-        block
-            .warnings
-            .push(format!("{} {} > limit {}", e.dimension, e.consumed, e.limit));
+        block.warnings.push(format!(
+            "{} {} > limit {}",
+            e.dimension, e.consumed, e.limit
+        ));
     }
     report.budget = Some(block);
 }
@@ -378,7 +379,11 @@ fn execute_one_cached_inner(
     let soft_overflow = overflow
         .as_ref()
         .filter(|_| policy_for(req, Dimension::QueueDepth) == ExhaustionPolicy::SoftWarn);
-    let hard_overflow = if soft_overflow.is_none() { overflow } else { None };
+    let hard_overflow = if soft_overflow.is_none() {
+        overflow
+    } else {
+        None
+    };
     // Sweeps are a whole-request service (one LP chain → one report
     // per budget), dispatched before solver fan-out. Budgeted or
     // deadlined sweeps degrade to per-point cold solves and skip the
@@ -453,7 +458,12 @@ fn execute_one_cached_inner(
             if let Some(e) = hard_overflow {
                 // rejected at admission: no solver ran, no meter to read
                 let mut r = crate::solver::report_exhausted(req, s.name(), e);
-                finalize_budget(&mut r, &BudgetContext::for_request(req, queued_at), Vec::new(), None);
+                finalize_budget(
+                    &mut r,
+                    &BudgetContext::for_request(req, queued_at),
+                    Vec::new(),
+                    None,
+                );
                 r.queue_wait = queue_wait;
                 return vec![r];
             }
@@ -516,11 +526,7 @@ fn store(
 /// Drains `requests` through a pool of `threads` workers and returns
 /// the reports in request order. `threads` is clamped to ≥ 1; the pool
 /// is torn down before returning.
-pub fn run_batch(
-    registry: &Registry,
-    requests: Vec<SolveRequest>,
-    threads: usize,
-) -> BatchOutcome {
+pub fn run_batch(registry: &Registry, requests: Vec<SolveRequest>, threads: usize) -> BatchOutcome {
     run_batch_cached(registry, requests, threads, None)
 }
 
@@ -765,10 +771,7 @@ mod tests {
         r
     }
 
-    fn spec_with(
-        limits: BudgetLimits,
-        policy: ExhaustionPolicy,
-    ) -> Option<BudgetSpec> {
+    fn spec_with(limits: BudgetLimits, policy: ExhaustionPolicy) -> Option<BudgetSpec> {
         Some(BudgetSpec {
             limits,
             policies: BudgetPolicies::uniform(policy),
@@ -795,18 +798,16 @@ mod tests {
     fn panicking_solver_is_isolated_and_the_batch_completes() {
         let registry = faulty_registry();
         let prep = Arc::new(PreparedInstance::new(chain_instance(2)));
-        let mut reqs = vec![
-            SolveRequest::min_makespan("boom", Arc::clone(&prep), 4)
-                .with_solver("fixture-panic"),
-        ];
+        let mut reqs =
+            vec![SolveRequest::min_makespan("boom", Arc::clone(&prep), 4)
+                .with_solver("fixture-panic")];
         reqs.extend(requests(4));
         let out = run_batch(&registry, reqs, 2);
         let boom = &out.reports[0];
         assert_eq!(boom.status, Status::Failed);
         assert!(boom.panicked);
         assert!(
-            boom.detail.contains("solver panicked")
-                && boom.detail.contains("request boom"),
+            boom.detail.contains("solver panicked") && boom.detail.contains("request boom"),
             "payload must survive: {}",
             boom.detail
         );
@@ -819,8 +820,7 @@ mod tests {
     fn pivot_exhaustion_hard_rejects_with_a_structured_reason() {
         let registry = faulty_registry();
         let prep = Arc::new(PreparedInstance::new(chain_instance(2)));
-        let mut req = SolveRequest::min_makespan("cap", prep, 4)
-            .with_solver("fixture-exhaust");
+        let mut req = SolveRequest::min_makespan("cap", prep, 4).with_solver("fixture-exhaust");
         req.budget = spec_with(
             BudgetLimits {
                 lp_pivots: Some(10_000),
@@ -844,8 +844,7 @@ mod tests {
     fn merge_step_exhaustion_degrades_exact_to_bicriteria() {
         let registry = Registry::standard();
         let prep = Arc::new(PreparedInstance::new(chain_instance(3)));
-        let mut req =
-            SolveRequest::min_makespan("deg", Arc::clone(&prep), 4).with_solver("exact");
+        let mut req = SolveRequest::min_makespan("deg", Arc::clone(&prep), 4).with_solver("exact");
         req.budget = spec_with(
             BudgetLimits {
                 dp_merge_steps: Some(1),
@@ -865,7 +864,10 @@ mod tests {
         assert!(r.sim.is_some(), "fallback report keeps its certificate");
         let block = r.budget.as_ref().expect("budget block");
         assert!(
-            block.degraded.iter().any(|d| d.starts_with("degraded from exact:")),
+            block
+                .degraded
+                .iter()
+                .any(|d| d.starts_with("degraded from exact:")),
             "degradation recorded: {:?}",
             block.degraded
         );
@@ -875,8 +877,7 @@ mod tests {
     fn soft_warn_completes_at_full_fidelity_and_flags() {
         let registry = Registry::standard();
         let prep = Arc::new(PreparedInstance::new(chain_instance(3)));
-        let mut req =
-            SolveRequest::min_makespan("warn", Arc::clone(&prep), 4).with_solver("exact");
+        let mut req = SolveRequest::min_makespan("warn", Arc::clone(&prep), 4).with_solver("exact");
         req.budget = spec_with(
             BudgetLimits {
                 dp_merge_steps: Some(1),
@@ -913,8 +914,8 @@ mod tests {
             queue_depth: Some(2),
             ..Default::default()
         };
-        let mut req = SolveRequest::min_makespan("deep", Arc::clone(&prep), 4)
-            .with_solver("bicriteria");
+        let mut req =
+            SolveRequest::min_makespan("deep", Arc::clone(&prep), 4).with_solver("bicriteria");
         req.budget = spec_with(limits, ExhaustionPolicy::HardReject);
         // position 1 (one request ahead): admitted
         let ok = execute_one_cached_at(&registry, &req, Instant::now(), 1, None);
@@ -960,12 +961,12 @@ mod tests {
                 .with_solver("fixture-exhaust");
             hard.budget = spec_with(pivot_limits, ExhaustionPolicy::HardReject);
             push(hard);
-            let mut deg = SolveRequest::min_makespan("deg", Arc::clone(&prep), 4)
-                .with_solver("exact");
+            let mut deg =
+                SolveRequest::min_makespan("deg", Arc::clone(&prep), 4).with_solver("exact");
             deg.budget = spec_with(merge_limits, ExhaustionPolicy::Degrade);
             push(deg);
-            let mut warn = SolveRequest::min_makespan("warn", Arc::clone(&prep), 4)
-                .with_solver("exact");
+            let mut warn =
+                SolveRequest::min_makespan("warn", Arc::clone(&prep), 4).with_solver("exact");
             warn.budget = spec_with(merge_limits, ExhaustionPolicy::SoftWarn);
             push(warn);
             for i in 0..4 {
@@ -986,7 +987,8 @@ mod tests {
                 r.status.as_str(),
                 r.makespan,
                 r.degraded_from,
-                r.exhausted.map(|e| (e.dimension.as_str(), e.limit, e.consumed)),
+                r.exhausted
+                    .map(|e| (e.dimension.as_str(), e.limit, e.consumed)),
                 r.budget.as_ref().map(|b| (
                     b.consumed.lp_pivots,
                     b.consumed.dp_merge_steps,

@@ -87,7 +87,7 @@ pub use curve::{execute_sweep_pointwise, execute_sweep_wire};
 pub use executor::{
     execute_one, execute_one_cached_at, run_batch, run_batch_cached, BatchOutcome, BatchStats,
 };
-pub use persist::{CACHE_FORMAT_TAG, PersistError};
+pub use persist::{PersistError, CACHE_FORMAT_TAG};
 pub use prep::{CacheStats, PrepCache, PreparedInstance};
 pub use registry::{canonical_name, Registry};
 pub use request::{Objective, SolveReport, SolveRequest, SolverSelection, Status};

@@ -224,7 +224,10 @@ fn parse_vec(s: &str) -> Result<Vec<u64>, String> {
         return Ok(Vec::new());
     }
     s.split(',')
-        .map(|p| p.parse::<u64>().map_err(|_| format!("bad vector item {p:?}")))
+        .map(|p| {
+            p.parse::<u64>()
+                .map_err(|_| format!("bad vector item {p:?}"))
+        })
         .collect()
 }
 
@@ -382,14 +385,19 @@ fn parse_entry_line(
     }
     // arity must agree with the key's objective: a sweep key (`sw:`)
     // holds one report per grid budget, every other key exactly one
-    let is_sweep = key.split('|').nth(2).is_some_and(|obj| obj.starts_with("sw:"));
+    let is_sweep = key
+        .split('|')
+        .nth(2)
+        .is_some_and(|obj| obj.starts_with("sw:"));
     if !is_sweep && m != 1 {
         return Err(entry(format!("non-sweep key with {m} reports")));
     }
     let mut reports = Vec::with_capacity(m);
     for i in 0..m {
         let at = 2 + i * REPORT_FIELDS;
-        reports.push(parse_report_fields(&body_fields[at..at + REPORT_FIELDS], registry).map_err(entry)?);
+        reports.push(
+            parse_report_fields(&body_fields[at..at + REPORT_FIELDS], registry).map_err(entry)?,
+        );
     }
     Ok((key, reports))
 }

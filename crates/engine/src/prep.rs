@@ -277,7 +277,13 @@ impl PrepCache {
     pub fn stats(&self) -> CacheStats {
         let mut reuses = self.dead_reuses.load(Ordering::Relaxed);
         let mut computes = self.dead_computes.load(Ordering::Relaxed);
-        for (prep, _) in self.entries.lock().expect("prep cache poisoned").map.values() {
+        for (prep, _) in self
+            .entries
+            .lock()
+            .expect("prep cache poisoned")
+            .map
+            .values()
+        {
             let (r, c) = prep.prep_counters();
             reuses += r;
             computes += c;

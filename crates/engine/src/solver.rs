@@ -34,7 +34,7 @@
 //! panic isolation turns it into one `failed` report.
 
 use crate::budget::BudgetContext;
-use crate::request::{Objective, SolveRequest, SolveReport, Status};
+use crate::request::{Objective, SolveReport, SolveRequest, Status};
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_core::lp_build::LpError;
 use rtt_core::regimes::{
@@ -247,7 +247,12 @@ pub(crate) fn report_exhausted(
     solver: &'static str,
     e: Exhausted,
 ) -> SolveReport {
-    let mut r = SolveReport::new(req.id.clone(), solver, Status::BudgetExhausted, e.to_string());
+    let mut r = SolveReport::new(
+        req.id.clone(),
+        solver,
+        Status::BudgetExhausted,
+        e.to_string(),
+    );
     r.exhausted = Some(e);
     r
 }

@@ -8,13 +8,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rtt_core::ArcInstance;
+use rtt_dag::gen;
+use rtt_duration::Duration;
 use rtt_engine::{
     persist, run_batch, run_batch_cached, PersistError, PreparedInstance, Registry, ReuseCache,
     SolveReport, SolveRequest, Status,
 };
-use rtt_core::ArcInstance;
-use rtt_dag::gen;
-use rtt_duration::Duration;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -56,13 +56,25 @@ fn tmp_path(tag: &str) -> PathBuf {
 /// The wire-relevant fields of a report (everything `report_line`
 /// renders, plus the certificate): id, solver, status, the integer
 /// fields, the float fields as bit patterns, and the work counter.
-type WireFields = (String, &'static str, Status, Vec<Option<u64>>, Vec<Option<u64>>, u64);
+type WireFields = (
+    String,
+    &'static str,
+    Status,
+    Vec<Option<u64>>,
+    Vec<Option<u64>>,
+    u64,
+);
 
 fn wire_fields(r: &SolveReport) -> WireFields {
-    let floats = [r.lp_makespan, r.lp_budget, r.makespan_factor, r.resource_factor]
-        .iter()
-        .map(|f| f.map(f64::to_bits))
-        .collect();
+    let floats = [
+        r.lp_makespan,
+        r.lp_budget,
+        r.makespan_factor,
+        r.resource_factor,
+    ]
+    .iter()
+    .map(|f| f.map(f64::to_bits))
+    .collect();
     let ints = vec![
         r.sweep_budget,
         r.makespan,
@@ -70,7 +82,14 @@ fn wire_fields(r: &SolveReport) -> WireFields {
         r.sim.map(|s| s.simulated),
         r.sim.map(|s| s.bound),
     ];
-    (r.id.clone(), r.solver, r.status.clone(), ints, floats, r.work)
+    (
+        r.id.clone(),
+        r.solver,
+        r.status.clone(),
+        ints,
+        floats,
+        r.work,
+    )
 }
 
 proptest! {
@@ -155,9 +174,11 @@ fn truncated_spill_is_rejected_with_zero_entries() {
     let mut lines: Vec<&str> = text.lines().collect();
     lines.pop();
     let truncated = lines.join("\n");
-    assert_rejected("trunc", &truncated, |e| {
-        matches!(e, PersistError::Truncated { expected, found } if found + 1 == *expected)
-    });
+    assert_rejected(
+        "trunc",
+        &truncated,
+        |e| matches!(e, PersistError::Truncated { expected, found } if found + 1 == *expected),
+    );
 }
 
 #[test]
@@ -170,27 +191,33 @@ fn flipped_key_byte_fails_the_checksum_with_zero_entries() {
     bytes[2] ^= 0x01; // ASCII key prefix, stays valid UTF-8
     lines[1] = String::from_utf8(bytes).expect("still UTF-8");
     let tampered = lines.join("\n") + "\n";
-    assert_rejected("flip", &tampered, |e| {
-        matches!(e, PersistError::Entry { line: 2, reason } if reason.contains("checksum"))
-    });
+    assert_rejected(
+        "flip",
+        &tampered,
+        |e| matches!(e, PersistError::Entry { line: 2, reason } if reason.contains("checksum")),
+    );
 }
 
 #[test]
 fn wrong_format_tag_is_rejected_with_zero_entries() {
     let text = spilled_text("tag-src");
     let wrong = text.replacen("rtt-cache-v1", "rtt-cache-v9", 1);
-    assert_rejected("tag", &wrong, |e| {
-        matches!(e, PersistError::Version { found } if found == "rtt-cache-v9")
-    });
+    assert_rejected(
+        "tag",
+        &wrong,
+        |e| matches!(e, PersistError::Version { found } if found == "rtt-cache-v9"),
+    );
 }
 
 #[test]
 fn wrong_fingerprint_tag_is_rejected_with_zero_entries() {
     let text = spilled_text("fp-src");
     let wrong = text.replacen("fp=rtt-fp-v1", "fp=rtt-fp-v0", 1);
-    assert_rejected("fp", &wrong, |e| {
-        matches!(e, PersistError::Fingerprint { found } if found == "rtt-fp-v0")
-    });
+    assert_rejected(
+        "fp",
+        &wrong,
+        |e| matches!(e, PersistError::Fingerprint { found } if found == "rtt-fp-v0"),
+    );
 }
 
 /// The spill format's line checksum (FNV-1a 64). It is unkeyed, so

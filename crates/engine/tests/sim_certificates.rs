@@ -58,10 +58,7 @@ fn every_solved_report_is_sim_certified_registry_wide() {
                         report.detail
                     );
                     let cert = report.sim.unwrap_or_else(|| {
-                        panic!(
-                            "{}: solved report without a sim certificate",
-                            report.solver
-                        )
+                        panic!("{}: solved report without a sim certificate", report.solver)
                     });
                     assert!(
                         cert.simulated <= cert.bound,
@@ -150,9 +147,15 @@ fn budget_zero_anchor_is_certified_for_all_regimes() {
                 .find(|r| r.solver == name)
                 .unwrap_or_else(|| panic!("{name} missing from the fan-out"));
             assert_eq!(r.status, Status::Solved, "{name}: {}", r.detail);
-            assert_eq!(r.makespan, Some(base), "{name}: zero budget = base makespan");
+            assert_eq!(
+                r.makespan,
+                Some(base),
+                "{name}: zero budget = base makespan"
+            );
             assert_eq!(r.budget_used, Some(0), "{name}");
-            let cert = r.sim.unwrap_or_else(|| panic!("{name}: anchor not certified"));
+            let cert = r
+                .sim
+                .unwrap_or_else(|| panic!("{name}: anchor not certified"));
             assert_eq!(cert.bound, base, "{name}");
             assert!(cert.simulated <= base, "{name}");
         }

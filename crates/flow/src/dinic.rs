@@ -175,10 +175,7 @@ impl Dinic {
 /// Convenience one-shot max-flow on an edge list.
 pub fn max_flow(n: usize, edges: &[(usize, usize, u64)], s: usize, t: usize) -> MaxFlowResult {
     let mut d = Dinic::new(n);
-    let handles: Vec<_> = edges
-        .iter()
-        .map(|&(u, v, c)| d.add_edge(u, v, c))
-        .collect();
+    let handles: Vec<_> = edges.iter().map(|&(u, v, c)| d.add_edge(u, v, c)).collect();
     let value = d.run(s, t);
     MaxFlowResult {
         value,
@@ -188,12 +185,7 @@ pub fn max_flow(n: usize, edges: &[(usize, usize, u64)], s: usize, t: usize) -> 
 
 /// Max-flow value together with a minimum cut: `cut[v]` is true iff `v`
 /// is on the source side.
-pub fn min_cut(
-    n: usize,
-    edges: &[(usize, usize, u64)],
-    s: usize,
-    t: usize,
-) -> (u64, Vec<bool>) {
+pub fn min_cut(n: usize, edges: &[(usize, usize, u64)], s: usize, t: usize) -> (u64, Vec<bool>) {
     let mut d = Dinic::new(n);
     for &(u, v, c) in edges {
         d.add_edge(u, v, c);
@@ -253,13 +245,7 @@ mod tests {
 
     #[test]
     fn min_cut_capacity_equals_flow() {
-        let edges = [
-            (0, 1, 3),
-            (0, 2, 2),
-            (1, 2, 1),
-            (1, 3, 2),
-            (2, 3, 3),
-        ];
+        let edges = [(0, 1, 3), (0, 2, 2), (1, 2, 1), (1, 3, 2), (2, 3, 3)];
         let (value, cut) = min_cut(4, &edges, 0, 3);
         assert_eq!(value, 5);
         assert!(cut[0] && !cut[3]);
@@ -273,13 +259,7 @@ mod tests {
 
     #[test]
     fn conservation_holds() {
-        let edges = [
-            (0, 1, 4),
-            (0, 2, 4),
-            (1, 2, 2),
-            (1, 3, 3),
-            (2, 3, 5),
-        ];
+        let edges = [(0, 1, 4), (0, 2, 4), (1, 2, 2), (1, 3, 3), (2, 3, 5)];
         let r = max_flow(4, &edges, 0, 3);
         let mut net = [0i64; 4];
         for (i, &(u, v, _)) in edges.iter().enumerate() {

@@ -50,12 +50,7 @@ pub struct MinFlowResult {
 /// "integral optimality" the paper's Lemma 3.3 relies on. Excesses and
 /// the value are summed in `i128`, so uncapped edges may carry any
 /// `u64` lower bound.
-pub fn min_flow(
-    n: usize,
-    edges: &[BoundedEdge],
-    s: usize,
-    t: usize,
-) -> Option<MinFlowResult> {
+pub fn min_flow(n: usize, edges: &[BoundedEdge], s: usize, t: usize) -> Option<MinFlowResult> {
     assert!(s < n && t < n && s != t, "need distinct s, t in range");
     for (i, e) in edges.iter().enumerate() {
         assert!(

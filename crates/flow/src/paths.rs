@@ -38,7 +38,10 @@ impl fmt::Display for DecomposeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecomposeError::NotConserved { node, imbalance } => {
-                write!(f, "flow not conserved at node {node} (imbalance {imbalance})")
+                write!(
+                    f,
+                    "flow not conserved at node {node} (imbalance {imbalance})"
+                )
             }
             DecomposeError::Stuck { node } => {
                 write!(f, "path walk stuck at node {node}")

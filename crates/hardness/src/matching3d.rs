@@ -54,7 +54,9 @@ impl Numerical3dm {
     /// The per-triple target `T` if the totals divide evenly.
     pub fn triple_target(&self) -> Option<u64> {
         let total: u64 = self.a.iter().chain(&self.b).chain(&self.c).sum();
-        total.is_multiple_of(self.n() as u64).then(|| total / self.n() as u64)
+        total
+            .is_multiple_of(self.n() as u64)
+            .then(|| total / self.n() as u64)
     }
 
     /// Brute-force: permutations `σ, τ` with
@@ -103,11 +105,7 @@ pub struct Matcher {
 
 /// Builds a bipartite matcher between `inputs` and fresh outputs.
 /// `m_big` is the timing constant `M`.
-fn build_matcher(
-    g: &mut Dag<(), Activity>,
-    inputs: &[NodeId],
-    m_big: Time,
-) -> Matcher {
+fn build_matcher(g: &mut Dag<(), Activity>, inputs: &[NodeId], m_big: Time) -> Matcher {
     let n = inputs.len();
     // y^j_i grid, y_i row collectors, z'_j column collectors, z_j outputs
     let y_grid: Vec<Vec<NodeId>> = (0..n)
@@ -126,7 +124,8 @@ fn build_matcher(
             )
             .unwrap();
             // forward to the row collector (the "matched" route)
-            g.add_edge(y_grid[i][j], y_row[i], Activity::dummy()).unwrap();
+            g.add_edge(y_grid[i][j], y_row[i], Activity::dummy())
+                .unwrap();
             // or cover the column demand; skipping costs M
             g.add_edge(
                 y_grid[i][j],

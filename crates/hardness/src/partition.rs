@@ -239,8 +239,7 @@ mod tests {
                     let p = PartitionInstance::new(vec![a, b, c]);
                     let red = reduce(&p);
                     let yes = p.solve().is_some();
-                    let feasible =
-                        decide_feasible(&red.arc, red.budget, red.target).is_some();
+                    let feasible = decide_feasible(&red.arc, red.budget, red.target).is_some();
                     assert_eq!(yes, feasible, "items {:?}", p.items);
                 }
             }

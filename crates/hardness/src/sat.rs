@@ -62,16 +62,18 @@ impl Formula {
     /// Does `assignment` make exactly one literal true in every clause?
     pub fn satisfied_1in3(&self, assignment: &[bool]) -> bool {
         assert_eq!(assignment.len(), self.n_vars);
-        self.clauses.iter().all(|c| {
-            c.iter().filter(|l| l.eval(assignment)).count() == 1
-        })
+        self.clauses
+            .iter()
+            .all(|c| c.iter().filter(|l| l.eval(assignment)).count() == 1)
     }
 
     /// Does `assignment` make at least one literal true per clause
     /// (ordinary 3SAT satisfaction — used by the Theorem 4.4 chain)?
     pub fn satisfied_3sat(&self, assignment: &[bool]) -> bool {
         assert_eq!(assignment.len(), self.n_vars);
-        self.clauses.iter().all(|c| c.iter().any(|l| l.eval(assignment)))
+        self.clauses
+            .iter()
+            .all(|c| c.iter().any(|l| l.eval(assignment)))
     }
 
     /// Brute-force 1-in-3 solver (use for `n_vars ≲ 24`).

@@ -107,7 +107,14 @@ pub fn reduce(f: &Formula) -> SatChainReduction {
             g.add_edge(u, pv, Activity::dummy()).unwrap();
             // pattern p: literal p true, the others false
             for (r, l) in clause.iter().enumerate() {
-                let want = if r == p { *l } else { Lit { var: l.var, positive: !l.positive } };
+                let want = if r == p {
+                    *l
+                } else {
+                    Lit {
+                        var: l.var,
+                        positive: !l.positive,
+                    }
+                };
                 let node = lit_node(&branches, want);
                 let var_nominal = want.var as u64; // chosen node time = i-1
                 let delta = n_c - var_nominal;
@@ -169,8 +176,7 @@ mod tests {
             decide_feasible(&red.arc, 2, red.target).is_none(),
             "unsat ⇒ 2 units cannot reach the target"
         );
-        let sol = decide_feasible(&red.arc, 3, red.target)
-            .expect("3 units always suffice");
+        let sol = decide_feasible(&red.arc, 3, red.target).expect("3 units always suffice");
         validate(&red.arc, &sol).unwrap();
     }
 

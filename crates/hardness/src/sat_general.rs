@@ -211,7 +211,9 @@ pub fn honest_solution(
     for (v, &val) in red.vars.iter().zip(assignment) {
         let branch = if val { v.v2 } else { v.v3 };
         route(
-            &[red.source, v.v1, branch, v.tail[0], v.tail[1], v.tail[2], red.sink],
+            &[
+                red.source, v.v1, branch, v.tail[0], v.tail[1], v.tail[2], red.sink,
+            ],
             &mut flows,
         );
     }
@@ -224,11 +226,27 @@ pub fn honest_solution(
             .expect("1-in-3 satisfied");
         let late: Vec<usize> = (0..3).filter(|&p| p != true_pos).collect();
         route(
-            &[red.source, c.c1, c.c2, c.c4, c.patterns[late[0]], c.ends[late[0]], red.sink],
+            &[
+                red.source,
+                c.c1,
+                c.c2,
+                c.c4,
+                c.patterns[late[0]],
+                c.ends[late[0]],
+                red.sink,
+            ],
             &mut flows,
         );
         route(
-            &[red.source, c.c1, c.c3, c.c4, c.patterns[late[1]], c.ends[late[1]], red.sink],
+            &[
+                red.source,
+                c.c1,
+                c.c3,
+                c.c4,
+                c.patterns[late[1]],
+                c.ends[late[1]],
+                red.sink,
+            ],
             &mut flows,
         );
     }
@@ -257,10 +275,7 @@ pub fn honest_solution(
 /// truth assignments to `(Vi, Vj, Vk)`, the earliest start times of
 /// `C(5)`, `C(6)`, `C(7)` in a one-clause instance `(Vi ∨ Vj ∨ Vk)`.
 pub fn table2() -> Vec<([bool; 3], [Time; 3])> {
-    let f = Formula::new(
-        3,
-        vec![[Lit::pos(0), Lit::pos(1), Lit::pos(2)]],
-    );
+    let f = Formula::new(3, vec![[Lit::pos(0), Lit::pos(1), Lit::pos(2)]]);
     let red = reduce(&f);
     let d = red.arc.dag();
     let mut rows = Vec::new();
@@ -271,8 +286,10 @@ pub fn table2() -> Vec<([bool; 3], [Time; 3])> {
         let mut flows = vec![0u64; d.edge_count()];
         for (v, &val) in red.vars.iter().zip(&assignment) {
             let branch = if val { v.v2 } else { v.v3 };
-            for w in [red.source, v.v1, branch, v.tail[0], v.tail[1], v.tail[2], red.sink]
-                .windows(2)
+            for w in [
+                red.source, v.v1, branch, v.tail[0], v.tail[1], v.tail[2], red.sink,
+            ]
+            .windows(2)
             {
                 let e = d
                     .out_edges(w[0])
@@ -284,7 +301,10 @@ pub fn table2() -> Vec<([bool; 3], [Time; 3])> {
             }
         }
         let c = &red.clauses[0];
-        for path in [[red.source, c.c1, c.c2, c.c4], [red.source, c.c1, c.c3, c.c4]] {
+        for path in [
+            [red.source, c.c1, c.c2, c.c4],
+            [red.source, c.c1, c.c3, c.c4],
+        ] {
             for w in path.windows(2) {
                 let e = d
                     .out_edges(w[0])
@@ -309,10 +329,8 @@ pub fn table2() -> Vec<([bool; 3], [Time; 3])> {
                 flows[e.index()] += 1;
             }
         }
-        let times = rtt_dag::paths::event_times(d, |e| {
-            red.arc.arc_time(e, flows[e.index()])
-        })
-        .unwrap();
+        let times =
+            rtt_dag::paths::event_times(d, |e| red.arc.arc_time(e, flows[e.index()])).unwrap();
         // Paper column order: C(5) = pattern "ℓk true", C(6) = "ℓj true",
         // C(7) = "ℓi true" — i.e. our patterns reversed.
         rows.push((

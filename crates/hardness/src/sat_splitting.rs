@@ -317,14 +317,22 @@ mod tests {
                 let v7 = NodeId(v1.0 + 6);
                 let v8 = NodeId(v1.0 + 7);
                 route(
-                    &[red.arc.source(), v1, branch, tapn, v4, v7, v8, red.arc.sink()],
+                    &[
+                        red.arc.source(),
+                        v1,
+                        branch,
+                        tapn,
+                        v4,
+                        v7,
+                        v8,
+                        red.arc.sink(),
+                    ],
                     2,
                     &mut flows,
                 );
             }
             let times =
-                rtt_dag::paths::event_times(d, |e| red.arc.arc_time(e, flows[e.index()]))
-                    .unwrap();
+                rtt_dag::paths::event_times(d, |e| red.arc.arc_time(e, flows[e.index()])).unwrap();
             // taps: chosen 12, unchosen 14
             for (i, &val) in assignment.iter().enumerate() {
                 let (tt, ft) = red.taps[i];

@@ -65,7 +65,10 @@ impl Problem {
     /// not calling this). `ub` must be non-negative.
     pub fn set_upper_bound(&mut self, j: usize, ub: f64) {
         assert!(j < self.n_vars, "variable {j} out of range");
-        assert!(ub >= 0.0 && ub.is_finite(), "upper bound must be finite ≥ 0");
+        assert!(
+            ub >= 0.0 && ub.is_finite(),
+            "upper bound must be finite ≥ 0"
+        );
         self.upper[j] = Some(ub);
     }
 

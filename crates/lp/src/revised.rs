@@ -845,9 +845,7 @@ impl<'a> Rev<'a> {
     /// A nonbasic column is a pricing candidate unless banned or fixed.
     #[inline]
     fn priceable(&self, j: usize) -> bool {
-        !self.banned[j]
-            && !matches!(self.status[j], VStat::Basic(_))
-            && self.upper[j] > 0.0
+        !self.banned[j] && !matches!(self.status[j], VStat::Basic(_)) && self.upper[j] > 0.0
     }
 
     /// The bound-violation a pricing candidate would repair: positive
@@ -1256,8 +1254,7 @@ impl<'a> Rev<'a> {
             };
         }
         let objective = self.p.objective_at(&x);
-        let pivots =
-            self.stats.phase1_pivots + self.stats.phase2_pivots + self.stats.bound_flips;
+        let pivots = self.stats.phase1_pivots + self.stats.phase2_pivots + self.stats.bound_flips;
         Some(Solution {
             objective,
             x,
@@ -1497,9 +1494,7 @@ pub fn solve_rhs_sweep(
 ) -> (Vec<Outcome>, Option<Basis>) {
     assert!(row < p.rows.len(), "row {row} out of range");
     let mut out: Vec<Outcome> = Vec::with_capacity(rhs_values.len());
-    let degraded = |from: usize,
-                    out: &mut Vec<Outcome>,
-                    mut basis: Option<Basis>| {
+    let degraded = |from: usize, out: &mut Vec<Outcome>, mut basis: Option<Basis>| {
         let mut q = p.clone();
         for &v in &rhs_values[from..] {
             q.set_rhs(row, v);
@@ -1634,8 +1629,7 @@ pub fn solve_rhs_sweep(
             // chained points reoptimize from the previous point's basis
             sol.stats.warm = WarmStart::Dual;
         }
-        sol.pivots =
-            sol.stats.phase1_pivots + sol.stats.phase2_pivots + sol.stats.bound_flips;
+        sol.pivots = sol.stats.phase1_pivots + sol.stats.phase2_pivots + sol.stats.bound_flips;
         basis = Some(rev.snapshot_basis());
         out.push(Outcome::Optimal(sol));
     }
@@ -1875,8 +1869,7 @@ mod tests {
         assert!(tight.consumed().lp_pivots >= 2);
 
         let ample = BudgetMeter::with_limits(Some(1_000_000), None, None, None);
-        let s = solve_metered(&p, PivotRule::Dantzig, Some(&ample))
-            .expect_optimal("ample budget");
+        let s = solve_metered(&p, PivotRule::Dantzig, Some(&ample)).expect_optimal("ample budget");
         let cold = solve(&p, PivotRule::Dantzig).expect_optimal("unmetered");
         assert!((s.objective - cold.objective).abs() < 1e-9);
         assert!(ample.consumed().lp_pivots > 0);

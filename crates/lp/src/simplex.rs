@@ -262,7 +262,11 @@ impl Tableau {
     /// Returns `Ok(false)` on unboundedness; `Err` when the meter's
     /// pivot budget (or deadline/cancellation) trips — one charge per
     /// pivot, checked before the pivot is applied.
-    fn optimize(&mut self, rule: PivotRule, meter: Option<&BudgetMeter>) -> Result<bool, Exhausted> {
+    fn optimize(
+        &mut self,
+        rule: PivotRule,
+        meter: Option<&BudgetMeter>,
+    ) -> Result<bool, Exhausted> {
         let n = self.n_cols;
         let m = self.m;
         // Switch to Bland's rule after a generous number of Dantzig steps.
@@ -330,11 +334,7 @@ impl Tableau {
 
 /// Builds the standard-form flat tableau and runs both phases. A
 /// meter, when given, is charged one `lp_pivots` unit per pivot.
-pub(crate) fn solve_standard(
-    p: &Problem,
-    rule: PivotRule,
-    meter: Option<&BudgetMeter>,
-) -> Outcome {
+pub(crate) fn solve_standard(p: &Problem, rule: PivotRule, meter: Option<&BudgetMeter>) -> Outcome {
     // Collect all rows: user rows + upper-bound rows.
     struct NRow {
         coeffs: Vec<(usize, f64)>,
@@ -451,10 +451,7 @@ pub(crate) fn solve_standard(
             Err(e) => return Outcome::Exhausted(e),
         };
         debug_assert!(bounded, "phase 1 objective is bounded below by 0");
-        let phase1: f64 = (0..m)
-            .filter(|&i| is_art(t.basis[i]))
-            .map(|i| t.b[i])
-            .sum();
+        let phase1: f64 = (0..m).filter(|&i| is_art(t.basis[i])).map(|i| t.b[i]).sum();
         if phase1 > 1e-6 {
             return Outcome::Infeasible;
         }
@@ -539,7 +536,8 @@ mod tests {
     /// These are the *flat* engine's unit tests: pin the engine
     /// explicitly, since `Problem::solve()` now defaults to Revised.
     fn opt(p: &Problem) -> Solution {
-        p.solve_with(Engine::Flat).expect_optimal("expected optimal")
+        p.solve_with(Engine::Flat)
+            .expect_optimal("expected optimal")
     }
 
     #[test]

@@ -161,6 +161,9 @@ fn larger_assignment_lp_is_integral() {
     }
     let s = optimal(&p);
     for &v in &s.x {
-        assert!(v.abs() < 1e-7 || (v - 1.0).abs() < 1e-7, "fractional vertex {v}");
+        assert!(
+            v.abs() < 1e-7 || (v - 1.0).abs() < 1e-7,
+            "fractional vertex {v}"
+        );
     }
 }

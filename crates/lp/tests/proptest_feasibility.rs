@@ -17,11 +17,7 @@ fn rand_lp() -> impl Strategy<Value = RandLp> {
         (
             proptest::collection::vec(-3i32..4, n),
             proptest::collection::vec(
-                (
-                    proptest::collection::vec(-3i32..4, n),
-                    0u8..3,
-                    -6i32..10,
-                ),
+                (proptest::collection::vec(-3i32..4, n), 0u8..3, -6i32..10),
                 0..6,
             ),
             proptest::collection::vec(proptest::option::of(0u8..6), n),

@@ -269,7 +269,10 @@ fn three_way_agreement_on_degenerate_lps() {
             p.add_ge(&coeffs, rhs);
         }
         p.add_eq(
-            &coeffs.iter().map(|&(j, v)| (j, 2.0 * v)).collect::<Vec<_>>(),
+            &coeffs
+                .iter()
+                .map(|&(j, v)| (j, 2.0 * v))
+                .collect::<Vec<_>>(),
             2.0 * rhs,
         );
         assert_revised_matches_flat(&p, &format!("degenerate case {case}"));

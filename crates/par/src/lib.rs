@@ -68,9 +68,7 @@ fn env_threads() -> usize {
 /// The intra-solve thread count in effect on this thread: the
 /// innermost [`with_threads`] scope, else `RTT_SOLVE_THREADS`, else 1.
 pub fn current() -> usize {
-    CURRENT
-        .with(|c| c.get())
-        .unwrap_or_else(env_threads)
+    CURRENT.with(|c| c.get()).unwrap_or_else(env_threads)
 }
 
 /// Host parallelism (`std::thread::available_parallelism`), 1 when
@@ -80,7 +78,10 @@ pub fn available() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-struct Restore(&'static std::thread::LocalKey<Cell<Option<usize>>>, Option<usize>);
+struct Restore(
+    &'static std::thread::LocalKey<Cell<Option<usize>>>,
+    Option<usize>,
+);
 
 impl Drop for Restore {
     fn drop(&mut self) {
@@ -233,11 +234,9 @@ mod tests {
 
     #[test]
     fn results_arrive_in_chunk_order_at_any_thread_count() {
-        let serial: Vec<u64> =
-            map_chunks(5000, 64, 1, |_, r| r.map(|i| i as u64 * 3).sum());
+        let serial: Vec<u64> = map_chunks(5000, 64, 1, |_, r| r.map(|i| i as u64 * 3).sum());
         for threads in [2usize, 3, 4, 8] {
-            let par: Vec<u64> =
-                map_chunks(5000, 64, threads, |_, r| r.map(|i| i as u64 * 3).sum());
+            let par: Vec<u64> = map_chunks(5000, 64, threads, |_, r| r.map(|i| i as u64 * 3).sum());
             assert_eq!(par, serial, "threads={threads}");
         }
     }

@@ -80,11 +80,7 @@ mod tests {
     fn star_of_updates() {
         // 8 parallel updates of location 100 from inputs 0..8 (Figure 2
         // left: "a memory location with eight updates").
-        let p = Prog::Par(
-            (0..8)
-                .map(|i| Prog::update(100, Some(i), vec![]))
-                .collect(),
-        );
+        let p = Prog::Par((0..8).map(|i| Prog::update(100, Some(i), vec![])).collect());
         let rd = extract_race_dag(&p).unwrap();
         let a = rd.node_of[&100];
         assert_eq!(rd.dag.in_degree(a), 8, "w_a = d_in(a) = 8");
@@ -107,11 +103,7 @@ mod tests {
     #[test]
     fn parallel_edges_for_repeated_updates() {
         // the same producer updates the same target 3 times
-        let p = Prog::Seq(
-            (0..3)
-                .map(|_| Prog::update(9, Some(1), vec![]))
-                .collect(),
-        );
+        let p = Prog::Seq((0..3).map(|_| Prog::update(9, Some(1), vec![])).collect());
         let rd = extract_race_dag(&p).unwrap();
         assert_eq!(rd.dag.in_degree(rd.node_of[&9]), 3);
         assert_eq!(rd.dag.edge_count(), 3);

@@ -72,12 +72,14 @@ impl StrandFootprint {
         let mut runs: Vec<FootprintRun> = Vec::with_capacity(n);
         for &(loc, mask) in &accesses[..n] {
             match runs.last_mut() {
-                Some(last)
-                    if last.mask == mask && last.hi.checked_add(1) == Some(loc) =>
-                {
+                Some(last) if last.mask == mask && last.hi.checked_add(1) == Some(loc) => {
                     last.hi = loc;
                 }
-                _ => runs.push(FootprintRun { lo: loc, hi: loc, mask }),
+                _ => runs.push(FootprintRun {
+                    lo: loc,
+                    hi: loc,
+                    mask,
+                }),
             }
         }
         StrandFootprint { runs }
@@ -152,9 +154,21 @@ mod tests {
         assert_eq!(
             fp.runs,
             vec![
-                FootprintRun { lo: 0, hi: 2, mask: READ },
-                FootprintRun { lo: 3, hi: 4, mask: WRITE },
-                FootprintRun { lo: 6, hi: 6, mask: READ | WRITE },
+                FootprintRun {
+                    lo: 0,
+                    hi: 2,
+                    mask: READ
+                },
+                FootprintRun {
+                    lo: 3,
+                    hi: 4,
+                    mask: WRITE
+                },
+                FootprintRun {
+                    lo: 6,
+                    hi: 6,
+                    mask: READ | WRITE
+                },
             ]
         );
         assert!(fp.writes_anywhere());
@@ -178,15 +192,37 @@ mod tests {
         ]);
         let (fps, labels) = footprints(&p);
         assert_eq!(fps.len(), 3);
-        assert_eq!(fps[0].runs, vec![FootprintRun { lo: 0, hi: 0, mask: WRITE }]);
+        assert_eq!(
+            fps[0].runs,
+            vec![FootprintRun {
+                lo: 0,
+                hi: 0,
+                mask: WRITE
+            }]
+        );
         assert_eq!(
             fps[1].runs,
             vec![
-                FootprintRun { lo: 0, hi: 1, mask: READ },
-                FootprintRun { lo: 5, hi: 5, mask: WRITE },
+                FootprintRun {
+                    lo: 0,
+                    hi: 1,
+                    mask: READ
+                },
+                FootprintRun {
+                    lo: 5,
+                    hi: 5,
+                    mask: WRITE
+                },
             ]
         );
-        assert_eq!(fps[2].runs, vec![FootprintRun { lo: 5, hi: 5, mask: READ }]);
+        assert_eq!(
+            fps[2].runs,
+            vec![FootprintRun {
+                lo: 5,
+                hi: 5,
+                mask: READ
+            }]
+        );
         assert!(labels.parallel(1, 2));
         assert!(!labels.parallel(0, 1));
     }
@@ -196,7 +232,11 @@ mod tests {
         let fp = StrandFootprint::from_accesses(vec![(Loc::MAX, WRITE), (Loc::MAX - 1, WRITE)]);
         assert_eq!(
             fp.runs,
-            vec![FootprintRun { lo: Loc::MAX - 1, hi: Loc::MAX, mask: WRITE }]
+            vec![FootprintRun {
+                lo: Loc::MAX - 1,
+                hi: Loc::MAX,
+                mask: WRITE
+            }]
         );
     }
 }

@@ -27,13 +27,7 @@ struct ThreadState {
 pub fn counter_outcomes(threads: usize, increments: u32) -> BTreeSet<u64> {
     let mut outcomes = BTreeSet::new();
     let mut memo = std::collections::HashSet::new();
-    let state = vec![
-        ThreadState {
-            done: 0,
-            reg: None
-        };
-        threads
-    ];
+    let state = vec![ThreadState { done: 0, reg: None }; threads];
     explore(0, &state, increments, &mut outcomes, &mut memo);
     outcomes
 }

@@ -109,8 +109,7 @@ impl EhLabels {
     /// Whether strands `a` and `b` are logically parallel.
     #[inline]
     pub fn parallel(&self, a: usize, b: usize) -> bool {
-        a != b
-            && (self.english[a] < self.english[b]) != (self.hebrew[a] < self.hebrew[b])
+        a != b && (self.english[a] < self.english[b]) != (self.hebrew[a] < self.hebrew[b])
     }
 }
 

@@ -119,8 +119,8 @@ impl<O: CommutativeOp> BinaryReducer<O> {
         // round-robin assignment: leaf i gets ⌈(n - i)/L⌉ updates
         let remaining = (0..n_leaves as u64)
             .map(|i| {
-                let share = n_updates / n_leaves as u64
-                    + u64::from(i < n_updates % n_leaves as u64);
+                let share =
+                    n_updates / n_leaves as u64 + u64::from(i < n_updates % n_leaves as u64);
                 CachePadded::new(AtomicU64::new(share))
             })
             .collect();

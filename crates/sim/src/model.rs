@@ -184,10 +184,7 @@ impl ExecModel {
     ///
     /// # Panics
     /// If the model is cyclic ("stalled") and the meter never trips.
-    pub fn run_event_metered(
-        &self,
-        meter: Option<&BudgetMeter>,
-    ) -> Result<SimResult, Exhausted> {
+    pub fn run_event_metered(&self, meter: Option<&BudgetMeter>) -> Result<SimResult, Exhausted> {
         let (finish, mut deltas) = self.run_event_deltas(meter)?;
         let peak = sweep_peak(&mut deltas);
         Ok(SimResult {
@@ -374,10 +371,7 @@ impl ExecModel {
                     succs,
                     works: cells.iter().map(|&g| self.works[g as usize]).collect(),
                     indeg: cells.iter().map(|&g| self.indeg[g as usize]).collect(),
-                    pipelined: cells
-                        .iter()
-                        .map(|&g| self.pipelined[g as usize])
-                        .collect(),
+                    pipelined: cells.iter().map(|&g| self.pipelined[g as usize]).collect(),
                     edges,
                 }
             })
@@ -685,7 +679,8 @@ mod tests {
             let t = g.add_node(());
             g.add_edge(s, a, ()).unwrap();
             g.add_edge(s, b, ()).unwrap();
-            g.add_parallel_edges(a, t, (), 1 + (c % 2) as usize).unwrap();
+            g.add_parallel_edges(a, t, (), 1 + (c % 2) as usize)
+                .unwrap();
             g.add_edge(b, t, ()).unwrap();
             works.push(1); // a: pipelined single update
             works.push(3 + c % 2); // b: gated explicit work

@@ -33,7 +33,8 @@ fn random_multi_component(rng: &mut StdRng, components: usize) -> ExecModel {
         for k in 1..comp.len() {
             let src = comp[rng.random_range(0..k)];
             let multiplicity = if rng.random_bool(0.2) { 2 } else { 1 };
-            g.add_parallel_edges(src, comp[k], (), multiplicity).unwrap();
+            g.add_parallel_edges(src, comp[k], (), multiplicity)
+                .unwrap();
             if rng.random_bool(0.3) && k >= 2 {
                 let extra = comp[rng.random_range(0..k - 1)];
                 if extra != src {

@@ -32,7 +32,10 @@ fn main() {
         "          makespan 1 achieved with {} units (Lemma 4.2 ✓)",
         sol.budget_used
     );
-    println!("          with budget-1: {:?}", decide_feasible(&red.arc, red.budget - 1, 1).is_some());
+    println!(
+        "          with budget-1: {:?}",
+        decide_feasible(&red.arc, red.budget - 1, 1).is_some()
+    );
 
     // Table 2, regenerated from the gadget
     println!("\n[Table 2] earliest start times at C(5), C(6), C(7):");

@@ -37,7 +37,10 @@ fn main() {
     // ---- Act 2: the Figure 3 tradeoff curve --------------------------
     let n = 64usize;
     println!("\nreducer-height sweep for n = {n} (per Z cell):");
-    println!("{:>3} {:>12} {:>10} {:>10}", "h", "extra space", "analytic", "measured");
+    println!(
+        "{:>3} {:>12} {:>10} {:>10}",
+        "h", "extra space", "analytic", "measured"
+    );
     for p in mm_sim::tradeoff_curve(n, 7) {
         println!(
             "{:>3} {:>12} {:>10} {:>10}",

@@ -3,11 +3,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use resource_time_tradeoff::core::{
-    exact::solve_exact, solve_bicriteria, solve_recbinary_4approx, sp_dp::solve_sp_exact,
-    Instance,
-};
 use resource_time_tradeoff::core::transform::to_arc_form;
+use resource_time_tradeoff::core::{
+    exact::solve_exact, solve_bicriteria, solve_recbinary_4approx, sp_dp::solve_sp_exact, Instance,
+};
 use resource_time_tradeoff::dag::Dag;
 use resource_time_tradeoff::duration::Duration;
 

@@ -96,5 +96,8 @@ fn main() {
         |_, loc| format!("cell {loc}"),
         |_, _| String::new(),
     );
-    println!("\nDOT of the race DAG (pipe into `dot -Tpng`):\n{}", &dot[..dot.len().min(400)]);
+    println!(
+        "\nDOT of the race DAG (pipe into `dot -Tpng`):\n{}",
+        &dot[..dot.len().min(400)]
+    );
 }

@@ -31,7 +31,10 @@ fn pipeline(depth: usize) -> ArcInstance {
     let s = g.add_node(Job::labeled("s", Duration::zero()));
     let mut prev = s;
     for i in 0..depth {
-        let v = g.add_node(Job::labeled(format!("stage{i}"), Duration::two_point(10, 4, 0)));
+        let v = g.add_node(Job::labeled(
+            format!("stage{i}"),
+            Duration::two_point(10, 4, 0),
+        ));
         g.add_edge(prev, v, ()).unwrap();
         prev = v;
     }
@@ -47,7 +50,10 @@ fn fan(width: usize) -> ArcInstance {
     let s = g.add_node(Job::labeled("s", Duration::zero()));
     let t = g.add_node(Job::labeled("t", Duration::zero()));
     for i in 0..width {
-        let v = g.add_node(Job::labeled(format!("branch{i}"), Duration::two_point(10, 4, 1)));
+        let v = g.add_node(Job::labeled(
+            format!("branch{i}"),
+            Duration::two_point(10, 4, 1),
+        ));
         g.add_edge(s, v, ()).unwrap();
         g.add_edge(v, t, ()).unwrap();
     }
@@ -92,10 +98,16 @@ fn main() {
     let (sp, _) = solve_sp_exact(&pipe, 16).expect("pipeline is series-parallel");
     let nr = sp_noreuse_curve(&pipe, 16).expect("series-parallel");
     println!("\n== pipeline tradeoff curves (makespan per budget) ==");
-    println!("{:>6} {:>12} {:>12} {:>12}", "B", "no-reuse", "path-reuse", "advantage");
+    println!(
+        "{:>6} {:>12} {:>12} {:>12}",
+        "B", "no-reuse", "path-reuse", "advantage"
+    );
     for b in (0..=16).step_by(2) {
         let advantage = nr[b] as i64 - sp.curve[b] as i64;
-        println!("{:>6} {:>12} {:>12} {:>12}", b, nr[b], sp.curve[b], advantage);
+        println!(
+            "{:>6} {:>12} {:>12} {:>12}",
+            b, nr[b], sp.curve[b], advantage
+        );
     }
 
     // ---- one concrete schedule, for intuition ---------------------------

@@ -26,24 +26,46 @@ fn main() {
     g.add_edge(s, fork, Activity::labeled("ingest", Duration::kway(120)))
         .unwrap();
     // extractor A: simple, 64 updates
-    g.add_edge(fork, join, Activity::labeled("extract-A", Duration::kway(64)))
-        .unwrap();
+    g.add_edge(
+        fork,
+        join,
+        Activity::labeled("extract-A", Duration::kway(64)),
+    )
+    .unwrap();
     // extractor B: 100 updates
-    g.add_edge(fork, join, Activity::labeled("extract-B", Duration::kway(100)))
-        .unwrap();
+    g.add_edge(
+        fork,
+        join,
+        Activity::labeled("extract-B", Duration::kway(100)),
+    )
+    .unwrap();
     // extractor C: two chained stages of 80 updates each
     let mid = g.add_node(());
-    g.add_edge(fork, mid, Activity::labeled("extract-C1", Duration::kway(80)))
-        .unwrap();
-    g.add_edge(mid, join, Activity::labeled("extract-C2", Duration::kway(80)))
-        .unwrap();
+    g.add_edge(
+        fork,
+        mid,
+        Activity::labeled("extract-C1", Duration::kway(80)),
+    )
+    .unwrap();
+    g.add_edge(
+        mid,
+        join,
+        Activity::labeled("extract-C2", Duration::kway(80)),
+    )
+    .unwrap();
     // report: 48 updates
     g.add_edge(join, t, Activity::labeled("report", Duration::kway(48)))
         .unwrap();
     let arc = ArcInstance::new(g).unwrap();
 
-    println!("pipeline base makespan (no extra space): {}", arc.base_makespan());
-    println!("ideal makespan (unlimited space):        {}", arc.ideal_makespan());
+    println!(
+        "pipeline base makespan (no extra space): {}",
+        arc.base_makespan()
+    );
+    println!(
+        "ideal makespan (unlimited space):        {}",
+        arc.ideal_makespan()
+    );
 
     let budget = 30;
     let (sp, sol) = solve_sp_exact(&arc, budget).expect("pipeline is series-parallel");

@@ -149,11 +149,7 @@ pub mod channel {
                 }
                 match self.shared.cap {
                     Some(cap) if st.queue.len() >= cap => {
-                        st = self
-                            .shared
-                            .not_full
-                            .wait(st)
-                            .expect("channel poisoned");
+                        st = self.shared.not_full.wait(st).expect("channel poisoned");
                     }
                     _ => break,
                 }
@@ -180,11 +176,7 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
-                st = self
-                    .shared
-                    .not_empty
-                    .wait(st)
-                    .expect("channel poisoned");
+                st = self.shared.not_empty.wait(st).expect("channel poisoned");
             }
         }
 

@@ -37,9 +37,7 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

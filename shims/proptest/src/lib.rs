@@ -387,7 +387,10 @@ mod tests {
         let mut by_seed = crate::TestRng::from_seed(seed);
         let a = crate::Strategy::generate(&strat, &mut by_case);
         let b = crate::Strategy::generate(&strat, &mut by_seed);
-        assert_eq!(a, b, "replaying the seed must regenerate the failing inputs");
+        assert_eq!(
+            a, b,
+            "replaying the seed must regenerate the failing inputs"
+        );
         // distinct cases / names stay on distinct streams
         assert_ne!(seed, crate::TestRng::seed_for("some_property", 18));
         assert_ne!(seed, crate::TestRng::seed_for("other_property", 17));

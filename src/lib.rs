@@ -100,8 +100,8 @@
 pub use rtt_analyze as analyze;
 pub use rtt_core as core;
 pub use rtt_dag as dag;
-pub use rtt_engine as engine;
 pub use rtt_duration as duration;
+pub use rtt_engine as engine;
 pub use rtt_flow as flow;
 pub use rtt_hardness as hardness;
 pub use rtt_lp as lp;

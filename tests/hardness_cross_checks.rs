@@ -2,13 +2,13 @@
 //! formulas through every reduction, cross-reduction consistency, and
 //! inapproximability gaps measured end-to-end.
 
+use rand::rngs::StdRng;
+use rand::Rng;
+use rand::SeedableRng;
 use resource_time_tradeoff::core::exact::{decide_feasible, solve_exact_min_resource};
 use resource_time_tradeoff::hardness::{
     matching3d, partition, sat_chain, sat_general, sat_splitting, Formula,
 };
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
 
 #[test]
 fn random_formulas_all_reductions_agree() {

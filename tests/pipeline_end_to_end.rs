@@ -2,6 +2,8 @@
 //! checked against the exact optimum (the Table 1 experiment as
 //! assertions).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use resource_time_tradeoff::core::exact::solve_exact;
 use resource_time_tradeoff::core::transform::to_arc_form;
 use resource_time_tradeoff::core::{
@@ -10,8 +12,6 @@ use resource_time_tradeoff::core::{
 };
 use resource_time_tradeoff::dag::gen;
 use resource_time_tradeoff::duration::Duration;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn random_small_instances(seed: u64, family: fn(u64) -> Duration) -> Vec<Instance> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -40,9 +40,7 @@ fn bicriteria_respects_both_bounds_on_random_instances() {
             for alpha in [0.3, 0.5, 0.7] {
                 let r = solve_bicriteria(&arc, budget, alpha).unwrap();
                 validate(&arc, &r.solution).unwrap();
-                assert!(
-                    (r.solution.budget_used as f64) <= budget as f64 / (1.0 - alpha) + 1e-6
-                );
+                assert!((r.solution.budget_used as f64) <= budget as f64 / (1.0 - alpha) + 1e-6);
                 assert!(
                     r.solution.makespan as f64 <= r.lp_makespan / alpha + 1e-6,
                     "makespan {} vs LP {} / α {alpha}",

@@ -1,6 +1,8 @@
 //! Property-based invariants across the whole stack.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use resource_time_tradeoff::core::exact::solve_exact;
 use resource_time_tradeoff::core::instance::{Activity, ArcInstance};
 use resource_time_tradeoff::core::sp_dp::solve_sp_exact;
@@ -8,8 +10,6 @@ use resource_time_tradeoff::core::transform::{expand_two_tuples, to_arc_form};
 use resource_time_tradeoff::core::{solve_bicriteria, validate, Instance};
 use resource_time_tradeoff::dag::{gen, Dag};
 use resource_time_tradeoff::duration::{Duration, Tuple};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use resource_time_tradeoff::flow::{min_flow, BoundedEdge, MinFlowWitness, UncappedDag};
 
 /// Random canonical step function described by seed data.

@@ -7,8 +7,8 @@ use rand::SeedableRng;
 use resource_time_tradeoff::core::exact::solve_exact;
 use resource_time_tradeoff::core::regimes::{
     global_reuse_schedule, solve_noreuse_bicriteria, solve_noreuse_exact,
-    solve_noreuse_exact_min_resource, sp_noreuse_curve, validate_noreuse,
-    verify_global_schedule, GlobalPolicy,
+    solve_noreuse_exact_min_resource, sp_noreuse_curve, validate_noreuse, verify_global_schedule,
+    GlobalPolicy,
 };
 use resource_time_tradeoff::core::routing_plan;
 use resource_time_tradeoff::core::sp_dp::solve_sp_exact;

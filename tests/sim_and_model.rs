@@ -1,25 +1,24 @@
 //! Cross-crate: execution model vs analytic model (Observation 1.1,
 //! Figures 2–5), race detection vs the optimization pipeline.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use resource_time_tradeoff::dag::gen;
 use resource_time_tradeoff::duration::expand::{expand_reducers, ReducerVariant};
 use resource_time_tradeoff::duration::Duration;
 use resource_time_tradeoff::race::{detect_races, extract_race_dag, mm, Prog};
 use resource_time_tradeoff::sim::{simulate, UNBOUNDED};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn observation_1_1_on_random_dags() {
     let mut rng = StdRng::seed_from_u64(101);
     for _ in 0..20 {
         let tt = gen::random_race_dag(&mut rng, 12, 10);
-        let makespan =
-            resource_time_tradeoff::dag::longest_path_nodes(&tt.dag, |v| {
-                tt.dag.in_degree(v) as u64
-            })
-            .unwrap()
-            .weight;
+        let makespan = resource_time_tradeoff::dag::longest_path_nodes(&tt.dag, |v| {
+            tt.dag.in_degree(v) as u64
+        })
+        .unwrap()
+        .weight;
         let sim = simulate(&tt.dag, UNBOUNDED);
         assert!(
             sim.finish <= makespan,
@@ -131,11 +130,7 @@ fn reducer_sim_consistent_with_expansion_makespan() {
     // path must agree for every (n, h)
     for n in [16u64, 100, 1000] {
         for h in 1..=4u32 {
-            let sim = resource_time_tradeoff::sim::reducer_sim::simulate_reducer(
-                n,
-                h,
-                usize::MAX,
-            );
+            let sim = resource_time_tradeoff::sim::reducer_sim::simulate_reducer(n, h, usize::MAX);
             let mut g: resource_time_tradeoff::dag::Dag<(), ()> =
                 resource_time_tradeoff::dag::Dag::new();
             let hub = g.add_node(());
