@@ -161,14 +161,6 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     ("RTT013", Severity::Warning, "family-tag mismatch: the named solver does not support this instance"),
 ];
 
-/// Looks up a code's registered severity and meaning.
-pub fn code_info(code: &str) -> Option<(Severity, &'static str)> {
-    CODES
-        .iter()
-        .find(|(c, _, _)| *c == code)
-        .map(|(_, sev, meaning)| (*sev, *meaning))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,8 +12,10 @@ use rtt_core::{
     Instance,
 };
 use rtt_dag::gen;
+use rtt_duration::expand::{reducer_time, ReducerVariant};
 use rtt_duration::Duration;
 use rtt_hardness::{matching3d, partition, sat_chain, sat_general, sat_splitting, Formula};
+use rtt_sim::{ExecModel, UNBOUNDED};
 
 /// A finished experiment: a title and rendered tables.
 #[derive(Debug, Clone)]
@@ -263,10 +265,10 @@ pub fn fig2() -> Report {
     let mut report = Report::new("Figure 2 — binary reducer timing (n parallel updates)");
     let n = 1u64 << 16;
     let mut t = TextTable::new(&["height", "space 2^h", "simulated", "formula", "speedup"]);
-    let t0 = rtt_sim::reducer_sim::simulate_reducer(n, 0, usize::MAX).finish;
+    let t0 = ExecModel::reducer(n, 0).run(UNBOUNDED).finish;
     for h in 0..=10u32 {
-        let sim = rtt_sim::reducer_sim::simulate_reducer(n, h, usize::MAX);
-        let formula = rtt_sim::reducer_sim::analytic_time(n, h);
+        let sim = ExecModel::reducer(n, h).run(UNBOUNDED);
+        let formula = reducer_time(n, h, ReducerVariant::Sibling);
         t.row(vec![
             h.to_string(),
             (1u64 << h).to_string(),
@@ -300,7 +302,7 @@ pub fn fig3() -> Report {
 /// **Figures 4–5** — the example DAG: makespan 11, and 10 after a
 /// height-1 reducer on node c.
 pub fn fig45() -> Report {
-    use rtt_duration::expand::{expand_reducers, ReducerVariant};
+    use rtt_duration::expand::expand_reducers;
     let mut report = Report::new("Figures 4-5 — reducer placement on the example DAG");
     let mut g: rtt_dag::Dag<&str, ()> = rtt_dag::Dag::new();
     let s = g.add_node("s");

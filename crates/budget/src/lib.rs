@@ -9,20 +9,19 @@
 //! `rtt_core`, and `rtt_sim`, crates that sit **below** the engine in
 //! the dependency order and must not know about requests, policies, or
 //! reports. This crate is the seam: a [`BudgetMeter`] carries hard
-//! limits, monotone consumption counters, an optional absolute
-//! deadline, and a cancellation flag; the compute loops charge it
-//! periodically and bail out with a typed [`Exhausted`] error; the
-//! engine alone interprets that error against the request's
-//! `ExhaustionPolicy` (reject / degrade / warn — see
-//! `rtt_engine::budget`).
+//! limits, monotone consumption counters, and an optional absolute
+//! deadline; the compute loops charge it periodically and bail out with
+//! a typed [`Exhausted`] error; the engine alone interprets that error
+//! against the request's `ExhaustionPolicy` (reject / degrade / warn —
+//! see `rtt_engine::budget`).
 //!
 //! Counter-based dimensions are **deterministic**: the loops charge
 //! them at deterministic points, so whether a request exhausts — and
 //! the exact `consumed` value it reports — is independent of thread
-//! count and machine speed. The wall-clock deadline and the
-//! cancellation flag are the two intentionally *non*-deterministic
-//! dimensions, and the engine keeps them off the byte-stable wire for
-//! exactly that reason (same contract as `deadline_ms` today).
+//! count and machine speed. The wall-clock deadline is the one
+//! intentionally *non*-deterministic dimension, and the engine keeps it
+//! off the byte-stable wire for exactly that reason (same contract as
+//! `deadline_ms` today).
 //!
 //! A meter without limits never exhausts and costs one relaxed atomic
 //! add per charge, so the metered code paths are also the unmetered
@@ -32,7 +31,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A meterable budget dimension.
@@ -53,9 +52,6 @@ pub enum Dimension {
     /// Requests queued ahead at enqueue (engine-side admission only;
     /// nothing charges it through a meter).
     QueueDepth,
-    /// Cooperative cancellation (the [`BudgetMeter::cancel`] flag was
-    /// raised by another thread).
-    Cancelled,
 }
 
 impl Dimension {
@@ -67,7 +63,6 @@ impl Dimension {
             Dimension::DpMergeSteps => "dp_merge_steps",
             Dimension::SimEvents => "sim_events",
             Dimension::QueueDepth => "queue_depth",
-            Dimension::Cancelled => "cancelled",
         }
     }
 }
@@ -84,8 +79,8 @@ impl fmt::Display for Dimension {
 pub struct Exhausted {
     /// The dimension that ran out.
     pub dimension: Dimension,
-    /// The installed limit (0 for the limitless wall-clock/cancel
-    /// dimensions, whose "limit" is an instant or a flag).
+    /// The installed limit (0 for the limitless wall-clock dimension,
+    /// whose "limit" is an instant).
     pub limit: u64,
     /// Consumption when the loop bailed out (`> limit` for counters:
     /// the charge that crossed the line is included).
@@ -96,7 +91,6 @@ impl fmt::Display for Exhausted {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.dimension {
             Dimension::WallClock => write!(f, "budget exhausted: wall-clock deadline passed"),
-            Dimension::Cancelled => write!(f, "budget exhausted: cancelled"),
             d => write!(
                 f,
                 "budget exhausted: {} {} > limit {}",
@@ -124,9 +118,9 @@ pub struct Consumed {
 /// the hot loops must not pay per pivot.
 const TIME_CHECK_EVERY: u64 = 64;
 
-/// Hard limits, monotone consumption counters, an optional absolute
-/// deadline, and a cancellation flag — the object the engine threads
-/// down into every compute loop.
+/// Hard limits, monotone consumption counters, and an optional
+/// absolute deadline — the object the engine threads down into every
+/// compute loop.
 ///
 /// Counters are cumulative across a request's whole solve (all LPs of
 /// a sweep, every DP node, …), so a loop that restarts after an
@@ -141,8 +135,7 @@ pub struct BudgetMeter {
     dp_merge_steps_limit: Option<u64>,
     sim_events_limit: Option<u64>,
     deadline: Option<Instant>,
-    cancelled: AtomicBool,
-    /// Charges since the last deadline/cancel check.
+    /// Charges since the last deadline check.
     ticks: AtomicU64,
 }
 
@@ -169,18 +162,6 @@ impl BudgetMeter {
         }
     }
 
-    /// Raises the cooperative cancellation flag: every metered loop
-    /// observes it at its next periodic check and unwinds with
-    /// [`Dimension::Cancelled`].
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`BudgetMeter::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of the consumption counters.
     pub fn consumed(&self) -> Consumed {
         Consumed {
@@ -201,18 +182,10 @@ impl BudgetMeter {
         }
     }
 
-    /// The deadline/cancellation check every charge funnels through
-    /// (time only every [`TIME_CHECK_EVERY`] charges; the cancel flag
-    /// is a relaxed load, checked every time).
+    /// The deadline check every charge funnels through (the clock is
+    /// read only every [`TIME_CHECK_EVERY`] charges).
     #[inline]
     fn periodic(&self) -> Result<(), Exhausted> {
-        if self.is_cancelled() {
-            return Err(Exhausted {
-                dimension: Dimension::Cancelled,
-                limit: 0,
-                consumed: 0,
-            });
-        }
         if let Some(deadline) = self.deadline {
             let t = self.ticks.fetch_add(1, Ordering::Relaxed);
             if t.is_multiple_of(TIME_CHECK_EVERY) && Instant::now() >= deadline {
@@ -319,19 +292,6 @@ mod tests {
         assert!(m.charge_lp_pivots(1).is_err());
         // other dimensions stay open
         m.charge_merge_steps(1).unwrap();
-    }
-
-    #[test]
-    fn cancellation_trips_every_dimension() {
-        let m = BudgetMeter::unlimited();
-        m.charge_sim_events(1).unwrap();
-        m.cancel();
-        let e = m.charge_sim_events(1).unwrap_err();
-        assert_eq!(e.dimension, Dimension::Cancelled);
-        assert_eq!(
-            m.charge_lp_pivots(1).unwrap_err().dimension,
-            Dimension::Cancelled
-        );
     }
 
     #[test]

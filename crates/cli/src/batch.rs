@@ -177,7 +177,11 @@
 //! ([`curve_line`]) — one renderer serves both, so the forms cannot
 //! drift — including full per-point certification: `sim_makespan` on
 //! every point. A whole-sweep failure (infeasible LP, exhausted
-//! budget) yields a single non-`solved` line for the request.
+//! budget) yields a single non-`solved` line for the request, except a
+//! certification replay that runs out under `degrade`: that point stays
+//! `solved` without `sim_makespan`, and its `resource_budget` block's
+//! `degraded` list names the exhaustion, as a single solve's `budget`
+//! block does.
 //!
 //! Determinism rule: a wire sweep is answered by one
 //! **self-contained** chained delta session — crash start, then

@@ -59,9 +59,10 @@ const FAULT_GOLDEN: &str = concat!(
 );
 
 /// The fault-injection smoke (same shape CI runs): a corpus mixing a
-/// panicking fixture, budget exhaustion under each policy, and healthy
-/// requests must match its committed golden byte for byte at every
-/// thread count. Regenerate after a deliberate change with the
+/// panicking fixture, budget exhaustion under each policy, a metered-out
+/// certification replay under `degrade` (a single solve and a sweep),
+/// and healthy requests must match its committed golden byte for byte
+/// at every thread count. Regenerate after a deliberate change with the
 /// corpus-smoke command above, adding `RTT_FAULT_SOLVERS=1` and the
 /// corpus_faults paths.
 #[test]
@@ -72,6 +73,8 @@ fn fault_injection_batch_matches_golden_at_every_thread_count() {
     assert!(golden.contains("\"status\":\"budget-exhausted\""));
     assert!(golden.contains("\"degraded_from\":\"exact\""));
     assert!(golden.contains("\"warnings\":["));
+    assert!(golden.contains("\"resource_budget\":{\"consumed\""));
+    assert!(golden.contains("\"degraded\":[\"certificate degraded to analytic-only"));
     for threads in ["1", "2", "4", "8"] {
         let out = Command::new(env!("CARGO_BIN_EXE_rtt"))
             .args(["batch", FAULT_CORPUS, "--threads", threads])
@@ -88,9 +91,11 @@ fn fault_injection_batch_matches_golden_at_every_thread_count() {
             got, golden,
             "fault-injection output diverged from the golden at --threads {threads}"
         );
+        // degraded: the exact fallback, the single solve's certificate
+        // and each of the three certificate-degraded sweep points
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("1 rejected, 1 degraded, 1 warned, 1 panicked"),
+            stderr.contains("1 rejected, 5 degraded, 1 warned, 1 panicked"),
             "stats line must count every hazard: {stderr}"
         );
     }

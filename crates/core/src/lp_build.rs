@@ -49,9 +49,9 @@ pub enum LpError {
     Infeasible,
     /// The relaxation is unbounded (indicates a modelling bug).
     Unbounded,
-    /// A cooperative budget check tripped mid-solve (pivot cap,
-    /// deadline, or cancellation). Only metered entry points can return
-    /// this; the engine maps it onto the request's exhaustion policy.
+    /// A cooperative budget check tripped mid-solve (pivot cap or
+    /// deadline). Only metered entry points can return this; the engine
+    /// maps it onto the request's exhaustion policy.
     Exhausted(rtt_budget::Exhausted),
 }
 

@@ -368,14 +368,8 @@ pub fn global_reuse_schedule(
         for &e in &ready {
             let dur = &d.edge(e).duration;
             let max_useful = dur.max_useful_resource().min(budget);
-            let want = match policy {
-                GlobalPolicy::Eager => {
-                    // best canonical level affordable right now
-                    dur.useful_levels()
-                        .filter(|&r| r <= pool)
-                        .max()
-                        .unwrap_or(0)
-                }
+            let afford = match policy {
+                GlobalPolicy::Eager => pool,
                 GlobalPolicy::Patient => {
                     if pool < max_useful {
                         still_ready.push(e);
@@ -384,13 +378,9 @@ pub fn global_reuse_schedule(
                     max_useful
                 }
             };
-            // don't pay for units that buy nothing
-            let want = dur
-                .useful_levels()
-                .filter(|&r| dur.time(r) == dur.time(want))
-                .min()
-                .unwrap_or(0)
-                .min(want);
+            // the level those units buy: never pay for units that buy
+            // nothing
+            let want = dur.level(afford);
             pool -= want;
             peak = peak.max(budget - pool);
             let i = e.index();

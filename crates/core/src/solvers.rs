@@ -331,15 +331,9 @@ pub fn solve_recbinary_4approx_metered(
         } else {
             j.rounded / 2
         };
-        // snap to the largest canonical level ≤ target (levels are
-        // powers of two for this family)
-        let dur = &d.edge(j.arc_edge).duration;
-        let lvl = dur
-            .useful_levels()
-            .filter(|&r| r <= target)
-            .max()
-            .unwrap_or(0);
-        levels[j.arc_edge.index()] = lvl;
+        // snap to the level `target` units buy (a power of two for
+        // this family)
+        levels[j.arc_edge.index()] = d.edge(j.arc_edge).duration.level(target);
     }
     let a = family_tail(arc, frac, &levels, 4.0, 1.0);
     debug_assert!(

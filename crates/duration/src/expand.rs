@@ -19,6 +19,13 @@
 //!   (left): `2^(h+1) − 2` cells, every internal node receives two
 //!   updates, path contribution `⌈n/2^h⌉ + 2h`. Kept as an ablation
 //!   baseline for the design choice the paper makes in §1.
+//!
+//! One function, [`add_reducer_cells`], builds the cells of every
+//! Figure 2 reducer in the workspace: those of [`expand_reducers`]
+//! here, the recursive-binary gadget of the engine's Observation 1.1
+//! certification, and `rtt_sim`'s reducer replay. Their time is
+//! written once too, in [`reducer_time`]; the recursive-binary
+//! duration family evaluates Eq. 3 through it.
 
 use crate::{ceil_div, Resource, Time};
 use rtt_dag::{Dag, NodeId};
@@ -123,59 +130,20 @@ pub fn expand_reducers<N, E>(g: &Dag<N, E>, heights: &[u32], variant: ReducerVar
         if h == 0 {
             continue;
         }
-        let n_leaves = 1usize << h;
-        let n_updates = g.in_degree(v);
-        let mut counts = vec![0u64; n_leaves];
-        for i in 0..n_updates {
-            counts[i % n_leaves] += 1;
-        }
-        let leaves: Vec<NodeId> = counts
-            .iter()
-            .map(|&c| {
-                out.add_node(ExpNode {
-                    origin: v,
-                    role: Role::Leaf,
-                    work: c,
-                })
-            })
-            .collect();
-        // binary merge structure
-        let merge_work = match variant {
-            ReducerVariant::Sibling => 1,
-            ReducerVariant::Tree => 2,
-        };
-        // The shared variable at v is the *root* of the merge structure
-        // (Figure 2), so it absorbs the last merge itself: Sibling merges
-        // down to one survivor that applies a single update to v; Tree
-        // merges down to two children that each update v.
-        let stop = match variant {
-            ReducerVariant::Sibling => 1,
-            ReducerVariant::Tree => 2,
-        };
-        let mut level = leaves.clone();
-        while level.len() > stop {
-            let mut next = Vec::with_capacity(level.len() / 2);
-            for pair in level.chunks(2) {
-                let m = out.add_node(ExpNode {
-                    origin: v,
-                    role: Role::Merge,
-                    work: merge_work,
-                });
-                for &c in pair {
-                    out.add_edge(c, m, ()).expect("fresh nodes");
-                }
-                next.push(m);
-            }
-            level = next;
-        }
-        for &c in &level {
+        let n = g.in_degree(v) as Time;
+        let cells = add_reducer_cells(&mut out, n, h, variant, |role, work| ExpNode {
+            origin: v,
+            role,
+            work,
+        });
+        for &c in &cells.survivors {
             out.add_edge(c, v, ()).expect("fresh nodes");
         }
         extra_space += match variant {
             ReducerVariant::Sibling => 1u64 << h,
             ReducerVariant::Tree => (1u64 << (h + 1)) - 2,
         };
-        leaf_targets[v.index()] = Some(leaves);
+        leaf_targets[v.index()] = Some(cells.leaves);
     }
 
     // 3. copy original edges, redirecting into leaves where expanded
@@ -198,9 +166,62 @@ pub fn expand_reducers<N, E>(g: &Dag<N, E>, heights: &[u32], variant: ReducerVar
     }
 }
 
+/// The cells [`add_reducer_cells`] added for one reducer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReducerCells {
+    /// The `2^h` leaves; update `j` belongs to leaf `j mod 2^h`.
+    pub leaves: Vec<NodeId>,
+    /// The cells the shared variable absorbs: one survivor (Sibling)
+    /// or the root's two children (Tree).
+    pub survivors: Vec<NodeId>,
+}
+
+/// Adds the cells of a height-`height` reducer applying `n` updates to
+/// `g` (Figure 2 without the shared variable they feed);
+/// `cell(role, work)` makes each payload. The `2^h` leaves come first,
+/// leaf `i` with its round-robin share `⌊n/2^h⌋ + [i < n mod 2^h]` of
+/// the updates; then pairwise merges, level by level, each with an arc
+/// from both children: one update per merge down to one survivor
+/// (Sibling), two per merge down to two (Tree). The caller connects the
+/// survivors to the shared variable, which applies the last update
+/// itself. Cells are always added in this order, so ids numbered by
+/// insertion are stable.
+pub fn add_reducer_cells<N>(
+    g: &mut Dag<N, ()>,
+    n: Time,
+    height: u32,
+    variant: ReducerVariant,
+    mut cell: impl FnMut(Role, Time) -> N,
+) -> ReducerCells {
+    let l = 1u64 << height;
+    let leaves: Vec<NodeId> = (0..l)
+        .map(|i| g.add_node(cell(Role::Leaf, n / l + u64::from(i < n % l))))
+        .collect();
+    let (merge_work, survivors) = match variant {
+        ReducerVariant::Sibling => (1, 1),
+        ReducerVariant::Tree => (2, 2),
+    };
+    let mut level = leaves.clone();
+    while level.len() > survivors {
+        let mut next = Vec::with_capacity(level.len() / 2);
+        for pair in level.chunks(2) {
+            let m = g.add_node(cell(Role::Merge, merge_work));
+            for &c in pair {
+                g.add_edge(c, m, ()).expect("fresh cells");
+            }
+            next.push(m);
+        }
+        level = next;
+    }
+    ReducerCells {
+        leaves,
+        survivors: level,
+    }
+}
+
 /// Analytic completion time of a reducer applying `n` updates:
-/// Sibling = `⌈n/2^h⌉ + h + 1` (Eq. 3), Tree = `⌈n/2^h⌉ + 2h`.
-/// Height 0 = plain serialization = `n`.
+/// Sibling = `⌈n/2^h⌉ + h + 1` (Eq. 3, written only here), Tree =
+/// `⌈n/2^h⌉ + 2h`. Height 0 = plain serialization = `n`.
 pub fn reducer_time(n: Time, height: u32, variant: ReducerVariant) -> Time {
     if height == 0 {
         return n;

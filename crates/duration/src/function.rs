@@ -1,5 +1,6 @@
 //! The three duration-function families and their canonical step form.
 
+use crate::expand::{reducer_time, ReducerVariant};
 use crate::{ceil_div, Resource, Time};
 use std::fmt;
 
@@ -187,14 +188,29 @@ impl Duration {
         self.kind
     }
 
+    /// The largest breakpoint `≤ r`, by binary search.
+    fn breakpoint(&self, r: Resource) -> &Tuple {
+        match self.tuples.binary_search_by(|t| t.resource.cmp(&r)) {
+            Ok(i) => &self.tuples[i],
+            Err(0) => unreachable!("first tuple has resource 0"),
+            Err(i) => &self.tuples[i - 1],
+        }
+    }
+
     /// Duration when `r` units of resource are available:
     /// the time of the largest breakpoint `≤ r`.
     pub fn time(&self, r: Resource) -> Time {
-        match self.tuples.binary_search_by(|t| t.resource.cmp(&r)) {
-            Ok(i) => self.tuples[i].time,
-            Err(0) => unreachable!("first tuple has resource 0"),
-            Err(i) => self.tuples[i - 1].time,
-        }
+        self.breakpoint(r).time
+    }
+
+    /// The level `r` units buy: the resource of the largest breakpoint
+    /// `≤ r`, so `time(level(r)) == time(r)`, and since canonical times
+    /// strictly fall, no smaller level reaches that time. For the
+    /// reducer families a nonzero level is the reducer itself: `2^h`,
+    /// the cells of the height-`h` reducer of Eq. 3, or the split arity
+    /// `k` of Eq. 2.
+    pub fn level(&self, r: Resource) -> Resource {
+        self.breakpoint(r).resource
     }
 
     /// `t_v(0)`, the no-resource duration.
@@ -287,20 +303,17 @@ pub fn raw_kway_time(d: Time, k: Resource) -> Time {
     }
 }
 
-/// Eq. 3 verbatim: duration of a recursive binary split reducer of height
-/// `i` (using `2^i` cells) on a job of base duration `d`:
-/// `⌈d/2^i⌉ + i + 1`, capped at the optimal height
-/// [`recursive_binary_max_height`]. Height 0 means no reducer.
+/// Eq. 3 at a capped height: duration of a recursive binary split
+/// reducer of height `i` (using `2^i` cells) on a job of base duration
+/// `d`, the sibling [`reducer_time`] `⌈d/2^i⌉ + i + 1` with `i` capped
+/// at the optimal height [`recursive_binary_max_height`]. Height 0
+/// means no reducer.
 pub fn raw_recursive_binary_time(d: Time, height: u32) -> Time {
     if crate::is_infinite(d) {
         return d;
     }
-    let k = recursive_binary_max_height(d);
-    if height == 0 || k == 0 {
-        return d;
-    }
-    let i = height.min(k);
-    ceil_div(d, 1u64 << i) + u64::from(i) + 1
+    let i = height.min(recursive_binary_max_height(d));
+    reducer_time(d, i, ReducerVariant::Sibling)
 }
 
 /// `k = ⌊log₂ d − log₂ log₂ e⌋`, the height minimizing Eq. 3
@@ -521,5 +534,41 @@ mod tests {
         // gives ⌈6/2⌉ + 1 + 1 = 5 (used in the Figure 5 makespan-10 path).
         assert_eq!(raw_recursive_binary_time(6, 1), 5);
         assert_eq!(Duration::recursive_binary(6).time(2), 5);
+    }
+
+    #[test]
+    fn level_is_the_largest_useful_level_at_or_below_r() {
+        let mut fns = vec![Duration::step(vec![
+            Tuple::new(0, 10),
+            Tuple::new(2, 7),
+            Tuple::new(3, 7),
+            Tuple::new(5, 1),
+        ])
+        .unwrap()];
+        for n in [0u64, 1, 2, 3, 5, 6, 8, 17, 64, 100, 1000, 4096, 99_999] {
+            fns.push(Duration::recursive_binary(n));
+            fns.push(Duration::kway(n));
+        }
+        let rs = (0..=80u64).chain([127, 128, 129, 1 << 20, u64::MAX]);
+        for f in &fns {
+            for r in rs.clone() {
+                let l = f.level(r);
+                let largest = f.useful_levels().filter(|&u| u <= r).max().unwrap();
+                assert_eq!(l, largest, "{f} r={r}");
+                assert_eq!(f.time(l), f.time(r), "{f} r={r}");
+                // a nonzero level is the reducer the family's formula prices
+                match f.kind() {
+                    DurationKind::RecursiveBinary { base } if l > 0 => {
+                        assert!(l.is_power_of_two(), "{f} r={r}");
+                        let h = l.trailing_zeros();
+                        assert_eq!(raw_recursive_binary_time(base, h), f.time(r));
+                    }
+                    DurationKind::KWay { base } if l > 0 => {
+                        assert_eq!(raw_kway_time(base, l), f.time(r), "{f} r={r}");
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 }

@@ -21,12 +21,10 @@
 //!
 //! Counter dimensions charge at deterministic points, so rejection,
 //! degradation, and warnings are all byte-stable across thread counts.
-//! The wall-clock deadline and cooperative cancellation are the two
-//! intentionally non-deterministic dimensions and stay off the wire,
-//! like `deadline_ms` today.
+//! The wall-clock deadline is the one intentionally non-deterministic
+//! dimension and stays off the wire, like `deadline_ms` today.
 
 use rtt_budget::{BudgetMeter, Consumed, Dimension};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-dimension hard limits a request declares. `None` = unlimited.
@@ -55,14 +53,14 @@ impl BudgetLimits {
     }
 
     /// The declared limit for a dimension (`None` for unlimited or for
-    /// the limitless wall-clock/cancel dimensions).
+    /// the limitless wall-clock dimension).
     pub fn for_dimension(&self, dim: Dimension) -> Option<u64> {
         match dim {
             Dimension::LpPivots => self.lp_pivots,
             Dimension::DpMergeSteps => self.dp_merge_steps,
             Dimension::SimEvents => self.sim_events,
             Dimension::QueueDepth => self.queue_depth,
-            Dimension::WallClock | Dimension::Cancelled => None,
+            Dimension::WallClock => None,
         }
     }
 }
@@ -107,9 +105,9 @@ impl ExhaustionPolicy {
     }
 }
 
-/// Per-dimension exhaustion policies. Wall-clock and cancellation are
-/// always hard (they reuse the deadline machinery and cannot be
-/// degraded around), so only the counter dimensions are configurable.
+/// Per-dimension exhaustion policies. Wall-clock is always hard (it
+/// reuses the deadline machinery and cannot be degraded around), so
+/// only the counter dimensions are configurable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BudgetPolicies {
     /// Policy when the pivot cap trips.
@@ -133,17 +131,26 @@ impl BudgetPolicies {
         }
     }
 
-    /// The policy governing a dimension. Wall-clock and cancellation
-    /// always hard-reject (mapped onto the deadline machinery).
+    /// The policy governing a dimension. Wall-clock always hard-rejects
+    /// (mapped onto the deadline machinery).
     pub fn for_dimension(&self, dim: Dimension) -> ExhaustionPolicy {
         match dim {
             Dimension::LpPivots => self.lp_pivots,
             Dimension::DpMergeSteps => self.dp_merge_steps,
             Dimension::SimEvents => self.sim_events,
             Dimension::QueueDepth => self.queue_depth,
-            Dimension::WallClock | Dimension::Cancelled => ExhaustionPolicy::HardReject,
+            Dimension::WallClock => ExhaustionPolicy::HardReject,
         }
     }
+}
+
+/// The exhaustion policy `req` declares for `dim` (hard-reject when the
+/// request carries no budget — unreachable in practice, since only
+/// budgeted requests can exhaust).
+pub(crate) fn policy_for(req: &crate::SolveRequest, dim: Dimension) -> ExhaustionPolicy {
+    req.budget
+        .map(|s| s.policies.for_dimension(dim))
+        .unwrap_or_default()
 }
 
 /// The budget a request declares: limits plus per-dimension policies.
@@ -169,14 +176,9 @@ impl BudgetSpec {
 /// The per-(request, solver) enforcement state the executor builds:
 /// the meter (if the request declared any enforceable limit) plus the
 /// spec the report is judged against afterwards.
-///
-/// The meter is `Arc`-shared so the executor can keep a cancellation
-/// handle while the solver borrows the meter — raising
-/// [`BudgetMeter::cancel`] from another thread unwinds the solve at
-/// its next periodic check.
 #[derive(Debug, Default)]
 pub struct BudgetContext {
-    meter: Option<Arc<BudgetMeter>>,
+    meter: Option<BudgetMeter>,
     spec: Option<BudgetSpec>,
 }
 
@@ -209,20 +211,14 @@ impl BudgetContext {
             req.deadline.map(|d| queued_at + d),
         );
         BudgetContext {
-            meter: Some(Arc::new(meter)),
+            meter: Some(meter),
             spec: Some(spec),
         }
     }
 
     /// The meter to thread into solvers (`None` when unbudgeted).
     pub fn meter(&self) -> Option<&BudgetMeter> {
-        self.meter.as_deref()
-    }
-
-    /// A shareable cancellation handle, for callers that want to unwind
-    /// this request's solve from another thread.
-    pub fn cancel_handle(&self) -> Option<Arc<BudgetMeter>> {
-        self.meter.clone()
+        self.meter.as_ref()
     }
 
     /// The declared spec (`None` when unbudgeted).
@@ -233,7 +229,7 @@ impl BudgetContext {
     /// Consumption so far (zeros when unbudgeted).
     pub fn consumed(&self) -> Consumed {
         self.meter
-            .as_deref()
+            .as_ref()
             .map(BudgetMeter::consumed)
             .unwrap_or_default()
     }
@@ -260,7 +256,9 @@ pub struct BudgetReport {
 impl BudgetReport {
     /// Builds the block from the context after the solve, computing
     /// soft-warn flags by comparing consumption against the advisory
-    /// limits. `degraded` notes are appended by the executor.
+    /// limits. `degraded` notes are the executor's to add: those
+    /// recorded on the report while it was made (a fallback, a
+    /// certificate degraded to analytic-only).
     pub fn from_context(ctx: &BudgetContext) -> Option<Self> {
         let spec = ctx.spec?;
         let consumed = ctx.consumed();
@@ -341,7 +339,7 @@ mod tests {
             policies: BudgetPolicies::uniform(ExhaustionPolicy::SoftWarn),
         };
         let ctx = BudgetContext {
-            meter: Some(Arc::new(BudgetMeter::unlimited())),
+            meter: Some(BudgetMeter::unlimited()),
             spec: Some(spec),
         };
         ctx.meter().unwrap().charge_lp_pivots(7).unwrap();

@@ -30,17 +30,21 @@
 //!
 //! Arc-instance nodes become zero-work junctions (pure precedence);
 //! each activity arc `e` with claimed duration `t_e` and resource level
-//! `r_e` becomes a gadget whose longest path is at most `t_e`:
+//! `r_e` becomes a gadget whose longest path is at most `t_e`. The
+//! gadget is the reducer the level buys: the duration's
+//! [`level`](rtt_duration::Duration::level) of `r_e`, the canonical
+//! breakpoint whose time `t_e(r_e)` is:
 //!
-//! * **recursive binary** (Eq. 3): the §1 sibling reducer at the best
-//!   height `2^h ≤ f_e` — `2^h` leaf cells splitting the updates, `h`
-//!   one-update sibling merges, one final root update
+//! * **recursive binary** (Eq. 3): a nonzero level `2^h` is the §1
+//!   sibling reducer of height `h` —
+//!   [`add_reducer_cells`], `2^h` leaf cells splitting the updates,
+//!   `h` one-update sibling merges, one final root update
 //!   (`⌈n/2^h⌉ + h + 1`);
-//! * **k-way** (Eq. 2): the best `k ≤ min(f_e, ⌊√n⌋)` parallel cells
+//! * **k-way** (Eq. 2): a nonzero level `k` is `k` parallel cells
 //!   feeding `k` serial merge updates into the shared variable
 //!   (`⌈n/k⌉ + k`);
-//! * **general step / constant**: one serialized cell applying `t_e`
-//!   updates (the claimed duration taken literally).
+//! * **general step / constant, or level 0**: one serialized cell
+//!   applying `t_e` updates (the claimed duration taken literally).
 //!
 //! Per-gadget paths are `≤ t_e` (validation guarantees
 //! `t_e ≥ t_e(r_e)`), so every expanded source→sink path is `≤` the
@@ -58,13 +62,12 @@
 //! the event count that only pathological expansions (more arcs than
 //! any instance this repo serves) can reach.
 
+use crate::budget::ExhaustionPolicy;
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_core::{ArcInstance, GlobalSchedule, NoReuseSolution, Solution};
 use rtt_dag::{Dag, NodeId};
-use rtt_duration::{
-    is_infinite, raw_kway_time, raw_recursive_binary_time, recursive_binary_max_height,
-    DurationKind, Resource, Time,
-};
+use rtt_duration::expand::{add_reducer_cells, ReducerVariant};
+use rtt_duration::{is_infinite, DurationKind, Resource, Time};
 use rtt_sim::ExecModel;
 
 /// Soft guard on certification cost: expansions with more than this
@@ -100,43 +103,6 @@ impl SimCertificate {
     pub fn holds(&self) -> bool {
         self.simulated <= self.bound
     }
-}
-
-/// Best sibling-reducer height affordable with `r` units on a job of
-/// `n` updates: the `h` minimizing Eq. 3 subject to `2^h ≤ r`.
-fn best_recbinary_height(n: Time, r: Resource) -> u32 {
-    let cap = recursive_binary_max_height(n);
-    let mut best_h = 0u32;
-    let mut best_t = n;
-    for h in 1..=cap {
-        if (1u64 << h) > r {
-            break;
-        }
-        let t = raw_recursive_binary_time(n, h);
-        if t < best_t {
-            best_t = t;
-            best_h = h;
-        }
-    }
-    best_h
-}
-
-/// Best k-way split arity affordable with `r` units on a job of `n`
-/// updates: the `k` minimizing Eq. 2 subject to `k ≤ r` (0 = no split).
-fn best_kway_arity(n: Time, r: Resource) -> u64 {
-    let mut best_k = 0u64;
-    let mut best_t = n;
-    for k in 2..=r {
-        if k.saturating_mul(k) > n {
-            break; // past ⌊√n⌋ Eq. 2 is flat: no further improvement
-        }
-        let t = raw_kway_time(n, k);
-        if t < best_t {
-            best_t = t;
-            best_k = k;
-        }
-    }
-    best_k
 }
 
 /// How a gadget's entry cells receive their updates.
@@ -186,16 +152,14 @@ fn plan_arcs(
         .map(|e| {
             let (t, r) = (edge_times[e.id.index()], levels[e.id.index()]);
             let in_deg = d.in_degree(e.src) as u64;
-            let gadget = match e.weight.duration.kind() {
-                DurationKind::RecursiveBinary { base: n } => match best_recbinary_height(n, r) {
-                    0 => Gadget::Serial,
-                    h => Gadget::Recbinary { n, h },
+            let duration = &e.weight.duration;
+            let gadget = match (duration.kind(), duration.level(r)) {
+                (_, 0) | (DurationKind::Step, _) => Gadget::Serial,
+                (DurationKind::RecursiveBinary { base: n }, cells) => Gadget::Recbinary {
+                    n,
+                    h: cells.trailing_zeros(),
                 },
-                DurationKind::KWay { base: n } => match best_kway_arity(n, r) {
-                    0 | 1 => Gadget::Serial,
-                    k => Gadget::Kway { n, k },
-                },
-                DurationKind::Step => Gadget::Serial,
+                (DurationKind::KWay { base: n }, k) => Gadget::Kway { n, k },
             };
             let work = match gadget {
                 Gadget::Recbinary { n, .. } | Gadget::Kway { n, .. } => n,
@@ -282,40 +246,16 @@ fn expand_planned(
         let (u, v) = (e.src, e.dst);
         let (gadget, mode) = plans[e.id.index()];
         match gadget {
-            // the same sibling shape rtt_duration::expand builds for
-            // node DAGs (leaf ceil-split, pairwise one-update merges,
-            // final root update) — reproduced here on the arc form
-            // because this gadget additionally needs the junction/entry
-            // wiring; the tests below pin it to Eq. 3 so the two
-            // constructions cannot drift silently
             Gadget::Recbinary { n, h } => {
-                let leaves: Vec<NodeId> = (0..1u64 << h)
-                    .map(|_| cell(&mut g, &mut works, 0)) // shares assigned at wiring
-                    .collect();
-                // sibling merges: one update each, gated on both children
-                let mut level = leaves.clone();
-                while level.len() > 1 {
-                    let mut next = Vec::with_capacity(level.len() / 2);
-                    for pair in level.chunks(2) {
-                        let m = cell(&mut g, &mut works, 1);
-                        for &c in pair {
-                            g.add_edge(c, m, ()).expect("fresh node");
-                        }
-                        next.push(m);
-                    }
-                    level = next;
-                }
+                let cells =
+                    add_reducer_cells(&mut g, n, h, ReducerVariant::Sibling, |_, w| works.push(w));
                 // the survivor's final update of the shared variable
                 let root = cell(&mut g, &mut works, 1);
-                g.add_edge(level[0], root, ()).expect("fresh node");
+                g.add_edge(cells.survivors[0], root, ())
+                    .expect("fresh node");
                 g.add_edge(root, v, ()).expect("junction exists");
-                // leaf works: ceil-split of n, matching the wiring order
-                let l = leaves.len() as u64;
-                for (i, &leaf) in leaves.iter().enumerate() {
-                    works[leaf.index()] = n / l + u64::from((i as u64) < n % l);
-                }
                 tail.push(root);
-                entries.push((mode, leaves));
+                entries.push((mode, cells.leaves));
             }
             Gadget::Kway { n, k } => {
                 // the shared variable absorbs one merge update per cell
@@ -476,44 +416,60 @@ pub fn certify_schedule(
     certify_expansion(arc, &times, &s.level, s.makespan, meter)
 }
 
-/// Attaches the simulation certificate to a solved report — whichever
-/// solution form it carries (routed flow, no-reuse levels, or a global
-/// schedule) — panicking if Observation 1.1 fails (an engine bug,
-/// treated like every other certification failure). This is the one
-/// Observation 1.1 entry for reports: the executor calls it on every
-/// solver's answer and every solution-tier replay, the curve service on
-/// every sweep point. A metered replay that exhausts its `sim_events`
-/// budget returns the typed error with `report.sim` left `None`; the
-/// caller applies the request's exhaustion policy (degrade to
-/// analytic-only, or fail the report).
+/// Attaches the simulation certificate to a solved report of `req` —
+/// whichever solution form it carries (routed flow, no-reuse levels, or
+/// a global schedule) — panicking if Observation 1.1 fails (an engine
+/// bug, treated like every other certification failure). This is the
+/// one Observation 1.1 entry for reports: the executor calls it on
+/// every solver's answer and every solution-tier replay, the curve
+/// service on every sweep point.
+///
+/// A metered replay that exhausts its budget leaves `report.sim`
+/// `None` and applies the request's exhaustion policy. Under `degrade`
+/// the solution stands on its analytic certification alone: the report
+/// stays solved and a note naming the exhaustion joins its budget
+/// block's `degraded` list (the executor completes the block). Under
+/// any other policy the typed error is returned, and the caller fails
+/// the report.
 pub(crate) fn attach(
-    arc: &ArcInstance,
+    req: &crate::SolveRequest,
     report: &mut crate::SolveReport,
     meter: Option<&BudgetMeter>,
 ) -> Result<(), Exhausted> {
     if report.status != crate::Status::Solved {
         return Ok(());
     }
+    let arc = req.prepared.arc();
     let cert = if let Some(sol) = &report.solution {
-        certify_solution(arc, sol, meter)?
+        certify_solution(arc, sol, meter)
     } else if let Some(nr) = &report.noreuse {
-        certify_noreuse(arc, nr, meter)?
+        certify_noreuse(arc, nr, meter)
     } else if let Some(s) = &report.schedule {
-        certify_schedule(arc, s, meter)?
+        certify_schedule(arc, s, meter)
     } else {
-        None
+        Ok(None)
     };
-    if let Some(cert) = cert {
-        assert!(
-            cert.holds(),
-            "Observation 1.1 violated: simulated {} > reported makespan {} \
-             (solver {}, request {})",
-            cert.simulated,
-            cert.bound,
-            report.solver,
-            report.id,
-        );
-        report.sim = Some(cert);
+    match cert {
+        Ok(Some(cert)) => {
+            assert!(
+                cert.holds(),
+                "Observation 1.1 violated: simulated {} > reported makespan {} \
+                 (solver {}, request {})",
+                cert.simulated,
+                cert.bound,
+                report.solver,
+                report.id,
+            );
+            report.sim = Some(cert);
+        }
+        Ok(None) => {}
+        Err(e) if crate::budget::policy_for(req, e.dimension) == ExhaustionPolicy::Degrade => {
+            let block = report.budget.get_or_insert_with(Default::default);
+            block
+                .degraded
+                .push(format!("certificate degraded to analytic-only: {e}"));
+        }
+        Err(e) => return Err(e),
     }
     Ok(())
 }
@@ -769,21 +725,25 @@ mod tests {
     }
 
     #[test]
-    fn best_height_and_arity_match_duration_envelopes() {
-        for n in [6u64, 8, 64, 100, 1000] {
-            let rec = Duration::recursive_binary(n);
-            let kw = Duration::kway(n);
-            for r in 0..=40u64 {
-                let h = best_recbinary_height(n, r);
-                let t_h = if h == 0 {
-                    n
-                } else {
-                    raw_recursive_binary_time(n, h)
-                };
-                assert_eq!(t_h, rec.time(r), "recbinary n={n} r={r}");
-                let k = best_kway_arity(n, r);
-                let t_k = if k == 0 { n } else { raw_kway_time(n, k) };
-                assert_eq!(t_k, kw.time(r), "kway n={n} r={r}");
+    fn single_arc_expansion_critical_path_is_the_duration_time() {
+        // one arc s → t claiming its zero-resource time: at level r the
+        // expansion's longest path of works must be exactly what r buys,
+        // which only the reducer that level names reaches (a serialized
+        // cell would keep the claim)
+        for n in [1u64, 2, 6, 8, 17, 64, 100, 1000] {
+            for duration in [Duration::recursive_binary(n), Duration::kway(n)] {
+                let mut g: Dag<(), Activity> = Dag::new();
+                let s = g.add_node(());
+                let t = g.add_node(());
+                g.add_edge(s, t, Activity::new(duration.clone())).unwrap();
+                let arc = ArcInstance::new(g).unwrap();
+                for r in (0..=40u64).chain([64, 1 << 20]) {
+                    let (g, works) = expand_levels(&arc, &[duration.base_time()], &[r]);
+                    let critical = rtt_dag::longest_path_nodes(&g, |v| works[v.index()])
+                        .unwrap()
+                        .weight;
+                    assert_eq!(critical, duration.time(r), "{duration} r={r}");
+                }
             }
         }
     }

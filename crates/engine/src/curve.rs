@@ -44,7 +44,9 @@ const SOLVER: &str = "bicriteria";
 /// point rounded, built into its report and certified. The LP chain
 /// charges `lp_pivots` and each point's certification replay charges
 /// `sim_events` on `meter`; exhaustion surfaces as
-/// [`LpError::Exhausted`] with the template already parked.
+/// [`LpError::Exhausted`] with the template already parked, except for
+/// a replay the request lets `degrade`, which leaves its point solved
+/// without a certificate (`certify::attach`).
 fn solve_points(
     req: &SolveRequest,
     budgets: &[Resource],
@@ -63,7 +65,7 @@ fn solve_points(
             let a = rtt_core::bicriteria_round_prepped(arc, tt, frac, req.alpha);
             let mut r = crate::solver::approx_report(req, SOLVER, a);
             r.sweep_budget = Some(budget);
-            crate::certify::attach(arc, &mut r, meter).map_err(LpError::Exhausted)?;
+            crate::certify::attach(req, &mut r, meter).map_err(LpError::Exhausted)?;
             Ok(r)
         })
         .collect()
@@ -106,9 +108,10 @@ pub fn execute_sweep_wire(
 /// single-point chain, metered on the shared request meter, with no
 /// reuse of any kind — so a `max_*` budget's wire-visible `consumed`
 /// counters can never depend on cache timing (the same rule that keeps
-/// those requests out of the solution tier). Exhaustion anywhere
-/// surfaces as the whole-request failure report, like the chained
-/// path.
+/// those requests out of the solution tier). Exhaustion surfaces as
+/// the whole-request failure report, like the chained path — except a
+/// certification replay under `degrade`, which degrades its own point
+/// to analytic-only, as it does a single solve's report.
 pub fn execute_sweep_pointwise(
     req: &SolveRequest,
     budgets: &[Resource],

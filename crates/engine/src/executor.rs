@@ -56,7 +56,7 @@
 //! its lock before any solve runs — the critical sections contain no
 //! solver code.
 
-use crate::budget::{BudgetContext, BudgetReport, ExhaustionPolicy};
+use crate::budget::{policy_for, BudgetContext, BudgetReport, ExhaustionPolicy};
 use crate::registry::Registry;
 use crate::request::{SolveReport, SolveRequest, SolverSelection, Status};
 use rtt_budget::{Dimension, Exhausted};
@@ -138,15 +138,6 @@ fn deadline_expired(req: &SolveRequest, queue_wait: StdDuration) -> bool {
     req.deadline.is_some_and(|deadline| queue_wait >= deadline)
 }
 
-/// The exhaustion policy `req` declares for `dim` (hard-reject when the
-/// request carries no budget — unreachable in practice, since only
-/// budgeted requests can exhaust).
-fn policy_for(req: &SolveRequest, dim: Dimension) -> ExhaustionPolicy {
-    req.budget
-        .map(|s| s.policies.for_dimension(dim))
-        .unwrap_or_default()
-}
-
 /// The declared degradation chain: which solver answers when `solver`
 /// exhausts its budget under [`ExhaustionPolicy::Degrade`]. One level
 /// deep by construction — every fallback is an LP-rounding pipeline
@@ -201,54 +192,46 @@ fn panic_report(
 
 /// Runs one solver under panic isolation and budget enforcement:
 /// builds the request's [`BudgetContext`], catches panics into
-/// [`Status::Failed`], and applies the certificate-degradation policy
-/// when the Observation 1.1 replay exhausts `sim_events`. Returns the
-/// report, any certificate-degradation notes, and the context (for the
-/// wire-visible budget block).
+/// [`Status::Failed`], and certifies the answer under the request's
+/// exhaustion policy (`certify::attach`). Returns the report and the
+/// context (for the wire-visible budget block).
 fn run_solver_isolated(
     s: &dyn crate::Solver,
     req: &SolveRequest,
     queued_at: Instant,
-) -> (SolveReport, Vec<String>, BudgetContext) {
+) -> (SolveReport, BudgetContext) {
     let ctx = BudgetContext::for_request(req, queued_at);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut report = s.solve(req, &ctx);
-        let mut notes = Vec::new();
         // every solved report gets an Observation 1.1 simulation
         // certificate before it leaves the engine; under a sim_events
         // budget the replay itself is metered
-        if let Err(e) = crate::certify::attach(req.prepared.arc(), &mut report, ctx.meter()) {
-            match policy_for(req, e.dimension) {
-                ExhaustionPolicy::Degrade => {
-                    // the solution stands on its analytic certification
-                    // alone; the report stays solved, flagged
-                    report.sim = None;
-                    notes.push(format!("certificate degraded to analytic-only: {e}"));
-                }
-                _ => report = crate::solver::report_exhausted(req, report.solver, e),
-            }
+        if let Err(e) = crate::certify::attach(req, &mut report, ctx.meter()) {
+            report = crate::solver::report_exhausted(req, report.solver, e);
         }
-        (report, notes)
+        report
     }));
     match outcome {
-        Ok((report, notes)) => (report, notes, ctx),
-        Err(payload) => (panic_report(req, s.name(), payload), Vec::new(), ctx),
+        Ok(report) => (report, ctx),
+        Err(payload) => (panic_report(req, s.name(), payload), ctx),
     }
 }
 
 /// Stamps the wire-visible budget block onto a report of a budgeted
-/// request: consumption from `ctx`, soft-warn flags, degradation notes,
-/// and (when admitted past a soft queue-depth bound) the queue warning.
+/// request: consumption from `ctx`, soft-warn flags, the degradation
+/// notes already recorded on the report, and (when admitted past a soft
+/// queue-depth bound) the queue warning.
 fn finalize_budget(
     report: &mut SolveReport,
     ctx: &BudgetContext,
-    degraded: Vec<String>,
     queue_warning: Option<&Exhausted>,
 ) {
     let Some(mut block) = BudgetReport::from_context(ctx) else {
         return;
     };
-    block.degraded = degraded;
+    if let Some(recorded) = report.budget.take() {
+        block.degraded = recorded.degraded;
+    }
     if let Some(e) = queue_warning {
         block.warnings.push(format!(
             "{} {} > limit {}",
@@ -310,7 +293,7 @@ fn replay_cached(
             );
             hit.id = req.id.clone();
             hit.sim = None;
-            crate::certify::attach(req.prepared.arc(), hit, None)
+            crate::certify::attach(req, hit, None)
                 .expect("an unmetered certify replay cannot exhaust");
         }
         hits
@@ -423,7 +406,7 @@ fn execute_one_cached_inner(
         };
         let wall = started.elapsed();
         for r in &mut reports {
-            finalize_budget(r, &ctx, Vec::new(), soft_overflow);
+            finalize_budget(r, &ctx, soft_overflow);
             r.wall = wall;
             r.queue_wait = queue_wait;
         }
@@ -458,12 +441,7 @@ fn execute_one_cached_inner(
             if let Some(e) = hard_overflow {
                 // rejected at admission: no solver ran, no meter to read
                 let mut r = crate::solver::report_exhausted(req, s.name(), e);
-                finalize_budget(
-                    &mut r,
-                    &BudgetContext::for_request(req, queued_at),
-                    Vec::new(),
-                    None,
-                );
+                finalize_budget(&mut r, &BudgetContext::for_request(req, queued_at), None);
                 r.queue_wait = queue_wait;
                 return vec![r];
             }
@@ -480,7 +458,7 @@ fn execute_one_cached_inner(
                 }
                 Err(key) => key,
             };
-            let (mut report, mut notes, mut ctx) = run_solver_isolated(*s, req, queued_at);
+            let (mut report, mut ctx) = run_solver_isolated(*s, req, queued_at);
             // degrade dispatch: one level along the declared chain,
             // with a fresh meter (the exhausted one is saturated)
             if report.status == Status::BudgetExhausted {
@@ -490,18 +468,17 @@ fn execute_one_cached_inner(
                             degrade_target(report.solver).and_then(|n| registry.resolve(n))
                         {
                             let original = report.solver;
-                            let (fb_report, fb_notes, fb_ctx) =
-                                run_solver_isolated(fb, req, queued_at);
-                            report = fb_report;
+                            (report, ctx) = run_solver_isolated(fb, req, queued_at);
                             report.degraded_from = Some(original);
-                            notes = fb_notes;
-                            notes.insert(0, format!("degraded from {original}: {e}"));
-                            ctx = fb_ctx;
+                            let block = report.budget.get_or_insert_with(Default::default);
+                            block
+                                .degraded
+                                .insert(0, format!("degraded from {original}: {e}"));
                         }
                     }
                 }
             }
-            finalize_budget(&mut report, &ctx, notes, soft_overflow);
+            finalize_budget(&mut report, &ctx, soft_overflow);
             report.wall = started.elapsed();
             report.queue_wait = queue_wait;
             let reports = vec![report];
@@ -871,6 +848,36 @@ mod tests {
             "degradation recorded: {:?}",
             block.degraded
         );
+    }
+
+    #[test]
+    fn certificate_exhaustion_degrades_each_budgeted_sweep_point() {
+        let registry = Registry::standard();
+        let prep = Arc::new(PreparedInstance::new(chain_instance(2)));
+        let budgets = vec![0, 4, 8];
+        let mut req = SolveRequest::sweep("sw", prep, budgets.clone());
+        let limits = BudgetLimits {
+            sim_events: Some(3),
+            ..Default::default()
+        };
+        req.budget = spec_with(limits, ExhaustionPolicy::Degrade);
+        let reports = execute_one(&registry, &req, Instant::now());
+        assert_eq!(reports.len(), budgets.len(), "one report per grid point");
+        for (r, &b) in reports.iter().zip(&budgets) {
+            assert_eq!(r.status, Status::Solved, "{}", r.detail);
+            assert_eq!(r.sweep_budget, Some(b));
+            assert!(r.makespan.is_some() && r.sim.is_none());
+            let block = r.budget.as_ref().expect("budget block");
+            assert_eq!(block.degraded.len(), 1, "{:?}", block.degraded);
+            assert!(block.degraded[0].starts_with(
+                "certificate degraded to analytic-only: budget exhausted: sim_events"
+            ));
+        }
+        // hard-reject still answers the whole sweep with one line
+        req.budget = spec_with(limits, ExhaustionPolicy::HardReject);
+        let rejected = execute_one(&registry, &req, Instant::now());
+        assert_eq!(rejected.len(), 1);
+        assert_eq!(rejected[0].status, Status::BudgetExhausted);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Every solver pipeline starts from the same derived artifacts of an
 //! [`ArcInstance`]: the two-tuple expansion `D''` (§3.1, consumed by
-//! every LP-based solver), the series-parallel decomposition tree
-//! (§3.4), and a topological order. A [`PreparedInstance`] computes each
-//! of them **once**, lazily, behind [`OnceLock`]s, so any number of
-//! solvers — on any number of executor threads — share one copy.
+//! every LP-based solver) and the series-parallel decomposition tree
+//! (§3.4). A [`PreparedInstance`] computes each of them **once**,
+//! lazily, behind [`OnceLock`]s, so any number of solvers — on any
+//! number of executor threads — share one copy.
 //!
 //! [`PrepCache`] deduplicates `PreparedInstance`s across *requests*: a
 //! batch that asks five solvers three budgets each about one instance
@@ -15,7 +15,6 @@ use crate::lru::Lru;
 use rtt_core::transform::expand_two_tuples;
 use rtt_core::{ArcInstance, CanonicalForm, MakespanLp, TwoTupleInstance};
 use rtt_dag::sp::{decompose, SpTree};
-use rtt_dag::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -25,7 +24,6 @@ pub struct PreparedInstance {
     arc: ArcInstance,
     tt: OnceLock<TwoTupleInstance>,
     sp: OnceLock<Option<SpTree>>,
-    topo: OnceLock<Vec<NodeId>>,
     canonical: OnceLock<CanonicalForm>,
     lp_template: Mutex<Option<MakespanLp>>,
     /// Times a component accessor found its artifact already computed.
@@ -41,7 +39,6 @@ impl PreparedInstance {
             arc,
             tt: OnceLock::new(),
             sp: OnceLock::new(),
-            topo: OnceLock::new(),
             canonical: OnceLock::new(),
             lp_template: Mutex::new(None),
             reuses: AtomicU64::new(0),
@@ -78,14 +75,6 @@ impl PreparedInstance {
             decompose(self.arc.dag(), self.arc.source(), self.arc.sink())
         })
         .as_ref()
-    }
-
-    /// A topological order of the instance DAG, computed on first use.
-    pub fn topo(&self) -> &[NodeId] {
-        self.track(&self.topo, || {
-            rtt_dag::topo_order(self.arc.dag()).expect("instances are acyclic")
-        })
-        .as_slice()
     }
 
     /// The instance's canonical form ([`rtt_core::canonical_form`]):
@@ -322,9 +311,8 @@ mod tests {
         let m2 = prep.tt().dag.edge_count();
         assert_eq!(m1, m2);
         assert!(prep.sp_tree().is_some());
-        assert_eq!(prep.topo().len(), 2);
         let (reuses, computes) = prep.prep_counters();
-        assert_eq!(computes, 3, "tt, sp, topo each computed once");
+        assert_eq!(computes, 2, "tt, sp each computed once");
         assert_eq!(reuses, 1, "second tt() call reused");
     }
 
@@ -370,7 +358,8 @@ mod tests {
         assert_eq!(stats.artifact_computes, 1, "snapshotted from evicted entry");
         assert_eq!(stats.artifact_reuses, 1);
         // the evicted Arc stays valid for its holder
-        assert_eq!(a.topo().len(), 2);
+        let fresh = expand_two_tuples(a.arc());
+        assert_eq!(a.tt().dag.edge_count(), fresh.dag.edge_count());
     }
 
     #[test]

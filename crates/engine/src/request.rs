@@ -250,7 +250,9 @@ pub struct SolveReport {
     /// Budget consumed/declared/flagged, present exactly when the
     /// request declared a [`crate::budget::BudgetSpec`]. Counter
     /// dimensions are deterministic, so this block is part of the
-    /// byte-stable wire format.
+    /// byte-stable wire format. Until the executor completes it, it
+    /// holds only the degradation notes recorded while the report was
+    /// made.
     pub budget: Option<crate::budget::BudgetReport>,
     /// When the degrade policy fell back, the registry name of the
     /// solver that originally exhausted (the report's `solver` is the

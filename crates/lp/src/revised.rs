@@ -1357,8 +1357,7 @@ pub fn solve(p: &Problem, rule: PivotRule) -> Outcome {
 
 /// [`solve`] under a cooperative budget meter: every pivot or bound
 /// flip charges one `lp_pivots` unit, and a tripped budget (or
-/// deadline / cancellation) returns [`Outcome::Exhausted`] instead of
-/// looping on.
+/// deadline) returns [`Outcome::Exhausted`] instead of looping on.
 pub fn solve_metered(p: &Problem, rule: PivotRule, meter: Option<&BudgetMeter>) -> Outcome {
     solve_warm(p, rule, None, meter).0
 }

@@ -89,8 +89,8 @@ pub enum Outcome {
     Infeasible,
     /// The objective is unbounded below over the feasible region.
     Unbounded,
-    /// A cooperative budget check tripped mid-solve (pivot cap,
-    /// deadline, or cancellation — see [`rtt_budget::BudgetMeter`]).
+    /// A cooperative budget check tripped mid-solve (pivot cap or
+    /// deadline — see [`rtt_budget::BudgetMeter`]).
     /// Only the metered entry points can return this; the engine, not
     /// this crate, decides what to do about it.
     Exhausted(Exhausted),
@@ -260,7 +260,7 @@ impl Tableau {
 
     /// Runs the simplex loop on the current (feasible) tableau.
     /// Returns `Ok(false)` on unboundedness; `Err` when the meter's
-    /// pivot budget (or deadline/cancellation) trips — one charge per
+    /// pivot budget (or deadline) trips — one charge per
     /// pivot, checked before the pivot is applied.
     fn optimize(
         &mut self,

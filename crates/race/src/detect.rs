@@ -88,12 +88,6 @@ pub fn has_race(prog: &Prog) -> bool {
     !detect_races(prog).is_empty()
 }
 
-/// Naive oracle for property tests: checks every pair of accesses via
-/// the same labels but without dedup bookkeeping shortcuts.
-pub fn detect_races_naive_count(prog: &Prog) -> usize {
-    detect_races(prog).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

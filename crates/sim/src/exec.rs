@@ -1,8 +1,9 @@
-//! Update-granular execution of a race DAG with `P` processors — the
-//! thin DAG-facing front end of the [`crate::model`] core.
+//! What a run of the execution model returns ([`SimResult`]) and the
+//! processor count standing for "unbounded" ([`UNBOUNDED`]). Runs
+//! themselves go through [`crate::model::ExecModel::run`], the one
+//! processor dispatch; the tests here drive race DAGs and explicit
+//! work vectors through it.
 
-use crate::model::ExecModel;
-use rtt_dag::Dag;
 use rtt_duration::Time;
 
 /// Processor count standing for "unbounded".
@@ -21,78 +22,10 @@ pub struct SimResult {
     pub peak_parallelism: usize,
 }
 
-/// Simulates the §1 execution model.
-///
-/// Each node is a memory cell that must apply one update per incoming
-/// edge; an update becomes *available* once its source cell is complete
-/// (sources with in-degree 0 are complete at tick 0). At most
-/// `processors` cells each apply one available update per tick (the
-/// per-cell lock serializes, so a cell applies at most one update per
-/// tick); under contention, cells are prioritized by remaining work
-/// (most-loaded first) — a greedy list schedule.
-///
-/// With unbounded processors the result is Observation 1.1's refinement:
-/// `finish ≤ makespan(D)` (equality on chains, strict when staggered
-/// updates pipeline) — and the run is served by the event-heap engine
-/// ([`ExecModel::run_event`]), whose cost scales with the DAG's nodes
-/// and edges instead of its makespan.
-pub fn simulate<N, E>(g: &Dag<N, E>, processors: usize) -> SimResult {
-    assert!(processors > 0, "need at least one processor");
-    let model = ExecModel::race_dag(g);
-    if processors == UNBOUNDED {
-        model.run_event()
-    } else {
-        model.run_ticks(processors)
-    }
-}
-
-/// [`simulate`] generalized to an explicit per-node work vector — the
-/// model the reducer-expanded DAGs of `rtt_duration::expand` (and the
-/// engine's simulation certificates) execute under, where a sibling
-/// merge costs *one* update despite its two incoming edges.
-///
-/// The release rule per node is the [`ExecModel`] contract:
-///
-/// * `works[v] == d_in(v)` (the §1 race-DAG convention): each
-///   predecessor completion releases one update — staggered updates
-///   pipeline, exactly as in [`simulate`];
-/// * `works[v] != d_in(v)`: all `works[v]` updates release only once
-///   **every** predecessor has completed (the conservative gate; this is
-///   how a sibling merge waits for both children, and how a serialized
-///   cell of explicit work `t` waits for its precedences).
-///
-/// Zero-work nodes complete the instant their last predecessor does.
-/// Under both rules a node still applies at most one update per tick
-/// behind its cell lock, so Observation 1.1 survives the
-/// generalization: with unbounded processors,
-/// `finish ≤ longest path of works` (induction: once `v`'s last
-/// predecessor finishes, at most `works[v]` of its updates remain).
-///
-/// Unbounded runs dispatch to the event-heap engine; bounded ones to
-/// the tick loop (the per-tick most-loaded-first choice is inherently
-/// tick-granular). The two engines agree exactly where both apply —
-/// see [`simulate_works_ticks`] and the differential proptests.
-pub fn simulate_works<N, E>(g: &Dag<N, E>, works: &[Time], processors: usize) -> SimResult {
-    assert!(processors > 0, "need at least one processor");
-    let model = ExecModel::from_works(g, works);
-    if processors == UNBOUNDED {
-        model.run_event()
-    } else {
-        model.run_ticks(processors)
-    }
-}
-
-/// [`simulate_works`] forced onto the tick-loop baseline engine
-/// (Θ(makespan · nodes)) regardless of the processor count. Public
-/// because the differential proptests compare the event engine against
-/// it on unbounded runs.
-pub fn simulate_works_ticks<N, E>(g: &Dag<N, E>, works: &[Time], processors: usize) -> SimResult {
-    ExecModel::from_works(g, works).run_ticks(processors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ExecModel;
     use rtt_dag::{Dag, NodeId};
 
     /// The Figure 4 DAG.
@@ -124,7 +57,7 @@ mod tests {
         g.add_parallel_edges(b, c, (), 2).unwrap();
         // wait: parallel edges a->b only become available when a is
         // complete; b applies them serially: 4 ticks; then c: 2. total 6.
-        let r = simulate(&g, UNBOUNDED);
+        let r = ExecModel::race_dag(&g).run(UNBOUNDED);
         assert_eq!(r.finish, 6);
         assert_eq!(r.updates_applied, 6);
     }
@@ -136,7 +69,7 @@ mod tests {
             .unwrap()
             .weight;
         assert_eq!(makespan, 11);
-        let r = simulate(&g, UNBOUNDED);
+        let r = ExecModel::race_dag(&g).run(UNBOUNDED);
         assert!(
             r.finish <= makespan,
             "Observation 1.1: {} <= {makespan}",
@@ -150,14 +83,14 @@ mod tests {
         // updated — the event-level execution pipelines and finishes
         // before the conservative makespan bound of 11.
         let g = figure4();
-        let r = simulate(&g, UNBOUNDED);
+        let r = ExecModel::race_dag(&g).run(UNBOUNDED);
         assert!(r.finish < 11, "pipelining should beat 11, got {}", r.finish);
     }
 
     #[test]
     fn single_processor_serializes_everything() {
         let g = figure4();
-        let r = simulate(&g, 1);
+        let r = ExecModel::race_dag(&g).run(1);
         // 10 edges = 10 updates, fully serialized (plus idle ticks are
         // impossible: some update is always available).
         assert_eq!(r.finish, g.edge_count() as u64);
@@ -169,7 +102,7 @@ mod tests {
         let g = figure4();
         let mut prev = u64::MAX;
         for p in [1usize, 2, 3, 4, 8] {
-            let r = simulate(&g, p);
+            let r = ExecModel::race_dag(&g).run(p);
             assert!(r.finish <= prev, "p={p}: {} > {prev}", r.finish);
             prev = r.finish;
         }
@@ -180,9 +113,9 @@ mod tests {
         // T_P <= W/P + span for greedy scheduling (Brent/Graham).
         let g = figure4();
         let work = g.edge_count() as u64;
-        let span = simulate(&g, UNBOUNDED).finish;
+        let span = ExecModel::race_dag(&g).run(UNBOUNDED).finish;
         for p in [1usize, 2, 3] {
-            let tp = simulate(&g, p).finish;
+            let tp = ExecModel::race_dag(&g).run(p).finish;
             assert!(
                 tp <= work / p as u64 + span + 1,
                 "p={p}: {tp} > {}",
@@ -200,7 +133,7 @@ mod tests {
             let s = g.add_node(());
             g.add_edge(s, hub, ()).unwrap();
         }
-        let r = simulate(&g, UNBOUNDED);
+        let r = ExecModel::race_dag(&g).run(UNBOUNDED);
         assert_eq!(r.finish, 16, "per-cell lock serializes all updates");
         assert_eq!(r.peak_parallelism, 1);
     }
@@ -218,7 +151,7 @@ mod tests {
         g.add_edge(a, m, ()).unwrap();
         g.add_edge(b, m, ()).unwrap();
         g.add_edge(m, t, ()).unwrap();
-        let r = simulate_works(&g, &[3, 1, 1, 0], UNBOUNDED);
+        let r = ExecModel::from_works(&g, &[3, 1, 1, 0]).run(UNBOUNDED);
         // a finishes at 3, b at 1; merge applies its one update at 4;
         // the zero-work sink completes the same tick.
         assert_eq!(r.node_finish[m.index()], 4);
@@ -237,26 +170,27 @@ mod tests {
         g.add_edge(a, j1, ()).unwrap();
         g.add_edge(j1, j2, ()).unwrap();
         g.add_edge(j2, c, ()).unwrap();
-        let r = simulate_works(&g, &[2, 0, 0, 1], UNBOUNDED);
+        let r = ExecModel::from_works(&g, &[2, 0, 0, 1]).run(UNBOUNDED);
         assert_eq!(r.node_finish[j2.index()], 2);
         assert_eq!(r.finish, 3);
     }
 
     #[test]
     fn works_matches_in_degree_semantics_when_equal() {
-        // works == in-degrees must be byte-identical to `simulate`.
+        // works == in-degrees must be byte-identical to the race-DAG model.
         let g = figure4();
         let works: Vec<Time> = (0..g.node_count())
             .map(|i| g.in_degree(NodeId(i as u32)) as Time)
             .collect();
+        let (explicit, race) = (ExecModel::from_works(&g, &works), ExecModel::race_dag(&g));
         for p in [1usize, 2, 3, UNBOUNDED] {
-            assert_eq!(simulate_works(&g, &works, p), simulate(&g, p));
+            assert_eq!(explicit.run(p), race.run(p));
         }
     }
 
     #[test]
     fn event_engine_matches_tick_baseline_on_unbounded_runs() {
-        // the dispatch seam itself: simulate_works (event for ∞) versus
+        // the dispatch seam itself: run (event for ∞) versus
         // the forced tick baseline, on a shape mixing all release rules
         let mut g: Dag<(), ()> = Dag::new();
         let s = g.add_node(());
@@ -267,11 +201,8 @@ mod tests {
         g.add_edge(s, b, ()).unwrap();
         g.add_edge(a, z, ()).unwrap();
         g.add_edge(b, z, ()).unwrap();
-        let works: Vec<Time> = vec![0, 3, 5, 2];
-        assert_eq!(
-            simulate_works(&g, &works, UNBOUNDED),
-            simulate_works_ticks(&g, &works, UNBOUNDED)
-        );
+        let m = ExecModel::from_works(&g, &[0, 3, 5, 2]);
+        assert_eq!(m.run(UNBOUNDED), m.run_ticks(UNBOUNDED));
     }
 
     #[test]
@@ -282,7 +213,7 @@ mod tests {
         let a = g.add_node(());
         let c = g.add_node(());
         g.add_edge(a, c, ()).unwrap();
-        let r = simulate_works(&g, &[1, 5], UNBOUNDED);
+        let r = ExecModel::from_works(&g, &[1, 5]).run(UNBOUNDED);
         assert_eq!(r.finish, 6);
         assert_eq!(r.updates_applied, 6);
     }
@@ -296,10 +227,10 @@ mod tests {
             let c = g.add_node(());
             g.add_edge(s, c, ()).unwrap();
         }
-        let r = simulate(&g, UNBOUNDED);
+        let r = ExecModel::race_dag(&g).run(UNBOUNDED);
         assert_eq!(r.finish, 1);
         assert_eq!(r.peak_parallelism, 8);
         // with 4 processors it takes 2 ticks
-        assert_eq!(simulate(&g, 4).finish, 2);
+        assert_eq!(ExecModel::race_dag(&g).run(4).finish, 2);
     }
 }

@@ -23,16 +23,19 @@
 //!   differential proptests also pin it equal to the event engine on
 //!   unbounded runs).
 //!
-//! The front ends are thin views of that core:
+//! [`model::ExecModel::run`] is the one processor dispatch between
+//! them: [`exec::UNBOUNDED`] takes the event engine, any other count
+//! the tick loop. Callers build the model they need and run it:
 //!
-//! * [`exec::simulate`] / [`exec::simulate_works`] — update-granular
-//!   simulation of a (work-annotated) DAG with `P` processors (use
-//!   [`exec::UNBOUNDED`] for ∞), reproducing and *refining*
-//!   Observation 1.1 (staggered updates can pipeline, so the simulated
-//!   time can beat the makespan bound);
-//! * [`reducer_sim`] — replay of the Figure 2 binary reducer
-//!   ([`model::ExecModel::reducer`]), validating `⌈n/2^h⌉ + h + 1` and
-//!   its degradation when fewer than `2^h` processors are available;
+//! * [`model::ExecModel::race_dag`] — the §1 race DAG (every cell's
+//!   work is its in-degree); with unbounded processors the run
+//!   reproduces and *refines* Observation 1.1 (staggered updates can
+//!   pipeline, so the simulated time can beat the makespan bound);
+//! * [`model::ExecModel::from_works`] — a DAG under an explicit work
+//!   vector, such as a reducer-expanded solution the engine certifies;
+//! * [`model::ExecModel::reducer`] — the Figure 2 binary reducer,
+//!   validating `⌈n/2^h⌉ + h + 1` and its degradation when fewer than
+//!   `2^h` processors are available;
 //! * [`parallel_mm`] — the Parallel-MM motivating workload (Figure 3):
 //!   the race DAG of the `Z[i][j] += X[i][k]·Y[k][j]` inner loop, the
 //!   `Θ(n/2^h + h)` per-cell tradeoff, and budget sweeps with both the
@@ -44,7 +47,6 @@
 pub mod exec;
 pub mod model;
 pub mod parallel_mm;
-pub mod reducer_sim;
 
-pub use exec::{simulate, simulate_works, simulate_works_ticks, SimResult, UNBOUNDED};
+pub use exec::{SimResult, UNBOUNDED};
 pub use model::ExecModel;

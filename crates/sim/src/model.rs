@@ -1,13 +1,16 @@
-//! The unified execution model ([`ExecModel`]) and its two engines —
-//! the binary-heap **event simulator** ([`ExecModel::run_event`]) and
-//! the tick-loop baseline ([`ExecModel::run_ticks`]).
+//! The unified execution model ([`ExecModel`]), its two engines — the
+//! binary-heap **event simulator** ([`ExecModel::run_event`]) and the
+//! tick-loop baseline ([`ExecModel::run_ticks`]) — and the one
+//! processor dispatch between them, [`ExecModel::run`].
 //!
-//! Every simulator in this crate — the race-DAG executor of
-//! [`crate::exec`], the Figure 2 reducer replay of
-//! [`crate::reducer_sim`], and the engine's Observation 1.1
-//! certification of reducer-expanded solutions — runs the same physical
-//! model: memory cells applying updates one per tick behind their
-//! locks. This module is that model's single implementation.
+//! Every simulation in the workspace — race DAGs
+//! ([`ExecModel::race_dag`]), the Figure 2 reducer replay
+//! ([`ExecModel::reducer`]), the Parallel-MM expansion of
+//! [`crate::parallel_mm`], and the engine's Observation 1.1
+//! certification of reducer-expanded solutions
+//! ([`ExecModel::from_works`]) — runs the same physical model: memory
+//! cells applying updates one per tick behind their locks. This module
+//! is that model's single implementation.
 //!
 //! # The `ExecModel` contract
 //!
@@ -38,9 +41,10 @@
 //! baseline and as the only engine for *bounded* processor counts,
 //! whose greedy most-loaded-first policy is decided tick by tick.
 
-use crate::exec::SimResult;
+use crate::exec::{SimResult, UNBOUNDED};
 use rtt_budget::{BudgetMeter, Exhausted};
 use rtt_dag::{Dag, NodeId};
+use rtt_duration::expand::{add_reducer_cells, ReducerVariant};
 use rtt_duration::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,11 +107,13 @@ impl ExecModel {
     }
 
     /// The Figure 2 sibling reducer applying `n` updates at height
-    /// `height`: `2^h` leaf cells splitting the load (ceiling split),
-    /// `h` levels of one-update sibling merges gated on both children,
-    /// and the final root update of the shared variable. Height 0 is
-    /// the plain lock-serialized cell. Completion with unbounded
-    /// processors is `⌈n/2^h⌉ + h + 1` (§1, Eq. 3).
+    /// `height` ([`add_reducer_cells`]): `2^h` leaf cells splitting the
+    /// load (ceiling split), `h` levels of one-update sibling merges
+    /// gated on both children, and the final root update of the shared
+    /// variable. Height 0 is the plain lock-serialized cell. Completion
+    /// with at least `2^h` processors is
+    /// [`reducer_time`](rtt_duration::expand::reducer_time)
+    /// `⌈n/2^h⌉ + h + 1` (§1, Eq. 3); fewer processors degrade it.
     pub fn reducer(n: u64, height: u32) -> Self {
         let mut g: Dag<(), ()> = Dag::new();
         let mut works: Vec<Time> = Vec::new();
@@ -116,29 +122,13 @@ impl ExecModel {
             works.push(n);
             return Self::from_works(&g, &works);
         }
-        let leaves = 1u64 << height;
-        let mut level: Vec<NodeId> = (0..leaves)
-            .map(|i| {
-                let v = g.add_node(());
-                works.push(n / leaves + u64::from(i < n % leaves));
-                v
-            })
-            .collect();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len() / 2);
-            for pair in level.chunks(2) {
-                let m = g.add_node(());
-                works.push(1);
-                for &c in pair {
-                    g.add_edge(c, m, ()).expect("fresh nodes");
-                }
-                next.push(m);
-            }
-            level = next;
-        }
+        let cells = add_reducer_cells(&mut g, n, height, ReducerVariant::Sibling, |_, w| {
+            works.push(w)
+        });
         let root = g.add_node(());
         works.push(1);
-        g.add_edge(level[0], root, ()).expect("fresh nodes");
+        g.add_edge(cells.survivors[0], root, ())
+            .expect("fresh nodes");
         Self::from_works(&g, &works)
     }
 
@@ -159,6 +149,31 @@ impl ExecModel {
     /// event-count bound.
     pub fn event_count(&self) -> u64 {
         self.works.len() as u64 + self.edges
+    }
+
+    /// Executes the model with `processors` processors ([`UNBOUNDED`]
+    /// for ∞) — the one processor dispatch. Unbounded runs take the
+    /// event engine ([`Self::run_event`]), whose cost scales with the
+    /// cells and arcs instead of the makespan; bounded runs take the
+    /// tick loop ([`Self::run_ticks`]), whose most-loaded-first choice
+    /// is made tick by tick. The two agree exactly where both apply
+    /// (see the module docs).
+    ///
+    /// Under every release rule a cell still applies at most one update
+    /// per tick behind its lock, so Observation 1.1 holds for explicit
+    /// works too: with unbounded processors, `finish ≤` the longest path
+    /// of works (induction: once a cell's last predecessor finishes, at
+    /// most `works[v]` of its updates remain). On the race-DAG model it
+    /// is tight on chains and strict when staggered updates pipeline.
+    ///
+    /// # Panics
+    /// If `processors == 0`, or the model is cyclic ("stalled").
+    pub fn run(&self, processors: usize) -> SimResult {
+        if processors == UNBOUNDED {
+            self.run_event()
+        } else {
+            self.run_ticks(processors)
+        }
     }
 
     /// Executes the model with **unbounded processors** on the
@@ -399,11 +414,12 @@ impl ExecModel {
     }
 
     /// Executes the model tick by tick with `processors` processors
-    /// (use [`crate::exec::UNBOUNDED`] for ∞): each tick, the at most
+    /// (use [`UNBOUNDED`] for ∞): each tick, the at most
     /// `processors` cells with the most remaining work (ties by id)
     /// each apply one released update. Θ(T·V) — the measurable baseline
-    /// the event engine is benchmarked against (`BENCH_pr5.json`), and the
-    /// reference semantics for bounded processor counts.
+    /// the event engine is benchmarked against (`BENCH_pr5.json`), the
+    /// oracle the differential tests hold it to on unbounded runs, and
+    /// the reference semantics for bounded processor counts.
     ///
     /// # Panics
     /// If `processors == 0`, or the model is cyclic ("stalled").
@@ -522,7 +538,6 @@ fn sweep_peak(deltas: &mut [(Time, i32)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::UNBOUNDED;
 
     /// The Figure 4 DAG as a race model.
     fn figure4() -> ExecModel {
@@ -628,6 +643,71 @@ mod tests {
         let m = ExecModel::reducer(100, 0);
         assert_eq!(m.run_event().finish, 100);
         assert_eq!(m.event_count(), 1);
+    }
+
+    /// §1's reducer time, the oracle of the reducer replay tests.
+    fn eq3(n: u64, h: u32) -> Time {
+        rtt_duration::expand::reducer_time(n, h, ReducerVariant::Sibling)
+    }
+
+    #[test]
+    fn update_count_accounts_merges() {
+        // n leaf updates + (2^h - 1) merges + 1 root update
+        let r = ExecModel::reducer(64, 3).run(UNBOUNDED);
+        assert_eq!(r.updates_applied, 64 + 7 + 1);
+    }
+
+    #[test]
+    fn exactly_2h_processors_suffice() {
+        // the §1 claim needs only 2^h processors, not unbounded ones:
+        // the tick engine at p = 2^h must match the event engine at ∞
+        for (n, h) in [(64u64, 3u32), (256, 4), (100, 2)] {
+            let m = ExecModel::reducer(n, h);
+            let full = m.run(1 << h);
+            let unbounded = m.run(UNBOUNDED);
+            assert_eq!(full.finish, unbounded.finish, "n={n} h={h}");
+            assert_eq!(full.finish, eq3(n, h));
+        }
+    }
+
+    #[test]
+    fn fewer_processors_degrade_gracefully() {
+        let n = 256u64;
+        let h = 4u32; // 16 leaves
+        let m = ExecModel::reducer(n, h);
+        let full = m.run(16).finish;
+        let half = m.run(8).finish;
+        let one = m.run(1).finish;
+        assert_eq!(full, eq3(n, h));
+        assert!(half > full, "8 processors must be slower: {half} vs {full}");
+        // work law: with 1 processor it is at least total work
+        assert!(one >= n + 16 + 1 - 1);
+        assert!(half >= n / 8);
+    }
+
+    #[test]
+    fn speedup_nearly_linear_in_space() {
+        // §1: "the speedup achieved by a reducer is almost linear in the
+        // amount of extra space used" for large n.
+        let n = 1 << 16;
+        let t0 = ExecModel::reducer(n, 0).run(UNBOUNDED).finish as f64;
+        for h in [2u32, 4, 6, 8] {
+            let th = ExecModel::reducer(n, h).run(UNBOUNDED).finish as f64;
+            let speedup = t0 / th;
+            let space = (1u64 << h) as f64;
+            assert!(
+                speedup > 0.8 * space && speedup <= space,
+                "h={h}: speedup {speedup:.1} vs space {space}"
+            );
+        }
+    }
+
+    #[test]
+    fn uneven_split_uses_ceiling() {
+        // n=5, h=1: leaves get 3 and 2: finish = 3 + 1 + 1.
+        let r = ExecModel::reducer(5, 1).run(UNBOUNDED);
+        assert_eq!(r.finish, 5);
+        assert_eq!(eq3(5, 1), 5);
     }
 
     #[test]

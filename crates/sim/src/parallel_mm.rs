@@ -139,7 +139,7 @@ pub fn tradeoff_curve(n: usize, h_max: u32) -> Vec<MmCurvePoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{simulate, UNBOUNDED};
+    use crate::exec::UNBOUNDED;
 
     #[test]
     fn race_dag_shape() {
@@ -158,7 +158,7 @@ mod tests {
         for n in [2usize, 4, 8] {
             assert_eq!(measured_time(n, 0), 1 + n as u64);
             let mm = race_dag(n);
-            let sim = simulate(&mm.dag, UNBOUNDED);
+            let sim = ExecModel::race_dag(&mm.dag).run(UNBOUNDED);
             assert_eq!(sim.finish, 1 + n as u64);
         }
     }

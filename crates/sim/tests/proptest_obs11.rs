@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtt_dag::{gen, Dag};
-use rtt_sim::{simulate, simulate_works, simulate_works_ticks, ExecModel, UNBOUNDED};
+use rtt_sim::{ExecModel, UNBOUNDED};
 
 /// Random two-terminal SP DAG whose edges are multiplied into parallel
 /// update bundles — the §1 race-DAG shape, guaranteed series-parallel.
@@ -43,7 +43,7 @@ proptest! {
     ) {
         let g = sp_race_dag(seed, leaves, max_copies);
         let bound = makespan_bound(&g);
-        let r = simulate(&g, UNBOUNDED);
+        let r = ExecModel::race_dag(&g).run(UNBOUNDED);
         prop_assert!(
             r.finish <= bound,
             "Observation 1.1: simulated {} > makespan {bound}",
@@ -61,13 +61,14 @@ proptest! {
         let g = sp_race_dag(seed, leaves, 4);
         let bound = makespan_bound(&g);
         let work = g.edge_count() as u64;
-        let r = simulate(&g, processors);
+        let model = ExecModel::race_dag(&g);
+        let r = model.run(processors);
         // work law + the unbounded bound both upper-bound greedy lists
         prop_assert!(r.finish <= work + bound);
         prop_assert!(r.finish >= work.div_ceil(processors as u64));
         prop_assert!(r.peak_parallelism <= processors);
         // adding processors never hurts, down to the unbounded finish
-        prop_assert!(simulate(&g, UNBOUNDED).finish <= r.finish);
+        prop_assert!(model.run(UNBOUNDED).finish <= r.finish);
     }
 
     /// Differential: the event-heap engine must be **bit-identical** to
@@ -85,9 +86,8 @@ proptest! {
             .node_ids()
             .map(|v| g.in_degree(v) as u64)
             .collect();
-        let event = simulate_works(&g, &works, UNBOUNDED);
-        let ticks = simulate_works_ticks(&g, &works, UNBOUNDED);
-        prop_assert_eq!(event, ticks);
+        let model = ExecModel::from_works(&g, &works);
+        prop_assert_eq!(model.run(UNBOUNDED), model.run_ticks(UNBOUNDED));
     }
 
     /// Differential with *mixed release rules*: random per-node works
@@ -109,9 +109,8 @@ proptest! {
                 _ => rng.random_range(1..=9u64),   // gated bundle
             })
             .collect();
-        let event = simulate_works(&g, &works, UNBOUNDED);
-        let ticks = simulate_works_ticks(&g, &works, UNBOUNDED);
-        prop_assert_eq!(event, ticks);
+        let model = ExecModel::from_works(&g, &works);
+        prop_assert_eq!(model.run(UNBOUNDED), model.run_ticks(UNBOUNDED));
     }
 
     /// Differential on the Figure 2 reducer gadget itself — the shape
@@ -152,7 +151,7 @@ fn pinned_staggered_updates_pipeline_below_the_bound() {
 
     // simulation: b completes at tick 1 and t starts draining b's three
     // updates at tick 2, overlapping a2's work — strictly below 8
-    let r = simulate(&g, UNBOUNDED);
+    let r = ExecModel::race_dag(&g).run(UNBOUNDED);
     assert_eq!(r.finish, 7, "pipelined execution beats the bound");
     assert!(r.finish < bound);
 }
@@ -167,7 +166,7 @@ fn pinned_chain_is_tight() {
     let c = g.add_node(());
     g.add_parallel_edges(a, b, (), 5).unwrap();
     g.add_parallel_edges(b, c, (), 3).unwrap();
-    let r = simulate(&g, UNBOUNDED);
+    let r = ExecModel::race_dag(&g).run(UNBOUNDED);
     assert_eq!(r.finish, makespan_bound(&g));
     assert_eq!(r.finish, 8);
 }

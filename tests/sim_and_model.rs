@@ -7,7 +7,7 @@ use resource_time_tradeoff::dag::gen;
 use resource_time_tradeoff::duration::expand::{expand_reducers, ReducerVariant};
 use resource_time_tradeoff::duration::Duration;
 use resource_time_tradeoff::race::{detect_races, extract_race_dag, mm, Prog};
-use resource_time_tradeoff::sim::{simulate, UNBOUNDED};
+use resource_time_tradeoff::sim::{ExecModel, UNBOUNDED};
 
 #[test]
 fn observation_1_1_on_random_dags() {
@@ -19,7 +19,7 @@ fn observation_1_1_on_random_dags() {
         })
         .unwrap()
         .weight;
-        let sim = simulate(&tt.dag, UNBOUNDED);
+        let sim = ExecModel::race_dag(&tt.dag).run(UNBOUNDED);
         assert!(
             sim.finish <= makespan,
             "Observation 1.1: simulated {} > makespan {}",
@@ -35,9 +35,10 @@ fn brent_bound_on_random_dags() {
     for _ in 0..10 {
         let tt = gen::random_race_dag(&mut rng, 10, 12);
         let work = tt.dag.edge_count() as u64;
-        let span = simulate(&tt.dag, UNBOUNDED).finish;
+        let model = ExecModel::race_dag(&tt.dag);
+        let span = model.run(UNBOUNDED).finish;
         for p in [1usize, 2, 4] {
-            let tp = simulate(&tt.dag, p).finish;
+            let tp = model.run(p).finish;
             assert!(
                 tp <= work.div_ceil(p as u64) + span,
                 "greedy bound: T_{p} = {tp} > W/p + span = {}",
@@ -126,11 +127,11 @@ fn mm_extraction_feeds_the_solvers() {
 
 #[test]
 fn reducer_sim_consistent_with_expansion_makespan() {
-    // the tick-level reducer simulation and the expanded-DAG longest
-    // path must agree for every (n, h)
+    // the reducer replay and the expanded-DAG longest path must agree
+    // for every (n, h)
     for n in [16u64, 100, 1000] {
         for h in 1..=4u32 {
-            let sim = resource_time_tradeoff::sim::reducer_sim::simulate_reducer(n, h, usize::MAX);
+            let sim = ExecModel::reducer(n, h).run(UNBOUNDED);
             let mut g: resource_time_tradeoff::dag::Dag<(), ()> =
                 resource_time_tradeoff::dag::Dag::new();
             let hub = g.add_node(());
