@@ -1,4 +1,4 @@
-//! Seeded fixtures shared by the counter envelopes
+//! Seeded fixtures shared by the exact counter pins
 //! (`tests/perf_guard.rs`) and the bit-exact LP oracle
 //! (`tests/lp_digest.rs`). Each is a pure function of its arguments, so
 //! the pinned counters are exact functions of these constructions. The
@@ -112,7 +112,7 @@ pub fn fanout_star_model(fanout: usize) -> ExecModel {
 
 /// The summed per-point `work` of the wire sweep on
 /// `race_instance(16, 16)` over the 0..16 grid — the warm-sweep
-/// envelope's exact grid, so the two counters are comparable
+/// pin's exact grid, so the two counters are comparable
 /// (deterministic — a pure function of the request).
 pub fn pinned_chain_pivots() -> u64 {
     let registry = Registry::standard();

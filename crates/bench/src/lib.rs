@@ -2,8 +2,8 @@
 //!
 //! One function per table/figure of the paper; each returns the rows it
 //! printed so tests can assert on them. The `repro` binary dispatches to
-//! these. [`fixtures`] holds the seeded instances the counter envelopes
-//! and the LP oracle pin. The one benchmark is the separate `perfbench/`
+//! these. [`fixtures`] holds the seeded instances the exact counter
+//! pins and the LP oracle use. The one benchmark is the separate `perfbench/`
 //! workspace.
 
 #![forbid(unsafe_code)]

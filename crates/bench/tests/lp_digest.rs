@@ -35,8 +35,8 @@ use rtt_bench::fixtures::{perturb_durations, race_instance, sp_instance};
 use rtt_core::lp_build::{solve_min_resource_lp, FractionalSolution, LpError, MakespanLp};
 use rtt_core::regimes::solve_noreuse_lp;
 use rtt_core::{expand_two_tuples, ArcInstance};
-use rtt_lp::revised::{crash_basis, solve_rhs_sweep, CrashVar};
-use rtt_lp::{Basis, Cmp, Engine, LpStats, Outcome, PivotRule, Problem, Solution};
+use rtt_lp::revised::{crash_basis, solve_rhs_sweep, solve_warm, CrashVar};
+use rtt_lp::{Basis, Cmp, Engine, LpStats, Outcome, Problem, Solution};
 
 /// The digest measured on the commit that introduced this test.
 const LP_DIGEST: u64 = 0x07d4_8d55_59b9_ff71;
@@ -169,15 +169,15 @@ fn pipeline_digest(fnv: &mut Fnv) -> usize {
         let stt = expand_two_tuples(&sibling);
         let mut slp = MakespanLp::new(&stt);
         lp.set_budget(8);
-        let donor = lp.solve_warm(&tt, None);
+        let donor = lp.solve_warm(&tt, None, None);
         let offered = donor.as_ref().ok().and_then(|(_, b)| b.clone());
         fnv.fractional(&donor.map(|(f, _)| f));
         slp.set_budget(8);
-        let delta = slp.solve_warm(&stt, offered.as_ref());
+        let delta = slp.solve_warm(&stt, offered.as_ref(), None);
         let next = delta.as_ref().ok().and_then(|(_, b)| b.clone());
         fnv.fractional(&delta.map(|(f, _)| f));
         slp.set_budget(9);
-        fnv.fractional(&slp.solve_warm(&stt, next.as_ref()).map(|(f, _)| f));
+        fnv.fractional(&slp.solve_warm(&stt, next.as_ref(), None).map(|(f, _)| f));
         solves += 3;
 
         // the no-reuse LP: cold two-phase, phase 1 heavy
@@ -248,13 +248,13 @@ fn random_digest(fnv: &mut Fnv) -> usize {
         let n = rng.random_range(2..14usize);
         let rows = rng.random_range(1..12usize);
         let mut p = random_problem(&mut rng, n, rows);
-        let (out, basis) = p.solve_revised_warm(None);
+        let (out, basis) = solve_warm(&p, None, None);
         fnv.outcome(&out);
         solves += 1;
         // a warm re-solve after an RHS change on a random row
         let row = rng.random_range(0..rows);
         p.set_rhs(row, rng.random_range(0..10i32) as f64);
-        let (out, _) = p.solve_revised_warm(basis.as_ref());
+        let (out, _) = solve_warm(&p, basis.as_ref(), None);
         fnv.outcome(&out);
         solves += 1;
     }
@@ -263,7 +263,7 @@ fn random_digest(fnv: &mut Fnv) -> usize {
         let p = budget_shaped(&mut rng, n_jobs);
         let rhs: Vec<f64> = (0..8).map(|_| rng.random_range(0..14i32) as f64).collect();
         let (outs, basis): (Vec<Outcome>, Option<Basis>) =
-            solve_rhs_sweep(&p, n_jobs, &rhs, PivotRule::Dantzig, None, None);
+            solve_rhs_sweep(&p, n_jobs, &rhs, None, None);
         for o in &outs {
             fnv.outcome(o);
         }
@@ -291,7 +291,7 @@ fn random_digest(fnv: &mut Fnv) -> usize {
             })
             .collect();
         let crash = crash_basis(&p, &choice);
-        let (out, _) = p.solve_revised_warm(Some(&crash));
+        let (out, _) = solve_warm(&p, Some(&crash), None);
         fnv.outcome(&out);
         solves += 1;
     }

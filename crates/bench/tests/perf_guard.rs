@@ -1,11 +1,11 @@
 //! Deterministic perf-guard: pins **work counters** (never wall-clock,
 //! so it is stable on shared CI runners) on fixed seeded instances.
 //!
-//! The envelopes are committed bands around the values measured when
-//! the counters were introduced (PR 3). A counter drifting outside its
-//! band means an algorithmic regression (or an intentional change —
-//! re-measure and update the band in the same PR, with the new numbers
-//! in the commit message).
+//! Every counter here is an exact function of the code, so each is
+//! pinned to its exact value. The LP pivot counts reach the batch wire
+//! as `work`: a change that moves one is a wire change, to be
+//! re-measured here together with the goldens and `LP_DIGEST`, with the
+//! new numbers in the change description.
 
 use rtt_bench::fixtures::{race_instance, sp_instance};
 use rtt_core::lp_build::{solve_min_makespan_lp_with, solve_min_makespan_sweep};
@@ -13,14 +13,6 @@ use rtt_core::sp_dp::solve_sp_tree_with_stats;
 use rtt_core::transform::expand_two_tuples;
 use rtt_dag::sp::decompose;
 use rtt_lp::Engine;
-
-/// Asserts `value` lies in `[lo, hi]` with a named label.
-fn within(label: &str, value: u64, lo: u64, hi: u64) {
-    assert!(
-        (lo..=hi).contains(&value),
-        "{label}: {value} outside committed envelope [{lo}, {hi}]"
-    );
-}
 
 #[test]
 fn lp_pivot_counts_stay_in_envelope() {
@@ -37,10 +29,9 @@ fn lp_pivot_counts_stay_in_envelope() {
         "revised solve must be deterministic"
     );
 
-    // measured at commit time: revised 97 (crash-started phase 2 only),
-    // flat 552 (two-phase over bound rows)
-    within("revised pivots", rev.pivots as u64, 30, 300);
-    within("flat pivots", flat.pivots as u64, 300, 1100);
+    // revised: crash-started phase 2 only; flat: two-phase over bound rows
+    assert_eq!(rev.pivots, 97, "revised pivots");
+    assert_eq!(flat.pivots, 552, "flat pivots");
     assert_eq!(
         rev.stats.phase1_pivots, 0,
         "the crash basis must skip phase 1"
@@ -72,8 +63,8 @@ fn warm_sweep_pivots_stay_in_envelope() {
         warm_total * 2 <= cold_total,
         "warm chain {warm_total} vs cold grid {cold_total}"
     );
-    // measured at commit time: 81 chained pivots over the 16-point grid
-    within("warm sweep pivots", warm_total, 20, 300);
+    // chained pivots over the 16-point grid
+    assert_eq!(warm_total, 132, "warm sweep pivots");
 }
 
 #[test]
@@ -82,7 +73,7 @@ fn wire_sweep_pivots_stay_in_envelope() {
     // by one self-contained chained delta session. Its summed per-point
     // `work` on the pinned instance/grid must cost no more than the
     // PR-3 warm-sweep counter it is built on (same chain, behind the
-    // executor), and stay inside the same committed envelope.
+    // executor), and match its pinned count.
     let arc = race_instance(16, 16);
     let tt = expand_two_tuples(&arc);
     let grid: Vec<u64> = (0..16).collect();
@@ -100,9 +91,9 @@ fn wire_sweep_pivots_stay_in_envelope() {
         wire_total <= warm_total,
         "wire sweep {wire_total} pivots exceeds the warm-sweep chain {warm_total}"
     );
-    // measured at commit time: 132 chained pivots (BENCH_pr8.json's
+    // the same chain behind the executor (BENCH_pr8.json's
     // pinned_chain evidence)
-    within("wire sweep pivots", wire_total, 20, 300);
+    assert_eq!(wire_total, 132, "wire sweep pivots");
 }
 
 #[test]
@@ -116,15 +107,14 @@ fn sim_event_counts_stay_in_envelope() {
     assert_eq!(star.event_count(), 12_001, "star: cells + arcs");
 
     // The certify path: the routed solution of the fixed BENCH_pr3.json
-    // instance expands within a pinned event envelope (counters, not
-    // wall-clock — measured 553 events / 85 cells at commit time), far
-    // below the engine's soft guard.
+    // instance expands to an exact event count (85 cells), far below
+    // the engine's soft guard.
     let arc = race_instance(16, 16);
     let sol = rtt_core::solve_bicriteria(&arc, 16, 0.5).unwrap();
     let (g, works) =
         rtt_engine::expand_levels(&arc, &sol.solution.edge_times, &sol.solution.arc_flows);
     let model = rtt_sim::ExecModel::from_works(&g, &works);
-    within("certify expansion events", model.event_count(), 300, 1200);
+    assert_eq!(model.event_count(), 553, "certify expansion events");
     assert!(model.event_count() < rtt_engine::SIM_EVENT_GUARD / 1000);
     // and the engines must agree bit for bit on the expansion
     assert_eq!(model.run_event(), model.run_ticks(rtt_sim::UNBOUNDED));

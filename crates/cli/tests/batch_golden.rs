@@ -127,8 +127,9 @@ const SWEEP_GOLDEN: &str = concat!(
 );
 
 /// The sweep corpus (wire-reachable `budgets` lines: duplicates, a
-/// relabeled twin, mixed plain traffic, and a budgeted sweep that must
-/// bypass the chained path) matches its committed golden byte for byte
+/// relabeled twin, mixed plain traffic, a budgeted sweep that must
+/// bypass the chained path, and a zigzag grid that walks the chain in
+/// both dual directions) matches its committed golden byte for byte
 /// at every thread count, with the reuse cache off and on, and across
 /// a `--cache-save` → `--cache-load` restart. One golden serves every
 /// mode: caches change cost, never bytes. Regenerate with the
@@ -185,7 +186,7 @@ fn sweep_batch_matches_golden_across_cache_modes_and_restarts() {
     assert!(load_err.contains("cache loaded:"), "{load_err}");
     // the loaded tier actually serves: every cacheable request hits
     assert!(
-        load_err.contains("5/5 solution hits"),
+        load_err.contains("6/6 solution hits"),
         "warm restart must serve from the spilled cache: {load_err}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -35,7 +35,7 @@
 use crate::exact::Regime;
 use crate::transform::TwoTupleInstance;
 use rtt_duration::{Resource, Time};
-use rtt_lp::{Engine, Outcome, PivotRule, Problem};
+use rtt_lp::{Engine, Outcome, Problem};
 use std::fmt;
 
 /// Finite stand-in for `∞` durations inside the LP.
@@ -245,7 +245,7 @@ impl LpShape {
         tt: &TwoTupleInstance,
         meter: Option<&rtt_budget::BudgetMeter>,
     ) -> Result<FractionalSolution, LpError> {
-        let out = rtt_lp::revised::solve_metered(&self.problem, PivotRule::Dantzig, meter);
+        let (out, _) = rtt_lp::revised::solve_warm(&self.problem, None, meter);
         self.result(tt, out)
     }
 
@@ -351,7 +351,7 @@ impl MakespanLp {
         engine: Engine,
     ) -> Result<FractionalSolution, LpError> {
         match engine {
-            Engine::Revised => self.solve_warm(tt, None).map(|(f, _)| f),
+            Engine::Revised => self.solve_warm(tt, None, None).map(|(f, _)| f),
             Engine::Flat => self.shape.result(tt, self.shape.problem.solve_with(engine)),
         }
     }
@@ -372,29 +372,16 @@ impl MakespanLp {
     /// warm-starting from `warm` (a basis this template returned
     /// earlier; falls back to the longest-path crash basis when
     /// `None`). Returns the solution plus the basis for the next link.
+    /// A `meter`, when given, is charged one `lp_pivots` unit per pivot,
+    /// and a tripped budget surfaces as [`LpError::Exhausted`].
     pub fn solve_warm(
-        &self,
-        tt: &TwoTupleInstance,
-        warm: Option<&rtt_lp::Basis>,
-    ) -> Result<(FractionalSolution, Option<rtt_lp::Basis>), LpError> {
-        self.solve_warm_metered(tt, warm, None)
-    }
-
-    /// [`MakespanLp::solve_warm`] under a cooperative budget meter: the
-    /// simplex loops charge one `lp_pivots` unit per pivot, and a
-    /// tripped budget surfaces as [`LpError::Exhausted`].
-    pub fn solve_warm_metered(
         &self,
         tt: &TwoTupleInstance,
         warm: Option<&rtt_lp::Basis>,
         meter: Option<&rtt_budget::BudgetMeter>,
     ) -> Result<(FractionalSolution, Option<rtt_lp::Basis>), LpError> {
-        let (out, basis) = rtt_lp::revised::solve_warm(
-            &self.shape.problem,
-            PivotRule::Dantzig,
-            Some(warm.unwrap_or(self.crash(tt))),
-            meter,
-        );
+        let start = warm.unwrap_or(self.crash(tt));
+        let (out, basis) = rtt_lp::revised::solve_warm(&self.shape.problem, Some(start), meter);
         Ok((self.shape.result(tt, out)?, basis))
     }
 
@@ -425,7 +412,7 @@ impl MakespanLp {
     ) -> Result<(Vec<FractionalSolution>, Option<rtt_lp::Basis>), LpError> {
         let Some(row) = self.budget_row else {
             // budget-independent LP: every point is the same solve
-            let (frac, basis) = self.solve_warm_metered(tt, start, meter)?;
+            let (frac, basis) = self.solve_warm(tt, start, meter)?;
             return Ok((vec![frac; budgets.len()], basis));
         };
         let rhs: Vec<f64> = budgets.iter().map(|&b| b as f64).collect();
@@ -433,7 +420,6 @@ impl MakespanLp {
             &self.shape.problem,
             row,
             &rhs,
-            PivotRule::Dantzig,
             Some(start.unwrap_or(self.crash(tt))),
             meter,
         );
@@ -455,7 +441,7 @@ pub fn solve_min_makespan_lp(
 
 /// [`solve_min_makespan_lp`] under an explicit simplex [`Engine`]
 /// (`Engine::Flat` is the dense oracle; `rtt_bench`'s `perf_guard`
-/// envelopes and the unit tests compare the engines through it).
+/// pins and the unit tests compare the engines through it).
 pub fn solve_min_makespan_lp_with(
     tt: &TwoTupleInstance,
     budget: Resource,
@@ -467,7 +453,7 @@ pub fn solve_min_makespan_lp_with(
 }
 
 /// [`solve_min_makespan_lp`] under a cooperative budget meter (see
-/// [`MakespanLp::solve_warm_metered`]).
+/// [`MakespanLp::solve_warm`]).
 pub fn solve_min_makespan_lp_metered(
     tt: &TwoTupleInstance,
     budget: Resource,
@@ -475,7 +461,7 @@ pub fn solve_min_makespan_lp_metered(
 ) -> Result<FractionalSolution, LpError> {
     let mut lp = MakespanLp::new(tt);
     lp.set_budget(budget);
-    lp.solve_warm_metered(tt, None, meter).map(|(f, _)| f)
+    lp.solve_warm(tt, None, meter).map(|(f, _)| f)
 }
 
 /// Solves LP 6–10 at every budget of `budgets` in **one warm-started
@@ -500,7 +486,7 @@ pub fn solve_min_resource_lp(
 }
 
 /// [`solve_min_resource_lp`] under a cooperative budget meter (see
-/// [`MakespanLp::solve_warm_metered`]).
+/// [`MakespanLp::solve_warm`]).
 pub fn solve_min_resource_lp_metered(
     tt: &TwoTupleInstance,
     target: Time,

@@ -12,11 +12,11 @@
 //! | engine | what it is | when to use it |
 //! |---|---|---|
 //! | [`Engine::Revised`] | sparse revised simplex ([`revised`]): CSC columns, **implicit upper bounds** (bound flips, no bound rows), eta-file basis updates with periodic refactorization, [`Basis`] warm starts | **the default** — fastest on the LP 6–10 network matrices, and the only engine that can warm-start budget sweeps |
-//! | [`Engine::Flat`] | dense flat-tableau simplex ([`simplex.rs` module docs](crate::Engine)) | the one dense oracle: differential tests compare the revised engine against it, and the revised engine restarts into it (under Bland's rule) when a refactorization goes singular |
+//! | [`Engine::Flat`] | dense flat-tableau simplex ([`simplex.rs` module docs](crate::Engine)) | the one dense oracle: differential tests compare the revised engine against it, and a cold revised solve that fails numerically restarts into it (under Bland's rule) |
 //!
 //! Both engines run Dantzig pricing with a Bland's-rule fallback for
-//! anti-cycling ([`PivotRule`]); every [`Solution`] carries an
-//! [`LpStats`] with its matrix dimensions and pivot phase split.
+//! anti-cycling; every [`Solution`] carries an [`LpStats`] with its
+//! matrix dimensions and pivot phase split.
 //!
 //! # Warm-start invariants
 //!
@@ -58,7 +58,7 @@ mod stats;
 
 pub use problem::{Cmp, Problem, Row};
 pub use revised::Basis;
-pub use simplex::{Engine, Outcome, PivotRule, Solution};
+pub use simplex::{Engine, Outcome, Solution};
 pub use stats::{LpStats, WarmStart};
 
 /// Default feasibility/optimality tolerance.

@@ -100,33 +100,23 @@ impl Problem {
         self.add_row(coeffs, Cmp::Ge, rhs);
     }
 
-    /// Solves the problem with the default engine — the sparse revised
-    /// simplex ([`crate::revised`], Dantzig pricing with automatic
-    /// Bland fallback). Metered solves call that module's functions,
-    /// which take a [`rtt_budget::BudgetMeter`].
+    /// Solves the problem cold with the default engine — the sparse
+    /// revised simplex ([`crate::revised`], Dantzig pricing with
+    /// automatic Bland fallback). Warm-started and metered solves call
+    /// [`crate::revised::solve_warm`], which takes a [`crate::Basis`]
+    /// and a [`rtt_budget::BudgetMeter`].
     pub fn solve(&self) -> Outcome {
-        crate::revised::solve(self, PivotRule::Dantzig)
+        self.solve_with(Engine::Revised)
     }
 
-    /// Solves with an explicit engine: the revised simplex (default) or
-    /// the dense flat tableau (the differential-test oracle).
+    /// Solves cold with an explicit engine: the revised simplex
+    /// (default) or the dense flat tableau (the differential-test
+    /// oracle).
     pub fn solve_with(&self, engine: Engine) -> Outcome {
         match engine {
-            Engine::Revised => crate::revised::solve(self, PivotRule::Dantzig),
+            Engine::Revised => crate::revised::solve_warm(self, None, None).0,
             Engine::Flat => solve_standard(self, PivotRule::Dantzig, None),
         }
-    }
-
-    /// Solves with the revised engine, warm-starting from the optimal
-    /// [`crate::Basis`] of a previous solve of an identically-shaped
-    /// problem (only right-hand sides may differ — see the crate docs'
-    /// warm-start invariants). Returns the outcome plus the basis for
-    /// the next link of the chain.
-    pub fn solve_revised_warm(
-        &self,
-        warm: Option<&crate::Basis>,
-    ) -> (Outcome, Option<crate::Basis>) {
-        crate::revised::solve_warm(self, PivotRule::Dantzig, warm, None)
     }
 
     /// Overwrites the right-hand side of row `index` (for warm-started

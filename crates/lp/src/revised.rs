@@ -1,6 +1,6 @@
 //! Sparse **revised simplex** with implicit upper bounds and warm starts.
 //!
-//! # Why a third engine
+//! # Why a second engine
 //!
 //! The flat tableau ([`crate::Engine::Flat`]) materializes every variable
 //! upper bound `x_j ≤ u_j` as an explicit `≤` row plus a slack column.
@@ -49,25 +49,37 @@
 //!
 //! # Warm starts
 //!
-//! [`solve_warm`] accepts the [`Basis`] returned by a previous solve of
-//! a problem with the **same shape** (identical rows/columns/sense;
-//! only right-hand sides may differ — e.g. LP 6–10 at a new resource
-//! budget). Changing `b` never changes reduced costs, so the old
-//! optimal basis stays *dual feasible*; a bounded **dual simplex** loop
+//! A solve starts in one place and ends in one place: a private seed
+//! brings a fresh engine to a primal-feasible phase-2 basis, and a
+//! private finish runs phase 2, extracts the solution and snapshots the
+//! basis. [`solve_warm`] is that pair once; [`solve_rhs_sweep`] seeds
+//! once and finishes at every point.
+//!
+//! The seed accepts a [`Basis`] returned by a previous solve of a
+//! problem with the **same shape** (identical rows/columns/sense; only
+//! right-hand sides may differ — e.g. LP 6–10 at a new resource
+//! budget). Changing `b` never changes reduced costs, so an old optimal
+//! basis installs *dual feasible* and a bounded **dual simplex** loop
 //! repairs primal feasibility, which for a small RHS step typically
-//! takes 0–3 pivots instead of a full cold solve. Every suspicious
-//! situation (shape mismatch, singular refactorization, dual
-//! infeasibility, stalling) falls back to a cold solve, and a cold
-//! solve that itself hits the iteration cap falls back to the flat
-//! engine under Bland's rule — so the guarantees are exactly
-//! the flat engine's, warm starting is purely an optimization.
+//! takes 0–3 pivots instead of a full cold solve. A *primal-feasible*
+//! basis (a structural crash, see [`crash_basis`]) goes straight to
+//! phase 2. With no basis, the seed runs phase 1 from the all-logical
+//! basis and retires the artificials.
+//!
+//! Every suspicious situation of a warm solve (shape mismatch, singular
+//! install, a basis neither primal- nor dual-feasible, a stalled loop,
+//! even an unbounded verdict) restarts it cold, and the solution
+//! records [`WarmStart::Rejected`]. A cold solve that fails numerically
+//! (iteration cap, singular refactorization) restarts in the flat
+//! engine under Bland's rule — so the guarantees are exactly the flat
+//! engine's, and warm starting is purely an optimization.
 //!
 //! The two-phase structure, Dantzig-with-Bland-fallback pricing, and
 //! termination caps mirror the flat engine; differential tests pin the
 //! two engines to each other on random LPs (`tests/revised_differential.rs`).
 
 use crate::problem::{Cmp, Problem};
-use crate::simplex::{Outcome, PivotRule, Solution};
+use crate::simplex::{solve_standard, Outcome, PivotRule, Solution};
 use crate::{LpStats, WarmStart, TOL};
 use rtt_budget::{BudgetMeter, Exhausted};
 use std::cmp::Reverse;
@@ -118,44 +130,52 @@ pub enum CrashVar {
 /// two-phase solve, so a wrong crash costs time, never correctness.
 pub fn crash_basis(p: &Problem, choice: &[CrashVar]) -> Basis {
     assert_eq!(choice.len(), p.rows.len(), "one choice per row");
-    let m = p.rows.len();
-    let n0 = p.n_vars;
-    // replicate the normalized senses (negative RHS flips Le/Ge) and
-    // the artificial column numbering of the internal layout
-    let mut next_art = n0 + m;
-    let mut basic = Vec::with_capacity(m);
-    for (i, row) in p.rows.iter().enumerate() {
-        let cmp = match (row.cmp, row.rhs < 0.0) {
-            (c, false) => c,
-            (Cmp::Le, true) => Cmp::Ge,
-            (Cmp::Ge, true) => Cmp::Le,
-            (Cmp::Eq, true) => Cmp::Eq,
-        };
-        let art = if matches!(cmp, Cmp::Le) {
-            None
-        } else {
-            let a = next_art;
-            next_art += 1;
-            Some(a)
-        };
-        let col = match choice[i] {
+    let (layout, cols) = row_layout(p);
+    let basic = choice
+        .iter()
+        .zip(&layout)
+        .enumerate()
+        .map(|(i, (&var, &(cmp, art)))| match var {
             CrashVar::Structural(j) => {
-                assert!(j < n0, "structural index {j} out of range");
-                j
+                assert!(j < p.n_vars, "structural index {j} out of range");
+                j as u32
             }
-            CrashVar::Logical => match cmp {
-                Cmp::Eq => art.expect("Eq rows have an artificial"),
-                _ => n0 + i,
-            },
-        };
-        basic.push(col as u32);
-    }
+            CrashVar::Logical if cmp == Cmp::Eq => art.expect("Eq rows have an artificial") as u32,
+            CrashVar::Logical => (p.n_vars + i) as u32,
+        })
+        .collect();
     Basis {
         basic,
-        at_upper: vec![false; next_art],
-        rows: m as u32,
-        cols: next_art as u32,
+        at_upper: vec![false; cols],
+        rows: p.rows.len() as u32,
+        cols: cols as u32,
     }
+}
+
+/// The engine's row layout, decided once for [`crash_basis`] and
+/// `Rev::build`: each row's sense after a negative right-hand side has
+/// flipped it (`≤` ↔ `≥`), and the artificial column of each `≥`/`=`
+/// row, numbered in row order from `n_vars + rows`. Returns the layout
+/// and the total column count.
+fn row_layout(p: &Problem) -> (Vec<(Cmp, Option<usize>)>, usize) {
+    let mut next_art = p.n_vars + p.rows.len();
+    let layout = p
+        .rows
+        .iter()
+        .map(|row| {
+            let cmp = match (row.cmp, row.rhs < 0.0) {
+                (Cmp::Le, true) => Cmp::Ge,
+                (Cmp::Ge, true) => Cmp::Le,
+                (c, _) => c,
+            };
+            let art = (cmp != Cmp::Le).then(|| {
+                next_art += 1;
+                next_art - 1
+            });
+            (cmp, art)
+        })
+        .collect();
+    (layout, next_art)
 }
 
 /// Where a variable currently lives.
@@ -292,25 +312,27 @@ const REFACTOR_EVERY: usize = 192;
 /// cost knob; the triangular-peel rebuild is near-O(nnz) and cheap).
 const REFACTOR_NNZ_PER_ROW: usize = 32;
 
-enum LoopEnd {
-    Optimal,
+/// Why a simplex loop, a seed or a finish stopped short of its goal.
+enum Stop {
+    /// Phase 1 ended with artificial mass left: the rows are
+    /// inconsistent.
+    Infeasible,
+    /// Phase 2 found an improving ray.
     Unbounded,
-    /// Iteration cap or singular refactorization: restart colder.
+    /// An offered basis that does not install or is neither primal- nor
+    /// dual-feasible, a stalled dual repair, the iteration cap, or a
+    /// singular refactorization: restart colder.
     Fail,
-    /// A cooperative budget check tripped. Unlike [`LoopEnd::Fail`],
-    /// this must NOT restart colder — the caller surfaces it as
+    /// A cooperative budget check tripped. Unlike [`Stop::Fail`], this
+    /// must NOT restart colder — the caller surfaces it as
     /// [`Outcome::Exhausted`] and stops doing work.
     Exhausted(Exhausted),
 }
 
-/// Outcome of the bounded dual-simplex repair loop.
-enum DualEnd {
-    /// Primal feasibility restored.
-    Feasible,
-    /// No repair possible / stalled: the caller should go cold.
-    Stuck,
-    /// Budget tripped mid-repair (see [`LoopEnd::Exhausted`]).
-    Exhausted(Exhausted),
+impl From<Exhausted> for Stop {
+    fn from(e: Exhausted) -> Stop {
+        Stop::Exhausted(e)
+    }
 }
 
 struct Rev<'a> {
@@ -350,20 +372,17 @@ struct Rev<'a> {
 
 impl<'a> Rev<'a> {
     /// Builds the CSC matrix, logical/artificial columns, and the
-    /// all-logical starting basis (`B = I`, no etas).
-    fn build(p: &'a Problem) -> Rev<'a> {
-        // Normalize rows to rhs ≥ 0 (flipping senses), summing repeated
-        // variable indices per row.
+    /// all-logical starting basis (`B = I`, no etas), charging `meter`
+    /// for every pivot the solve will make.
+    fn build(p: &'a Problem, meter: Option<&'a BudgetMeter>) -> Rev<'a> {
         let m = p.rows.len();
         let n0 = p.n_vars;
         let n_real = n0 + m;
-        struct NRow {
-            coeffs: Vec<(usize, f64)>,
-            cmp: Cmp,
-            rhs: f64,
-        }
+        let (layout, n_cols) = row_layout(p);
+        // Normalize rows to rhs ≥ 0 (negating a flipped row), summing
+        // repeated variable indices per row.
         let mut acc: Vec<f64> = vec![0.0; n0];
-        let rows: Vec<NRow> = p
+        let rows: Vec<Vec<(usize, f64)>> = p
             .rows
             .iter()
             .map(|r| {
@@ -375,9 +394,8 @@ impl<'a> Rev<'a> {
                     acc[j] += v;
                 }
                 touched.sort_unstable();
-                let flip = r.rhs < 0.0;
-                let sign = if flip { -1.0 } else { 1.0 };
-                let coeffs: Vec<(usize, f64)> = touched
+                let sign = if r.rhs < 0.0 { -1.0 } else { 1.0 };
+                touched
                     .iter()
                     .map(|&j| {
                         let v = acc[j] * sign;
@@ -385,43 +403,23 @@ impl<'a> Rev<'a> {
                         (j, v)
                     })
                     .filter(|&(_, v)| v != 0.0)
-                    .collect();
-                let cmp = match (r.cmp, flip) {
-                    (c, false) => c,
-                    (Cmp::Le, true) => Cmp::Ge,
-                    (Cmp::Ge, true) => Cmp::Le,
-                    (Cmp::Eq, true) => Cmp::Eq,
-                };
-                NRow {
-                    coeffs,
-                    cmp,
-                    rhs: r.rhs.abs(),
-                }
+                    .collect()
             })
             .collect();
-
-        let n_art = rows.iter().filter(|r| !matches!(r.cmp, Cmp::Le)).count();
-        let n_cols = n_real + n_art;
 
         // CSC: structural columns from the rows, then one logical column
         // per row (slack +1 / surplus −1 / banned zero for Eq), then one
         // artificial (+1) per Ge/Eq row.
         let mut count = vec![0usize; n_cols];
-        for (i, r) in rows.iter().enumerate() {
-            for &(j, _) in &r.coeffs {
+        for (i, (coeffs, &(cmp, art))) in rows.iter().zip(&layout).enumerate() {
+            for &(j, _) in coeffs {
                 count[j] += 1;
             }
-            if !matches!(r.cmp, Cmp::Eq) {
+            if cmp != Cmp::Eq {
                 count[n0 + i] += 1;
             }
-        }
-        let mut art_of_row: Vec<Option<usize>> = vec![None; m];
-        let mut next_art = n_real;
-        for (i, r) in rows.iter().enumerate() {
-            if !matches!(r.cmp, Cmp::Le) {
-                count[next_art] += 1;
-                art_of_row[i] = Some(next_art);
-                next_art += 1;
+            if let Some(a) = art {
+                count[a] += 1;
             }
         }
         let mut colp = vec![0usize; n_cols + 1];
@@ -432,23 +430,23 @@ impl<'a> Rev<'a> {
         let mut rowi = vec![0u32; nnz];
         let mut vals = vec![0.0f64; nnz];
         let mut cursor = colp.clone();
-        let mut push = |cur: &mut Vec<usize>, j: usize, i: usize, v: f64| {
-            let k = cur[j];
+        let mut push = |j: usize, i: usize, v: f64| {
+            let k = cursor[j];
             rowi[k] = i as u32;
             vals[k] = v;
-            cur[j] = k + 1;
+            cursor[j] = k + 1;
         };
-        for (i, r) in rows.iter().enumerate() {
-            for &(j, v) in &r.coeffs {
-                push(&mut cursor, j, i, v);
+        for (i, (coeffs, &(cmp, art))) in rows.iter().zip(&layout).enumerate() {
+            for &(j, v) in coeffs {
+                push(j, i, v);
             }
-            match r.cmp {
-                Cmp::Le => push(&mut cursor, n0 + i, i, 1.0),
-                Cmp::Ge => push(&mut cursor, n0 + i, i, -1.0),
+            match cmp {
+                Cmp::Le => push(n0 + i, i, 1.0),
+                Cmp::Ge => push(n0 + i, i, -1.0),
                 Cmp::Eq => {}
             }
-            if let Some(a) = art_of_row[i] {
-                push(&mut cursor, a, i, 1.0);
+            if let Some(a) = art {
+                push(a, i, 1.0);
             }
         }
 
@@ -459,19 +457,16 @@ impl<'a> Rev<'a> {
             }
         }
         let mut banned = vec![false; n_cols];
-        let b: Vec<f64> = rows.iter().map(|r| r.rhs).collect();
+        let b: Vec<f64> = p.rows.iter().map(|r| r.rhs.abs()).collect();
 
         // Starting basis: the logical/artificial identity.
         let mut basis = vec![usize::MAX; m];
         let mut status = vec![VStat::Lower; n_cols];
-        for (i, r) in rows.iter().enumerate() {
-            let col = match r.cmp {
-                Cmp::Le => n0 + i,
-                _ => art_of_row[i].expect("Ge/Eq rows have an artificial"),
-            };
+        for (i, &(cmp, art)) in layout.iter().enumerate() {
+            let col = art.unwrap_or(n0 + i);
             basis[i] = col;
             status[col] = VStat::Basic(i as u32);
-            if matches!(r.cmp, Cmp::Eq) {
+            if cmp == Cmp::Eq {
                 // the unused Eq logical column is an all-zero column
                 banned[n0 + i] = true;
                 upper[n0 + i] = 0.0;
@@ -506,7 +501,7 @@ impl<'a> Rev<'a> {
                 ..Default::default()
             },
             phase2: false,
-            meter: None,
+            meter,
         }
     }
 
@@ -990,13 +985,11 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// The primal simplex loop for the current phase.
-    fn primal(&mut self, rule: PivotRule) -> LoopEnd {
+    /// The primal simplex loop for the current phase: Dantzig pricing,
+    /// switching to Bland's rule once it stalls.
+    fn primal(&mut self) -> Result<(), Stop> {
         let (m, n) = (self.m, self.n_cols);
-        let bland_after = match rule {
-            PivotRule::Dantzig => 20 * (m + n) + 1000,
-            PivotRule::Bland => 0,
-        };
+        let bland_after = 20 * (m + n) + 1000;
         let hard_cap = 2_000 * (m + n) + 100_000;
         let threads = rtt_par::current();
         let mut y = Vec::new();
@@ -1005,14 +998,14 @@ impl<'a> Rev<'a> {
         loop {
             iters += 1;
             if iters >= hard_cap {
-                return LoopEnd::Fail;
+                return Err(Stop::Fail);
             }
             let bland = iters > bland_after;
             // --- pricing (chunk-parallel when intra-solve threads > 1;
             // bit-identical entering choice either way — see `price`)
             self.multipliers(&mut y);
             let Some(q) = self.price(&y, bland, threads) else {
-                return LoopEnd::Optimal;
+                return Ok(());
             };
             let from_upper = matches!(self.status[q], VStat::Upper);
             let sigma = if from_upper { -1.0 } else { 1.0 };
@@ -1038,39 +1031,31 @@ impl<'a> Rev<'a> {
                     leave = Some((i, at_upper));
                 }
             }
+            // with no leaving row the ratio stays ∞, so a finite upper
+            // bound always flips
             let flip_cap = self.upper[q];
             if flip_cap.is_finite() && flip_cap < best_ratio - TOL {
-                if let Err(e) = self.charge_pivot() {
-                    return LoopEnd::Exhausted(e);
-                }
+                self.charge_pivot()?;
                 self.apply_flip(q, &d);
                 continue;
             }
             let Some((r, leave_upper)) = leave else {
-                if flip_cap.is_finite() {
-                    if let Err(e) = self.charge_pivot() {
-                        return LoopEnd::Exhausted(e);
-                    }
-                    self.apply_flip(q, &d);
-                    continue;
-                }
-                return LoopEnd::Unbounded;
+                return Err(Stop::Unbounded);
             };
             // the ratio test admits only |d_r| > TOL, above PIV_TOL, so
             // the pivot is always usable here (unlike the dual loop's)
-            if let Err(e) = self.charge_pivot() {
-                return LoopEnd::Exhausted(e);
-            }
+            self.charge_pivot()?;
             self.apply_pivot(r, q, best_ratio.max(0.0), &d, leave_upper);
             if self.needs_refactor() && !self.refactorize() {
-                return LoopEnd::Fail;
+                return Err(Stop::Fail);
             }
         }
     }
 
     /// Bounded dual simplex: restores primal feasibility while keeping
-    /// dual feasibility (used by warm starts after an RHS change).
-    fn dual(&mut self) -> DualEnd {
+    /// dual feasibility (used by warm starts after an RHS change). No
+    /// repair possible, or none within the cap, is [`Stop::Fail`].
+    fn dual(&mut self) -> Result<(), Stop> {
         let cap = 20 * (self.m + self.n_cols) + 1000;
         let mut y = Vec::new();
         let mut rho = Vec::new();
@@ -1090,7 +1075,7 @@ impl<'a> Rev<'a> {
                 }
             }
             let Some((r, over_upper)) = leave else {
-                return DualEnd::Feasible;
+                return Ok(());
             };
             // --- row r of B⁻¹A and the reduced costs
             rho.clear();
@@ -1129,11 +1114,11 @@ impl<'a> Rev<'a> {
                 }
             }
             let Some(q) = enter else {
-                return DualEnd::Stuck; // no repair possible: go cold
+                return Err(Stop::Fail);
             };
             self.direction(q, &mut d);
             if d[r].abs() <= PIV_TOL {
-                return DualEnd::Stuck;
+                return Err(Stop::Fail);
             }
             let sigma = if matches!(self.status[q], VStat::Upper) {
                 -1.0
@@ -1146,9 +1131,7 @@ impl<'a> Rev<'a> {
                 0.0
             };
             let t = ((self.x_b[r] - target) / (sigma * d[r])).max(0.0);
-            if let Err(e) = self.charge_pivot() {
-                return DualEnd::Exhausted(e);
-            }
+            self.charge_pivot()?;
             if self.upper[q].is_finite() && t > self.upper[q] + TOL {
                 // the entering variable hits its own far bound first
                 self.apply_flip(q, &d);
@@ -1156,10 +1139,10 @@ impl<'a> Rev<'a> {
             }
             self.apply_pivot(r, q, t, &d, over_upper);
             if self.needs_refactor() && !self.refactorize() {
-                return DualEnd::Stuck;
+                return Err(Stop::Fail);
             }
         }
-        DualEnd::Stuck
+        Err(Stop::Fail)
     }
 
     /// Sum of the artificial variables (the phase-1 objective).
@@ -1217,10 +1200,10 @@ impl<'a> Rev<'a> {
     /// (≤ 16 pivots since the last rebuild — the steady state of a
     /// warm-sweep point) skips the refactorization and only re-solves
     /// `x_B`; refinement bounds the drift either way.
-    fn extract(&mut self) -> Option<Solution> {
+    fn extract(&mut self) -> Result<Solution, Stop> {
         if self.etas.len() - self.eta_base.0 > 16 {
             if !self.refactorize() {
-                return None;
+                return Err(Stop::Fail);
             }
         } else {
             self.recompute_x_b();
@@ -1255,7 +1238,7 @@ impl<'a> Rev<'a> {
         }
         let objective = self.p.objective_at(&x);
         let pivots = self.stats.phase1_pivots + self.stats.phase2_pivots + self.stats.bound_flips;
-        Some(Solution {
+        Ok(Solution {
             objective,
             x,
             pivots,
@@ -1263,8 +1246,51 @@ impl<'a> Rev<'a> {
         })
     }
 
-    fn snapshot_basis(&self) -> Basis {
-        Basis {
+    /// Brings a freshly built engine to a primal-feasible phase-2
+    /// basis: the one way a solve starts. An offered `start` is
+    /// installed and either repaired by the dual simplex (it installs
+    /// dual-feasible: an old optimum after an RHS change) or accepted
+    /// as it stands (primal-feasible: a structural crash); the entry
+    /// used is recorded in `stats.warm`, and a start that does neither
+    /// is [`Stop::Fail`]. With no start, phase 1 runs from the
+    /// all-logical basis and the artificials retire.
+    fn seed(&mut self, start: Option<&Basis>) -> Result<(), Stop> {
+        let Some(warm) = start else {
+            if self.n_cols > self.n_real {
+                match self.primal() {
+                    // phase 1 is bounded below by 0: Unbounded means numerics
+                    Err(Stop::Unbounded) => return Err(Stop::Fail),
+                    phase1 => phase1?,
+                }
+                if self.artificial_residual() > 1e-6 {
+                    return Err(Stop::Infeasible);
+                }
+                self.retire_artificials();
+            }
+            self.phase2 = true;
+            return Ok(());
+        };
+        if !self.install(warm) {
+            return Err(Stop::Fail);
+        }
+        if self.is_dual_feasible() {
+            self.dual()?;
+            self.stats.warm = WarmStart::Dual;
+        } else if self.is_primal_feasible() {
+            self.stats.warm = WarmStart::Primal;
+        } else {
+            return Err(Stop::Fail);
+        }
+        Ok(())
+    }
+
+    /// Runs phase 2 from a seeded basis, extracts the solution, and
+    /// snapshots the optimal basis for the next warm start: the one way
+    /// a solve ends.
+    fn finish(&mut self) -> Result<(Solution, Basis), Stop> {
+        self.primal()?;
+        let sol = self.extract()?;
+        let basis = Basis {
             basic: self.basis.iter().map(|&c| c as u32).collect(),
             at_upper: self
                 .status
@@ -1273,11 +1299,13 @@ impl<'a> Rev<'a> {
                 .collect(),
             rows: self.m as u32,
             cols: self.n_cols as u32,
-        }
+        };
+        Ok((sol, basis))
     }
 
     /// Installs a previously returned basis: reassigns statuses,
-    /// rebuilds `b_eff`, refactorizes, and checks dual feasibility.
+    /// rebuilds `b_eff`, and refactorizes. `false` when the basis does
+    /// not fit this problem or is singular.
     fn install(&mut self, warm: &Basis) -> bool {
         if warm.rows as usize != self.m || warm.cols as usize != self.n_cols {
             return false;
@@ -1350,119 +1378,46 @@ impl<'a> Rev<'a> {
     }
 }
 
-/// Cold two-phase solve (the [`crate::Engine::Revised`] entry point).
-pub fn solve(p: &Problem, rule: PivotRule) -> Outcome {
-    solve_warm(p, rule, None, None).0
-}
-
-/// [`solve`] under a cooperative budget meter: every pivot or bound
-/// flip charges one `lp_pivots` unit, and a tripped budget (or
-/// deadline) returns [`Outcome::Exhausted`] instead of looping on.
-pub fn solve_metered(p: &Problem, rule: PivotRule, meter: Option<&BudgetMeter>) -> Outcome {
-    solve_warm(p, rule, None, meter).0
-}
-
-/// Solves `p`, optionally warm-starting from a [`Basis`] of a
-/// previous solve of an identically-shaped problem (only right-hand
-/// sides may differ). Returns the outcome plus the optimal basis (for
-/// the next warm start); the basis is `None` unless the solve ended
-/// [`Outcome::Optimal`]. A `meter`, when given, is charged one
-/// `lp_pivots` unit per pivot or bound flip across every stage (warm
-/// repair, cold restart, flat fallback); exhaustion surfaces as
-/// [`Outcome::Exhausted`] and never falls back to more work.
+/// Solves `p` with the revised engine — the one single-solve entry.
+/// With a `start` [`Basis`] from a previous solve of an
+/// identically-shaped problem (only right-hand sides may differ), the
+/// solve warm-starts from it; with none, it runs the two-phase cold
+/// solve. Returns the outcome plus the optimal basis for the next warm
+/// start; the basis is `None` unless the solve ended
+/// [`Outcome::Optimal`].
+///
+/// A warm start that fails in any way is re-solved cold, and its
+/// solution records [`WarmStart::Rejected`]; a cold solve that fails
+/// numerically restarts in the flat engine under Bland's rule. A
+/// `meter`, when given, is charged one `lp_pivots` unit per pivot or
+/// bound flip across every stage (warm repair, cold restart, flat
+/// restart); exhaustion surfaces as [`Outcome::Exhausted`] and never
+/// falls back to more work.
 pub fn solve_warm(
     p: &Problem,
-    rule: PivotRule,
-    warm: Option<&Basis>,
+    start: Option<&Basis>,
     meter: Option<&BudgetMeter>,
 ) -> (Outcome, Option<Basis>) {
-    if let Some(warm) = warm {
-        let mut rev = Rev::build(p);
-        rev.meter = meter;
-        if rev.install(warm) {
-            // Two admissible entries: a *dual-feasible* basis (an old
-            // optimum after an RHS change) is repaired by the dual
-            // simplex; a *primal-feasible* one (a structural crash)
-            // goes straight to phase 2. Neither → cold. The entry used
-            // is recorded as the solution's warm-start provenance.
-            let (ready, via) = if rev.is_dual_feasible() {
-                match rev.dual() {
-                    DualEnd::Feasible => (true, WarmStart::Dual),
-                    DualEnd::Stuck => (false, WarmStart::Rejected),
-                    DualEnd::Exhausted(e) => return (Outcome::Exhausted(e), None),
-                }
-            } else {
-                (rev.is_primal_feasible(), WarmStart::Primal)
-            };
-            rev.stats.warm = via;
-            if ready {
-                match rev.primal(rule) {
-                    LoopEnd::Optimal => {
-                        if let Some(sol) = rev.extract() {
-                            let basis = rev.snapshot_basis();
-                            return (Outcome::Optimal(sol), Some(basis));
-                        }
-                    }
-                    // never trust a warm start's verdicts beyond
-                    // optimality: unboundedness could be eta-file
-                    // drift, so re-derive it from a cold solve
-                    LoopEnd::Unbounded | LoopEnd::Fail => {}
-                    LoopEnd::Exhausted(e) => return (Outcome::Exhausted(e), None),
-                }
+    let mut rev = Rev::build(p, meter);
+    match rev.seed(start).and_then(|()| rev.finish()) {
+        Ok((sol, basis)) => (Outcome::Optimal(sol), Some(basis)),
+        Err(Stop::Exhausted(e)) => (Outcome::Exhausted(e), None),
+        // never trust a warm start's verdicts beyond optimality:
+        // unboundedness could be eta-file drift, so re-derive it cold
+        Err(_) if start.is_some() => {
+            let (mut out, basis) = solve_warm(p, None, meter);
+            if let Outcome::Optimal(ref mut sol) = out {
+                sol.stats.warm = WarmStart::Rejected;
             }
+            (out, basis)
         }
-        // anything suspicious: fall through to a cold solve — but
-        // record on the result that a basis was offered and rejected
-        let (mut out, basis) = cold(p, rule, meter);
-        if let Outcome::Optimal(ref mut sol) = out {
-            sol.stats.warm = WarmStart::Rejected;
-        }
-        return (out, basis);
+        Err(Stop::Infeasible) => (Outcome::Infeasible, None),
+        Err(Stop::Unbounded) => (Outcome::Unbounded, None),
+        // the revised engine's worst case matches the flat engine's
+        // guarantees; the meter keeps counting across the restart —
+        // the budget bounds the request's total pivot work
+        Err(Stop::Fail) => (solve_standard(p, PivotRule::Bland, meter), None),
     }
-    cold(p, rule, meter)
-}
-
-fn cold(p: &Problem, rule: PivotRule, meter: Option<&BudgetMeter>) -> (Outcome, Option<Basis>) {
-    let mut rev = Rev::build(p);
-    rev.meter = meter;
-    let has_art = rev.n_cols > rev.n_real;
-    if has_art {
-        match rev.primal(rule) {
-            LoopEnd::Optimal => {}
-            // phase 1 is bounded below by 0; Unbounded means numerics
-            LoopEnd::Unbounded | LoopEnd::Fail => return flat_fallback(p, meter),
-            LoopEnd::Exhausted(e) => return (Outcome::Exhausted(e), None),
-        }
-        if rev.artificial_residual() > 1e-6 {
-            return (Outcome::Infeasible, None);
-        }
-        rev.retire_artificials();
-    }
-    rev.phase2 = true;
-    match rev.primal(rule) {
-        LoopEnd::Optimal => {}
-        LoopEnd::Unbounded => return (Outcome::Unbounded, None),
-        LoopEnd::Fail => return flat_fallback(p, meter),
-        LoopEnd::Exhausted(e) => return (Outcome::Exhausted(e), None),
-    }
-    match rev.extract() {
-        Some(sol) => {
-            let basis = rev.snapshot_basis();
-            (Outcome::Optimal(sol), Some(basis))
-        }
-        None => flat_fallback(p, meter),
-    }
-}
-
-/// Last-resort fallback: the dense flat engine under Bland's rule, so
-/// the revised engine's worst case matches the flat engine's guarantees.
-/// The meter keeps counting across the fallback — the budget bounds the
-/// request's total pivot work, not one engine's.
-fn flat_fallback(p: &Problem, meter: Option<&BudgetMeter>) -> (Outcome, Option<Basis>) {
-    (
-        crate::simplex::solve_standard(p, PivotRule::Bland, meter),
-        None,
-    )
 }
 
 /// Solves `p` at every value of `rhs_values` for row `row`'s right-hand
@@ -1473,9 +1428,9 @@ fn flat_fallback(p: &Problem, meter: Option<&BudgetMeter>) -> (Outcome, Option<B
 /// outcome's [`Solution`] counters are per-point, not cumulative),
 /// plus the final basis.
 ///
-/// `start` seeds the first point (same contract as [`solve_warm`]).
+/// `start` seeds the first point, exactly as in [`solve_warm`].
 /// Any hiccup — negative RHS (which would flip the row's normalized
-/// sense), a failed install, a stalled loop — degrades the remaining
+/// sense), a failed seed, a stalled loop — degrades the remaining
 /// points to independent [`solve_warm`] calls; the chain is an
 /// optimization, never a correctness dependency.
 ///
@@ -1483,141 +1438,83 @@ fn flat_fallback(p: &Problem, meter: Option<&BudgetMeter>) -> (Outcome, Option<B
 /// every remaining point come back as [`Outcome::Exhausted`] (the
 /// counters are cumulative, so restarting per point cannot evade the
 /// budget) and no reusable basis is returned.
+///
+/// # Panics
+///
+/// If `row` is out of range, or if a value of `rhs_values` is not
+/// finite ("rhs must be finite", as in [`Problem::set_rhs`]).
 pub fn solve_rhs_sweep(
     p: &Problem,
     row: usize,
     rhs_values: &[f64],
-    rule: PivotRule,
     start: Option<&Basis>,
     meter: Option<&BudgetMeter>,
 ) -> (Vec<Outcome>, Option<Basis>) {
     assert!(row < p.rows.len(), "row {row} out of range");
-    let mut out: Vec<Outcome> = Vec::with_capacity(rhs_values.len());
-    let degraded = |from: usize, out: &mut Vec<Outcome>, mut basis: Option<Basis>| {
+    assert!(
+        rhs_values.iter().all(|v| v.is_finite()),
+        "rhs must be finite"
+    );
+    // ends the chain at point `from`: exhaustion gives every remaining
+    // point the same verdict and drops the basis; any other stop
+    // degrades the remaining points to independent solves from `basis`
+    let end = |from: usize, stop: Stop, mut out: Vec<Outcome>, mut basis: Option<Basis>| {
+        if let Stop::Exhausted(e) = stop {
+            out.extend(rhs_values[from..].iter().map(|_| Outcome::Exhausted(e)));
+            return (out, None);
+        }
         let mut q = p.clone();
         for &v in &rhs_values[from..] {
             q.set_rhs(row, v);
-            let (o, b) = solve_warm(&q, rule, basis.as_ref(), meter);
+            let (o, b) = solve_warm(&q, basis.as_ref(), meter);
             if b.is_some() {
                 basis = b;
             }
             out.push(o);
         }
-        basis
+        (out, basis)
     };
-    // fills the tail once the budget trips: every remaining point owns
-    // the same exhaustion verdict, and the chain's basis is dropped
-    let exhausted_tail = |from: usize, out: &mut Vec<Outcome>, e: Exhausted| {
-        for _ in from..rhs_values.len() {
-            out.push(Outcome::Exhausted(e));
-        }
-    };
+    let mut out = Vec::with_capacity(rhs_values.len());
     if rhs_values.is_empty() {
         return (out, start.cloned());
     }
-    if rhs_values.iter().any(|&v| !v.is_finite() || v < 0.0) {
-        let basis = degraded(0, &mut out, start.cloned());
-        return (out, basis);
+    if rhs_values.iter().any(|&v| v < 0.0) {
+        return end(0, Stop::Fail, out, start.cloned());
     }
     let mut q = p.clone();
     q.set_rhs(row, rhs_values[0]);
-    let mut rev = Rev::build(&q);
-    rev.meter = meter;
+    let mut rev = Rev::build(&q, meter);
     // the first point's counter baseline predates seeding, so a cold
     // seed's phase-1 pivots are charged to the point that caused them
     let seed_base = rev.stats;
-    // seed the chain: a provided start, else the cold two-phase path
-    let seeded = match start {
-        Some(warm) => {
-            rev.install(warm)
-                && if rev.is_dual_feasible() {
-                    match rev.dual() {
-                        DualEnd::Feasible => {
-                            rev.stats.warm = WarmStart::Dual;
-                            true
-                        }
-                        DualEnd::Stuck => false,
-                        DualEnd::Exhausted(e) => {
-                            exhausted_tail(0, &mut out, e);
-                            return (out, None);
-                        }
-                    }
-                } else {
-                    let ok = rev.is_primal_feasible();
-                    if ok {
-                        rev.stats.warm = WarmStart::Primal;
-                    }
-                    ok
-                }
-        }
-        None => {
-            let has_art = rev.n_cols > rev.n_real;
-            let mut ok = true;
-            if has_art {
-                ok = match rev.primal(rule) {
-                    LoopEnd::Optimal => rev.artificial_residual() <= 1e-6,
-                    LoopEnd::Exhausted(e) => {
-                        exhausted_tail(0, &mut out, e);
-                        return (out, None);
-                    }
-                    LoopEnd::Unbounded | LoopEnd::Fail => false,
-                };
-                if ok {
-                    rev.retire_artificials();
-                }
-            }
-            rev.phase2 = true;
-            ok
-        }
-    };
-    if !seeded {
-        let basis = degraded(0, &mut out, start.cloned());
-        return (out, basis);
+    // a failed seed degrades from the same start; once seeded, a failed
+    // point degrades from the last point's basis (none at point 0)
+    if let Err(stop) = rev.seed(start) {
+        return end(0, stop, out, start.cloned());
     }
-    let mut basis: Option<Basis> = None;
-    let mut prev_rhs = rhs_values[0];
+    let mut basis = None;
     for (k, &v) in rhs_values.iter().enumerate() {
         // the baseline for this point's counters — taken before the
         // dual repair so a warm point's reported pivots are exactly
         // its dual-reoptimization cost plus the primal polish (and
         // point 0 additionally owns the seeding work)
         let base = if k == 0 { seed_base } else { rev.stats };
-        if k > 0 {
+        let repaired = if k == 0 {
+            Ok(())
+        } else {
             // only the RHS moves: dual feasibility is preserved, the
             // dual loop repairs the (usually tiny) primal violation
             rev.b[row] = v;
-            rev.b_eff[row] += v - prev_rhs;
+            rev.b_eff[row] += v - rhs_values[k - 1];
             rev.recompute_x_b();
-            match rev.dual() {
-                DualEnd::Feasible => {}
-                DualEnd::Stuck => {
-                    let basis = degraded(k, &mut out, basis);
-                    return (out, basis);
-                }
-                DualEnd::Exhausted(e) => {
-                    exhausted_tail(k, &mut out, e);
-                    return (out, None);
-                }
-            }
-        }
-        prev_rhs = v;
-        match rev.primal(rule) {
-            LoopEnd::Optimal => {}
-            // a chained session trusts nothing suspicious: genuine
-            // unboundedness survives the cold re-verify in `degraded`,
-            // while eta-drift artifacts get corrected
-            LoopEnd::Unbounded | LoopEnd::Fail => {
-                let basis = degraded(k, &mut out, basis);
-                return (out, basis);
-            }
-            LoopEnd::Exhausted(e) => {
-                exhausted_tail(k, &mut out, e);
-                return (out, None);
-            }
-        }
-        let Some(mut sol) = rev.extract() else {
-            let basis = degraded(k, &mut out, basis);
-            return (out, basis);
+            rev.dual()
+        };
+        // a chained session trusts nothing suspicious: genuine
+        // unboundedness survives the cold re-verify in `end`, while
+        // eta-drift artifacts get corrected
+        let (mut sol, b) = match repaired.and_then(|()| rev.finish()) {
+            Ok(point) => point,
+            Err(stop) => return end(k, stop, out, basis),
         };
         // per-point counters: subtract the chain's running totals
         sol.stats.phase1_pivots -= base.phase1_pivots;
@@ -1629,7 +1526,7 @@ pub fn solve_rhs_sweep(
             sol.stats.warm = WarmStart::Dual;
         }
         sol.pivots = sol.stats.phase1_pivots + sol.stats.phase2_pivots + sol.stats.bound_flips;
-        basis = Some(rev.snapshot_basis());
+        basis = Some(b);
         out.push(Outcome::Optimal(sol));
     }
     (out, basis)
@@ -1641,13 +1538,15 @@ mod tests {
     use crate::{Engine, Problem};
 
     fn opt(p: &Problem) -> Solution {
-        solve(p, PivotRule::Dantzig).expect_optimal("expected optimal")
+        solve_warm(p, None, None)
+            .0
+            .expect_optimal("expected optimal")
     }
 
     /// A `Rev` over `p` with `cols[r]` basic in row `r` and every other
     /// column nonbasic at its lower bound, ready for a direct rebuild.
     fn with_basis<'p>(p: &'p Problem, cols: &[usize]) -> Rev<'p> {
-        let mut rev = Rev::build(p);
+        let mut rev = Rev::build(p, None);
         rev.status.fill(VStat::Lower);
         for (r, &c) in cols.iter().enumerate() {
             rev.status[c] = VStat::Basic(r as u32);
@@ -1745,7 +1644,7 @@ mod tests {
         assert!(!rev.refactorize());
 
         let crash = crash_basis(&p, &[CrashVar::Structural(0), CrashVar::Structural(1)]);
-        let (out, _) = solve_warm(&p, PivotRule::Dantzig, Some(&crash), None);
+        let (out, _) = solve_warm(&p, Some(&crash), None);
         let s = out.expect_optimal("cold fallback");
         assert_eq!(s.stats.warm, WarmStart::Rejected);
         assert!((s.objective - 1.0).abs() < 1e-9);
@@ -1775,12 +1674,12 @@ mod tests {
         let mut p = Problem::minimize(1);
         p.add_ge(&[(0, 1.0)], 5.0);
         p.set_upper_bound(0, 1.0);
-        assert!(matches!(solve(&p, PivotRule::Dantzig), Outcome::Infeasible));
+        assert!(matches!(solve_warm(&p, None, None).0, Outcome::Infeasible));
 
         let mut p = Problem::minimize(1);
         p.set_objective(0, -1.0);
         p.add_ge(&[(0, 1.0)], 1.0);
-        assert!(matches!(solve(&p, PivotRule::Dantzig), Outcome::Unbounded));
+        assert!(matches!(solve_warm(&p, None, None).0, Outcome::Unbounded));
     }
 
     #[test]
@@ -1811,9 +1710,9 @@ mod tests {
         let mut warm: Option<Basis> = None;
         for b in [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 1.0, 0.5] {
             let p = build(b);
-            let (out, basis) = solve_warm(&p, PivotRule::Dantzig, warm.as_ref(), None);
+            let (out, basis) = solve_warm(&p, warm.as_ref(), None);
             let w = out.expect_optimal("warm");
-            let c = solve(&p, PivotRule::Dantzig).expect_optimal("cold");
+            let c = solve_warm(&p, None, None).0.expect_optimal("cold");
             assert!(
                 (w.objective - c.objective).abs() < 1e-9,
                 "budget {b}: warm {} vs cold {}",
@@ -1830,14 +1729,14 @@ mod tests {
         let mut p1 = Problem::minimize(2);
         p1.set_objective(0, 1.0);
         p1.add_ge(&[(0, 1.0), (1, 1.0)], 2.0);
-        let (_, basis) = solve_warm(&p1, PivotRule::Dantzig, None, None);
+        let (_, basis) = solve_warm(&p1, None, None);
         let basis = basis.expect("optimal basis");
         let mut p2 = Problem::minimize(3);
         p2.set_objective(0, 1.0);
         p2.add_ge(&[(0, 1.0), (1, 1.0), (2, 1.0)], 2.0);
         p2.add_le(&[(2, 1.0)], 1.0);
         // shape mismatch must quietly fall back to a cold solve
-        let (out, _) = solve_warm(&p2, PivotRule::Dantzig, Some(&basis), None);
+        let (out, _) = solve_warm(&p2, Some(&basis), None);
         let s = out.expect_optimal("cold fallback");
         assert!((s.objective - 0.0).abs() < 1e-9);
     }
@@ -1856,7 +1755,7 @@ mod tests {
         p.add_eq(&[(0, 1.0), (3, 1.0)], 1.0);
 
         let tight = BudgetMeter::with_limits(Some(1), None, None, None);
-        match solve_metered(&p, PivotRule::Dantzig, Some(&tight)) {
+        match solve_warm(&p, None, Some(&tight)).0 {
             Outcome::Exhausted(e) => {
                 assert_eq!(e.dimension, Dimension::LpPivots);
                 assert_eq!(e.limit, 1);
@@ -1868,15 +1767,17 @@ mod tests {
         assert!(tight.consumed().lp_pivots >= 2);
 
         let ample = BudgetMeter::with_limits(Some(1_000_000), None, None, None);
-        let s = solve_metered(&p, PivotRule::Dantzig, Some(&ample)).expect_optimal("ample budget");
-        let cold = solve(&p, PivotRule::Dantzig).expect_optimal("unmetered");
+        let s = solve_warm(&p, None, Some(&ample))
+            .0
+            .expect_optimal("ample budget");
+        let cold = solve_warm(&p, None, None).0.expect_optimal("unmetered");
         assert!((s.objective - cold.objective).abs() < 1e-9);
         assert!(ample.consumed().lp_pivots > 0);
     }
 
-    #[test]
-    fn sweep_fills_remaining_points_on_exhaustion() {
-        use rtt_budget::BudgetMeter;
+    /// Minimize `T` s.t. `T + 4 f0 ≥ 4`, `T + 5 f1 ≥ 5`, `f ≤ 1`, and
+    /// the budget row 2, `f0 + f1 ≤ 0`.
+    fn budget_row_problem() -> Problem {
         let mut p = Problem::minimize(3);
         p.set_objective(2, 1.0);
         p.add_ge(&[(2, 1.0), (0, 4.0)], 4.0);
@@ -1884,15 +1785,15 @@ mod tests {
         p.add_le(&[(0, 1.0), (1, 1.0)], 0.0);
         p.set_upper_bound(0, 1.0);
         p.set_upper_bound(1, 1.0);
+        p
+    }
+
+    #[test]
+    fn sweep_fills_remaining_points_on_exhaustion() {
+        use rtt_budget::BudgetMeter;
+        let p = budget_row_problem();
         let meter = BudgetMeter::with_limits(Some(1), None, None, None);
-        let (outs, basis) = solve_rhs_sweep(
-            &p,
-            2,
-            &[0.0, 0.5, 1.0, 2.0],
-            PivotRule::Dantzig,
-            None,
-            Some(&meter),
-        );
+        let (outs, basis) = solve_rhs_sweep(&p, 2, &[0.0, 0.5, 1.0, 2.0], None, Some(&meter));
         assert_eq!(outs.len(), 4, "one outcome per requested point");
         assert!(basis.is_none(), "no reusable basis after exhaustion");
         assert!(
@@ -1907,6 +1808,27 @@ mod tests {
         assert!(outs[first..]
             .iter()
             .all(|o| matches!(o, Outcome::Exhausted(_))));
+    }
+
+    #[test]
+    fn sweep_degrades_a_negative_rhs_to_independent_solves() {
+        let p = budget_row_problem();
+        let (outs, basis) = solve_rhs_sweep(&p, 2, &[0.5, -1.0], None, None);
+        assert_eq!(outs.len(), 2, "one outcome per requested point");
+        // T = 4 − 4 f0 = 5 − 5 f1 with f0 + f1 = 0.5
+        let first = outs[0].clone().expect_optimal("budget 0.5");
+        assert!((first.objective - 10.0 / 3.0).abs() < 1e-9, "{first:?}");
+        // a negative budget flips the row's sense, which no chained
+        // point can carry: it is solved on its own, and no nonnegative
+        // flow meets it
+        assert!(matches!(outs[1], Outcome::Infeasible), "{:?}", outs[1]);
+        assert!(basis.is_some(), "the last optimal basis is returned");
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs must be finite")]
+    fn sweep_rejects_a_non_finite_rhs() {
+        solve_rhs_sweep(&budget_row_problem(), 2, &[0.5, f64::NAN], None, None);
     }
 
     #[test]

@@ -36,27 +36,27 @@
 //! falls back to Bland's rule automatically after a stall threshold
 //! (`20·(m+n) + 1000` iterations) to guarantee termination on degenerate
 //! tableaus; [`PivotRule::Bland`] runs the anti-cycling rule from the
-//! first iteration — the mode the revised engine's numerical fallback
-//! restarts in.
+//! first iteration — the mode a cold revised solve that fails
+//! numerically restarts in. The revised engine itself always prices
+//! Dantzig-then-Bland.
 //!
 //! # Role
 //!
 //! This is the crate's one dense engine: the oracle the differential
 //! tests (`tests/revised_differential.rs`) hold the revised simplex to,
-//! the metered Bland-rule restart of the revised engine's fallback, and
-//! the source of the bound-row [`crate::LpStats`] the perf envelopes
-//! compare against.
+//! the metered Bland-rule restart of a failed cold revised solve, and
+//! the source of the bound-row [`crate::LpStats`] `perf_guard`
+//! compares against.
 
 use crate::problem::{Cmp, Problem};
 use crate::TOL;
 use rtt_budget::{BudgetMeter, Exhausted};
 
-/// Entering-column selection rule for the simplex loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PivotRule {
+/// Entering-column selection rule for the flat simplex loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PivotRule {
     /// Most-negative reduced cost, with an automatic switch to Bland's
-    /// rule if the solve stalls (the default).
-    #[default]
+    /// rule if the solve stalls.
     Dantzig,
     /// Bland's anti-cycling rule (smallest eligible index) from the
     /// start. Slower but cycle-free by construction.
@@ -68,8 +68,8 @@ pub enum PivotRule {
 /// **`Revised`** (the default) is the sparse revised simplex with
 /// implicit upper bounds and warm-start support — use it unless you
 /// have a reason not to. **`Flat`** is the dense flat-tableau solver:
-/// the differential-test oracle, and the engine the revised simplex
-/// restarts into when a refactorization goes singular.
+/// the differential-test oracle, and the engine a cold revised solve
+/// restarts in when it fails numerically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The sparse revised simplex ([`crate::revised`]): CSC columns,

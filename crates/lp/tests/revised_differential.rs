@@ -311,7 +311,7 @@ fn warm_chain_matches_cold_over_random_budget_sequences() {
         for step in 0..10 {
             let budget = rng.random_range(0..12i32) as f64;
             p.set_rhs(budget_row, budget);
-            let (out, basis) = p.solve_revised_warm(warm.as_ref());
+            let (out, basis) = rtt_lp::revised::solve_warm(&p, warm.as_ref(), None);
             let w = out.expect_optimal("budget LPs are always feasible");
             let c = p
                 .solve_with(Engine::Flat)
@@ -331,7 +331,6 @@ fn warm_chain_matches_cold_over_random_budget_sequences() {
 #[test]
 fn chained_sweep_matches_flat_point_for_point() {
     use rtt_lp::revised::solve_rhs_sweep;
-    use rtt_lp::PivotRule;
     let mut rng = StdRng::seed_from_u64(0x5EED_C4A1);
     for case in 0..40 {
         let n_jobs = rng.random_range(2..7usize);
@@ -339,8 +338,7 @@ fn chained_sweep_matches_flat_point_for_point() {
         let budget_row = n_jobs;
         // non-monotone grids exercise both dual directions
         let rhs: Vec<f64> = (0..8).map(|_| rng.random_range(0..10i32) as f64).collect();
-        let (outcomes, basis) =
-            solve_rhs_sweep(&p, budget_row, &rhs, PivotRule::Dantzig, None, None);
+        let (outcomes, basis) = solve_rhs_sweep(&p, budget_row, &rhs, None, None);
         assert_eq!(outcomes.len(), rhs.len());
         assert!(basis.is_some(), "feasible sweeps return a basis");
         for (k, (o, &v)) in outcomes.iter().zip(&rhs).enumerate() {
@@ -363,7 +361,7 @@ fn warm_restart_after_infeasible_and_on_first_use() {
     // warm = None must behave exactly like a cold solve
     let mut rng = StdRng::seed_from_u64(7);
     let p = budget_shaped(&mut rng, 4, 3.0);
-    let (a, _) = p.solve_revised_warm(None);
+    let (a, _) = rtt_lp::revised::solve_warm(&p, None, None);
     let b = p.solve_with(Engine::Revised);
     let (a, b) = (a.expect_optimal("a"), b.expect_optimal("b"));
     assert_eq!(a.objective.to_bits(), b.objective.to_bits());
