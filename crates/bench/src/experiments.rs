@@ -597,7 +597,7 @@ pub fn lp_quality() -> Report {
         let (arc, _) = to_arc_form(&inst);
         let tt = rtt_core::transform::expand_two_tuples(&arc);
         for &b in &[2u64, 6] {
-            let lp = rtt_core::lp_build::solve_min_makespan_lp(&tt, b).unwrap();
+            let lp = rtt_core::lp_build::solve_min_makespan_lp(&tt, b, None).unwrap();
             let opt = solve_exact(&arc, b).solution.makespan;
             let gap = if lp.makespan > 0.0 {
                 opt as f64 / lp.makespan

@@ -193,7 +193,7 @@ fn pipeline_digest(fnv: &mut Fnv) -> usize {
             .expect("budget-0 LP is feasible")
             .makespan;
         for frac in [0.75, 0.4] {
-            fnv.fractional(&solve_min_resource_lp(&tt, (base * frac) as u64));
+            fnv.fractional(&solve_min_resource_lp(&tt, (base * frac) as u64, None));
             solves += 1;
         }
     }

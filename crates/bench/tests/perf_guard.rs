@@ -8,9 +8,10 @@
 //! new numbers in the change description.
 
 use rtt_bench::fixtures::{race_instance, sp_instance};
-use rtt_core::lp_build::{solve_min_makespan_lp_with, solve_min_makespan_sweep};
+use rtt_core::lp_build::solve_min_makespan_lp_with;
 use rtt_core::sp_dp::solve_sp_tree_with_stats;
 use rtt_core::transform::expand_two_tuples;
+use rtt_core::MakespanLp;
 use rtt_dag::sp::decompose;
 use rtt_lp::Engine;
 
@@ -48,7 +49,7 @@ fn warm_sweep_pivots_stay_in_envelope() {
     let arc = race_instance(16, 16);
     let tt = expand_two_tuples(&arc);
     let grid: Vec<u64> = (0..16).collect();
-    let warm = solve_min_makespan_sweep(&tt, &grid).unwrap();
+    let (warm, _) = MakespanLp::new(&tt).solve_sweep(&tt, &grid, None).unwrap();
     let warm_total: u64 = warm.iter().map(|f| f.pivots as u64).sum();
     let cold_total: u64 = grid
         .iter()
@@ -77,7 +78,7 @@ fn wire_sweep_pivots_stay_in_envelope() {
     let arc = race_instance(16, 16);
     let tt = expand_two_tuples(&arc);
     let grid: Vec<u64> = (0..16).collect();
-    let warm = solve_min_makespan_sweep(&tt, &grid).unwrap();
+    let (warm, _) = MakespanLp::new(&tt).solve_sweep(&tt, &grid, None).unwrap();
     let warm_total: u64 = warm.iter().map(|f| f.pivots as u64).sum();
 
     let wire_total = rtt_bench::fixtures::pinned_chain_pivots();

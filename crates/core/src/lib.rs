@@ -27,6 +27,17 @@
 //!    recovered with a lower-bounded **min-flow** ([`rounding`],
 //!    LP 11–13, via `rtt-flow`).
 //!
+//! Each LP-rounding theorem is a rounding of the LP's solution: a pure
+//! function of its [`lp_build::FractionalSolution`]
+//! ([`bicriteria_round_prepped`] for Theorem 3.4, [`FamilyRounding`]
+//! for Theorems 3.9, 3.10 and 3.16, and
+//! [`regimes::noreuse_round_prepped`] without reuse). Only the LP can
+//! run long, so the LP solve is the only metered stage of these
+//! answers: [`lp_build::solve_min_makespan_lp`] and
+//! [`lp_build::solve_min_resource_lp`] take an optional
+//! `rtt_budget::BudgetMeter`, and a budget sweep meters its one LP chain
+//! ([`MakespanLp::solve_sweep_metered`]).
+//!
 //! ## Solvers
 //!
 //! | function | guarantee | paper |
@@ -66,7 +77,7 @@ pub use fingerprint::{
 };
 pub use from_race::{instance_from_program, instance_from_race_dag, FromRaceError, ReducerFamily};
 pub use instance::{Activity, ArcInstance, Instance, InstanceError, Job};
-pub use lp_build::{solve_min_makespan_sweep, MakespanLp};
+pub use lp_build::MakespanLp;
 pub use regimes::{
     compare_regimes, global_reuse_schedule, solve_noreuse_bicriteria, solve_noreuse_exact,
     verify_global_schedule, GlobalPolicy, GlobalSchedule, NoReuseSolution, RegimeComparison,
@@ -74,7 +85,7 @@ pub use regimes::{
 pub use solution::{routing_plan, validate, Route, RoutingPlan, Solution, ValidationError};
 pub use solvers::{
     bicriteria_round_prepped, min_resource, solve_bicriteria, solve_kway_5approx,
-    solve_recbinary_4approx, solve_recbinary_improved, ApproxSolution, SolveError,
+    solve_recbinary_4approx, solve_recbinary_improved, ApproxSolution, FamilyRounding, SolveError,
 };
 pub use transform::{expand_two_tuples, to_arc_form, TwoTupleInstance};
 

@@ -31,6 +31,18 @@
 //! no conservation rows (8), and bounds the *sum* of purchases by `B`
 //! in (9) instead of the source outflow. Each regime reports its
 //! row-(9) sum as [`FractionalSolution::budget_used`].
+//!
+//! # Entries
+//!
+//! The LP is the only stage of an LP-rounding answer that a budget
+//! meter reaches: every rounding in [`crate::solvers`] and
+//! [`crate::regimes`] is a pure function of its solution. The two
+//! metered single-solve entries are [`solve_min_makespan_lp`] (one
+//! revised solve from the longest-path crash basis) and
+//! [`solve_min_resource_lp`] (one cold two-phase solve); a budget sweep
+//! is one chain through [`MakespanLp::solve_sweep_metered`], and the
+//! no-reuse regime solves through
+//! [`crate::regimes::solve_noreuse_lp_metered`].
 
 use crate::exact::Regime;
 use crate::transform::TwoTupleInstance;
@@ -431,17 +443,24 @@ impl MakespanLp {
     }
 }
 
-/// Solves LP 6–10: minimize the makespan `T_t` under resource budget `B`.
+/// Solves LP 6–10: minimize the makespan `T_t` under resource budget
+/// `B`, with the revised engine from the longest-path crash basis. A
+/// `meter`, when given, is charged one `lp_pivots` unit per pivot, and
+/// a tripped budget surfaces as [`LpError::Exhausted`].
 pub fn solve_min_makespan_lp(
     tt: &TwoTupleInstance,
     budget: Resource,
+    meter: Option<&rtt_budget::BudgetMeter>,
 ) -> Result<FractionalSolution, LpError> {
-    solve_min_makespan_lp_with(tt, budget, Engine::Revised)
+    let mut lp = MakespanLp::new(tt);
+    lp.set_budget(budget);
+    lp.solve_warm(tt, None, meter).map(|(f, _)| f)
 }
 
-/// [`solve_min_makespan_lp`] under an explicit simplex [`Engine`]
-/// (`Engine::Flat` is the dense oracle; `rtt_bench`'s `perf_guard`
-/// pins and the unit tests compare the engines through it).
+/// [`solve_min_makespan_lp`], unmetered, under an explicit simplex
+/// [`Engine`] (`Engine::Flat` is the dense oracle; `rtt_bench`'s
+/// `perf_guard` pins and the unit tests compare the engines through
+/// it).
 pub fn solve_min_makespan_lp_with(
     tt: &TwoTupleInstance,
     budget: Resource,
@@ -452,42 +471,10 @@ pub fn solve_min_makespan_lp_with(
     lp.solve_with(tt, engine)
 }
 
-/// [`solve_min_makespan_lp`] under a cooperative budget meter (see
-/// [`MakespanLp::solve_warm`]).
-pub fn solve_min_makespan_lp_metered(
-    tt: &TwoTupleInstance,
-    budget: Resource,
-    meter: Option<&rtt_budget::BudgetMeter>,
-) -> Result<FractionalSolution, LpError> {
-    let mut lp = MakespanLp::new(tt);
-    lp.set_budget(budget);
-    lp.solve_warm(tt, None, meter).map(|(f, _)| f)
-}
-
-/// Solves LP 6–10 at every budget of `budgets` in **one warm-started
-/// chain**: the first point solves cold, each later point
-/// dual-reoptimizes from the previous optimal basis (the per-point cost
-/// collapses to a handful of pivots on fine grids — see
-/// `BENCH_pr3.json`). Results are returned in input order.
-pub fn solve_min_makespan_sweep(
-    tt: &TwoTupleInstance,
-    budgets: &[Resource],
-) -> Result<Vec<FractionalSolution>, LpError> {
-    let lp = MakespanLp::new(tt);
-    lp.solve_sweep(tt, budgets, None).map(|(points, _)| points)
-}
-
-/// The minimum-resource twin: minimize `Σ f(s,·)` subject to `T_t ≤ T`.
+/// The minimum-resource twin: minimize `Σ f(s,·)` subject to `T_t ≤ T`,
+/// with one cold two-phase revised solve, metered as
+/// [`solve_min_makespan_lp`] is.
 pub fn solve_min_resource_lp(
-    tt: &TwoTupleInstance,
-    target: Time,
-) -> Result<FractionalSolution, LpError> {
-    solve_min_resource_lp_metered(tt, target, None)
-}
-
-/// [`solve_min_resource_lp`] under a cooperative budget meter (see
-/// [`MakespanLp::solve_warm`]).
-pub fn solve_min_resource_lp_metered(
     tt: &TwoTupleInstance,
     target: Time,
     meter: Option<&rtt_budget::BudgetMeter>,
@@ -526,11 +513,11 @@ mod tests {
     fn lp_interpolates_budget() {
         let tt = single_job();
         // B = 0: makespan 10. B = 4: 0. B = 2: 5 (linear).
-        let f0 = solve_min_makespan_lp(&tt, 0).unwrap();
+        let f0 = solve_min_makespan_lp(&tt, 0, None).unwrap();
         assert!((f0.makespan - 10.0).abs() < 1e-6, "{}", f0.makespan);
-        let f4 = solve_min_makespan_lp(&tt, 4).unwrap();
+        let f4 = solve_min_makespan_lp(&tt, 4, None).unwrap();
         assert!(f4.makespan.abs() < 1e-6);
-        let f2 = solve_min_makespan_lp(&tt, 2).unwrap();
+        let f2 = solve_min_makespan_lp(&tt, 2, None).unwrap();
         assert!((f2.makespan - 5.0).abs() < 1e-6, "{}", f2.makespan);
     }
 
@@ -538,7 +525,7 @@ mod tests {
     fn lp_budget_not_exceeded() {
         let tt = single_job();
         for b in [0u64, 1, 3, 10] {
-            let f = solve_min_makespan_lp(&tt, b).unwrap();
+            let f = solve_min_makespan_lp(&tt, b, None).unwrap();
             assert!(f.budget_used <= b as f64 + 1e-6);
         }
     }
@@ -548,7 +535,7 @@ mod tests {
         let tt = single_job();
         // With B = 3 integral can't buy the 4-gap: best integral = 10.
         // LP does better (fractional) — that's the relaxation gap.
-        let f = solve_min_makespan_lp(&tt, 3).unwrap();
+        let f = solve_min_makespan_lp(&tt, 3, None).unwrap();
         assert!(f.makespan <= 10.0 + 1e-9);
         assert!((f.makespan - 2.5).abs() < 1e-6, "{}", f.makespan);
     }
@@ -557,11 +544,11 @@ mod tests {
     fn min_resource_lp_basics() {
         let tt = single_job();
         // target 10 needs 0 resource; target 0 needs 4; target 5 needs 2.
-        let r10 = solve_min_resource_lp(&tt, 10).unwrap();
+        let r10 = solve_min_resource_lp(&tt, 10, None).unwrap();
         assert!(r10.budget_used < 1e-6);
-        let r0 = solve_min_resource_lp(&tt, 0).unwrap();
+        let r0 = solve_min_resource_lp(&tt, 0, None).unwrap();
         assert!((r0.budget_used - 4.0).abs() < 1e-6);
-        let r5 = solve_min_resource_lp(&tt, 5).unwrap();
+        let r5 = solve_min_resource_lp(&tt, 5, None).unwrap();
         assert!((r5.budget_used - 2.0).abs() < 1e-6, "{}", r5.budget_used);
     }
 
@@ -580,10 +567,10 @@ mod tests {
         let (arc, _) = to_arc_form(&inst);
         let tt = expand_two_tuples(&arc);
         // 3 units kill BOTH jobs (serial path, resource flows through).
-        let f = solve_min_makespan_lp(&tt, 3).unwrap();
+        let f = solve_min_makespan_lp(&tt, 3, None).unwrap();
         assert!(f.makespan.abs() < 1e-6, "{}", f.makespan);
         // and the min-resource LP needs only 3 for target 0
-        let r = solve_min_resource_lp(&tt, 0).unwrap();
+        let r = solve_min_resource_lp(&tt, 0, None).unwrap();
         assert!((r.budget_used - 3.0).abs() < 1e-6, "{}", r.budget_used);
     }
 
@@ -602,10 +589,10 @@ mod tests {
         let inst = Instance::new(g).unwrap();
         let (arc, _) = to_arc_form(&inst);
         let tt = expand_two_tuples(&arc);
-        let r = solve_min_resource_lp(&tt, 0).unwrap();
+        let r = solve_min_resource_lp(&tt, 0, None).unwrap();
         assert!((r.budget_used - 6.0).abs() < 1e-6, "{}", r.budget_used);
         // with only 3 units the makespan cannot reach 0
-        let f = solve_min_makespan_lp(&tt, 3).unwrap();
+        let f = solve_min_makespan_lp(&tt, 3, None).unwrap();
         assert!(f.makespan > 4.0, "{}", f.makespan);
     }
 
@@ -620,21 +607,23 @@ mod tests {
         let arc = ArcInstance::new(g).unwrap();
         let tt = expand_two_tuples(&arc);
         assert!(matches!(
-            solve_min_resource_lp(&tt, 4),
+            solve_min_resource_lp(&tt, 4, None),
             Err(LpError::Infeasible)
         ));
-        assert!(solve_min_resource_lp(&tt, 5).is_ok());
+        assert!(solve_min_resource_lp(&tt, 5, None).is_ok());
     }
 
     #[test]
     fn sweep_matches_cold_solves_and_is_monotone() {
         let tt = single_job();
         let budgets: Vec<u64> = (0..=4).collect();
-        let sweep = solve_min_makespan_sweep(&tt, &budgets).unwrap();
+        let (sweep, _) = MakespanLp::new(&tt)
+            .solve_sweep(&tt, &budgets, None)
+            .unwrap();
         assert_eq!(sweep.len(), budgets.len());
         let mut prev = f64::INFINITY;
         for (f, &b) in sweep.iter().zip(&budgets) {
-            let cold = solve_min_makespan_lp(&tt, b).unwrap();
+            let cold = solve_min_makespan_lp(&tt, b, None).unwrap();
             assert!(
                 (f.makespan - cold.makespan).abs() < 1e-9,
                 "budget {b}: sweep {} vs cold {}",
@@ -684,9 +673,9 @@ mod tests {
         .unwrap();
         let arc = ArcInstance::new(g).unwrap();
         let tt = expand_two_tuples(&arc);
-        let f0 = solve_min_makespan_lp(&tt, 0).unwrap();
+        let f0 = solve_min_makespan_lp(&tt, 0, None).unwrap();
         assert!(f0.makespan >= LP_BIG * 0.99);
-        let f2 = solve_min_makespan_lp(&tt, 2).unwrap();
+        let f2 = solve_min_makespan_lp(&tt, 2, None).unwrap();
         assert!(f2.makespan < 1e-3);
     }
 }

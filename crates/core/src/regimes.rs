@@ -210,36 +210,30 @@ pub fn solve_noreuse_bicriteria(
     alpha: f64,
 ) -> Result<NoReuseApprox, LpError> {
     let tt = expand_two_tuples(arc);
-    solve_noreuse_bicriteria_metered(arc, &tt, budget, alpha, None)
+    let frac = solve_noreuse_lp(&tt, budget)?;
+    Ok(noreuse_round_prepped(arc, &tt, frac, alpha))
 }
 
-/// [`solve_noreuse_bicriteria`] on a caller-supplied `D''` expansion,
-/// under a cooperative budget meter.
-pub fn solve_noreuse_bicriteria_metered(
+/// The rounding of [`solve_noreuse_bicriteria`] on a caller-supplied
+/// no-reuse LP solution ([`solve_noreuse_lp_metered`]) and its `D''`
+/// expansion: α-round the purchases and dedicate each job the sum over
+/// its chains.
+pub fn noreuse_round_prepped(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,
-    budget: Resource,
+    frac: FractionalSolution,
     alpha: f64,
-    meter: Option<&BudgetMeter>,
-) -> Result<NoReuseApprox, LpError> {
-    let frac = solve_noreuse_lp_metered(tt, budget, meter)?;
+) -> NoReuseApprox {
     let lower = crate::rounding::alpha_round(tt, &frac, alpha);
-    // collapse the per-chain purchases into per-D'-edge levels
-    let d = arc.dag();
-    let mut levels = vec![0; d.edge_count()];
+    let mut levels = vec![0; arc.dag().edge_count()];
     for info in &tt.chains {
-        levels[info.arc_edge.index()] = info
-            .chain_edges
-            .iter()
-            .map(|ce| lower[ce.index()])
-            .sum::<Resource>();
+        levels[info.arc_edge.index()] = info.sum(&lower);
     }
-    let solution = noreuse_solution_from_levels(arc, levels);
-    Ok(NoReuseApprox {
-        solution,
+    NoReuseApprox {
+        solution: noreuse_solution_from_levels(arc, levels),
         lp_makespan: frac.makespan,
         lp_budget: frac.budget_used,
-    })
+    }
 }
 
 /// No-reuse tradeoff curve for a series-parallel [`ArcInstance`]:

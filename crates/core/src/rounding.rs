@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn full_budget_rounds_down_everything() {
         let tt = chain_two_jobs();
-        let frac = solve_min_makespan_lp(&tt, 4).unwrap();
+        let frac = solve_min_makespan_lp(&tt, 4, None).unwrap();
         assert!(frac.makespan.abs() < 1e-6);
         let lower = alpha_round(&tt, &frac, 0.5);
         // both purchase edges demand their full gap of 4
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn zero_budget_rounds_up_everything() {
         let tt = chain_two_jobs();
-        let frac = solve_min_makespan_lp(&tt, 0).unwrap();
+        let frac = solve_min_makespan_lp(&tt, 0, None).unwrap();
         let lower = alpha_round(&tt, &frac, 0.5);
         assert!(lower.iter().all(|&l| l == 0));
         let (budget, flows) = route_min_flow(&tt, &lower);
@@ -118,7 +118,7 @@ mod tests {
     fn alpha_extremes_change_aggressiveness() {
         let tt = chain_two_jobs();
         // Budget 2: LP buys half of the first job's gap (fractional).
-        let frac = solve_min_makespan_lp(&tt, 2).unwrap();
+        let frac = solve_min_makespan_lp(&tt, 2, None).unwrap();
         // α near 1: almost any improvement is kept (round down).
         let aggressive = alpha_round(&tt, &frac, 0.99);
         // α near 0: only near-complete improvements are kept.
@@ -132,14 +132,14 @@ mod tests {
     #[should_panic(expected = "alpha must be in (0,1)")]
     fn invalid_alpha_rejected() {
         let tt = chain_two_jobs();
-        let frac = solve_min_makespan_lp(&tt, 0).unwrap();
+        let frac = solve_min_makespan_lp(&tt, 0, None).unwrap();
         alpha_round(&tt, &frac, 1.0);
     }
 
     #[test]
     fn min_flow_budget_never_exceeds_sum_of_demands() {
         let tt = chain_two_jobs();
-        let frac = solve_min_makespan_lp(&tt, 8).unwrap();
+        let frac = solve_min_makespan_lp(&tt, 8, None).unwrap();
         let lower = alpha_round(&tt, &frac, 0.5);
         let (budget, flows) = route_min_flow(&tt, &lower);
         assert!(budget <= lower.iter().sum());

@@ -1,13 +1,21 @@
-//! The paper's approximation algorithms (§3.1–§3.3).
+//! The paper's approximation algorithms (§3.1–§3.3), each a rounding of
+//! LP 6–10's solution.
+//!
+//! Only the LP can run long, so it is the only metered stage: a caller
+//! solves LP 6–10 once ([`crate::lp_build::solve_min_makespan_lp`] or
+//! [`crate::lp_build::solve_min_resource_lp`], both under an optional
+//! meter) and hands its [`FractionalSolution`] to a rounding that takes
+//! no meter — [`bicriteria_round_prepped`] for Theorem 3.4, or
+//! [`FamilyRounding::round`] for Theorems 3.9, 3.10 and 3.16. The
+//! library entries below ([`solve_bicriteria`], [`min_resource`] and
+//! the three family solvers) are exactly that on a fresh `D''`
+//! expansion with an unmetered LP.
 
 use crate::instance::ArcInstance;
-use crate::lp_build::{
-    solve_min_makespan_lp_metered, solve_min_resource_lp_metered, FractionalSolution, LpError,
-};
+use crate::lp_build::{solve_min_makespan_lp, solve_min_resource_lp, FractionalSolution, LpError};
 use crate::rounding::{alpha_round, route_min_flow};
 use crate::solution::{routed_solution, Solution};
 use crate::transform::{expand_two_tuples, TwoTupleInstance};
-use rtt_budget::BudgetMeter;
 use rtt_duration::{DurationKind, Resource, Time};
 use std::fmt;
 
@@ -64,65 +72,19 @@ pub struct ApproxSolution {
     pub lp_stats: rtt_lp::LpStats,
 }
 
-// ---------------------------------------------------------------------
-// shared pipeline pieces
-// ---------------------------------------------------------------------
-
-struct PerJob {
-    /// The D' arc of this job.
-    arc_edge: rtt_dag::EdgeId,
-    /// Rounded purchased resource `r_j` (Σ of bought gaps).
-    rounded: Resource,
-    /// Fractional flow through the job in the LP, `r*_j` (collapsed).
-    fractional: f64,
-}
-
-fn per_job_stats(
-    tt: &TwoTupleInstance,
-    frac: &FractionalSolution,
-    lower: &[Resource],
-) -> Vec<PerJob> {
-    tt.chains
-        .iter()
-        .map(|info| {
-            let rounded = info
-                .chain_edges
-                .iter()
-                .map(|ce| lower[ce.index()])
-                .sum::<Resource>();
-            let fractional = info
-                .chain_edges
-                .iter()
-                .map(|ce| frac.flows[ce.index()])
-                .sum::<f64>();
-            PerJob {
-                arc_edge: info.arc_edge,
-                rounded,
-                fractional,
-            }
-        })
-        .collect()
-}
-
-/// The tail the three family roundings share after their level rule:
-/// the levels' routed solution (their min-flow, the durations they buy,
-/// the longest path of those) with the LP's certificates and the
-/// theorem's factors.
-fn family_tail(
-    arc: &ArcInstance,
-    frac: FractionalSolution,
-    levels: &[Resource],
-    makespan_factor: f64,
-    resource_factor: f64,
-) -> ApproxSolution {
-    ApproxSolution {
-        solution: routed_solution(arc, levels),
-        lp_makespan: frac.makespan,
-        lp_budget: frac.budget_used,
-        lp_pivots: frac.pivots,
-        lp_stats: frac.stats,
-        makespan_factor,
-        resource_factor,
+impl ApproxSolution {
+    /// `solution` with the certificates of the LP solution `frac` it
+    /// was rounded from and the theorem's factors.
+    fn new(solution: Solution, frac: FractionalSolution, factors: (f64, f64)) -> Self {
+        ApproxSolution {
+            solution,
+            lp_makespan: frac.makespan,
+            lp_budget: frac.budget_used,
+            lp_pivots: frac.pivots,
+            lp_stats: frac.stats,
+            makespan_factor: factors.0,
+            resource_factor: factors.1,
+        }
     }
 }
 
@@ -140,31 +102,16 @@ pub fn solve_bicriteria(
     alpha: f64,
 ) -> Result<ApproxSolution, SolveError> {
     let tt = expand_two_tuples(arc);
-    solve_bicriteria_metered(arc, &tt, budget, alpha, None)
+    let frac = solve_min_makespan_lp(&tt, budget, None)?;
+    Ok(bicriteria_round_prepped(arc, &tt, frac, alpha))
 }
 
-/// [`solve_bicriteria`] on a caller-supplied `D''` expansion (so one
-/// [`expand_two_tuples`] run can feed many solves on the same instance;
-/// `rtt_engine` shares it through its preprocessing cache), under a
-/// cooperative budget meter: the LP's pivot loops charge it and a
-/// tripped budget surfaces as [`SolveError::Lp`] with
-/// [`LpError::Exhausted`].
-pub fn solve_bicriteria_metered(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-    alpha: f64,
-    meter: Option<&BudgetMeter>,
-) -> Result<ApproxSolution, SolveError> {
-    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
-    Ok(bicriteria_round_prepped(arc, tt, frac, alpha))
-}
-
-/// The α-rounding + min-flow routing stage of Theorem 3.4 on a
-/// caller-supplied LP solution. Splitting the LP solve from the
-/// rounding lets a warm-started budget sweep (one LP chain) feed every
-/// point through the same certified rounding path — see
-/// `rtt_engine::execute_sweep_wire`.
+/// The rounding of Theorem 3.4 on a caller-supplied LP solution and its
+/// `D''` expansion: α-round the LP durations, route the rounded
+/// requirements with a min-flow, and read the durations that routing
+/// buys back onto `D'`. It rounds a min-makespan solution (at a budget,
+/// or at every point of a warm-started sweep — see
+/// `rtt_engine::execute_sweep_wire`) and a min-resource solution alike.
 pub fn bicriteria_round_prepped(
     arc: &ArcInstance,
     tt: &TwoTupleInstance,
@@ -173,18 +120,6 @@ pub fn bicriteria_round_prepped(
 ) -> ApproxSolution {
     let lower = alpha_round(tt, &frac, alpha);
     let (used, tt_flows) = route_min_flow(tt, &lower);
-    finish_on_tt(arc, tt, frac, tt_flows, used, alpha)
-}
-
-/// Assembles the bi-criteria result from a `D''` routing.
-fn finish_on_tt(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    frac: FractionalSolution,
-    tt_flows: Vec<Resource>,
-    used: Resource,
-    alpha: f64,
-) -> ApproxSolution {
     let d = arc.dag();
     let arc_flows = tt.collapse_flow(arc, &tt_flows);
     // Achieved duration per D' edge: copied edges evaluate at their own
@@ -212,207 +147,21 @@ fn finish_on_tt(
         tt.makespan_with_flows(&tt_flows),
         "D' and D'' makespans must agree"
     );
-    ApproxSolution {
-        lp_makespan: frac.makespan,
-        lp_budget: frac.budget_used,
-        lp_pivots: frac.pivots,
-        lp_stats: frac.stats,
-        solution: Solution {
-            arc_flows,
-            edge_times,
-            makespan,
-            budget_used: used,
-        },
-        makespan_factor: 1.0 / alpha,
-        resource_factor: 1.0 / (1.0 - alpha),
-    }
+    let solution = Solution {
+        arc_flows,
+        edge_times,
+        makespan,
+        budget_used: used,
+    };
+    ApproxSolution::new(solution, frac, (1.0 / alpha, 1.0 / (1.0 - alpha)))
 }
-
-// ---------------------------------------------------------------------
-// Theorem 3.9: 5-approximation for k-way splitting (budget kept)
-// ---------------------------------------------------------------------
-
-/// Single-criteria 5-approximation for the minimum-makespan problem with
-/// k-way splitting duration functions (Theorem 3.9).
-///
-/// Pipeline: (2,2) bi-criteria via α = 1/2, then per job shrink the
-/// (possibly 2×-inflated) allocation `r_j` back under the LP's
-/// fractional `r*_j` — `⌊r_j/2⌋` in general, with the paper's special
-/// cases for `r_j ≤ 3` — and re-route with a min-flow, which now fits in
-/// the original budget.
-pub fn solve_kway_5approx(
-    arc: &ArcInstance,
-    budget: Resource,
-) -> Result<ApproxSolution, SolveError> {
-    // reject the wrong family before paying for the D'' expansion
-    require_family(arc, "k-way", |k| matches!(k, DurationKind::KWay { .. }))?;
-    let tt = expand_two_tuples(arc);
-    solve_kway_5approx_metered(arc, &tt, budget, None)
-}
-
-/// [`solve_kway_5approx`] on a caller-supplied `D''` expansion,
-/// under a cooperative budget meter.
-pub fn solve_kway_5approx_metered(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-    meter: Option<&BudgetMeter>,
-) -> Result<ApproxSolution, SolveError> {
-    require_family(arc, "k-way", |k| matches!(k, DurationKind::KWay { .. }))?;
-    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
-    let lower = alpha_round(tt, &frac, 0.5);
-    let jobs = per_job_stats(tt, &frac, &lower);
-
-    let d = arc.dag();
-    let mut levels = vec![0; d.edge_count()];
-    for j in &jobs {
-        let k = if j.rounded == 0 {
-            0
-        } else if j.rounded > 3 {
-            j.rounded / 2
-        } else if j.fractional >= 2.0 - 1e-9 {
-            2
-        } else {
-            0
-        };
-        levels[j.arc_edge.index()] = k;
-    }
-    let a = family_tail(arc, frac, &levels, 5.0, 1.0);
-    debug_assert!(
-        a.solution.budget_used <= budget,
-        "Theorem 3.9: the rerouted budget {} must fit in B = {budget}",
-        a.solution.budget_used
-    );
-    Ok(a)
-}
-
-// ---------------------------------------------------------------------
-// Theorem 3.10: 4-approximation for recursive binary splitting
-// ---------------------------------------------------------------------
-
-/// Single-criteria 4-approximation for the minimum-makespan problem with
-/// recursive binary splitting duration functions (Theorem 3.10).
-///
-/// After the (2,2) bi-criteria step, any job whose rounded allocation
-/// exceeds its fractional LP allocation is halved; halving a power-of-two
-/// reducer at most doubles its duration, giving makespan ≤ 4·OPT within
-/// the original budget.
-pub fn solve_recbinary_4approx(
-    arc: &ArcInstance,
-    budget: Resource,
-) -> Result<ApproxSolution, SolveError> {
-    require_family(arc, "recursive-binary", |k| {
-        matches!(k, DurationKind::RecursiveBinary { .. })
-    })?;
-    let tt = expand_two_tuples(arc);
-    solve_recbinary_4approx_metered(arc, &tt, budget, None)
-}
-
-/// [`solve_recbinary_4approx`] on a caller-supplied `D''` expansion,
-/// under a cooperative budget meter.
-pub fn solve_recbinary_4approx_metered(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-    meter: Option<&BudgetMeter>,
-) -> Result<ApproxSolution, SolveError> {
-    require_family(arc, "recursive-binary", |k| {
-        matches!(k, DurationKind::RecursiveBinary { .. })
-    })?;
-    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
-    let lower = alpha_round(tt, &frac, 0.5);
-    let jobs = per_job_stats(tt, &frac, &lower);
-
-    let d = arc.dag();
-    let mut levels = vec![0; d.edge_count()];
-    for j in &jobs {
-        let target = if (j.rounded as f64) <= j.fractional + 1e-9 {
-            j.rounded
-        } else {
-            j.rounded / 2
-        };
-        // snap to the level `target` units buy (a power of two for
-        // this family)
-        levels[j.arc_edge.index()] = d.edge(j.arc_edge).duration.level(target);
-    }
-    let a = family_tail(arc, frac, &levels, 4.0, 1.0);
-    debug_assert!(
-        a.solution.budget_used <= budget,
-        "Theorem 3.10 keeps the budget"
-    );
-    Ok(a)
-}
-
-// ---------------------------------------------------------------------
-// Theorem 3.16: (4/3, 14/5) bi-criteria for recursive binary splitting
-// ---------------------------------------------------------------------
-
-/// Improved (4/3, 14/5) bi-criteria approximation for recursive binary
-/// splitting (Theorem 3.16).
-///
-/// Rounds each job's *fractional* LP allocation `r` directly to a power
-/// of two: down within `[2^i, 1.5·2^i)`, up within `[1.5·2^i, 2^{i+1})`.
-/// Lemma 3.15 bounds the resource inflation by 4/3; Lemmas 3.11–3.14
-/// bound the duration inflation by 14/5.
-pub fn solve_recbinary_improved(
-    arc: &ArcInstance,
-    budget: Resource,
-) -> Result<ApproxSolution, SolveError> {
-    require_family(arc, "recursive-binary", |k| {
-        matches!(k, DurationKind::RecursiveBinary { .. })
-    })?;
-    let tt = expand_two_tuples(arc);
-    solve_recbinary_improved_metered(arc, &tt, budget, None)
-}
-
-/// [`solve_recbinary_improved`] on a caller-supplied `D''` expansion,
-/// under a cooperative budget meter.
-pub fn solve_recbinary_improved_metered(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    budget: Resource,
-    meter: Option<&BudgetMeter>,
-) -> Result<ApproxSolution, SolveError> {
-    require_family(arc, "recursive-binary", |k| {
-        matches!(k, DurationKind::RecursiveBinary { .. })
-    })?;
-    let frac = solve_min_makespan_lp_metered(tt, budget, meter)?;
-    let d = arc.dag();
-    let mut levels = vec![0; d.edge_count()];
-    for info in &tt.chains {
-        let r: f64 = info
-            .chain_edges
-            .iter()
-            .map(|ce| frac.flows[ce.index()])
-            .sum();
-        let rbar: Resource = if r < 1.0 {
-            0
-        } else {
-            let i = r.log2().floor() as u32;
-            let lo = (1u64 << i) as f64;
-            if r < 1.5 * lo {
-                1u64 << i
-            } else {
-                1u64 << (i + 1)
-            }
-        };
-        // Cap at the largest canonical level (2^k of Eq. 3): beyond it,
-        // resources stop helping, so demanding more only wastes budget.
-        let cap = d.edge(info.arc_edge).duration.max_useful_resource();
-        levels[info.arc_edge.index()] = rbar.min(cap);
-    }
-    Ok(family_tail(arc, frac, &levels, 14.0 / 5.0, 4.0 / 3.0))
-}
-
-// ---------------------------------------------------------------------
-// Minimum-resource problem (bi-criteria via the same machinery)
-// ---------------------------------------------------------------------
 
 /// Bi-criteria approximation for the **minimum-resource** problem:
 /// minimize the budget subject to a makespan target `T`.
 ///
 /// Solves the min-resource LP (objective Σ f(s,·), constraint
-/// `T_t ≤ T`), α-rounds, and re-routes. Guarantees: makespan ≤ T/α and
+/// `T_t ≤ T`), then rounds it as Theorem 3.4 does
+/// ([`bicriteria_round_prepped`]). Guarantees: makespan ≤ T/α and
 /// budget ≤ OPT/(1−α).
 pub fn min_resource(
     arc: &ArcInstance,
@@ -420,38 +169,177 @@ pub fn min_resource(
     alpha: f64,
 ) -> Result<ApproxSolution, SolveError> {
     let tt = expand_two_tuples(arc);
-    min_resource_metered(arc, &tt, target, alpha, None)
+    let frac = solve_min_resource_lp(&tt, target, None)?;
+    Ok(bicriteria_round_prepped(arc, &tt, frac, alpha))
 }
 
-/// [`min_resource`] on a caller-supplied `D''` expansion,
-/// under a cooperative budget meter.
-pub fn min_resource_metered(
-    arc: &ArcInstance,
-    tt: &TwoTupleInstance,
-    target: Time,
-    alpha: f64,
-    meter: Option<&BudgetMeter>,
-) -> Result<ApproxSolution, SolveError> {
-    let frac = solve_min_resource_lp_metered(tt, target, meter)?;
-    let lower = alpha_round(tt, &frac, alpha);
-    let (used, tt_flows) = route_min_flow(tt, &lower);
-    Ok(finish_on_tt(arc, tt, frac, tt_flows, used, alpha))
+// ---------------------------------------------------------------------
+// Theorems 3.9, 3.10 and 3.16: the roundings for one duration family
+// ---------------------------------------------------------------------
+
+/// The single-duration-family roundings of LP 6–10 (§3.2–§3.3). Each
+/// owns the family its instances' improvable jobs must all belong to
+/// ([`FamilyRounding::family`], [`FamilyRounding::applies`]) and its
+/// per-job level rule ([`FamilyRounding::round`]); the levels are then
+/// routed with their min-flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FamilyRounding {
+    /// Theorem 3.9: makespan ≤ 5·OPT within the budget, for k-way
+    /// splitting duration functions.
+    KWay,
+    /// Theorem 3.10: makespan ≤ 4·OPT within the budget, for recursive
+    /// binary splitting duration functions.
+    RecBinary,
+    /// Theorem 3.16: the improved (4/3, 14/5) bi-criteria rounding for
+    /// recursive binary splitting duration functions.
+    RecBinaryImproved,
 }
 
-fn require_family(
-    arc: &ArcInstance,
-    name: &'static str,
-    ok: impl Fn(DurationKind) -> bool,
-) -> Result<(), SolveError> {
-    let improvable = arc.improvable_edges();
-    if improvable
-        .iter()
-        .all(|&e| ok(arc.dag().edge(e).duration.kind()))
-    {
-        Ok(())
-    } else {
-        Err(SolveError::WrongFamily(name))
+impl FamilyRounding {
+    /// The duration family this rounding needs, as
+    /// [`SolveError::WrongFamily`] names it.
+    pub fn family(self) -> &'static str {
+        match self {
+            FamilyRounding::KWay => "k-way",
+            FamilyRounding::RecBinary | FamilyRounding::RecBinaryImproved => "recursive-binary",
+        }
     }
+
+    /// Whether every improvable job of `arc` has this rounding's
+    /// duration family.
+    pub fn applies(self, arc: &ArcInstance) -> bool {
+        let d = arc.dag();
+        arc.improvable_edges()
+            .iter()
+            .all(|&e| match d.edge(e).duration.kind() {
+                DurationKind::KWay { .. } => self == FamilyRounding::KWay,
+                DurationKind::RecursiveBinary { .. } => self != FamilyRounding::KWay,
+                _ => false,
+            })
+    }
+
+    /// Rounds `frac`, LP 6–10's solution at `budget` on `arc`'s `D''`
+    /// expansion `tt`, to per-job levels and routes them with their
+    /// min-flow. The caller checks [`FamilyRounding::applies`] first.
+    ///
+    /// * Theorem 3.9 (`KWay`): the (2,2) bi-criteria allocation `r_j`
+    ///   (α = 1/2) shrinks back under the LP's fractional `r*_j` —
+    ///   `⌊r_j/2⌋` in general, with the paper's special cases for
+    ///   `r_j ≤ 3` — and the re-routed levels fit in the budget.
+    /// * Theorem 3.10 (`RecBinary`): an `r_j` above `r*_j` is halved;
+    ///   halving a power-of-two reducer at most doubles its duration,
+    ///   giving makespan ≤ 4·OPT within the budget.
+    /// * Theorem 3.16 (`RecBinaryImproved`): `r*_j` itself rounds to a
+    ///   power of two, down within `[2^i, 1.5·2^i)` and up within
+    ///   `[1.5·2^i, 2^{i+1})`. Lemma 3.15 bounds the resource inflation
+    ///   by 4/3; Lemmas 3.11–3.14 bound the duration inflation by 14/5.
+    pub fn round(
+        self,
+        arc: &ArcInstance,
+        tt: &TwoTupleInstance,
+        frac: FractionalSolution,
+        budget: Resource,
+    ) -> ApproxSolution {
+        let d = arc.dag();
+        let lower = match self {
+            FamilyRounding::KWay | FamilyRounding::RecBinary => alpha_round(tt, &frac, 0.5),
+            FamilyRounding::RecBinaryImproved => Vec::new(),
+        };
+        let mut levels = vec![0; d.edge_count()];
+        for info in &tt.chains {
+            let fractional = info.sum(&frac.flows);
+            let duration = &d.edge(info.arc_edge).duration;
+            levels[info.arc_edge.index()] = match self {
+                FamilyRounding::KWay => match info.sum(&lower) {
+                    0 => 0,
+                    rounded if rounded > 3 => rounded / 2,
+                    _ if fractional >= 2.0 - 1e-9 => 2,
+                    _ => 0,
+                },
+                FamilyRounding::RecBinary => {
+                    let rounded = info.sum(&lower);
+                    let target = if (rounded as f64) <= fractional + 1e-9 {
+                        rounded
+                    } else {
+                        rounded / 2
+                    };
+                    // snap to the level `target` units buy (a power of
+                    // two for this family)
+                    duration.level(target)
+                }
+                FamilyRounding::RecBinaryImproved => {
+                    let rbar: Resource = if fractional < 1.0 {
+                        0
+                    } else {
+                        let i = fractional.log2().floor() as u32;
+                        let lo = (1u64 << i) as f64;
+                        if fractional < 1.5 * lo {
+                            1u64 << i
+                        } else {
+                            1u64 << (i + 1)
+                        }
+                    };
+                    // Cap at the largest canonical level (2^k of Eq. 3):
+                    // beyond it, resources stop helping, so demanding
+                    // more only wastes budget.
+                    rbar.min(duration.max_useful_resource())
+                }
+            };
+        }
+        let factors = match self {
+            FamilyRounding::KWay => (5.0, 1.0),
+            FamilyRounding::RecBinary => (4.0, 1.0),
+            FamilyRounding::RecBinaryImproved => (14.0 / 5.0, 4.0 / 3.0),
+        };
+        let a = ApproxSolution::new(routed_solution(arc, &levels), frac, factors);
+        debug_assert!(
+            self == FamilyRounding::RecBinaryImproved || a.solution.budget_used <= budget,
+            "Theorems 3.9 and 3.10 keep the budget: {self:?} rerouted {} > B = {budget}",
+            a.solution.budget_used
+        );
+        a
+    }
+
+    /// The library entry: rejects the wrong family before paying for
+    /// the `D''` expansion, then expands, solves LP 6–10 unmetered and
+    /// rounds.
+    fn solve(self, arc: &ArcInstance, budget: Resource) -> Result<ApproxSolution, SolveError> {
+        if !self.applies(arc) {
+            return Err(SolveError::WrongFamily(self.family()));
+        }
+        let tt = expand_two_tuples(arc);
+        let frac = solve_min_makespan_lp(&tt, budget, None)?;
+        Ok(self.round(arc, &tt, frac, budget))
+    }
+}
+
+/// Single-criteria 5-approximation for the minimum-makespan problem with
+/// k-way splitting duration functions (Theorem 3.9; see
+/// [`FamilyRounding::KWay`]).
+pub fn solve_kway_5approx(
+    arc: &ArcInstance,
+    budget: Resource,
+) -> Result<ApproxSolution, SolveError> {
+    FamilyRounding::KWay.solve(arc, budget)
+}
+
+/// Single-criteria 4-approximation for the minimum-makespan problem with
+/// recursive binary splitting duration functions (Theorem 3.10; see
+/// [`FamilyRounding::RecBinary`]).
+pub fn solve_recbinary_4approx(
+    arc: &ArcInstance,
+    budget: Resource,
+) -> Result<ApproxSolution, SolveError> {
+    FamilyRounding::RecBinary.solve(arc, budget)
+}
+
+/// Improved (4/3, 14/5) bi-criteria approximation for recursive binary
+/// splitting (Theorem 3.16; see [`FamilyRounding::RecBinaryImproved`]).
+pub fn solve_recbinary_improved(
+    arc: &ArcInstance,
+    budget: Resource,
+) -> Result<ApproxSolution, SolveError> {
+    FamilyRounding::RecBinaryImproved.solve(arc, budget)
 }
 
 #[cfg(test)]

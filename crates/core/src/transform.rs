@@ -105,6 +105,15 @@ pub struct ChainInfo {
     pub chain_edges: Vec<EdgeId>,
 }
 
+impl ChainInfo {
+    /// The job's total of a per-`D''`-edge quantity `v` (a flow, a
+    /// purchase, a rounded requirement): its sum over the job's
+    /// parallel chains.
+    pub(crate) fn sum<T: Copy + std::iter::Sum>(&self, v: &[T]) -> T {
+        self.chain_edges.iter().map(|ce| v[ce.index()]).sum()
+    }
+}
+
 /// The `D''` instance (§3.1): every arc has at most two resource-time
 /// tuples; job arcs of `D'` with `l ≥ 2` tuples appear as `l` parallel
 /// two-edge chains.
@@ -143,7 +152,7 @@ impl TwoTupleInstance {
             }
         }
         for info in &self.chains {
-            out[info.arc_edge.index()] = info.chain_edges.iter().map(|ce| flows[ce.index()]).sum();
+            out[info.arc_edge.index()] = info.sum(flows);
         }
         out
     }

@@ -73,9 +73,7 @@ pub fn lint_request(
         // mismatch warning for them would flag the fault corpora
         if !name.starts_with("fixture-") {
             if let Some(s) = registry.resolve(name) {
-                if let crate::solver::Capability::Unsupported(reason) =
-                    s.supports_prepared(&req.prepared)
-                {
+                if let crate::solver::Capability::Unsupported(reason) = s.supports(&req.prepared) {
                     diags.push(Diagnostic::warning(
                         "RTT013",
                         line,

@@ -173,7 +173,7 @@ mod tests {
             let (lp_makespan, budget) = (p.lp_makespan.unwrap(), p.sweep_budget.unwrap());
             assert!(lp_makespan <= prev + 1e-9, "LP curve non-increasing");
             prev = lp_makespan;
-            let cold = rtt_core::lp_build::solve_min_makespan_lp(prep.tt(), budget).unwrap();
+            let cold = rtt_core::lp_build::solve_min_makespan_lp(prep.tt(), budget, None).unwrap();
             assert!(
                 (lp_makespan - cold.makespan).abs() < 1e-9,
                 "budget {budget}: warm {lp_makespan} vs cold {}",

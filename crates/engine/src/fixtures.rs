@@ -8,9 +8,9 @@
 //! must name them.
 
 use crate::budget::{BudgetContext, ExhaustionPolicy};
+use crate::prep::PreparedInstance;
 use crate::request::{SolveReport, SolveRequest, Status};
 use crate::solver::{report_exhausted, Capability, Solver};
-use rtt_core::ArcInstance;
 
 /// Panics on every solve: the batch must report this solver as
 /// [`Status::Failed`] and finish every other request untouched.
@@ -24,7 +24,7 @@ impl Solver for AlwaysPanicSolver {
     // declines the `all` fan-out so healthy requests never touch it;
     // named selection bypasses supports(), which is how tests and the
     // fault corpus invoke it
-    fn supports(&self, _arc: &ArcInstance) -> Capability {
+    fn supports(&self, _prep: &PreparedInstance) -> Capability {
         Capability::Unsupported("fault-injection fixture: select by name")
     }
 
@@ -45,7 +45,7 @@ impl Solver for AlwaysExhaustSolver {
     }
 
     // like the panic fixture: reachable by name only
-    fn supports(&self, _arc: &ArcInstance) -> Capability {
+    fn supports(&self, _prep: &PreparedInstance) -> Capability {
         Capability::Unsupported("fault-injection fixture: select by name")
     }
 

@@ -7,7 +7,6 @@ use crate::solver::{
     BicriteriaSolver, Capability, ExactSolver, FamilySolver, GlobalGreedySolver,
     NoReuseBicriteriaSolver, Solver, SpDpSolver,
 };
-use rtt_core::ArcInstance;
 
 /// An ordered collection of registered solvers.
 pub struct Registry {
@@ -74,22 +73,15 @@ impl Registry {
         self.solvers.iter().map(|s| s.as_ref())
     }
 
-    /// The solvers that support `arc`, in registration order.
-    pub fn supporting<'a>(&'a self, arc: &ArcInstance) -> Vec<&'a dyn Solver> {
-        self.iter()
-            .filter(|s| matches!(s.supports(arc), Capability::Supported))
-            .collect()
-    }
-
-    /// [`Registry::supporting`] through the shared preprocessing, so
-    /// capability checks hit cached artifacts (the batch executor's
-    /// `all` fan-out uses this).
+    /// The solvers that support the prepared instance `prep`, in
+    /// registration order — the batch executor's `all` fan-out (see
+    /// [`Solver::supports`]).
     pub fn supporting_prepared<'a>(
         &'a self,
         prep: &crate::PreparedInstance,
     ) -> Vec<&'a dyn Solver> {
         self.iter()
-            .filter(|s| matches!(s.supports_prepared(prep), Capability::Supported))
+            .filter(|s| matches!(s.supports(prep), Capability::Supported))
             .collect()
     }
 

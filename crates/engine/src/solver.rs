@@ -6,17 +6,30 @@
 //! |---|---|---|---|
 //! | `exact` | [`ExactSolver::ROUTED`] | exhaustive search over canonical levels | — |
 //! | `bicriteria` | [`BicriteriaSolver`] | (1/α, 1/(1−α)) LP rounding | Thm 3.4 |
-//! | `kway` | `FamilySolver::KWAY` | 5-approx, k-way splitting | Thm 3.9 |
-//! | `recbinary` | `FamilySolver::RECBINARY` | 4-approx, recursive binary | Thm 3.10 |
-//! | `recbinary-improved` | `FamilySolver::RECBINARY_IMPROVED` | (4/3, 14/5) bi-criteria | Thm 3.16 |
+//! | `kway` | `FamilySolver::KWAY` | 5-approx, k-way splitting ([`FamilyRounding::KWay`]) | Thm 3.9 |
+//! | `recbinary` | `FamilySolver::RECBINARY` | 4-approx, recursive binary ([`FamilyRounding::RecBinary`]) | Thm 3.10 |
+//! | `recbinary-improved` | `FamilySolver::RECBINARY_IMPROVED` | (4/3, 14/5) bi-criteria ([`FamilyRounding::RecBinaryImproved`]) | Thm 3.16 |
 //! | `sp-dp` | [`SpDpSolver`] | exact `O(mB)` DP, SP DAGs | §3.4 |
 //! | `noreuse-exact` | [`ExactSolver::NO_REUSE`] | exact, no-reuse regime | Q1.1 |
 //! | `noreuse-bicriteria` | [`NoReuseBicriteriaSolver`] | LP rounding, no-reuse regime | Q1.1 |
 //! | `global-greedy` | [`GlobalGreedySolver`] | greedy list scheduling, global pool | Q1.2 |
 //!
 //! `FamilySolver` is one adapter registered three times (name,
-//! duration family, unsupported reason, `rtt_core` rounding);
-//! [`ExactSolver`] is one adapter over the cost regime.
+//! unsupported reason, and a [`FamilyRounding`], which owns
+//! the duration family and the level rule); [`ExactSolver`] is one
+//! adapter over the cost regime.
+//!
+//! # One LP, then one rounding
+//!
+//! Every LP-rounding answer — `bicriteria` at a budget or a target, the
+//! three family solvers, `noreuse-bicriteria`, and every point of a
+//! [`crate::curve`] sweep — is one LP 6–10 solve on the shared `D''`
+//! expansion under [`BudgetContext::meter`], followed by one rounding
+//! of its solution that takes no meter
+//! ([`rtt_core::bicriteria_round_prepped`], [`FamilyRounding::round`] or
+//! [`rtt_core::regimes::noreuse_round_prepped`]). A family solver
+//! asks its `FamilyRounding` whether the instance belongs to its family
+//! before the LP runs, so a wrong-family answer consumes no pivots.
 //!
 //! # One report path
 //!
@@ -34,20 +47,20 @@
 //! panic isolation turns it into one `failed` report.
 
 use crate::budget::BudgetContext;
+use crate::prep::PreparedInstance;
 use crate::request::{Objective, SolveReport, SolveRequest, Status};
-use rtt_budget::{BudgetMeter, Exhausted};
-use rtt_core::lp_build::LpError;
+use rtt_budget::Exhausted;
+use rtt_core::lp_build::{solve_min_makespan_lp, solve_min_resource_lp, LpError};
 use rtt_core::regimes::{
-    solve_noreuse_bicriteria_metered, solve_noreuse_exact_metered,
-    solve_noreuse_exact_min_resource_metered, validate_noreuse,
+    noreuse_round_prepped, solve_noreuse_exact_metered, solve_noreuse_exact_min_resource_metered,
+    solve_noreuse_lp_metered, validate_noreuse,
 };
 use rtt_core::solvers::SolveError;
 use rtt_core::sp_dp::{solve_sp_exact_with_tree_metered, solve_sp_tree_metered};
 use rtt_core::{
-    validate, verify_global_schedule, ApproxSolution, ArcInstance, GlobalPolicy, GlobalSchedule,
-    NoReuseSolution, Resource, Solution, Time, TwoTupleInstance,
+    bicriteria_round_prepped, validate, verify_global_schedule, ApproxSolution, FamilyRounding,
+    GlobalPolicy, GlobalSchedule, NoReuseSolution, Resource, Solution, Time,
 };
-use rtt_duration::DurationKind;
 
 /// Whether (and how well) a solver applies to an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,22 +115,17 @@ pub trait Solver: Send + Sync {
     /// Stable registry name (lowercase, dash-separated).
     fn name(&self) -> &'static str;
 
-    /// Whether this solver applies to `arc`. This is the *fan-out
-    /// gate*: `--solver all` runs only solvers that return
-    /// [`Capability::Supported`]. It may also decline for cost reasons
-    /// (e.g. exhaustive search on large instances); an explicitly
-    /// *named* request still goes to `solve`, which must answer
-    /// whenever the algorithm is defined — and return a clean
-    /// [`Status::Unsupported`] report (never panic) when it is not.
-    fn supports(&self, arc: &ArcInstance) -> Capability;
-
-    /// [`Solver::supports`] with access to the shared preprocessing,
-    /// so capability checks can reuse cached artifacts instead of
-    /// recomputing them (the executor's `all` fan-out calls this).
-    /// Defaults to delegating to [`Solver::supports`].
-    fn supports_prepared(&self, prep: &crate::PreparedInstance) -> Capability {
-        self.supports(prep.arc())
-    }
+    /// Whether this solver applies to the prepared instance `prep`
+    /// (whose cached artifacts, such as the SP decomposition, a check
+    /// may reuse). This is the *fan-out gate*: `--solver all` runs only
+    /// solvers that return [`Capability::Supported`], and admission's
+    /// RTT013 warns on a named solver that declines. It may also
+    /// decline for cost reasons (e.g. exhaustive search on large
+    /// instances); an explicitly *named* request still goes to `solve`,
+    /// which must answer whenever the algorithm is defined — and return
+    /// a clean [`Status::Unsupported`] report (never panic) when it is
+    /// not.
+    fn supports(&self, prep: &PreparedInstance) -> Capability;
 
     /// Executes the request. Never panics on unsupported input or
     /// infeasible objectives; those come back as statuses. `ctx` is the
@@ -257,16 +265,16 @@ pub(crate) fn report_exhausted(
     r
 }
 
-fn report_lp_failure(req: &SolveRequest, solver: &'static str, e: SolveError) -> SolveReport {
-    let status = match &e {
-        SolveError::Lp(LpError::Infeasible) => Status::Infeasible,
+fn report_lp_failure(req: &SolveRequest, solver: &'static str, e: LpError) -> SolveReport {
+    let status = match e {
+        LpError::Infeasible => Status::Infeasible,
         // an unbounded relaxation is a modelling bug, not a property of
         // the request — report it as the solver declining, loudly
-        SolveError::Lp(LpError::Unbounded) => Status::Unsupported,
-        SolveError::Lp(LpError::Exhausted(e)) => return report_exhausted(req, solver, *e),
-        SolveError::WrongFamily(_) => Status::Unsupported,
+        LpError::Unbounded => Status::Unsupported,
+        LpError::Exhausted(e) => return report_exhausted(req, solver, e),
     };
-    SolveReport::new(req.id.clone(), solver, status, e.to_string())
+    let detail = SolveError::Lp(e).to_string();
+    SolveReport::new(req.id.clone(), solver, status, detail)
 }
 
 fn unsupported_objective(req: &SolveRequest, solver: &'static str) -> SolveReport {
@@ -327,8 +335,8 @@ impl Solver for ExactSolver {
         self.name
     }
 
-    fn supports(&self, arc: &ArcInstance) -> Capability {
-        if arc.improvable_edges().len() <= EXACT_JOB_CAP {
+    fn supports(&self, prep: &PreparedInstance) -> Capability {
+        if prep.arc().improvable_edges().len() <= EXACT_JOB_CAP {
             Capability::Supported
         } else {
             Capability::Unsupported("exhaustive search needs ≤ 10 improvable jobs")
@@ -384,7 +392,7 @@ impl Solver for BicriteriaSolver {
         "bicriteria"
     }
 
-    fn supports(&self, _arc: &ArcInstance) -> Capability {
+    fn supports(&self, _prep: &PreparedInstance) -> Capability {
         Capability::Supported
     }
 
@@ -392,37 +400,28 @@ impl Solver for BicriteriaSolver {
         let arc = req.prepared.arc();
         let tt = req.prepared.tt();
         let meter = ctx.meter();
-        let result = match req.objective {
+        let frac = match req.objective {
             Objective::MakespanSweep { .. } => return unsupported_sweep(req, self.name()),
-            Objective::MinMakespan { budget } => {
-                rtt_core::solvers::solve_bicriteria_metered(arc, tt, budget, req.alpha, meter)
-            }
-            Objective::MinResource { target } => {
-                rtt_core::solvers::min_resource_metered(arc, tt, target, req.alpha, meter)
-            }
+            Objective::MinMakespan { budget } => solve_min_makespan_lp(tt, budget, meter),
+            Objective::MinResource { target } => solve_min_resource_lp(tt, target, meter),
         };
-        match result {
-            Ok(a) => approx_report(req, self.name(), a),
+        match frac {
+            Ok(frac) => {
+                let a = bicriteria_round_prepped(arc, tt, frac, req.alpha);
+                approx_report(req, self.name(), a)
+            }
             Err(e) => report_lp_failure(req, self.name(), e),
         }
     }
 }
 
-/// An `rtt_core` family rounding on the shared `D''` expansion.
-type FamilyRounding = fn(
-    &ArcInstance,
-    &TwoTupleInstance,
-    Resource,
-    Option<&BudgetMeter>,
-) -> Result<ApproxSolution, SolveError>;
-
 /// The single-criteria roundings for one duration family — one adapter
-/// registered three times, each with its registry name, the family its
-/// instances' improvable jobs must all belong to, the reason it gives
-/// when they do not, and its `rtt_core` rounding. Min-makespan only.
+/// registered three times, each with its registry name, the reason it
+/// gives when the instance is not of its family, and the
+/// [`FamilyRounding`] that owns the family and the level rule.
+/// Min-makespan only.
 pub(crate) struct FamilySolver {
     name: &'static str,
-    family: fn(DurationKind) -> bool,
     reason: &'static str,
     round: FamilyRounding,
 }
@@ -431,24 +430,21 @@ impl FamilySolver {
     /// Theorem 3.9 single-criteria 5-approximation (`kway`).
     pub(crate) const KWAY: FamilySolver = FamilySolver {
         name: "kway",
-        family: |k| matches!(k, DurationKind::KWay { .. }),
         reason: "requires k-way splitting duration functions",
-        round: rtt_core::solvers::solve_kway_5approx_metered,
+        round: FamilyRounding::KWay,
     };
     /// Theorem 3.10 single-criteria 4-approximation (`recbinary`).
     pub(crate) const RECBINARY: FamilySolver = FamilySolver {
         name: "recbinary",
-        family: |k| matches!(k, DurationKind::RecursiveBinary { .. }),
         reason: "requires recursive-binary duration functions",
-        round: rtt_core::solvers::solve_recbinary_4approx_metered,
+        round: FamilyRounding::RecBinary,
     };
     /// Theorem 3.16 improved (4/3, 14/5) bi-criteria
     /// (`recbinary-improved`).
     pub(crate) const RECBINARY_IMPROVED: FamilySolver = FamilySolver {
         name: "recbinary-improved",
-        family: |k| matches!(k, DurationKind::RecursiveBinary { .. }),
         reason: "requires recursive-binary duration functions",
-        round: rtt_core::solvers::solve_recbinary_improved_metered,
+        round: FamilyRounding::RecBinaryImproved,
     };
 }
 
@@ -457,13 +453,8 @@ impl Solver for FamilySolver {
         self.name
     }
 
-    fn supports(&self, arc: &ArcInstance) -> Capability {
-        let d = arc.dag();
-        if arc
-            .improvable_edges()
-            .iter()
-            .all(|&e| (self.family)(d.edge(e).duration.kind()))
-        {
+    fn supports(&self, prep: &PreparedInstance) -> Capability {
+        if self.round.applies(prep.arc()) {
             Capability::Supported
         } else {
             Capability::Unsupported(self.reason)
@@ -474,8 +465,13 @@ impl Solver for FamilySolver {
         let Objective::MinMakespan { budget } = req.objective else {
             return unsupported_objective(req, self.name);
         };
-        match (self.round)(req.prepared.arc(), req.prepared.tt(), budget, ctx.meter()) {
-            Ok(a) => approx_report(req, self.name, a),
+        let (arc, tt) = (req.prepared.arc(), req.prepared.tt());
+        if !self.round.applies(arc) {
+            let detail = SolveError::WrongFamily(self.round.family()).to_string();
+            return SolveReport::new(req.id.clone(), self.name, Status::Unsupported, detail);
+        }
+        match solve_min_makespan_lp(tt, budget, ctx.meter()) {
+            Ok(frac) => approx_report(req, self.name, self.round.round(arc, tt, frac, budget)),
             Err(e) => report_lp_failure(req, self.name, e),
         }
     }
@@ -490,15 +486,7 @@ impl Solver for SpDpSolver {
         "sp-dp"
     }
 
-    fn supports(&self, arc: &ArcInstance) -> Capability {
-        if rtt_dag::sp::decompose(arc.dag(), arc.source(), arc.sink()).is_some() {
-            Capability::Supported
-        } else {
-            Capability::Unsupported("instance is not two-terminal series-parallel")
-        }
-    }
-
-    fn supports_prepared(&self, prep: &crate::PreparedInstance) -> Capability {
+    fn supports(&self, prep: &PreparedInstance) -> Capability {
         // reuse the cached decomposition instead of re-deriving it for
         // every request that fans out over the registry
         if prep.sp_tree().is_some() {
@@ -586,7 +574,7 @@ impl Solver for NoReuseBicriteriaSolver {
         "noreuse-bicriteria"
     }
 
-    fn supports(&self, _arc: &ArcInstance) -> Capability {
+    fn supports(&self, _prep: &PreparedInstance) -> Capability {
         Capability::Supported
     }
 
@@ -594,15 +582,10 @@ impl Solver for NoReuseBicriteriaSolver {
         let Objective::MinMakespan { budget } = req.objective else {
             return unsupported_objective(req, self.name());
         };
-        let arc = req.prepared.arc();
-        match solve_noreuse_bicriteria_metered(
-            arc,
-            req.prepared.tt(),
-            budget,
-            req.alpha,
-            ctx.meter(),
-        ) {
-            Ok(a) => {
+        let (arc, tt) = (req.prepared.arc(), req.prepared.tt());
+        match solve_noreuse_lp_metered(tt, budget, ctx.meter()) {
+            Ok(frac) => {
+                let a = noreuse_round_prepped(arc, tt, frac, req.alpha);
                 let mut r = solved(req, self.name(), Answer::NoReuse(a.solution));
                 r.lp_makespan = Some(a.lp_makespan);
                 r.lp_budget = Some(a.lp_budget);
@@ -642,7 +625,7 @@ impl Solver for GlobalGreedySolver {
         "global-greedy"
     }
 
-    fn supports(&self, _arc: &ArcInstance) -> Capability {
+    fn supports(&self, _prep: &PreparedInstance) -> Capability {
         Capability::Supported
     }
 
@@ -674,8 +657,9 @@ impl Solver for GlobalGreedySolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{execute_one, PreparedInstance, Registry, SolverSelection};
+    use crate::{execute_one, Registry, SolverSelection};
     use rtt_core::instance::Activity;
+    use rtt_core::ArcInstance;
     use rtt_dag::Dag;
     use rtt_duration::Duration;
     use std::sync::Arc;

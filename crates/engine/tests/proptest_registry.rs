@@ -1,7 +1,9 @@
 //! Registry-wide validation property test: on random sp / layered /
 //! chain / race instances, **every** registered solver's output must
 //! validate, and its certificate factors must hold against the exact
-//! optimum and the LP lower bound measured in the same run.
+//! optimum and the LP lower bound measured in the same run. A solver
+//! that declines an instance must still answer a named request with a
+//! clean `unsupported` report.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -10,7 +12,8 @@ use rtt_core::{validate, ArcInstance};
 use rtt_dag::gen;
 use rtt_duration::Duration;
 use rtt_engine::{
-    BudgetContext, Capability, PreparedInstance, Registry, SolveRequest, SolverSelection, Status,
+    BudgetContext, BudgetLimits, BudgetSpec, Capability, PreparedInstance, Registry, SolveRequest,
+    SolverSelection, Status,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,6 +35,20 @@ fn generate(kind: usize, family: usize, seed: u64) -> ArcInstance {
     rtt_core::to_arc_form(&inst).0
 }
 
+/// The `unsupported` detail a named request gets from a solver that
+/// declines a generated instance (`None` for a solver that should never
+/// decline one).
+fn decline_detail(solver: &str) -> Option<&'static str> {
+    match solver {
+        "kway" => Some("this solver requires k-way duration functions"),
+        "recbinary" | "recbinary-improved" => {
+            Some("this solver requires recursive-binary duration functions")
+        }
+        "sp-dp" => Some("instance is not two-terminal series-parallel"),
+        _ => None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -51,14 +68,29 @@ proptest! {
         // ground truth from the exact oracle (instances are kept small
         // enough that it always supports them)
         let exact = registry.get("exact").unwrap();
-        prop_assert!(matches!(
-            exact.supports(prepared.arc()),
-            Capability::Supported
-        ));
+        prop_assert!(matches!(exact.supports(&prepared), Capability::Supported));
         let opt = exact.solve(&req, &BudgetContext::unbudgeted()).makespan.expect("exact solves");
 
         for solver in registry.iter() {
-            if !solver.supports(prepared.arc()).is_supported() {
+            if !solver.supports(&prepared).is_supported() {
+                // a named request still reaches `solve`, which declines
+                // cleanly instead of panicking
+                let report = solver.solve(&req, &BudgetContext::unbudgeted());
+                prop_assert_eq!(report.status, Status::Unsupported, "{}", solver.name());
+                prop_assert_eq!(Some(report.detail.as_str()), decline_detail(solver.name()));
+                if solver.name() != "sp-dp" {
+                    // a family solver checks the family before its LP
+                    // runs: a pivot budget stays untouched
+                    let mut metered = req.clone();
+                    metered.budget = Some(BudgetSpec::with_limits(BudgetLimits {
+                        lp_pivots: Some(10_000),
+                        ..BudgetLimits::default()
+                    }));
+                    let ctx = BudgetContext::for_request(&metered, Instant::now());
+                    let report = solver.solve(&metered, &ctx);
+                    prop_assert_eq!(report.status, Status::Unsupported, "{}", solver.name());
+                    prop_assert_eq!(ctx.consumed().lp_pivots, 0, "{}", solver.name());
+                }
                 continue;
             }
             let report = solver.solve(&req, &BudgetContext::unbudgeted());

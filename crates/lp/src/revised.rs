@@ -1399,7 +1399,22 @@ pub fn solve_warm(
     meter: Option<&BudgetMeter>,
 ) -> (Outcome, Option<Basis>) {
     let mut rev = Rev::build(p, meter);
-    match rev.seed(start).and_then(|()| rev.finish()) {
+    let run = rev.seed(start).and_then(|()| rev.finish());
+    settle(p, start, meter, run)
+}
+
+/// Turns the seed-and-finish result `run` of a [`solve_warm`] call into
+/// its outcome: an optimum and its basis as they stand, exhaustion as
+/// it stands, any other stop after a warm `start` re-solved cold, and
+/// a cold numerical failure restarted in the flat engine under Bland's
+/// rule, still charging `meter`.
+fn settle(
+    p: &Problem,
+    start: Option<&Basis>,
+    meter: Option<&BudgetMeter>,
+    run: Result<(Solution, Basis), Stop>,
+) -> (Outcome, Option<Basis>) {
+    match run {
         Ok((sol, basis)) => (Outcome::Optimal(sol), Some(basis)),
         Err(Stop::Exhausted(e)) => (Outcome::Exhausted(e), None),
         // never trust a warm start's verdicts beyond optimality:
@@ -1786,6 +1801,31 @@ mod tests {
         p.set_upper_bound(0, 1.0);
         p.set_upper_bound(1, 1.0);
         p
+    }
+
+    #[test]
+    fn a_failed_cold_solve_settles_in_the_flat_engine() {
+        let p = budget_row_problem();
+        let (out, basis) = settle(&p, None, None, Err(Stop::Fail));
+        let flat = solve_standard(&p, PivotRule::Bland, None).expect_optimal("flat");
+        let sol = out.expect_optimal("the flat restart answers");
+        assert_eq!(sol.objective.to_bits(), flat.objective.to_bits());
+        assert_eq!(sol.x, flat.x);
+        assert_eq!(sol.pivots, flat.pivots);
+        assert_eq!(
+            sol.stats.bound_rows, 2,
+            "the flat tableau materializes f ≤ 1"
+        );
+        assert!(basis.is_none(), "a flat answer carries no revised basis");
+    }
+
+    #[test]
+    fn the_flat_restart_keeps_charging_the_meter() {
+        use rtt_budget::BudgetMeter;
+        let meter = BudgetMeter::with_limits(Some(0), None, None, None);
+        let (out, basis) = settle(&budget_row_problem(), None, Some(&meter), Err(Stop::Fail));
+        assert!(matches!(out, Outcome::Exhausted(_)), "{out:?}");
+        assert!(basis.is_none());
     }
 
     #[test]

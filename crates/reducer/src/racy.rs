@@ -10,16 +10,23 @@
 //! reproduced exactly, with defined semantics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 /// Runs `threads` threads, each performing `per_thread` *racy*
 /// increments (separate load and store), and returns the final counter
 /// value. With more than one thread the result is typically *less* than
 /// `threads · per_thread`: updates get lost, exactly as in Figure 1.
+///
+/// The threads start their increments together behind a [`Barrier`]:
+/// spawned one after another, each thread's loop could finish before
+/// the next one starts on a busy machine, and then nothing races.
 pub fn racy_counter(threads: usize, per_thread: u64) -> u64 {
     let x = AtomicU64::new(0);
+    let start = Barrier::new(threads);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                start.wait();
                 for _ in 0..per_thread {
                     let r = x.load(Ordering::Relaxed); // r1 = x
                     std::hint::black_box(&r);
