@@ -16,11 +16,12 @@
 //!   ([`WALL_CLOCK_ALLOWED`] documents the reason per file).
 //! * **unordered parallel reductions** (unscoped `thread::spawn`
 //!   joins, nondeterministic channel drains like `try_iter`): results
-//!   combined in arrival order can leak scheduling onto the wire. The
-//!   wire-reachable parallel paths must go through `rtt_par`'s
-//!   fixed-chunk map with ordered reduction (scoped workers, results
-//!   scattered back to chunk order) — which is why `crates/par` itself
-//!   is on the wire path and scanned by this rule.
+//!   combined in arrival order can leak scheduling onto the wire. Every
+//!   solve runs serially; the one sanctioned parallel shape is
+//!   `rtt_engine`'s `run_batch`, whose scoped workers send each
+//!   request's reports to a slot indexed by its batch position, and
+//!   the slots are reassembled in request order. `crates/par` stays on
+//!   the wire path, so a parallel helper added there is scanned too.
 //!
 //! The scan strips comments first (doc prose may *mention* `HashMap`),
 //! then matches tokens. `tests/repo_lint.rs` runs [`lint_workspace`]
@@ -102,7 +103,8 @@ pub fn check_source(relpath: &str, text: &str) -> Vec<SourceFinding> {
     let clock_needles = [["Instant", "::now"].concat(), ["System", "Time"].concat()];
     // unordered parallel idioms: a free-threaded spawn joins in
     // arrival order, and a channel's try-drain observes scheduling.
-    // Scoped workers reduced in chunk order (rtt_par) don't use either.
+    // Scoped workers reassembled in request order (run_batch) use
+    // neither.
     let unordered_needles = [["thread", "::spawn"].concat(), ["try_", "iter()"].concat()];
     let clock_allowed = WALL_CLOCK_ALLOWED.iter().any(|(f, _)| *f == relpath);
     let stripped = strip_comments(text);
@@ -419,8 +421,8 @@ mod tests {
 
     #[test]
     fn scoped_workers_are_not_findings() {
-        // the rtt_par idiom: scoped spawn, results scattered to chunk
-        // order — `s.spawn` is not the unscoped free-threaded form
+        // the run_batch idiom: scoped spawn, results reassembled in
+        // request order — `s.spawn` is not the unscoped free-threaded form
         let src = "fn f() { crossbeam::thread::scope(|s| { s.spawn(|| 1); }); }\n";
         assert!(check_source("x.rs", src).is_empty());
     }

@@ -72,14 +72,12 @@
 //! (instance hits, solution hits, pivots saved, evictions) go to
 //! **stderr only**, never into the NDJSON stream.
 //!
-//! Thread counts obey the same invariant, in both directions. The
-//! inter-request worker count (`--threads`) and the intra-solve thread
-//! count (`--solve-threads` / `RTT_SOLVE_THREADS`, driving `rtt_par`'s
-//! deterministic parallel pricing, subtree-parallel SP-DP, and sharded
-//! certification replay) may change what a batch *costs*, never what
-//! it *emits*: stdout is byte-identical at every combination of the
-//! two. Neither count is a request-line field, and neither appears
-//! anywhere in a report line — worker telemetry prints to stderr only.
+//! The worker count obeys the same invariant. `--threads` sets how many
+//! requests run at once (each solve itself runs serially), and it may
+//! change what a batch *costs*, never what it *emits*: stdout is
+//! byte-identical at every count. It is not a request-line field and
+//! appears nowhere in a report line — worker telemetry prints to
+//! stderr only.
 //!
 //! ## Persistence: `--cache-save` / `--cache-load`
 //!
@@ -530,8 +528,6 @@ pub(crate) fn check_line(
             limits,
             policies: BudgetPolicies::uniform(policy.unwrap_or_default()),
         }),
-        // intra-solve threading is a CLI/environment knob, never a wire
-        // field: request lines cannot carry it (see the module docs)
         intra_threads: None,
     };
     let request_diags = rtt_engine::lint_request(registry, &req, lineno, batch_size);

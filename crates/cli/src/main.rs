@@ -33,7 +33,7 @@ USAGE:
   rtt solve <instance.json> --budget B [--solver <name>] [--alpha A] [--plan]
   rtt min-resource <instance.json> --target T [--solver <name>] [--alpha A]
   rtt curve <instance.json> --budgets a:b:step|a,b,c [--alpha A] [--out PATH]
-  rtt batch <corpus.ndjson> [--threads N] [--solve-threads N] [--solver all|<name>]
+  rtt batch <corpus.ndjson> [--threads N] [--solver all|<name>]
             [--out PATH] [--lint-first]
             [--max-pivots P] [--max-sim-events E] [--on-exhaustion hard-reject|degrade|soft-warn]
             [--reuse-cache] [--cache-capacity N] [--cache-save PATH] [--cache-load PATH]
@@ -68,13 +68,9 @@ version-mismatched file fails the command without loading anything
 (see the rtt_cli::batch docs).
 
 Batch `--threads` (inter-request workers) defaults to the host's
-available parallelism clamped to [1, 8]; `--solve-threads` (also on
-solve/min-resource/curve, default 1, or the RTT_SOLVE_THREADS
-environment variable) turns on the deterministic *intra*-solve
-parallel paths — chunked LP pricing, subtree-parallel SP-DP, sharded
-certification replay. Both are cost knobs only: output is
-byte-identical at every setting, and worker counts print to stderr,
-never to the wire.
+available parallelism clamped to [1, 8]. It is a cost knob only:
+output is byte-identical at every setting, and worker counts print to
+stderr, never to the wire.
 
 The batch `--max-*` / `--on-exhaustion` flags apply a resource budget
 to every corpus line that declares no `max_*` field of its own
@@ -240,7 +236,7 @@ fn solve_via_registry(
         deadline: None,
         seed: args.flag("seed")?.unwrap_or(0),
         budget: None,
-        intra_threads: args.flag("solve-threads")?,
+        intra_threads: None,
     };
     admit(&registry, &req)?;
     let mut reports = execute_one(&registry, &req, Instant::now());
@@ -334,7 +330,6 @@ fn cmd_curve(args: &Args) -> Result<(), String> {
         budgets.clone(),
     );
     req.alpha = args.flag("alpha")?.unwrap_or(0.5);
-    req.intra_threads = args.flag("solve-threads")?;
     admit(&registry, &req)?;
     let started = Instant::now();
     let reports = execute_one(&registry, &req, Instant::now());
@@ -397,9 +392,6 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    // intra-solve threads for the deterministic parallel paths inside
-    // each request (rtt_par); like --threads, cost-only and off-wire
-    let solve_threads: Option<usize> = args.flag("solve-threads")?;
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "all".into());
     let registry = corpus_registry();
     // --lint-first: the rtt lint pre-pass as an admission gate —
@@ -481,11 +473,6 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     if let Some(spec) = default_budget {
         for req in &mut requests {
             req.budget = req.budget.or(Some(spec));
-        }
-    }
-    if let Some(n) = solve_threads {
-        for req in &mut requests {
-            req.intra_threads = Some(n);
         }
     }
     let out = run_batch_cached(&registry, requests, threads, reuse.as_ref());

@@ -2,8 +2,9 @@
 //! may change what a run costs, never what it emits.**
 //!
 //! On corpora of duplicated, *relabeled*, and duration-perturbed
-//! instances, the rendered NDJSON report stream must be byte-identical
-//! with the reuse cache on or off, at every thread count — and
+//! instances, plus a min-resource line and a budget sweep per base
+//! instance, the rendered NDJSON report stream must be byte-identical
+//! with the reuse cache on or off, at every batch worker count — and
 //! reordering the corpus must permute the report lines without
 //! changing a single byte of any line.
 
@@ -123,8 +124,9 @@ proptest! {
         order_seed in 0u64..1_000,
     ) {
         // two base instances, each contributing an original, an exact
-        // duplicate, two relabelings (one at a perturbed budget), and a
-        // duration-perturbed sibling
+        // duplicate, two relabelings (one at a perturbed budget), a
+        // duration-perturbed sibling, a min-resource line and a sweep —
+        // every wire form the executor can emit
         let mut lines = Vec::new();
         for (i, s) in [seed, seed + 7919].into_iter().enumerate() {
             let spec = InstanceSpec::from_arc(&generate(kind, family, s));
@@ -140,6 +142,12 @@ proptest! {
                 budget + 1
             ));
             lines.push(format!(r#"{{"id":"b{i}-per","instance":{per},"budget":{budget}}}"#));
+            lines.push(format!(r#"{{"id":"b{i}-mr","instance":{doc},"target":3}}"#));
+            lines.push(format!(
+                r#"{{"id":"b{i}-sweep","instance":{doc},"budgets":[0,{},{}]}}"#,
+                budget + 1,
+                budget + 3
+            ));
         }
 
         let baseline = render(&lines, 1, false);

@@ -67,9 +67,6 @@ pub struct ApproxSolution {
     /// Simplex pivots the LP relaxation spent (0 for LP-free paths) —
     /// the pipeline's dominant work counter.
     pub lp_pivots: usize,
-    /// LP engine dimensions and pivot phase split
-    /// ([`rtt_lp::LpStats`]; all-zero for LP-free paths).
-    pub lp_stats: rtt_lp::LpStats,
 }
 
 impl ApproxSolution {
@@ -81,7 +78,6 @@ impl ApproxSolution {
             lp_makespan: frac.makespan,
             lp_budget: frac.budget_used,
             lp_pivots: frac.pivots,
-            lp_stats: frac.stats,
             makespan_factor: factors.0,
             resource_factor: factors.1,
         }

@@ -45,36 +45,19 @@
 //!
 //! # One walk
 //!
-//! Every entry point runs one walk, which evaluates the tree in
-//! **pieces**. One function evaluates a piece (a subtree, in post-order
-//! on a value stack) and owns the node recurrence, the table arena and
-//! the per-node `dp_merge_steps` charge. The walk decides the partition
-//! once:
-//!
-//! * **one piece**, the whole tree, when a meter is present or `rtt_par`
-//!   takes no parallel path (one thread, chunking not forced). It visits
-//!   exactly `SpTree::post_order` and charges the meter node by node in
-//!   that order. Metered walks stay one piece because exhaustion stop
-//!   points are wire-visible: the same node must stop with the same
-//!   [`Exhausted`] at any thread count.
-//! * otherwise a **frontier** of subtrees, cut by splitting the largest
-//!   piece (ties to the smaller node id) — a pure function of the tree,
-//!   not of the thread count. The pieces run concurrently
-//!   (`rtt_par::map_chunks`), and the same function then evaluates the
-//!   **crown** above them, taking their root tables as given.
-//!
-//! Pieces hand back split choices and leaf durations keyed by node id,
-//! and one allocation recovery reads them top-down. Tables,
-//! allocations, `cells` and `merge_steps` are the same for either
-//! partition; only `peak_live_tables` differs (deterministically).
+//! Every entry point runs one walk: a post-order evaluation on a value
+//! stack (exactly `SpTree::post_order`) that owns the node recurrence,
+//! the table arena and the per-node `dp_merge_steps` charge, so a
+//! metered walk stops at the same node with the same [`Exhausted`]
+//! every time. It leaves split choices and leaf durations by node id,
+//! and one allocation recovery reads them top-down.
 //!
 //! # Table arena
 //!
 //! Child tables are recycled into an arena the moment their parent's
 //! table is computed, so the number of *live* `B + 1`-entry tables is
 //! bounded by the decomposition-tree depth (plus the arena's free list
-//! reusing their allocations) instead of `m`. Each piece has its own
-//! arena, so a worker's allocations never depend on the others.
+//! reusing their allocations) instead of `m`.
 //! [`SpDpStats`] reports cells written, merge steps, and the live-table
 //! high-water mark; the frozen `BENCH_pr1.json` record holds them as
 //! evidence of the `O(mB)` bound, and `rtt_bench`'s `perf_guard` test
@@ -84,7 +67,7 @@ use crate::exact::Regime;
 use crate::instance::ArcInstance;
 use crate::solution::{routed_solution, Solution};
 use rtt_budget::{BudgetMeter, Exhausted};
-use rtt_dag::sp::{decompose, SpKind, SpNodeId, SpTree};
+use rtt_dag::sp::{decompose, SpKind, SpTree};
 use rtt_dag::EdgeId;
 use rtt_duration::{Duration, Resource, Time};
 
@@ -117,9 +100,8 @@ pub struct SpDpStats {
     /// merges (two-pointer sweeps, `≤ 2(B+1)` per node; the naive scan
     /// pays `Θ(B²)`), and no-reuse series scans.
     pub merge_steps: u64,
-    /// High-water mark of simultaneously live DP tables in one piece's
-    /// arena (bounded by the decomposition-tree depth thanks to the
-    /// arena, not by `m`).
+    /// High-water mark of simultaneously live DP tables (bounded by the
+    /// decomposition-tree depth thanks to the arena, not by `m`).
     pub peak_live_tables: usize,
 }
 
@@ -246,11 +228,10 @@ pub type SpDpSolution = (Vec<Time>, Vec<(EdgeId, Resource)>, SpDpStats);
 ///
 /// `duration_of(e)` supplies each leaf's duration function; `budget` is
 /// `B`. Returns the root table, an optimal allocation, and the
-/// counters. Splits the tree into concurrent pieces when `rtt_par` runs
-/// more than one thread (see the module docs); the output is the same.
+/// counters.
 pub fn solve_sp_tree_with_stats(
     tree: &SpTree,
-    duration_of: impl Fn(EdgeId) -> Duration + Sync,
+    duration_of: impl Fn(EdgeId) -> Duration,
     budget: Resource,
 ) -> SpDpSolution {
     walk_unmetered(tree, Regime::Routed, &duration_of, budget)
@@ -260,221 +241,75 @@ pub fn solve_sp_tree_with_stats(
 /// parallel merge charges its two-pointer step count to the
 /// `dp_merge_steps` dimension (one batched charge per node — the same
 /// quantity [`SpDpStats::merge_steps`] reports), so an over-budget DP
-/// stops at the next parallel node with a typed [`Exhausted`]. A
-/// metered walk is one piece at any thread count.
+/// stops at the next parallel node with a typed [`Exhausted`].
 pub fn solve_sp_tree_metered(
     tree: &SpTree,
-    duration_of: impl Fn(EdgeId) -> Duration + Sync,
+    duration_of: impl Fn(EdgeId) -> Duration,
     budget: Resource,
     meter: Option<&BudgetMeter>,
 ) -> Result<SpDpSolution, Exhausted> {
     walk(tree, Regime::Routed, &duration_of, budget, meter)
 }
 
-/// Don't split a subtree smaller than this (the pieces would be all
-/// handout overhead), and stop once the frontier reaches this many
-/// pieces (enough slack for [`rtt_par::MAX_THREADS`] without shredding
-/// locality).
-const SPLIT_MIN_NODES: u32 = 64;
-const FRONTIER_TARGET: usize = 32;
-
-/// The walk's inputs that every piece shares.
-struct Dp<'a, F> {
-    tree: &'a SpTree,
-    regime: Regime,
-    duration_of: &'a F,
-    /// The budget `B`; every table has `B + 1` entries.
-    b: usize,
-}
-
-/// What evaluating one piece leaves behind besides its root table:
-/// its arena and counters, and the per-node artifacts recovery needs
-/// (split choices, leaf durations), keyed by node id so that merging
-/// pieces does not depend on which worker produced what.
-#[derive(Default)]
-struct Piece {
-    arena: TableArena,
-    stats: SpDpStats,
-    splits: Vec<(SpNodeId, Vec<u32>)>,
-    durs: Vec<(SpNodeId, Duration)>,
-}
-
-impl<F: Fn(EdgeId) -> Duration + Sync> Dp<'_, F> {
-    /// Evaluates the subtree under `root` in post-order on a value
-    /// stack — the one place the node recurrence lives. A node whose
-    /// slot in `ready` holds a table is taken as already evaluated and
-    /// not descended into (the crown's frontier roots). Each merge that
-    /// splits `λ` charges its steps to `meter` right after it runs.
-    fn eval(
-        &self,
-        root: SpNodeId,
-        ready: &mut [Option<Vec<Time>>],
-        piece: &mut Piece,
-        meter: Option<&BudgetMeter>,
-    ) -> Result<Vec<Time>, Exhausted> {
-        let b = self.b;
-        let Piece {
-            arena,
-            stats,
-            splits,
-            durs,
-        } = piece;
-        let mut stack: Vec<Vec<Time>> = Vec::new();
-        let mut todo = vec![(root, false)];
-        while let Some((id, expanded)) = todo.pop() {
-            let kind = self.tree.kind(id);
-            if !expanded {
-                if let Some(table) = ready.get_mut(id.index()).and_then(Option::take) {
-                    stack.push(table);
-                    continue;
-                }
-                if let SpKind::Series(x, y) | SpKind::Parallel(x, y) = kind {
-                    todo.extend([(id, true), (y, false), (x, false)]);
-                    continue;
-                }
-            }
-            let mut t = arena.alloc();
-            if let SpKind::Leaf(e) = kind {
-                let dur = (self.duration_of)(e);
-                t.extend((0..=b).map(|l| dur.time(l as Resource)));
-                durs.push((id, dur));
-                stats.leaves += 1;
-            } else {
-                let ty = stack.pop().expect("post-order");
-                let tx = stack.pop().expect("post-order");
-                match (kind, self.regime) {
-                    (SpKind::Series(..), Regime::Routed) => {
-                        // reuse over the path: both children see the full λ
-                        t.extend(tx.iter().zip(&ty).map(|(&a, &c)| a.saturating_add(c)));
-                        stats.series += 1;
-                    }
-                    _ => {
-                        let mut choice = Vec::with_capacity(b + 1);
-                        let steps = if let SpKind::Parallel(..) = kind {
-                            stats.parallels += 1;
-                            parallel_merge_monotone(&tx, &ty, &mut t, &mut choice)
-                        } else {
-                            stats.series += 1;
-                            min_plus_merge(&tx, &ty, &mut t, &mut choice)
-                        };
-                        stats.merge_steps += steps;
-                        if let Some(m) = meter {
-                            m.charge_merge_steps(steps)?;
-                        }
-                        splits.push((id, choice));
-                    }
-                }
-                arena.recycle(tx);
-                arena.recycle(ty);
-            }
-            stats.cells += (b + 1) as u64;
-            stack.push(t);
-        }
-        stats.peak_live_tables = arena.peak;
-        Ok(stack.pop().expect("subtree evaluated"))
-    }
-}
-
-/// The roots of the frontier pieces (see the module docs): split the
-/// largest piece, ties to the smaller node id, until pieces run out or
-/// reach [`FRONTIER_TARGET`]. A pure function of the tree.
-fn frontier(tree: &SpTree) -> Vec<SpNodeId> {
-    let mut sizes = vec![1u32; tree.len()];
-    for id in tree.post_order() {
-        if let SpKind::Series(x, y) | SpKind::Parallel(x, y) = tree.kind(id) {
-            sizes[id.index()] = 1 + sizes[x.index()] + sizes[y.index()];
-        }
-    }
-    let mut roots = vec![tree.root()];
-    while roots.len() < FRONTIER_TARGET {
-        let candidate = roots
-            .iter()
-            .enumerate()
-            .filter(|(_, id)| sizes[id.index()] >= SPLIT_MIN_NODES)
-            .max_by_key(|(_, id)| (sizes[id.index()], std::cmp::Reverse(id.index())));
-        let Some((slot, _)) = candidate else { break };
-        let (SpKind::Series(x, y) | SpKind::Parallel(x, y)) = tree.kind(roots.swap_remove(slot))
-        else {
-            unreachable!("a piece of SPLIT_MIN_NODES nodes is internal");
-        };
-        roots.push(x);
-        roots.push(y);
-    }
-    roots.sort_by_key(|id| id.index());
-    roots
-}
-
-/// The one DP walk (see the module docs): partition, evaluate the
-/// pieces and the crown, then recover an optimal allocation at `budget`
-/// top-down from the pieces' split choices and leaf durations.
+/// The one DP walk (see the module docs): evaluate the tree in
+/// post-order on a value stack, leaving split choices and leaf
+/// durations by node id, then recover an optimal allocation at `budget`
+/// top-down from them. Each merge that splits `λ` charges its steps to
+/// `meter` right after it runs.
 pub(crate) fn walk(
     tree: &SpTree,
     regime: Regime,
-    duration_of: &(impl Fn(EdgeId) -> Duration + Sync),
+    duration_of: &impl Fn(EdgeId) -> Duration,
     budget: Resource,
     meter: Option<&BudgetMeter>,
 ) -> Result<SpDpSolution, Exhausted> {
-    let dp = Dp {
-        tree,
-        regime,
-        duration_of,
-        b: budget as usize,
-    };
-    let (root_table, pieces) = if meter.is_none() && rtt_par::parallel_enabled() {
-        let roots = frontier(tree);
-        let evals = rtt_par::map_chunks(roots.len(), 1, rtt_par::current(), |i, _| {
-            let mut piece = Piece::default();
-            let table = dp.eval(roots[i], &mut [], &mut piece, None)?;
-            Ok((table, piece))
-        });
-        // the crown: the frontier's tables are live when it starts
-        let mut crown = Piece {
-            arena: TableArena {
-                live: roots.len(),
-                peak: roots.len(),
-                free: Vec::new(),
-            },
-            ..Piece::default()
-        };
-        let mut ready = vec![None; tree.len()];
-        let mut pieces = Vec::with_capacity(roots.len() + 1);
-        for (root, eval) in roots.iter().zip(evals) {
-            let (table, piece) = eval?;
-            ready[root.index()] = Some(table);
-            pieces.push(piece);
-        }
-        let table = dp.eval(tree.root(), &mut ready, &mut crown, None)?;
-        pieces.push(crown);
-        (table, pieces)
-    } else {
-        // one piece; a binary tree of n nodes has (n + 1) / 2 leaves
-        let mut piece = Piece {
-            splits: Vec::with_capacity(tree.len() / 2),
-            durs: Vec::with_capacity(tree.len() / 2 + 1),
-            ..Piece::default()
-        };
-        let table = dp.eval(tree.root(), &mut [], &mut piece, meter)?;
-        (table, vec![piece])
-    };
-
+    let b = budget as usize;
+    let mut arena = TableArena::default();
     let mut stats = SpDpStats::default();
     let mut splits: Vec<Option<Vec<u32>>> = vec![None; tree.len()];
     let mut durs: Vec<Option<Duration>> = vec![None; tree.len()];
-    for piece in pieces {
-        let s = piece.stats;
-        stats.leaves += s.leaves;
-        stats.series += s.series;
-        stats.parallels += s.parallels;
-        stats.cells += s.cells;
-        stats.merge_steps += s.merge_steps;
-        stats.peak_live_tables = stats.peak_live_tables.max(s.peak_live_tables);
-        for (id, choice) in piece.splits {
-            splits[id.index()] = Some(choice);
-        }
-        for (id, dur) in piece.durs {
+    let mut stack: Vec<Vec<Time>> = Vec::new();
+    for id in tree.post_order() {
+        let kind = tree.kind(id);
+        let mut t = arena.alloc();
+        if let SpKind::Leaf(e) = kind {
+            let dur = duration_of(e);
+            t.extend((0..=b).map(|l| dur.time(l as Resource)));
             durs[id.index()] = Some(dur);
+            stats.leaves += 1;
+        } else {
+            let ty = stack.pop().expect("post-order");
+            let tx = stack.pop().expect("post-order");
+            match (kind, regime) {
+                (SpKind::Series(..), Regime::Routed) => {
+                    // reuse over the path: both children see the full λ
+                    t.extend(tx.iter().zip(&ty).map(|(&a, &c)| a.saturating_add(c)));
+                    stats.series += 1;
+                }
+                _ => {
+                    let mut choice = Vec::with_capacity(b + 1);
+                    let steps = if let SpKind::Parallel(..) = kind {
+                        stats.parallels += 1;
+                        parallel_merge_monotone(&tx, &ty, &mut t, &mut choice)
+                    } else {
+                        stats.series += 1;
+                        min_plus_merge(&tx, &ty, &mut t, &mut choice)
+                    };
+                    stats.merge_steps += steps;
+                    if let Some(m) = meter {
+                        m.charge_merge_steps(steps)?;
+                    }
+                    splits[id.index()] = Some(choice);
+                }
+            }
+            arena.recycle(tx);
+            arena.recycle(ty);
         }
+        stats.cells += (b + 1) as u64;
+        stack.push(t);
     }
+    stats.peak_live_tables = arena.peak;
+    let root_table = stack.pop().expect("tree evaluated");
 
     let mut alloc: Vec<(EdgeId, Resource)> = Vec::new();
     let mut todo = vec![(tree.root(), budget)];
@@ -506,7 +341,7 @@ pub(crate) fn walk(
 pub(crate) fn walk_unmetered(
     tree: &SpTree,
     regime: Regime,
-    duration_of: &(impl Fn(EdgeId) -> Duration + Sync),
+    duration_of: &impl Fn(EdgeId) -> Duration,
     budget: Resource,
 ) -> SpDpSolution {
     walk(tree, regime, duration_of, budget, None).expect("an unmetered DP cannot exhaust")
@@ -857,8 +692,8 @@ mod tests {
         assert!(stats.peak_live_tables <= 18, "{stats:?}");
     }
 
-    /// Series chain of parallel bundles: SP by construction, and big
-    /// enough (stages·width leaves) that the frontier actually splits.
+    /// Series chain of parallel bundles: SP by construction, with
+    /// stages·width leaves.
     fn staged_instance(stages: usize, width: u64) -> ArcInstance {
         let mut g: Dag<(), Activity> = Dag::new();
         let mut prev = g.add_node(());
@@ -880,77 +715,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_tree_eval_is_bit_identical_to_serial() {
+    fn metered_walk_stops_mid_walk() {
         let arc = staged_instance(40, 3);
         let d = arc.dag();
         let tree = decompose(d, arc.source(), arc.sink()).unwrap();
-        assert!(
-            tree.len() as u32 > 2 * SPLIT_MIN_NODES,
-            "tree too small to split"
-        );
-        let budget = 24u64;
-        let (table, alloc, stats) =
-            solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
-        for threads in [1usize, 2, 4] {
-            let (pt, pa, ps) = rtt_par::with_threads(threads, || {
-                solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget)
-            });
-            assert_eq!(pt, table, "threads={threads}: root table diverged");
-            assert_eq!(pa, alloc, "threads={threads}: allocation diverged");
-            // work counters are thread-count-independent and equal the
-            // serial walk's; only liveness accounting may differ
-            assert_eq!(ps.leaves, stats.leaves, "threads={threads}");
-            assert_eq!(ps.series, stats.series, "threads={threads}");
-            assert_eq!(ps.parallels, stats.parallels, "threads={threads}");
-            assert_eq!(ps.cells, stats.cells, "threads={threads}");
-            assert_eq!(ps.merge_steps, stats.merge_steps, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_tree_eval_handles_small_trees() {
-        // below SPLIT_MIN_NODES the frontier is just the root
-        let arc = serial_chain();
-        let d = arc.dag();
-        let tree = decompose(d, arc.source(), arc.sink()).unwrap();
-        for b in 0..=8u64 {
-            let (st, sa, _) = solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b);
-            let (pt, pa, _) = rtt_par::with_threads(4, || {
-                solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), b)
-            });
-            assert_eq!(pt, st, "budget {b}");
-            assert_eq!(pa, sa, "budget {b}");
-        }
-    }
-
-    #[test]
-    fn metered_walk_exhausts_identically_at_any_thread_count() {
-        let arc = staged_instance(40, 3);
-        let d = arc.dag();
-        let tree = decompose(d, arc.source(), arc.sink()).unwrap();
-        assert!(
-            tree.len() as u32 > 2 * SPLIT_MIN_NODES,
-            "tree too small to split"
-        );
         let budget = 24u64;
         let (_, _, stats) = solve_sp_tree_with_stats(&tree, |e| d.edge(e).duration.clone(), budget);
         // a limit that trips mid-walk, well before the last parallel node
         let limit = stats.merge_steps / 2;
-        let exhaust = |threads: usize| {
-            let meter = BudgetMeter::with_limits(None, Some(limit), None, None);
-            rtt_par::with_threads(threads, || {
-                solve_sp_tree_metered(&tree, |e| d.edge(e).duration.clone(), budget, Some(&meter))
-            })
-            .expect_err("the limit trips mid-walk")
-        };
-        let serial = exhaust(1);
-        assert_eq!(serial.dimension, rtt_budget::Dimension::DpMergeSteps);
-        assert_eq!(serial.limit, limit);
-        assert!(serial.consumed > limit && serial.consumed < stats.merge_steps);
-        let four = exhaust(4);
-        assert_eq!(
-            (four.consumed, four.limit, four.dimension),
-            (serial.consumed, serial.limit, serial.dimension)
-        );
+        let meter = BudgetMeter::with_limits(None, Some(limit), None, None);
+        let stop =
+            solve_sp_tree_metered(&tree, |e| d.edge(e).duration.clone(), budget, Some(&meter))
+                .expect_err("the limit trips mid-walk");
+        assert_eq!(stop.dimension, rtt_budget::Dimension::DpMergeSteps);
+        assert_eq!(stop.limit, limit);
+        assert!(stop.consumed > limit && stop.consumed < stats.merge_steps);
     }
 }

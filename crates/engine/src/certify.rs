@@ -345,15 +345,7 @@ fn certify_expansion(
         events,
         "the pre-count must match the model"
     );
-    // Sharded replay only when unmetered: mid-replay exhaustion
-    // stop-points are wire-visible and must not depend on shard
-    // scheduling. Bit-identical to the serial engine by construction
-    // (see `ExecModel::run_event_sharded`).
-    let res = if meter.is_none() && rtt_par::parallel_enabled() {
-        model.run_event_sharded(rtt_par::current())
-    } else {
-        model.run_event_metered(meter)?
-    };
+    let res = model.run_event_metered(meter)?;
     Ok(Some(SimCertificate {
         simulated: res.finish,
         bound,

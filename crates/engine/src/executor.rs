@@ -46,8 +46,8 @@
 //!   batch itself is broken, which must abort loudly;
 //! * **statically unreachable** (`expect("an unmetered X cannot
 //!   exhaust")` wrappers): a `None` meter never charges, so the error
-//!   arm cannot construct. Ten remain across the crates: one here (the
-//!   certify replay of a solution-tier hit), two in `rtt_sim`'s model,
+//!   arm cannot construct. Nine remain across the crates: one here (the
+//!   certify replay of a solution-tier hit), one in `rtt_sim`'s model,
 //!   three in `rtt_core::exact`, two in `rtt_core::regimes` and two in
 //!   `rtt_core::sp_dp`.
 //!
@@ -331,26 +331,7 @@ fn probe(
 /// self-contained crash-started chain
 /// ([`crate::curve::execute_sweep_wire`]), so its on-wire pivot counts
 /// cannot depend on cache state.
-///
-/// This is also where [`SolveRequest::intra_threads`] takes effect:
-/// the whole execution runs inside an `rtt_par::with_threads` scope
-/// (the scope is thread-local and panic-safe, so a batch worker can
-/// carry different knobs for consecutive requests without leakage).
-/// The knob never changes report bytes — `rtt_par` paths are
-/// bit-identical at every thread count.
 pub fn execute_one_cached_at(
-    registry: &Registry,
-    req: &SolveRequest,
-    queued_at: Instant,
-    queue_position: usize,
-    reuse: Option<&crate::reuse::ReuseCache>,
-) -> Vec<SolveReport> {
-    rtt_par::with_threads_opt(req.intra_threads, || {
-        execute_one_cached_inner(registry, req, queued_at, queue_position, reuse)
-    })
-}
-
-fn execute_one_cached_inner(
     registry: &Registry,
     req: &SolveRequest,
     queued_at: Instant,

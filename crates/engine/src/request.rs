@@ -73,13 +73,9 @@ pub struct SolveRequest {
     /// `None` — the default and every constructor's choice — runs the
     /// pre-budget engine behavior byte for byte.
     pub budget: Option<crate::budget::BudgetSpec>,
-    /// Intra-solve thread count for the deterministic parallel paths
-    /// (`rtt_par`): chunked LP pricing, subtree-parallel SP-DP, sharded
-    /// certification replay. `None` defers to the ambient resolution
-    /// (enclosing `rtt_par::with_threads` scope, else the
-    /// `RTT_SOLVE_THREADS` environment variable, else serial). Purely an
-    /// execution knob: reports and wire bytes are identical at every
-    /// value — only the wall clock moves.
+    /// Ignored: every solve runs one serial path. The field stays only
+    /// because the `perfbench` harness builds requests by struct
+    /// literal; it goes when that harness drops it.
     pub intra_threads: Option<usize>,
 }
 
@@ -228,10 +224,6 @@ pub struct SolveReport {
     /// Solver-specific work counter (simplex pivots, search nodes, DP
     /// cells — see each solver's docs).
     pub work: u64,
-    /// LP engine dimensions and pivot phase split, for pipelines that
-    /// solved an LP ([`rtt_lp::LpStats`]). Diagnostics only — like the
-    /// wall-clock fields it stays **off** the batch wire format.
-    pub lp_stats: Option<rtt_lp::LpStats>,
     /// Simulation-backed certificate (Observation 1.1): the solution's
     /// reducer expansion — routed flows, dedicated no-reuse levels, or
     /// the schedule-granular global-pool replay, per the solver's
@@ -297,7 +289,6 @@ impl SolveReport {
             noreuse: None,
             schedule: None,
             work: 0,
-            lp_stats: None,
             sim: None,
             wall: StdDuration::ZERO,
             queue_wait: StdDuration::ZERO,

@@ -228,7 +228,6 @@ pub(crate) fn approx_report(
     r.makespan_factor = Some(a.makespan_factor);
     r.resource_factor = Some(a.resource_factor);
     r.work = a.lp_pivots as u64;
-    r.lp_stats = Some(a.lp_stats);
     r
 }
 

@@ -200,21 +200,6 @@ impl ExecModel {
     /// # Panics
     /// If the model is cyclic ("stalled") and the meter never trips.
     pub fn run_event_metered(&self, meter: Option<&BudgetMeter>) -> Result<SimResult, Exhausted> {
-        let (finish, mut deltas) = self.run_event_deltas(meter)?;
-        let peak = sweep_peak(&mut deltas);
-        Ok(SimResult {
-            finish: finish.iter().copied().max().unwrap_or(0),
-            node_finish: finish,
-            updates_applied: self.update_count(),
-            peak_parallelism: peak,
-        })
-    }
-
-    /// The event engine proper: per-cell finish times plus the raw busy
-    /// intervals (as `(tick, ±1)` deltas, unsorted) — the pieces
-    /// [`Self::run_event_metered`] sweeps directly and
-    /// [`Self::run_event_sharded`] merges across shards.
-    fn run_event_deltas(&self, meter: Option<&BudgetMeter>) -> Result<FinishAndDeltas, Exhausted> {
         let n = self.works.len();
         let mut preds_left = self.indeg.clone();
         let mut finish: Vec<Time> = vec![0; n];
@@ -292,125 +277,12 @@ impl ExecModel {
             }
         }
         assert_eq!(completed, n, "execution stalled: the model is cyclic");
-        Ok((finish, deltas))
-    }
-
-    /// Weakly-connected components of the update-arc graph: cells in
-    /// different components never exchange releases, so each is an
-    /// independent simulation. Components are ordered by their smallest
-    /// cell id, cells ascending within each — a pure function of the
-    /// model, independent of any thread count.
-    fn weak_components(&self) -> Vec<Vec<u32>> {
-        let n = self.works.len();
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for v in 0..n {
-            for wi in 0..self.succs[v].len() {
-                let w = self.succs[v][wi];
-                let a = find(&mut parent, v as u32);
-                let b = find(&mut parent, w);
-                if a != b {
-                    // union toward the smaller root id — deterministic
-                    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                    parent[hi as usize] = lo;
-                }
-            }
-        }
-        let mut slot_of_root: Vec<usize> = vec![usize::MAX; n];
-        let mut comps: Vec<Vec<u32>> = Vec::new();
-        for v in 0..n as u32 {
-            let r = find(&mut parent, v) as usize;
-            if slot_of_root[r] == usize::MAX {
-                slot_of_root[r] = comps.len();
-                comps.push(Vec::new());
-            }
-            comps[slot_of_root[r]].push(v);
-        }
-        comps
-    }
-
-    /// [`Self::run_event`] with weakly-connected components simulated
-    /// concurrently — **bit-identical** to the serial engine at any
-    /// `threads` value:
-    ///
-    /// * the component partition is a pure function of the model (see
-    ///   `weak_components`);
-    /// * each shard is an index-compacted submodel whose cell order
-    ///   preserves global id order, so its heap tie-breaks match the
-    ///   serial run's and every absolute finish time is unchanged;
-    /// * `finish` is the max over per-cell times (order-independent),
-    ///   `node_finish` scatters back through the shard's id list,
-    ///   `updates_applied` is [`Self::update_count`] (a model property),
-    ///   and peak parallelism sweeps the *merged* delta multiset from
-    ///   all shards — the same sorted sequence the serial sweep sees.
-    ///
-    /// Single-component models just run the serial engine. Metered
-    /// replay never shards (exhaustion stop-points are wire-visible and
-    /// must not depend on shard scheduling); `rtt_engine::certify`
-    /// gates accordingly.
-    ///
-    /// # Panics
-    /// If the model is cyclic ("stalled").
-    pub fn run_event_sharded(&self, threads: usize) -> SimResult {
-        let comps = self.weak_components();
-        if comps.len() <= 1 {
-            return self.run_event();
-        }
-        let n = self.works.len();
-        let mut local_of: Vec<u32> = vec![0; n];
-        for cells in &comps {
-            for (l, &g) in cells.iter().enumerate() {
-                local_of[g as usize] = l as u32;
-            }
-        }
-        let shards: Vec<ExecModel> = comps
-            .iter()
-            .map(|cells| {
-                let succs: Vec<Vec<u32>> = cells
-                    .iter()
-                    .map(|&g| {
-                        self.succs[g as usize]
-                            .iter()
-                            .map(|&w| local_of[w as usize])
-                            .collect()
-                    })
-                    .collect();
-                let edges = succs.iter().map(|s| s.len() as u64).sum();
-                ExecModel {
-                    succs,
-                    works: cells.iter().map(|&g| self.works[g as usize]).collect(),
-                    indeg: cells.iter().map(|&g| self.indeg[g as usize]).collect(),
-                    pipelined: cells.iter().map(|&g| self.pipelined[g as usize]).collect(),
-                    edges,
-                }
-            })
-            .collect();
-        let parts = rtt_par::map_chunks(shards.len(), 1, threads, |i, _| {
-            shards[i]
-                .run_event_deltas(None)
-                .expect("an unmetered simulation cannot exhaust")
-        });
-        let mut node_finish: Vec<Time> = vec![0; n];
-        let mut deltas: Vec<(Time, i32)> = Vec::new();
-        for (cells, (finish, d)) in comps.iter().zip(parts) {
-            for (l, &g) in cells.iter().enumerate() {
-                node_finish[g as usize] = finish[l];
-            }
-            deltas.extend(d);
-        }
-        let peak = sweep_peak(&mut deltas);
-        SimResult {
-            finish: node_finish.iter().copied().max().unwrap_or(0),
-            node_finish,
+        Ok(SimResult {
+            finish: finish.iter().copied().max().unwrap_or(0),
+            node_finish: finish,
             updates_applied: self.update_count(),
-            peak_parallelism: peak,
-        }
+            peak_parallelism: sweep_peak(&mut deltas),
+        })
     }
 
     /// Executes the model tick by tick with `processors` processors
@@ -510,15 +382,8 @@ impl ExecModel {
     }
 }
 
-/// Per-cell finish times plus the raw `(tick, ±1)` busy-interval
-/// deltas (unsorted) — what [`sweep_peak`] consumes, produced by one
-/// serial run or concatenated across shards.
-type FinishAndDeltas = (Vec<Time>, Vec<(Time, i32)>);
-
 /// Sorts the `(tick, ±1)` busy-interval deltas and sweeps for the
-/// maximum concurrent count. Operating on the sorted multiset makes the
-/// result independent of how the deltas were produced — one serial run
-/// or a concatenation of per-shard runs sweep identically.
+/// maximum concurrent count.
 fn sweep_peak(deltas: &mut [(Time, i32)]) -> usize {
     deltas.sort_unstable();
     let mut peak = 0i32;
@@ -737,74 +602,5 @@ mod tests {
         let mut g: Dag<(), ()> = Dag::new();
         g.add_node(());
         ExecModel::from_works(&g, &[1, 2]);
-    }
-
-    /// Many disconnected diamond components with interleaved node ids
-    /// (cells of different components alternate), plus one isolated
-    /// zero-work cell — the sharded engine must reconstruct the exact
-    /// serial result from per-shard runs.
-    fn multi_component(k: usize) -> ExecModel {
-        let mut g: Dag<(), ()> = Dag::new();
-        let mut works: Vec<Time> = Vec::new();
-        let mut roots = Vec::new();
-        for c in 0..k as u64 {
-            let s = g.add_node(());
-            works.push(2 + c % 3);
-            roots.push(s);
-        }
-        for (c, &s) in roots.iter().enumerate() {
-            let c = c as u64;
-            let a = g.add_node(());
-            let b = g.add_node(());
-            let t = g.add_node(());
-            g.add_edge(s, a, ()).unwrap();
-            g.add_edge(s, b, ()).unwrap();
-            g.add_parallel_edges(a, t, (), 1 + (c % 2) as usize)
-                .unwrap();
-            g.add_edge(b, t, ()).unwrap();
-            works.push(1); // a: pipelined single update
-            works.push(3 + c % 2); // b: gated explicit work
-            works.push(5); // t: gated (works != d_in)
-        }
-        g.add_node(());
-        works.push(0); // isolated zero-work cell
-        ExecModel::from_works(&g, &works)
-    }
-
-    #[test]
-    fn sharded_replay_is_bit_identical_to_serial() {
-        for k in [2usize, 5, 9] {
-            let m = multi_component(k);
-            assert_eq!(m.weak_components().len(), k + 1, "k={k}");
-            let serial = m.run_event();
-            for threads in [1usize, 2, 4] {
-                assert_eq!(
-                    m.run_event_sharded(threads),
-                    serial,
-                    "k={k} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_replay_falls_back_on_connected_models() {
-        let m = figure4();
-        assert_eq!(m.weak_components().len(), 1);
-        assert_eq!(m.run_event_sharded(4), m.run_event());
-    }
-
-    #[test]
-    fn component_partition_is_deterministic_and_id_ordered() {
-        let m = multi_component(3);
-        let comps = m.weak_components();
-        // ordered by smallest cell id; cells ascending within a shard
-        let mins: Vec<u32> = comps.iter().map(|c| c[0]).collect();
-        assert!(mins.windows(2).all(|w| w[0] < w[1]));
-        for c in &comps {
-            assert!(c.windows(2).all(|w| w[0] < w[1]));
-        }
-        let total: usize = comps.iter().map(Vec::len).sum();
-        assert_eq!(total, m.node_count());
     }
 }

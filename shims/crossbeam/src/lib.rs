@@ -1,21 +1,8 @@
 //! Minimal stand-in for `crossbeam` 0.8 (offline build; see
-//! `shims/README.md`). Provides `utils::CachePadded`, the
-//! `channel` MPMC channels used by `rtt_engine`'s batch executor, and
-//! the `thread::scope` scoped-spawn API used by `rtt_par`'s
-//! deterministic map/reduce helper.
+//! `shims/README.md`). Provides `utils::CachePadded` and the
+//! `channel` MPMC channels used by `rtt_engine`'s batch executor.
 
 #![forbid(unsafe_code)]
-
-pub mod thread {
-    //! Scoped threads, API-compatible with the `crossbeam::thread`
-    //! subset this workspace uses. Upstream predates
-    //! `std::thread::scope` (Rust 1.63); the standard library version
-    //! has the same guarantee — every spawned thread joins before
-    //! `scope` returns, so borrows of stack data may cross the spawn
-    //! boundary — which is all `rtt_par::map_chunks` needs.
-
-    pub use std::thread::{scope, Scope, ScopedJoinHandle};
-}
 
 pub mod channel {
     //! Multi-producer multi-consumer FIFO channels, API-compatible with
