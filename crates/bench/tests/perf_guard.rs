@@ -8,12 +8,13 @@
 //! new numbers in the change description.
 
 use rtt_bench::fixtures::{race_instance, sp_instance};
-use rtt_core::lp_build::solve_min_makespan_lp_with;
+use rtt_core::lp_build::{solve_min_makespan_lp_with, solve_min_resource_lp};
+use rtt_core::regimes::solve_noreuse_lp;
 use rtt_core::sp_dp::solve_sp_tree_with_stats;
 use rtt_core::transform::expand_two_tuples;
 use rtt_core::MakespanLp;
 use rtt_dag::sp::decompose;
-use rtt_lp::Engine;
+use rtt_lp::{Engine, WarmStart};
 
 #[test]
 fn lp_pivot_counts_stay_in_envelope() {
@@ -95,6 +96,46 @@ fn wire_sweep_pivots_stay_in_envelope() {
     // the same chain behind the executor (BENCH_pr8.json's
     // pinned_chain evidence)
     assert_eq!(wire_total, 132, "wire sweep pivots");
+}
+
+#[test]
+fn every_chained_sweep_point_is_a_dual_repair() {
+    // A bounded dual simplex that flips a zero-cost entering column to
+    // its far bound can trade two violated rows back and forth until its
+    // iteration cap: on this chain that sent the budget-5 point to a
+    // cold re-solve (`Rejected`, 202 pivots) instead of a dual repair.
+    let arc = race_instance(5, 8);
+    let tt = expand_two_tuples(&arc);
+    let grid = [0, 5, 10, 15, 20, 25];
+    let (points, _) = MakespanLp::new(&tt).solve_sweep(&tt, &grid, None).unwrap();
+    let warm: Vec<WarmStart> = points.iter().map(|f| f.stats.warm).collect();
+    assert_eq!(warm[1..], [WarmStart::Dual; 5], "chained points");
+    let pivots: Vec<usize> = points.iter().map(|f| f.pivots).collect();
+    assert_eq!(pivots, [36, 32, 0, 0, 0, 0], "per-point pivots");
+}
+
+#[test]
+fn min_resource_and_noreuse_lps_start_from_the_crash() {
+    // race_instance(16, 16): the min-resource LP at target 75, between
+    // the LP's ideal makespan (42) and its base makespan, so the crash
+    // violates the target row; and the no-reuse LP at budget 16.
+    // Neither runs phase 1.
+    let arc = race_instance(16, 16);
+    let tt = expand_two_tuples(&arc);
+    let base = solve_min_makespan_lp_with(&tt, 0, Engine::Revised)
+        .unwrap()
+        .makespan;
+    let target = 75;
+    assert_eq!(base, 109.0, "base makespan");
+    let mr = solve_min_resource_lp(&tt, target, None).unwrap();
+    assert_eq!(mr.stats.phase1_pivots, 0, "min-resource phase 1");
+    assert_eq!(mr.stats.warm, WarmStart::Dual, "min-resource start");
+    assert_eq!(mr.pivots, 144, "min-resource pivots");
+
+    let nr = solve_noreuse_lp(&tt, 16).unwrap();
+    assert_eq!(nr.stats.phase1_pivots, 0, "no-reuse phase 1");
+    assert_eq!(nr.stats.warm, WarmStart::Primal, "no-reuse start");
+    assert_eq!(nr.pivots, 30, "no-reuse pivots");
 }
 
 #[test]

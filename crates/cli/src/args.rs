@@ -12,7 +12,9 @@
 //!   `--…` token, is a **switch**;
 //! * a repeated flag keeps its **last** value; asking a switch for a
 //!   value (or a flag for switch-ness) is reported as an error rather
-//!   than silently mis-parsed.
+//!   than silently mis-parsed;
+//! * each subcommand names the flags and switches it reads
+//!   ([`Args::accept_only`]); any other `--name` is an error.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -87,6 +89,45 @@ impl Args {
     /// Whether the bare switch `--name` was given.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.contains(name)
+    }
+
+    /// Refuses every `--name` the subcommand does not read: a name
+    /// outside `flags` (read with a value) and `switches` (read bare),
+    /// or a switch given a value. The error names the offending flag
+    /// and lists what the subcommand accepts, so a misspelt `--thread`
+    /// stops the command instead of being dropped.
+    pub fn accept_only(&self, flags: &[&str], switches: &[&str]) -> Result<(), String> {
+        let unknown = |name: &str| !flags.contains(&name) && !switches.contains(&name);
+        let offence = self
+            .flags
+            .iter()
+            .find_map(|(name, value)| {
+                if switches.contains(&name.as_str()) {
+                    Some(format!("switch --{name} takes no value, got {value:?}"))
+                } else {
+                    unknown(name).then(|| format!("unknown flag --{name}"))
+                }
+            })
+            .or_else(|| {
+                let name = self.switches.iter().find(|name| unknown(name))?;
+                Some(format!("unknown flag --{name}"))
+            });
+        let Some(offence) = offence else {
+            return Ok(());
+        };
+        let mut accepted: Vec<String> = flags
+            .iter()
+            .chain(switches)
+            .map(|name| format!("--{name}"))
+            .collect();
+        accepted.sort_unstable();
+        let accepted = if accepted.is_empty() {
+            "no flags".to_string()
+        } else {
+            accepted.join(", ")
+        };
+        let cmd = self.positional.first().map_or("", String::as_str);
+        Err(format!("rtt {cmd}: {offence}; it accepts {accepted}"))
     }
 }
 
@@ -233,6 +274,38 @@ mod tests {
         assert_eq!(a.flag::<i64>("budget").unwrap(), Some(-5));
         let a = parse(&["--alpha", "-0.25"]);
         assert_eq!(a.flag::<f64>("alpha").unwrap(), Some(-0.25));
+    }
+
+    #[test]
+    fn only_accepted_names_pass() {
+        let flags = ["threads", "out"];
+        let switches = ["lint-first"];
+        let a = parse(&["batch", "c.ndjson", "--threads", "4", "--lint-first"]);
+        assert_eq!(a.accept_only(&flags, &switches), Ok(()));
+        // a misspelt flag, value or not, is named
+        for argv in [
+            &["batch", "c.ndjson", "--thread", "4"][..],
+            &["batch", "c.ndjson", "--thread"][..],
+        ] {
+            assert_eq!(
+                parse(argv).accept_only(&flags, &switches).unwrap_err(),
+                "rtt batch: unknown flag --thread; it accepts --lint-first, --out, --threads"
+            );
+        }
+        // a switch cannot swallow the next token as a value
+        assert_eq!(
+            parse(&["batch", "--lint-first", "c.ndjson"])
+                .accept_only(&flags, &switches)
+                .unwrap_err(),
+            "rtt batch: switch --lint-first takes no value, got \"c.ndjson\"; \
+             it accepts --lint-first, --out, --threads"
+        );
+        assert_eq!(
+            parse(&["solvers", "--all"])
+                .accept_only(&[], &[])
+                .unwrap_err(),
+            "rtt solvers: unknown flag --all; it accepts no flags"
+        );
     }
 
     #[test]

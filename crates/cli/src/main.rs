@@ -120,6 +120,19 @@ fn instance_path(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
+    args.accept_only(
+        &[
+            "kind",
+            "nodes",
+            "seed",
+            "family",
+            "n",
+            "stages",
+            "width",
+            "contention",
+        ],
+        &[],
+    )?;
     let kind: String = args.require("kind")?;
     let nodes: usize = args.flag("nodes")?.unwrap_or(8);
     let seed: u64 = args.flag("seed")?.unwrap_or(42);
@@ -184,6 +197,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
+    args.accept_only(&[], &[])?;
     let arc = load(&instance_path(args)?)?;
     let d = arc.dag();
     println!("nodes:            {}", d.node_count());
@@ -255,6 +269,7 @@ fn solve_via_registry(
 }
 
 fn cmd_solve(args: &Args) -> Result<(), String> {
+    args.accept_only(&["budget", "solver", "alpha", "seed"], &["plan"])?;
     let arc = load(&instance_path(args)?)?;
     let budget: u64 = args.require("budget")?;
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "bicriteria".into());
@@ -290,6 +305,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_min_resource(args: &Args) -> Result<(), String> {
+    args.accept_only(&["target", "solver", "alpha", "seed"], &[])?;
     let arc = load(&instance_path(args)?)?;
     let target: u64 = args.require("target")?;
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "bicriteria".into());
@@ -321,6 +337,7 @@ fn cmd_min_resource(args: &Args) -> Result<(), String> {
 /// per line, grid order — see `rtt_cli::batch::curve_line` for the wire
 /// format). Timing stays on stderr, like `rtt batch`.
 fn cmd_curve(args: &Args) -> Result<(), String> {
+    args.accept_only(&["budgets", "alpha", "out"], &[])?;
     let arc = load(&instance_path(args)?)?;
     let budgets = rtt_cli::args::parse_budgets(&args.require::<String>("budgets")?)?;
     let registry = Registry::standard();
@@ -377,6 +394,20 @@ fn corpus_registry() -> Registry {
 }
 
 fn cmd_batch(args: &Args) -> Result<(), String> {
+    args.accept_only(
+        &[
+            "threads",
+            "solver",
+            "out",
+            "max-pivots",
+            "max-sim-events",
+            "on-exhaustion",
+            "cache-capacity",
+            "cache-save",
+            "cache-load",
+        ],
+        &["lint-first", "reuse-cache"],
+    )?;
     let path = args
         .positional
         .get(1)
@@ -538,6 +569,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
 /// order; the summary goes to stderr; the exit code is nonzero iff an
 /// error-severity diagnostic was found.
 fn cmd_lint(args: &Args) -> Result<(), String> {
+    args.accept_only(&["format"], &[])?;
     let path = args
         .positional
         .get(1)
@@ -586,6 +618,18 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 /// asserts the witness sets identical, and prints the static
 /// summaries. Timing goes to stderr.
 fn cmd_analyze(args: &Args) -> Result<(), String> {
+    args.accept_only(
+        &[
+            "kind",
+            "n",
+            "seed",
+            "stages",
+            "width",
+            "contention",
+            "engine",
+        ],
+        &[],
+    )?;
     match args.positional.get(1).map(String::as_str) {
         Some("race") => {}
         other => {
@@ -697,7 +741,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solvers() -> Result<(), String> {
+fn cmd_solvers(args: &Args) -> Result<(), String> {
+    args.accept_only(&[], &[])?;
     let registry = Registry::standard();
     // name + certified-output columns: which solution object each
     // solver's solved reports carry, and the certificate every one of
@@ -715,6 +760,7 @@ fn cmd_solvers() -> Result<(), String> {
 }
 
 fn cmd_regimes(args: &Args) -> Result<(), String> {
+    args.accept_only(&["budget"], &[])?;
     let arc = load(&instance_path(args)?)?;
     let budget: u64 = args.require("budget")?;
     let c = compare_regimes(&arc, budget);
@@ -726,6 +772,7 @@ fn cmd_regimes(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &Args) -> Result<(), String> {
+    args.accept_only(&[], &[])?;
     let arc = load(&instance_path(args)?)?;
     let dot = rtt_dag::dot::to_dot(
         arc.dag(),
@@ -758,7 +805,7 @@ fn run() -> Result<(), String> {
         Some("batch") => cmd_batch(&args),
         Some("lint") => cmd_lint(&args),
         Some("analyze") => cmd_analyze(&args),
-        Some("solvers") => cmd_solvers(),
+        Some("solvers") => cmd_solvers(&args),
         Some("regimes") => cmd_regimes(&args),
         Some("dot") => cmd_dot(&args),
         Some(other) => Err(format!("unknown command {other}\n\n{USAGE}")),

@@ -364,6 +364,47 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn unknown_flags_fail_before_any_work() {
+    let corpus = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/corpus_sweep.ndjson"
+    );
+    let dir = tempdir();
+    let inst = gen_instance(&dir, "race", 5);
+    let inst = inst.to_str().unwrap();
+    for (argv, flag) in [
+        (vec!["batch", corpus, "--thread", "4"], "--thread"),
+        (
+            vec!["batch", corpus, "--solve-threads", "2"],
+            "--solve-threads",
+        ),
+        (
+            vec!["solve", inst, "--budget", "4", "--budgt", "4"],
+            "--budgt",
+        ),
+        (
+            vec!["min-resource", inst, "--target", "6", "--plan"],
+            "--plan",
+        ),
+        (
+            vec!["curve", inst, "--budgets", "0:4:2", "--threads", "2"],
+            "--threads",
+        ),
+        (vec!["gen", "--kind", "race", "--node", "6"], "--node"),
+        (vec!["solvers", "--verbose"], "--verbose"),
+    ] {
+        let out = rtt().args(&argv).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} did work before failing");
+        assert!(
+            stderr.starts_with(&format!("rtt {}: unknown flag {flag};", argv[0])),
+            "{argv:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn deeply_nested_line_is_rtt001_not_a_stack_overflow() {
     let dir = tempdir();
     let depth = 50_000;

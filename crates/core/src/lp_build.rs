@@ -36,13 +36,13 @@
 //!
 //! The LP is the only stage of an LP-rounding answer that a budget
 //! meter reaches: every rounding in [`crate::solvers`] and
-//! [`crate::regimes`] is a pure function of its solution. The two
-//! metered single-solve entries are [`solve_min_makespan_lp`] (one
-//! revised solve from the longest-path crash basis) and
-//! [`solve_min_resource_lp`] (one cold two-phase solve); a budget sweep
-//! is one chain through [`MakespanLp::solve_sweep_metered`], and the
-//! no-reuse regime solves through
-//! [`crate::regimes::solve_noreuse_lp_metered`].
+//! [`crate::regimes`] is a pure function of its solution. Every entry
+//! starts from the longest-path crash basis: the two metered
+//! single-solve entries are [`solve_min_makespan_lp`] (phase 2 from a
+//! primal-feasible crash) and [`solve_min_resource_lp`] (the dual
+//! simplex from a dual-feasible one); a budget sweep is one chain
+//! through [`MakespanLp::solve_sweep_metered`], and the no-reuse regime
+//! solves through [`crate::regimes::solve_noreuse_lp_metered`].
 
 use crate::exact::Regime;
 use crate::transform::TwoTupleInstance;
@@ -217,15 +217,17 @@ impl LpShape {
         self.time_var[tt.sink.index()].expect("sink is not the source")
     }
 
-    /// The structural **crash basis**: at zero flow the longest-path
-    /// times satisfy every constraint, so phase 1 is unnecessary. Per
-    /// non-source vertex, `T_v` goes basic in its *critical*
+    /// The structural **crash basis**, which makes phase 1 unnecessary.
+    /// Per non-source vertex, `T_v` goes basic in its *critical*
     /// (longest-path-tight) incoming precedence row; every other
     /// precedence row keeps its surplus basic (slack `= T_v − T_u − t0
     /// ≥ 0`), conservation rows keep a degenerate artificial at 0, and
-    /// the budget row its slack. The revised engine verifies
-    /// feasibility at install time, so this is an accelerator, never a
-    /// correctness risk.
+    /// the budget or target row its slack. At zero flow the longest-path
+    /// times satisfy every row but a target row, so the basis is primal
+    /// feasible for the makespan objective and dual feasible (every
+    /// basic variable costs 0) for the min-resource one. The revised
+    /// engine verifies that at install time, so this is an accelerator,
+    /// never a correctness risk.
     fn crash(&self, tt: &TwoTupleInstance) -> rtt_lp::Basis {
         use rtt_lp::revised::CrashVar;
         let d = &tt.dag;
@@ -249,16 +251,6 @@ impl LpShape {
             }
         }
         rtt_lp::revised::crash_basis(&self.problem, &hints)
-    }
-
-    /// One cold two-phase revised solve, charging `meter` per pivot.
-    fn solve_cold(
-        &self,
-        tt: &TwoTupleInstance,
-        meter: Option<&rtt_budget::BudgetMeter>,
-    ) -> Result<FractionalSolution, LpError> {
-        let (out, _) = rtt_lp::revised::solve_warm(&self.problem, None, meter);
-        self.result(tt, out)
     }
 
     /// Maps a solve's outcome onto the fractional solution or error.
@@ -310,7 +302,7 @@ pub struct MakespanLp {
     budget_row: Option<usize>,
     /// The longest-path crash basis (see `LpShape::crash`) — the
     /// revised engine's start when no warmer basis is available. Lazy:
-    /// the dense engine and cold solves never pay for it.
+    /// the dense engine never pays for it.
     crash: std::sync::OnceLock<rtt_lp::Basis>,
 }
 
@@ -366,18 +358,6 @@ impl MakespanLp {
             Engine::Revised => self.solve_warm(tt, None, None).map(|(f, _)| f),
             Engine::Flat => self.shape.result(tt, self.shape.problem.solve_with(engine)),
         }
-    }
-
-    /// Solves at the budget most recently set with one cold two-phase
-    /// revised solve that ignores the crash basis — the no-reuse
-    /// baseline's path — charging `meter` one `lp_pivots` unit per
-    /// pivot.
-    pub(crate) fn solve_cold(
-        &self,
-        tt: &TwoTupleInstance,
-        meter: Option<&rtt_budget::BudgetMeter>,
-    ) -> Result<FractionalSolution, LpError> {
-        self.shape.solve_cold(tt, meter)
     }
 
     /// Solves at the budget most recently set with the revised engine,
@@ -472,20 +452,29 @@ pub fn solve_min_makespan_lp_with(
 }
 
 /// The minimum-resource twin: minimize `Σ f(s,·)` subject to `T_t ≤ T`,
-/// with one cold two-phase revised solve, metered as
-/// [`solve_min_makespan_lp`] is.
+/// with one revised solve whose dual simplex repairs the crash basis's
+/// target row, metered as [`solve_min_makespan_lp`] is.
 pub fn solve_min_resource_lp(
     tt: &TwoTupleInstance,
     target: Time,
     meter: Option<&rtt_budget::BudgetMeter>,
 ) -> Result<FractionalSolution, LpError> {
+    let shape = min_resource_shape(tt, target);
+    let crash = shape.crash(tt);
+    let (out, _) = rtt_lp::revised::solve_warm(&shape.problem, Some(&crash), meter);
+    shape.result(tt, out)
+}
+
+/// The routed shape with the target row `T_t ≤ T` and the objective
+/// `Σ f(s,·)`; its crash keeps the target row's slack basic.
+fn min_resource_shape(tt: &TwoTupleInstance, target: Time) -> LpShape {
     let mut shape = LpShape::build(tt, Regime::Routed);
     let t_sink = shape.t_sink(tt);
     shape.problem.add_le(&[(t_sink, 1.0)], clamp_time(target));
     for (j, c) in shape.budget_terms(tt) {
         shape.problem.set_objective(j, c);
     }
-    shape.solve_cold(tt, meter)
+    shape
 }
 
 #[cfg(test)]
@@ -611,6 +600,68 @@ mod tests {
             Err(LpError::Infeasible)
         ));
         assert!(solve_min_resource_lp(&tt, 5, None).is_ok());
+    }
+
+    /// Three routed fixtures: the racy Parallel-MM of Figure 3 at
+    /// `n = 6` in both reducer families, and a five-node race DAG with
+    /// parallel updates.
+    fn min_resource_fixtures() -> Vec<TwoTupleInstance> {
+        use crate::from_race::{instance_from_program, ReducerFamily};
+        let mm = |n, family| {
+            let inst = instance_from_program(&rtt_race::mm::parallel_mm_racy(n).0, family);
+            expand_two_tuples(&to_arc_form(&inst.unwrap()).0)
+        };
+        let mut g: Dag<(), ()> = Dag::new();
+        let [s, a, b, c, t] = [(); 5].map(|()| g.add_node(()));
+        for (u, v, k) in [
+            (s, a, 3),
+            (s, b, 5),
+            (a, c, 2),
+            (b, c, 4),
+            (a, t, 1),
+            (c, t, 6),
+        ] {
+            g.add_parallel_edges(u, v, (), k).unwrap();
+        }
+        let inst = Instance::race_dag(&g, Duration::recursive_binary).unwrap();
+        vec![
+            mm(6, ReducerFamily::RecursiveBinary),
+            mm(6, ReducerFamily::KWay),
+            expand_two_tuples(&to_arc_form(&inst).0),
+        ]
+    }
+
+    /// The crash-started min-resource LP against the flat engine's
+    /// two-phase solve of the same problem, at targets from the LP's
+    /// ideal makespan up to its base makespan.
+    #[test]
+    fn crash_started_min_resource_matches_the_flat_oracle() {
+        for tt in min_resource_fixtures() {
+            let base = solve_min_makespan_lp(&tt, 0, None).unwrap().makespan;
+            let ideal = solve_min_makespan_lp(&tt, 1 << 40, None).unwrap().makespan;
+            assert!(ideal >= 1.0 && ideal < base, "ideal {ideal}, base {base}");
+            let (lo, hi) = (ideal.ceil() as Time, base as Time);
+            for target in [lo, (lo + hi) / 2, hi - 1, hi] {
+                let rev = solve_min_resource_lp(&tt, target, None).unwrap();
+                let shape = min_resource_shape(&tt, target);
+                let flat = shape
+                    .result(&tt, shape.problem.solve_with(Engine::Flat))
+                    .unwrap();
+                assert!(
+                    (rev.budget_used - flat.budget_used).abs() <= 1e-9 * flat.budget_used.max(1.0),
+                    "target {target}: revised {} vs flat {}",
+                    rev.budget_used,
+                    flat.budget_used
+                );
+                assert_eq!(rev.stats.phase1_pivots, 0, "target {target}");
+                assert!(rev.makespan <= target as f64 + 1e-9);
+            }
+            // below the LP ideal no flow meets the target
+            assert_eq!(
+                solve_min_resource_lp(&tt, lo - 1, None).unwrap_err(),
+                LpError::Infeasible
+            );
+        }
     }
 
     #[test]

@@ -180,7 +180,7 @@ pub struct NoReuseApprox {
 
 /// Solves the no-reuse LP relaxation: minimize `T_t` subject to
 /// `Σ x_e ≤ B` over per-arc purchases `x_e ∈ [0, r_e]` — LP 6–10 in its
-/// no-reuse regime (see [`crate::lp_build`]), solved cold.
+/// no-reuse regime (see [`crate::lp_build`]), from its crash basis.
 pub fn solve_noreuse_lp(
     tt: &TwoTupleInstance,
     budget: Resource,
@@ -197,7 +197,7 @@ pub fn solve_noreuse_lp_metered(
 ) -> Result<FractionalSolution, LpError> {
     let mut lp = MakespanLp::build(tt, Regime::NoReuse);
     lp.set_budget(budget);
-    lp.solve_cold(tt, meter)
+    lp.solve_warm(tt, None, meter).map(|(f, _)| f)
 }
 
 /// Bi-criteria (1/α, 1/(1−α)) approximation in the **no-reuse** regime —

@@ -61,10 +61,12 @@
 //! budget). Changing `b` never changes reduced costs, so an old optimal
 //! basis installs *dual feasible* and a bounded **dual simplex** loop
 //! repairs primal feasibility, which for a small RHS step typically
-//! takes 0–3 pivots instead of a full cold solve. A *primal-feasible*
-//! basis (a structural crash, see [`crash_basis`]) goes straight to
-//! phase 2. With no basis, the seed runs phase 1 from the all-logical
-//! basis and retires the artificials.
+//! takes 0–3 pivots instead of a full cold solve. A structural crash
+//! (see [`crash_basis`]) enters either way: LP 6–10's longest-path
+//! crash is primal feasible for the makespan objective (straight to
+//! phase 2) and dual feasible for the min-resource one. With no basis,
+//! the seed runs phase 1 from the all-logical basis and retires the
+//! artificials.
 //!
 //! Every suspicious situation of a warm solve (shape mismatch, singular
 //! install, a basis neither primal- nor dual-feasible, a stalled loop,
@@ -1006,8 +1008,10 @@ impl<'a> Rev<'a> {
     }
 
     /// Bounded dual simplex: restores primal feasibility while keeping
-    /// dual feasibility (used by warm starts after an RHS change). No
-    /// repair possible, or none within the cap, is [`Stop::Fail`].
+    /// dual feasibility (warm starts after an RHS change, dual-feasible
+    /// crashes). An entering column that passes its own far bound still
+    /// enters (never flips), and a later iteration repairs it. No repair
+    /// possible, or none within the cap, is [`Stop::Fail`].
     fn dual(&mut self) -> Result<(), Stop> {
         let cap = 20 * (self.m + self.n_cols) + 1000;
         let mut y = Vec::new();
@@ -1085,11 +1089,6 @@ impl<'a> Rev<'a> {
             };
             let t = ((self.x_b[r] - target) / (sigma * d[r])).max(0.0);
             self.charge_pivot()?;
-            if self.upper[q].is_finite() && t > self.upper[q] + TOL {
-                // the entering variable hits its own far bound first
-                self.apply_flip(q, &d);
-                continue;
-            }
             self.apply_pivot(r, q, t, &d, over_upper);
             if self.needs_refactor() && !self.refactorize() {
                 return Err(Stop::Fail);

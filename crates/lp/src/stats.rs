@@ -18,9 +18,9 @@ pub enum WarmStart {
     /// ordinary two-phase cold solve.
     #[default]
     Cold,
-    /// An offered basis installed **dual-feasible** (the signature of
-    /// an old optimum after an RHS change) and was repaired by the dual
-    /// simplex.
+    /// An offered basis installed **dual-feasible** (an old optimum
+    /// after an RHS change, or LP 6–10's crash under the min-resource
+    /// objective) and was repaired by the dual simplex.
     Dual,
     /// An offered basis installed **primal-feasible** (a structural
     /// crash) and went straight to phase 2.
