@@ -181,21 +181,20 @@
 //! `degraded` list names the exhaustion, as a single solve's `budget`
 //! block does.
 //!
-//! Determinism rule: a wire sweep is answered by one
-//! **self-contained** chained delta session — crash start, then
-//! per-point dual reoptimization ([`rtt_engine::execute_sweep_wire`]).
-//! No basis crosses requests, so the per-point `work` counters are a
-//! pure function of the request line: byte-identical across
-//! `--threads`, cache modes, spills, and restarts, while still paying
-//! a small fraction of N independent cold solves. Cross-request reuse
-//! of *identical* sweeps rides the solution cache as a whole per-point
-//! vector. Sweeps that declare `max_*` budgets or `deadline_ms` instead
-//! degrade to independent per-point cold solves on the request's own
-//! meter ([`rtt_engine::execute_sweep_pointwise`]): a budgeted sweep's
-//! `consumed` counters must describe that run's metered work, so it
-//! must never take a path whose cost depends on cache state. On those
-//! lines the consumption block rides under `resource_budget` (the grid
-//! point already owns the `budget` key).
+//! Determinism rule: a sweep is answered by one **self-contained**
+//! chained delta session — crash start, then per-point dual
+//! reoptimization ([`rtt_engine::execute_sweep_wire`]) — whether or not
+//! the line declares `max_*` budgets or `deadline_ms`. No basis crosses
+//! requests, so the per-point `work` counters are a pure function of
+//! the request line: byte-identical across `--threads`, cache modes,
+//! spills, budgets and restarts, while still paying a small fraction
+//! of N independent cold solves. A budgeted sweep's chain runs on the
+//! request's own meter, so its `consumed` pivots are the sum of its
+//! points' `work`. Cross-request reuse of *identical* sweeps rides the
+//! solution cache as a whole per-point vector; budgeted and deadlined
+//! lines never touch it, like every budgeted or deadlined request. On
+//! budgeted lines the consumption block rides under `resource_budget`
+//! (the grid point already owns the `budget` key).
 //!
 //! # Diagnostics
 //!
@@ -511,7 +510,7 @@ pub(crate) fn check_line(
     // permute nodes or arcs. The full key string is stored and compared
     // (no hash collisions); the build cost on duplicate lines is the
     // price of recognizing relabelings, and the per-instance
-    // preprocessing (expansion, SP decomposition, LP templates) is
+    // preprocessing (expansion, SP decomposition, canonical form) is
     // still computed once per equivalence class.
     let key = rtt_core::canonical_form(&arc).key;
     let req = SolveRequest {

@@ -18,6 +18,7 @@ use rtt_engine::{
     execute_one, run_batch_cached, Objective, PrepCache, PreparedInstance, Registry, SolveReport,
     SolveRequest, SolverSelection, Status,
 };
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -105,6 +106,25 @@ per-location access lists. `--engine dynamic` runs the retained
 dynamic detector instead; `--engine both` runs the two and asserts
 their witness sets identical before printing.";
 
+/// The one stdout writer: every command's output goes through it. A
+/// reader that closes the pipe early (`rtt gen … | head -c 1`) has taken
+/// all it wants, so the command ends there, with exit 0 and nothing on
+/// stderr; any other write error fails the command.
+fn emit(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        written => written.map_err(|e| format!("writing stdout: {e}")),
+    }
+}
+
+/// `println!` through [`emit`], returning its error from the caller.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 fn load(path: &str) -> Result<ArcInstance, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let spec = InstanceSpec::from_json_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -157,7 +177,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
             reject("seed", "the Figure 3 program is deterministic")?;
             let n: u64 = args.flag("n")?.unwrap_or(4);
             let spec = rtt_cli::race_mm_spec(n, family).map_err(|e| e.to_string())?;
-            println!("{}", spec.to_json_string());
+            outln!("{}", spec.to_json_string());
             return Ok(());
         }
         "race-forkjoin" => {
@@ -167,7 +187,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
             let contention: usize = args.flag("contention")?.unwrap_or(8);
             let spec = rtt_cli::race_forkjoin_spec(seed, stages, width, contention, family)
                 .map_err(|e| e.to_string())?;
-            println!("{}", spec.to_json_string());
+            outln!("{}", spec.to_json_string());
             return Ok(());
         }
         _ => {}
@@ -192,7 +212,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("generated graph rejected: {e}"))?;
     let (arc, _) = rtt_core::to_arc_form(&inst);
     let spec = InstanceSpec::from_arc(&arc);
-    println!("{}", spec.to_json_string());
+    outln!("{}", spec.to_json_string());
     Ok(())
 }
 
@@ -200,15 +220,15 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     args.accept_only(&[], &[])?;
     let arc = load(&instance_path(args)?)?;
     let d = arc.dag();
-    println!("nodes:            {}", d.node_count());
-    println!("arcs:             {}", d.edge_count());
-    println!("improvable jobs:  {}", arc.improvable_edges().len());
-    println!("base makespan:    {}", arc.base_makespan());
-    println!("ideal makespan:   {}", arc.ideal_makespan());
-    println!("saturation budget:{}", arc.saturation_budget());
+    outln!("nodes:            {}", d.node_count());
+    outln!("arcs:             {}", d.edge_count());
+    outln!("improvable jobs:  {}", arc.improvable_edges().len());
+    outln!("base makespan:    {}", arc.base_makespan());
+    outln!("ideal makespan:   {}", arc.ideal_makespan());
+    outln!("saturation budget:{}", arc.saturation_budget());
     match arc.dominant_kind() {
-        Some(k) => println!("duration family:  {k:?}"),
-        None => println!("duration family:  mixed"),
+        Some(k) => outln!("duration family:  {k:?}"),
+        None => outln!("duration family:  mixed"),
     }
     Ok(())
 }
@@ -280,15 +300,17 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         &solver,
     )?;
     if let Some(lp) = report.lp_makespan {
-        println!("LP lower bound:   {lp:.3}");
+        outln!("LP lower bound:   {lp:.3}");
     }
     let makespan = report.makespan.expect("solved report has a makespan");
-    println!("makespan:         {makespan}");
-    println!("budget used:      {}", report.budget_used.expect("solved"));
+    outln!("makespan:         {makespan}");
+    outln!("budget used:      {}", report.budget_used.expect("solved"));
     if let Some(sim) = &report.sim {
-        println!(
+        outln!(
             "simulated:        {} ≤ {} (Observation 1.1 certificate, {} updates)",
-            sim.simulated, sim.bound, sim.expanded_updates
+            sim.simulated,
+            sim.bound,
+            sim.expanded_updates
         );
     }
     if args.switch("plan") {
@@ -296,9 +318,9 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
             Some(sol) => {
                 validate(&arc, sol).map_err(|e| format!("internal: invalid solution: {e}"))?;
                 let plan = routing_plan(&arc, sol).map_err(|e| e.to_string())?;
-                println!("{}", plan.render(&arc));
+                outln!("{}", plan.render(&arc));
             }
-            None => println!("(solver {solver} reports no routed flow to plan)"),
+            None => outln!("(solver {solver} reports no routed flow to plan)"),
         }
     }
     Ok(())
@@ -311,9 +333,9 @@ fn cmd_min_resource(args: &Args) -> Result<(), String> {
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "bicriteria".into());
     let report = solve_via_registry(args, arc, Objective::MinResource { target }, &solver)?;
     if let Some(lp) = report.lp_budget {
-        println!("LP lower bound:   {lp:.3} units");
+        outln!("LP lower bound:   {lp:.3} units");
     }
-    println!(
+    outln!(
         "budget needed:    {} (makespan ≤ {})",
         report.budget_used.expect("solved"),
         target
@@ -325,7 +347,7 @@ fn cmd_min_resource(args: &Args) -> Result<(), String> {
         Some(_) => " (meets the target exactly)".to_string(),
         None => String::new(),
     };
-    println!(
+    outln!(
         "achieved makespan:{}{guarantee}",
         report.makespan.expect("solved")
     );
@@ -366,7 +388,7 @@ fn cmd_curve(args: &Args) -> Result<(), String> {
         Some(dest) => {
             std::fs::write(&dest, &rendered).map_err(|e| format!("writing {dest}: {e}"))?
         }
-        None => print!("{rendered}"),
+        None => emit(&rendered)?,
     }
     let pivots: u64 = reports.iter().map(|r| r.work).sum();
     eprintln!(
@@ -516,7 +538,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         Some(dest) => {
             std::fs::write(&dest, &rendered).map_err(|e| format!("writing {dest}: {e}"))?
         }
-        None => print!("{rendered}"),
+        None => emit(&rendered)?,
     }
     // timing and cache telemetry go to stderr: the stdout stream is the
     // byte-stable wire format
@@ -597,7 +619,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
         }
         rendered.push('\n');
     }
-    print!("{rendered}");
+    emit(&rendered)?;
     let errors = diags
         .iter()
         .filter(|d| d.severity == Severity::Error)
@@ -674,14 +696,14 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
                 s.lo, s.hi, s.a, s.b, s.write_write
             ));
         }
-        print!("{rendered}");
+        emit(&rendered)
     };
     match engine.as_str() {
         "static" => {
             let started = Instant::now();
             let sums = rtt_analyze::race::analyze_races(&prog);
             let wall = started.elapsed();
-            print_static(&sums);
+            print_static(&sums)?;
             eprintln!(
                 "analyze race (static): {} summaries covering {} witnesses in {:.2} ms",
                 sums.len(),
@@ -700,7 +722,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
                     "{{\"loc\":{loc},\"a\":{a},\"b\":{b},\"write_write\":{ww}}}\n"
                 ));
             }
-            print!("{rendered}");
+            emit(&rendered)?;
             eprintln!(
                 "analyze race (dynamic): {} witnesses in {:.2} ms",
                 witnesses.len(),
@@ -723,7 +745,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
                     dynamic_w.len()
                 ));
             }
-            print_static(&sums);
+            print_static(&sums)?;
             eprintln!(
                 "analyze race (both): witness sets identical ({} witnesses); \
                  static {:.2} ms, dynamic {:.2} ms",
@@ -750,7 +772,7 @@ fn cmd_solvers(args: &Args) -> Result<(), String> {
     // certificate column is uniformly sim_makespan — that uniformity is
     // the point, and a registry-wide test enforces it)
     for solver in registry.iter() {
-        println!(
+        outln!(
             "{:<20} {:<10} sim_makespan",
             solver.name(),
             solver.solution_form().as_str()
@@ -764,10 +786,10 @@ fn cmd_regimes(args: &Args) -> Result<(), String> {
     let arc = load(&instance_path(args)?)?;
     let budget: u64 = args.require("budget")?;
     let c = compare_regimes(&arc, budget);
-    println!("budget {budget}:");
-    println!("  no reuse (Q1.1, exact):        {}", c.noreuse);
-    println!("  reuse over paths (Q1.3, exact):{}", c.path_reuse);
-    println!("  global pool (Q1.2, greedy):    {}", c.global_best());
+    outln!("budget {budget}:");
+    outln!("  no reuse (Q1.1, exact):        {}", c.noreuse);
+    outln!("  reuse over paths (Q1.3, exact):{}", c.path_reuse);
+    outln!("  global pool (Q1.2, greedy):    {}", c.global_best());
     Ok(())
 }
 
@@ -786,7 +808,7 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
             }
         },
     );
-    println!("{dot}");
+    outln!("{dot}");
     Ok(())
 }
 

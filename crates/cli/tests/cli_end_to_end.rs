@@ -1,7 +1,8 @@
 //! End-to-end tests of the `rtt` binary: gen → info → solve →
 //! min-resource → regimes → dot, all through the real executable.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn rtt() -> Command {
@@ -361,6 +362,28 @@ fn bad_usage_fails_cleanly() {
     assert!(!out.status.success());
     let out = rtt().args(["gen", "--kind", "nope"]).output().unwrap();
     assert!(!out.status.success());
+}
+
+#[test]
+fn a_reader_closing_stdout_early_ends_the_command_cleanly() {
+    // about 620 KB of JSON, far past a pipe buffer: `rtt` is still
+    // writing when its reader goes away
+    let mut child = rtt()
+        .args(["gen", "--kind", "race-mm", "--n", "16"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rtt gen");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    stdout
+        .read_exact(&mut [0u8; 1])
+        .expect("one byte of output");
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "a closed pipe prints nothing: {stderr}");
 }
 
 #[test]

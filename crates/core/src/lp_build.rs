@@ -453,16 +453,39 @@ pub fn solve_min_makespan_lp_with(
 
 /// The minimum-resource twin: minimize `Σ f(s,·)` subject to `T_t ≤ T`,
 /// with one revised solve whose dual simplex repairs the crash basis's
-/// target row, metered as [`solve_min_makespan_lp`] is.
+/// target row, metered as [`solve_min_makespan_lp`] is. A target below
+/// the LP's ideal makespan is [`LpError::Infeasible`] before any LP is
+/// built: no flow meets it, and the crash-started solve would prove
+/// that only by failing its repair and re-solving cold.
 pub fn solve_min_resource_lp(
     tt: &TwoTupleInstance,
     target: Time,
     meter: Option<&rtt_budget::BudgetMeter>,
 ) -> Result<FractionalSolution, LpError> {
+    if clamp_time(target) < ideal_makespan(tt) {
+        return Err(LpError::Infeasible);
+    }
     let shape = min_resource_shape(tt, target);
     let crash = shape.crash(tt);
     let (out, _) = rtt_lp::revised::solve_warm(&shape.problem, Some(&crash), meter);
     shape.result(tt, out)
+}
+
+/// LP 6–10's ideal makespan: the longest path of `D''` with every
+/// two-tuple arc at its bought time, the most any flow buys. The LP's
+/// makespan is never below it, and reaches it once the budget is large
+/// enough.
+fn ideal_makespan(tt: &TwoTupleInstance) -> f64 {
+    let d = &tt.dag;
+    let mut dist: Vec<f64> = vec![0.0; d.node_count()];
+    for &v in &rtt_dag::topo_order(d).expect("instances are acyclic") {
+        for &e in d.in_edges(v) {
+            let a = d.edge(e);
+            let t = clamp_time(a.buy.map_or(a.t0, |(_, t1)| t1));
+            dist[v.index()] = dist[v.index()].max(dist[d.src(e).index()] + t);
+        }
+    }
+    dist[tt.sink.index()]
 }
 
 /// The routed shape with the target row `T_t ≤ T` and the objective
@@ -656,11 +679,19 @@ mod tests {
                 assert_eq!(rev.stats.phase1_pivots, 0, "target {target}");
                 assert!(rev.makespan <= target as f64 + 1e-9);
             }
-            // below the LP ideal no flow meets the target
+            // the LP's own ideal is the longest path at bought times
+            assert_eq!(ideal_makespan(&tt), ideal);
+            // below it no flow meets the target, and no pivot is spent
+            // to say so; at it the LP still runs and is feasible
+            let meter = rtt_budget::BudgetMeter::unlimited();
             assert_eq!(
-                solve_min_resource_lp(&tt, lo - 1, None).unwrap_err(),
+                solve_min_resource_lp(&tt, lo - 1, Some(&meter)).unwrap_err(),
                 LpError::Infeasible
             );
+            assert_eq!(meter.consumed().lp_pivots, 0);
+            let at_ideal = solve_min_resource_lp(&tt, lo, Some(&meter)).unwrap();
+            assert!(at_ideal.makespan <= lo as f64 + 1e-9);
+            assert!(meter.consumed().lp_pivots > 0, "the LP ran");
         }
     }
 

@@ -24,7 +24,8 @@ use std::fmt;
 pub enum SolveError {
     /// The LP relaxation failed.
     Lp(LpError),
-    /// A family-specific solver was applied to the wrong duration family.
+    /// A family-specific solver was applied to the wrong duration
+    /// family; holds that family's [`FamilyRounding::requirement`].
     WrongFamily(&'static str),
 }
 
@@ -32,9 +33,7 @@ impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolveError::Lp(e) => write!(f, "LP failure: {e}"),
-            SolveError::WrongFamily(need) => {
-                write!(f, "this solver requires {need} duration functions")
-            }
+            SolveError::WrongFamily(requirement) => f.write_str(requirement),
         }
     }
 }
@@ -175,7 +174,7 @@ pub fn min_resource(
 
 /// The single-duration-family roundings of LP 6–10 (§3.2–§3.3). Each
 /// owns the family its instances' improvable jobs must all belong to
-/// ([`FamilyRounding::family`], [`FamilyRounding::applies`]) and its
+/// ([`FamilyRounding::requirement`], [`FamilyRounding::applies`]) and its
 /// per-job level rule ([`FamilyRounding::round`]); the levels are then
 /// routed with their min-flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,12 +191,15 @@ pub enum FamilyRounding {
 }
 
 impl FamilyRounding {
-    /// The duration family this rounding needs, as
-    /// [`SolveError::WrongFamily`] names it.
-    pub fn family(self) -> &'static str {
+    /// The one wording of the duration-family decision: what
+    /// [`SolveError::WrongFamily`] prints, and what a family solver
+    /// gives as its reason for declining an instance.
+    pub fn requirement(self) -> &'static str {
         match self {
-            FamilyRounding::KWay => "k-way",
-            FamilyRounding::RecBinary | FamilyRounding::RecBinaryImproved => "recursive-binary",
+            FamilyRounding::KWay => "this solver requires k-way duration functions",
+            FamilyRounding::RecBinary | FamilyRounding::RecBinaryImproved => {
+                "this solver requires recursive-binary duration functions"
+            }
         }
     }
 
@@ -301,7 +303,7 @@ impl FamilyRounding {
     /// rounds.
     fn solve(self, arc: &ArcInstance, budget: Resource) -> Result<ApproxSolution, SolveError> {
         if !self.applies(arc) {
-            return Err(SolveError::WrongFamily(self.family()));
+            return Err(SolveError::WrongFamily(self.requirement()));
         }
         let tt = expand_two_tuples(arc);
         let frac = solve_min_makespan_lp(&tt, budget, None)?;

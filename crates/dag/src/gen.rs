@@ -2,7 +2,7 @@
 //!
 //! The Table 1 ratio experiments measure algorithm/OPT over instance
 //! families; these generators produce the families: chains, diamonds,
-//! layered DAGs, fork-join DAGs, series-parallel DAGs (with their
+//! layered DAGs, series-parallel DAGs (with their
 //! ground-truth decomposition tree), and "race DAGs" with parallel edges
 //! standing in for repeated updates. All take a caller-supplied
 //! [`rand::Rng`], so experiments are reproducible from a seed.
@@ -86,54 +86,6 @@ pub fn layered<R: Rng>(rng: &mut R, layers: usize, width: usize, p: f64) -> TwoT
     }
     let (source, sink) = normalize_source_sink(&mut dag, (), ());
     TwoTerminal { dag, source, sink }
-}
-
-/// Random fork-join DAG of the given recursion `depth`: every fork spawns
-/// 2..=`max_branch` parallel chains of 1..=3 edges, recursively. Fork-join
-/// DAGs model the cilk-style computations of §1.
-pub fn fork_join<R: Rng>(rng: &mut R, depth: usize, max_branch: usize) -> TwoTerminal {
-    assert!(max_branch >= 2);
-    let mut dag: Dag<(), ()> = Dag::new();
-    let s = dag.add_node(());
-    let t = dag.add_node(());
-    build_fj(rng, &mut dag, s, t, depth, max_branch);
-    TwoTerminal {
-        dag,
-        source: s,
-        sink: t,
-    }
-}
-
-fn build_fj<R: Rng>(
-    rng: &mut R,
-    dag: &mut Dag<(), ()>,
-    from: NodeId,
-    to: NodeId,
-    depth: usize,
-    max_branch: usize,
-) {
-    if depth == 0 {
-        dag.add_edge(from, to, ()).unwrap();
-        return;
-    }
-    let branches = rng.random_range(2..=max_branch);
-    for _ in 0..branches {
-        let segments = rng.random_range(1..=3usize);
-        let mut prev = from;
-        for i in 0..segments {
-            let next = if i + 1 == segments {
-                to
-            } else {
-                dag.add_node(())
-            };
-            if rng.random_bool(0.5) && depth > 0 {
-                build_fj(rng, dag, prev, next, depth - 1, max_branch);
-            } else {
-                dag.add_edge(prev, next, ()).unwrap();
-            }
-            prev = next;
-        }
-    }
 }
 
 /// A generated series-parallel DAG together with its ground-truth
@@ -243,17 +195,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10 {
             let tt = layered(&mut rng, 4, 3, 0.3);
-            assert!(is_acyclic(&tt.dag));
-            assert_eq!(tt.dag.sources(), vec![tt.source]);
-            assert_eq!(tt.dag.sinks(), vec![tt.sink]);
-        }
-    }
-
-    #[test]
-    fn fork_join_two_terminal() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..10 {
-            let tt = fork_join(&mut rng, 2, 3);
             assert!(is_acyclic(&tt.dag));
             assert_eq!(tt.dag.sources(), vec![tt.source]);
             assert_eq!(tt.dag.sinks(), vec![tt.sink]);

@@ -183,22 +183,10 @@ impl<N, E> Dag<N, E> {
         &self.nodes[id.index()]
     }
 
-    /// Mutable node payload accessor.
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// Edge payload accessor.
     #[inline]
     pub fn edge(&self, id: EdgeId) -> &E {
         &self.edges[id.index()].weight
-    }
-
-    /// Mutable edge payload accessor.
-    #[inline]
-    pub fn edge_mut(&mut self, id: EdgeId) -> &mut E {
-        &mut self.edges[id.index()].weight
     }
 
     /// Endpoints `(src, dst)` of an edge.
@@ -288,46 +276,6 @@ impl<N, E> Dag<N, E> {
             .filter(|&n| self.out_degree(n) == 0)
             .collect()
     }
-
-    /// Maps node payloads, preserving structure and ids.
-    pub fn map_nodes<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> Dag<M, E>
-    where
-        E: Clone,
-    {
-        Dag {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| f(NodeId(i as u32), n))
-                .collect(),
-            edges: self.edges.clone(),
-            out_adj: self.out_adj.clone(),
-            in_adj: self.in_adj.clone(),
-        }
-    }
-
-    /// Maps edge payloads, preserving structure and ids.
-    pub fn map_edges<F>(&self, mut f: impl FnMut(EdgeId, &E) -> F) -> Dag<N, F>
-    where
-        N: Clone,
-    {
-        Dag {
-            nodes: self.nodes.clone(),
-            edges: self
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(i, e)| EdgeData {
-                    src: e.src,
-                    dst: e.dst,
-                    weight: f(EdgeId(i as u32), &e.weight),
-                })
-                .collect(),
-            out_adj: self.out_adj.clone(),
-            in_adj: self.in_adj.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -404,17 +352,6 @@ mod tests {
         g.add_parallel_edges(a, b, (), 3).unwrap();
         assert_eq!(g.successors(a).count(), 3);
         assert_eq!(g.predecessors(b).count(), 3);
-    }
-
-    #[test]
-    fn map_nodes_and_edges_preserve_shape() {
-        let g = diamond();
-        let g2 = g.map_nodes(|_, s| s.len());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(*g2.node(NodeId(0)), 1);
-        let g3 = g.map_edges(|_, w| *w * 10);
-        assert_eq!(*g3.edge(EdgeId(0)), 10);
-        assert_eq!(g3.endpoints(EdgeId(0)), g.endpoints(EdgeId(0)));
     }
 
     #[test]

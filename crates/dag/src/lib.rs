@@ -10,15 +10,15 @@
 //!   gadgets) are built on this type.
 //! * [`topo`] — topological ordering, cycle detection, layering.
 //! * [`paths`] — longest (critical) paths with node or edge weights, i.e.
-//!   the *makespan* of §2, plus reachability and path counting.
+//!   the *makespan* of §2.
 //! * [`normalize`] — single-source / single-sink normalization (the paper
 //!   assumes w.l.o.g. one source and one sink).
 //! * [`sp`] — two-terminal series-parallel recognition and the binary
 //!   decomposition tree `T_G` used by the exact DP of §3.4.
 //! * [`treewidth`] — tree decompositions and a width/validity checker,
 //!   used to verify the explicit width-15 decomposition of Figure 16.
-//! * [`gen`] — seeded random DAG generators (layered, fork-join,
-//!   series-parallel, chains) used by the Table 1 ratio experiments.
+//! * [`gen`] — seeded random DAG generators (layered, series-parallel,
+//!   chains) used by the Table 1 ratio experiments.
 //! * [`dot`] — Graphviz export for every figure-style construction.
 //!
 //! The library is deliberately free of external graph dependencies; it is

@@ -1,4 +1,4 @@
-//! Longest paths (makespans), critical-path extraction, reachability.
+//! Longest paths (makespans) and critical-path extraction.
 //!
 //! The paper's *makespan* (§2, Observation 1.1) is the longest
 //! source→sink path where each node `x` contributes its duration. After
@@ -116,25 +116,6 @@ pub fn event_times<N, E>(
     Ok(t)
 }
 
-/// Per-node `(start, finish)` times for an activity-on-node DAG:
-/// `start(v) = max over predecessors u of finish(u)`,
-/// `finish(v) = start(v) + node_weight(v)`. Sources start at 0.
-pub fn node_schedule<N, E>(
-    g: &Dag<N, E>,
-    mut node_weight: impl FnMut(NodeId) -> u64,
-) -> Result<Vec<(u64, u64)>, TopoError> {
-    let order = topo_order(g)?;
-    let mut sched = vec![(0u64, 0u64); g.node_count()];
-    for &v in &order {
-        let mut start = 0u64;
-        for u in g.predecessors(v) {
-            start = start.max(sched[u.index()].1);
-        }
-        sched[v.index()] = (start, start.saturating_add(node_weight(v)));
-    }
-    Ok(sched)
-}
-
 fn walk_back<N, E>(
     g: &Dag<N, E>,
     end: NodeId,
@@ -156,58 +137,6 @@ fn walk_back<N, E>(
         nodes,
         edges,
     }
-}
-
-/// Set of nodes reachable from `start` (including `start`).
-pub fn reachable_from<N, E>(g: &Dag<N, E>, start: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.node_count()];
-    let mut stack = vec![start];
-    seen[start.index()] = true;
-    while let Some(v) = stack.pop() {
-        for w in g.successors(v) {
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                stack.push(w);
-            }
-        }
-    }
-    seen
-}
-
-/// Set of nodes that can reach `end` (including `end`).
-pub fn reaching<N, E>(g: &Dag<N, E>, end: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.node_count()];
-    let mut stack = vec![end];
-    seen[end.index()] = true;
-    while let Some(v) = stack.pop() {
-        for w in g.predecessors(v) {
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                stack.push(w);
-            }
-        }
-    }
-    seen
-}
-
-/// Number of distinct source→sink paths (saturating at `u64::MAX`).
-/// Parallel edges produce distinct paths.
-pub fn count_paths<N, E>(g: &Dag<N, E>) -> Result<u64, TopoError> {
-    let order = topo_order(g)?;
-    let mut count = vec![0u64; g.node_count()];
-    for &v in &order {
-        if g.in_degree(v) == 0 {
-            count[v.index()] = 1;
-        }
-        for &e in g.out_edges(v) {
-            let w = g.dst(e);
-            count[w.index()] = count[w.index()].saturating_add(count[v.index()]);
-        }
-    }
-    Ok(g.sinks()
-        .iter()
-        .map(|t| count[t.index()])
-        .fold(0u64, u64::saturating_add))
 }
 
 #[cfg(test)]
@@ -241,15 +170,6 @@ mod tests {
         let cp = longest_path_nodes(&g, |v| g.in_degree(v) as u64).unwrap();
         assert_eq!(cp.weight, 11);
         assert_eq!(cp.nodes, vec![s, a, b, c, d, t]);
-    }
-
-    #[test]
-    fn node_schedule_matches_makespan() {
-        let (g, [.., t]) = figure4();
-        let sched = node_schedule(&g, |v| g.in_degree(v) as u64).unwrap();
-        assert_eq!(sched[t.index()].1, 11);
-        // Source starts at 0 and every start is the max predecessor finish.
-        assert_eq!(sched[0], (0, 0));
     }
 
     #[test]
@@ -302,24 +222,5 @@ mod tests {
         let cp = longest_path_nodes(&g, |_| 42).unwrap();
         assert_eq!(cp.weight, 42);
         assert_eq!(cp.nodes.len(), 1);
-    }
-
-    #[test]
-    fn reachability() {
-        let (g, [s, a, b, c, d, t]) = figure4();
-        let r = reachable_from(&g, a);
-        assert!(r[c.index()] && r[t.index()] && !r[s.index()]);
-        let back = reaching(&g, c);
-        assert!(back[s.index()] && back[a.index()] && back[b.index()]);
-        assert!(!back[d.index()] && !back[t.index()]);
-    }
-
-    #[test]
-    fn path_counting_with_parallel_edges() {
-        let (g, _) = figure4();
-        // s→a→b: s-a edge then a-b; s→b direct. Paths into c multiply by 3
-        // parallel edges. Count: paths to a =1; to b = (s->b) + (via a) = 2;
-        // to c = 3*paths(a) + 3*paths(b) = 3 + 6 = 9; then one way to d, t.
-        assert_eq!(count_paths(&g).unwrap(), 9);
     }
 }

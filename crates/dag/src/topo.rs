@@ -77,17 +77,6 @@ pub fn layers<N, E>(g: &Dag<N, E>) -> Result<Vec<usize>, TopoError> {
     Ok(layer)
 }
 
-/// Position of each node in a fixed topological order (inverse permutation
-/// of [`topo_order`]). Useful for "is u before v" queries.
-pub fn topo_positions<N, E>(g: &Dag<N, E>) -> Result<Vec<usize>, TopoError> {
-    let order = topo_order(g)?;
-    let mut pos = vec![0usize; g.node_count()];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v.index()] = i;
-    }
-    Ok(pos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,11 +92,7 @@ mod tests {
         // not inherited from insertion order.
         g.add_edge(b, c, ()).unwrap();
         g.add_edge(a, b, ()).unwrap();
-        let order = topo_order(&g).unwrap();
-        let pos = topo_positions(&g).unwrap();
-        assert_eq!(order.len(), 3);
-        assert!(pos[a.index()] < pos[b.index()]);
-        assert!(pos[b.index()] < pos[c.index()]);
+        assert_eq!(topo_order(&g).unwrap(), vec![a, b, c]);
     }
 
     #[test]

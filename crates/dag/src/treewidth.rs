@@ -173,32 +173,6 @@ impl TreeDecomposition {
     }
 }
 
-/// Trivial decomposition: one bag holding every node (width n−1).
-/// Useful as a test baseline.
-pub fn trivial_decomposition<N, E>(g: &Dag<N, E>) -> TreeDecomposition {
-    TreeDecomposition {
-        bags: vec![g.node_ids().collect()],
-        tree_edges: vec![],
-    }
-}
-
-/// Path decomposition of a chain-like DAG: bag i = {v_i, v_{i+1}} for the
-/// node order given. Width 1 when `order` is a Hamiltonian path of the
-/// underlying graph.
-pub fn path_decomposition(order: &[NodeId]) -> TreeDecomposition {
-    if order.len() <= 1 {
-        return TreeDecomposition {
-            bags: vec![order.to_vec()],
-            tree_edges: vec![],
-        };
-    }
-    let bags: Vec<Vec<NodeId>> = order.windows(2).map(|w| w.to_vec()).collect();
-    let tree_edges = (0..bags.len().saturating_sub(1))
-        .map(|i| (i, i + 1))
-        .collect();
-    TreeDecomposition { bags, tree_edges }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,15 +189,22 @@ mod tests {
 
     #[test]
     fn trivial_is_valid() {
-        let (g, _) = chain(5);
-        let td = trivial_decomposition(&g);
+        // one bag holding every node: width n − 1
+        let (g, nodes) = chain(5);
+        let td = TreeDecomposition {
+            bags: vec![nodes],
+            tree_edges: vec![],
+        };
         assert_eq!(td.verify(&g).unwrap(), 4);
     }
 
     #[test]
     fn chain_has_pathwidth_1() {
+        // bag i = {v_i, v_{i+1}}, the bags themselves a path
         let (g, nodes) = chain(6);
-        let td = path_decomposition(&nodes);
+        let bags: Vec<Vec<NodeId>> = nodes.windows(2).map(<[NodeId]>::to_vec).collect();
+        let tree_edges = (1..bags.len()).map(|i| (i - 1, i)).collect();
+        let td = TreeDecomposition { bags, tree_edges };
         assert_eq!(td.verify(&g).unwrap(), 1);
     }
 

@@ -16,17 +16,18 @@
 //!
 //! # One crash-started chain per call
 //!
-//! Both entry points — [`execute_sweep_wire`] (the batch executor's
-//! dispatch target, which `rtt curve` also reaches through
-//! `execute_one`) and [`execute_sweep_pointwise`] — run the same body:
-//! the first point starts from the longest-path crash basis and later
-//! points reoptimize from the previous point's basis inside the chain.
-//! No basis outlives the call, so a point's pivot count, which rides
-//! the wire as `work`, is a pure function of (instance, grid):
-//! byte-identical across thread counts, cache modes, and restarts.
-//! Between calls the per-instance slot keeps only the LP template,
-//! which saves the build and never changes a pivot. Cross-request
-//! reuse for wire sweeps rides the solution tier of
+//! [`execute_sweep_wire`] is a sweep's `bicriteria` unit in the batch
+//! executor (which `rtt curve` also reaches through `execute_one`),
+//! metered or not. Each call builds the instance's LP 6–10 as every
+//! single solve does, starts the first point from the longest-path
+//! crash basis, and reoptimizes later points from the previous point's
+//! basis inside the chain. Neither the LP nor a basis outlives the
+//! call, so a point's pivot count, which rides the wire as `work`, is a
+//! pure function of (instance, grid): byte-identical across thread
+//! counts, cache modes, budgets and restarts. Under a budget the chain
+//! charges its pivots to the request's meter, so a solved sweep's
+//! `consumed.lp_pivots` is the sum of its points' `work`. Cross-request
+//! reuse for sweeps rides the solution tier of
 //! [`crate::reuse::ReuseCache`] instead, which replays whole report
 //! vectors byte-identically.
 
@@ -34,30 +35,27 @@ use crate::budget::BudgetContext;
 use crate::request::{SolveReport, SolveRequest, Status};
 use rtt_budget::BudgetMeter;
 use rtt_core::lp_build::LpError;
-use rtt_core::Resource;
+use rtt_core::{MakespanLp, Resource};
 
-/// The solver every sweep point reports as.
-const SOLVER: &str = "bicriteria";
+/// The solver whose unit answers a sweep, and every sweep point
+/// reports as.
+pub(crate) const SOLVER: &str = "bicriteria";
 
-/// The chain body behind both entry points: one `solve_sweep_metered`
-/// chain from the crash basis on the instance's LP template, then each
-/// point rounded, built into its report and certified. The LP chain
-/// charges `lp_pivots` and each point's certification replay charges
-/// `sim_events` on `meter`; exhaustion surfaces as
-/// [`LpError::Exhausted`] with the template already parked, except for
-/// a replay the request lets `degrade`, which leaves its point solved
-/// without a certificate (`certify::attach`).
+/// The chain behind [`execute_sweep_wire`]: one `solve_sweep_metered`
+/// chain from the crash basis on a freshly built LP 6–10 of the
+/// instance, then each point rounded, built into its report and
+/// certified. The LP chain charges `lp_pivots` and each point's
+/// certification replay charges `sim_events` on `meter`; exhaustion
+/// surfaces as [`LpError::Exhausted`], except for a replay the request
+/// lets `degrade`, which leaves its point solved without a certificate
+/// (`certify::attach`).
 fn solve_points(
     req: &SolveRequest,
     budgets: &[Resource],
     meter: Option<&BudgetMeter>,
 ) -> Result<Vec<SolveReport>, LpError> {
-    let prep = &req.prepared;
-    let (arc, tt) = (prep.arc(), prep.tt());
-    let lp = prep.take_lp_template();
-    let swept = lp.solve_sweep_metered(tt, budgets, None, meter);
-    prep.put_lp_template(lp);
-    let (points, _) = swept?;
+    let (arc, tt) = (req.prepared.arc(), req.prepared.tt());
+    let (points, _) = MakespanLp::new(tt).solve_sweep_metered(tt, budgets, None, meter)?;
     points
         .into_iter()
         .zip(budgets)
@@ -88,43 +86,19 @@ fn chain_failure(req: &SolveRequest, e: LpError) -> Vec<SolveReport> {
 }
 
 /// Expands a sweep request into per-point [`SolveReport`]s — the
-/// executor's dispatch target for unbudgeted, deadline-free
-/// [`crate::Objective::MakespanSweep`] requests on the batch wire.
+/// executor's `bicriteria` unit for every
+/// [`crate::Objective::MakespanSweep`] request, budgeted or not.
 ///
 /// One **self-contained** chain: crash start, then per-point delta
 /// reoptimization, so `work` (on the wire) is a pure function of the
-/// request line — byte-identical across thread counts, cache modes, and
-/// restarts.
+/// request line — byte-identical across thread counts, cache modes,
+/// budgets and restarts.
 pub fn execute_sweep_wire(
     req: &SolveRequest,
     budgets: &[Resource],
     ctx: &BudgetContext,
 ) -> Vec<SolveReport> {
     solve_points(req, budgets, ctx.meter()).unwrap_or_else(|e| chain_failure(req, e))
-}
-
-/// The degraded dispatch target for **budgeted or deadlined** sweep
-/// requests: every grid point solved as an independent crash-started
-/// single-point chain, metered on the shared request meter, with no
-/// reuse of any kind — so a `max_*` budget's wire-visible `consumed`
-/// counters can never depend on cache timing (the same rule that keeps
-/// those requests out of the solution tier). Exhaustion surfaces as
-/// the whole-request failure report, like the chained path — except a
-/// certification replay under `degrade`, which degrades its own point
-/// to analytic-only, as it does a single solve's report.
-pub fn execute_sweep_pointwise(
-    req: &SolveRequest,
-    budgets: &[Resource],
-    ctx: &BudgetContext,
-) -> Vec<SolveReport> {
-    let mut reports = Vec::with_capacity(budgets.len());
-    for &b in budgets {
-        match solve_points(req, &[b], ctx.meter()) {
-            Ok(mut point) => reports.append(&mut point),
-            Err(e) => return chain_failure(req, e),
-        }
-    }
-    reports
 }
 
 #[cfg(test)]
@@ -228,16 +202,16 @@ mod tests {
 
     #[test]
     fn wire_sweep_ignores_parked_warm_state() {
-        // the wire path must crash-start even when the slot holds a
-        // template from an earlier call: its pivot counts are on the
-        // wire, so they may depend on nothing but the request line
+        // a call leaves nothing behind that the next call could start
+        // from — no basis, no LP: its pivot counts are on the wire, so
+        // they may depend on nothing but the request line
         let prep = std::sync::Arc::new(PreparedInstance::new(chain()));
         let budgets: Vec<u64> = (0..=4).collect();
         let req = SolveRequest::sweep("w", std::sync::Arc::clone(&prep), budgets.clone());
         let ctx = BudgetContext::for_request(&req, std::time::Instant::now());
         let first = execute_sweep_wire(&req, &budgets, &ctx);
-        // the first call parked the template; a second wire call must
-        // still report identical per-point work
+        // a second call on the same prepared instance must report
+        // identical per-point work
         let second = execute_sweep_wire(&req, &budgets, &ctx);
         let works = |rs: &[SolveReport]| rs.iter().map(|r| r.work).collect::<Vec<_>>();
         assert_eq!(works(&first), works(&second));
@@ -245,35 +219,5 @@ mod tests {
         assert!(first.iter().all(|r| r.sweep_budget.is_some()));
         assert!(first.iter().all(|r| r.solution.is_some()));
         assert!(first.iter().all(|r| r.sim.is_some()));
-    }
-
-    #[test]
-    fn pointwise_sweep_matches_independent_cold_solves() {
-        // satellite 2: the degraded path a budgeted sweep takes must
-        // cost exactly what per-point cold solves cost — no chaining,
-        // no warm state, nothing cache-timing-dependent
-        let prep = std::sync::Arc::new(PreparedInstance::new(chain()));
-        let budgets: Vec<u64> = (0..=4).collect();
-        let req = SolveRequest::sweep("p", std::sync::Arc::clone(&prep), budgets.clone());
-        let ctx = BudgetContext::for_request(&req, std::time::Instant::now());
-        let reports = execute_sweep_pointwise(&req, &budgets, &ctx);
-        assert_eq!(reports.len(), budgets.len());
-        for (r, &b) in reports.iter().zip(&budgets) {
-            let cold = rtt_core::lp_build::solve_min_makespan_lp_with(
-                prep.tt(),
-                b,
-                rtt_lp::Engine::Revised,
-            )
-            .unwrap();
-            assert_eq!(r.work, cold.pivots as u64, "budget {b}");
-            assert_eq!(r.sweep_budget, Some(b));
-        }
-        // and the answers agree with the chained path point for point
-        let chained = execute_sweep_wire(&req, &budgets, &ctx);
-        for (p, c) in reports.iter().zip(&chained) {
-            assert_eq!(p.makespan, c.makespan);
-            assert_eq!(p.budget_used, c.budget_used);
-            assert_eq!(p.sim.map(|s| s.simulated), c.sim.map(|s| s.simulated));
-        }
     }
 }

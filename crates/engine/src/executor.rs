@@ -34,11 +34,11 @@
 //!
 //! * **request-reachable** (solver adapters, certification, curve
 //!   rounding, lazy prep, solution-tier replay): all execute inside the
-//!   per-(request, solver) `catch_unwind` in `run_solver_isolated`, the
-//!   sweep dispatch, or `replay_cached`, so a violation surfaces as one
-//!   [`Status::Failed`] report with the assertion message as payload —
-//!   the conversion the isolation boundary exists for (on a replay it
-//!   is how a forged or stale spill entry is refused);
+//!   per-(request, solver) `catch_unwind` in `run_solver_isolated` or
+//!   `replay_cached`, so a violation surfaces as one [`Status::Failed`]
+//!   report with the assertion message as payload — the conversion the
+//!   isolation boundary exists for (on a replay it is how a forged or
+//!   stale spill entry is refused);
 //! * **infrastructure** (channel sends/receives, slot reassembly,
 //!   registry duplicate-name registration): outside the boundary by
 //!   design — they guard the executor's own plumbing, cannot be
@@ -51,10 +51,9 @@
 //!   three in `rtt_core::exact`, two in `rtt_core::regimes` and two in
 //!   `rtt_core::sp_dp`.
 //!
-//! Prep-cache mutex `expect("poisoned")` sites deserve a note: solver
-//! panics cannot poison them because the LP template is moved out of
-//! its lock before any solve runs — the critical sections contain no
-//! solver code.
+//! Cache mutex `expect("poisoned")` sites deserve a note: solver panics
+//! cannot poison them, because no critical section of the prep cache or
+//! the solution tier runs solver code.
 
 use crate::budget::{policy_for, BudgetContext, BudgetReport, ExhaustionPolicy};
 use crate::registry::Registry;
@@ -101,12 +100,10 @@ pub struct BatchOutcome {
 }
 
 /// The single wire-visible reason for a deadline expiring at dequeue.
-/// One constant, one construction path ([`expired_at_dequeue`]), so the
-/// text cannot drift between the sweep and the solver-fan-out paths.
 const DEADLINE_AT_DEQUEUE: &str = "deadline passed while queued";
 
-/// The report emitted when a request's deadline passed while it was
-/// still queued — used by every dispatch path in [`execute_one`].
+/// The report emitted, per selected solver, when a request's deadline
+/// passed while it was still queued.
 fn expired_at_dequeue(
     req: &SolveRequest,
     solver: &'static str,
@@ -190,30 +187,38 @@ fn panic_report(
     r
 }
 
-/// Runs one solver under panic isolation and budget enforcement:
-/// builds the request's [`BudgetContext`], catches panics into
-/// [`Status::Failed`], and certifies the answer under the request's
-/// exhaustion policy (`certify::attach`). Returns the report and the
-/// context (for the wire-visible budget block).
+/// Runs one (request, solver) unit under panic isolation and budget
+/// enforcement: builds the request's [`BudgetContext`], catches panics
+/// into [`Status::Failed`], and certifies the answer under the
+/// request's exhaustion policy. A sweep's `bicriteria` unit is the
+/// curve chain ([`crate::curve::execute_sweep_wire`]), which certifies
+/// every point itself; every other unit is [`crate::Solver::solve`]
+/// plus `certify::attach`. Returns the unit's reports and the context
+/// (for the wire-visible budget block).
 fn run_solver_isolated(
     s: &dyn crate::Solver,
     req: &SolveRequest,
     queued_at: Instant,
-) -> (SolveReport, BudgetContext) {
+) -> (Vec<SolveReport>, BudgetContext) {
     let ctx = BudgetContext::for_request(req, queued_at);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut report = s.solve(req, &ctx);
-        // every solved report gets an Observation 1.1 simulation
-        // certificate before it leaves the engine; under a sim_events
-        // budget the replay itself is metered
-        if let Err(e) = crate::certify::attach(req, &mut report, ctx.meter()) {
-            report = crate::solver::report_exhausted(req, report.solver, e);
+    let outcome = catch_unwind(AssertUnwindSafe(|| match &req.objective {
+        crate::Objective::MakespanSweep { budgets } if s.name() == crate::curve::SOLVER => {
+            crate::curve::execute_sweep_wire(req, budgets, &ctx)
         }
-        report
+        _ => {
+            let mut report = s.solve(req, &ctx);
+            // every solved report gets an Observation 1.1 simulation
+            // certificate before it leaves the engine; under a
+            // sim_events budget the replay itself is metered
+            if let Err(e) = crate::certify::attach(req, &mut report, ctx.meter()) {
+                report = crate::solver::report_exhausted(req, report.solver, e);
+            }
+            vec![report]
+        }
     }));
     match outcome {
-        Ok(report) => (report, ctx),
-        Err(payload) => (panic_report(req, s.name(), payload), ctx),
+        Ok(reports) => (reports, ctx),
+        Err(payload) => (vec![panic_report(req, s.name(), payload)], ctx),
     }
 }
 
@@ -269,10 +274,7 @@ fn replay_cached(
     mut hits: Vec<SolveReport>,
 ) -> Vec<SolveReport> {
     let replayed = catch_unwind(AssertUnwindSafe(|| {
-        let grid: &[rtt_core::Resource] = match &req.objective {
-            crate::Objective::MakespanSweep { budgets } => budgets,
-            _ => &[],
-        };
+        let grid = req.objective.grid();
         assert_eq!(
             hits.len(),
             grid.len().max(1),
@@ -301,7 +303,7 @@ fn replay_cached(
     replayed.unwrap_or_else(|payload| vec![panic_report(req, solver, payload)])
 }
 
-/// The solution-tier probe both dispatch paths share: `Ok` holds a
+/// The solution-tier probe of one (request, solver) unit: `Ok` holds a
 /// hit's replayed reports ([`replay_cached`]); `Err` is a miss, holding
 /// the key to store the fresh reports under (`None` without a cache or
 /// for an ineligible request, see [`crate::reuse`]).
@@ -324,13 +326,12 @@ fn probe(
 /// ahead of this one — the batch index, which feeds the queue-depth
 /// admission dimension; deterministic, because the position is
 /// assigned at enqueue, not observed from live queue state) and an
-/// optional cross-request [`crate::ReuseCache`]: eligible requests —
-/// single solves *and* wire sweeps — probe the solution tier before
-/// solving and park their report vector after (see [`crate::reuse`]
-/// for the byte-identity contract). A sweep that misses runs a
-/// self-contained crash-started chain
-/// ([`crate::curve::execute_sweep_wire`]), so its on-wire pivot counts
-/// cannot depend on cache state.
+/// optional cross-request [`crate::ReuseCache`]: eligible units —
+/// single solves *and* sweeps — probe the solution tier before solving
+/// and park their report vector after (see [`crate::reuse`] for the
+/// byte-identity contract). Every (request, solver) unit, a sweep's
+/// included, runs one sequence: queue-depth admission, solution-tier
+/// probe, isolated run, degrade dispatch, budget block, store.
 pub fn execute_one_cached_at(
     registry: &Registry,
     req: &SolveRequest,
@@ -348,51 +349,6 @@ pub fn execute_one_cached_at(
     } else {
         None
     };
-    // Sweeps are a whole-request service (one LP chain → one report
-    // per budget), dispatched before solver fan-out. Budgeted or
-    // deadlined sweeps degrade to per-point cold solves and skip the
-    // cache entirely — their wire-visible `consumed` counters must
-    // describe this run's metered work, never a replay's.
-    if let crate::Objective::MakespanSweep { budgets } = &req.objective {
-        if deadline_expired(req, queue_wait) {
-            return vec![expired_at_dequeue(req, "bicriteria", queue_wait)];
-        }
-        let started = Instant::now();
-        let ctx = BudgetContext::for_request(req, queued_at);
-        let mut reports = if let Some(e) = hard_overflow {
-            vec![crate::solver::report_exhausted(req, "bicriteria", e)]
-        } else if req.budget.is_some() || req.deadline.is_some() {
-            match catch_unwind(AssertUnwindSafe(|| {
-                crate::curve::execute_sweep_pointwise(req, budgets, &ctx)
-            })) {
-                Ok(reports) => reports,
-                Err(payload) => vec![panic_report(req, "bicriteria", payload)],
-            }
-        } else {
-            // a hit replays the whole cached per-point vector instead of
-            // re-running the chain
-            match probe(reuse, req, "bicriteria") {
-                Ok(replayed) => replayed,
-                Err(key) => {
-                    let reports = match catch_unwind(AssertUnwindSafe(|| {
-                        crate::curve::execute_sweep_wire(req, budgets, &ctx)
-                    })) {
-                        Ok(reports) => reports,
-                        Err(payload) => vec![panic_report(req, "bicriteria", payload)],
-                    };
-                    store(reuse, key, req, &reports);
-                    reports
-                }
-            }
-        };
-        let wall = started.elapsed();
-        for r in &mut reports {
-            finalize_budget(r, &ctx, soft_overflow);
-            r.wall = wall;
-            r.queue_wait = queue_wait;
-        }
-        return reports;
-    }
     // resolve the selection to concrete solvers first, so deadline
     // expiry yields the same report multiset a live run would
     let selected: Vec<&dyn crate::Solver> = match &req.solver {
@@ -426,9 +382,10 @@ pub fn execute_one_cached_at(
                 r.queue_wait = queue_wait;
                 return vec![r];
             }
-            // an eligible hit replays the cached report instead of
+            // an eligible hit replays the cached reports instead of
             // solving — byte-identical by solver determinism, see
-            // crate::reuse; a single solve's replay is one report
+            // crate::reuse; a sweep's replay is its whole per-point
+            // vector
             let key = match probe(reuse, req, s.name()) {
                 Ok(mut replayed) => {
                     for r in &mut replayed {
@@ -439,17 +396,18 @@ pub fn execute_one_cached_at(
                 }
                 Err(key) => key,
             };
-            let (mut report, mut ctx) = run_solver_isolated(*s, req, queued_at);
+            let (mut reports, mut ctx) = run_solver_isolated(*s, req, queued_at);
             // degrade dispatch: one level along the declared chain,
             // with a fresh meter (the exhausted one is saturated)
-            if report.status == Status::BudgetExhausted {
-                if let Some(e) = report.exhausted {
-                    if policy_for(req, e.dimension) == ExhaustionPolicy::Degrade {
-                        if let Some(fb) =
-                            degrade_target(report.solver).and_then(|n| registry.resolve(n))
-                        {
-                            let original = report.solver;
-                            (report, ctx) = run_solver_isolated(fb, req, queued_at);
+            if let [report] = reports.as_slice() {
+                if let Some(e) = report.exhausted.filter(|e| {
+                    report.status == Status::BudgetExhausted
+                        && policy_for(req, e.dimension) == ExhaustionPolicy::Degrade
+                }) {
+                    let original = report.solver;
+                    if let Some(fb) = degrade_target(original).and_then(|n| registry.resolve(n)) {
+                        (reports, ctx) = run_solver_isolated(fb, req, queued_at);
+                        for report in &mut reports {
                             report.degraded_from = Some(original);
                             let block = report.budget.get_or_insert_with(Default::default);
                             block
@@ -459,10 +417,12 @@ pub fn execute_one_cached_at(
                     }
                 }
             }
-            finalize_budget(&mut report, &ctx, soft_overflow);
-            report.wall = started.elapsed();
-            report.queue_wait = queue_wait;
-            let reports = vec![report];
+            let wall = started.elapsed();
+            for report in &mut reports {
+                finalize_budget(report, &ctx, soft_overflow);
+                report.wall = wall;
+                report.queue_wait = queue_wait;
+            }
             store(reuse, key, req, &reports);
             reports
         })
@@ -859,6 +819,63 @@ mod tests {
         let rejected = execute_one(&registry, &req, Instant::now());
         assert_eq!(rejected.len(), 1);
         assert_eq!(rejected[0].status, Status::BudgetExhausted);
+    }
+
+    #[test]
+    fn metered_sweeps_run_the_unmetered_chain() {
+        // a budget or a deadline changes what the chain is charged to,
+        // never the chain: every point reports the same answer and the
+        // same work, and the meter reads exactly the points' pivots
+        let registry = Registry::standard();
+        let prep = Arc::new(PreparedInstance::new(chain_instance(4)));
+        let budgets = vec![0, 3, 6, 9, 12];
+        let plain = SolveRequest::sweep("sw", prep, budgets.clone());
+        let mut budgeted = plain.clone();
+        budgeted.budget = spec_with(
+            BudgetLimits {
+                lp_pivots: Some(1 << 40),
+                ..Default::default()
+            },
+            ExhaustionPolicy::HardReject,
+        );
+        let mut deadlined = plain.clone();
+        deadlined.deadline = Some(StdDuration::from_secs(3600));
+        let point = |r: &SolveReport| {
+            (
+                r.status.clone(),
+                r.makespan,
+                r.budget_used,
+                r.work,
+                r.sim,
+                r.sweep_budget,
+            )
+        };
+        let run = |req: &SolveRequest| execute_one(&registry, req, Instant::now());
+        let baseline = run(&plain);
+        assert_eq!(baseline.len(), budgets.len());
+        assert!(baseline.iter().all(|r| r.status == Status::Solved));
+        let expected: Vec<_> = baseline.iter().map(point).collect();
+        for req in [&budgeted, &deadlined] {
+            let got = run(req);
+            assert_eq!(got.iter().map(point).collect::<Vec<_>>(), expected);
+        }
+        let metered = run(&budgeted);
+        let pivots: u64 = metered.iter().map(|r| r.work).sum();
+        for r in &metered {
+            let block = r.budget.as_ref().expect("budgeted sweep has a block");
+            assert_eq!(block.consumed.lp_pivots, pivots);
+        }
+    }
+
+    #[test]
+    fn a_sweep_naming_another_solver_gets_its_unsupported_report() {
+        let registry = Registry::standard();
+        let prep = Arc::new(PreparedInstance::new(chain_instance(2)));
+        let req = SolveRequest::sweep("sw", prep, vec![0, 4, 8]).with_solver("exact");
+        let reports = execute_one(&registry, &req, Instant::now());
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert_eq!(reports[0].solver, "exact");
+        assert_eq!(reports[0].status, Status::Unsupported);
     }
 
     #[test]

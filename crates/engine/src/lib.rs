@@ -12,7 +12,7 @@
 //!   enumerable (`rtt_cli`'s `--solver` dispatch and the batch `all`
 //!   fan-out both walk it);
 //! * [`PreparedInstance`] / [`PrepCache`] — per-instance preprocessing
-//!   (two-tuple expansion, SP decomposition, topological order)
+//!   (two-tuple expansion, SP decomposition, canonical form)
 //!   computed once and shared by every solver that needs it;
 //! * [`run_batch`] — a fixed thread pool over the `crossbeam` channel
 //!   shim that drains a request queue, enforces per-request deadlines,
@@ -83,7 +83,7 @@ pub use certify::{
     certify_noreuse, certify_schedule, certify_solution, expand_levels, SimCertificate,
     SIM_EVENT_GUARD,
 };
-pub use curve::{execute_sweep_pointwise, execute_sweep_wire};
+pub use curve::execute_sweep_wire;
 pub use executor::{
     execute_one, execute_one_cached_at, run_batch, run_batch_cached, BatchOutcome, BatchStats,
 };

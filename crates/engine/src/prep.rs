@@ -10,10 +10,14 @@
 //! [`PrepCache`] deduplicates `PreparedInstance`s across *requests*: a
 //! batch that asks five solvers three budgets each about one instance
 //! performs one expansion and one decomposition, not fifteen.
+//!
+//! A prepared instance holds no solve state: every LP 6–10 solve, a
+//! sweep's chain included, builds its LP from `D''` and drops it when
+//! it returns.
 
 use crate::lru::Lru;
 use rtt_core::transform::expand_two_tuples;
-use rtt_core::{ArcInstance, CanonicalForm, MakespanLp, TwoTupleInstance};
+use rtt_core::{ArcInstance, CanonicalForm, TwoTupleInstance};
 use rtt_dag::sp::{decompose, SpTree};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -25,7 +29,6 @@ pub struct PreparedInstance {
     tt: OnceLock<TwoTupleInstance>,
     sp: OnceLock<Option<SpTree>>,
     canonical: OnceLock<CanonicalForm>,
-    lp_template: Mutex<Option<MakespanLp>>,
     /// Times a component accessor found its artifact already computed.
     reuses: AtomicU64,
     /// Times a component accessor had to compute its artifact.
@@ -40,7 +43,6 @@ impl PreparedInstance {
             tt: OnceLock::new(),
             sp: OnceLock::new(),
             canonical: OnceLock::new(),
-            lp_template: Mutex::new(None),
             reuses: AtomicU64::new(0),
             computes: AtomicU64::new(0),
         }
@@ -85,35 +87,6 @@ impl PreparedInstance {
     /// same cache line.
     pub fn canonical(&self) -> &CanonicalForm {
         self.track(&self.canonical, || rtt_core::canonical_form(&self.arc))
-    }
-
-    /// Takes the cached LP 6–10 template (budget row tagged), building
-    /// it on first use. The caller solves on it and is expected to
-    /// [`PreparedInstance::put_lp_template`] it back. Taking (rather
-    /// than borrowing) keeps the lock scope tiny and serializes
-    /// concurrent sweeps onto disjoint templates. The template carries
-    /// no basis between calls: its constraint matrix depends only on
-    /// the instance, and every chain crash-starts, so reuse saves the
-    /// build and never changes a pivot.
-    pub fn take_lp_template(&self) -> MakespanLp {
-        let mut slot = self.lp_template.lock().expect("lp template slot poisoned");
-        match slot.take() {
-            Some(lp) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                lp
-            }
-            None => {
-                self.computes.fetch_add(1, Ordering::Relaxed);
-                drop(slot);
-                MakespanLp::new(self.tt())
-            }
-        }
-    }
-
-    /// Returns a template to the slot for the next caller.
-    pub fn put_lp_template(&self, lp: MakespanLp) {
-        let mut slot = self.lp_template.lock().expect("lp template slot poisoned");
-        *slot = Some(lp);
     }
 
     /// `(reuses, computes)` of the lazy artifacts so far.

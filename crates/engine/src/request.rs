@@ -36,6 +36,17 @@ pub enum Objective {
     },
 }
 
+impl Objective {
+    /// The budget grid of a [`Objective::MakespanSweep`], in report
+    /// order; empty for a single solve.
+    pub(crate) fn grid(&self) -> &[Resource] {
+        match self {
+            Objective::MakespanSweep { budgets } => budgets,
+            _ => &[],
+        }
+    }
+}
+
 /// Which registered solvers a request should run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolverSelection {

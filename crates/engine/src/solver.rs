@@ -14,10 +14,10 @@
 //! | `noreuse-bicriteria` | [`NoReuseBicriteriaSolver`] | LP rounding, no-reuse regime | Q1.1 |
 //! | `global-greedy` | [`GlobalGreedySolver`] | greedy list scheduling, global pool | Q1.2 |
 //!
-//! `FamilySolver` is one adapter registered three times (name,
-//! unsupported reason, and a [`FamilyRounding`], which owns
-//! the duration family and the level rule); [`ExactSolver`] is one
-//! adapter over the cost regime.
+//! `FamilySolver` is one adapter registered three times (a name and a
+//! [`FamilyRounding`], which owns the duration family, the wording of
+//! its decision, and the level rule); [`ExactSolver`] is one adapter
+//! over the cost regime.
 //!
 //! # One LP, then one rounding
 //!
@@ -285,11 +285,10 @@ fn unsupported_objective(req: &SolveRequest, solver: &'static str) -> SolveRepor
     )
 }
 
-/// Sweeps are executed by the engine's curve service
-/// ([`crate::execute_sweep_wire`], or [`crate::execute_sweep_pointwise`]
-/// for budgeted and deadlined sweeps, both dispatched in the executor),
-/// never by an individual solver — a directly-invoked solver declines
-/// them.
+/// A sweep's `bicriteria` unit is the engine's curve chain
+/// ([`crate::execute_sweep_wire`], run by the executor in that unit's
+/// place); every solver's own `solve` declines sweeps, so a sweep that
+/// names another solver gets that solver's `unsupported` report.
 fn unsupported_sweep(req: &SolveRequest, solver: &'static str) -> SolveReport {
     SolveReport::new(
         req.id.clone(),
@@ -415,13 +414,13 @@ impl Solver for BicriteriaSolver {
 }
 
 /// The single-criteria roundings for one duration family — one adapter
-/// registered three times, each with its registry name, the reason it
-/// gives when the instance is not of its family, and the
-/// [`FamilyRounding`] that owns the family and the level rule.
-/// Min-makespan only.
+/// registered three times, each with its registry name and the
+/// [`FamilyRounding`] that owns the family, the wording of its decision
+/// ([`FamilyRounding::requirement`], the reason a wrong-family instance
+/// gets from the fan-out gate and from a named solve alike) and the
+/// level rule. Min-makespan only.
 pub(crate) struct FamilySolver {
     name: &'static str,
-    reason: &'static str,
     round: FamilyRounding,
 }
 
@@ -429,20 +428,17 @@ impl FamilySolver {
     /// Theorem 3.9 single-criteria 5-approximation (`kway`).
     pub(crate) const KWAY: FamilySolver = FamilySolver {
         name: "kway",
-        reason: "requires k-way splitting duration functions",
         round: FamilyRounding::KWay,
     };
     /// Theorem 3.10 single-criteria 4-approximation (`recbinary`).
     pub(crate) const RECBINARY: FamilySolver = FamilySolver {
         name: "recbinary",
-        reason: "requires recursive-binary duration functions",
         round: FamilyRounding::RecBinary,
     };
     /// Theorem 3.16 improved (4/3, 14/5) bi-criteria
     /// (`recbinary-improved`).
     pub(crate) const RECBINARY_IMPROVED: FamilySolver = FamilySolver {
         name: "recbinary-improved",
-        reason: "requires recursive-binary duration functions",
         round: FamilyRounding::RecBinaryImproved,
     };
 }
@@ -456,7 +452,7 @@ impl Solver for FamilySolver {
         if self.round.applies(prep.arc()) {
             Capability::Supported
         } else {
-            Capability::Unsupported(self.reason)
+            Capability::Unsupported(self.round.requirement())
         }
     }
 
@@ -466,7 +462,7 @@ impl Solver for FamilySolver {
         };
         let (arc, tt) = (req.prepared.arc(), req.prepared.tt());
         if !self.round.applies(arc) {
-            let detail = SolveError::WrongFamily(self.round.family()).to_string();
+            let detail = self.round.requirement();
             return SolveReport::new(req.id.clone(), self.name, Status::Unsupported, detail);
         }
         match solve_min_makespan_lp(tt, budget, ctx.meter()) {

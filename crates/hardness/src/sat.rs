@@ -81,11 +81,6 @@ impl Formula {
         self.enumerate(|f, a| f.satisfied_1in3(a))
     }
 
-    /// Brute-force 3SAT solver.
-    pub fn solve_3sat(&self) -> Option<Vec<bool>> {
-        self.enumerate(|f, a| f.satisfied_3sat(a))
-    }
-
     fn enumerate(&self, ok: impl Fn(&Formula, &[bool]) -> bool) -> Option<Vec<bool>> {
         assert!(self.n_vars < 26, "brute force limited to < 26 variables");
         for mask in 0u32..(1u32 << self.n_vars) {

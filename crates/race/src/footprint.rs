@@ -84,11 +84,6 @@ impl StrandFootprint {
         }
         StrandFootprint { runs }
     }
-
-    /// Whether any run carries the [`WRITE`] bit.
-    pub fn writes_anywhere(&self) -> bool {
-        self.runs.iter().any(|r| r.mask & WRITE != 0)
-    }
 }
 
 /// Builds every strand's footprint (in strand-id order — the same
@@ -171,7 +166,6 @@ mod tests {
                 },
             ]
         );
-        assert!(fp.writes_anywhere());
     }
 
     #[test]
