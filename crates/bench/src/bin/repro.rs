@@ -9,6 +9,23 @@
 //! ```
 
 use rtt_bench::experiments as exp;
+use std::io::{ErrorKind, Write};
+
+/// The one stdout writer: every report goes through it. A reader that
+/// closes the pipe early (`repro all | head -c 1`) has taken all it
+/// wants, so `repro` ends there, with exit 0 and nothing on stderr; any
+/// other write error ends it with exit 1 and a message.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("repro: writing stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,7 +65,7 @@ fn main() {
             }
         };
         for r in reports {
-            println!("{}", r.render());
+            emit(&format!("{}\n", r.render()));
         }
     }
 }

@@ -279,8 +279,8 @@ mod tests {
     #[test]
     fn only_accepted_names_pass() {
         let flags = ["threads", "out"];
-        let switches = ["lint-first"];
-        let a = parse(&["batch", "c.ndjson", "--threads", "4", "--lint-first"]);
+        let switches = ["plan"];
+        let a = parse(&["batch", "c.ndjson", "--threads", "4", "--plan"]);
         assert_eq!(a.accept_only(&flags, &switches), Ok(()));
         // a misspelt flag, value or not, is named
         for argv in [
@@ -289,16 +289,16 @@ mod tests {
         ] {
             assert_eq!(
                 parse(argv).accept_only(&flags, &switches).unwrap_err(),
-                "rtt batch: unknown flag --thread; it accepts --lint-first, --out, --threads"
+                "rtt batch: unknown flag --thread; it accepts --out, --plan, --threads"
             );
         }
         // a switch cannot swallow the next token as a value
         assert_eq!(
-            parse(&["batch", "--lint-first", "c.ndjson"])
+            parse(&["batch", "--plan", "c.ndjson"])
                 .accept_only(&flags, &switches)
                 .unwrap_err(),
-            "rtt batch: switch --lint-first takes no value, got \"c.ndjson\"; \
-             it accepts --lint-first, --out, --threads"
+            "rtt batch: switch --plan takes no value, got \"c.ndjson\"; \
+             it accepts --out, --plan, --threads"
         );
         assert_eq!(
             parse(&["solvers", "--all"])

@@ -19,7 +19,7 @@
 //! | `solver` | no | registry name or alias; omitted = every supporting solver. On `budgets` lines the only accepted value is `bicriteria` (sweeps are a bicriteria-pipeline service), and the batch `--solver` default does not apply |
 //! | `alpha` | no | bi-criteria rounding parameter in (0, 1); default 0.5 |
 //! | `deadline_ms` | no | per-request deadline from enqueue, in milliseconds — **excluded from the byte-stability guarantee** (expiry depends on wall-clock and thread count) |
-//! | `seed` | no | echoed into the request (reserved; solvers are deterministic) |
+//! | `seed` | no | part of the solution-cache key; no report field carries it (solvers are deterministic) |
 //! | `max_pivots` | no | resource-budget limit on simplex pivots across every LP the request solves |
 //! | `max_merge_steps` | no | limit on combinatorial solver work (SP-DP merge steps and exact-search nodes) |
 //! | `max_sim_events` | no | limit on Observation 1.1 certification simulation events |
@@ -38,10 +38,8 @@
 //! metered-out certification replay degrades the report to
 //! analytic-only certificates instead) and marks the report
 //! `degraded_from`; `soft-warn` completes at full fidelity and flags
-//! the overage. When a whole batch should run under one budget, the
-//! `rtt batch` flags `--max-pivots` / `--max-sim-events` /
-//! `--on-exhaustion` apply to every line that declares no `max_*`
-//! field of its own (a per-line budget overrides the flags entirely).
+//! the overage. A budget is per line: `rtt batch` has no batch-wide
+//! limits, so `rtt lint` sees every budget a run enforces.
 //!
 //! Blank lines are skipped. Structurally identical `instance`
 //! documents — including node/arc *relabelings* of one another — are
@@ -198,10 +196,9 @@
 //!
 //! # Diagnostics
 //!
-//! `rtt lint <corpus.ndjson>` (and the `rtt batch --lint-first`
-//! admission pre-pass) statically checks corpora against this wire
-//! format and emits compiler-style diagnostics with stable `RTT0xx`
-//! codes. The linter and this module's [`build_requests`] both run
+//! `rtt lint <corpus.ndjson>` statically checks corpora against this
+//! wire format and emits compiler-style diagnostics with stable
+//! `RTT0xx` codes. The linter and this module's [`build_requests`] both run
 //! every line through one per-line checker, `check_line`, so the
 //! severity contract holds by construction: **error** means the line
 //! is one `build_requests` rejects — a lint-clean corpus cannot fail
@@ -816,7 +813,7 @@ mod tests {
         assert_eq!(spec.limits.lp_pivots, Some(100));
         assert_eq!(spec.limits.dp_merge_steps, Some(50));
         assert_eq!(spec.limits.sim_events, None);
-        assert_eq!(spec.policies.lp_pivots, ExhaustionPolicy::Degrade);
+        assert_eq!(spec.policies.policy, ExhaustionPolicy::Degrade);
         // no max_* fields → no spec (pre-budget wire format)
         let plain = build_requests(&chain_line("b", 3), &cache, None, &registry).unwrap();
         assert!(plain[0].budget.is_none());

@@ -34,14 +34,11 @@ USAGE:
   rtt solve <instance.json> --budget B [--solver <name>] [--alpha A] [--plan]
   rtt min-resource <instance.json> --target T [--solver <name>] [--alpha A]
   rtt curve <instance.json> --budgets a:b:step|a,b,c [--alpha A] [--out PATH]
-  rtt batch <corpus.ndjson> [--threads N] [--solver all|<name>]
-            [--out PATH] [--lint-first]
-            [--max-pivots P] [--max-sim-events E] [--on-exhaustion hard-reject|degrade|soft-warn]
+  rtt batch <corpus.ndjson> [--threads N] [--solver all|<name>] [--out PATH]
             [--reuse-cache] [--cache-capacity N] [--cache-save PATH] [--cache-load PATH]
   rtt lint <corpus.ndjson|instance.json> [--format human|ndjson]
-  rtt analyze race --kind race-mm [--n N] [--engine static|dynamic|both]
+  rtt analyze race --kind race-mm [--n N]
   rtt analyze race --kind race-forkjoin [--seed S] [--stages K] [--width W] [--contention C]
-                   [--engine static|dynamic|both]
   rtt solvers
   rtt regimes <instance.json> --budget B
   rtt dot <instance.json>
@@ -73,10 +70,8 @@ available parallelism clamped to [1, 8]. It is a cost knob only:
 output is byte-identical at every setting, and worker counts print to
 stderr, never to the wire.
 
-The batch `--max-*` / `--on-exhaustion` flags apply a resource budget
-to every corpus line that declares no `max_*` field of its own
-(per-line budgets win; see the rtt_cli::batch docs for the per-line
-fields, which also include max_merge_steps and max_queue_depth).
+Resource budgets are per line: a corpus line's `max_*` and
+`on_exhaustion` fields (see the rtt_cli::batch docs).
 Setting RTT_FAULT_SOLVERS=1 additionally registers the fault-injection
 fixtures (fixture-panic, fixture-exhaust) for exercising the
 executor's panic isolation and budget enforcement; they only run when
@@ -93,18 +88,14 @@ compiler-style RTT0xx diagnostics and exits nonzero iff an error was
 found. `rtt batch` admits requests through the same per-line checker,
 so errors are exactly the lines it would reject; warnings are
 admitted-but-vacuous fields (see the rtt_cli::batch docs under
-\"Diagnostics\" for the code table and the NDJSON shape).
-`rtt batch --lint-first` runs the linter as an admission pre-pass:
-diagnostics go to stderr and an error aborts before any request is
-enqueued, leaving stdout untouched.
+\"Diagnostics\" for the code table and the NDJSON shape). A corpus
+with an error line fails `rtt batch` before any request runs.
 
 `rtt analyze race` runs the static race analyzer on a generated racy
 program: per-strand access footprints intersected under the
 English-Hebrew may-happen-in-parallel relation, reporting
 interval-compressed racing summaries without materializing
-per-location access lists. `--engine dynamic` runs the retained
-dynamic detector instead; `--engine both` runs the two and asserts
-their witness sets identical before printing.";
+per-location access lists.";
 
 /// The one stdout writer: every command's output goes through it. A
 /// reader that closes the pipe early (`rtt gen … | head -c 1`) has taken
@@ -268,7 +259,7 @@ fn solve_via_registry(
         alpha: args.flag("alpha")?.unwrap_or(0.5),
         solver: SolverSelection::Named(solver_name.to_string()),
         deadline: None,
-        seed: args.flag("seed")?.unwrap_or(0),
+        seed: 0,
         budget: None,
         intra_threads: None,
     };
@@ -289,7 +280,7 @@ fn solve_via_registry(
 }
 
 fn cmd_solve(args: &Args) -> Result<(), String> {
-    args.accept_only(&["budget", "solver", "alpha", "seed"], &["plan"])?;
+    args.accept_only(&["budget", "solver", "alpha"], &["plan"])?;
     let arc = load(&instance_path(args)?)?;
     let budget: u64 = args.require("budget")?;
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "bicriteria".into());
@@ -327,7 +318,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_min_resource(args: &Args) -> Result<(), String> {
-    args.accept_only(&["target", "solver", "alpha", "seed"], &[])?;
+    args.accept_only(&["target", "solver", "alpha"], &[])?;
     let arc = load(&instance_path(args)?)?;
     let target: u64 = args.require("target")?;
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "bicriteria".into());
@@ -421,14 +412,11 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
             "threads",
             "solver",
             "out",
-            "max-pivots",
-            "max-sim-events",
-            "on-exhaustion",
             "cache-capacity",
             "cache-save",
             "cache-load",
         ],
-        &["lint-first", "reuse-cache"],
+        &["reuse-cache"],
     )?;
     let path = args
         .positional
@@ -447,49 +435,6 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
     }
     let solver: String = args.flag("solver")?.unwrap_or_else(|| "all".into());
     let registry = corpus_registry();
-    // --lint-first: the rtt lint pre-pass as an admission gate —
-    // diagnostics to stderr (stdout stays the byte-stable wire), any
-    // error aborts before a single request is enqueued
-    if args.switch("lint-first") {
-        let diags = rtt_cli::lint::lint_corpus(&corpus, &registry);
-        for d in &diags {
-            eprintln!("{}", d.human(path));
-        }
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        if errors > 0 {
-            return Err(format!(
-                "{path}: --lint-first found {errors} error(s); no requests admitted"
-            ));
-        }
-    }
-    // batch-wide budget defaults; a per-line budget overrides them
-    let default_budget = {
-        let limits = rtt_engine::BudgetLimits {
-            lp_pivots: args.flag("max-pivots")?,
-            sim_events: args.flag("max-sim-events")?,
-            ..Default::default()
-        };
-        let policy = match args.flag::<String>("on-exhaustion")? {
-            Some(name) => {
-                if limits.is_empty() {
-                    return Err("--on-exhaustion requires --max-pivots or --max-sim-events".into());
-                }
-                Some(rtt_engine::ExhaustionPolicy::parse(&name)?)
-            }
-            None => None,
-        };
-        if limits.is_empty() {
-            None
-        } else {
-            Some(rtt_engine::BudgetSpec {
-                limits,
-                policies: rtt_engine::BudgetPolicies::uniform(policy.unwrap_or_default()),
-            })
-        }
-    };
     let default_solver = match solver.as_str() {
         "all" => None,
         name => {
@@ -518,15 +463,10 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("--cache-load {path}: {e}"))?;
         eprintln!("cache loaded: {loaded} entries from {path}");
     }
-    let mut requests =
+    let requests =
         rtt_cli::batch::build_requests(&corpus, &cache, default_solver.as_deref(), &registry)?;
     if requests.is_empty() {
         return Err(format!("{path}: no requests (empty corpus)"));
-    }
-    if let Some(spec) = default_budget {
-        for req in &mut requests {
-            req.budget = req.budget.or(Some(spec));
-        }
     }
     let out = run_batch_cached(&registry, requests, threads, reuse.as_ref());
     let mut rendered = String::new();
@@ -635,23 +575,9 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 /// `rtt analyze race`: the static race analyzer over a generated racy
 /// program — footprint summaries intersected under the English-Hebrew
 /// order, one NDJSON line per interval-compressed racing summary.
-/// `--engine dynamic` runs the retained dynamic detector instead (one
-/// line per deduplicated witness); `--engine both` runs the two,
-/// asserts the witness sets identical, and prints the static
-/// summaries. Timing goes to stderr.
+/// Timing goes to stderr.
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    args.accept_only(
-        &[
-            "kind",
-            "n",
-            "seed",
-            "stages",
-            "width",
-            "contention",
-            "engine",
-        ],
-        &[],
-    )?;
+    args.accept_only(&["kind", "n", "seed", "stages", "width", "contention"], &[])?;
     match args.positional.get(1).map(String::as_str) {
         Some("race") => {}
         other => {
@@ -687,79 +613,23 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    let engine: String = args.flag("engine")?.unwrap_or_else(|| "static".into());
-    let print_static = |sums: &[rtt_analyze::race::RaceSummary]| {
-        let mut rendered = String::new();
-        for s in sums {
-            rendered.push_str(&format!(
-                "{{\"lo\":{},\"hi\":{},\"a\":{},\"b\":{},\"write_write\":{}}}\n",
-                s.lo, s.hi, s.a, s.b, s.write_write
-            ));
-        }
-        emit(&rendered)
-    };
-    match engine.as_str() {
-        "static" => {
-            let started = Instant::now();
-            let sums = rtt_analyze::race::analyze_races(&prog);
-            let wall = started.elapsed();
-            print_static(&sums)?;
-            eprintln!(
-                "analyze race (static): {} summaries covering {} witnesses in {:.2} ms",
-                sums.len(),
-                rtt_analyze::race::witness_count(&sums),
-                wall.as_secs_f64() * 1e3
-            );
-        }
-        "dynamic" => {
-            let started = Instant::now();
-            let races = rtt_race::detect_races(&prog);
-            let wall = started.elapsed();
-            let witnesses = rtt_analyze::race::dynamic_witness_set(&races);
-            let mut rendered = String::new();
-            for (loc, a, b, ww) in &witnesses {
-                rendered.push_str(&format!(
-                    "{{\"loc\":{loc},\"a\":{a},\"b\":{b},\"write_write\":{ww}}}\n"
-                ));
-            }
-            emit(&rendered)?;
-            eprintln!(
-                "analyze race (dynamic): {} witnesses in {:.2} ms",
-                witnesses.len(),
-                wall.as_secs_f64() * 1e3
-            );
-        }
-        "both" => {
-            let started = Instant::now();
-            let sums = rtt_analyze::race::analyze_races(&prog);
-            let static_wall = started.elapsed();
-            let started = Instant::now();
-            let races = rtt_race::detect_races(&prog);
-            let dynamic_wall = started.elapsed();
-            let static_w = rtt_analyze::race::witness_set(&sums);
-            let dynamic_w = rtt_analyze::race::dynamic_witness_set(&races);
-            if static_w != dynamic_w {
-                return Err(format!(
-                    "static/dynamic witness sets differ: {} static vs {} dynamic — this is a bug",
-                    static_w.len(),
-                    dynamic_w.len()
-                ));
-            }
-            print_static(&sums)?;
-            eprintln!(
-                "analyze race (both): witness sets identical ({} witnesses); \
-                 static {:.2} ms, dynamic {:.2} ms",
-                static_w.len(),
-                static_wall.as_secs_f64() * 1e3,
-                dynamic_wall.as_secs_f64() * 1e3
-            );
-        }
-        other => {
-            return Err(format!(
-                "unknown --engine {other}; available: static, dynamic, both"
-            ))
-        }
+    let started = Instant::now();
+    let sums = rtt_analyze::race::analyze_races(&prog);
+    let wall = started.elapsed();
+    let mut rendered = String::new();
+    for s in &sums {
+        rendered.push_str(&format!(
+            "{{\"lo\":{},\"hi\":{},\"a\":{},\"b\":{},\"write_write\":{}}}\n",
+            s.lo, s.hi, s.a, s.b, s.write_write
+        ));
     }
+    emit(&rendered)?;
+    eprintln!(
+        "analyze race: {} summaries covering {} witnesses in {:.2} ms",
+        sums.len(),
+        rtt_analyze::race::witness_count(&sums),
+        wall.as_secs_f64() * 1e3
+    );
     Ok(())
 }
 

@@ -415,6 +415,30 @@ fn unknown_flags_fail_before_any_work() {
         ),
         (vec!["gen", "--kind", "race", "--node", "6"], "--node"),
         (vec!["solvers", "--verbose"], "--verbose"),
+        // budgets are per corpus line, `rtt lint` is the lint pass, the
+        // race analyzer has one engine, and solve takes no seed
+        (vec!["batch", corpus, "--max-pivots", "5"], "--max-pivots"),
+        (
+            vec!["batch", corpus, "--max-sim-events", "5"],
+            "--max-sim-events",
+        ),
+        (
+            vec!["batch", corpus, "--on-exhaustion", "degrade"],
+            "--on-exhaustion",
+        ),
+        (vec!["batch", corpus, "--lint-first"], "--lint-first"),
+        (
+            vec!["analyze", "race", "--kind", "race-mm", "--engine", "both"],
+            "--engine",
+        ),
+        (
+            vec!["solve", inst, "--budget", "4", "--seed", "1"],
+            "--seed",
+        ),
+        (
+            vec!["min-resource", inst, "--target", "6", "--seed", "1"],
+            "--seed",
+        ),
     ] {
         let out = rtt().args(&argv).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -3,9 +3,9 @@
 //!
 //! The metering mechanism lives in `rtt_budget` (below every solver
 //! crate); *policy* lives here. A [`SolveRequest`](crate::SolveRequest)
-//! may carry a [`BudgetSpec`]: hard limits per dimension plus an
-//! [`ExhaustionPolicy`] per dimension saying what the engine does when
-//! a limit trips mid-solve:
+//! may carry a [`BudgetSpec`]: hard limits per dimension plus one
+//! [`ExhaustionPolicy`] for the whole request, saying what the engine
+//! does when any of its limits trips mid-solve:
 //!
 //! * [`ExhaustionPolicy::HardReject`] — the report fails with
 //!   [`Status::BudgetExhausted`](crate::Status::BudgetExhausted) and a
@@ -105,41 +105,29 @@ impl ExhaustionPolicy {
     }
 }
 
-/// Per-dimension exhaustion policies. Wall-clock is always hard (it
-/// reuses the deadline machinery and cannot be degraded around), so
-/// only the counter dimensions are configurable.
+/// The exhaustion policy a request declares: one for every limit it
+/// sets, as the wire's one `on_exhaustion` field states it. Wall-clock
+/// is always hard (it reuses the deadline machinery and cannot be
+/// degraded around).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BudgetPolicies {
-    /// Policy when the pivot cap trips.
-    pub lp_pivots: ExhaustionPolicy,
-    /// Policy when the combinatorial-work cap trips.
-    pub dp_merge_steps: ExhaustionPolicy,
-    /// Policy when the simulation-event cap trips.
-    pub sim_events: ExhaustionPolicy,
-    /// Policy when the queue-depth bound trips at dispatch.
-    pub queue_depth: ExhaustionPolicy,
+    /// Policy when any counter limit or the queue-depth bound trips.
+    pub policy: ExhaustionPolicy,
 }
 
 impl BudgetPolicies {
-    /// The same policy on every configurable dimension.
+    /// `p` on every limit the request declares.
     pub fn uniform(p: ExhaustionPolicy) -> Self {
-        BudgetPolicies {
-            lp_pivots: p,
-            dp_merge_steps: p,
-            sim_events: p,
-            queue_depth: p,
-        }
+        BudgetPolicies { policy: p }
     }
 
-    /// The policy governing a dimension. Wall-clock always hard-rejects
-    /// (mapped onto the deadline machinery).
+    /// The policy governing a dimension: the declared one, except that
+    /// wall-clock always hard-rejects (mapped onto the deadline
+    /// machinery).
     pub fn for_dimension(&self, dim: Dimension) -> ExhaustionPolicy {
         match dim {
-            Dimension::LpPivots => self.lp_pivots,
-            Dimension::DpMergeSteps => self.dp_merge_steps,
-            Dimension::SimEvents => self.sim_events,
-            Dimension::QueueDepth => self.queue_depth,
             Dimension::WallClock => ExhaustionPolicy::HardReject,
+            _ => self.policy,
         }
     }
 }
@@ -153,18 +141,19 @@ pub(crate) fn policy_for(req: &crate::SolveRequest, dim: Dimension) -> Exhaustio
         .unwrap_or_default()
 }
 
-/// The budget a request declares: limits plus per-dimension policies.
+/// The budget a request declares: per-dimension limits plus one
+/// exhaustion policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BudgetSpec {
     /// Per-dimension hard limits.
     pub limits: BudgetLimits,
-    /// Per-dimension exhaustion policies.
+    /// The exhaustion policy for every declared limit.
     pub policies: BudgetPolicies,
 }
 
 impl BudgetSpec {
-    /// A spec with the given limits and [`ExhaustionPolicy::HardReject`]
-    /// everywhere.
+    /// A spec with the given limits under
+    /// [`ExhaustionPolicy::HardReject`].
     pub fn with_limits(limits: BudgetLimits) -> Self {
         BudgetSpec {
             limits,
@@ -190,24 +179,24 @@ impl BudgetContext {
     }
 
     /// Builds the context for a request. A meter is created only when
-    /// the request declares a budget; a dimension's limit is installed
-    /// on the meter only under `HardReject`/`Degrade` (a `SoftWarn`
-    /// limit is advisory and judged post-solve, so the solver must not
-    /// trip on it). The request deadline becomes the meter's mid-solve
+    /// the request declares a budget; its limits are installed on the
+    /// meter only under `HardReject`/`Degrade` (`SoftWarn` limits are
+    /// advisory and judged post-solve, so the solver must not trip on
+    /// them). The request deadline becomes the meter's mid-solve
     /// wall-clock deadline only when a budget is declared — deadline-
     /// only requests keep the legacy at-dequeue-only enforcement.
     pub fn for_request(req: &crate::SolveRequest, queued_at: Instant) -> Self {
         let Some(spec) = req.budget else {
             return Self::unbudgeted();
         };
-        let enforceable = |limit: Option<u64>, policy: ExhaustionPolicy| match policy {
-            ExhaustionPolicy::SoftWarn => None,
-            _ => limit,
+        let limits = match spec.policies.policy {
+            ExhaustionPolicy::SoftWarn => BudgetLimits::default(),
+            _ => spec.limits,
         };
         let meter = BudgetMeter::with_limits(
-            enforceable(spec.limits.lp_pivots, spec.policies.lp_pivots),
-            enforceable(spec.limits.dp_merge_steps, spec.policies.dp_merge_steps),
-            enforceable(spec.limits.sim_events, spec.policies.sim_events),
+            limits.lp_pivots,
+            limits.dp_merge_steps,
+            limits.sim_events,
             req.deadline.map(|d| queued_at + d),
         );
         BudgetContext {
@@ -263,18 +252,17 @@ impl BudgetReport {
         let spec = ctx.spec?;
         let consumed = ctx.consumed();
         let mut warnings = Vec::new();
-        let mut warn = |dim: Dimension, used: u64| {
-            if spec.policies.for_dimension(dim) == ExhaustionPolicy::SoftWarn {
-                if let Some(limit) = spec.limits.for_dimension(dim) {
-                    if used > limit {
-                        warnings.push(format!("{dim} {used} > limit {limit}"));
-                    }
+        if spec.policies.policy == ExhaustionPolicy::SoftWarn {
+            for (dim, used) in [
+                (Dimension::LpPivots, consumed.lp_pivots),
+                (Dimension::DpMergeSteps, consumed.dp_merge_steps),
+                (Dimension::SimEvents, consumed.sim_events),
+            ] {
+                if let Some(limit) = spec.limits.for_dimension(dim).filter(|&l| used > l) {
+                    warnings.push(format!("{dim} {used} > limit {limit}"));
                 }
             }
-        };
-        warn(Dimension::LpPivots, consumed.lp_pivots);
-        warn(Dimension::DpMergeSteps, consumed.dp_merge_steps);
-        warn(Dimension::SimEvents, consumed.sim_events);
+        }
         Some(BudgetReport {
             consumed,
             limits: spec.limits,
@@ -303,25 +291,47 @@ mod tests {
 
     #[test]
     fn soft_warn_limits_stay_off_the_meter() {
-        let spec = BudgetSpec {
-            limits: BudgetLimits {
-                lp_pivots: Some(5),
-                ..Default::default()
-            },
+        use crate::{PreparedInstance, SolveRequest};
+        use rtt_core::instance::Activity;
+        use rtt_core::ArcInstance;
+        use rtt_dag::Dag;
+        use rtt_duration::Duration;
+        use std::sync::Arc;
+
+        let mut g: Dag<(), Activity> = Dag::new();
+        let (s, t) = (g.add_node(()), g.add_node(()));
+        g.add_edge(s, t, Activity::new(Duration::two_point(5, 2, 1)))
+            .unwrap();
+        let prep = Arc::new(PreparedInstance::new(ArcInstance::new(g).unwrap()));
+        let mut req = SolveRequest::min_makespan("q", prep, 1);
+        let limits = BudgetLimits {
+            lp_pivots: Some(5),
+            ..Default::default()
+        };
+        let meter_limit = |req: &SolveRequest| {
+            BudgetContext::for_request(req, Instant::now())
+                .meter()
+                .expect("a budgeted request gets a meter")
+                .limit(Dimension::LpPivots)
+        };
+        req.budget = Some(BudgetSpec {
+            limits,
             policies: BudgetPolicies::uniform(ExhaustionPolicy::SoftWarn),
-        };
-        let enforceable = |limit: Option<u64>, policy: ExhaustionPolicy| match policy {
-            ExhaustionPolicy::SoftWarn => None,
-            _ => limit,
-        };
+        });
         assert_eq!(
-            enforceable(spec.limits.lp_pivots, spec.policies.lp_pivots),
-            None
+            req.budget.unwrap().policies.policy,
+            ExhaustionPolicy::SoftWarn
         );
-        assert_eq!(
-            enforceable(spec.limits.lp_pivots, ExhaustionPolicy::HardReject),
-            Some(5)
-        );
+        assert_eq!(meter_limit(&req), None);
+        req.budget = Some(BudgetSpec::with_limits(limits));
+        assert_eq!(meter_limit(&req), Some(5));
+        // wall-clock hard-rejects under every declared policy
+        for p in [ExhaustionPolicy::Degrade, ExhaustionPolicy::SoftWarn] {
+            assert_eq!(
+                BudgetPolicies::uniform(p).for_dimension(Dimension::WallClock),
+                ExhaustionPolicy::HardReject
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Solver for AlwaysExhaustSolver {
 
     fn solve(&self, req: &SolveRequest, ctx: &BudgetContext) -> SolveReport {
         let enforced = ctx.spec().is_some_and(|s| {
-            s.limits.lp_pivots.is_some() && s.policies.lp_pivots != ExhaustionPolicy::SoftWarn
+            s.limits.lp_pivots.is_some() && s.policies.policy != ExhaustionPolicy::SoftWarn
         });
         let meter = match ctx.meter() {
             Some(m) if enforced => m,

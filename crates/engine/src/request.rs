@@ -77,10 +77,10 @@ pub struct SolveRequest {
     /// request also declares a [`SolveRequest::budget`], the deadline is
     /// additionally enforced *mid-solve* through the budget meter.
     pub deadline: Option<StdDuration>,
-    /// Seed echoed into reports (reserved for randomized solvers; every
-    /// current solver is deterministic).
+    /// Part of the solution-tier key (see [`crate::reuse`]); no report
+    /// field carries it, and every current solver is deterministic.
     pub seed: u64,
-    /// Resource budget (per-dimension limits + exhaustion policies).
+    /// Resource budget (per-dimension limits + one exhaustion policy).
     /// `None` — the default and every constructor's choice — runs the
     /// pre-budget engine behavior byte for byte.
     pub budget: Option<crate::budget::BudgetSpec>,
