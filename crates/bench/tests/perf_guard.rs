@@ -31,8 +31,9 @@ fn lp_pivot_counts_stay_in_envelope() {
         "revised solve must be deterministic"
     );
 
-    // revised: crash-started phase 2 only; flat: two-phase over bound rows
-    assert_eq!(rev.pivots, 97, "revised pivots");
+    // revised: a dual repair of the crash, which is optimal at budget 0;
+    // flat: two-phase over bound rows
+    assert_eq!(rev.pivots, 72, "revised pivots");
     assert_eq!(flat.pivots, 552, "flat pivots");
     assert_eq!(
         rev.stats.phase1_pivots, 0,
@@ -66,7 +67,7 @@ fn warm_sweep_pivots_stay_in_envelope() {
         "warm chain {warm_total} vs cold grid {cold_total}"
     );
     // chained pivots over the 16-point grid
-    assert_eq!(warm_total, 132, "warm sweep pivots");
+    assert_eq!(warm_total, 48, "warm sweep pivots");
 }
 
 #[test]
@@ -95,7 +96,7 @@ fn wire_sweep_pivots_stay_in_envelope() {
     );
     // the same chain behind the executor (BENCH_pr8.json's
     // pinned_chain evidence)
-    assert_eq!(wire_total, 132, "wire sweep pivots");
+    assert_eq!(wire_total, 48, "wire sweep pivots");
 }
 
 #[test]
@@ -104,14 +105,16 @@ fn every_chained_sweep_point_is_a_dual_repair() {
     // its far bound can trade two violated rows back and forth until its
     // iteration cap: on this chain that sent the budget-5 point to a
     // cold re-solve (`Rejected`, 202 pivots) instead of a dual repair.
+    // Point 0 is one too: the crash it starts from is the budget-0
+    // optimum, so it costs no pivot.
     let arc = race_instance(5, 8);
     let tt = expand_two_tuples(&arc);
     let grid = [0, 5, 10, 15, 20, 25];
     let (points, _) = MakespanLp::new(&tt).solve_sweep(&tt, &grid, None).unwrap();
     let warm: Vec<WarmStart> = points.iter().map(|f| f.stats.warm).collect();
-    assert_eq!(warm[1..], [WarmStart::Dual; 5], "chained points");
+    assert_eq!(warm, [WarmStart::Dual; 6], "every point");
     let pivots: Vec<usize> = points.iter().map(|f| f.pivots).collect();
-    assert_eq!(pivots, [36, 32, 0, 0, 0, 0], "per-point pivots");
+    assert_eq!(pivots, [0, 25, 0, 0, 0, 0], "per-point pivots");
 }
 
 #[test]

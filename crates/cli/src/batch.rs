@@ -260,8 +260,8 @@ use crate::lint::spec_error_code;
 use crate::spec::InstanceSpec;
 use rtt_analyze::lint::{Diagnostic, Severity};
 use rtt_engine::{
-    BudgetLimits, BudgetPolicies, BudgetSpec, ExhaustionPolicy, Objective, PrepCache, Registry,
-    SolveReport, SolveRequest, SolverSelection, Status,
+    BudgetLimits, BudgetPolicies, BudgetSpec, ExhaustionPolicy, Objective, PrepCache,
+    PreparedInstance, Registry, SolveReport, SolveRequest, SolverSelection, Status,
 };
 use std::time::Duration as StdDuration;
 
@@ -506,13 +506,16 @@ pub(crate) fn check_line(
     // identical instances land on one entry even when their documents
     // permute nodes or arcs. The full key string is stored and compared
     // (no hash collisions); the build cost on duplicate lines is the
-    // price of recognizing relabelings, and the per-instance
-    // preprocessing (expansion, SP decomposition, canonical form) is
-    // still computed once per equivalence class.
-    let key = rtt_core::canonical_form(&arc).key;
+    // price of recognizing relabelings. A new entry keeps the form for
+    // the solution tier, so each equivalence class computes it, its
+    // expansion and its SP decomposition once.
+    let canonical = rtt_core::canonical_form(&arc);
+    let key = canonical.key.clone();
     let req = SolveRequest {
         id: id.map_or_else(|| format!("line-{lineno}"), str::to_string),
-        prepared: cache.get_or_insert(&key, move || arc),
+        prepared: cache.get_or_insert(&key, move || {
+            PreparedInstance::with_canonical(arc, canonical)
+        }),
         objective,
         alpha,
         solver: selection,
@@ -977,6 +980,22 @@ mod tests {
             full,
             format!("{{\"id\":\"s1\",\"solver\":\"bicriteria\",{}", &body[1..])
         );
+    }
+
+    #[test]
+    fn the_solution_tier_reuses_the_canonical_form_admission_computed() {
+        // admission computes each line's canonical form to key the prep
+        // cache; the tier's probe must find it there, not recompute it
+        let corpus = include_str!("../tests/data/corpus_smoke.ndjson");
+        let registry = Registry::standard();
+        let computes = |cached: bool| {
+            let cache = PrepCache::new();
+            let reuse = cached.then(|| rtt_engine::ReuseCache::new(64));
+            let reqs = build_requests(corpus, &cache, None, &registry).unwrap();
+            rtt_engine::run_batch_cached(&registry, reqs, 1, reuse.as_ref());
+            cache.stats().artifact_computes
+        };
+        assert_eq!(computes(true), computes(false));
     }
 
     #[test]

@@ -37,15 +37,27 @@
 //! The LP is the only stage of an LP-rounding answer that a budget
 //! meter reaches: every rounding in [`crate::solvers`] and
 //! [`crate::regimes`] is a pure function of its solution. Every entry
-//! starts from the longest-path crash basis: the two metered
-//! single-solve entries are [`solve_min_makespan_lp`] (phase 2 from a
-//! primal-feasible crash) and [`solve_min_resource_lp`] (the dual
-//! simplex from a dual-feasible one); a budget sweep is one chain
-//! through [`MakespanLp::solve_sweep_metered`], and the no-reuse regime
-//! solves through [`crate::regimes::solve_noreuse_lp_metered`].
+//! starts from the longest-path crash basis (`LpShape::crash`), and
+//! none runs phase 1:
+//!
+//! * [`solve_min_makespan_lp`], and every budget sweep (one chain
+//!   through [`MakespanLp::solve_sweep_metered`]), start the routed
+//!   min-makespan LP from its **budget-0 optimum**: the crash also
+//!   prices routed resource along the critical path, so it is optimal
+//!   at budget 0 and dual feasible at every budget, and the dual
+//!   simplex repairs the budget row (a sweep's budget-0 point costs no
+//!   pivot);
+//! * [`solve_min_resource_lp`] starts from the plain crash, which is
+//!   dual feasible under its objective, and the dual simplex repairs
+//!   the target row;
+//! * the no-reuse regime ([`crate::regimes::solve_noreuse_lp_metered`])
+//!   starts from the plain crash, which is primal feasible, and runs
+//!   phase 2 only. It has no conservation rows, so pricing its flows
+//!   saves nothing there.
 
 use crate::exact::Regime;
-use crate::transform::TwoTupleInstance;
+use crate::transform::{TwoTuple, TwoTupleInstance};
+use rtt_dag::EdgeId;
 use rtt_duration::{Resource, Time};
 use rtt_lp::{Engine, Outcome, Problem};
 use std::fmt;
@@ -108,6 +120,16 @@ fn clamp_time(t: Time) -> f64 {
     }
 }
 
+/// The flow coefficient `(t0 − t1)/r_e` of a two-tuple arc in its
+/// precedence row (7): the makespan one unit of resource saves on the
+/// arc. `None` for a single-tuple arc, or a purchase that saves
+/// nothing; neither puts a flow term in the row.
+fn slope(a: &TwoTuple) -> Option<f64> {
+    let (r, t1) = a.buy?;
+    let slope = (clamp_time(a.t0) - clamp_time(t1)) / r as f64;
+    (slope != 0.0).then_some(slope)
+}
+
 /// Rows (6)–(8) of LP 6–10 in one regime: everything except the
 /// objective and the budget/target row.
 #[derive(Debug, Clone)]
@@ -118,6 +140,9 @@ struct LpShape {
     time_var: Vec<Option<usize>>,
     /// row index of each edge's precedence constraint (7), by edge id.
     edge_row: Vec<usize>,
+    /// row index of each vertex's conservation constraint (8), `None`
+    /// for the source, the sink, and every vertex without reuse.
+    cons_row: Vec<Option<usize>>,
 }
 
 impl LpShape {
@@ -154,11 +179,8 @@ impl LpShape {
             if let Some(tu) = time_var[e.src.index()] {
                 coeffs.push((tu, -1.0));
             }
-            if let Some((r, t1)) = a.buy {
-                let slope = (t0 - clamp_time(t1)) / r as f64;
-                if slope != 0.0 {
-                    coeffs.push((e.id.index(), slope));
-                }
+            if let Some(slope) = slope(a) {
+                coeffs.push((e.id.index(), slope));
             }
             // The destination is never the source (source has in-degree 0),
             // so `coeffs` always contains T_v.
@@ -168,6 +190,7 @@ impl LpShape {
 
         // (8) conservation at internal vertices — only routed resource
         // flows on
+        let mut cons_row = vec![None; d.node_count()];
         if matches!(regime, Regime::Routed) {
             for v in d.node_ids() {
                 if v == tt.source || v == tt.sink {
@@ -181,6 +204,7 @@ impl LpShape {
                     coeffs.push((e.index(), -1.0));
                 }
                 if !coeffs.is_empty() {
+                    cons_row[v.index()] = Some(p.n_rows());
                     p.add_eq(&coeffs, 0.0);
                 }
             }
@@ -191,6 +215,7 @@ impl LpShape {
             regime,
             time_var,
             edge_row,
+            cons_row,
         }
     }
 
@@ -219,23 +244,42 @@ impl LpShape {
 
     /// The structural **crash basis**, which makes phase 1 unnecessary.
     /// Per non-source vertex, `T_v` goes basic in its *critical*
-    /// (longest-path-tight) incoming precedence row; every other
-    /// precedence row keeps its surplus basic (slack `= T_v − T_u − t0
-    /// ≥ 0`), conservation rows keep a degenerate artificial at 0, and
-    /// the budget or target row its slack. At zero flow the longest-path
-    /// times satisfy every row but a target row, so the basis is primal
-    /// feasible for the makespan objective and dual feasible (every
-    /// basic variable costs 0) for the min-resource one. The revised
-    /// engine verifies that at install time, so this is an accelerator,
-    /// never a correctness risk.
-    fn crash(&self, tt: &TwoTupleInstance) -> rtt_lp::Basis {
+    /// (longest-path-tight, first maximum) incoming precedence row;
+    /// every other precedence row keeps its surplus basic, and the
+    /// budget or target row its slack. At zero flow these times satisfy
+    /// every row but a target row.
+    ///
+    /// Given the routed min-makespan LP's `budget_row`, the flows are
+    /// priced too. Each two-tuple arc on the critical path gains `g_e`,
+    /// its row-(7) coefficient (makespan saved per routed unit), and
+    /// every other arc 0. In reverse topological order, `π_u` is the
+    /// longest gain path from `u` to the sink, and `u`'s conservation
+    /// row takes the flow of the out-arc attaining it (first maximum)
+    /// as basic; the source's goes basic in the budget row when
+    /// `π_source > 0`. The chosen arcs form an in-tree to the sink, and
+    /// no time or surplus column touches rows (8)–(9), so the basis is
+    /// block triangular. Its duals are the unit critical-path flow and
+    /// `π`, so each nonbasic flow's reduced cost is a longest-path slack
+    /// `π_u − g_e − π_v ≥ 0`: the basis is dual feasible at every
+    /// budget, and optimal at budget 0, where every flow is 0.
+    /// `π_source` is the slope of the LP's tradeoff curve at the origin.
+    ///
+    /// Otherwise every flow stays nonbasic and each conservation row
+    /// keeps a degenerate artificial at 0: primal feasible for the
+    /// makespan objective, dual feasible (every basic variable costs 0)
+    /// for the min-resource one.
+    ///
+    /// The revised engine verifies every start, so a crash is an
+    /// accelerator, never a correctness risk.
+    fn crash(&self, tt: &TwoTupleInstance, budget_row: Option<usize>) -> rtt_lp::Basis {
         use rtt_lp::revised::CrashVar;
         let d = &tt.dag;
         let mut hints = vec![CrashVar::Logical; self.problem.n_rows()];
         let mut dist: Vec<f64> = vec![0.0; d.node_count()];
+        let mut critical: Vec<Option<EdgeId>> = vec![None; d.node_count()];
         let topo = rtt_dag::topo_order(d).expect("instances are acyclic");
         for &v in &topo {
-            let mut best: Option<(f64, rtt_dag::EdgeId)> = None;
+            let mut best: Option<(f64, EdgeId)> = None;
             for &e in d.in_edges(v) {
                 let t0 = clamp_time(d.edge(e).t0);
                 let cand = dist[d.src(e).index()] + t0;
@@ -245,8 +289,34 @@ impl LpShape {
             }
             if let Some((b, e)) = best {
                 dist[v.index()] = b;
+                critical[v.index()] = Some(e);
                 if let Some(tv) = self.time_var[v.index()] {
                     hints[self.edge_row[e.index()]] = CrashVar::Structural(tv);
+                }
+            }
+        }
+        if let (Some(budget_row), Regime::Routed) = (budget_row, self.regime) {
+            let mut gain = vec![0.0; d.edge_count()];
+            let mut v = tt.sink;
+            while let Some(e) = critical[v.index()] {
+                gain[e.index()] = slope(d.edge(e)).unwrap_or(0.0);
+                v = d.src(e);
+            }
+            let mut pi: Vec<f64> = vec![0.0; d.node_count()];
+            for &u in topo.iter().rev() {
+                let mut best: Option<(f64, EdgeId)> = None;
+                for &e in d.out_edges(u) {
+                    let cand = gain[e.index()] + pi[d.dst(e).index()];
+                    if best.is_none_or(|(b, _)| cand > b) {
+                        best = Some((cand, e));
+                    }
+                }
+                let Some((b, e)) = best else { continue };
+                pi[u.index()] = b;
+                if let Some(row) = self.cons_row[u.index()] {
+                    hints[row] = CrashVar::Structural(e.index());
+                } else if u == tt.source && b > 0.0 {
+                    hints[budget_row] = CrashVar::Structural(e.index());
                 }
             }
         }
@@ -294,15 +364,22 @@ impl LpShape {
 /// [`rtt_lp::Basis`] warm start accepts. A budget sweep through one
 /// `MakespanLp` dual-reoptimizes every point after the first instead of
 /// cold-starting `|grid|` solves.
+///
+/// Routed, every revised solve with no warmer basis starts from the
+/// crash that is the LP's budget-0 optimum and dual feasible at every
+/// budget (see the module docs), so each one is a dual repair
+/// ([`rtt_lp::WarmStart::Dual`]). Past saturation the LP optimum is not
+/// unique, and the one that repair lands on spends the whole budget.
 #[derive(Debug, Clone)]
 pub struct MakespanLp {
     shape: LpShape,
     /// Row index of constraint (9); `None` when its sum is empty (the
     /// LP is then budget-independent).
     budget_row: Option<usize>,
-    /// The longest-path crash basis (see `LpShape::crash`) — the
-    /// revised engine's start when no warmer basis is available. Lazy:
-    /// the dense engine never pays for it.
+    /// The longest-path crash basis (see `LpShape::crash`), priced at
+    /// the budget row when routed — the revised engine's start when no
+    /// warmer basis is available. Lazy: the dense engine never pays for
+    /// it.
     crash: std::sync::OnceLock<rtt_lp::Basis>,
 }
 
@@ -334,7 +411,8 @@ impl MakespanLp {
 
     /// The longest-path crash basis, computed on first (Revised) use.
     fn crash(&self, tt: &TwoTupleInstance) -> &rtt_lp::Basis {
-        self.crash.get_or_init(|| self.shape.crash(tt))
+        self.crash
+            .get_or_init(|| self.shape.crash(tt, self.budget_row))
     }
 
     /// Points the budget row (9) at a new budget. No other row changes,
@@ -347,8 +425,8 @@ impl MakespanLp {
 
     /// Solves at the budget most recently set, under `engine`. The
     /// revised engine starts from the longest-path crash basis (phase 1
-    /// is skipped whenever the crash installs feasibly); the flat
-    /// engine runs its ordinary two-phase solve.
+    /// is skipped whenever the crash installs); the flat engine runs
+    /// its ordinary two-phase solve.
     pub fn solve_with(
         &self,
         tt: &TwoTupleInstance,
@@ -466,7 +544,7 @@ pub fn solve_min_resource_lp(
         return Err(LpError::Infeasible);
     }
     let shape = min_resource_shape(tt, target);
-    let crash = shape.crash(tt);
+    let crash = shape.crash(tt, None);
     let (out, _) = rtt_lp::revised::solve_warm(&shape.problem, Some(&crash), meter);
     shape.result(tt, out)
 }
@@ -693,6 +771,86 @@ mod tests {
             assert!(at_ideal.makespan <= lo as f64 + 1e-9);
             assert!(meter.consumed().lp_pivots > 0, "the LP ran");
         }
+    }
+
+    /// The routed min-makespan crash is the LP's budget-0 optimum, so
+    /// the solve there costs no pivot, and it is dual feasible at every
+    /// budget, so the dual simplex repairs it without a cold restart.
+    #[test]
+    fn crash_started_min_makespan_is_a_dual_repair_matching_the_flat_oracle() {
+        for tt in min_resource_fixtures() {
+            let base = solve_min_makespan_lp(&tt, 0, None).unwrap();
+            assert_eq!(base.pivots, 0, "the crash is the budget-0 optimum");
+            assert_eq!(base.stats.warm, rtt_lp::WarmStart::Dual);
+            for budget in [1, 4, 16, 1 << 40] {
+                let rev = solve_min_makespan_lp(&tt, budget, None).unwrap();
+                let flat = solve_min_makespan_lp_with(&tt, budget, Engine::Flat).unwrap();
+                assert_eq!(rev.stats.warm, rtt_lp::WarmStart::Dual, "budget {budget}");
+                assert_eq!(rev.stats.phase1_pivots, 0, "budget {budget}");
+                assert!(
+                    (rev.makespan - flat.makespan).abs() <= 1e-9,
+                    "budget {budget}: revised {} vs flat {}",
+                    rev.makespan,
+                    flat.makespan
+                );
+            }
+        }
+    }
+
+    /// `s → x → t` with one step job per `(t0, r)`, the jobs in parallel.
+    fn parallel_steps(jobs: &[(Time, Resource)]) -> TwoTupleInstance {
+        let mut g: Dag<Job, ()> = Dag::new();
+        let s = g.add_node(Job::new(Duration::zero()));
+        let t = g.add_node(Job::new(Duration::zero()));
+        for &(t0, r) in jobs {
+            let x = g.add_node(Job::new(Duration::two_point(t0, r, 0)));
+            g.add_edge(s, x, ()).unwrap();
+            g.add_edge(x, t, ()).unwrap();
+        }
+        let inst = Instance::new(g).unwrap();
+        expand_two_tuples(&to_arc_form(&inst).0)
+    }
+
+    /// Whether a published solution meets every row of its LP, to a
+    /// relative `tol`.
+    fn meets_rows(lp: &MakespanLp, f: &FractionalSolution, tol: f64) -> bool {
+        let mut x = f.flows.clone();
+        x.resize(lp.shape.problem.n_vars(), 0.0);
+        for (v, tv) in lp.shape.time_var.iter().enumerate() {
+            if let Some(j) = tv {
+                x[*j] = f.times[v];
+            }
+        }
+        let scale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        lp.shape.problem.is_feasible(&x, tol * scale)
+    }
+
+    /// One step job that buys all of its 10 ticks for `r` units: its
+    /// saving per unit (`10 / r`) is far below the simplex tolerance,
+    /// but the crash prices it exactly, so the whole purchase is made.
+    #[test]
+    fn a_tiny_saving_per_unit_still_buys_the_whole_job() {
+        for r in [1_000_000_000u64, 1_000_000_000_000, 1 << 62] {
+            let tt = parallel_steps(&[(10, r)]);
+            let f = solve_min_makespan_lp(&tt, r, None).unwrap();
+            assert_eq!(f.makespan, 0.0, "r = {r}");
+            assert_eq!(f.budget_used, r as f64, "r = {r}");
+        }
+    }
+
+    /// Two such jobs in parallel at budget `r = 10^18`: the LP optimum is
+    /// 5 (half of each job). The crash's dual repair extracts a point
+    /// that misses a precedence row by 10 there; the row check at the
+    /// end of every solve sends it cold instead of publishing it.
+    #[test]
+    fn a_published_solution_meets_every_row() {
+        let r = 1_000_000_000_000_000_000u64;
+        let tt = parallel_steps(&[(10, r), (10, r)]);
+        let mut lp = MakespanLp::new(&tt);
+        lp.set_budget(r);
+        let f = lp.solve_with(&tt, Engine::Revised).unwrap();
+        assert!(meets_rows(&lp, &f, 1e-9), "{f:?}");
+        assert!(f.makespan >= 5.0 - 1e-9, "{}", f.makespan);
     }
 
     #[test]

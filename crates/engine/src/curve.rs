@@ -3,11 +3,13 @@
 //!
 //! This is the paper's actual object of study — the resource-time
 //! tradeoff *curve* — served as a first-class request instead of
-//! `|grid|` independent solves. The first point solves cold; every
-//! later point rewrites the budget row's RHS and dual-reoptimizes from
-//! the previous optimal basis (see `rtt_lp::revised`), which on fine
-//! grids collapses per-point cost to a handful of pivots
-//! (`BENCH_pr3.json` quantifies it). Each LP point is then α-rounded
+//! `|grid|` independent solves. The first point starts from LP 6–10's
+//! crash basis, which is the LP's budget-0 optimum and dual feasible
+//! at every budget (see `rtt_core::lp_build`), so the dual simplex
+//! repairs it, and a budget-0 anchor costs no pivot. Every later point
+//! rewrites the budget row's RHS and dual-reoptimizes from the previous
+//! optimal basis (see `rtt_lp::revised`), which on fine grids collapses
+//! per-point cost to a handful of pivots. Each LP point is then α-rounded
 //! and min-flow routed through the same Theorem 3.4 stage as a single
 //! `bicriteria` solve, and becomes its report through the same report
 //! path as every solver's answer (see [`crate::solver`]): the solved
@@ -131,16 +133,16 @@ mod tests {
         let points = execute_sweep_wire(&req, &budgets, &ctx);
         assert_eq!(points.len(), budgets.len());
         // the chain starts from the crash basis: its first point costs
-        // what a cold solve at that budget costs
-        let cold_first = rtt_core::lp_build::solve_min_makespan_lp_with(
+        // what a single solve at that budget costs
+        let single_first = rtt_core::lp_build::solve_min_makespan_lp_with(
             prep.tt(),
             budgets[0],
             rtt_lp::Engine::Revised,
         )
         .unwrap();
         assert_eq!(
-            points[0].work, cold_first.pivots as u64,
-            "first point is cold"
+            points[0].work, single_first.pivots as u64,
+            "first point is a single solve"
         );
         let mut prev = f64::INFINITY;
         for p in &points {

@@ -48,6 +48,18 @@ impl PreparedInstance {
         }
     }
 
+    /// Wraps an instance whose canonical form the caller has already
+    /// computed (to key a [`PrepCache`] with, say), so
+    /// [`PreparedInstance::canonical`] finds it set instead of
+    /// computing it again. `canonical` must be
+    /// [`rtt_core::canonical_form`]`(&arc)`.
+    pub fn with_canonical(arc: ArcInstance, canonical: CanonicalForm) -> Self {
+        PreparedInstance {
+            canonical: OnceLock::from(canonical),
+            ..PreparedInstance::new(arc)
+        }
+    }
+
     /// The underlying instance.
     pub fn arc(&self) -> &ArcInstance {
         &self.arc
@@ -95,6 +107,12 @@ impl PreparedInstance {
             self.reuses.load(Ordering::Relaxed),
             self.computes.load(Ordering::Relaxed),
         )
+    }
+}
+
+impl From<ArcInstance> for PreparedInstance {
+    fn from(arc: ArcInstance) -> Self {
+        PreparedInstance::new(arc)
     }
 }
 
@@ -200,12 +218,14 @@ impl PrepCache {
     }
 
     /// Returns the prepared instance for `key`, building it with
-    /// `build` on first sight of the key. May evict the
+    /// `build` on first sight of the key: an [`ArcInstance`], or a
+    /// [`PreparedInstance`] that already carries some of its artifacts
+    /// ([`PreparedInstance::with_canonical`]). May evict the
     /// least-recently-used entry on insert if the cache is at capacity.
-    pub fn get_or_insert(
+    pub fn get_or_insert<P: Into<PreparedInstance>>(
         &self,
         key: &str,
-        build: impl FnOnce() -> ArcInstance,
+        build: impl FnOnce() -> P,
     ) -> Arc<PreparedInstance> {
         let mut entries = self.entries.lock().expect("prep cache poisoned");
         if let Some(hit) = entries.get(key) {
@@ -213,7 +233,7 @@ impl PrepCache {
             return Arc::clone(hit);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let prep = Arc::new(PreparedInstance::new(build()));
+        let prep = Arc::new(build().into());
         for dead in entries.insert(key.to_string(), Arc::clone(&prep)) {
             let (r, c) = dead.prep_counters();
             self.dead_reuses.fetch_add(r, Ordering::Relaxed);
@@ -293,7 +313,7 @@ mod tests {
     fn cache_dedupes_by_key() {
         let cache = PrepCache::new();
         let a = cache.get_or_insert("k7", tiny);
-        let b = cache.get_or_insert("k7", || panic!("must not rebuild"));
+        let b = cache.get_or_insert("k7", || -> ArcInstance { panic!("must not rebuild") });
         assert!(Arc::ptr_eq(&a, &b));
         let c = cache.get_or_insert("k8", tiny);
         assert!(!Arc::ptr_eq(&a, &c));
@@ -366,5 +386,13 @@ mod tests {
         let c2 = prep.canonical().digest;
         assert_eq!(c1, c2);
         assert_eq!(c1, rtt_core::fingerprint(prep.arc()));
+    }
+
+    #[test]
+    fn a_handed_in_canonical_form_is_reused_not_recomputed() {
+        let form = rtt_core::canonical_form(&tiny());
+        let prep = PreparedInstance::with_canonical(tiny(), form.clone());
+        assert_eq!(prep.canonical().key, form.key);
+        assert_eq!(prep.prep_counters(), (1, 0), "one reuse, no compute");
     }
 }

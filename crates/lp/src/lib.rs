@@ -25,8 +25,9 @@
 //! the same order with the same senses and coefficients — only
 //! right-hand sides may change (LP 6–10 at a new budget). The engine
 //! verifies the cheap invariants (dimensions, basic-set sanity, dual
-//! feasibility) and silently falls back to a cold solve otherwise, so a
-//! stale basis can cost time but never correctness.
+//! feasibility) and, at the end, the solution against every row, and
+//! silently falls back to a cold solve otherwise, so a stale basis can
+//! cost time but never correctness.
 //!
 //! The solver is exact enough for the pipeline: every LP built by
 //! `rtt-core` has integer input data, and the rounding scheme of §3.1

@@ -51,9 +51,10 @@
 //!
 //! A solve starts in one place and ends in one place: a private seed
 //! brings a fresh engine to a primal-feasible phase-2 basis, and a
-//! private finish runs phase 2, extracts the solution and snapshots the
-//! basis. [`solve_warm`] is that pair once; [`solve_rhs_sweep`] seeds
-//! once and finishes at every point.
+//! private finish runs phase 2, extracts the solution, checks it
+//! against the rows and snapshots the basis. [`solve_warm`] is that
+//! pair once; [`solve_rhs_sweep`] seeds once and finishes at every
+//! point.
 //!
 //! The seed accepts a [`Basis`] returned by a previous solve of a
 //! problem with the **same shape** (identical rows/columns/sense; only
@@ -61,11 +62,14 @@
 //! budget). Changing `b` never changes reduced costs, so an old optimal
 //! basis installs *dual feasible* and a bounded **dual simplex** loop
 //! repairs primal feasibility, which for a small RHS step typically
-//! takes 0–3 pivots instead of a full cold solve. A structural crash
-//! (see [`crash_basis`]) enters either way: LP 6–10's longest-path
-//! crash is primal feasible for the makespan objective (straight to
-//! phase 2) and dual feasible for the min-resource one. With no basis,
-//! the seed runs phase 1 from the all-logical basis and retires the
+//! takes 0–3 pivots instead of a full cold solve. A basis that installs
+//! primal but not dual feasible goes straight to phase 2. A structural
+//! crash (see [`crash_basis`]) takes whichever entry fits: LP 6–10's
+//! routed min-makespan crash, its flows priced, is the budget-0 optimum
+//! and dual feasible at every budget (a dual repair of the budget row,
+//! with no pivot at budget 0); its min-resource crash is dual feasible;
+//! its no-reuse crash is primal feasible only. With no basis, the seed
+//! runs phase 1 from the all-logical basis and retires the
 //! artificials.
 //!
 //! Every suspicious situation of a warm solve (shape mismatch, singular
@@ -75,6 +79,20 @@
 //! (iteration cap, singular refactorization) restarts in the flat
 //! engine under Bland's rule — so the guarantees are exactly the flat
 //! engine's, and warm starting is purely an optimization.
+//!
+//! # The row check
+//!
+//! A start may cost time, never correctness, so the finish checks every
+//! solution it extracts against the engine's own rows at their current
+//! right-hand sides: a row missed by more than `1e-9 · max(1, |b_i| +
+//! Σ_j |a_ij x_j|)` fails the solve like any other numerical trouble
+//! (a warm start re-solves cold, a chain degrades to independent
+//! solves, a cold solve restarts in the flat engine). The dual repair
+//! can need it: when a crash prices purchases far below the pivot
+//! tolerances (two parallel jobs that save 10 ticks each for 10^18
+//! units), it can stop at a basis whose point misses a precedence row
+//! by the whole saving. It has not fired on the committed goldens or
+//! the benchmark corpora.
 //!
 //! The two-phase structure, Dantzig-with-Bland-fallback pricing, and
 //! termination caps mirror the flat engine; differential tests pin the
@@ -127,9 +145,11 @@ pub enum CrashVar {
 /// that know their problem's structure (e.g. LP 6–10, where the
 /// longest-path times at zero flow are primal feasible) can hand the
 /// result to [`solve_warm`] and skip phase 1 outright. The choice is
-/// *trusted but verified*: a singular, infeasible, or otherwise unusable
-/// crash is detected at install time and quietly falls back to a cold
-/// two-phase solve, so a wrong crash costs time, never correctness.
+/// *trusted but verified*: a singular crash, or one neither primal- nor
+/// dual-feasible, is detected at install time, and a solution that
+/// misses a row at the end (see "The row check" in the module docs);
+/// either quietly falls back to a cold two-phase solve, so a wrong
+/// crash costs time, never correctness.
 pub fn crash_basis(p: &Problem, choice: &[CrashVar]) -> Basis {
     assert_eq!(choice.len(), p.rows.len(), "one choice per row");
     let (layout, cols) = row_layout(p);
@@ -307,6 +327,9 @@ const DROP_REL: f64 = 1e-15;
 const PIV_TOL: f64 = 1e-9;
 /// Primal/dual feasibility tolerance for the warm-start path.
 const DTOL: f64 = 1e-7;
+/// Relative row residual an extracted solution may carry (see
+/// `Rev::meets_rows`).
+const ROW_TOL: f64 = 1e-9;
 /// Rebuild the eta file after this many pivots since the last rebuild…
 const REFACTOR_EVERY: usize = 192;
 /// …or once it has *grown* by this many nonzeros per row since then
@@ -350,6 +373,8 @@ struct Rev<'a> {
     vals: Vec<f64>,
     upper: Vec<f64>,
     banned: Vec<bool>,
+    /// Each row's sense after normalization.
+    sense: Vec<Cmp>,
     /// Normalized right-hand sides (`≥ 0`).
     b: Vec<f64>,
     /// `b` minus the at-upper columns' contribution (`x_B = B⁻¹ b_eff`).
@@ -487,6 +512,7 @@ impl<'a> Rev<'a> {
             vals,
             upper,
             banned,
+            sense: layout.iter().map(|&(cmp, _)| cmp).collect(),
             b_eff: b.clone(),
             x_b: b.clone(),
             b,
@@ -1201,11 +1227,12 @@ impl<'a> Rev<'a> {
     /// Brings a freshly built engine to a primal-feasible phase-2
     /// basis: the one way a solve starts. An offered `start` is
     /// installed and either repaired by the dual simplex (it installs
-    /// dual-feasible: an old optimum after an RHS change) or accepted
-    /// as it stands (primal-feasible: a structural crash); the entry
-    /// used is recorded in `stats.warm`, and a start that does neither
-    /// is [`Stop::Fail`]. With no start, phase 1 runs from the
-    /// all-logical basis and the artificials retire.
+    /// dual-feasible: an old optimum after an RHS change, or a priced
+    /// crash) or accepted as it stands (primal-feasible only: a plain
+    /// structural crash); the entry used is recorded in `stats.warm`,
+    /// and a start that does neither is [`Stop::Fail`]. With no start,
+    /// phase 1 runs from the all-logical basis and the artificials
+    /// retire.
     fn seed(&mut self, start: Option<&Basis>) -> Result<(), Stop> {
         let Some(warm) = start else {
             if self.n_cols > self.n_real {
@@ -1236,12 +1263,43 @@ impl<'a> Rev<'a> {
         Ok(())
     }
 
-    /// Runs phase 2 from a seeded basis, extracts the solution, and
-    /// snapshots the optimal basis for the next warm start: the one way
-    /// a solve ends.
+    /// Whether the structural values `x` meet every row of the engine's
+    /// own matrix at its current right-hand sides: each row may miss by
+    /// at most `ROW_TOL · max(1, |b_i| + Σ_j |a_ij x_j|)`. Extraction
+    /// clamps `x` into its bounds, so the rows are what is left to check.
+    fn meets_rows(&self, x: &[f64]) -> bool {
+        let mut lhs = vec![0.0; self.m];
+        // |b_i| is b_i: the rows are normalized to b ≥ 0
+        let mut scale = self.b.clone();
+        for (j, &xj) in x.iter().enumerate() {
+            if xj != 0.0 {
+                let (rows, vals) = self.col(j);
+                for (&i, &a) in rows.iter().zip(vals) {
+                    lhs[i as usize] += a * xj;
+                    scale[i as usize] += (a * xj).abs();
+                }
+            }
+        }
+        (0..self.m).all(|i| {
+            let miss = match self.sense[i] {
+                Cmp::Le => lhs[i] - self.b[i],
+                Cmp::Ge => self.b[i] - lhs[i],
+                Cmp::Eq => (lhs[i] - self.b[i]).abs(),
+            };
+            miss <= ROW_TOL * scale[i].max(1.0)
+        })
+    }
+
+    /// Runs phase 2 from a seeded basis, extracts the solution, checks
+    /// it against the rows, and snapshots the optimal basis for the
+    /// next warm start: the one way a solve ends. A solution that
+    /// misses a row is [`Stop::Fail`], whatever the start.
     fn finish(&mut self) -> Result<(Solution, Basis), Stop> {
         self.primal()?;
         let sol = self.extract()?;
+        if !self.meets_rows(&sol.x) {
+            return Err(Stop::Fail);
+        }
         let basis = Basis {
             basic: self.basis.iter().map(|&c| c as u32).collect(),
             at_upper: self

@@ -19,15 +19,18 @@ pub enum WarmStart {
     #[default]
     Cold,
     /// An offered basis installed **dual-feasible** (an old optimum
-    /// after an RHS change, or LP 6–10's crash under the min-resource
-    /// objective) and was repaired by the dual simplex.
+    /// after an RHS change, or LP 6–10's crash under the routed
+    /// min-makespan or the min-resource objective) and was repaired by
+    /// the dual simplex.
     Dual,
-    /// An offered basis installed **primal-feasible** (a structural
-    /// crash) and went straight to phase 2.
+    /// An offered basis installed **primal-feasible** but not
+    /// dual-feasible (LP 6–10's crash without reuse) and went straight
+    /// to phase 2.
     Primal,
     /// A basis was offered but rejected (shape mismatch, singular
-    /// install, neither primal- nor dual-feasible, or a stalled warm
-    /// loop); the solve fell back cold. Cost, never correctness.
+    /// install, neither primal- nor dual-feasible, a stalled warm loop,
+    /// or a solution that missed a row); the solve fell back cold.
+    /// Cost, never correctness.
     Rejected,
 }
 
